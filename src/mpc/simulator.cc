@@ -1,5 +1,7 @@
 #include "mpc/simulator.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -23,6 +25,11 @@ MpcSimulator::MpcSimulator(std::size_t num_servers) {
   locals_.resize(num_servers);
 }
 
+MpcSimulator::MpcSimulator(transport::Transport& transport)
+    : MpcSimulator(transport.num_endpoints()) {
+  explicit_ = &transport;
+}
+
 void MpcSimulator::LoadInput(const Instance& global) {
   const std::size_t p = locals_.size();
   locals_.assign(p, Instance());
@@ -30,7 +37,7 @@ void MpcSimulator::LoadInput(const Instance& global) {
   stats_ = RunStats();
   std::size_t i = 0;
   global.ForEachFact([this, p, &i](const Fact& f) {
-    locals_[i % p].Insert(f);
+    if (IsLocal(i % p)) locals_[i % p].Insert(f);
     ++i;
   });
 }
@@ -69,6 +76,7 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           out.resize(p);
           Fact scratch;  // Router argument, rebuilt per row.
           for (std::size_t source = lo; source < hi; ++source) {
+            if (!IsLocal(source)) continue;
             const auto src = static_cast<NodeId>(source);
             const Instance& local = locals_[source];
             for (RelationId rel = 0; rel < local.NumRelationIds(); ++rel) {
@@ -140,6 +148,14 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
       // into one kFactBatch frame and ship it. Sources are ascending per
       // target (shards are contiguous ascending ranges), so senders[t]
       // comes out ascending too.
+      const auto ship = [wire, round_idx](
+                            NodeId src, NodeId target,
+                            const std::vector<transport::RowRef>& rows) {
+        wire->Send(transport::WireFrame{
+            transport::kWireVersion, transport::FrameType::kFactBatch, src,
+            static_cast<std::uint32_t>(target),
+            transport::EncodeFactBatchPayload(round_idx, rows)});
+      };
       std::vector<std::vector<NodeId>> senders(p);
       std::vector<transport::RowRef> batch;
       for (const auto& out : outbox) {
@@ -154,22 +170,28 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
               ++i;
             }
             if (src == static_cast<NodeId>(target)) continue;  // Stays local.
-            transport::WireFrame frame;
-            frame.type = transport::FrameType::kFactBatch;
-            frame.from = src;
-            frame.to = static_cast<std::uint32_t>(target);
-            frame.payload = transport::EncodeFactBatchPayload(round_idx,
-                                                              batch);
-            wire->Send(std::move(frame));
+            ship(src, static_cast<NodeId>(target), batch);
             senders[target].push_back(src);
           }
         }
       }
-      // Each target drains its channels in ascending source order,
+      // Remote targets expect one batch from every source, empty or not.
+      batch.clear();
+      for (NodeId target = 0; target < p; ++target) {
+        if (wire->IsLocal(target)) continue;
+        for (NodeId src = 0; src < p; ++src) {
+          if (IsLocal(src) && !std::binary_search(senders[target].begin(),
+                                                  senders[target].end(), src)) {
+            ship(src, target, batch);
+          }
+        }
+      }
+      // Each local target drains its channels in ascending source order,
       // interleaving the self-routed (local) entries at its own position —
       // the exact in-process insert sequence, so digests cannot move.
-      pool.ParallelFor(0, p, [&received, &round, &outbox, &senders, wire, p,
-                              round_idx](std::size_t target) {
+      pool.ParallelFor(0, p, [this, &received, &round, &outbox, &senders,
+                              wire, p, round_idx](std::size_t target) {
+        if (!IsLocal(target)) return;
         const auto tgt = static_cast<NodeId>(target);
         std::size_t& load = round.received[target];
         std::size_t next = 0;
@@ -185,19 +207,22 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
             }
             continue;
           }
-          if (next >= senders[target].size() ||
-              senders[target][next] != source) {
-            continue;  // That source routed nothing here this round.
+          if (wire->IsLocal(source)) {
+            if (next >= senders[target].size() ||
+                senders[target][next] != source) {
+              continue;  // That source routed nothing here this round.
+            }
+            ++next;
           }
-          ++next;
           transport::WireFrame frame = wire->Recv(
               static_cast<std::uint32_t>(target), source);
           LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
-          round.wire_bytes[target] += transport::FrameWireSize(frame);
           const auto decoded =
               transport::DecodeFactBatchPayload(frame.payload);
           LAMP_CHECK_MSG(decoded.has_value() && decoded->round == round_idx,
                          "mpc: malformed fact batch on the wire");
+          if (decoded->facts.empty()) continue;  // Not communication.
+          round.wire_bytes[target] += transport::FrameWireSize(frame);
           for (const Fact& f : decoded->facts) {
             if (received[target].Insert(f)) ++load;
           }
@@ -208,6 +233,7 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
   std::size_t round_total = 0;
   if (obs::InstalledTracer() != nullptr) {
     for (NodeId server = 0; server < p; ++server) {
+      if (!IsLocal(server)) continue;
       obs::Emit(obs::EventKind::kMpcServerLoad, round_idx,
                 static_cast<std::uint32_t>(server), round.received[server]);
     }
@@ -221,11 +247,11 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
   {
     obs::TraceSpan span("mpc.compute", round_idx);
     std::vector<ComputeResult> results(p);
-    pool.ParallelFor(0, p,
-                     [&compute, &received, &results](std::size_t server) {
-                       results[server] = compute(static_cast<NodeId>(server),
-                                                 received[server]);
-                     });
+    pool.ParallelFor(0, p, [this, &compute, &received,
+                            &results](std::size_t server) {
+      if (!IsLocal(server)) return;
+      results[server] = compute(static_cast<NodeId>(server), received[server]);
+    });
     for (NodeId server = 0; server < p; ++server) {
       locals_[server] = std::move(results[server].next_state);
       output_.InsertAll(results[server].output);
@@ -235,6 +261,7 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
 }
 
 transport::Transport* MpcSimulator::WireTransport() {
+  if (explicit_ != nullptr) return explicit_;
   const transport::TransportKind kind = transport::ActiveKind();
   if (kind == transport::TransportKind::kInProcess) return nullptr;
   if (transport_ == nullptr || transport_->kind() != kind ||

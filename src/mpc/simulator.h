@@ -45,6 +45,11 @@
 /// way RoundStats::wire_bytes records the serialized frame bytes each
 /// server received (computed in closed form in-process, measured on the
 /// socket backends; the two agree by construction).
+///
+/// Over an explicit transport (a MeshTransport rank) a simulator drives
+/// only the servers the transport reports local, sending every remote
+/// server one batch per round (empty ones never count as wire bytes), so
+/// all ranks together reproduce the single-simulator run exactly.
 
 namespace lamp {
 
@@ -67,8 +72,13 @@ class MpcSimulator {
 
   explicit MpcSimulator(std::size_t num_servers);
 
+  /// One server per endpoint of \p transport, which must outlive the
+  /// simulator; every round runs over it, whatever ActiveKind() says.
+  explicit MpcSimulator(transport::Transport& transport);
+
   /// Distributes \p global round-robin over the servers ("the input data
-  /// is initially partitioned among the p servers"). Resets stats/output.
+  /// is initially partitioned among the p servers"), keeping only the
+  /// local servers' shares. Resets stats/output.
   void LoadInput(const Instance& global);
 
   /// Places \p local directly on each server (for tests). Resets stats.
@@ -92,13 +102,20 @@ class MpcSimulator {
   Instance GlobalState() const;
 
  private:
-  /// The socket transport for this cluster, created on the first RunRound
-  /// when transport::ActiveKind() is a socket backend (nullptr otherwise).
+  /// The transport for this round: the constructor's, else a socket
+  /// backend created on the first RunRound when transport::ActiveKind()
+  /// is one (nullptr otherwise: the zero-copy in-process path).
   transport::Transport* WireTransport();
+
+  bool IsLocal(std::size_t server) const {
+    return explicit_ == nullptr ||
+           explicit_->IsLocal(static_cast<std::uint32_t>(server));
+  }
 
   std::vector<Instance> locals_;
   Instance output_;
   RunStats stats_;
+  transport::Transport* explicit_ = nullptr;
   std::unique_ptr<transport::Transport> transport_;
 };
 

@@ -11,14 +11,18 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "obs/trace.h"
 
 namespace lamp::transport {
@@ -34,17 +38,19 @@ void EmitConnect(TransportKind kind, std::size_t endpoints, std::size_t fds) {
             static_cast<std::uint32_t>(kind), fds);
 }
 
-void EmitSend(const WireFrame& frame, std::size_t bytes) {
-  obs::Emit(obs::EventKind::kTransportSend, frame.from, frame.to, bytes);
+void EmitSend(const WireFrame& frame) {
+  obs::Emit(obs::EventKind::kTransportSend, frame.from, frame.to,
+            FrameWireSize(frame));
 }
 
-void EmitRecv(const WireFrame& frame, std::size_t bytes) {
-  obs::Emit(obs::EventKind::kTransportRecv, frame.to, frame.from, bytes);
+void EmitRecv(const WireFrame& frame) {
+  obs::Emit(obs::EventKind::kTransportRecv, frame.to, frame.from,
+            FrameWireSize(frame));
 }
 
 /// The default backend: one FIFO deque per (from, to) channel. Frames are
-/// never serialized, but wire bytes are accounted with FrameWireSize so
-/// the in-process numbers match what the socket backends measure.
+/// never serialized, but trace events carry FrameWireSize, the bytes the
+/// socket backends ship.
 class InProcessTransport final : public Transport {
  public:
   explicit InProcessTransport(std::size_t num_endpoints)
@@ -57,16 +63,13 @@ class InProcessTransport final : public Transport {
 
   void Send(WireFrame frame) override {
     LAMP_CHECK(frame.from < n_ && frame.to < n_);
-    const std::size_t bytes = FrameWireSize(frame);
-    EmitSend(frame, bytes);
+    EmitSend(frame);
     Channel& ch = channels_[frame.from * n_ + frame.to];
     {
       std::lock_guard<std::mutex> lock(ch.mu);
       ch.frames.push_back(std::move(frame));
     }
     ch.cv.notify_one();
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
   WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
@@ -77,21 +80,11 @@ class InProcessTransport final : public Transport {
     WireFrame frame = std::move(ch.frames.front());
     ch.frames.pop_front();
     lock.unlock();
-    const std::size_t bytes = FrameWireSize(frame);
-    EmitRecv(frame, bytes);
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+    EmitRecv(frame);
     return frame;
   }
 
   void Shutdown() override {}
-
-  WireStats stats() const override {
-    return WireStats{frames_sent_.load(std::memory_order_relaxed),
-                     bytes_sent_.load(std::memory_order_relaxed),
-                     frames_received_.load(std::memory_order_relaxed),
-                     bytes_received_.load(std::memory_order_relaxed)};
-  }
 
  private:
   struct Channel {
@@ -102,22 +95,91 @@ class InProcessTransport final : public Transport {
 
   std::size_t n_;
   std::vector<Channel> channels_;
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
 };
 
+/// Writes all \p size bytes, retrying short writes and EINTR.
 void WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
   while (size > 0) {
     const ssize_t n = ::write(fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
-      LAMP_CHECK_MSG(false, "transport: socket write failed");
+      LAMP_CHECK_MSG(false, "transport: write failed");
     }
     data += n;
     size -= static_cast<std::size_t>(n);
   }
+}
+
+WireFrame HelloFrame(std::uint32_t from, std::uint32_t to, std::uint64_t seed,
+                     std::uint64_t features) {
+  return {kWireVersion, FrameType::kHello, from, to,
+          EncodeHelloPayload(from, seed, features)};
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
+sockaddr_in LoopbackAddr(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
+/// A listener on an ephemeral 127.0.0.1 port, stored in \p port.
+int ListenLoopbackTcp(std::uint16_t* port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  LAMP_CHECK_MSG(fd >= 0, "transport: socket failed");
+  sockaddr_in addr = LoopbackAddr(0);
+  LAMP_CHECK_MSG(
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
+      "transport: bind failed");
+  LAMP_CHECK_MSG(::listen(fd, SOMAXCONN) == 0, "transport: listen failed");
+  socklen_t len = sizeof addr;
+  LAMP_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) ==
+             0);
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+int ConnectLoopbackTcp(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  LAMP_CHECK_MSG(fd >= 0, "transport: socket failed");
+  const sockaddr_in addr = LoopbackAddr(port);
+  int rc;
+  do {
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+  } while (rc != 0 && errno == EINTR);
+  LAMP_CHECK_MSG(rc == 0, "transport: connect failed");
+  SetNoDelay(fd);
+  return fd;
+}
+
+/// Dials 127.0.0.1:\p port and announces rank \p from with a kHello.
+int DialHello(std::uint16_t port, std::uint32_t from, std::uint32_t to) {
+  const int fd = ConnectLoopbackTcp(port);
+  WriteFrame(fd, HelloFrame(from, to, 0, 0));
+  return fd;
+}
+
+/// Accepts one connection on \p listener and reads the rank its dialer
+/// announced (accept order is not rank order).
+std::pair<FrameReader, std::uint64_t> AcceptHello(int listener) {
+  int fd;
+  do {
+    fd = ::accept(listener, nullptr, nullptr);
+  } while (fd < 0 && errno == EINTR);
+  LAMP_CHECK_MSG(fd >= 0, "transport: accept failed");
+  SetNoDelay(fd);
+  FrameReader chan(fd);
+  const WireFrame frame = chan.Read();
+  LAMP_CHECK(frame.type == FrameType::kHello);
+  const auto hello = DecodeHelloPayload(frame.payload);
+  LAMP_CHECK(hello.has_value());
+  return {std::move(chan), hello->rank};
 }
 
 /// Socket backends: every endpoint holds one stream socket whose peer end
@@ -129,12 +191,9 @@ class SocketRelayTransport final : public Transport {
  public:
   SocketRelayTransport(TransportKind kind, std::size_t num_endpoints)
       : kind_(kind), n_(num_endpoints), endpoints_(num_endpoints) {
-    std::vector<int> relay_fds;
-    if (kind_ == TransportKind::kUds) {
-      relay_fds = ConnectUds();
-    } else {
-      relay_fds = ConnectTcp();
-    }
+    const std::vector<int> relay_fds =
+        kind_ == TransportKind::kUds ? ConnectUds() : ConnectTcp();
+    LAMP_CHECK_MSG(::pipe(wake_pipe_) == 0, "transport: pipe failed");
     EmitConnect(kind_, n_, 2 * n_);
     relay_ = std::thread([this, relay_fds] { RelayLoop(relay_fds); });
   }
@@ -147,16 +206,11 @@ class SocketRelayTransport final : public Transport {
   void Send(WireFrame frame) override {
     LAMP_CHECK(frame.from < n_ && frame.to < n_);
     Endpoint& ep = endpoints_[frame.from];
-    std::vector<std::uint8_t> bytes;
-    bytes.reserve(FrameWireSize(frame));
-    AppendFrame(bytes, frame);
-    EmitSend(frame, bytes.size());
+    EmitSend(frame);
     {
       std::lock_guard<std::mutex> lock(ep.send_mu);
-      WriteAll(ep.fd, bytes.data(), bytes.size());
+      WriteFrame(ep.reader.fd(), frame);
     }
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
   }
 
   WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
@@ -164,26 +218,16 @@ class SocketRelayTransport final : public Transport {
     Endpoint& ep = endpoints_[to];
     std::lock_guard<std::mutex> lock(ep.recv_mu);
     while (ep.inbox[from].empty()) {
-      // Drain the endpoint socket; frames for other channels of `to` are
-      // buffered in their inbox, preserving per-channel FIFO.
-      std::uint8_t buf[kReadChunk];
-      const ssize_t n = ::read(ep.fd, buf, sizeof buf);
-      if (n < 0 && errno == EINTR) continue;
-      LAMP_CHECK_MSG(n > 0, "transport: socket closed while receiving");
-      ep.decoder.Feed(buf, static_cast<std::size_t>(n));
-      while (std::optional<WireFrame> frame = ep.decoder.Next()) {
-        LAMP_CHECK_MSG(frame->to == to && frame->from < n_,
-                       "transport: misrouted frame");
-        ep.inbox[frame->from].push_back(*std::move(frame));
-      }
-      LAMP_CHECK_MSG(!ep.decoder.error(), "transport: corrupt frame stream");
+      // Frames for other channels of `to` are buffered in their inbox,
+      // preserving per-channel FIFO.
+      WireFrame frame = ep.reader.Read();
+      LAMP_CHECK_MSG(frame.to == to && frame.from < n_,
+                     "transport: misrouted frame");
+      ep.inbox[frame.from].push_back(std::move(frame));
     }
     WireFrame frame = std::move(ep.inbox[from].front());
     ep.inbox[from].pop_front();
-    const std::size_t bytes = FrameWireSize(frame);
-    EmitRecv(frame, bytes);
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+    EmitRecv(frame);
     return frame;
   }
 
@@ -197,24 +241,16 @@ class SocketRelayTransport final : public Transport {
     ::close(wake_pipe_[0]);
     ::close(wake_pipe_[1]);
     for (Endpoint& ep : endpoints_) {
-      if (ep.fd >= 0) ::close(ep.fd);
-      ep.fd = -1;
+      if (ep.reader.fd() >= 0) ::close(ep.reader.fd());
+      ep.reader = FrameReader();
     }
-  }
-
-  WireStats stats() const override {
-    return WireStats{frames_sent_.load(std::memory_order_relaxed),
-                     bytes_sent_.load(std::memory_order_relaxed),
-                     frames_received_.load(std::memory_order_relaxed),
-                     bytes_received_.load(std::memory_order_relaxed)};
   }
 
  private:
   struct Endpoint {
-    int fd = -1;
     std::mutex send_mu;
     std::mutex recv_mu;
-    FrameDecoder decoder;
+    FrameReader reader;
     std::vector<std::deque<WireFrame>> inbox;
   };
 
@@ -226,80 +262,30 @@ class SocketRelayTransport final : public Transport {
       int sv[2];
       LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
                      "transport: socketpair failed");
-      endpoints_[i].fd = sv[0];
+      endpoints_[i].reader = FrameReader(sv[0]);
       endpoints_[i].inbox.resize(n_);
       relay_fds[i] = sv[1];
     }
-    InitWakePipe();
     return relay_fds;
   }
 
-  /// One listener on an ephemeral 127.0.0.1 port; every endpoint connects
-  /// and identifies itself with a kHello frame (accept order on loopback
-  /// is not a rank order).
+  /// One listener on an ephemeral 127.0.0.1 port; every endpoint dials it
+  /// and identifies itself with a kHello frame.
   std::vector<int> ConnectTcp() {
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    LAMP_CHECK_MSG(listener >= 0, "transport: socket failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    LAMP_CHECK_MSG(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof addr) == 0,
-                   "transport: bind failed");
-    socklen_t len = sizeof addr;
-    LAMP_CHECK(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
-                             &len) == 0);
-    LAMP_CHECK_MSG(::listen(listener, static_cast<int>(n_)) == 0,
-                   "transport: listen failed");
-
+    std::uint16_t port = 0;
+    const int listener = ListenLoopbackTcp(&port);
     std::vector<int> relay_fds(n_, -1);
     for (std::size_t i = 0; i < n_; ++i) {
-      const int client = ::socket(AF_INET, SOCK_STREAM, 0);
-      LAMP_CHECK_MSG(client >= 0, "transport: socket failed");
-      LAMP_CHECK_MSG(::connect(client, reinterpret_cast<sockaddr*>(&addr),
-                               sizeof addr) == 0,
-                     "transport: connect failed");
-      const int accepted = ::accept(listener, nullptr, nullptr);
-      LAMP_CHECK_MSG(accepted >= 0, "transport: accept failed");
-      int one = 1;
-      ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      ::setsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      endpoints_[i].fd = client;
+      const auto rank = static_cast<std::uint32_t>(i);
+      endpoints_[i].reader = FrameReader(DialHello(port, rank, rank));
       endpoints_[i].inbox.resize(n_);
-      // Identify the accepted connection: the endpoint sends hello(rank).
-      std::vector<std::uint8_t> hello;
-      WireFrame frame;
-      frame.type = FrameType::kHello;
-      frame.from = static_cast<std::uint32_t>(i);
-      frame.to = static_cast<std::uint32_t>(i);
-      frame.payload = EncodeHelloPayload(i, 0);
-      AppendFrame(hello, frame);
-      WriteAll(client, hello.data(), hello.size());
-      FrameDecoder decoder;
-      std::optional<WireFrame> got;
-      while (!got) {
-        std::uint8_t buf[64];
-        const ssize_t r = ::read(accepted, buf, sizeof buf);
-        LAMP_CHECK_MSG(r > 0, "transport: handshake read failed");
-        decoder.Feed(buf, static_cast<std::size_t>(r));
-        got = decoder.Next();
-        LAMP_CHECK_MSG(!decoder.error(), "transport: handshake corrupt");
-      }
-      LAMP_CHECK(got->type == FrameType::kHello);
-      const auto hello_payload = DecodeHelloPayload(got->payload);
-      LAMP_CHECK(hello_payload.has_value() && hello_payload->rank < n_);
-      LAMP_CHECK_MSG(relay_fds[hello_payload->rank] == -1,
+      auto [accepted, announced] = AcceptHello(listener);
+      LAMP_CHECK_MSG(announced < n_ && relay_fds[announced] == -1,
                      "transport: duplicate rank in handshake");
-      relay_fds[hello_payload->rank] = accepted;
+      relay_fds[announced] = accepted.fd();
     }
     ::close(listener);
-    InitWakePipe();
     return relay_fds;
-  }
-
-  void InitWakePipe() {
-    LAMP_CHECK_MSG(::pipe(wake_pipe_) == 0, "transport: pipe failed");
   }
 
   /// Forwards frames between endpoint sockets. Reads are level-triggered
@@ -373,16 +359,213 @@ class SocketRelayTransport final : public Transport {
   int wake_pipe_[2] = {-1, -1};
   std::thread relay_;
   std::atomic<bool> stopped_{false};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
 };
+
+/// Rank \p rank's term of the ring fold (RingSeed's closed form).
+std::uint64_t RingContribution(std::uint64_t base, std::size_t rank) {
+  return HashMix(base ^ static_cast<std::uint64_t>(rank + 1));
+}
 
 TransportKind g_active_kind = TransportKind::kInProcess;
 bool g_active_kind_set = false;
 
 }  // namespace
+
+// --- blocking frame I/O -----------------------------------------------------
+
+void WriteFrame(int fd, const WireFrame& frame) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(FrameWireSize(frame));
+  AppendFrame(bytes, frame);
+  WriteAll(fd, bytes.data(), bytes.size());
+}
+
+WireFrame FrameReader::Read() {
+  for (;;) {
+    if (std::optional<WireFrame> frame = decoder_.Next()) {
+      if (decoder_.unknown_skipped() > warned_skipped_) {
+        std::fprintf(stderr,
+                     "transport: warning: skipped %llu frame(s) of unknown"
+                     " type 0x%02x on fd %d\n",
+                     static_cast<unsigned long long>(
+                         decoder_.unknown_skipped() - warned_skipped_),
+                     decoder_.last_unknown_type(), fd_);
+        warned_skipped_ = decoder_.unknown_skipped();
+      }
+      return *std::move(frame);
+    }
+    LAMP_CHECK_MSG(!decoder_.error(), "transport: corrupt frame stream");
+    std::uint8_t buf[kReadChunk];
+    const ssize_t n = ::read(fd_, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    LAMP_CHECK_MSG(n > 0, "transport: peer closed mid-frame");
+    decoder_.Feed(buf, static_cast<std::size_t>(n));
+  }
+}
+
+// --- the process mesh -------------------------------------------------------
+
+std::uint64_t RingSeed(std::uint64_t base_seed, std::size_t num_ranks) {
+  std::uint64_t h = HashMix(base_seed);
+  for (std::size_t r = 0; r < num_ranks; ++r) {
+    h = HashCombine(h, RingContribution(base_seed, r));
+  }
+  return h;
+}
+
+MeshSockets::MeshSockets(TransportKind kind, std::size_t num_ranks)
+    : kind_(kind), n_(num_ranks) {
+  LAMP_CHECK(num_ranks > 0 && kind != TransportKind::kInProcess);
+  if (kind_ == TransportKind::kTcp) {
+    listeners_.resize(n_);
+    ports_.resize(n_);
+    for (std::size_t r = 0; r < n_; ++r) {
+      listeners_[r] = ListenLoopbackTcp(&ports_[r]);
+    }
+    return;
+  }
+  pair_ends_.assign(n_ * n_, -1);
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t j = i + 1; j < n_; ++j) {
+      int sv[2];
+      LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
+                     "transport: socketpair failed");
+      pair_ends_[i * n_ + j] = sv[0];
+      pair_ends_[j * n_ + i] = sv[1];
+    }
+  }
+}
+
+void MeshSockets::Close() {
+  for (std::vector<int>* fds : {&listeners_, &pair_ends_}) {
+    for (int& fd : *fds) {
+      if (fd >= 0) ::close(fd);
+      fd = -1;
+    }
+  }
+}
+
+MeshTransport::MeshTransport(MeshSockets& sockets, std::size_t rank,
+                             const MeshOptions& options)
+    : kind_(sockets.kind_),
+      rank_(static_cast<std::uint32_t>(rank)),
+      channels_(sockets.n_),
+      trace_id_(options.trace_id) {
+  const std::size_t p = sockets.n_;
+  LAMP_CHECK(rank < p);
+  // Claiming touches only this rank's slots, so ranks on different
+  // threads may connect concurrently.
+  const auto claim = [](int& slot) {
+    LAMP_CHECK_MSG(slot >= 0, "transport: mesh rank claimed twice");
+    return std::exchange(slot, -1);
+  };
+  if (kind_ == TransportKind::kTcp) {
+    const int listener = claim(sockets.listeners_[rank]);
+    for (std::uint32_t peer = 0; peer < rank_; ++peer) {
+      channels_[peer] =
+          FrameReader(DialHello(sockets.ports_[peer], rank_, peer));
+    }
+    for (std::size_t n = rank + 1; n < p; ++n) {
+      auto [chan, peer] = AcceptHello(listener);
+      LAMP_CHECK(peer > rank && peer < p && channels_[peer].fd() < 0);
+      channels_[peer] = std::move(chan);
+    }
+    ::close(listener);
+  } else {
+    for (std::size_t peer = 0; peer < p; ++peer) {
+      if (peer == rank) continue;
+      channels_[peer] = FrameReader(claim(sockets.pair_ends_[rank * p + peer]));
+    }
+  }
+  EmitConnect(kind_, p, p - 1);
+  RingExchange(options);
+}
+
+void MeshTransport::RingExchange(const MeshOptions& options) {
+  const std::size_t p = channels_.size();
+  const std::uint64_t base = options.base_seed;
+  features_ = options.features;
+  if (p == 1) return;
+  obs::TraceSpan span("mesh.seed_exchange", rank_);
+  const obs::Tracer* clock = obs::InstalledTracer();
+  const auto now = [clock] { return clock != nullptr ? clock->NowNs() : 0; };
+  const auto succ = static_cast<std::uint32_t>((rank_ + 1) % p);
+  FrameReader& pred = channels_[(rank_ + p - 1) % p];
+  const auto send = [&](std::uint64_t token, std::uint64_t features) {
+    WriteFrame(channels_[succ].fd(), HelloFrame(rank_, succ, token, features));
+  };
+  const auto receive = [&pred] {
+    const WireFrame frame = pred.Read();
+    LAMP_CHECK(frame.type == FrameType::kHello);
+    const auto payload = DecodeHelloPayload(frame.payload);
+    LAMP_CHECK(payload.has_value());
+    return *payload;
+  };
+  // Fold lap: the token starts at rank 0 as HashMix(base); every rank
+  // folds in its contribution and ANDs in its feature bits. Rank 0 then
+  // holds the result, and the broadcast lap hands it once around.
+  HelloPayload token{0, HashMix(base), options.features};
+  if (rank_ != 0) token = receive();
+  probe_.fold_ns = now();
+  if (rank_ == 0) probe_.t0_ns = probe_.fold_ns;
+  send(HashCombine(token.seed, RingContribution(base, rank_)),
+       token.features & options.features);
+  token = receive();  // Rank 0: the fold. Others: the broadcast.
+  if (rank_ == 0) probe_.t1_ns = now();
+  if (succ != 0) send(token.seed, token.features);
+  features_ = token.features;
+  LAMP_CHECK_MSG(token.seed == RingSeed(base, p),
+                 "transport: ring seed exchange disagrees with the closed"
+                 " form");
+}
+
+void MeshTransport::Send(WireFrame frame) {
+  LAMP_CHECK(frame.from == rank_ && frame.to < channels_.size() &&
+             frame.to != rank_);
+  const int fd = channels_[frame.to].fd();
+  if ((features_ & kHelloFeatureTraceCtx) != 0 &&
+      frame.type == FrameType::kFactBatch) {
+    // The context frame rides the same channel just ahead of the batch,
+    // so the receiver can pair its recv event with this send.
+    WireReader payload(frame.payload);
+    const std::uint64_t round = payload.ReadVarint().value_or(0);
+    const std::uint64_t span = next_span_++;
+    WriteFrame(fd, {kWireVersion, FrameType::kTraceCtx, rank_, frame.to,
+                    EncodeTraceCtxPayload(trace_id_, span, round)});
+    obs::Emit(obs::EventKind::kDistSend, frame.to,
+              static_cast<std::uint32_t>(round), span);
+  }
+  EmitSend(frame);
+  WriteFrame(fd, frame);
+}
+
+WireFrame MeshTransport::Recv(std::uint32_t to, std::uint32_t from) {
+  LAMP_CHECK(to == rank_ && from < channels_.size() && from != rank_);
+  FrameReader& chan = channels_[from];
+  WireFrame frame = chan.Read();
+  std::optional<TraceCtxPayload> ctx;
+  if (frame.type == FrameType::kTraceCtx) {
+    ctx = DecodeTraceCtxPayload(frame.payload);
+    LAMP_CHECK_MSG(ctx.has_value() && ctx->trace_id == trace_id_,
+                   "transport: trace context from a different run");
+    frame = chan.Read();
+  }
+  LAMP_CHECK_MSG(frame.from == from && frame.to == to,
+                 "transport: misrouted frame");
+  EmitRecv(frame);
+  if (ctx.has_value()) {
+    obs::Emit(obs::EventKind::kDistRecv, from,
+              static_cast<std::uint32_t>(ctx->round), ctx->span);
+  }
+  return frame;
+}
+
+void MeshTransport::Shutdown() {
+  for (FrameReader& chan : channels_) {
+    if (chan.fd() >= 0) ::close(chan.fd());
+    chan = FrameReader();
+  }
+}
 
 std::string_view TransportKindName(TransportKind kind) {
   switch (kind) {

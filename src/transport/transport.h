@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "transport/wire.h"
 
@@ -23,24 +24,30 @@
 /// seeded Scheduler is therefore a delivery-order policy the transport
 /// honors, and golden digests stay byte-identical across backends.
 ///
-/// Three backends:
+/// Four backends:
 ///  * InProcessTransport — mutex/condvar deques per channel; the default
 ///    and the zero-copy fast path.
 ///  * TcpTransport       — real TCP sockets over 127.0.0.1.
 ///  * UdsTransport       — AF_UNIX stream socketpairs.
+///  * MeshTransport      — one rank of a p-rank TCP or UDS socket mesh,
+///    for runtimes that give each process (or thread) one endpoint.
 ///
-/// The socket backends connect every endpoint to a relay thread that owns
-/// the peer side of all endpoint sockets and forwards each frame to its
-/// destination endpoint (O(p) file descriptors instead of a p^2 mesh; the
-/// multi-process runner tools/mpc_procs builds the true mesh instead).
-/// The relay never blocks on writes — forwarded bytes queue in userspace
-/// when a destination's socket buffer is full — so a round may send its
-/// entire frame volume before any receiver starts draining, exactly what
+/// The tcp/uds loopback backends connect every endpoint to a relay thread
+/// that forwards each frame to its destination endpoint (O(p) file
+/// descriptors instead of a p^2 mesh). The relay never blocks on writes —
+/// forwarded bytes queue in userspace — so a round may send its entire
+/// frame volume before any receiver starts draining, exactly what
 /// MpcSimulator's route phase does.
 ///
-/// Every backend counts wire traffic (WireStats) and emits
-/// kTransportSend/kTransportRecv/kTransportConnect trace events, so
-/// serialization overhead is measured, not modelled, even in-process.
+/// A loopback backend drives every endpoint itself; a mesh drives one and
+/// reaches the rest over sockets (Transport::IsLocal). A remote receiver
+/// cannot tell "nothing for you" from "not sent yet", so a runtime ships
+/// each remote peer one frame per round, even an empty one.
+///
+/// Every backend emits kTransportSend/kTransportRecv/kTransportConnect
+/// trace events carrying each frame's wire size, so serialization overhead
+/// is measured, not modelled, even in-process; the runtimes account wire
+/// bytes per server from the frames they receive.
 
 namespace lamp::transport {
 
@@ -55,14 +62,6 @@ std::string_view TransportKindName(TransportKind kind);
 
 /// Parses a TransportKindName; returns false on unknown names.
 bool ParseTransportKind(std::string_view name, TransportKind* out);
-
-/// Wire traffic counters, aggregated over all endpoints.
-struct WireStats {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t frames_received = 0;
-  std::uint64_t bytes_received = 0;
-};
 
 /// A connected clique of endpoints. Send/Recv are safe to call from
 /// different threads for different endpoints (and from lamp::par workers);
@@ -79,6 +78,11 @@ class Transport {
   /// requires.
   virtual void Send(WireFrame frame) = 0;
 
+  /// True when this object drives endpoint \p endpoint: Send may use it as
+  /// `from` and Recv as `to`. Every endpoint of a loopback backend is
+  /// local.
+  virtual bool IsLocal(std::uint32_t /*endpoint*/) const { return true; }
+
   /// Blocks until a frame from \p from addressed to \p to is available and
   /// returns it, preserving per-channel FIFO order. Frames arriving on
   /// other channels of \p to are buffered, not lost.
@@ -86,17 +90,126 @@ class Transport {
 
   /// Releases sockets/threads. Idempotent; the destructor calls it.
   virtual void Shutdown() = 0;
-
-  /// Traffic so far. For socket backends these are measured socket bytes;
-  /// the in-process backend counts FrameWireSize of every frame, so all
-  /// backends report identical totals for identical traffic.
-  virtual WireStats stats() const = 0;
 };
 
 /// Builds a connected loopback transport of \p kind with \p num_endpoints
 /// endpoints. Aborts (LAMP_CHECK) if socket setup fails.
 std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
                                                  std::size_t num_endpoints);
+
+// --- blocking frame I/O on one file descriptor --------------------------
+// Shared by the relay endpoints, the mesh channels and process report
+// pipes.
+
+/// Encodes \p frame and writes all of it, retrying short writes and
+/// EINTR; aborts (LAMP_CHECK) on any other error.
+void WriteFrame(int fd, const WireFrame& frame);
+
+/// Blocking reader of the frame stream on one descriptor. Frames of an
+/// unknown type (a newer peer's optional extension) are skipped with a
+/// warning on stderr; a malformed stream or EOF mid-read aborts.
+class FrameReader {
+ public:
+  FrameReader() = default;
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  int fd() const { return fd_; }
+
+  /// Blocks until the next complete frame has arrived and returns it.
+  WireFrame Read();
+
+ private:
+  int fd_ = -1;
+  FrameDecoder decoder_;
+  std::uint64_t warned_skipped_ = 0;
+};
+
+// --- the process mesh ----------------------------------------------------
+
+/// The seed every rank of a \p num_ranks mesh agrees on after the ring
+/// exchange seeded with \p base_seed.
+std::uint64_t RingSeed(std::uint64_t base_seed, std::size_t num_ranks);
+
+/// The pre-fork half of a mesh: one 127.0.0.1 listener per rank (TCP) or
+/// one socketpair per rank pair (UDS). Each rank's MeshTransport claims
+/// its own descriptors; Close() drops the unclaimed rest (a forked worker
+/// after connecting, the launcher after forking every worker).
+class MeshSockets {
+ public:
+  MeshSockets(TransportKind kind, std::size_t num_ranks);
+  ~MeshSockets() { Close(); }
+  MeshSockets(const MeshSockets&) = delete;
+  MeshSockets& operator=(const MeshSockets&) = delete;
+
+  void Close();
+
+ private:
+  friend class MeshTransport;
+  TransportKind kind_;
+  std::size_t n_;
+  std::vector<int> listeners_;  // TCP, per rank.
+  std::vector<std::uint16_t> ports_;
+  std::vector<int> pair_ends_;  // UDS: [i * n + j] = i's end towards j.
+};
+
+struct MeshOptions {
+  std::uint64_t base_seed = 0;  // Ring seed exchange input.
+  std::uint64_t features = 0;   // This rank's Hello feature bits.
+  std::uint64_t trace_id = 0;   // Carried by kTraceCtx frames.
+};
+
+/// The ring exchange's receipt times in the installed tracer's clock (zero
+/// untraced): the probes a trace merger aligns process clocks with.
+struct RingProbe {
+  std::uint64_t t0_ns = 0;    // Rank 0: fold-lap start.
+  std::uint64_t t1_ns = 0;    // Rank 0: fold-lap end.
+  std::uint64_t fold_ns = 0;  // Every rank: fold token receipt.
+};
+
+/// One rank of a true p-rank socket mesh: a connection to every other rank,
+/// and only endpoint `rank` local. Connecting identifies ranks (over TCP
+/// each rank dials every lower rank and announces itself with a kHello;
+/// accept order is not rank order) and then runs the ring seed exchange: a
+/// kHello token travels rank -> rank+1 twice, folding every rank's
+/// contribution and ANDing its feature bits, then broadcasting both, and
+/// the result is checked against RingSeed. With kHelloFeatureTraceCtx
+/// negotiated, each kFactBatch is preceded by a kTraceCtx frame on its
+/// channel and stamped with kDistSend/kDistRecv events; context frames are
+/// not counted, so tracing never moves the audited byte counts. Calls on
+/// the one local endpoint are not serialized: Send and Recv from one
+/// thread at a time, as MpcSimulator::RunRound does.
+class MeshTransport final : public Transport {
+ public:
+  /// Claims \p rank's descriptors of \p sockets, connects and runs the
+  /// ring exchange; blocks until every rank has done the same.
+  MeshTransport(MeshSockets& sockets, std::size_t rank,
+                const MeshOptions& options);
+  ~MeshTransport() override { Shutdown(); }
+  MeshTransport(const MeshTransport&) = delete;
+  MeshTransport& operator=(const MeshTransport&) = delete;
+
+  TransportKind kind() const override { return kind_; }
+  std::size_t num_endpoints() const override { return channels_.size(); }
+  bool IsLocal(std::uint32_t endpoint) const override {
+    return endpoint == rank_;
+  }
+  void Send(WireFrame frame) override;
+  WireFrame Recv(std::uint32_t to, std::uint32_t from) override;
+  void Shutdown() override;
+
+  const RingProbe& ring_probe() const { return probe_; }
+
+ private:
+  void RingExchange(const MeshOptions& options);
+
+  TransportKind kind_;
+  std::uint32_t rank_;
+  std::vector<FrameReader> channels_;  // Per peer; unset at rank_.
+  std::uint64_t features_ = 0;         // Mesh-wide AND.
+  std::uint64_t trace_id_ = 0;
+  std::uint64_t next_span_ = 0;
+  RingProbe probe_;
+};
 
 /// The process-wide backend selection honored by MpcSimulator and
 /// TransducerNetwork. Defaults to kInProcess; the LAMP_TRANSPORT

@@ -5,11 +5,15 @@
 // wire-byte equality is the sharpest check: the in-process backend
 // *computes* frame sizes in closed form while the socket backends
 // *measure* them after real send/recv, so any drift between the encoder
-// and the accounting shows up here immediately.
+// and the accounting shows up here immediately. The same holds when the
+// cluster is split into one simulator per rank over a socket mesh: the
+// per-rank results must fold back to the single-simulator digests.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -106,14 +110,71 @@ RunDigest TriangleDigest() {
           run.stats.TotalWireBytes()};
 }
 
-RunDigest RepartitionDigest(std::size_t p) {
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z)");
-  Rng rng(31);
-  Instance db;
-  AddMatchingRelation(schema, schema.IdOf("R"), /*m=*/800, 0, rng, db);
-  AddMatchingRelation(schema, schema.IdOf("S"), /*m=*/800, 800, rng, db);
-  const MpcRunResult run = RepartitionJoin(q, db, p, /*seed=*/7);
+// What a cluster run leaves behind. A mesh run folds its ranks: each
+// rank contributes its own server's loads, wire bytes and state, and its
+// output, in ascending rank order (the in-process fold order).
+struct ClusterRun {
+  Instance output;
+  RunStats stats;
+  std::vector<Instance> locals;
+};
+using ClusterBody = std::function<void(MpcSimulator&)>;
+using Cluster = std::function<ClusterRun(std::size_t, const ClusterBody&)>;
+
+// One simulator on the active backend.
+ClusterRun RunSimulated(std::size_t p, const ClusterBody& body) {
+  MpcSimulator sim(p);
+  body(sim);
+  return {sim.output(), sim.stats(), sim.locals()};
+}
+
+// p threads, each running `body` on its own simulator over one rank of a
+// `kind` MeshTransport.
+Cluster MeshThreads(transport::TransportKind kind) {
+  return [kind](std::size_t p, const ClusterBody& body) {
+    transport::MeshSockets sockets(kind, p);
+    std::vector<ClusterRun> ranks(p);
+    std::vector<std::thread> threads;
+    for (std::size_t r = 0; r < p; ++r) {
+      threads.emplace_back([&ranks, &body, &sockets, r] {
+        transport::MeshTransport mesh(sockets, r, {});
+        MpcSimulator sim(mesh);
+        body(sim);
+        ranks[r] = {sim.output(), sim.stats(), sim.locals()};
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    ClusterRun folded{Instance(), ranks[0].stats, {}};
+    for (std::size_t r = 0; r < p; ++r) {
+      folded.output.InsertAll(ranks[r].output);
+      folded.locals.push_back(ranks[r].locals[r]);
+      for (std::size_t k = 0; k < folded.stats.rounds.size(); ++k) {
+        const RoundStats& mine = ranks[r].stats.rounds[k];
+        folded.stats.rounds[k].received[r] = mine.received[r];
+        folded.stats.rounds[k].wire_bytes[r] = mine.wire_bytes[r];
+      }
+    }
+    return folded;
+  };
+}
+
+RunDigest RepartitionDigest(std::size_t p,
+                            const Cluster& cluster = RunSimulated) {
+  const ClusterRun run = cluster(p, [p](MpcSimulator& sim) {
+    Schema schema;
+    const ConjunctiveQuery q =
+        ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z)");
+    Rng rng(31);
+    Instance db;
+    AddMatchingRelation(schema, schema.IdOf("R"), /*m=*/800, 0, rng, db);
+    AddMatchingRelation(schema, schema.IdOf("S"), /*m=*/800, 800, rng, db);
+    sim.LoadInput(db);
+    sim.RunRound(RepartitionRouter(q, p, /*seed=*/7),
+                 [&q](NodeId, const Instance& received) {
+                   return MpcSimulator::ComputeResult{Instance(),
+                                                      Evaluate(q, received)};
+                 });
+  });
   return {InstanceFingerprint(run.output), StatsFingerprint(run.stats),
           run.stats.TotalWireBytes()};
 }
@@ -121,32 +182,32 @@ RunDigest RepartitionDigest(std::size_t p) {
 // Multi-round duplication-heavy reshuffle: each fact fans out to two
 // hash-chosen servers, so receive-side dedup and self-routing (facts that
 // stay local, which must never be framed) are both on the wire path.
-RunDigest ReshuffleDigest(std::size_t p) {
-  Schema schema;
-  const RelationId r = schema.AddRelation("R", 2);
-  Rng rng(37);
-  Instance db;
-  AddUniformRelation(schema, r, /*m=*/1000, /*domain_size=*/150, rng, db);
-
-  MpcSimulator sim(p);
-  sim.LoadInput(db);
-  for (std::uint64_t round = 0; round < 3; ++round) {
-    sim.RunRound(
-        [round, p](NodeId, const Fact& fact) {
-          const std::uint64_t h =
-              HashMix(static_cast<std::uint64_t>(fact.args[0].v) * 31 +
-                      round);
-          return std::vector<NodeId>{static_cast<NodeId>(h % p),
-                                     static_cast<NodeId>((h >> 20) % p)};
-        },
-        MpcSimulator::KeepAll());
-  }
+RunDigest ReshuffleDigest(std::size_t p,
+                          const Cluster& cluster = RunSimulated) {
+  const ClusterRun run = cluster(p, [p](MpcSimulator& sim) {
+    Schema schema;
+    const RelationId r = schema.AddRelation("R", 2);
+    Rng rng(37);
+    Instance db;
+    AddUniformRelation(schema, r, /*m=*/1000, /*domain_size=*/150, rng, db);
+    sim.LoadInput(db);
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      sim.RunRound(
+          [round, p](NodeId, const Fact& fact) {
+            const std::uint64_t h =
+                HashMix(static_cast<std::uint64_t>(fact.args[0].v) * 31 +
+                        round);
+            return std::vector<NodeId>{static_cast<NodeId>(h % p),
+                                       static_cast<NodeId>((h >> 20) % p)};
+          },
+          MpcSimulator::KeepAll());
+    }
+  });
   Fnv locals;
-  for (const Instance& local : sim.locals()) {
+  for (const Instance& local : run.locals) {
     locals.Mix(InstanceFingerprint(local));
   }
-  return {locals.h, StatsFingerprint(sim.stats()),
-          sim.stats().TotalWireBytes()};
+  return {locals.h, StatsFingerprint(run.stats), run.stats.TotalWireBytes()};
 }
 
 // -------------------------------------------------- network digests --
@@ -223,6 +284,29 @@ TEST(TransportDeterminismTest, MpcDigestsIdenticalAcrossServerCounts) {
           << "backend " << transport::TransportKindName(kind) << " p=" << p;
       EXPECT_EQ(ReshuffleDigest(p), reshuffle)
           << "backend " << transport::TransportKindName(kind) << " p=" << p;
+    }
+  }
+}
+
+// The first multi-round run across mesh endpoints: one simulator per rank,
+// ranks as threads, frames over real sockets, empty batches to every
+// remote peer — folding back to exactly the in-process digests.
+TEST(TransportDeterminismTest, ThreadedMeshFoldsToInProcessDigests) {
+  BackendRestorer restore;
+  transport::SetActiveKind(transport::TransportKind::kInProcess);
+  // The rank threads share the process-wide pool; keep it inline so no
+  // rank can end up running another rank's chunk while that rank waits on
+  // its frames.
+  par::SetDefaultThreads(1);
+  for (std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const RunDigest repartition = RepartitionDigest(p);
+    const RunDigest reshuffle = ReshuffleDigest(p);
+    for (transport::TransportKind kind :
+         {transport::TransportKind::kTcp, transport::TransportKind::kUds}) {
+      EXPECT_EQ(RepartitionDigest(p, MeshThreads(kind)), repartition)
+          << "mesh " << transport::TransportKindName(kind) << " p=" << p;
+      EXPECT_EQ(ReshuffleDigest(p, MeshThreads(kind)), reshuffle)
+          << "mesh " << transport::TransportKindName(kind) << " p=" << p;
     }
   }
 }

@@ -2,41 +2,28 @@
 // a lamp.wire.v1 socket mesh between them, and the in-process MpcSimulator
 // as the ground truth the distributed run must reproduce byte-for-byte.
 //
-// Topology (the classic rank/listen/connect shape): rank r owns listener r
-// (TCP) or its end of a pre-created socketpair (UDS); ranks identify
-// themselves with a kHello frame, then a seed token travels the ring
-// rank -> succ (two laps: fold, then broadcast) so every process agrees on
-// the routing seed before any data moves. Each round every rank sends ONE
-// batched kFactBatch frame to every other rank (possibly empty — the
-// receiver always expects exactly p-1 frames) and drains its peers in
-// ascending rank order, interleaving its self-routed batch at its own
-// rank. That is exactly the in-process merge order, so outputs, dedup
-// decisions and per-server loads match MpcSimulator's — the comparison
-// this tool exists to make.
-//
-// Wire accounting: each rank reports the framing bytes it *received* from
-// other ranks. Unlike the simulator backends (which skip empty batches),
-// the mesh protocol ships empty frames, so the measured bytes sit a few
-// framing bytes per idle channel above the closed form; both numbers are
-// printed. Measured loads and wire bytes flow into lamp.audit.v1 records
-// next to the strategy's closed-form bound, exactly like the benches.
+// This tool is a launch shell. The parent binds the mesh's sockets
+// (transport::MeshSockets), forks one worker per rank, and each worker
+// claims its seat, connects a transport::MeshTransport (rank handshake,
+// ring seed exchange, trace-context negotiation) and runs the unchanged
+// MpcSimulator round over it: LoadInput -> RunRound -> report. The parent
+// then compares every rank's load, wire bytes and received state, and the
+// union of the outputs, against the in-process reference run; measured
+// loads and wire bytes flow into lamp.audit.v1 records next to the
+// strategy's closed-form bound, exactly like the benches.
 //
 // Exit codes: 0 ok, 1 mismatch vs the in-process reference, 2 usage,
 // 4 audit hard fail (LAMP_AUDIT_HARD_FAIL=1).
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,90 +55,7 @@ namespace {
 
 using namespace lamp;
 
-// --- framed blocking I/O over raw fds -----------------------------------
-
-void WriteAllFd(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      LAMP_CHECK_MSG(false, "mpc_procs: write failed");
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-void SendFrame(int fd, const transport::WireFrame& frame) {
-  std::vector<std::uint8_t> bytes;
-  transport::AppendFrame(bytes, frame);
-  WriteAllFd(fd, bytes.data(), bytes.size());
-}
-
-/// One peer connection: blocking reads through an incremental decoder.
-class FrameChannel {
- public:
-  FrameChannel() = default;
-  explicit FrameChannel(int fd) : fd_(fd) {}
-
-  int fd() const { return fd_; }
-  void Reset(int fd) { fd_ = fd; }
-
-  transport::WireFrame ReadFrame() {
-    for (;;) {
-      if (auto frame = decoder_.Next()) {
-        WarnOnSkipped();
-        return std::move(*frame);
-      }
-      LAMP_CHECK_MSG(!decoder_.error(), "mpc_procs: malformed frame");
-      std::uint8_t buf[1 << 16];
-      const ssize_t n = ::read(fd_, buf, sizeof buf);
-      if (n < 0 && errno == EINTR) continue;
-      LAMP_CHECK_MSG(n > 0, "mpc_procs: peer closed mid-frame");
-      decoder_.Feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void WriteFrame(const transport::WireFrame& frame) { SendFrame(fd_, frame); }
-
- private:
-  /// Unknown-type frames (a newer peer's optional extension) are skipped
-  /// by the decoder; surface each skip as a warning so a version-skewed
-  /// mesh is visible without being fatal.
-  void WarnOnSkipped() {
-    if (decoder_.unknown_skipped() > warned_skipped_) {
-      std::fprintf(stderr,
-                   "mpc_procs: warning: skipped %llu frame(s) of unknown"
-                   " type 0x%02x on fd %d\n",
-                   static_cast<unsigned long long>(decoder_.unknown_skipped() -
-                                                   warned_skipped_),
-                   decoder_.last_unknown_type(), fd_);
-      warned_skipped_ = decoder_.unknown_skipped();
-    }
-  }
-
-  int fd_ = -1;
-  transport::FrameDecoder decoder_;
-  std::uint64_t warned_skipped_ = 0;
-};
-
 // --- scenarios ----------------------------------------------------------
-
-/// Per-rank ring contribution and the fold every rank must end up with.
-/// Rank 0 starts the token at HashMix(base); each rank folds its own
-/// contribution in ring order, so the closed form below is exactly what a
-/// correct exchange produces.
-std::uint64_t RankContribution(std::uint64_t base, std::size_t rank) {
-  return HashMix(base ^ static_cast<std::uint64_t>(rank + 1));
-}
-
-std::uint64_t CombinedSeed(std::uint64_t base, std::size_t p) {
-  std::uint64_t h = HashMix(base);
-  for (std::size_t r = 0; r < p; ++r) {
-    h = HashCombine(h, RankContribution(base, r));
-  }
-  return h;
-}
 
 /// bench_hypercube_load's E3 input: matching relations, the BKS skew-free
 /// extreme (kept in sync so the bounds audited here are the bench's).
@@ -198,7 +102,7 @@ struct Scenario {
   ConjunctiveQuery query;
   Instance input;
   std::size_t servers = 0;        // One process per server.
-  std::uint64_t routing_seed = 0; // CombinedSeed(base, servers).
+  std::uint64_t routing_seed = 0; // RingSeed(base, servers).
   MpcSimulator::Router route;
   obs::audit::Strategy strategy = obs::audit::Strategy::kNone;
   bool expected_violation = false;
@@ -225,7 +129,7 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
     s.shares = LpRoundedShares(s.query, procs);
     s.servers = 1;
     for (std::size_t a : s.shares) s.servers *= a;
-    s.routing_seed = CombinedSeed(base_seed, s.servers);
+    s.routing_seed = transport::RingSeed(base_seed, s.servers);
     s.policy = std::make_unique<HypercubePolicy>(s.query, s.shares,
                                                  MakeUniverse(1),
                                                  s.routing_seed);
@@ -241,7 +145,7 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
   const RelationId sid = s.schema.IdOf("S");
   JoinWorkload w(s.schema, r, sid, m);
   s.servers = procs;
-  s.routing_seed = CombinedSeed(base_seed, s.servers);
+  s.routing_seed = transport::RingSeed(base_seed, s.servers);
   if (name == "repartition" || name == "repartition_skewed") {
     s.input = name == "repartition" ? std::move(w.skew_free)
                                     : std::move(w.skewed);
@@ -306,243 +210,75 @@ TraceConfig MakeTraceConfig(const std::string& prefix,
 
 // --- the worker process -------------------------------------------------
 
-struct WorkerReport {
-  std::size_t load = 0;
-  std::size_t wire_bytes = 0;  // Framing bytes received from other ranks.
-  Instance output;
-};
+/// Every scenario's computation phase: evaluate the query and keep the
+/// received data as the next state, so each rank's received state — not
+/// only its output, which is empty for the matching inputs — can be
+/// checked against the reference.
+MpcSimulator::Computer EvaluateAndKeep(const ConjunctiveQuery& query) {
+  return [&query](NodeId, const Instance& received) {
+    return MpcSimulator::ComputeResult{received, Evaluate(query, received)};
+  };
+}
 
-/// Body of rank \p rank: seed exchange, one communication phase, local
-/// evaluation, report to the parent over \p report_fd. `chans[s]` is the
-/// established connection to rank s (unset at s == rank).
-void RunWorker(const Scenario& scenario, std::size_t rank,
-               std::vector<FrameChannel>& chans, int report_fd,
-               std::uint64_t base_seed, const TraceConfig& trace) {
+/// Report-pipe kFactBatch frames use the round field to say what they
+/// carry.
+constexpr std::uint64_t kReportOutput = 0;
+constexpr std::uint64_t kReportState = 1;
+
+/// Body of worker \p rank: connect the mesh, run the round, report load,
+/// wire bytes, output and received state to the parent over \p report_fd,
+/// then flush the trace shard.
+void RunWorker(const Scenario& scenario, transport::MeshSockets& sockets,
+               std::size_t rank, int report_fd, std::uint64_t base_seed,
+               const TraceConfig& trace) {
   const std::size_t p = scenario.servers;
 
   // Tracing is per-process: an isolated ring-buffer tracer whose shard is
   // flushed to $LAMP_TRACE_SHARD-derived paths at the end of the run.
-  // When the env var is unset no tracer is installed and every Emit below
-  // stays on the null-sink fast path.
+  // When the env var is unset no tracer is installed and every Emit stays
+  // on the null-sink fast path.
   std::unique_ptr<obs::Tracer> tracer;
   std::optional<obs::ScopedTracer> install;
   if (trace.enabled()) {
     tracer = std::make_unique<obs::Tracer>();
     install.emplace(*tracer);
   }
-  const std::uint64_t my_features =
-      trace.enabled() ? transport::kHelloFeatureTraceCtx : 0;
-  std::uint64_t mesh_features = my_features;
-  std::uint64_t ring_t0 = 0;    // Rank 0: fold-lap start (local clock).
-  std::uint64_t ring_t1 = 0;    // Rank 0: fold-lap end.
-  std::uint64_t ring_fold = 0;  // Everyone: fold token receipt time.
+  transport::MeshTransport mesh(
+      sockets, rank,
+      {base_seed, trace.enabled() ? transport::kHelloFeatureTraceCtx : 0,
+       trace.trace_id});
+  sockets.Close();  // The other ranks' descriptors.
+  MpcSimulator sim(mesh);
+  sim.LoadInput(scenario.input);
+  sim.RunRound(scenario.route, EvaluateAndKeep(scenario.query));
 
-  // Ring seed exchange (two laps: fold rank by rank, then broadcast the
-  // result). The outcome must equal the closed form every process already
-  // computed — the check pins the protocol against the specification.
-  // The exchange carries two piggybacked extras:
-  //  * feature negotiation — every rank ANDs its Hello feature bits into
-  //    the fold, and the broadcast lap distributes the mesh-wide AND, so
-  //    optional frame types (kTraceCtx) are only ever sent on a mesh
-  //    where every process opted in;
-  //  * clock probing — the fold lap is the one moment every process
-  //    provably touches the same token in ring order, so its local
-  //    receipt times (plus rank 0's lap bounds) are exactly what the
-  //    shard merger needs to estimate per-process clock offsets.
-  if (p > 1) {
-    obs::TraceSpan span("proc.seed_exchange", static_cast<std::uint32_t>(rank));
-    const std::size_t pred = (rank + p - 1) % p;
-    const std::size_t succ = (rank + 1) % p;
-    std::uint64_t token;
-    if (rank == 0) {
-      token = HashCombine(HashMix(base_seed), RankContribution(base_seed, 0));
-      if (tracer != nullptr) {
-        ring_t0 = tracer->NowNs();
-        ring_fold = ring_t0;
-      }
-      chans[succ].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kHello,
-           static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(succ),
-           transport::EncodeHelloPayload(rank, token, my_features)});
-      const transport::WireFrame fold = chans[pred].ReadFrame();
-      if (tracer != nullptr) ring_t1 = tracer->NowNs();
-      LAMP_CHECK(fold.type == transport::FrameType::kHello);
-      const auto payload = transport::DecodeHelloPayload(fold.payload);
-      LAMP_CHECK(payload.has_value());
-      token = payload->seed;
-      mesh_features = payload->features;  // AND over the whole ring.
-    } else {
-      const transport::WireFrame fold = chans[pred].ReadFrame();
-      if (tracer != nullptr) ring_fold = tracer->NowNs();
-      LAMP_CHECK(fold.type == transport::FrameType::kHello);
-      const auto payload = transport::DecodeHelloPayload(fold.payload);
-      LAMP_CHECK(payload.has_value());
-      token = HashCombine(payload->seed, RankContribution(base_seed, rank));
-      chans[succ].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kHello,
-           static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(succ),
-           transport::EncodeHelloPayload(rank, token,
-                                         payload->features & my_features)});
-    }
-    // Broadcast lap: rank 0 holds the fold (and the negotiated feature
-    // set); pass both once around.
-    if (rank == 0) {
-      chans[succ].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kHello,
-           static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(succ),
-           transport::EncodeHelloPayload(rank, token, mesh_features)});
-    } else {
-      const transport::WireFrame bcast = chans[pred].ReadFrame();
-      LAMP_CHECK(bcast.type == transport::FrameType::kHello);
-      const auto payload = transport::DecodeHelloPayload(bcast.payload);
-      LAMP_CHECK(payload.has_value());
-      token = payload->seed;
-      mesh_features = payload->features;
-      if (succ != 0) {
-        chans[succ].WriteFrame(
-            {transport::kWireVersion, transport::FrameType::kHello,
-             static_cast<std::uint32_t>(rank),
-             static_cast<std::uint32_t>(succ),
-             transport::EncodeHelloPayload(rank, token, mesh_features)});
+  const auto report = [report_fd, rank, p](transport::FrameType type,
+                                           std::vector<std::uint8_t> payload) {
+    transport::WriteFrame(report_fd, {transport::kWireVersion, type,
+                                      static_cast<std::uint32_t>(rank),
+                                      static_cast<std::uint32_t>(p),
+                                      std::move(payload)});
+  };
+  const auto report_facts = [&report](std::uint64_t tag,
+                                      const Instance& facts) {
+    std::vector<transport::RowRef> rows;
+    for (RelationId rel = 0; rel < facts.NumRelationIds(); ++rel) {
+      const RowsView view = facts.RowsOf(rel);
+      for (std::size_t i = 0; i < view.num_rows; ++i) {
+        rows.push_back(transport::RowRef{
+            rel, view.Row(i), static_cast<std::uint32_t>(view.arity)});
       }
     }
-    LAMP_CHECK_MSG(token == scenario.routing_seed,
-                   "mpc_procs: ring seed exchange disagrees with the"
-                   " closed form");
-  }
-
-  // Local slice of the round-robin initial placement (fact i lives on
-  // server i % p — MpcSimulator::LoadInput's contract).
-  Instance local;
-  std::size_t index = 0;
-  scenario.input.ForEachFact([&](const Fact& f) {
-    if (index % p == rank) local.Insert(f);
-    ++index;
-  });
-
-  // Communication phase: route every local fact, batch per target as
-  // columnar row references (stable while `local` is unmutated), send one
-  // frame per peer (ascending rank; possibly empty).
-  std::vector<std::vector<transport::RowRef>> batches(p);
-  {
-    obs::TraceSpan span("proc.route", static_cast<std::uint32_t>(rank));
-    Fact scratch;  // Router argument, rebuilt per row.
-    for (RelationId rel = 0; rel < local.NumRelationIds(); ++rel) {
-      const RowsView rows = local.RowsOf(rel);
-      if (rows.num_rows == 0) continue;
-      scratch.relation = rel;
-      for (std::size_t i = 0; i < rows.num_rows; ++i) {
-        const Value* row = rows.Row(i);
-        scratch.args.assign(row, row + rows.arity);
-        for (NodeId target : scenario.route(static_cast<NodeId>(rank),
-                                            scratch)) {
-          batches[target].push_back(transport::RowRef{
-              rel, row, static_cast<std::uint32_t>(rows.arity)});
-        }
-      }
-    }
-  }
-  // Data sends, each optionally preceded by a kTraceCtx frame carrying
-  // (trace id, span, round) so the receiver can correlate its recv event
-  // with ours. Context frames ride the negotiated feature bit, are never
-  // counted into the wire-byte accounting (tracing must not perturb the
-  // audited numbers), and older peers would skip them cleanly.
-  const bool ctx_on =
-      (mesh_features & transport::kHelloFeatureTraceCtx) != 0;
-  std::uint64_t next_span = 0;
-  for (std::size_t target = 0; target < p; ++target) {
-    if (target == rank) continue;
-    const transport::WireFrame frame{
-        transport::kWireVersion, transport::FrameType::kFactBatch,
-        static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(target),
-        transport::EncodeFactBatchPayload(0, batches[target])};
-    if (ctx_on) {
-      const std::uint64_t span = next_span++;
-      chans[target].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kTraceCtx,
-           static_cast<std::uint32_t>(rank),
-           static_cast<std::uint32_t>(target),
-           transport::EncodeTraceCtxPayload(trace.trace_id, span, 0)});
-      obs::Emit(obs::EventKind::kDistSend, static_cast<std::uint32_t>(target),
-                0, span);
-      obs::Emit(obs::EventKind::kTransportSend,
-                static_cast<std::uint32_t>(rank),
-                static_cast<std::uint32_t>(target),
-                transport::FrameWireSize(frame));
-    }
-    chans[target].WriteFrame(frame);
-  }
-
-  // Receive phase: drain peers in ascending rank order with the
-  // self-routed batch interleaved at our own rank — the in-process merge
-  // order, so dedup decisions and loads replay the simulator's exactly.
-  WorkerReport report;
-  Instance received;
-  {
-    obs::TraceSpan span("proc.drain", static_cast<std::uint32_t>(rank));
-    for (std::size_t source = 0; source < p; ++source) {
-      if (source == rank) {
-        for (const transport::RowRef& r : batches[rank]) {
-          received.InsertRow(r.relation, r.row, r.arity);
-        }
-        continue;
-      }
-      transport::WireFrame frame = chans[source].ReadFrame();
-      std::optional<transport::TraceCtxPayload> ctx;
-      if (frame.type == transport::FrameType::kTraceCtx) {
-        ctx = transport::DecodeTraceCtxPayload(frame.payload);
-        LAMP_CHECK_MSG(ctx.has_value() && ctx->trace_id == trace.trace_id,
-                       "mpc_procs: trace context from a different run");
-        frame = chans[source].ReadFrame();
-      }
-      LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
-      LAMP_CHECK(frame.from == source &&
-                 frame.to == static_cast<std::uint32_t>(rank));
-      // Context frames are deliberately absent from wire accounting:
-      // tracing on/off must not change the audited byte counts.
-      report.wire_bytes += transport::FrameWireSize(frame);
-      if (ctx.has_value()) {
-        obs::Emit(obs::EventKind::kTransportRecv,
-                  static_cast<std::uint32_t>(rank), frame.from,
-                  transport::FrameWireSize(frame));
-        obs::Emit(obs::EventKind::kDistRecv, frame.from,
-                  static_cast<std::uint32_t>(ctx->round), ctx->span);
-      }
-      const auto batch = transport::DecodeFactBatchPayload(frame.payload);
-      LAMP_CHECK(batch.has_value() && batch->round == 0);
-      for (const Fact& f : batch->facts) {
-        if (received.Insert(f)) ++report.load;
-      }
-    }
-  }
-
-  // Computation phase + report upstream.
-  {
-    obs::TraceSpan span("proc.eval", static_cast<std::uint32_t>(rank));
-    report.output = Evaluate(scenario.query, received);
-  }
-  FrameChannel up(report_fd);
-  up.WriteFrame({transport::kWireVersion, transport::FrameType::kStats,
-                 static_cast<std::uint32_t>(rank),
-                 static_cast<std::uint32_t>(p),
-                 transport::EncodeStatsPayload(0, report.load,
-                                               report.wire_bytes)});
-  std::vector<transport::RowRef> out_rows;
-  for (RelationId rel = 0; rel < report.output.NumRelationIds(); ++rel) {
-    const RowsView rows = report.output.RowsOf(rel);
-    for (std::size_t i = 0; i < rows.num_rows; ++i) {
-      out_rows.push_back(transport::RowRef{
-          rel, rows.Row(i), static_cast<std::uint32_t>(rows.arity)});
-    }
-  }
-  up.WriteFrame({transport::kWireVersion, transport::FrameType::kFactBatch,
-                 static_cast<std::uint32_t>(rank),
-                 static_cast<std::uint32_t>(p),
-                 transport::EncodeFactBatchPayload(0, out_rows)});
-  up.WriteFrame({transport::kWireVersion, transport::FrameType::kShutdown,
-                 static_cast<std::uint32_t>(rank),
-                 static_cast<std::uint32_t>(p),
-                 {}});
+    report(transport::FrameType::kFactBatch,
+           transport::EncodeFactBatchPayload(tag, rows));
+  };
+  const RoundStats& round = sim.stats().rounds.at(0);
+  report(transport::FrameType::kStats,
+         transport::EncodeStatsPayload(0, round.received[rank],
+                                       round.wire_bytes[rank]));
+  report_facts(kReportOutput, sim.output());
+  report_facts(kReportState, sim.locals()[rank]);
+  report(transport::FrameType::kShutdown, {});
 
   // Flush this process's trace shard last, so it covers the full run. The
   // parent only reads shards after waitpid(), which sequences after this.
@@ -552,9 +288,9 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
     header.procs = p;
     header.trace_id = trace.trace_id;
     header.label = trace.label;
-    header.ring_t0_ns = ring_t0;
-    header.ring_t1_ns = ring_t1;
-    header.ring_fold_ns = ring_fold;
+    header.ring_t0_ns = mesh.ring_probe().t0_ns;
+    header.ring_t1_ns = mesh.ring_probe().t1_ns;
+    header.ring_fold_ns = mesh.ring_probe().fold_ns;
     const std::string path = trace.PathFor(p, rank);
     if (!obs::dist::WriteShardFile(path, header, *tracer)) {
       std::fprintf(stderr, "mpc_procs: warning: cannot write trace shard %s\n",
@@ -563,106 +299,23 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
   }
 }
 
-// --- mesh construction --------------------------------------------------
-
-int TcpListener(std::uint16_t* port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  LAMP_CHECK(fd >= 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  LAMP_CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0);
-  LAMP_CHECK(::listen(fd, 64) == 0);
-  socklen_t len = sizeof addr;
-  LAMP_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0);
-  *port = ntohs(addr.sin_port);
-  return fd;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-/// Builds rank \p rank's connections over TCP: connect to every lower
-/// rank (identifying with kHello), accept every higher one (identified by
-/// its kHello) on our pre-bound listener.
-std::vector<FrameChannel> TcpMesh(std::size_t rank, std::size_t p,
-                                  const std::vector<std::uint16_t>& ports,
-                                  int listener) {
-  std::vector<FrameChannel> chans(p);
-  for (std::size_t peer = 0; peer < rank; ++peer) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    LAMP_CHECK(fd >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(ports[peer]);
-    int rc;
-    do {
-      rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    } while (rc != 0 && errno == EINTR);
-    LAMP_CHECK_MSG(rc == 0, "mpc_procs: connect to peer failed");
-    SetNoDelay(fd);
-    chans[peer].Reset(fd);
-    chans[peer].WriteFrame(
-        {transport::kWireVersion, transport::FrameType::kHello,
-         static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(peer),
-         transport::EncodeHelloPayload(rank, 0)});
-  }
-  for (std::size_t n = rank + 1; n < p; ++n) {
-    int fd;
-    do {
-      fd = ::accept(listener, nullptr, nullptr);
-    } while (fd < 0 && errno == EINTR);
-    LAMP_CHECK(fd >= 0);
-    SetNoDelay(fd);
-    FrameChannel chan(fd);
-    const transport::WireFrame hello = chan.ReadFrame();
-    LAMP_CHECK(hello.type == transport::FrameType::kHello);
-    const auto payload = transport::DecodeHelloPayload(hello.payload);
-    LAMP_CHECK(payload.has_value() && payload->rank > rank &&
-               payload->rank < p);
-    chans[payload->rank] = std::move(chan);
-  }
-  ::close(listener);
-  return chans;
-}
-
 // --- the multi-process run ----------------------------------------------
 
 struct DistResult {
   Instance output;
   std::vector<std::size_t> loads;       // Per rank.
   std::vector<std::size_t> wire_bytes;  // Per rank, received framing bytes.
+  std::vector<std::uint64_t> states;    // Per rank, received-state digest.
 };
 
 DistResult RunDistributed(const std::string& name, transport::TransportKind
                           kind, std::size_t procs, std::size_t m,
                           std::uint64_t base_seed, const TraceConfig& trace) {
   // The parent resolves the process count the same way the workers will.
-  const Scenario shape = BuildScenario(name, procs, m, base_seed);
-  const std::size_t p = shape.servers;
+  const std::size_t p = BuildScenario(name, procs, m, base_seed).servers;
 
-  // Pre-fork resources: TCP listeners (ports shared via fork) or UDS
-  // socketpairs per unordered pair, plus one report pipe per rank.
-  std::vector<int> listeners(p, -1);
-  std::vector<std::uint16_t> ports(p, 0);
-  // pair_fds[i][j] (i < j): {i's end, j's end}.
-  std::vector<std::vector<std::array<int, 2>>> pair_fds;
-  if (kind == transport::TransportKind::kTcp) {
-    for (std::size_t r = 0; r < p; ++r) listeners[r] = TcpListener(&ports[r]);
-  } else {
-    pair_fds.assign(p, std::vector<std::array<int, 2>>(p, {-1, -1}));
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i + 1; j < p; ++j) {
-        int sv[2];
-        LAMP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
-        pair_fds[i][j] = {sv[0], sv[1]};
-      }
-    }
-  }
+  // Pre-fork resources: the mesh's sockets plus one report pipe per rank.
+  transport::MeshSockets sockets(kind, p);
   std::vector<std::array<int, 2>> pipes(p);
   for (std::size_t r = 0; r < p; ++r) {
     LAMP_CHECK(::pipe(pipes[r].data()) == 0);
@@ -676,62 +329,30 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
       pids[rank] = pid;
       continue;
     }
-    // Worker: drop everything that is not ours, build the mesh, run.
+    // Worker: keep only our pipe's write end, then run.
     for (std::size_t r = 0; r < p; ++r) {
       ::close(pipes[r][0]);
       if (r != rank) ::close(pipes[r][1]);
     }
-    std::vector<FrameChannel> chans(p);
-    if (kind == transport::TransportKind::kTcp) {
-      for (std::size_t r = 0; r < p; ++r) {
-        if (r != rank) ::close(listeners[r]);
-      }
-      chans = TcpMesh(rank, p, ports, listeners[rank]);
-    } else {
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = i + 1; j < p; ++j) {
-          if (i == rank) {
-            chans[j].Reset(pair_fds[i][j][0]);
-            ::close(pair_fds[i][j][1]);
-          } else if (j == rank) {
-            chans[i].Reset(pair_fds[i][j][1]);
-            ::close(pair_fds[i][j][0]);
-          } else {
-            ::close(pair_fds[i][j][0]);
-            ::close(pair_fds[i][j][1]);
-          }
-        }
-      }
-    }
-    const Scenario mine = BuildScenario(name, procs, m, base_seed);
-    RunWorker(mine, rank, chans, pipes[rank][1], base_seed, trace);
-    for (FrameChannel& chan : chans) {
-      if (chan.fd() >= 0) ::close(chan.fd());
-    }
+    RunWorker(BuildScenario(name, procs, m, base_seed), sockets, rank,
+              pipes[rank][1], base_seed, trace);
     ::close(pipes[rank][1]);
     std::_Exit(0);
   }
 
   // Parent: close the worker-side fds, collect reports, reap.
-  if (kind == transport::TransportKind::kTcp) {
-    for (int fd : listeners) ::close(fd);
-  } else {
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i + 1; j < p; ++j) {
-        ::close(pair_fds[i][j][0]);
-        ::close(pair_fds[i][j][1]);
-      }
-    }
-  }
+  sockets.Close();
   for (std::size_t r = 0; r < p; ++r) ::close(pipes[r][1]);
 
   DistResult result;
   result.loads.assign(p, 0);
   result.wire_bytes.assign(p, 0);
+  result.states.assign(p, 0);
   for (std::size_t r = 0; r < p; ++r) {
-    FrameChannel chan(pipes[r][0]);
+    transport::FrameReader chan(pipes[r][0]);
+    Instance state;
     for (;;) {
-      const transport::WireFrame frame = chan.ReadFrame();
+      const transport::WireFrame frame = chan.Read();
       if (frame.type == transport::FrameType::kShutdown) break;
       LAMP_CHECK(frame.from == r);
       if (frame.type == transport::FrameType::kStats) {
@@ -743,9 +364,11 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
         LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
         const auto batch = transport::DecodeFactBatchPayload(frame.payload);
         LAMP_CHECK(batch.has_value());
-        for (const Fact& f : batch->facts) result.output.Insert(f);
+        Instance& into = batch->round == kReportState ? state : result.output;
+        for (const Fact& f : batch->facts) into.Insert(f);
       }
     }
+    result.states[r] = InstanceDigest(state);
     ::close(pipes[r][0]);
   }
   for (std::size_t r = 0; r < p; ++r) {
@@ -781,6 +404,15 @@ void Usage() {
   std::exit(2);
 }
 
+/// A whole decimal flag value; anything else is a usage error.
+std::uint64_t ParseCount(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) Usage();
+  return value;
+}
+
 /// Runs one scenario distributed, checks it against the in-process
 /// reference and emits the audit record. Returns true when everything
 /// matched.
@@ -793,38 +425,37 @@ bool RunOne(const std::string& name, const Options& opts) {
   // the --transport flag selects the *inter-process* mesh only).
   MpcSimulator sim(p);
   sim.LoadInput(scenario.input);
-  sim.RunRound(scenario.route,
-               [&scenario](NodeId, const Instance& received) {
-                 return MpcSimulator::ComputeResult{
-                     Instance(), Evaluate(scenario.query, received)};
-               });
+  sim.RunRound(scenario.route, EvaluateAndKeep(scenario.query));
 
   const TraceConfig trace =
       MakeTraceConfig(opts.trace_prefix, name, opts.kind, p, opts.seed);
   const DistResult dist =
       RunDistributed(name, opts.kind, opts.procs, opts.m, opts.seed, trace);
 
+  // Every rank must reproduce its reference server exactly: load, wire
+  // bytes and received state, plus the union of the outputs.
   bool ok = dist.output == sim.output();
   const RoundStats& ref_round = sim.stats().rounds.at(0);
-  for (std::size_t r = 0; r < p && ok; ++r) {
-    ok = dist.loads[r] == ref_round.received[r];
-  }
-
   std::size_t max_load = 0;
   std::size_t wire_total = 0;
+  std::uint64_t state_digest = 0;
   for (std::size_t r = 0; r < p; ++r) {
+    ok = ok && dist.loads[r] == ref_round.received[r] &&
+         dist.wire_bytes[r] == ref_round.wire_bytes[r] &&
+         dist.states[r] == InstanceDigest(sim.locals()[r]);
     max_load = std::max(max_load, dist.loads[r]);
     wire_total += dist.wire_bytes[r];
+    state_digest += dist.states[r];
   }
   std::printf(
       "%-20s %-4s procs=%-3zu out=%zu digest=%016llx ref=%016llx"
-      " max-load=%zu wire=%zuB (in-proc %zuB) %s\n",
+      " state=%016llx max-load=%zu wire=%zuB %s\n",
       name.c_str(),
       std::string(transport::TransportKindName(opts.kind)).c_str(), p,
       dist.output.Size(),
       static_cast<unsigned long long>(InstanceDigest(dist.output)),
       static_cast<unsigned long long>(InstanceDigest(sim.output())),
-      max_load, wire_total, sim.stats().TotalWireBytes(),
+      static_cast<unsigned long long>(state_digest), max_load, wire_total,
       ok ? "OK" : "MISMATCH");
 
   // Audit the *measured* run against the strategy's closed-form bound,
@@ -942,12 +573,12 @@ int main(int argc, char** argv) {
       opts.kind = kind;
       opts.kind_set = true;
     } else if (arg.rfind("--procs", 0) == 0) {
-      opts.procs = static_cast<std::size_t>(std::stoul(value("--procs")));
+      opts.procs = ParseCount(value("--procs"));
       if (opts.procs == 0) Usage();
     } else if (arg.rfind("--m", 0) == 0) {
-      opts.m = static_cast<std::size_t>(std::stoul(value("--m")));
+      opts.m = ParseCount(value("--m"));
     } else if (arg.rfind("--seed", 0) == 0) {
-      opts.seed = std::stoull(value("--seed"));
+      opts.seed = ParseCount(value("--seed"));
     } else {
       Usage();
     }
