@@ -145,13 +145,16 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
       });
     } else {
       // Step 2 (sockets): serialize each (source, target != source) run
-      // into one kFactBatch frame and ship it. Sources are ascending per
-      // target (shards are contiguous ascending ranges), so senders[t]
-      // comes out ascending too.
-      const auto ship = [wire, round_idx](
+      // into one kFactBatch frame, then hand the whole round to the
+      // transport in one SendBatch call (a relay backend writes each
+      // source's frames at once). Sources are ascending per target
+      // (shards are contiguous ascending ranges), so senders[t] comes out
+      // ascending too.
+      std::vector<transport::WireFrame> frames;
+      const auto ship = [&frames, round_idx](
                             NodeId src, NodeId target,
                             const std::vector<transport::RowRef>& rows) {
-        wire->Send(transport::WireFrame{
+        frames.push_back(transport::WireFrame{
             transport::kWireVersion, transport::FrameType::kFactBatch, src,
             static_cast<std::uint32_t>(target),
             transport::EncodeFactBatchPayload(round_idx, rows)});
@@ -186,6 +189,7 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           }
         }
       }
+      wire->SendBatch(std::move(frames));
       // Each local target drains its channels in ascending source order,
       // interleaving the self-routed (local) entries at its own position —
       // the exact in-process insert sequence, so digests cannot move.
@@ -217,14 +221,19 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           transport::WireFrame frame = wire->Recv(
               static_cast<std::uint32_t>(target), source);
           LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
+          // The batch is decoded and validated whole before any row of
+          // it is inserted.
           const auto decoded =
               transport::DecodeFactBatchPayload(frame.payload);
           LAMP_CHECK_MSG(decoded.has_value() && decoded->round == round_idx,
                          "mpc: malformed fact batch on the wire");
           if (decoded->facts.empty()) continue;  // Not communication.
           round.wire_bytes[target] += transport::FrameWireSize(frame);
-          for (const Fact& f : decoded->facts) {
-            if (received[target].Insert(f)) ++load;
+          for (const transport::RowRef row : decoded->facts) {
+            if (received[target].InsertRow(row.relation, row.row,
+                                           row.arity)) {
+              ++load;
+            }
           }
         }
       });

@@ -38,13 +38,15 @@
 /// Backend selection: transport::ActiveKind() picks where the routed facts
 /// travel. The in-process default keeps the zero-copy outbox/merge path;
 /// tcp/uds serialize each (source, target) batch into one lamp.wire.v1
-/// kFactBatch frame per round and ship it over real sockets
-/// (src/transport). The wire path drains channels per target in ascending
-/// source order — exactly the in-process merge order — so outputs, dedup
-/// decisions and RoundStats are byte-identical across backends. Either
-/// way RoundStats::wire_bytes records the serialized frame bytes each
-/// server received (computed in closed form in-process, measured on the
-/// socket backends; the two agree by construction).
+/// kFactBatch frame per round and ship the round's frames in one
+/// Transport::SendBatch call over real sockets (src/transport). Received
+/// batches are decoded into flat rows and merged with InsertRow. The wire
+/// path drains channels per target in ascending source order — exactly
+/// the in-process merge order — so outputs, dedup decisions and
+/// RoundStats are byte-identical across backends. Either way
+/// RoundStats::wire_bytes records the serialized frame bytes each server
+/// received (computed in closed form in-process, measured on the socket
+/// backends; the two agree by construction).
 ///
 /// Over an explicit transport (a MeshTransport rank) a simulator drives
 /// only the servers the transport reports local, sending every remote

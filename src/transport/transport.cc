@@ -213,6 +213,24 @@ class SocketRelayTransport final : public Transport {
     }
   }
 
+  /// One buffer per source endpoint, written once under its send lock.
+  /// Frames keep their order within a source, so every channel stays
+  /// FIFO.
+  void SendBatch(std::vector<WireFrame> frames) override {
+    std::vector<std::vector<std::uint8_t>> out(n_);
+    for (const WireFrame& frame : frames) {
+      LAMP_CHECK(frame.from < n_ && frame.to < n_);
+      EmitSend(frame);
+      AppendFrame(out[frame.from], frame);
+    }
+    for (std::size_t from = 0; from < n_; ++from) {
+      if (out[from].empty()) continue;
+      Endpoint& ep = endpoints_[from];
+      std::lock_guard<std::mutex> lock(ep.send_mu);
+      WriteAll(ep.reader.fd(), out[from].data(), out[from].size());
+    }
+  }
+
   WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
     LAMP_CHECK(from < n_ && to < n_);
     Endpoint& ep = endpoints_[to];

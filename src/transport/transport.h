@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "transport/wire.h"
@@ -37,7 +38,10 @@
 /// descriptors instead of a p^2 mesh). The relay never blocks on writes —
 /// forwarded bytes queue in userspace — so a round may send its entire
 /// frame volume before any receiver starts draining, exactly what
-/// MpcSimulator's route phase does.
+/// MpcSimulator's route phase does: it hands the round's frames over in one
+/// SendBatch call, and a relay backend makes one write per source endpoint
+/// per round instead of one per frame. Framing, per-frame trace events and
+/// the bytes on the wire are those of the equivalent Send calls.
 ///
 /// A loopback backend drives every endpoint itself; a mesh drives one and
 /// reaches the rest over sockets (Transport::IsLocal). A remote receiver
@@ -77,6 +81,14 @@ class Transport {
   /// Never blocks indefinitely: the backend buffers as much as the round
   /// requires.
   virtual void Send(WireFrame frame) = 0;
+
+  /// Enqueues every frame of \p frames, in order: the same deliveries
+  /// and the same kTransportSend event per frame as one Send call each,
+  /// which is what the default does. The relay backends override it to
+  /// coalesce each source endpoint's frames into a single write.
+  virtual void SendBatch(std::vector<WireFrame> frames) {
+    for (WireFrame& frame : frames) Send(std::move(frame));
+  }
 
   /// True when this object drives endpoint \p endpoint: Send may use it as
   /// `from` and Recv as `to`. Every endpoint of a loopback backend is

@@ -1,6 +1,7 @@
 #include "transport/wire.h"
 
 #include <cstring>
+#include <limits>
 
 namespace lamp::transport {
 
@@ -57,7 +58,13 @@ std::optional<std::uint64_t> WireReader::ReadVarint() {
     if (pos_ >= size_) return std::nullopt;
     const std::uint8_t byte = data_[pos_++];
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) {
+      // A zero last byte is an over-long encoding; a tenth byte above 1
+      // overflows 64 bits. PutVarint writes neither.
+      if (i > 0 && byte == 0) return std::nullopt;
+      if (i == kMaxVarintBytes - 1 && byte > 1) return std::nullopt;
+      return v;
+    }
     shift += 7;
   }
   return std::nullopt;  // Varint longer than 10 bytes: malformed.
@@ -161,15 +168,6 @@ std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
 }
 
 std::vector<std::uint8_t> EncodeFactBatchPayload(
-    std::uint64_t round, const std::vector<const Fact*>& facts) {
-  std::vector<std::uint8_t> payload;
-  PutVarint(payload, round);
-  PutVarint(payload, facts.size());
-  for (const Fact* fact : facts) PutFact(payload, *fact);
-  return payload;
-}
-
-std::vector<std::uint8_t> EncodeFactBatchPayload(
     std::uint64_t round, const std::vector<RowRef>& rows) {
   std::vector<std::uint8_t> payload;
   PutVarint(payload, round);
@@ -180,17 +178,34 @@ std::vector<std::uint8_t> EncodeFactBatchPayload(
 
 std::optional<FactBatchPayload> DecodeFactBatchPayload(
     const std::vector<std::uint8_t>& payload) {
+  constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint32_t>::max();
   WireReader reader(payload);
   const auto round = reader.ReadVarint();
   const auto count = reader.ReadVarint();
-  if (!round || !count || *count > payload.size()) return std::nullopt;
+  // Every row takes at least two bytes (relation, arity) and every value
+  // at least one, so neither the count nor the total value volume can
+  // exceed what is left: both reservations below are bounded by the
+  // payload's own size, and the value buffer never reallocates.
+  if (!round || !count || *count > reader.remaining() / 2) return std::nullopt;
   FactBatchPayload batch;
   batch.round = *round;
-  batch.facts.reserve(*count);
+  FactRows& rows = batch.facts;
+  rows.shapes_.reserve(*count);
+  rows.values_.reserve(reader.remaining() - 2 * *count);
   for (std::uint64_t i = 0; i < *count; ++i) {
-    std::optional<Fact> fact = ReadFact(reader);
-    if (!fact) return std::nullopt;
-    batch.facts.push_back(*std::move(fact));
+    const auto relation = reader.ReadVarint();
+    const auto arity = reader.ReadVarint();
+    if (!relation || !arity || *relation > kMaxId || *arity > kMaxId ||
+        *arity > reader.remaining()) {
+      return std::nullopt;
+    }
+    rows.shapes_.push_back({static_cast<RelationId>(*relation),
+                            static_cast<std::uint32_t>(*arity)});
+    for (std::uint64_t k = 0; k < *arity; ++k) {
+      const auto arg = reader.ReadZigzag();
+      if (!arg) return std::nullopt;
+      rows.values_.emplace_back(*arg);
+    }
   }
   if (!reader.AtEnd()) return std::nullopt;
   return batch;

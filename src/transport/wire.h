@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -98,7 +99,9 @@ std::size_t VarintSize(std::uint64_t v);
 std::size_t ZigzagSize(std::int64_t v);
 
 /// Cursor over an encoded payload. Reads return nullopt on truncation or
-/// malformed varints (> 10 bytes).
+/// malformed varints: longer than 10 bytes, overflowing 64 bits, or not
+/// the shortest encoding of their value (PutVarint's), so every accepted
+/// varint re-encodes to the bytes it was read from.
 class WireReader {
  public:
   WireReader(const std::uint8_t* data, std::size_t size)
@@ -183,21 +186,82 @@ struct TraceCtxPayload {
 std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
     const std::vector<std::uint8_t>& payload);
 
-/// kFactBatch payload: \p facts routed in one round. The fact list may
+/// kFactBatch payload: \p rows routed in one round. The row list may
 /// contain duplicates; receivers dedup on insert exactly like the
 /// in-process merge.
 std::vector<std::uint8_t> EncodeFactBatchPayload(
-    std::uint64_t round, const std::vector<const Fact*>& facts);
-
-/// Row-based overload: same payload bytes for the facts the rows denote.
-std::vector<std::uint8_t> EncodeFactBatchPayload(
     std::uint64_t round, const std::vector<RowRef>& rows);
-struct FactBatchPayload {
-  std::uint64_t round = 0;
-  std::vector<Fact> facts;
-};
+
+struct FactBatchPayload;
+
+/// Decodes and fully validates a kFactBatch payload; nullopt on any
+/// malformation: truncation, a malformed varint, a relation or arity
+/// beyond 32 bits, a count or arity the remaining bytes cannot hold
+/// (checked before anything is allocated), or trailing bytes. Whatever it
+/// accepts re-encodes to exactly \p payload. Two allocations per batch,
+/// none per row.
 std::optional<FactBatchPayload> DecodeFactBatchPayload(
     const std::vector<std::uint8_t>& payload);
+
+/// The rows of a decoded fact batch, in payload order and stored flat: a
+/// relation and arity per row plus one buffer holding every row's values
+/// back to back. Iterating yields RowRefs into that buffer (valid while
+/// the FactRows lives), ready for Instance::InsertRow.
+class FactRows {
+ public:
+  struct Shape {
+    RelationId relation = 0;
+    std::uint32_t arity = 0;
+  };
+
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RowRef;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const RowRef*;
+    using reference = RowRef;
+
+    Iterator(const Shape* shape, const Value* values)
+        : shape_(shape), values_(values) {}
+    RowRef operator*() const {
+      return RowRef{shape_->relation, values_, shape_->arity};
+    }
+    Iterator& operator++() {
+      values_ += shape_->arity;
+      ++shape_;
+      return *this;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.shape_ == b.shape_;
+    }
+    friend bool operator!=(const Iterator& a, const Iterator& b) {
+      return !(a == b);
+    }
+
+   private:
+    const Shape* shape_;
+    const Value* values_;
+  };
+
+  std::size_t size() const { return shapes_.size(); }
+  bool empty() const { return shapes_.empty(); }
+  Iterator begin() const { return {shapes_.data(), values_.data()}; }
+  Iterator end() const {
+    return {shapes_.data() + shapes_.size(), values_.data() + values_.size()};
+  }
+
+ private:
+  friend std::optional<FactBatchPayload> DecodeFactBatchPayload(
+      const std::vector<std::uint8_t>& payload);
+  std::vector<Shape> shapes_;
+  std::vector<Value> values_;
+};
+
+struct FactBatchPayload {
+  std::uint64_t round = 0;
+  FactRows facts;
+};
 
 /// kMessage payload: one transducer broadcast copy plus its causal
 /// bookkeeping (depth, parent transition + 1; see net/network.cc).

@@ -7,12 +7,15 @@
 // *measure* them after real send/recv, so any drift between the encoder
 // and the accounting shows up here immediately. The same holds when the
 // cluster is split into one simulator per rank over a socket mesh: the
-// per-rank results must fold back to the single-simulator digests.
+// per-rank results must fold back to the single-simulator digests. All
+// of it rests on per-channel FIFO, which a batch send (one write per
+// source on the relay backends) must keep exactly like single sends.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "mpc/simulator.h"
 #include "net/network.h"
 #include "net/programs.h"
+#include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "relational/generators.h"
 #include "transport/transport.h"
@@ -239,7 +243,111 @@ RunDigest NetworkDigest(std::uint64_t seed) {
   return d;
 }
 
+// ------------------------------------------------------ batch sends --
+
+constexpr std::uint64_t kSendSteps = 6;
+
+// A kFactBatch frame of 0-2 rows whose round field carries the frame's
+// position `seq` on its channel.
+transport::WireFrame SeqFrame(std::uint32_t from, std::uint32_t to,
+                              std::uint64_t seq) {
+  static const Value kRow[] = {Value(-7), Value(1), Value(1ll << 40)};
+  std::vector<transport::RowRef> rows(seq % 3, transport::RowRef{4, kRow, 3});
+  return {transport::kWireVersion, transport::FrameType::kFactBatch, from, to,
+          transport::EncodeFactBatchPayload(seq, rows)};
+}
+
+// Every local source sends two frames to every other endpoint per step,
+// with the (from, to) channels interleaved; even steps hand the step's
+// frames to one SendBatch call, odd steps Send them one by one. Then every
+// local endpoint drains every channel and checks it arrives in send order.
+void SendInterleavedAndCheckFifo(transport::Transport& t) {
+  const auto n = static_cast<std::uint32_t>(t.num_endpoints());
+  std::vector<std::uint64_t> next(static_cast<std::size_t>(n) * n, 0);
+  for (std::uint64_t step = 0; step < kSendSteps; ++step) {
+    std::vector<transport::WireFrame> frames;
+    for (int copy = 0; copy < 2; ++copy) {
+      for (std::uint32_t to = 0; to < n; ++to) {
+        for (std::uint32_t from = 0; from < n; ++from) {
+          if (from == to || !t.IsLocal(from)) continue;
+          frames.push_back(SeqFrame(from, to, next[from * n + to]++));
+        }
+      }
+    }
+    if (step % 2 == 0) {
+      t.SendBatch(std::move(frames));
+    } else {
+      for (transport::WireFrame& frame : frames) t.Send(std::move(frame));
+    }
+  }
+  for (std::uint32_t to = 0; to < n; ++to) {
+    if (!t.IsLocal(to)) continue;
+    for (std::uint32_t from = 0; from < n; ++from) {
+      if (from == to) continue;
+      for (std::uint64_t seq = 0; seq < 2 * kSendSteps; ++seq) {
+        const transport::WireFrame frame = t.Recv(to, from);
+        ASSERT_EQ(frame.type, transport::FrameType::kFactBatch);
+        ASSERT_EQ(frame.from, from);
+        ASSERT_EQ(frame.to, to);
+        EXPECT_EQ(frame.payload, SeqFrame(from, to, seq).payload)
+            << "channel " << from << "->" << to << " position " << seq;
+      }
+    }
+  }
+}
+
+// One kTransportSend event per frame: 2 * kSendSteps per (from, to)
+// channel, in send order, each carrying its frame's wire size.
+void ExpectOneSendEventPerFrame(const obs::Tracer& tracer, std::size_t n,
+                                const char* backend) {
+  std::vector<std::uint64_t> sends(n * n, 0);
+  for (const obs::TraceEvent& e : tracer.Events()) {
+    if (e.kind != obs::EventKind::kTransportSend) continue;
+    ASSERT_TRUE(e.a < n && e.b < n && e.a != e.b) << backend;
+    const std::uint64_t seq = sends[e.a * n + e.b]++;
+    EXPECT_EQ(e.value, transport::FrameWireSize(SeqFrame(e.a, e.b, seq)))
+        << backend << " channel " << e.a << "->" << e.b << " position "
+        << seq;
+  }
+  for (std::size_t from = 0; from < n; ++from) {
+    for (std::size_t to = 0; to < n; ++to) {
+      if (from == to) continue;
+      EXPECT_EQ(sends[from * n + to], 2 * kSendSteps)
+          << backend << " channel " << from << "->" << to;
+    }
+  }
+}
+
 // ------------------------------------------------------------ tests --
+
+TEST(TransportDeterminismTest, SendBatchKeepsChannelsFifoOnEveryBackend) {
+  constexpr std::size_t kEndpoints = 3;
+  for (transport::TransportKind kind : kBackends) {
+    obs::Tracer tracer;
+    obs::ScopedTracer install(tracer);
+    const std::unique_ptr<transport::Transport> t =
+        transport::MakeLoopbackTransport(kind, kEndpoints);
+    SendInterleavedAndCheckFifo(*t);
+    ExpectOneSendEventPerFrame(tracer, kEndpoints,
+                               transport::TransportKindName(kind).data());
+  }
+  // A p=2 mesh, ranks as threads: SendBatch is the default loop there.
+  for (transport::TransportKind kind :
+       {transport::TransportKind::kTcp, transport::TransportKind::kUds}) {
+    obs::Tracer tracer;
+    obs::ScopedTracer install(tracer);
+    transport::MeshSockets sockets(kind, 2);
+    std::vector<std::thread> ranks;
+    for (std::size_t r = 0; r < 2; ++r) {
+      ranks.emplace_back([&sockets, r] {
+        transport::MeshTransport mesh(sockets, r, {});
+        SendInterleavedAndCheckFifo(mesh);
+      });
+    }
+    for (std::thread& rank : ranks) rank.join();
+    ExpectOneSendEventPerFrame(tracer, 2, "mesh");
+  }
+}
 
 TEST(TransportDeterminismTest, MpcDigestsIdenticalAcrossBackends) {
   BackendRestorer restore;

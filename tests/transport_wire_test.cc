@@ -3,10 +3,13 @@
 // Three layers of pinning: (1) primitive and payload round-trips over
 // seeded random inputs — every encode must decode back to itself through
 // arbitrary chunk boundaries; (2) malformed-input rejection (future
-// version, oversized body, unknown type, truncation) without misparses;
-// (3) a committed golden frame dump (tests/golden/wire_frames.bin) that
-// freezes the byte layout itself, so an accidental encoding change breaks
-// the build even if encoder and decoder drift together.
+// version, oversized body, unknown type, truncation) without misparses,
+// including a seeded mutation test of the fact-batch decoder (every
+// truncation and byte value of random batches: rejected, or re-encoded to
+// the same bytes); (3) a committed golden frame dump
+// (tests/golden/wire_frames.bin) that freezes the byte layout itself, so
+// an accidental encoding change breaks the build even if encoder and
+// decoder drift together.
 //
 // Regenerate the golden after an intentional format change (bump
 // kWireVersion!) with:
@@ -57,6 +60,20 @@ Fact RandomFact(Rng& rng) {
     }
   }
   return Fact(relation, std::move(args));
+}
+
+// Borrowed rows denoting \p facts (valid while \p facts lives).
+std::vector<RowRef> RowsOf(const std::vector<Fact>& facts) {
+  std::vector<RowRef> rows;
+  for (const Fact& f : facts) {
+    rows.push_back(
+        {f.relation, f.args.data(), static_cast<std::uint32_t>(f.args.size())});
+  }
+  return rows;
+}
+
+Fact FactOf(const RowRef& row) {
+  return Fact(row.relation, std::vector<Value>(row.row, row.row + row.arity));
 }
 
 TEST(WireTest, VarintRoundTripAndSize) {
@@ -116,8 +133,6 @@ TEST(WireTest, PayloadRoundTrips) {
   Rng rng(8);
   std::vector<Fact> owned;
   for (int i = 0; i < 20; ++i) owned.push_back(RandomFact(rng));
-  std::vector<const Fact*> batch;
-  for (const Fact& f : owned) batch.push_back(&f);
 
   const auto hello = DecodeHelloPayload(EncodeHelloPayload(3, 0xdeadbeef));
   ASSERT_TRUE(hello.has_value());
@@ -143,13 +158,14 @@ TEST(WireTest, PayloadRoundTrips) {
   EXPECT_EQ(ctx->span, 4242u);
   EXPECT_EQ(ctx->round, 9u);
 
-  const auto facts = DecodeFactBatchPayload(EncodeFactBatchPayload(9, batch));
+  const auto facts =
+      DecodeFactBatchPayload(EncodeFactBatchPayload(9, RowsOf(owned)));
   ASSERT_TRUE(facts.has_value());
   EXPECT_EQ(facts->round, 9u);
   ASSERT_EQ(facts->facts.size(), owned.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    EXPECT_EQ(facts->facts[i], owned[i]);
-  }
+  std::size_t i = 0;
+  for (const RowRef row : facts->facts) EXPECT_EQ(FactOf(row), owned[i++]);
+  EXPECT_EQ(i, owned.size());
 
   const auto msg =
       DecodeMessagePayload(EncodeMessagePayload(42, 7, 12345, owned));
@@ -177,12 +193,10 @@ TEST(WireTest, FrameRoundTripThroughArbitraryChunks) {
     for (std::size_t k = rng.Uniform(8); k > 0; --k) {
       owned.push_back(RandomFact(rng));
     }
-    std::vector<const Fact*> batch;
-    for (const Fact& f : owned) batch.push_back(&f);
     switch (rng.Uniform(3)) {
       case 0:
         frame.type = FrameType::kFactBatch;
-        frame.payload = EncodeFactBatchPayload(rng.Uniform(5), batch);
+        frame.payload = EncodeFactBatchPayload(rng.Uniform(5), RowsOf(owned));
         break;
       case 1:
         frame.type = FrameType::kMessage;
@@ -348,6 +362,142 @@ TEST(WireTest, DecoderSkipsUnknownFrameTypes) {
   EXPECT_EQ(chunk_decoded.size(), 2u);
 }
 
+// --- seeded mutation test of the fact-batch decoder ---------------------
+
+// Values that exercise every zigzag length: small of either sign,
+// negatives, and the 64-bit extremes.
+Value MutationValue(Rng& rng) {
+  switch (rng.Uniform(5)) {
+    case 0:
+      return Value(rng.UniformInt(-3, 3));
+    case 1:
+      return Value(rng.UniformInt(-1000000, -1));
+    case 2:
+      return Value(static_cast<std::int64_t>(rng.Next()));
+    case 3:
+      return Value(std::numeric_limits<std::int64_t>::min());
+    default:
+      return Value(std::numeric_limits<std::int64_t>::max());
+  }
+}
+
+// A random batch: up to five rows of arity 0-4 over relation ids from 0
+// up to the 32-bit maximum.
+std::vector<Fact> MutationBatch(Rng& rng) {
+  std::vector<Fact> facts;
+  for (std::size_t n = rng.Uniform(6); n > 0; --n) {
+    const auto relation =
+        static_cast<RelationId>(rng.Uniform(2) == 0 ? rng.Uniform(8)
+                                                    : rng.Next() >> 32);
+    std::vector<Value> args;
+    for (std::size_t k = rng.Uniform(5); k > 0; --k) {
+      args.push_back(MutationValue(rng));
+    }
+    facts.emplace_back(relation, std::move(args));
+  }
+  return facts;
+}
+
+// Re-encodes what DecodeFactBatchPayload accepted.
+std::vector<std::uint8_t> Reencode(const FactBatchPayload& batch) {
+  const std::vector<RowRef> rows(batch.facts.begin(), batch.facts.end());
+  return EncodeFactBatchPayload(batch.round, rows);
+}
+
+// The decoder's contract on arbitrary bytes: reject, or accept exactly
+// what re-encodes to the same bytes (no crash, no misparse). Returns
+// whether \p bytes were accepted.
+bool ExpectRejectedOrExact(const std::vector<std::uint8_t>& bytes) {
+  const auto batch = DecodeFactBatchPayload(bytes);
+  if (!batch.has_value()) return false;
+  EXPECT_EQ(Reencode(*batch), bytes);
+  return true;
+}
+
+TEST(WireFuzzTest, FactBatchDecoderSurvivesTruncationsAndByteFlips) {
+  std::size_t accepted_flips = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::vector<Fact> facts = MutationBatch(rng);
+    const std::uint64_t round = rng.Uniform(2) == 0 ? rng.Uniform(4)
+                                                    : rng.Next();
+    const std::vector<std::uint8_t> payload =
+        EncodeFactBatchPayload(round, RowsOf(facts));
+
+    const auto batch = DecodeFactBatchPayload(payload);
+    ASSERT_TRUE(batch.has_value()) << "seed " << seed;
+    EXPECT_EQ(batch->round, round);
+    ASSERT_EQ(batch->facts.size(), facts.size());
+    std::size_t i = 0;
+    for (const RowRef row : batch->facts) EXPECT_EQ(FactOf(row), facts[i++]);
+    EXPECT_EQ(Reencode(*batch), payload);
+
+    // Every proper prefix runs out of bytes mid-parse.
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+      const std::vector<std::uint8_t> prefix(payload.begin(),
+                                             payload.begin() + len);
+      EXPECT_FALSE(DecodeFactBatchPayload(prefix).has_value())
+          << "seed " << seed << " prefix " << len;
+    }
+    // Every other value of every byte.
+    for (std::size_t at = 0; at < payload.size(); ++at) {
+      std::vector<std::uint8_t> flipped = payload;
+      for (unsigned v = 0; v < 256; ++v) {
+        if (v == payload[at]) continue;
+        flipped[at] = static_cast<std::uint8_t>(v);
+        if (ExpectRejectedOrExact(flipped)) ++accepted_flips;
+      }
+    }
+    // Trailing bytes, even a lone zero, are rejected.
+    std::vector<std::uint8_t> trailing = payload;
+    for (int extra = 0; extra < 3; ++extra) {
+      trailing.push_back(static_cast<std::uint8_t>(rng.Next()));
+      EXPECT_FALSE(DecodeFactBatchPayload(trailing).has_value());
+    }
+    trailing = payload;
+    trailing.push_back(0);
+    EXPECT_FALSE(DecodeFactBatchPayload(trailing).has_value());
+  }
+  // Value bytes flipped to another canonical varint decode to a different
+  // batch; the harness must have seen both outcomes.
+  EXPECT_GT(accepted_flips, 0u);
+}
+
+TEST(WireFuzzTest, FactBatchDecoderRejectsHostileHeaders) {
+  const auto payload = [](std::initializer_list<std::uint64_t> varints) {
+    std::vector<std::uint8_t> bytes;
+    for (const std::uint64_t v : varints) PutVarint(bytes, v);
+    return bytes;
+  };
+  // A count the remaining bytes cannot hold (each row takes at least two
+  // bytes) is rejected before anything is reserved: a 2^62-row
+  // reservation would throw or trip the sanitizer's allocation limit.
+  EXPECT_FALSE(DecodeFactBatchPayload(payload({0, 1ull << 62})).has_value());
+  EXPECT_FALSE(DecodeFactBatchPayload(payload({0, ~0ull})).has_value());
+  EXPECT_FALSE(DecodeFactBatchPayload(payload({0, 2, 0, 0})).has_value());
+  EXPECT_TRUE(DecodeFactBatchPayload(payload({0, 2, 0, 0, 0, 0})).has_value());
+  // An arity beyond the remaining bytes, and ids beyond 32 bits.
+  EXPECT_FALSE(DecodeFactBatchPayload(payload({0, 1, 0, 1ull << 40}))
+                   .has_value());
+  EXPECT_FALSE(DecodeFactBatchPayload(payload({0, 1, 0, 3, 1, 1}))
+                   .has_value());
+  EXPECT_FALSE(DecodeFactBatchPayload(payload({0, 1, 1ull << 32, 0}))
+                   .has_value());
+  EXPECT_TRUE(DecodeFactBatchPayload(payload({0, 1, (1ull << 32) - 1, 0}))
+                  .has_value());
+  // Over-long varints (a zero final byte) and a tenth byte overflowing 64
+  // bits: both would re-encode differently, so both are rejected.
+  EXPECT_FALSE(DecodeFactBatchPayload({0x80, 0x00, 0x00}).has_value());
+  EXPECT_FALSE(DecodeFactBatchPayload({0x00, 0x01, 0x85, 0x00, 0x00})
+                   .has_value());
+  std::vector<std::uint8_t> overflow(9, 0xff);
+  overflow.push_back(0x02);
+  overflow.push_back(0x00);
+  EXPECT_FALSE(DecodeFactBatchPayload(overflow).has_value());
+  overflow[9] = 0x01;  // 2^64 - 1: the largest round, still canonical.
+  EXPECT_TRUE(DecodeFactBatchPayload(overflow).has_value());
+}
+
 // Deterministic frame stream covering every type and the interesting
 // value shapes (empty batch, negative args, multi-byte varints).
 std::vector<std::uint8_t> GoldenStream() {
@@ -364,10 +514,10 @@ std::vector<std::uint8_t> GoldenStream() {
   const Fact wide(3, {Value(1000000), Value(-1000000), Value(0)});
   const Fact nullary(7, {});
   AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 2, 3,
-                       EncodeFactBatchPayload(4, {&small, &wide, &nullary})});
-  AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 3, 2,
                        EncodeFactBatchPayload(
-                           0, std::vector<const Fact*>{})});
+                           4, RowsOf({small, wide, nullary}))});
+  AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 3, 2,
+                       EncodeFactBatchPayload(0, std::vector<RowRef>{})});
   AppendFrame(stream, {kWireVersion, FrameType::kMessage, 200, 300,
                        EncodeMessagePayload(77, 5, 42, {small, wide})});
   AppendFrame(stream, {kWireVersion, FrameType::kStats, 1, 0,

@@ -365,7 +365,9 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
         const auto batch = transport::DecodeFactBatchPayload(frame.payload);
         LAMP_CHECK(batch.has_value());
         Instance& into = batch->round == kReportState ? state : result.output;
-        for (const Fact& f : batch->facts) into.Insert(f);
+        for (const transport::RowRef row : batch->facts) {
+          into.InsertRow(row.relation, row.row, row.arity);
+        }
       }
     }
     result.states[r] = InstanceDigest(state);
