@@ -9,9 +9,9 @@
 // All four implemented strategies race on both the skew-free (matching
 // database) and skewed (half of R shares one join value) inputs; the
 // table prints the measured max loads next to the static planner's pick
-// (sa/plan). Every race also emits a lamp.plan_agreement.v1 record, so
-// `lamp_plan check` gates the cost model against what actually won; the
-// timed benchmarks measure simulator throughput.
+// (sa/plan). Every race also attaches a lamp.plan_agreement.v1 record to
+// its bench record, so `lamp_plan check` gates the cost model against
+// what actually won; the timed benchmarks measure simulator throughput.
 
 #include <cmath>
 #include <cstdio>
@@ -100,8 +100,9 @@ void PrintTable() {
 
   for (std::size_t p : {4, 16, 64, 256}) {
     obs::WallTimer timer;
-    auto& record = reporter.NewRecord();
-    record.Param("p", p).Param("m", m).Param("transport", transport_name);
+    auto& bench_record = reporter.NewRecord();
+    bench_record.Param("p", p).Param("m", m).Param("transport",
+                                                   transport_name);
     for (const Scenario& scenario : scenarios) {
       const bool skewed = scenario.db == &w.skewed;
       // The planner scores the same grid the race runs, so prediction
@@ -127,7 +128,7 @@ void PrintTable() {
       // as pinned expected violations rather than gate failures.
       const auto audit = [&](const char* strategy_label, Strategy strategy,
                              const RunStats& stats, bool expected_violation) {
-        obs::audit::AuditRecord record = obs::audit::MakeAuditRecord(
+        obs::audit::AuditRecord audit_record = obs::audit::MakeAuditRecord(
             "join_strategies",
             std::string(strategy_label) + "/" + scenario.name, strategy, p,
             strategy == Strategy::kHyperCube
@@ -136,21 +137,22 @@ void PrintTable() {
                 : obs::audit::BoundFor(strategy, w.query, w.schema,
                                        *scenario.catalog, p),
             stats);
-        record.params.Set("m", w.m);
-        record.params.Set("transport", transport_name);
-        record.expected_violation = expected_violation;
+        audit_record.params.Set("m", w.m);
+        audit_record.params.Set("transport", transport_name);
+        audit_record.expected_violation = expected_violation;
         // The planner's verdict rides along so `obs_audit report` can
         // render predicted-vs-measured slack per strategy.
         const sa::plan::StrategyPrediction* predicted = cert.Find(strategy);
         if (predicted != nullptr && predicted->feasible) {
-          record.predicted_max_load = predicted->predicted_max_load;
-          record.predicted_wire_bytes = predicted->predicted_wire_bytes;
+          audit_record.predicted_max_load = predicted->predicted_max_load;
+          audit_record.predicted_wire_bytes =
+              predicted->predicted_wire_bytes;
         }
         if (pick != nullptr) {
-          record.planned_strategy =
+          audit_record.planned_strategy =
               std::string(obs::audit::StrategyName(pick->strategy));
         }
-        obs::audit::GlobalAuditSink().Add(std::move(record));
+        bench_record.Attach("audit", audit_record.ToJson());
       };
       audit("repartition", Strategy::kRepartition, repart.stats,
             /*expected_violation=*/skewed);
@@ -182,24 +184,18 @@ void PrintTable() {
                   shares_skew.stats.MaxLoad(), pick_name.c_str(),
                   measured_name.c_str(), agreement.Agree() ? "yes" : "NO");
       const std::string prefix = std::string(scenario.name) + ".";
-      record.Metric(prefix + "repartition.mpc.max_load",
-                    repart.stats.MaxLoad())
+      bench_record
+          .Metric(prefix + "repartition.mpc.max_load",
+                  repart.stats.MaxLoad())
           .Metric(prefix + "fragment_replicate.mpc.max_load",
                   fragrep.stats.MaxLoad())
           .Metric(prefix + "hypercube.mpc.max_load",
                   hypercube.stats.MaxLoad())
           .Metric(prefix + "shares_skew.mpc.max_load",
                   shares_skew.stats.MaxLoad())
-          // Planner verdicts are metrics, not params: the perf key
-          // (bench, params, threads) must not change when the cost model
-          // does.
-          .Metric(prefix + "planner.pick", pick_name)
-          .Metric(prefix + "planner.predicted_max_load",
-                  pick != nullptr ? pick->predicted_max_load : 0.0)
-          .Metric(prefix + "planner.agree", agreement.Agree() ? 1 : 0);
-      sa::plan::GlobalPlanSink().Add(std::move(agreement));
+          .Attach("plan", agreement.ToJson());
     }
-    record.WallMs(timer.ElapsedMs());
+    bench_record.WallMs(timer.ElapsedMs());
   }
   std::printf(
       "# shape check: skew-free repart tracks m/p while skewed repart "
@@ -240,6 +236,5 @@ int main(int argc, char** argv) {
   lamp::obs::RunRepeated([] { PrintTable(); });
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  lamp::sa::plan::FinalizeGlobalPlan();
-  return lamp::obs::audit::FinalizeGlobalAudit();
+  return 0;
 }

@@ -63,11 +63,11 @@ void PrintTable() {
       // Both share vectors get the *same* kind of bound — the exact
       // expected load under their own shares — so the audit checks each
       // configuration against what it promises, not against each other.
-      obs::audit::AuditRecord record = obs::audit::MakeAuditRecord(
+      const obs::audit::AuditRecord record = obs::audit::MakeAuditRecord(
           "shares_optimization", std::string(c.name) + "/" + variant,
           obs::audit::Strategy::kHyperCube, actual_p,
           obs::audit::HyperCubeBound(q, schema, catalog, shares), stats);
-      obs::audit::GlobalAuditSink().Add(std::move(record));
+      return record.ToJson();
     };
     for (std::size_t p : {27, 64}) {
       obs::WallTimer timer;
@@ -75,8 +75,10 @@ void PrintTable() {
       const Shares optimized = OptimizeIntegerSharesTotalComm(q, p, sizes);
       const auto run_uniform = RunHyperCube(q, db, uniform, 5);
       const auto run_optimized = RunHyperCube(q, db, optimized, 5);
-      audit("uniform", uniform, run_uniform.stats);
-      audit("optimized", optimized, run_optimized.stats);
+      obs::JsonValue audit_uniform =
+          audit("uniform", uniform, run_uniform.stats);
+      obs::JsonValue audit_optimized =
+          audit("optimized", optimized, run_optimized.stats);
       const double saving =
           1.0 - static_cast<double>(run_optimized.stats.TotalCommunication()) /
                     static_cast<double>(
@@ -93,7 +95,9 @@ void PrintTable() {
           .Metric("optimized.mpc.total_communication",
                   run_optimized.stats.TotalCommunication())
           .Metric("saving", saving)
-          .WallMs(timer.ElapsedMs());
+          .WallMs(timer.ElapsedMs())
+          .Attach("audit", std::move(audit_uniform))
+          .Attach("audit", std::move(audit_optimized));
     }
   }
   std::printf(
@@ -124,5 +128,5 @@ int main(int argc, char** argv) {
   lamp::obs::RunRepeated([] { PrintTable(); });
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  return lamp::obs::audit::FinalizeGlobalAudit();
+  return 0;
 }

@@ -91,7 +91,6 @@ void PrintTable() {
         one_free.stats);
     a_free.params.Set("m", w.m);
     a_free.params.Set("transport", transport_name);
-    obs::audit::GlobalAuditSink().Add(std::move(a_free));
     // One round on skewed data: Section 3.2's point is that the heavy
     // y-value floods one slice of the cube, so the measured max drifts
     // away from the expected load as p grows (headroom shrinking towards
@@ -106,7 +105,6 @@ void PrintTable() {
     a_skew.params.Set("m", w.m);
     a_skew.params.Set("transport", transport_name);
     a_skew.expected_violation = true;
-    obs::audit::GlobalAuditSink().Add(std::move(a_skew));
     // Two rounds recover the skew-free exponent on the same skewed input.
     obs::audit::AuditRecord a_two = obs::audit::MakeAuditRecord(
         "triangle_rounds", "two_round/skewed", Strategy::kSkewResilient, p,
@@ -115,7 +113,6 @@ void PrintTable() {
         two_skew.stats);
     a_two.params.Set("m", w.m);
     a_two.params.Set("transport", transport_name);
-    obs::audit::GlobalAuditSink().Add(std::move(a_two));
     std::printf("%6zu %14zu %10.0f %12zu %12zu\n", p,
                 one_free.stats.MaxLoad(),
                 3.0 * static_cast<double>(m) /
@@ -129,7 +126,10 @@ void PrintTable() {
         .Metric("one_round.skewed.mpc.max_load", one_skew.stats.MaxLoad())
         .Metric("two_round.skewed.mpc.max_load", two_skew.stats.MaxLoad())
         .Metric("two_round.skewed.mpc.rounds", two_skew.stats.NumRounds())
-        .WallMs(timer.ElapsedMs());
+        .WallMs(timer.ElapsedMs())
+        .Attach("audit", a_free.ToJson())
+        .Attach("audit", a_skew.ToJson())
+        .Attach("audit", a_two.ToJson());
   }
   std::printf(
       "# shape check: column 2 tracks column 3; column 4 >> column 5; "
@@ -161,5 +161,5 @@ int main(int argc, char** argv) {
   lamp::obs::RunRepeated([] { PrintTable(); });
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  return lamp::obs::audit::FinalizeGlobalAudit();
+  return 0;
 }

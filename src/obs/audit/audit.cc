@@ -1,8 +1,5 @@
 #include "obs/audit/audit.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace lamp::obs::audit {
@@ -90,9 +87,16 @@ std::optional<AuditRecord> AuditRecord::FromJson(const JsonValue& doc) {
   const JsonValue* p = doc.Find("p");
   const JsonValue* slack = doc.Find("slack");
   const JsonValue* measured = doc.Find("measured_max_load");
+  // The verdict's inputs must all be present: a record whose "bound" or
+  // "expected_violation" key was lost would otherwise decode as a pass.
+  const JsonValue* bound = doc.Find("bound");
+  const JsonValue* expected = doc.Find("expected_violation");
   if (bench == nullptr || !bench->IsString() || label == nullptr ||
       !label->IsString() || strategy == nullptr || !strategy->IsString() ||
-      p == nullptr || slack == nullptr || measured == nullptr) {
+      p == nullptr || !p->IsNumber() || slack == nullptr ||
+      !slack->IsNumber() || measured == nullptr || !measured->IsNumber() ||
+      bound == nullptr || !(bound->IsNumber() || bound->IsNull()) ||
+      expected == nullptr || !expected->IsBool()) {
     return std::nullopt;
   }
   AuditRecord record;
@@ -106,8 +110,7 @@ std::optional<AuditRecord> AuditRecord::FromJson(const JsonValue& doc) {
       params != nullptr && params->IsObject()) {
     record.params = *params;
   }
-  if (const JsonValue* bound = doc.Find("bound");
-      bound != nullptr && bound->IsNumber()) {
+  if (bound->IsNumber()) {
     record.bound.has_bound = true;
     record.bound.tuples = bound->AsDouble();
     if (const JsonValue* formula = doc.Find("bound_formula");
@@ -176,10 +179,7 @@ std::optional<AuditRecord> AuditRecord::FromJson(const JsonValue& doc) {
       planned != nullptr && planned->IsString()) {
     record.planned_strategy = planned->AsString();
   }
-  if (const JsonValue* expected = doc.Find("expected_violation");
-      expected != nullptr && expected->IsBool()) {
-    record.expected_violation = expected->AsBool();
-  }
+  record.expected_violation = expected->AsBool();
   return record;
 }
 
@@ -209,96 +209,6 @@ AuditRecord MakeAuditRecord(std::string bench, std::string label,
     }
   }
   return record;
-}
-
-AuditSink::~AuditSink() { Flush(); }
-
-void AuditSink::Add(AuditRecord record) {
-  records_.push_back(std::move(record));
-}
-
-std::size_t AuditSink::ExpectedViolations() const {
-  std::size_t n = 0;
-  for (const AuditRecord& r : records_) {
-    if (!r.Pass() && r.expected_violation) ++n;
-  }
-  return n;
-}
-
-std::size_t AuditSink::HardViolations() const {
-  std::size_t n = 0;
-  for (const AuditRecord& r : records_) {
-    if (r.HardViolation()) ++n;
-  }
-  return n;
-}
-
-std::string AuditSink::RenderJsonLines() const {
-  std::string out;
-  for (const AuditRecord& r : records_) {
-    out += r.ToJson().Dump();
-    out += '\n';
-  }
-  return out;
-}
-
-void AuditSink::Flush() {
-  if (records_.empty()) return;
-  const std::string lines = RenderJsonLines();
-  const char* path = std::getenv(kAuditJsonEnvVar);
-  bool to_stdout = true;
-  if (path != nullptr && path[0] != '\0') {
-    std::FILE* f = std::fopen(path, "a");
-    if (f != nullptr) {
-      std::fwrite(lines.data(), 1, lines.size(), f);
-      std::fclose(f);
-      to_stdout = false;
-    } else {
-      std::fprintf(stderr,
-                   "audit: cannot open %s for append; writing records to"
-                   " stdout instead\n",
-                   path);
-    }
-  }
-  if (to_stdout) {
-    std::printf("# audit-json: %zu record(s)\n", records_.size());
-    std::fwrite(lines.data(), 1, lines.size(), stdout);
-  }
-  records_.clear();
-}
-
-AuditSink& GlobalAuditSink() {
-  static AuditSink* sink = new AuditSink();
-  return *sink;
-}
-
-bool HardFailRequested() {
-  const char* v = std::getenv(kAuditHardFailEnvVar);
-  if (v == nullptr) return false;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0;
-}
-
-int FinalizeGlobalAudit() {
-  AuditSink& sink = GlobalAuditSink();
-  const bool hard = HardFailRequested();
-  std::size_t hard_violations = 0;
-  for (const AuditRecord& r : sink.records()) {
-    if (!r.HardViolation()) continue;
-    ++hard_violations;
-    std::fprintf(stderr,
-                 "audit: %s/%s (%s, p=%zu) measured max load %zu exceeds"
-                 " bound %.1f x slack %.2f\n",
-                 r.bench.c_str(), r.label.c_str(),
-                 std::string(StrategyName(r.strategy)).c_str(), r.p,
-                 r.measured_max_load, r.bound.tuples, r.slack);
-  }
-  sink.Flush();
-  if (hard && hard_violations > 0) {
-    std::fprintf(stderr, "audit: %zu hard bound violation(s); failing\n",
-                 hard_violations);
-    return kAuditHardFailExit;
-  }
-  return 0;
 }
 
 }  // namespace lamp::obs::audit

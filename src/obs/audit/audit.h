@@ -17,18 +17,16 @@
 /// strategy promises: the measured per-server/per-round loads from
 /// RunStats next to the catalog-derived LoadBound, a headroom ratio
 /// (bound * slack / measured; > 1 means the run respected the bound) and
-/// a pass verdict. Records flow through the same channel as bench
-/// records: appended as JSON lines to the file named by LAMP_AUDIT_JSON,
-/// or printed after a "# audit-json:" marker when the variable is unset.
+/// a pass verdict. A bench attaches each record to the bench record of
+/// the configuration it audits, in that record's "audit" array
+/// (obs/bench_report.h, BenchReporter::Record::Attach).
 ///
-/// Hard-fail mode (LAMP_AUDIT_HARD_FAIL=1, or the bench_runner
-/// --audit-hard-fail gate) turns an *unexpected* bound violation into a
-/// nonzero exit: FinalizeGlobalAudit() returns kAuditHardFailExit and the
-/// bench main() propagates it. Records can opt out via
-/// `expected_violation` — that is how deliberately skewed workloads
-/// (repartition under a heavy hitter, one-round HyperCube on skewed
-/// data) stay pinned as *demonstrations* of the theory's preconditions
-/// without failing the suite.
+/// `obs_audit report --check` is the audit gate: it reads bench records
+/// and exits kAuditHardFailExit on an *unexpected* bound violation.
+/// Records can opt out via `expected_violation` — that is how
+/// deliberately skewed workloads (repartition under a heavy hitter,
+/// one-round HyperCube on skewed data) stay pinned as *demonstrations* of
+/// the theory's preconditions without failing the gate.
 
 namespace lamp::obs::audit {
 
@@ -37,15 +35,9 @@ namespace lamp::obs::audit {
 /// repo's bench workloads; see EXPERIMENTS.md for the calibration runs.
 inline constexpr double kDefaultSlack = 3.0;
 
-/// Exit code of a hard audit failure (distinct from test-failure 1 and
+/// Exit code of a failed audit gate (distinct from test-failure 1 and
 /// usage-error 2 conventions).
 inline constexpr int kAuditHardFailExit = 4;
-
-/// Environment variable naming the JSON-lines destination file.
-inline constexpr const char* kAuditJsonEnvVar = "LAMP_AUDIT_JSON";
-
-/// Environment variable enabling hard-fail mode ("1"/"true").
-inline constexpr const char* kAuditHardFailEnvVar = "LAMP_AUDIT_HARD_FAIL";
 
 /// One audited run.
 struct AuditRecord {
@@ -122,47 +114,6 @@ AuditRecord MakeAuditRecord(std::string bench, std::string label,
                             Strategy strategy, std::size_t p, LoadBound bound,
                             const RunStats& stats,
                             double slack = kDefaultSlack);
-
-/// Collects records and flushes them as JSON lines, mirroring
-/// BenchReporter's destination contract (see file comment).
-class AuditSink {
- public:
-  AuditSink() = default;
-  ~AuditSink();
-  AuditSink(const AuditSink&) = delete;
-  AuditSink& operator=(const AuditSink&) = delete;
-
-  void Add(AuditRecord record);
-
-  const std::vector<AuditRecord>& records() const { return records_; }
-  std::size_t NumRecords() const { return records_.size(); }
-
-  /// Records failing Pass() but marked expected (informational).
-  std::size_t ExpectedViolations() const;
-  /// Records that trip a hard-fail gate.
-  std::size_t HardViolations() const;
-
-  std::string RenderJsonLines() const;
-
-  /// Writes pending records to LAMP_AUDIT_JSON (append) or stdout after a
-  /// "# audit-json:" marker, then clears them.
-  void Flush();
-
- private:
-  std::vector<AuditRecord> records_;
-};
-
-/// Process-global sink shared by a bench binary's configurations.
-AuditSink& GlobalAuditSink();
-
-/// True when LAMP_AUDIT_HARD_FAIL requests hard-fail mode.
-bool HardFailRequested();
-
-/// Flushes the global sink; in hard-fail mode, prints every hard
-/// violation to stderr and returns kAuditHardFailExit when any exists
-/// (0 otherwise). Bench main()s call this after RunRepeated and
-/// propagate the exit code.
-int FinalizeGlobalAudit();
 
 }  // namespace lamp::obs::audit
 

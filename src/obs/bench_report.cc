@@ -124,6 +124,15 @@ BenchReporter::Record& BenchReporter::Record::WallNs(std::uint64_t ns) {
   return *this;
 }
 
+BenchReporter::Record& BenchReporter::Record::Attach(std::string_view array,
+                                                     JsonValue entry) {
+  const JsonValue* existing = json_.Find(array);
+  JsonValue list = existing != nullptr ? *existing : JsonValue::Array();
+  list.PushBack(std::move(entry));
+  json_.Set(array, std::move(list));
+  return *this;
+}
+
 BenchReporter::BenchReporter(std::string bench_name)
     : bench_name_(std::move(bench_name)) {}
 
@@ -168,6 +177,81 @@ void BenchReporter::Flush() {
     std::fwrite(lines.data(), 1, lines.size(), stdout);
   }
   records_.clear();
+}
+
+std::optional<BenchFile> LoadBenchFile(const std::string& path,
+                                       std::string* error) {
+  const std::optional<std::string> text = ReadTextFile(path);
+  if (!text.has_value()) {
+    *error = "cannot read " + path;
+    return std::nullopt;
+  }
+  BenchFile file;
+  // A bench_runner document is one JSON object holding "records" and/or
+  // "summaries"; a one-line JSON-lines file parses whole too, but as a
+  // bare record it has neither.
+  std::optional<JsonValue> whole = JsonValue::Parse(*text);
+  if (whole.has_value() && whole->IsObject() &&
+      (whole->Find("records") != nullptr ||
+       whole->Find("summaries") != nullptr)) {
+    if (const JsonValue* records = whole->Find("records")) {
+      if (!records->IsArray()) {
+        *error = path + ": \"records\" is not an array";
+        return std::nullopt;
+      }
+      file.records.reserve(records->size());
+      for (std::size_t i = 0; i < records->size(); ++i) {
+        file.records.push_back(records->at(i));
+      }
+    }
+    if (const JsonValue* summaries = whole->Find("summaries")) {
+      file.summaries = *summaries;
+    }
+    return file;
+  }
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < text->size()) {
+    std::size_t end = text->find('\n', pos);
+    if (end == std::string::npos) end = text->size();
+    const std::string_view line(text->data() + pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos || line[first] == '#') continue;
+    std::optional<JsonValue> record = JsonValue::Parse(line);
+    if (!record.has_value() || !record->IsObject()) {
+      *error = path + ":" + std::to_string(line_no) + ": not a JSON object";
+      return std::nullopt;
+    }
+    file.records.push_back(std::move(*record));
+  }
+  return file;
+}
+
+std::optional<std::vector<JsonValue>> LoadAttachedEntries(
+    const std::vector<std::string>& paths, std::string_view array,
+    std::string* error) {
+  std::vector<JsonValue> entries;
+  for (const std::string& path : paths) {
+    std::optional<BenchFile> file = LoadBenchFile(path, error);
+    if (!file.has_value()) return std::nullopt;
+    for (std::size_t r = 0; r < file->records.size(); ++r) {
+      const JsonValue* list = file->records[r].Find(array);
+      if (list == nullptr) continue;
+      bool ok = list->IsArray();
+      for (std::size_t i = 0; ok && i < list->size(); ++i) {
+        ok = list->at(i).IsObject();
+        if (ok) entries.push_back(list->at(i));
+      }
+      if (!ok) {
+        *error = path + ": record " + std::to_string(r + 1) + ": \"" +
+                 std::string(array) + "\" is not an array of objects";
+        return std::nullopt;
+      }
+    }
+  }
+  return entries;
 }
 
 }  // namespace lamp::obs

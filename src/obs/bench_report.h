@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -33,6 +35,14 @@
 /// "meta" appears only when the LAMP_BENCH_META environment variable
 /// holds a JSON object — bench_runner uses it to stamp every record with
 /// run provenance (git rev, date, host) without the bench knowing.
+///
+/// A record may end in named arrays of sub-records (Record::Attach): the
+/// MPC benches attach "audit" (lamp.audit.v1, obs/audit/audit.h) and,
+/// where they race strategies, "plan" (lamp.plan_agreement.v1,
+/// sa/plan/agreement.h) entries to the record of the configuration they
+/// describe. The bench record is the only unit a bench writes; the audit
+/// and agreement gates (obs_audit report --check, lamp_plan check) read
+/// these arrays back through LoadBenchFile.
 ///
 /// Destination: the file named by the LAMP_BENCH_JSON environment
 /// variable (appended, creating it if needed) so table output on stdout
@@ -78,6 +88,9 @@ class BenchReporter {
     Record& WallMs(double ms);
     /// Exact nanosecond variant (WallTimer::ElapsedNs); also sets wall_ms.
     Record& WallNs(std::uint64_t ns);
+    /// Appends \p entry to the array member \p array, creating it after
+    /// the members already set ("audit", "plan").
+    Record& Attach(std::string_view array, JsonValue entry);
 
    private:
     friend class BenchReporter;
@@ -118,6 +131,33 @@ inline constexpr const char* kBenchJsonEnvVar = "LAMP_BENCH_JSON";
 /// record as "meta" (run provenance: git rev, date, host, ...). Invalid
 /// or non-object content is ignored with a warning on stderr.
 inline constexpr const char* kBenchMetaEnvVar = "LAMP_BENCH_META";
+
+/// The records of a bench record file, as LoadBenchFile reads them.
+struct BenchFile {
+  /// JSON-lines records, or the "records" array of a report document.
+  std::vector<JsonValue> records;
+  /// The "summaries" array of a report or baseline document (bench_runner
+  /// --out / --update); null for JSON lines.
+  JsonValue summaries;
+};
+
+/// Reads \p path as either JSON lines, one BenchReporter record per line
+/// (blank and "#" marker lines skipped), or one bench_runner document
+/// (lamp.bench_report.v1 with "records", lamp.perf_baseline.v1 with only
+/// "summaries"). Returns nullopt and explains in \p error when the file
+/// cannot be read or a line is not a JSON object: a gate must not pass
+/// because a corrupted record dropped out of its input.
+std::optional<BenchFile> LoadBenchFile(const std::string& path,
+                                       std::string* error);
+
+/// Loads every file in \p paths with LoadBenchFile and returns the
+/// entries their records attached under \p array ("audit", "plan"), in
+/// file order. Records without the member contribute nothing; nullopt
+/// (with \p error) when a file fails to load or a record holds \p array
+/// as something other than an array of objects.
+std::optional<std::vector<JsonValue>> LoadAttachedEntries(
+    const std::vector<std::string>& paths, std::string_view array,
+    std::string* error);
 
 /// Strips "--repeat N" / "--repeat=N" from argv (ahead of downstream flag
 /// parsers such as google-benchmark) and stores the value, clamped to

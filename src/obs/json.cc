@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace lamp::obs {
 
@@ -201,9 +203,15 @@ class Parser {
     if (AtEnd()) return false;
     switch (Peek()) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Containers recurse: bounding the nesting keeps hostile input
+        // ("[[[[...") from exhausting the stack.
+        if (depth_ == kMaxJsonDepth) return false;
+        ++depth_;
+        const bool ok = Peek() == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!ParseString(s)) return false;
@@ -401,12 +409,21 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // Open containers around the current value.
 };
 
 }  // namespace
 
 std::optional<JsonValue> JsonValue::Parse(std::string_view text) {
   return Parser(text).Run();
+}
+
+std::optional<std::string> ReadTextFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 }  // namespace lamp::obs

@@ -21,6 +21,11 @@
 
 namespace lamp::obs {
 
+/// Deepest array/object nesting JsonValue::Parse accepts. The documents
+/// the repo writes nest fewer than ten levels; the bound only stops
+/// hostile input from recursing the parser off the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// One JSON value: null, bool, number, string, array, or object.
 /// Objects preserve insertion order (diff-friendly output).
 class JsonValue {
@@ -87,7 +92,8 @@ class JsonValue {
   std::string Dump(int indent = -1) const;
 
   /// Strict parser (no comments, no trailing commas). Returns nullopt on
-  /// any syntax error or trailing garbage.
+  /// any syntax error, trailing garbage, or nesting deeper than
+  /// kMaxJsonDepth.
   static std::optional<JsonValue> Parse(std::string_view text);
 
  private:
@@ -101,6 +107,10 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/// Reads the whole file at \p path (a JSON document or JSON lines);
+/// nullopt when it cannot be opened.
+std::optional<std::string> ReadTextFile(const std::string& path);
 
 /// Escapes \p s for inclusion inside a JSON string literal (no quotes
 /// added). Control characters become \uXXXX; UTF-8 bytes pass through.

@@ -74,42 +74,6 @@ bool PerfDb::Add(const JsonValue& record, std::string* error) {
   return true;
 }
 
-PerfDb::LoadStats PerfDb::IngestJsonLines(std::string_view text) {
-  LoadStats stats;
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) {
-      if (pos > text.size()) break;
-      continue;
-    }
-    // Lines starting with '#' are human-readable markers ("# bench-json:"
-    // from the stdout fallback), not records.
-    if (line[line.find_first_not_of(" \t\r")] == '#') continue;
-    ++stats.lines;
-    std::string error;
-    const std::optional<JsonValue> parsed = JsonValue::Parse(line);
-    if (!parsed.has_value()) {
-      ++stats.malformed;
-      stats.errors.push_back("line " + std::to_string(line_no) +
-                             ": invalid JSON");
-      continue;
-    }
-    if (!Add(*parsed, &error)) {
-      ++stats.malformed;
-      stats.errors.push_back("line " + std::to_string(line_no) + ": " + error);
-      continue;
-    }
-    ++stats.records;
-  }
-  return stats;
-}
-
 std::size_t PerfDb::NumRecords() const {
   std::size_t n = 0;
   for (const auto& [key, recs] : records_) n += recs.size();

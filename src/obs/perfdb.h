@@ -11,8 +11,8 @@
 
 /// \file
 /// The consumption side of the bench-reporting pipeline: a keyed store of
-/// BenchReporter JSON-lines records, per-key summary statistics over
-/// repeats, and a noise-aware diff between two stores.
+/// BenchReporter records (read with obs::LoadBenchFile), per-key summary
+/// statistics over repeats, and a noise-aware diff between two stores.
 ///
 /// Keying: a record belongs to the (bench, params, threads) configuration
 /// it measured. "params" is identified by its compact JSON serialisation,
@@ -64,22 +64,10 @@ PerfSummary Summarize(std::vector<std::uint64_t> wall_ns);
 /// Keyed store of bench records.
 class PerfDb {
  public:
-  struct LoadStats {
-    std::size_t lines = 0;      // Non-empty lines seen.
-    std::size_t records = 0;    // Successfully ingested.
-    std::size_t malformed = 0;  // Rejected lines.
-    std::vector<std::string> errors;  // One message per rejected line.
-  };
-
   /// Ingests one parsed record. Returns false (and explains in \p error
   /// when non-null) if the record lacks the uniform shape ("bench" string,
   /// "params" object, numeric "wall_ns").
   bool Add(const JsonValue& record, std::string* error = nullptr);
-
-  /// Ingests JSON-lines text (the BENCH_*.json format). Malformed lines
-  /// are counted and reported in the returned stats, never fatal: perfdb
-  /// consumes externally produced files.
-  LoadStats IngestJsonLines(std::string_view text);
 
   std::size_t NumRecords() const;
   bool Empty() const { return records_.empty(); }

@@ -1,7 +1,5 @@
 #include "sa/plan/agreement.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace lamp::sa::plan {
@@ -68,50 +66,49 @@ JsonValue AgreementRecord::ToJson() const {
 std::optional<AgreementRecord> AgreementRecord::FromJson(
     const JsonValue& doc) {
   if (!doc.IsObject()) return std::nullopt;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->AsString() != "lamp.plan_agreement.v1") {
+  const auto str = [](const JsonValue& obj,
+                      const char* key) -> const std::string* {
+    const JsonValue* v = obj.Find(key);
+    return v != nullptr && v->IsString() ? &v->AsString() : nullptr;
+  };
+  const auto num = [](const JsonValue& obj, const char* key) {
+    const JsonValue* v = obj.Find(key);
+    return v != nullptr && v->IsNumber() ? v : nullptr;
+  };
+  const std::string* schema = str(doc, "schema");
+  const std::string* bench = str(doc, "bench");
+  const std::string* label = str(doc, "label");
+  const std::string* predicted = str(doc, "predicted");
+  const std::string* measured = str(doc, "measured");
+  const JsonValue* p = num(doc, "p");
+  const JsonValue* race = doc.Find("race");
+  if (schema == nullptr || *schema != "lamp.plan_agreement.v1" ||
+      bench == nullptr || label == nullptr || predicted == nullptr ||
+      measured == nullptr || p == nullptr || race == nullptr ||
+      !race->IsArray()) {
     return std::nullopt;
   }
   AgreementRecord record;
-  const auto str = [&doc](const char* key) -> std::string {
-    const JsonValue* v = doc.Find(key);
-    return v != nullptr && v->IsString() ? v->AsString() : std::string();
-  };
-  record.bench = str("bench");
-  record.label = str("label");
-  record.query_text = str("query");
-  if (const JsonValue* v = doc.Find("p"); v != nullptr && v->IsNumber()) {
-    record.p = static_cast<std::size_t>(v->AsInt());
+  record.bench = *bench;
+  record.label = *label;
+  if (const std::string* query = str(doc, "query")) record.query_text = *query;
+  record.p = static_cast<std::size_t>(p->AsInt());
+  if (const JsonValue* margin = num(doc, "tie_margin")) {
+    record.tie_margin = margin->AsDouble();
   }
-  if (const JsonValue* v = doc.Find("tie_margin");
-      v != nullptr && v->IsNumber()) {
-    record.tie_margin = v->AsDouble();
-  }
-  record.predicted = StrategyFromName(str("predicted"));
-  record.measured = StrategyFromName(str("measured"));
-  if (const JsonValue* race = doc.Find("race");
-      race != nullptr && race->IsArray()) {
-    for (std::size_t i = 0; i < race->size(); ++i) {
-      const JsonValue& entry = race->at(i);
-      if (!entry.IsObject()) continue;
-      StrategyOutcome outcome;
-      double predicted_load = -1.0;
-      if (const JsonValue* v = entry.Find("strategy");
-          v != nullptr && v->IsString()) {
-        outcome.strategy = StrategyFromName(v->AsString());
-      }
-      if (const JsonValue* v = entry.Find("measured_max_load");
-          v != nullptr && v->IsNumber()) {
-        outcome.measured_max_load = v->AsDouble();
-      }
-      if (const JsonValue* v = entry.Find("predicted_max_load");
-          v != nullptr && v->IsNumber()) {
-        predicted_load = v->AsDouble();
-      }
-      record.outcomes.push_back(outcome);
-      record.predicted_loads.push_back(predicted_load);
-    }
+  record.predicted = StrategyFromName(*predicted);
+  record.measured = StrategyFromName(*measured);
+  for (std::size_t i = 0; i < race->size(); ++i) {
+    const JsonValue& entry = race->at(i);
+    if (!entry.IsObject()) return std::nullopt;
+    const std::string* strategy = str(entry, "strategy");
+    const JsonValue* load = num(entry, "measured_max_load");
+    if (strategy == nullptr || load == nullptr) return std::nullopt;
+    const JsonValue* predicted_load = num(entry, "predicted_max_load");
+    record.outcomes.push_back(
+        {StrategyFromName(*strategy), load->AsDouble()});
+    record.predicted_loads.push_back(
+        predicted_load != nullptr ? predicted_load->AsDouble() : -1.0);
   }
   return record;
 }
@@ -148,53 +145,6 @@ AgreementRecord MakeAgreementRecord(std::string bench, std::string label,
   }
   return record;
 }
-
-PlanSink::~PlanSink() { Flush(); }
-
-void PlanSink::Add(AgreementRecord record) {
-  records_.push_back(std::move(record));
-}
-
-std::string PlanSink::RenderJsonLines() const {
-  std::string out;
-  for (const AgreementRecord& record : records_) {
-    out += record.ToJson().Dump();
-    out += "\n";
-  }
-  return out;
-}
-
-void PlanSink::Flush() {
-  if (records_.empty()) return;
-  const std::string lines = RenderJsonLines();
-  const char* path = std::getenv(kPlanJsonEnvVar);
-  bool to_stdout = true;
-  if (path != nullptr && path[0] != '\0') {
-    std::FILE* f = std::fopen(path, "a");
-    if (f != nullptr) {
-      std::fwrite(lines.data(), 1, lines.size(), f);
-      std::fclose(f);
-      to_stdout = false;
-    } else {
-      std::fprintf(stderr,
-                   "plan: cannot open %s for append; writing records to"
-                   " stdout instead\n",
-                   path);
-    }
-  }
-  if (to_stdout) {
-    std::printf("# plan-json: %zu record(s)\n", records_.size());
-    std::fwrite(lines.data(), 1, lines.size(), stdout);
-  }
-  records_.clear();
-}
-
-PlanSink& GlobalPlanSink() {
-  static PlanSink* sink = new PlanSink();  // Leaked: alive at exit.
-  return *sink;
-}
-
-void FinalizeGlobalPlan() { GlobalPlanSink().Flush(); }
 
 bool AgreementPin::Matches(const AgreementRecord& record) const {
   if (!bench.empty() && bench != record.bench) return false;

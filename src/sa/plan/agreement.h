@@ -12,30 +12,28 @@
 /// The planner-agreement gate: did the strategy the static planner
 /// ranked first actually win the measured race?
 ///
-/// Benches that run several strategies on one scenario emit an
-/// AgreementRecord ("lamp.plan_agreement.v1") pairing the certificate's
-/// predicted winner with the measured per-strategy max loads. Records
-/// flow like audit records: JSON lines appended to the file named by
-/// LAMP_PLAN_JSON, or stdout after a "# plan-json:" marker.
+/// Benches that race strategies on one scenario build an AgreementRecord
+/// ("lamp.plan_agreement.v1") pairing the certificate's predicted winner
+/// with the measured per-strategy max loads, and attach it to the bench
+/// record of that configuration, in its "plan" array (obs/bench_report.h,
+/// BenchReporter::Record::Attach).
 ///
-/// `lamp_plan check --pins bench/PLAN_pins.json` then holds every record
-/// to Agree(): the predicted winner matches the measured one, OR the
-/// measured winner's *predicted* cost is within the certificate's tie
-/// margin of the best prediction (two strategies the model calls equal
-/// may race either way — e.g. hypercube with shares (1,p,1) *is*
-/// repartition up to hashing), OR the disagreement is pinned. Pins are
-/// the cost-model analogue of expected_violation audit records: each
-/// names a (bench, p, predicted, measured) quadruple and the reason the
-/// model is allowed to be wrong there. Dangling pins (nothing matched)
-/// fail the gate too, so stale excuses cannot accumulate.
+/// `lamp_plan check --pins bench/PLAN_pins.json` then reads those bench
+/// records and holds every agreement record to Agree(): the predicted
+/// winner matches the measured one, OR the measured winner's *predicted*
+/// cost is within the certificate's tie margin of the best prediction
+/// (two strategies the model calls equal may race either way — e.g.
+/// hypercube with shares (1,p,1) *is* repartition up to hashing), OR the
+/// disagreement is pinned. Pins are the cost-model analogue of
+/// expected_violation audit records: each names a (bench, p, predicted,
+/// measured) quadruple and the reason the model is allowed to be wrong
+/// there. Dangling pins (nothing matched) fail the gate too, so stale
+/// excuses cannot accumulate.
 
 namespace lamp::sa::plan {
 
 /// Exit code of a failed agreement gate (audit hard-fail is 4).
 inline constexpr int kPlanGateFailExit = 5;
-
-/// Environment variable naming the JSON-lines destination file.
-inline constexpr const char* kPlanJsonEnvVar = "LAMP_PLAN_JSON";
 
 /// One strategy's measured result within a scenario race.
 struct StrategyOutcome {
@@ -67,6 +65,9 @@ struct AgreementRecord {
   bool Agree() const;
 
   obs::JsonValue ToJson() const;  // "lamp.plan_agreement.v1"
+  /// nullopt unless \p doc carries every field the verdict reads: bench,
+  /// label, p, predicted, measured and a race of (strategy, measured load)
+  /// entries.
   static std::optional<AgreementRecord> FromJson(const obs::JsonValue& doc);
 };
 
@@ -76,32 +77,6 @@ struct AgreementRecord {
 AgreementRecord MakeAgreementRecord(std::string bench, std::string label,
                                     const PlanCertificate& cert,
                                     std::vector<StrategyOutcome> outcomes);
-
-/// Collects agreement records and flushes them as JSON lines to
-/// LAMP_PLAN_JSON (append) or stdout after "# plan-json:", mirroring
-/// AuditSink's destination contract.
-class PlanSink {
- public:
-  PlanSink() = default;
-  ~PlanSink();
-  PlanSink(const PlanSink&) = delete;
-  PlanSink& operator=(const PlanSink&) = delete;
-
-  void Add(AgreementRecord record);
-  const std::vector<AgreementRecord>& records() const { return records_; }
-  std::string RenderJsonLines() const;
-  void Flush();
-
- private:
-  std::vector<AgreementRecord> records_;
-};
-
-/// Process-global sink shared by a bench binary's configurations.
-PlanSink& GlobalPlanSink();
-
-/// Flushes the global sink (benches call this next to
-/// FinalizeGlobalAudit; the gate itself runs offline in lamp_plan check).
-void FinalizeGlobalPlan();
 
 /// One pinned, explained disagreement ("lamp.plan_pins.v1").
 struct AgreementPin {

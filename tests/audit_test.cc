@@ -1,12 +1,15 @@
 // Unit and property tests for the theory-aware audit layer
 // (obs/audit/*): the Space-Saving sketch guarantees against exact counts
 // over seeded Zipf streams, the statistics catalog, the per-strategy load
-// bounds, the lamp.audit.v1 record logic, and the causal-profile
-// extraction from synthetic trace events.
+// bounds, the lamp.audit.v1 record logic (including its round trip as an
+// entry attached to a bench record), and the causal-profile extraction
+// from synthetic trace events.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "obs/audit/catalog.h"
 #include "obs/audit/causal.h"
 #include "obs/audit/sketch.h"
+#include "obs/bench_report.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "relational/generators.h"
@@ -372,38 +376,50 @@ TEST(AuditRecordTest, JsonRoundTrip) {
   EXPECT_FALSE(AuditRecord::FromJson(JsonValue::Object()).has_value());
 }
 
-TEST(AuditSinkTest, CountsAndRendersJsonLines) {
-  AuditSink sink;
+TEST(AttachedAuditTest, RoundTripsThroughABenchRecordFile) {
   LoadBound tight{true, 10.0, "m/p"};
   AuditRecord hard = MakeAuditRecord("b", "hard", Strategy::kRepartition, 3,
                                      tight, TwoRoundStats());
   AuditRecord soft = MakeAuditRecord("b", "soft", Strategy::kRepartition, 3,
                                      tight, TwoRoundStats());
   soft.expected_violation = true;
-  AuditRecord ok = MakeAuditRecord("b", "ok", Strategy::kNone, 3, NoBound(),
-                                   TwoRoundStats());
-  sink.Add(std::move(hard));
-  sink.Add(std::move(soft));
-  sink.Add(std::move(ok));
-  EXPECT_EQ(sink.NumRecords(), 3u);
-  EXPECT_EQ(sink.ExpectedViolations(), 1u);
-  EXPECT_EQ(sink.HardViolations(), 1u);
+  const AuditRecord unbounded = MakeAuditRecord(
+      "b", "ok", Strategy::kNone, 3, NoBound(), TwoRoundStats());
+  const std::vector<AuditRecord> audits = {hard, soft, unbounded};
 
-  // One JSON object per line, each a parseable lamp.audit.v1 record.
-  const std::string lines = sink.RenderJsonLines();
-  std::size_t parsed = 0;
-  std::size_t pos = 0;
-  while (pos < lines.size()) {
-    const std::size_t eol = lines.find('\n', pos);
-    const std::string line = lines.substr(pos, eol - pos);
-    pos = eol == std::string::npos ? lines.size() : eol + 1;
-    if (line.empty()) continue;
-    const std::optional<JsonValue> doc = JsonValue::Parse(line);
-    ASSERT_TRUE(doc.has_value());
-    EXPECT_TRUE(AuditRecord::FromJson(*doc).has_value());
-    ++parsed;
+  // Two bench records: the first carries the three audits, the second
+  // none (it contributes nothing to the audit stream).
+  const std::string path =
+      ::testing::TempDir() + "/lamp_attached_audit.jsonl";
+  std::remove(path.c_str());
+  ASSERT_EQ(setenv(kBenchJsonEnvVar, path.c_str(), /*overwrite=*/1), 0);
+  {
+    BenchReporter reporter("b");
+    auto& record = reporter.NewRecord().Param("p", 3).WallNs(1000);
+    for (const AuditRecord& audit : audits) {
+      record.Attach("audit", audit.ToJson());
+    }
+    reporter.NewRecord().Param("p", 4).WallNs(1000);
   }
-  EXPECT_EQ(parsed, 3u);
+  ASSERT_EQ(unsetenv(kBenchJsonEnvVar), 0);
+
+  std::string error;
+  const std::optional<std::vector<JsonValue>> entries =
+      LoadAttachedEntries({path}, "audit", &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(entries.has_value()) << error;
+  ASSERT_EQ(entries->size(), audits.size());
+  for (std::size_t i = 0; i < audits.size(); ++i) {
+    const std::optional<AuditRecord> back =
+        AuditRecord::FromJson((*entries)[i]);
+    ASSERT_TRUE(back.has_value()) << i;
+    EXPECT_EQ(back->ToJson().Dump(), audits[i].ToJson().Dump());
+    EXPECT_EQ(back->HardViolation(), audits[i].HardViolation());
+  }
+  EXPECT_TRUE(audits[0].HardViolation());
+  EXPECT_FALSE(audits[1].Pass());
+  EXPECT_FALSE(audits[1].HardViolation());
+  EXPECT_TRUE(audits[2].Pass());
 }
 
 // --- causal profiles from synthetic traces ------------------------------

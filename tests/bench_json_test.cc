@@ -4,7 +4,8 @@
 // command line (wired in tests/CMakeLists.txt), runs each with
 // LAMP_BENCH_JSON pointing at a temp file and a benchmark filter that
 // matches nothing (so only the table/report section executes), then
-// parses every emitted line and checks the uniform record shape.
+// parses every emitted line and checks the uniform record shape,
+// including the audit and planner-agreement entries a record may carry.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/audit/audit.h"
 #include "obs/bench_report.h"
 #include "obs/json.h"
+#include "sa/plan/agreement.h"
 
 namespace lamp::obs {
 namespace {
@@ -60,10 +63,30 @@ void CheckBenchEmitsUniformJson(const std::string& binary,
     ASSERT_TRUE(parsed.has_value()) << "invalid JSON line: " << line;
     ASSERT_TRUE(parsed->IsObject());
     // The uniform shape: bench, params, metrics, threads, repeat,
-    // wall_ms, wall_ns — exactly, in order — plus a trailing "meta"
-    // object when LAMP_BENCH_META is set.
-    const std::size_t want = check.with_meta ? 8u : 7u;
-    ASSERT_EQ(parsed->members().size(), want) << line;
+    // wall_ms, wall_ns — exactly, in order — plus a "meta" object when
+    // LAMP_BENCH_META is set, then only the attached "audit" / "plan"
+    // arrays.
+    const std::size_t fixed = check.with_meta ? 8u : 7u;
+    ASSERT_GE(parsed->members().size(), fixed) << line;
+    std::size_t audits = 0;
+    std::size_t plans = 0;
+    for (std::size_t i = fixed; i < parsed->members().size(); ++i) {
+      const auto& [name, entries] = parsed->members()[i];
+      ASSERT_TRUE(name == "audit" || name == "plan") << name;
+      ASSERT_TRUE(entries.IsArray()) << name;
+      for (std::size_t e = 0; e < entries.size(); ++e) {
+        if (name == "audit") {
+          EXPECT_TRUE(audit::AuditRecord::FromJson(entries.at(e)).has_value())
+              << entries.at(e).Dump();
+          ++audits;
+        } else {
+          EXPECT_TRUE(
+              sa::plan::AgreementRecord::FromJson(entries.at(e)).has_value())
+              << entries.at(e).Dump();
+          ++plans;
+        }
+      }
+    }
     EXPECT_EQ(parsed->members()[0].first, "bench");
     EXPECT_EQ(parsed->members()[1].first, "params");
     EXPECT_EQ(parsed->members()[2].first, "metrics");
@@ -78,6 +101,14 @@ void CheckBenchEmitsUniformJson(const std::string& binary,
     const JsonValue* bench = parsed->Find("bench");
     ASSERT_TRUE(bench != nullptr && bench->IsString());
     EXPECT_FALSE(bench->AsString().empty());
+    // hypercube_load audits and plans every configuration; the CALM
+    // bench runs no MPC strategy, so it attaches nothing.
+    if (bench->AsString() == "hypercube_load") {
+      EXPECT_GT(audits, 0u) << line;
+      EXPECT_GT(plans, 0u) << line;
+    } else if (bench->AsString() == "calm_convergence") {
+      EXPECT_EQ(audits + plans, 0u) << line;
+    }
     const JsonValue* params = parsed->Find("params");
     ASSERT_TRUE(params != nullptr && params->IsObject());
     EXPECT_GT(params->size(), 0u);

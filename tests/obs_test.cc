@@ -8,13 +8,17 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "mpc/stats.h"
+#include "obs/audit/audit.h"
 #include "obs/bench_report.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sa/plan/agreement.h"
 
 namespace lamp::obs {
 namespace {
@@ -106,6 +110,17 @@ TEST(JsonTest, NestedRoundTrip) {
   EXPECT_EQ(xs->at(0).AsInt(), 1);
   EXPECT_DOUBLE_EQ(xs->at(1).AsDouble(), 2.5);
   EXPECT_TRUE(xs->at(2).IsNull());
+}
+
+TEST(JsonTest, ParseBoundsNestingDepth) {
+  // A megabyte of '[' used to recurse the parser off the stack.
+  EXPECT_FALSE(JsonValue::Parse(std::string(1 << 20, '[')).has_value());
+  EXPECT_FALSE(JsonValue::Parse(std::string(1 << 20, '{')).has_value());
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::Parse(nested(kMaxJsonDepth)).has_value());
+  EXPECT_FALSE(JsonValue::Parse(nested(kMaxJsonDepth + 1)).has_value());
 }
 
 // ------------------------------------------------------------- Metrics --
@@ -464,6 +479,209 @@ TEST(BenchReporterTest, RepeatIndexIsStamped) {
     reporter.Flush();
     ::testing::internal::GetCapturedStdout();
   }
+}
+
+// -------------------------------------------------------- LoadBenchFile --
+
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  return path;
+}
+
+TEST(LoadBenchFileTest, ReadsJsonLinesAndRunnerDocuments) {
+  const std::string lines = WriteTempFile(
+      "lamp_load_lines.jsonl",
+      "# bench-json: 2 record(s) for b\n"
+      "{\"bench\":\"b\",\"audit\":[{\"n\":1},{\"n\":2}]}\n"
+      "\n"
+      "{\"bench\":\"b\",\"plan\":[{\"n\":3}]}\n");
+  const std::string report = WriteTempFile(
+      "lamp_load_report.json",
+      "{\"schema\":\"lamp.bench_report.v1\",\"summaries\":[],\n"
+      " \"records\":[{\"bench\":\"b\",\"audit\":[{\"n\":4}]}]}\n");
+  const std::string baseline = WriteTempFile(
+      "lamp_load_baseline.json",
+      "{\"schema\":\"lamp.perf_baseline.v1\",\"summaries\":[]}");
+  std::string error;
+
+  const std::optional<BenchFile> from_lines = LoadBenchFile(lines, &error);
+  ASSERT_TRUE(from_lines.has_value()) << error;
+  EXPECT_EQ(from_lines->records.size(), 2u);
+  EXPECT_TRUE(from_lines->summaries.IsNull());
+  const std::optional<BenchFile> from_report = LoadBenchFile(report, &error);
+  ASSERT_TRUE(from_report.has_value()) << error;
+  EXPECT_EQ(from_report->records.size(), 1u);
+  EXPECT_TRUE(from_report->summaries.IsArray());
+  const std::optional<BenchFile> from_baseline =
+      LoadBenchFile(baseline, &error);
+  ASSERT_TRUE(from_baseline.has_value()) << error;
+  EXPECT_TRUE(from_baseline->records.empty());
+
+  const auto audit = LoadAttachedEntries({lines, report}, "audit", &error);
+  ASSERT_TRUE(audit.has_value()) << error;
+  ASSERT_EQ(audit->size(), 3u);
+  EXPECT_EQ((*audit)[2].Find("n")->AsInt(), 4);
+  const auto plan = LoadAttachedEntries({lines, report}, "plan", &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(plan->size(), 1u);
+  for (const std::string& path : {lines, report, baseline}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(LoadBenchFileTest, RejectsWhatAGateWouldOtherwiseDrop) {
+  std::string error;
+  EXPECT_FALSE(LoadBenchFile(::testing::TempDir() + "/lamp_no_such_file",
+                             &error)
+                   .has_value());
+  const std::string truncated = WriteTempFile(
+      "lamp_load_truncated.jsonl",
+      "{\"bench\":\"b\"}\n{\"bench\":\"b\",\"plan\":[{\"n\":1}\n");
+  EXPECT_FALSE(LoadBenchFile(truncated, &error).has_value());
+  EXPECT_NE(error.find(":2:"), std::string::npos) << error;
+  const std::string not_object =
+      WriteTempFile("lamp_load_array.jsonl", "{\"bench\":\"b\"}\n[1]\n");
+  EXPECT_FALSE(LoadBenchFile(not_object, &error).has_value());
+  const std::string bad_entries = WriteTempFile(
+      "lamp_load_entries.jsonl",
+      "{\"bench\":\"b\",\"audit\":5}\n{\"bench\":\"b\",\"plan\":[1]}\n");
+  EXPECT_FALSE(LoadAttachedEntries({bad_entries}, "audit", &error));
+  EXPECT_FALSE(LoadAttachedEntries({bad_entries}, "plan", &error));
+  for (const std::string& path : {truncated, not_object, bad_entries}) {
+    std::remove(path.c_str());
+  }
+}
+
+// --------------------------------------- seeded record mutation test --
+
+// A dumped audit record, agreement record and bench record carrying
+// both, with seeded loads, labels and race outcomes.
+std::vector<std::string> MutationCorpus(Rng& rng) {
+  using audit::Strategy;
+  RunStats stats;
+  for (std::size_t r = 1 + rng.Uniform(3); r > 0; --r) {
+    RoundStats round;
+    for (std::size_t s = 1 + rng.Uniform(5); s > 0; --s) {
+      round.received.push_back(rng.Uniform(1000));
+      round.wire_bytes.push_back(rng.Uniform(100000));
+    }
+    stats.rounds.push_back(std::move(round));
+  }
+  audit::LoadBound bound;
+  bound.has_bound = rng.Uniform(2) == 0;
+  bound.tuples = rng.UniformDouble() * 500.0;
+  bound.formula = "m/p";
+  audit::AuditRecord audit_record = audit::MakeAuditRecord(
+      "bench_" + std::to_string(rng.Uniform(10)), "label/\"q\"\u00e9",
+      Strategy::kRepartition, 1 + rng.Uniform(64), bound, stats);
+  audit_record.expected_violation = rng.Uniform(2) == 0;
+
+  sa::plan::AgreementRecord agreement;
+  agreement.bench = "join_strategies";
+  agreement.label = "skewed/p=" + std::to_string(rng.Uniform(256));
+  agreement.p = 1 + rng.Uniform(256);
+  agreement.predicted = Strategy::kHyperCube;
+  agreement.measured = rng.Uniform(2) == 0 ? Strategy::kHyperCube
+                                           : Strategy::kSharesSkew;
+  for (const Strategy s : {Strategy::kHyperCube, Strategy::kSharesSkew}) {
+    agreement.outcomes.push_back(
+        {s, static_cast<double>(rng.Uniform(5000))});
+    agreement.predicted_loads.push_back(rng.UniformDouble() * 5000.0);
+  }
+
+  BenchReporter reporter("mutation_bench");
+  reporter.NewRecord()
+      .Param("p", agreement.p)
+      .Metric("mpc.max_load", audit_record.measured_max_load)
+      .WallNs(rng.Uniform(1000000))
+      .Attach("audit", audit_record.ToJson())
+      .Attach("plan", agreement.ToJson());
+  std::string bench_line = reporter.RenderJsonLines();
+  bench_line.pop_back();  // The trailing newline.
+  {
+    ::testing::internal::CaptureStdout();  // Drain, don't print.
+    reporter.Flush();
+    ::testing::internal::GetCapturedStdout();
+  }
+  return {audit_record.ToJson().Dump(), agreement.ToJson().Dump(),
+          bench_line};
+}
+
+// Every decoder a gate runs over a parsed value, for crash coverage.
+void DecodeEverything(const JsonValue& value) {
+  (void)audit::AuditRecord::FromJson(value);
+  (void)sa::plan::AgreementRecord::FromJson(value);
+  for (const char* array : {"audit", "plan"}) {
+    const JsonValue* entries = value.Find(array);
+    if (entries == nullptr || !entries->IsArray()) continue;
+    for (std::size_t i = 0; i < entries->size(); ++i) {
+      (void)audit::AuditRecord::FromJson(entries->at(i));
+      (void)sa::plan::AgreementRecord::FromJson(entries->at(i));
+    }
+  }
+}
+
+// Parse's contract on arbitrary text: reject it, or return a value whose
+// Dump is a fixed point of Parse-then-Dump. Returns whether it parsed.
+bool ExpectRejectedOrStable(const std::string& text) {
+  const std::optional<JsonValue> value = JsonValue::Parse(text);
+  if (!value.has_value()) return false;
+  const std::string dump = value->Dump();
+  const std::optional<JsonValue> again = JsonValue::Parse(dump);
+  EXPECT_TRUE(again.has_value()) << text;
+  if (again.has_value()) {
+    EXPECT_EQ(again->Dump(), dump) << text;
+  }
+  DecodeEverything(*value);
+  return true;
+}
+
+TEST(JsonFuzzTest, RecordsSurviveTruncationsAndByteFlips) {
+  // Bytes that change a document's structure, plus seeded random ones.
+  const std::string structural = "{}[]\",:\\ 0-e.tfn";
+  std::size_t accepted_flips = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    for (const std::string& doc : MutationCorpus(rng)) {
+      // The unmutated document decodes and is already a fixed point.
+      const std::optional<JsonValue> parsed = JsonValue::Parse(doc);
+      ASSERT_TRUE(parsed.has_value()) << doc;
+      EXPECT_EQ(parsed->Dump(), doc);
+      // Every proper prefix leaves the top-level object open.
+      for (std::size_t len = 0; len < doc.size(); ++len) {
+        EXPECT_FALSE(ExpectRejectedOrStable(doc.substr(0, len)))
+            << "seed " << seed << " prefix " << len;
+      }
+      // Every byte, flipped to two structural and two random values.
+      for (std::size_t at = 0; at < doc.size(); ++at) {
+        std::string flipped = doc;
+        std::string values;
+        for (int k = 0; k < 2; ++k) {
+          values += structural[rng.Uniform(structural.size())];
+          values += static_cast<char>(rng.Uniform(256));
+        }
+        for (const char v : values) {
+          if (v == doc[at]) continue;
+          flipped[at] = v;
+          if (ExpectRejectedOrStable(flipped)) ++accepted_flips;
+        }
+      }
+    }
+  }
+  // Digit and letter flips inside strings and numbers still parse; the
+  // harness must have exercised both outcomes.
+  EXPECT_GT(accepted_flips, 0u);
+}
+
+TEST(JsonFuzzTest, DepthBombInsideARecordIsRejected) {
+  std::string bomb = "{\"bench\":\"b\",\"audit\":";
+  bomb += std::string(1 << 20, '[');
+  EXPECT_FALSE(JsonValue::Parse(bomb).has_value());
+  const std::string path = WriteTempFile("lamp_depth_bomb.jsonl", bomb);
+  std::string error;
+  EXPECT_FALSE(LoadAttachedEntries({path}, "audit", &error).has_value());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the perf database (src/obs/perfdb.h): summary
-// statistics over repeats, tolerant JSON-lines ingestion, summary
-// round-tripping, and the noise-aware regression diff. The diff cases
+// statistics over repeats, ingestion of records read by LoadBenchFile,
+// summary round-tripping, and the noise-aware regression diff. The diff cases
 // deliberately include "noisy but not regressed": a median shift that
 // clears the relative tolerance yet stays within the observed
 // run-to-run noise must NOT be flagged.
@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "obs/bench_report.h"
 #include "obs/json.h"
 
 namespace lamp::obs {
@@ -99,19 +103,25 @@ TEST(PerfDbTest, AddRejectsMalformedRecords) {
   EXPECT_EQ(db.NumRecords(), 1u);
 }
 
-TEST(PerfDbTest, IngestJsonLinesToleratesGarbage) {
-  PerfDb db;
-  const std::string text =
+TEST(PerfDbTest, SummarisesRecordsReadByLoadBenchFile) {
+  const std::string path = ::testing::TempDir() + "/lamp_perfdb_lines.jsonl";
+  const std::string valid =
       "# bench-json: comment line, skipped\n"
       "{\"bench\":\"b\",\"params\":{\"n\":1},\"threads\":1,\"wall_ns\":100}\n"
       "\n"
-      "not json at all\n"
       "{\"bench\":\"b\",\"params\":{\"n\":1},\"threads\":1,\"wall_ns\":200}\n"
       "{\"bench\":\"b\",\"params\":\"oops\",\"wall_ns\":3}\n";
-  const PerfDb::LoadStats stats = db.IngestJsonLines(text);
-  EXPECT_EQ(stats.records, 2u);
-  EXPECT_EQ(stats.malformed, 2u);
-  EXPECT_EQ(stats.errors.size(), 2u);
+  std::ofstream(path) << valid;
+  std::string error;
+  const std::optional<BenchFile> file = LoadBenchFile(path, &error);
+  ASSERT_TRUE(file.has_value()) << error;
+  ASSERT_EQ(file->records.size(), 3u);
+  PerfDb db;
+  std::size_t rejected = 0;
+  for (const JsonValue& record : file->records) {
+    if (!db.Add(record, &error)) ++rejected;
+  }
+  EXPECT_EQ(rejected, 1u);  // Parses, but "params" is not an object.
   EXPECT_EQ(db.NumRecords(), 2u);
 
   // Both valid records share a key; the summary covers both samples.
@@ -120,6 +130,11 @@ TEST(PerfDbTest, IngestJsonLinesToleratesGarbage) {
   const PerfSummary& s = summaries.begin()->second;
   EXPECT_EQ(s.count, 2u);
   EXPECT_DOUBLE_EQ(s.median_ns, 150.0);
+
+  // A line that is not JSON fails the whole file instead of dropping out.
+  std::ofstream(path) << valid << "not json at all\n";
+  EXPECT_FALSE(LoadBenchFile(path, &error).has_value());
+  std::remove(path.c_str());
 }
 
 TEST(PerfDbTest, KeysSeparateBenchParamsAndThreads) {

@@ -9,20 +9,14 @@
 //   bench_runner --baseline BENCH_baseline.json  compare + gate (exit 1)
 //   bench_runner --baseline B.json --update      rewrite the baseline
 //   bench_runner --compare RECORDS.jsonl ...     skip running; diff files
-//   bench_runner --audit AUDIT.jsonl             collect lamp.audit.v1
-//                                                records from the benches
-//   bench_runner --audit A.jsonl --audit-hard-fail
-//                                                exit 4 on any unexpected
-//                                                load-bound violation
-//   bench_runner --plan PLAN.jsonl               collect the benches'
-//                                                lamp.plan_agreement.v1
-//                                                records (sa/plan)
 //
 // Every record is stamped with run provenance (git rev, ISO date, host,
 // repeat index) so BENCH_report.json is a self-describing point on the
-// PR-to-PR perf trajectory. Exit codes: 0 ok, 1 regression, 2 usage or
-// environment error (missing binary, bench failed, unreadable baseline),
-// 4 audit hard-fail (obs/audit/audit.h).
+// PR-to-PR perf trajectory. The records keep the audit and planner
+// entries the MPC benches attach, so `obs_audit report --check` and
+// `lamp_plan check` gate the same report. Exit codes: 0 ok, 1 regression,
+// 2 usage or environment error (missing binary, bench failed, unreadable
+// baseline or records).
 
 #include <unistd.h>
 
@@ -38,11 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/audit/audit.h"
 #include "obs/bench_report.h"
 #include "obs/json.h"
 #include "obs/perfdb.h"
-#include "sa/plan/agreement.h"
 
 namespace lamp {
 namespace {
@@ -55,12 +47,9 @@ struct Options {
   std::string baseline;          // --baseline file.
   std::string compare;           // --compare: records file standing in for a run.
   std::string filter;            // Substring filter on manifest names.
-  std::string audit;             // --audit: lamp.audit.v1 JSON-lines sink.
-  std::string plan;              // --plan: lamp.plan_agreement.v1 sink.
   std::vector<int> threads{1};   // --threads 1,4
   int repeat = 1;
   bool update_baseline = false;
-  bool audit_hard_fail = false;
   obs::DiffThresholds thresholds;
 };
 
@@ -75,12 +64,6 @@ void Usage() {
       "  --filter SUBSTR   only manifest entries whose name contains SUBSTR\n"
       "  --out FILE        aggregated report (default BENCH_report.json)\n"
       "  --md FILE         also write the comparison as markdown\n"
-      "  --audit FILE      collect the benches' lamp.audit.v1 records into\n"
-      "                    FILE and print a load-bound summary\n"
-      "  --audit-hard-fail exit 4 when any record violates its bound\n"
-      "                    without being marked expected (needs --audit)\n"
-      "  --plan FILE       collect the benches' planner-agreement records\n"
-      "                    into FILE (gate them with: lamp_plan check)\n"
       "  --baseline FILE   compare against a baseline; exit 1 on regression\n"
       "  --update          rewrite --baseline from this run and exit 0\n"
       "  --compare FILE    don't run benches; read records/report/baseline\n"
@@ -88,14 +71,6 @@ void Usage() {
       "  --rel-tol F       relative tolerance (default 0.10)\n"
       "  --noise-mult F    noise multiplier (default 3.0)\n"
       "  --min-delta-ms F  absolute delta floor in ms (default 0.05)\n");
-}
-
-std::optional<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -163,7 +138,7 @@ struct ManifestEntry {
 
 std::optional<std::vector<ManifestEntry>> LoadManifest(
     const std::string& path) {
-  const std::optional<std::string> text = ReadFile(path);
+  const std::optional<std::string> text = obs::ReadTextFile(path);
   if (!text.has_value()) {
     std::fprintf(stderr, "bench_runner: cannot read manifest %s\n",
                  path.c_str());
@@ -222,27 +197,33 @@ std::optional<std::vector<ManifestEntry>> LoadManifest(
   return out;
 }
 
+/// Adds every record of \p file to \p db, reporting (not failing on)
+/// records without the uniform bench shape.
+void Ingest(const obs::BenchFile& file, obs::PerfDb* db) {
+  for (const obs::JsonValue& record : file.records) {
+    std::string error;
+    if (!db->Add(record, &error)) {
+      std::fprintf(stderr, "bench_runner: skipping record: %s\n",
+                   error.c_str());
+    }
+  }
+}
+
 /// Loads "the other side" of a comparison from any of the formats this
 /// tool reads or writes: a report/baseline document (uses "summaries"),
 /// or raw JSON-lines records (summarised on the fly).
 std::optional<std::map<obs::PerfKey, obs::PerfSummary>> LoadSummaries(
     const std::string& path) {
-  const std::optional<std::string> text = ReadFile(path);
-  if (!text.has_value()) {
-    std::fprintf(stderr, "bench_runner: cannot read %s\n", path.c_str());
+  std::string error;
+  const std::optional<obs::BenchFile> file = obs::LoadBenchFile(path, &error);
+  if (!file.has_value()) {
+    std::fprintf(stderr, "bench_runner: %s\n", error.c_str());
     return std::nullopt;
   }
-  const std::optional<obs::JsonValue> whole = obs::JsonValue::Parse(*text);
-  if (whole.has_value() && whole->IsObject() &&
-      whole->Find("summaries") != nullptr) {
-    return obs::SummariesFromJson(*whole);
-  }
+  if (!file->summaries.IsNull()) return obs::SummariesFromJson(file->summaries);
   obs::PerfDb db;
-  const obs::PerfDb::LoadStats stats = db.IngestJsonLines(*text);
-  for (const std::string& err : stats.errors) {
-    std::fprintf(stderr, "bench_runner: %s: %s\n", path.c_str(), err.c_str());
-  }
-  if (stats.records == 0) {
+  Ingest(*file, &db);
+  if (db.Empty()) {
     std::fprintf(stderr, "bench_runner: %s holds no bench records\n",
                  path.c_str());
     return std::nullopt;
@@ -317,8 +298,6 @@ int RunSuite(const Options& opt, const obs::JsonValue& meta, obs::PerfDb* db) {
   const std::string records_path =
       opt.out + ".records.tmp";  // One shared append target, wiped first.
   std::remove(records_path.c_str());
-  if (!opt.audit.empty()) std::remove(opt.audit.c_str());
-  if (!opt.plan.empty()) std::remove(opt.plan.c_str());
   const std::string meta_json = meta.Dump();
 
   std::size_t run = 0;
@@ -339,21 +318,8 @@ int RunSuite(const Options& opt, const obs::JsonValue& meta, obs::PerfDb* db) {
         std::fflush(stdout);
         // The filter '$^' matches no registered microbenchmark, so only the
         // instrumented table section (and its reporter flush) executes.
-        // The audit sink is shared the same way as the records sink; the
-        // children never hard-fail themselves (the runner gates once over
-        // the aggregate, keeping per-bench exit codes clean).
-        const std::string audit_env =
-            opt.audit.empty()
-                ? std::string()
-                : std::string(obs::audit::kAuditJsonEnvVar) + "=" +
-                      Quoted(opt.audit) + " ";
-        const std::string plan_env =
-            opt.plan.empty()
-                ? std::string()
-                : std::string(sa::plan::kPlanJsonEnvVar) + "=" +
-                      Quoted(opt.plan) + " ";
         const std::string cmd =
-            audit_env + plan_env + std::string(obs::kBenchJsonEnvVar) + "=" +
+            std::string(obs::kBenchJsonEnvVar) + "=" +
             Quoted(records_path) + " " + obs::kBenchMetaEnvVar + "=" +
             Quoted(meta_json) + " " + Quoted(bin) + transport_flag +
             " --threads " + std::to_string(t) + " --repeat " +
@@ -370,123 +336,19 @@ int RunSuite(const Options& opt, const obs::JsonValue& meta, obs::PerfDb* db) {
     }
   }
 
-  const std::optional<std::string> records = ReadFile(records_path);
+  std::string error;
+  const std::optional<obs::BenchFile> records =
+      obs::LoadBenchFile(records_path, &error);
   std::remove(records_path.c_str());
   if (!records.has_value()) {
-    std::fprintf(stderr, "bench_runner: benches produced no records\n");
+    std::fprintf(stderr, "bench_runner: benches produced no readable"
+                         " records: %s\n",
+                 error.c_str());
     return 2;
   }
-  const obs::PerfDb::LoadStats stats = db->IngestJsonLines(*records);
-  for (const std::string& err : stats.errors) {
-    std::fprintf(stderr, "bench_runner: %s\n", err.c_str());
-  }
-  std::printf("collected %zu record(s) across %zu configuration(s)%s\n",
-              db->NumRecords(), db->Summaries().size(),
-              stats.malformed > 0 ? " (some lines were malformed)" : "");
-  return 0;
-}
-
-/// Summarises the lamp.audit.v1 records the benches appended to
-/// opt.audit; returns kAuditHardFailExit when --audit-hard-fail is set
-/// and some record violates its bound without being marked expected.
-int SummarizeAudit(const Options& opt) {
-  const std::optional<std::string> text = ReadFile(opt.audit);
-  if (!text.has_value() || text->empty()) {
-    std::fprintf(stderr, "bench_runner: benches emitted no audit records"
-                         " into %s\n",
-                 opt.audit.c_str());
-    // A hard-fail run that audited nothing is itself a failure: the gate
-    // would otherwise pass vacuously when the benches lose their audit
-    // instrumentation.
-    return opt.audit_hard_fail ? 2 : 0;
-  }
-  std::size_t total = 0, passed = 0, expected = 0;
-  std::vector<const obs::audit::AuditRecord*> hard;
-  std::vector<obs::audit::AuditRecord> records;
-  std::istringstream lines(*text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(line);
-    std::optional<obs::audit::AuditRecord> record;
-    if (doc.has_value()) record = obs::audit::AuditRecord::FromJson(*doc);
-    if (!record.has_value()) {
-      std::fprintf(stderr, "bench_runner: malformed audit record in %s\n",
-                   opt.audit.c_str());
-      continue;
-    }
-    records.push_back(std::move(*record));
-  }
-  for (const obs::audit::AuditRecord& r : records) {
-    ++total;
-    if (r.Pass()) {
-      ++passed;
-    } else if (r.expected_violation) {
-      ++expected;
-    }
-  }
-  for (const obs::audit::AuditRecord& r : records) {
-    if (r.HardViolation()) hard.push_back(&r);
-  }
-  std::printf("audit: %zu record(s) in %s — %zu within bound, %zu expected"
-              " violation(s), %zu hard violation(s)\n",
-              total, opt.audit.c_str(), passed, expected, hard.size());
-  for (const obs::audit::AuditRecord* r : hard) {
-    std::fprintf(stderr,
-                 "audit VIOLATION: %s/%s (%s, p=%zu) measured %zu vs bound"
-                 " %.1f x slack %.1f\n",
-                 r->bench.c_str(), r->label.c_str(),
-                 std::string(obs::audit::StrategyName(r->strategy)).c_str(),
-                 r->p, r->measured_max_load, r->bound.tuples, r->slack);
-  }
-  if (opt.audit_hard_fail && !hard.empty()) {
-    std::printf("audit gate: FAIL (%zu unexpected load-bound"
-                " violation(s))\n",
-                hard.size());
-    return obs::audit::kAuditHardFailExit;
-  }
-  if (opt.audit_hard_fail) std::printf("audit gate: ok\n");
-  return 0;
-}
-
-/// Counts the lamp.plan_agreement.v1 records the benches appended to
-/// opt.plan and reports immediate disagreements. The committed-pin gate
-/// lives in `lamp_plan check`; the runner only surfaces the raw tally so
-/// a run that silently emitted nothing is visible right away.
-int SummarizePlan(const Options& opt) {
-  const std::optional<std::string> text = ReadFile(opt.plan);
-  if (!text.has_value() || text->empty()) {
-    std::fprintf(stderr,
-                 "bench_runner: benches emitted no planner-agreement"
-                 " records into %s\n",
-                 opt.plan.c_str());
-    return 2;
-  }
-  std::size_t total = 0, agreed = 0;
-  std::istringstream lines(*text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] != '{') continue;
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(line);
-    if (!doc.has_value()) continue;
-    const std::optional<sa::plan::AgreementRecord> record =
-        sa::plan::AgreementRecord::FromJson(*doc);
-    if (!record.has_value()) continue;
-    ++total;
-    if (record->Agree()) ++agreed;
-  }
-  std::printf("plan: %zu agreement record(s) in %s — %zu agree, %zu"
-              " disagree (gate: lamp_plan check --pins bench/PLAN_pins.json"
-              " %s)\n",
-              total, opt.plan.c_str(), agreed, total - agreed,
-              opt.plan.c_str());
-  if (total == 0) {
-    std::fprintf(stderr,
-                 "bench_runner: %s holds no parseable planner-agreement"
-                 " records\n",
-                 opt.plan.c_str());
-    return 2;
-  }
+  Ingest(*records, db);
+  std::printf("collected %zu record(s) across %zu configuration(s)\n",
+              db->NumRecords(), db->Summaries().size());
   return 0;
 }
 
@@ -542,16 +404,6 @@ int Main(int argc, char** argv) {
       const char* v = next("--compare");
       if (v == nullptr) return 2;
       opt.compare = v;
-    } else if (arg == "--audit") {
-      const char* v = next("--audit");
-      if (v == nullptr) return 2;
-      opt.audit = v;
-    } else if (arg == "--plan") {
-      const char* v = next("--plan");
-      if (v == nullptr) return 2;
-      opt.plan = v;
-    } else if (arg == "--audit-hard-fail") {
-      opt.audit_hard_fail = true;
     } else if (arg == "--update") {
       opt.update_baseline = true;
     } else if (arg == "--rel-tol") {
@@ -577,20 +429,6 @@ int Main(int argc, char** argv) {
   }
   if (opt.update_baseline && opt.baseline.empty()) {
     std::fprintf(stderr, "bench_runner: --update needs --baseline\n");
-    return 2;
-  }
-  if (opt.audit_hard_fail && opt.audit.empty()) {
-    std::fprintf(stderr, "bench_runner: --audit-hard-fail needs --audit\n");
-    return 2;
-  }
-  if (!opt.audit.empty() && !opt.compare.empty()) {
-    std::fprintf(stderr, "bench_runner: --audit needs a real run, not"
-                         " --compare\n");
-    return 2;
-  }
-  if (!opt.plan.empty() && !opt.compare.empty()) {
-    std::fprintf(stderr, "bench_runner: --plan needs a real run, not"
-                         " --compare\n");
     return 2;
   }
 
@@ -635,15 +473,6 @@ int Main(int argc, char** argv) {
       return 2;
     }
     std::printf("wrote %s\n", opt.out.c_str());
-
-    if (!opt.audit.empty()) {
-      const int audit_status = SummarizeAudit(opt);
-      if (audit_status != 0) return audit_status;
-    }
-    if (!opt.plan.empty()) {
-      const int plan_status = SummarizePlan(opt);
-      if (plan_status != 0) return plan_status;
-    }
   }
 
   if (opt.baseline.empty()) return 0;

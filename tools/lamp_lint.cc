@@ -23,9 +23,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,12 +47,9 @@ struct Cli {
 /// minimally here (names only) — lamp_lint links lamp_sa, not the audit
 /// layer that owns the full Catalog type.
 bool LoadCatalogRelations(const std::string& path, AnalyzerOptions& options) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::optional<obs::JsonValue> doc =
-      obs::JsonValue::Parse(text.str());
+  const std::optional<std::string> text = obs::ReadTextFile(path);
+  if (!text.has_value()) return false;
+  const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
   if (!doc.has_value() || !doc->IsObject()) return false;
   const obs::JsonValue* schema = doc->Find("schema");
   if (schema == nullptr || !schema->IsString() ||
@@ -101,16 +96,13 @@ int Run(const Cli& cli) {
     }
   } else {
     for (const std::string& path : cli.files) {
-      std::ifstream in(path);
-      if (!in) {
+      const std::optional<std::string> text = obs::ReadTextFile(path);
+      if (!text.has_value()) {
         std::fprintf(stderr, "lamp_lint: cannot read %s\n", path.c_str());
         return 2;
       }
-      std::ostringstream text;
-      text << in.rdbuf();
       Result& r = results.emplace_back();
-      r.analysis =
-          AnalyzeProgramText(r.schema, text.str(), cli.options);
+      r.analysis = AnalyzeProgramText(r.schema, *text, cli.options);
       r.analysis.name = FileStem(path);
     }
   }

@@ -5,10 +5,12 @@
 //   lamp_plan [options] --demo
 //                          build skew-free and skewed demo workloads,
 //                          derive their catalogs, and plan both (no files)
-//   lamp_plan check --pins FILE <records.jsonl>...
-//                          planner-agreement gate: every
-//                          lamp.plan_agreement.v1 record must Agree() or
-//                          be pinned; dangling pins fail too
+//   lamp_plan check --pins FILE <records>...
+//                          planner-agreement gate over the
+//                          lamp.plan_agreement.v1 entries of bench records
+//                          (JSON lines or a bench_runner report): every
+//                          entry must Agree() or be pinned; dangling pins
+//                          fail too
 //
 //   --catalog FILE     lamp.catalog.v1 JSON (required unless --demo)
 //   --p N              server budget (default 4)
@@ -19,19 +21,20 @@
 //                      feasible strategy
 //   --report FILE      check mode: write a JSON gate summary
 //
-// Exit codes: 0 clean, 1 strict violations, 2 usage or I/O errors,
+// Exit codes: 0 clean, 1 strict violations, 2 usage or I/O errors
+// (check: an unreadable line, an undecodable entry, or no entries),
 // 5 (kPlanGateFailExit) failed agreement gate.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "cq/parser.h"
 #include "obs/audit/catalog.h"
+#include "obs/bench_report.h"
 #include "obs/json.h"
 #include "relational/instance.h"
 #include "sa/plan/agreement.h"
@@ -49,15 +52,6 @@ struct Cli {
   std::size_t p = 4;
   std::vector<std::string> queries;
 };
-
-bool ReadFile(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  out = text.str();
-  return true;
-}
 
 /// The demo workloads mirror bench_join_strategies: a skew-free binary
 /// join where repartition is optimal, and the same join with half of R
@@ -115,13 +109,14 @@ int RunPlan(const Cli& cli) {
                            scenario.catalog, options);
     }
   } else {
-    std::string text;
-    if (!ReadFile(cli.catalog_path, text)) {
+    const std::optional<std::string> text =
+        obs::ReadTextFile(cli.catalog_path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "lamp_plan: cannot read %s\n",
                    cli.catalog_path.c_str());
       return 2;
     }
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(text);
+    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
     if (!doc.has_value()) {
       std::fprintf(stderr, "lamp_plan: %s is not valid JSON\n",
                    cli.catalog_path.c_str());
@@ -204,47 +199,45 @@ int RunCheck(int argc, char** argv) {
     }
   }
   if (record_files.empty()) {
-    std::fprintf(stderr,
-                 "lamp_plan: check needs agreement record files\n");
+    std::fprintf(stderr, "lamp_plan: check needs bench record files\n");
     return 2;
   }
 
+  std::string error;
+  const std::optional<std::vector<obs::JsonValue>> entries =
+      obs::LoadAttachedEntries(record_files, "plan", &error);
+  if (!entries.has_value()) {
+    std::fprintf(stderr, "lamp_plan: %s\n", error.c_str());
+    return 2;
+  }
   std::vector<AgreementRecord> records;
-  for (const std::string& path : record_files) {
-    std::string text;
-    if (!ReadFile(path, text)) {
-      std::fprintf(stderr, "lamp_plan: cannot read %s\n", path.c_str());
+  records.reserve(entries->size());
+  for (const obs::JsonValue& entry : *entries) {
+    std::optional<AgreementRecord> record = AgreementRecord::FromJson(entry);
+    if (!record.has_value()) {
+      std::fprintf(stderr,
+                   "lamp_plan: plan entry %zu is not a"
+                   " lamp.plan_agreement.v1 record\n",
+                   records.size() + 1);
       return 2;
     }
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.empty() || line[0] != '{') continue;  // Markers, noise.
-      const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(line);
-      if (!doc.has_value()) continue;
-      // Files may interleave other record kinds (audit, bench); only
-      // lamp.plan_agreement.v1 lines parse here.
-      if (std::optional<AgreementRecord> record =
-              AgreementRecord::FromJson(*doc)) {
-        records.push_back(std::move(*record));
-      }
-    }
+    records.push_back(std::move(*record));
   }
   if (records.empty()) {
     std::fprintf(stderr,
-                 "lamp_plan: no lamp.plan_agreement.v1 records found\n");
+                 "lamp_plan: no lamp.plan_agreement.v1 entries found\n");
     return 2;
   }
 
   std::vector<AgreementPin> pins;
   if (!pins_path.empty()) {
-    std::string text;
-    if (!ReadFile(pins_path, text)) {
+    const std::optional<std::string> text = obs::ReadTextFile(pins_path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "lamp_plan: cannot read %s\n",
                    pins_path.c_str());
       return 2;
     }
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(text);
+    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
     std::optional<std::vector<AgreementPin>> parsed =
         doc.has_value() ? PinsFromJson(*doc) : std::nullopt;
     if (!parsed.has_value()) {
@@ -340,7 +333,7 @@ int Main(int argc, char** argv) {
           "usage: lamp_plan [--catalog FILE] [--p N] [--json] [--explain] "
           "[--strict] (\"H(..) <- ..\"... | --demo)\n"
           "       lamp_plan check --pins FILE [--report FILE] "
-          "<records.jsonl>...\n");
+          "<bench records>...\n");
       return 0;
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "lamp_plan: unknown option %s\n", argv[i]);

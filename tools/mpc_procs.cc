@@ -8,12 +8,13 @@
 // ring seed exchange, trace-context negotiation) and runs the unchanged
 // MpcSimulator round over it: LoadInput -> RunRound -> report. The parent
 // then compares every rank's load, wire bytes and received state, and the
-// union of the outputs, against the in-process reference run; measured
-// loads and wire bytes flow into lamp.audit.v1 records next to the
-// strategy's closed-form bound, exactly like the benches.
+// union of the outputs, against the in-process reference run. Each run
+// writes one "mpc_procs" bench record (obs/bench_report.h) carrying a
+// lamp.audit.v1 entry: measured loads and wire bytes next to the
+// strategy's closed-form bound, exactly like the benches, gated by
+// `obs_audit report --check`.
 //
-// Exit codes: 0 ok, 1 mismatch vs the in-process reference, 2 usage,
-// 4 audit hard fail (LAMP_AUDIT_HARD_FAIL=1).
+// Exit codes: 0 ok, 1 mismatch vs the in-process reference, 2 usage.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -43,6 +44,7 @@
 #include "obs/audit/bounds.h"
 #include "obs/audit/catalog.h"
 #include "obs/audit/causal.h"
+#include "obs/bench_report.h"
 #include "obs/dist/merge.h"
 #include "obs/dist/shard.h"
 #include "obs/trace.h"
@@ -416,9 +418,11 @@ std::uint64_t ParseCount(const std::string& text) {
 }
 
 /// Runs one scenario distributed, checks it against the in-process
-/// reference and emits the audit record. Returns true when everything
-/// matched.
-bool RunOne(const std::string& name, const Options& opts) {
+/// reference and adds its bench record, audit attached, to \p reporter.
+/// Returns true when everything matched.
+bool RunOne(const std::string& name, const Options& opts,
+            obs::BenchReporter& reporter) {
+  obs::WallTimer timer;
   const Scenario scenario =
       BuildScenario(name, opts.procs, opts.m, opts.seed);
   const std::size_t p = scenario.servers;
@@ -534,7 +538,16 @@ bool RunOne(const std::string& name, const Options& opts) {
         static_cast<unsigned long long>(causal.max_depth),
         static_cast<unsigned long long>(merged->total_dropped));
   }
-  obs::audit::GlobalAuditSink().Add(std::move(record));
+  reporter.NewRecord()
+      .Param("scenario", name)
+      .Param("transport",
+             std::string(transport::TransportKindName(opts.kind)))
+      .Param("procs", p)
+      .Param("m", opts.m)
+      .Metric("mpc.max_load", max_load)
+      .Metric("wire_bytes", wire_total)
+      .WallNs(timer.ElapsedNs())
+      .Attach("audit", record.ToJson());
   return ok;
 }
 
@@ -593,6 +606,7 @@ int main(int argc, char** argv) {
     names.push_back(opts.scenario);
   }
 
+  lamp::obs::BenchReporter reporter("mpc_procs");
   bool all_ok = true;
   if (opts.selfcheck) {
     // The CI smoke matrix: both socket families (or just the requested
@@ -609,13 +623,13 @@ int main(int argc, char** argv) {
         sweep.kind = kind;
         sweep.procs = procs;
         for (const std::string& name : names) {
-          all_ok = RunOne(name, sweep) && all_ok;
+          all_ok = RunOne(name, sweep, reporter) && all_ok;
         }
       }
     }
   } else {
     for (const std::string& name : names) {
-      all_ok = RunOne(name, opts) && all_ok;
+      all_ok = RunOne(name, opts, reporter) && all_ok;
     }
   }
   if (!all_ok) {
@@ -624,5 +638,5 @@ int main(int argc, char** argv) {
                  " reference\n");
     return 1;
   }
-  return lamp::obs::audit::FinalizeGlobalAudit();
+  return 0;
 }

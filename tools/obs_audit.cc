@@ -2,9 +2,11 @@
 // (obs/audit): load-bound audit records, the statistics catalog and
 // causal coordination profiles.
 //
-//   obs_audit report <audit.jsonl>...   headroom table + worst-round
-//                                       per-server load heatmaps from
-//                                       lamp.audit.v1 JSON-lines files
+//   obs_audit report <records>...       headroom table + worst-round
+//                                       per-server load heatmaps from the
+//                                       lamp.audit.v1 entries of bench
+//                                       records (JSON lines or a
+//                                       bench_runner report)
 //   obs_audit catalog <catalog.json>    per-relation skew report from a
 //                                       lamp.catalog.v1 document
 //   obs_audit causal <trace.json>       coordination depth + causal
@@ -24,15 +26,14 @@
 //   obs_audit ... --json                emit machine-readable JSON where
 //                                       the subcommand supports it
 //
-// Exit codes: 0 ok, 2 usage/parse error, 4 hard bound violation
-// (demo-violation, and report --check).
+// Exit codes: 0 ok, 2 usage/parse error (for report: an unreadable line,
+// an undecodable audit entry, or no audit entries at all), 4 hard bound
+// violation (demo-violation, and report --check).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,7 @@
 #include "obs/audit/bounds.h"
 #include "obs/audit/catalog.h"
 #include "obs/audit/causal.h"
+#include "obs/bench_report.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "relational/generators.h"
@@ -69,43 +71,7 @@ const char* LoadGlyph(std::uint64_t load, std::uint64_t max) {
   return kBlocks[std::min<std::size_t>(idx, 7)];
 }
 
-std::optional<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "obs_audit: cannot open %s\n", path.c_str());
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 // --- report -------------------------------------------------------------
-
-std::vector<AuditRecord> ParseAuditLines(const std::string& text,
-                                         const std::string& origin,
-                                         bool* ok) {
-  std::vector<AuditRecord> records;
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(line);
-    std::optional<AuditRecord> record;
-    if (doc.has_value()) record = AuditRecord::FromJson(*doc);
-    if (!record.has_value()) {
-      std::fprintf(stderr, "obs_audit: %s:%zu is not a lamp.audit.v1"
-                           " record\n",
-                   origin.c_str(), lineno);
-      *ok = false;
-      continue;
-    }
-    records.push_back(std::move(*record));
-  }
-  return records;
-}
 
 void RenderReport(const std::vector<AuditRecord>& records) {
   std::printf("== lamp.audit.v1 headroom report ==\n");
@@ -265,26 +231,42 @@ void RenderReport(const std::vector<AuditRecord>& records) {
 
 int ReportMain(const std::vector<std::string>& files, bool check) {
   if (files.empty()) {
-    std::fprintf(stderr, "obs_audit: report needs at least one"
-                         " audit.jsonl file\n");
+    std::fprintf(stderr, "obs_audit: report needs at least one bench"
+                         " records file\n");
+    return 2;
+  }
+  std::string error;
+  const std::optional<std::vector<obs::JsonValue>> entries =
+      obs::LoadAttachedEntries(files, "audit", &error);
+  if (!entries.has_value()) {
+    std::fprintf(stderr, "obs_audit: %s\n", error.c_str());
     return 2;
   }
   std::vector<AuditRecord> records;
-  bool ok = true;
-  for (const std::string& path : files) {
-    const std::optional<std::string> text = ReadFile(path);
-    if (!text.has_value()) return 2;
-    std::vector<AuditRecord> parsed = ParseAuditLines(*text, path, &ok);
-    records.insert(records.end(), parsed.begin(), parsed.end());
+  records.reserve(entries->size());
+  for (const obs::JsonValue& entry : *entries) {
+    std::optional<AuditRecord> record = AuditRecord::FromJson(entry);
+    if (!record.has_value()) {
+      std::fprintf(stderr, "obs_audit: audit entry %zu is not a"
+                           " lamp.audit.v1 record\n",
+                   records.size() + 1);
+      return 2;
+    }
+    records.push_back(std::move(*record));
   }
-  if (!ok && records.empty()) return 2;
+  // A gate over nothing would pass whenever the benches lose their audit
+  // instrumentation.
+  if (records.empty()) {
+    std::fprintf(stderr, "obs_audit: no audit entries in the input\n");
+    return 2;
+  }
   RenderReport(records);
   if (check) {
     for (const AuditRecord& r : records) {
       if (r.HardViolation()) return obs::audit::kAuditHardFailExit;
     }
   }
-  return ok ? 0 : 2;
+  return 0;
 }
 
 // --- catalog ------------------------------------------------------------
@@ -326,8 +308,11 @@ void RenderCatalog(const Catalog& catalog) {
 }
 
 int CatalogMain(const std::string& path) {
-  const std::optional<std::string> text = ReadFile(path);
-  if (!text.has_value()) return 2;
+  const std::optional<std::string> text = obs::ReadTextFile(path);
+  if (!text.has_value()) {
+    std::fprintf(stderr, "obs_audit: cannot open %s\n", path.c_str());
+    return 2;
+  }
   const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
   std::optional<Catalog> catalog;
   if (doc.has_value()) catalog = Catalog::FromJson(*doc);
@@ -344,8 +329,11 @@ int CatalogMain(const std::string& path) {
 // --- causal -------------------------------------------------------------
 
 int CausalMain(const std::string& path, bool json) {
-  const std::optional<std::string> text = ReadFile(path);
-  if (!text.has_value()) return 2;
+  const std::optional<std::string> text = obs::ReadTextFile(path);
+  if (!text.has_value()) {
+    std::fprintf(stderr, "obs_audit: cannot open %s\n", path.c_str());
+    return 2;
+  }
   const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
   std::optional<CausalReport> report;
   if (doc.has_value()) report = obs::audit::CausalReportFromTraceJson(*doc);
@@ -398,6 +386,7 @@ DemoDb MakeDemoDb() {
 }
 
 int DemoAuditMain() {
+  obs::WallTimer timer;
   DemoDb db = MakeDemoDb();
   const std::size_t p = 64;
   std::vector<AuditRecord> records;
@@ -436,13 +425,15 @@ int DemoAuditMain() {
         obs::audit::SqrtPBound(db.join, db.schema, catalog, p), run.stats));
   }
   RenderReport(records);
-  // Emit through the same sink the benches use, so
-  //   LAMP_AUDIT_JSON=f obs_audit demo-audit && obs_audit report f
+  // Emit a bench record with the audits attached, as the benches do, so
+  //   LAMP_BENCH_JSON=f obs_audit demo-audit && obs_audit report f
   // round-trips the wire format.
-  for (AuditRecord& record : records) {
-    obs::audit::GlobalAuditSink().Add(std::move(record));
+  obs::BenchReporter reporter("obs_audit_demo");
+  auto& record = reporter.NewRecord().Param("p", p).WallNs(timer.ElapsedNs());
+  for (const AuditRecord& audit : records) {
+    record.Attach("audit", audit.ToJson());
   }
-  return obs::audit::FinalizeGlobalAudit();
+  return 0;
 }
 
 int DemoCatalogMain() {
@@ -539,7 +530,8 @@ int Main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: obs_audit <command> [args]\n"
-          "  report <audit.jsonl>...  headroom table + load heatmaps\n"
+          "  report <records>...      headroom table + load heatmaps from\n"
+          "                           bench records' audit entries\n"
           "                           (--check: exit 4 on hard violations)\n"
           "  catalog <catalog.json>   per-relation skew report\n"
           "  causal <trace.json>      coordination depth + critical path\n"

@@ -25,10 +25,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -474,14 +472,12 @@ obs::JsonValue DemoNetTrace() {
 }
 
 std::optional<obs::JsonValue> LoadTrace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<std::string> text = obs::ReadTextFile(path);
+  if (!text.has_value()) {
     std::fprintf(stderr, "trace_dump: cannot open %s\n", path.c_str());
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::optional<obs::JsonValue> parsed = obs::JsonValue::Parse(buf.str());
+  std::optional<obs::JsonValue> parsed = obs::JsonValue::Parse(*text);
   if (!parsed.has_value()) {
     std::fprintf(stderr, "trace_dump: %s is not valid JSON\n", path.c_str());
   }
