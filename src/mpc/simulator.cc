@@ -146,8 +146,8 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
     } else {
       // Step 2 (sockets): serialize each (source, target != source) run
       // into one kFactBatch frame, then hand the whole round to the
-      // transport in one SendBatch call (a relay backend writes each
-      // source's frames at once). Sources are ascending per target
+      // transport in one SendBatch call (a loopback backend writes each
+      // destination's frames at once). Sources are ascending per target
       // (shards are contiguous ascending ranges), so senders[t] comes out
       // ascending too.
       std::vector<transport::WireFrame> frames;

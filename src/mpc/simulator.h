@@ -36,10 +36,12 @@
 /// 1/p effect on measured loads.
 ///
 /// Backend selection: transport::ActiveKind() picks where the routed facts
-/// travel. The in-process default keeps the zero-copy outbox/merge path;
-/// tcp/uds serialize each (source, target) batch into one lamp.wire.v1
-/// kFactBatch frame per round and ship the round's frames in one
-/// Transport::SendBatch call over real sockets (src/transport). Received
+/// travel. The in-process default builds no Transport and keeps the
+/// zero-copy outbox/merge path; tcp/uds serialize each (source, target)
+/// batch into one lamp.wire.v1 kFactBatch frame per round and ship the
+/// round's frames in one Transport::SendBatch call over a loopback
+/// transport whose senders write straight into each receiver's socket
+/// (src/transport). Received
 /// batches are decoded into flat rows and merged with InsertRow. The wire
 /// path drains channels per target in ascending source order — exactly
 /// the in-process merge order — so outputs, dedup decisions and

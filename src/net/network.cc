@@ -100,16 +100,16 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
   const bool keep_log = scheduler.WantsRedeliveryLog();
   std::vector<std::vector<InFlight>> consumed(n);
 
-  // Backend selection (transport::ActiveKind): with a socket backend every
-  // broadcast copy is framed (lamp.wire.v1 kMessage), shipped through the
-  // transport and decoded back into the receiver's channel *at dispatch
-  // time*. The channel state at every scheduler decision point is
-  // therefore identical to the in-process run, which is what makes the
-  // seeded Scheduler a pure delivery-order policy the transport honors:
-  // the wire carries the bytes, the scheduler still picks the order (and
-  // the faults), and digests cannot move. In-process runs account the
-  // same wire bytes in closed form, so net.wire_bytes is backend-
-  // invariant too.
+  // Backend selection (transport::ActiveKind): in-process runs build no
+  // transport. With tcp/uds every broadcast copy is framed (lamp.wire.v1
+  // kMessage), written into the receiver's loopback socket and decoded
+  // back into the receiver's channel *at dispatch time*. The channel
+  // state at every scheduler decision point is therefore identical to the
+  // in-process run, which is what makes the seeded Scheduler a pure
+  // delivery-order policy the transport honors: the wire carries the
+  // bytes, the scheduler still picks the order (and the faults), and
+  // digests cannot move. In-process runs account the same wire bytes in
+  // closed form, so net.wire_bytes is backend-invariant too.
   std::unique_ptr<transport::Transport> wire;
   if (transport::ActiveKind() != transport::TransportKind::kInProcess &&
       n > 1) {

@@ -1,6 +1,5 @@
 #include "transport/transport.h"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -9,15 +8,12 @@
 
 #include <cerrno>
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,7 +25,7 @@ namespace lamp::transport {
 
 namespace {
 
-/// Read chunk size of the relay loop and the endpoint receive path.
+/// Read chunk size of the socket receive paths.
 constexpr std::size_t kReadChunk = 1 << 16;
 
 void EmitConnect(TransportKind kind, std::size_t endpoints, std::size_t fds) {
@@ -47,55 +43,6 @@ void EmitRecv(const WireFrame& frame) {
   obs::Emit(obs::EventKind::kTransportRecv, frame.to, frame.from,
             FrameWireSize(frame));
 }
-
-/// The default backend: one FIFO deque per (from, to) channel. Frames are
-/// never serialized, but trace events carry FrameWireSize, the bytes the
-/// socket backends ship.
-class InProcessTransport final : public Transport {
- public:
-  explicit InProcessTransport(std::size_t num_endpoints)
-      : n_(num_endpoints), channels_(num_endpoints * num_endpoints) {
-    EmitConnect(TransportKind::kInProcess, n_, 0);
-  }
-
-  TransportKind kind() const override { return TransportKind::kInProcess; }
-  std::size_t num_endpoints() const override { return n_; }
-
-  void Send(WireFrame frame) override {
-    LAMP_CHECK(frame.from < n_ && frame.to < n_);
-    EmitSend(frame);
-    Channel& ch = channels_[frame.from * n_ + frame.to];
-    {
-      std::lock_guard<std::mutex> lock(ch.mu);
-      ch.frames.push_back(std::move(frame));
-    }
-    ch.cv.notify_one();
-  }
-
-  WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
-    LAMP_CHECK(from < n_ && to < n_);
-    Channel& ch = channels_[static_cast<std::size_t>(from) * n_ + to];
-    std::unique_lock<std::mutex> lock(ch.mu);
-    ch.cv.wait(lock, [&ch] { return !ch.frames.empty(); });
-    WireFrame frame = std::move(ch.frames.front());
-    ch.frames.pop_front();
-    lock.unlock();
-    EmitRecv(frame);
-    return frame;
-  }
-
-  void Shutdown() override {}
-
- private:
-  struct Channel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<WireFrame> frames;
-  };
-
-  std::size_t n_;
-  std::vector<Channel> channels_;
-};
 
 /// Writes all \p size bytes, retrying short writes and EINTR.
 void WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
@@ -182,52 +129,62 @@ std::pair<FrameReader, std::uint64_t> AcceptHello(int listener) {
   return {std::move(chan), hello->rank};
 }
 
-/// Socket backends: every endpoint holds one stream socket whose peer end
-/// belongs to a relay thread that forwards frames to their destination
-/// endpoint. The relay polls, never blocks on writes (pending bytes queue
-/// in userspace), so senders cannot deadlock against receivers that have
-/// not started draining — the shape of an MPC communication phase.
-class SocketRelayTransport final : public Transport {
+/// The tcp/uds loopback backend. Every endpoint owns one stream socket,
+/// and a sender writes each frame straight into its destination's socket:
+/// it appends the bytes to the destination's userspace queue and writes
+/// whatever the socket takes without blocking. The destination reads its
+/// socket and files frames into per-source inboxes, so every channel
+/// stays FIFO. A Recv waiting for bytes flushes its own endpoint's queue
+/// between reads, so a round may queue its entire frame volume before any
+/// receiver starts draining — the shape of an MPC communication phase —
+/// and no thread is needed to move it.
+class SocketTransport final : public Transport {
  public:
-  SocketRelayTransport(TransportKind kind, std::size_t num_endpoints)
+  SocketTransport(TransportKind kind, std::size_t num_endpoints)
       : kind_(kind), n_(num_endpoints), endpoints_(num_endpoints) {
-    const std::vector<int> relay_fds =
-        kind_ == TransportKind::kUds ? ConnectUds() : ConnectTcp();
-    LAMP_CHECK_MSG(::pipe(wake_pipe_) == 0, "transport: pipe failed");
+    for (Endpoint& ep : endpoints_) ep.inbox.resize(n_);
+    if (kind_ == TransportKind::kUds) {
+      ConnectUds();
+    } else {
+      ConnectTcp();
+    }
     EmitConnect(kind_, n_, 2 * n_);
-    relay_ = std::thread([this, relay_fds] { RelayLoop(relay_fds); });
   }
 
-  ~SocketRelayTransport() override { Shutdown(); }
+  ~SocketTransport() override { Shutdown(); }
 
   TransportKind kind() const override { return kind_; }
   std::size_t num_endpoints() const override { return n_; }
 
   void Send(WireFrame frame) override {
     LAMP_CHECK(frame.from < n_ && frame.to < n_);
-    Endpoint& ep = endpoints_[frame.from];
     EmitSend(frame);
-    {
-      std::lock_guard<std::mutex> lock(ep.send_mu);
-      WriteFrame(ep.reader.fd(), frame);
-    }
+    Endpoint& ep = endpoints_[frame.to];
+    std::lock_guard<std::mutex> lock(ep.send_mu);
+    AppendFrame(ep.queue, frame);
+    Flush(ep);
   }
 
-  /// One buffer per source endpoint, written once under its send lock.
-  /// Frames keep their order within a source, so every channel stays
-  /// FIFO.
+  /// One buffer per destination endpoint, queued and written once under
+  /// its send lock. Frames keep their order within a destination, so
+  /// every channel stays FIFO.
   void SendBatch(std::vector<WireFrame> frames) override {
     std::vector<std::vector<std::uint8_t>> out(n_);
     for (const WireFrame& frame : frames) {
       LAMP_CHECK(frame.from < n_ && frame.to < n_);
       EmitSend(frame);
-      AppendFrame(out[frame.from], frame);
+      AppendFrame(out[frame.to], frame);
     }
-    for (std::size_t from = 0; from < n_; ++from) {
-      if (out[from].empty()) continue;
-      Endpoint& ep = endpoints_[from];
+    for (std::size_t to = 0; to < n_; ++to) {
+      if (out[to].empty()) continue;
+      Endpoint& ep = endpoints_[to];
       std::lock_guard<std::mutex> lock(ep.send_mu);
-      WriteAll(ep.reader.fd(), out[from].data(), out[from].size());
+      if (ep.queue.empty()) {
+        ep.queue.swap(out[to]);
+      } else {
+        ep.queue.insert(ep.queue.end(), out[to].begin(), out[to].end());
+      }
+      Flush(ep);
     }
   }
 
@@ -236,12 +193,31 @@ class SocketRelayTransport final : public Transport {
     Endpoint& ep = endpoints_[to];
     std::lock_guard<std::mutex> lock(ep.recv_mu);
     while (ep.inbox[from].empty()) {
-      // Frames for other channels of `to` are buffered in their inbox,
-      // preserving per-channel FIFO.
-      WireFrame frame = ep.reader.Read();
-      LAMP_CHECK_MSG(frame.to == to && frame.from < n_,
-                     "transport: misrouted frame");
-      ep.inbox[frame.from].push_back(std::move(frame));
+      // Never block in a read: the rest of a half-read frame may still sit
+      // in this endpoint's queue, so every pass flushes it first and
+      // waits in poll, on the write end too while bytes remain queued.
+      bool queued;
+      {
+        std::lock_guard<std::mutex> send_lock(ep.send_mu);
+        queued = Flush(ep);
+      }
+      std::uint8_t buf[kReadChunk];
+      const ssize_t n = ::recv(ep.read_fd, buf, sizeof buf, MSG_DONTWAIT);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        pollfd fds[2] = {{ep.read_fd, POLLIN, 0}, {ep.write_fd, POLLOUT, 0}};
+        const int rc = ::poll(fds, queued ? 2 : 1, -1);
+        LAMP_CHECK_MSG(rc >= 0 || errno == EINTR, "transport: poll failed");
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      LAMP_CHECK_MSG(n > 0, "transport: peer closed mid-frame");
+      ep.decoder.Feed(buf, static_cast<std::size_t>(n));
+      while (std::optional<WireFrame> frame = ep.decoder.Next()) {
+        LAMP_CHECK_MSG(frame->to == to && frame->from < n_,
+                       "transport: misrouted frame");
+        ep.inbox[frame->from].push_back(*std::move(frame));
+      }
+      LAMP_CHECK_MSG(!ep.decoder.error(), "transport: corrupt frame stream");
     }
     WireFrame frame = std::move(ep.inbox[from].front());
     ep.inbox[from].pop_front();
@@ -250,133 +226,85 @@ class SocketRelayTransport final : public Transport {
   }
 
   void Shutdown() override {
-    bool expected = false;
-    if (!stopped_.compare_exchange_strong(expected, true)) return;
-    // Wake the relay: one byte down the self-pipe, then join.
-    const std::uint8_t byte = 0;
-    WriteAll(wake_pipe_[1], &byte, 1);
-    if (relay_.joinable()) relay_.join();
-    ::close(wake_pipe_[0]);
-    ::close(wake_pipe_[1]);
     for (Endpoint& ep : endpoints_) {
-      if (ep.reader.fd() >= 0) ::close(ep.reader.fd());
-      ep.reader = FrameReader();
+      for (int* fd : {&ep.write_fd, &ep.read_fd}) {
+        if (*fd >= 0) ::close(*fd);
+        *fd = -1;
+      }
     }
   }
 
  private:
   struct Endpoint {
-    std::mutex send_mu;
-    std::mutex recv_mu;
-    FrameReader reader;
-    std::vector<std::deque<WireFrame>> inbox;
+    std::mutex send_mu;  // Guards queue, head and writes to write_fd.
+    std::vector<std::uint8_t> queue;  // Frame bytes; [head, end) unwritten.
+    std::size_t head = 0;
+    int write_fd = -1;
+    std::mutex recv_mu;  // Guards reads of read_fd, decoder and inbox.
+    int read_fd = -1;
+    FrameDecoder decoder;
+    std::vector<std::deque<WireFrame>> inbox;  // Per source.
   };
 
-  /// One socketpair per endpoint: [0] stays with the endpoint, [1] goes to
-  /// the relay. Rank mapping is positional — no handshake needed.
-  std::vector<int> ConnectUds() {
-    std::vector<int> relay_fds(n_, -1);
-    for (std::size_t i = 0; i < n_; ++i) {
+  /// Writes as much of \p ep's queue as its socket takes without
+  /// blocking; returns whether bytes remain. The caller holds ep.send_mu.
+  static bool Flush(Endpoint& ep) {
+    while (ep.head < ep.queue.size()) {
+      const ssize_t n =
+          ::send(ep.write_fd, ep.queue.data() + ep.head,
+                 ep.queue.size() - ep.head, MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      LAMP_CHECK_MSG(n > 0, "transport: write failed");
+      ep.head += static_cast<std::size_t>(n);
+    }
+    if (ep.head == ep.queue.size()) {
+      ep.queue.clear();
+      ep.head = 0;
+      return false;
+    }
+    // Drop a large written prefix once it dominates: a head cursor, not
+    // an erase per partial write.
+    if (ep.head > (1u << 20) && ep.head * 2 > ep.queue.size()) {
+      ep.queue.erase(ep.queue.begin(),
+                     ep.queue.begin() + static_cast<std::ptrdiff_t>(ep.head));
+      ep.head = 0;
+    }
+    return true;
+  }
+
+  /// One socketpair per endpoint: senders write [1], the endpoint reads
+  /// [0]. Rank mapping is positional — no handshake needed.
+  void ConnectUds() {
+    for (Endpoint& ep : endpoints_) {
       int sv[2];
       LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
                      "transport: socketpair failed");
-      endpoints_[i].reader = FrameReader(sv[0]);
-      endpoints_[i].inbox.resize(n_);
-      relay_fds[i] = sv[1];
+      ep.read_fd = sv[0];
+      ep.write_fd = sv[1];
     }
-    return relay_fds;
   }
 
-  /// One listener on an ephemeral 127.0.0.1 port; every endpoint dials it
-  /// and identifies itself with a kHello frame.
-  std::vector<int> ConnectTcp() {
+  /// One listener on an ephemeral 127.0.0.1 port. Each endpoint's write
+  /// end dials it and announces the endpoint's rank with a kHello; the
+  /// accepted connection becomes that rank's read end.
+  void ConnectTcp() {
     std::uint16_t port = 0;
     const int listener = ListenLoopbackTcp(&port);
-    std::vector<int> relay_fds(n_, -1);
     for (std::size_t i = 0; i < n_; ++i) {
       const auto rank = static_cast<std::uint32_t>(i);
-      endpoints_[i].reader = FrameReader(DialHello(port, rank, rank));
-      endpoints_[i].inbox.resize(n_);
+      endpoints_[i].write_fd = DialHello(port, rank, rank);
       auto [accepted, announced] = AcceptHello(listener);
-      LAMP_CHECK_MSG(announced < n_ && relay_fds[announced] == -1,
+      LAMP_CHECK_MSG(announced < n_ && endpoints_[announced].read_fd == -1,
                      "transport: duplicate rank in handshake");
-      relay_fds[announced] = accepted.fd();
+      endpoints_[announced].read_fd = accepted.fd();
     }
     ::close(listener);
-    return relay_fds;
-  }
-
-  /// Forwards frames between endpoint sockets. Reads are level-triggered
-  /// poll; writes are non-blocking with per-destination userspace queues.
-  void RelayLoop(std::vector<int> fds) {
-    std::vector<FrameDecoder> decoders(n_);
-    // Pending output per destination: raw frame bytes plus a head cursor.
-    std::vector<std::vector<std::uint8_t>> pending(n_);
-    std::vector<std::size_t> head(n_, 0);
-    std::vector<pollfd> poll_set(n_ + 1);
-
-    for (std::size_t i = 0; i < n_; ++i) {
-      const int flags = ::fcntl(fds[i], F_GETFL, 0);
-      ::fcntl(fds[i], F_SETFL, flags | O_NONBLOCK);
-    }
-
-    while (true) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        poll_set[i].fd = fds[i];
-        poll_set[i].events = POLLIN;
-        if (head[i] < pending[i].size()) poll_set[i].events |= POLLOUT;
-        poll_set[i].revents = 0;
-      }
-      poll_set[n_] = {wake_pipe_[0], POLLIN, 0};
-      const int rc = ::poll(poll_set.data(), poll_set.size(), -1);
-      if (rc < 0 && errno == EINTR) continue;
-      LAMP_CHECK_MSG(rc >= 0, "transport: poll failed");
-      if ((poll_set[n_].revents & POLLIN) != 0) break;  // Shutdown.
-
-      for (std::size_t i = 0; i < n_; ++i) {
-        if ((poll_set[i].revents & (POLLIN | POLLHUP)) != 0) {
-          std::uint8_t buf[kReadChunk];
-          while (true) {
-            const ssize_t n = ::read(fds[i], buf, sizeof buf);
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            if (n < 0 && errno == EINTR) continue;
-            if (n <= 0) break;  // Peer gone; shutdown will follow.
-            decoders[i].Feed(buf, static_cast<std::size_t>(n));
-            while (std::optional<WireFrame> frame = decoders[i].Next()) {
-              LAMP_CHECK_MSG(frame->to < n_, "transport: bad destination");
-              AppendFrame(pending[frame->to], *frame);
-            }
-            LAMP_CHECK_MSG(!decoders[i].error(),
-                           "transport: relay saw corrupt stream");
-            if (static_cast<std::size_t>(n) < sizeof buf) break;
-          }
-        }
-        if (head[i] < pending[i].size() &&
-            (poll_set[i].revents & POLLOUT) != 0) {
-          const ssize_t n = ::write(fds[i], pending[i].data() + head[i],
-                                    pending[i].size() - head[i]);
-          if (n > 0) head[i] += static_cast<std::size_t>(n);
-          if (head[i] == pending[i].size()) {
-            pending[i].clear();
-            head[i] = 0;
-          } else if (head[i] > (1u << 20) && head[i] * 2 > pending[i].size()) {
-            pending[i].erase(pending[i].begin(),
-                             pending[i].begin() +
-                                 static_cast<std::ptrdiff_t>(head[i]));
-            head[i] = 0;
-          }
-        }
-      }
-    }
-    for (const int fd : fds) ::close(fd);
   }
 
   TransportKind kind_;
   std::size_t n_;
   std::vector<Endpoint> endpoints_;
-  int wake_pipe_[2] = {-1, -1};
-  std::thread relay_;
-  std::atomic<bool> stopped_{false};
 };
 
 /// Rank \p rank's term of the ring fold (RingSeed's closed form).
@@ -385,7 +313,6 @@ std::uint64_t RingContribution(std::uint64_t base, std::size_t rank) {
 }
 
 TransportKind g_active_kind = TransportKind::kInProcess;
-bool g_active_kind_set = false;
 
 }  // namespace
 
@@ -615,33 +542,13 @@ bool ParseTransportKind(std::string_view name, TransportKind* out) {
 
 std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
                                                  std::size_t num_endpoints) {
-  LAMP_CHECK(num_endpoints > 0);
-  if (kind == TransportKind::kInProcess) {
-    return std::make_unique<InProcessTransport>(num_endpoints);
-  }
-  return std::make_unique<SocketRelayTransport>(kind, num_endpoints);
+  LAMP_CHECK(num_endpoints > 0 && kind != TransportKind::kInProcess);
+  return std::make_unique<SocketTransport>(kind, num_endpoints);
 }
 
-TransportKind ActiveKind() {
-  if (!g_active_kind_set) {
-    g_active_kind_set = true;
-    const char* env = std::getenv("LAMP_TRANSPORT");
-    if (env != nullptr && env[0] != '\0') {
-      TransportKind kind;
-      if (ParseTransportKind(env, &kind)) {
-        g_active_kind = kind;
-      } else {
-        std::fprintf(stderr, "transport: unknown LAMP_TRANSPORT '%s'\n", env);
-      }
-    }
-  }
-  return g_active_kind;
-}
+TransportKind ActiveKind() { return g_active_kind; }
 
-void SetActiveKind(TransportKind kind) {
-  g_active_kind = kind;
-  g_active_kind_set = true;
-}
+void SetActiveKind(TransportKind kind) { g_active_kind = kind; }
 
 void ConfigureFromCommandLine(int* argc, char** argv) {
   int out = 1;

@@ -25,23 +25,25 @@
 /// seeded Scheduler is therefore a delivery-order policy the transport
 /// honors, and golden digests stay byte-identical across backends.
 ///
-/// Four backends:
-///  * InProcessTransport — mutex/condvar deques per channel; the default
-///    and the zero-copy fast path.
-///  * TcpTransport       — real TCP sockets over 127.0.0.1.
-///  * UdsTransport       — AF_UNIX stream socketpairs.
-///  * MeshTransport      — one rank of a p-rank TCP or UDS socket mesh,
-///    for runtimes that give each process (or thread) one endpoint.
+/// Two shapes of socket backend, each over TCP (127.0.0.1) or AF_UNIX
+/// stream sockets:
+///  * MakeLoopbackTransport — every endpoint driven by one object.
+///  * MeshTransport         — one rank of a p-rank socket mesh, for
+///    runtimes that give each process (or thread) one endpoint.
+/// The "inproc" kind has no Transport object: the runtimes keep their
+/// zero-copy in-memory path for it.
 ///
-/// The tcp/uds loopback backends connect every endpoint to a relay thread
-/// that forwards each frame to its destination endpoint (O(p) file
-/// descriptors instead of a p^2 mesh). The relay never blocks on writes —
-/// forwarded bytes queue in userspace — so a round may send its entire
+/// The tcp/uds loopback backends give every endpoint one stream socket
+/// (O(p) file descriptors instead of a p^2 mesh), and a sender writes
+/// each frame straight into its destination's socket. Sends never block —
+/// bytes the socket cannot take yet queue in userspace and the receiving
+/// endpoint flushes them while it waits — so a round may send its entire
 /// frame volume before any receiver starts draining, exactly what
 /// MpcSimulator's route phase does: it hands the round's frames over in one
-/// SendBatch call, and a relay backend makes one write per source endpoint
-/// per round instead of one per frame. Framing, per-frame trace events and
-/// the bytes on the wire are those of the equivalent Send calls.
+/// SendBatch call, and a loopback backend makes one write per destination
+/// endpoint per round instead of one per frame. Framing, per-frame trace
+/// events and the bytes on the wire are those of the equivalent Send
+/// calls.
 ///
 /// A loopback backend drives every endpoint itself; a mesh drives one and
 /// reaches the rest over sockets (Transport::IsLocal). A remote receiver
@@ -50,8 +52,8 @@
 ///
 /// Every backend emits kTransportSend/kTransportRecv/kTransportConnect
 /// trace events carrying each frame's wire size, so serialization overhead
-/// is measured, not modelled, even in-process; the runtimes account wire
-/// bytes per server from the frames they receive.
+/// is measured, not modelled; the runtimes account wire bytes per server
+/// from the frames they receive.
 
 namespace lamp::transport {
 
@@ -84,8 +86,8 @@ class Transport {
 
   /// Enqueues every frame of \p frames, in order: the same deliveries
   /// and the same kTransportSend event per frame as one Send call each,
-  /// which is what the default does. The relay backends override it to
-  /// coalesce each source endpoint's frames into a single write.
+  /// which is what the default does. The loopback backends override it to
+  /// coalesce each destination endpoint's frames into a single write.
   virtual void SendBatch(std::vector<WireFrame> frames) {
     for (WireFrame& frame : frames) Send(std::move(frame));
   }
@@ -100,17 +102,17 @@ class Transport {
   /// other channels of \p to are buffered, not lost.
   virtual WireFrame Recv(std::uint32_t to, std::uint32_t from) = 0;
 
-  /// Releases sockets/threads. Idempotent; the destructor calls it.
+  /// Releases the sockets. Idempotent; the destructor calls it.
   virtual void Shutdown() = 0;
 };
 
-/// Builds a connected loopback transport of \p kind with \p num_endpoints
-/// endpoints. Aborts (LAMP_CHECK) if socket setup fails.
+/// Builds a connected tcp or uds loopback transport with \p num_endpoints
+/// endpoints. Aborts (LAMP_CHECK) on kInProcess or if socket setup fails.
 std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
                                                  std::size_t num_endpoints);
 
 // --- blocking frame I/O on one file descriptor --------------------------
-// Shared by the relay endpoints, the mesh channels and process report
+// Shared by the loopback handshake, the mesh channels and process report
 // pipes.
 
 /// Encodes \p frame and writes all of it, retrying short writes and
@@ -224,9 +226,8 @@ class MeshTransport final : public Transport {
 };
 
 /// The process-wide backend selection honored by MpcSimulator and
-/// TransducerNetwork. Defaults to kInProcess; the LAMP_TRANSPORT
-/// environment variable ("inproc"/"tcp"/"uds") overrides the default, and
-/// SetActiveKind / --transport override both.
+/// TransducerNetwork. Defaults to kInProcess; SetActiveKind / --transport
+/// override it.
 TransportKind ActiveKind();
 void SetActiveKind(TransportKind kind);
 

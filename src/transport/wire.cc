@@ -9,6 +9,11 @@ namespace {
 
 constexpr std::size_t kMaxVarintBytes = 10;
 
+/// Largest relation id, arity or endpoint rank a decoder accepts: the
+/// fields they land in are 32 bits wide, and truncating a larger varint
+/// would decode to a different value than the one on the wire.
+constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint32_t>::max();
+
 std::uint64_t ZigzagEncode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -107,7 +112,7 @@ std::size_t EncodedRowSize(const RowRef& row) {
 std::optional<Fact> ReadFact(WireReader& reader) {
   const std::optional<std::uint64_t> relation = reader.ReadVarint();
   const std::optional<std::uint64_t> arity = reader.ReadVarint();
-  if (!relation || !arity) return std::nullopt;
+  if (!relation || !arity || *relation > kMaxId) return std::nullopt;
   // An arity beyond the remaining bytes cannot be satisfied (each argument
   // takes at least one byte); bail before reserving absurd capacities.
   if (*arity > reader.remaining()) return std::nullopt;
@@ -140,8 +145,10 @@ std::optional<HelloPayload> DecodeHelloPayload(
   if (!rank || !seed) return std::nullopt;
   HelloPayload hello{*rank, *seed, 0};
   if (!reader.AtEnd()) {
+    // The encoder omits a zero features varint, so an explicit zero is
+    // not canonical.
     const auto features = reader.ReadVarint();
-    if (!features || !reader.AtEnd()) return std::nullopt;
+    if (!features || *features == 0 || !reader.AtEnd()) return std::nullopt;
     hello.features = *features;
   }
   return hello;
@@ -178,7 +185,6 @@ std::vector<std::uint8_t> EncodeFactBatchPayload(
 
 std::optional<FactBatchPayload> DecodeFactBatchPayload(
     const std::vector<std::uint8_t>& payload) {
-  constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint32_t>::max();
   WireReader reader(payload);
   const auto round = reader.ReadVarint();
   const auto count = reader.ReadVarint();
@@ -230,7 +236,8 @@ std::optional<MessagePayload> DecodeMessagePayload(
   const auto depth = reader.ReadVarint();
   const auto parent = reader.ReadVarint();
   const auto count = reader.ReadVarint();
-  if (!seq || !depth || !parent || !count || *count > payload.size()) {
+  if (!seq || !depth || !parent || !count || *parent > kMaxId ||
+      *count > payload.size()) {
     return std::nullopt;
   }
   MessagePayload msg;
@@ -336,7 +343,7 @@ std::optional<WireFrame> FrameDecoder::Next() {
     WireReader reader(p + 6, body - 2);
     const auto from = reader.ReadVarint();
     const auto to = reader.ReadVarint();
-    if (!from || !to) {
+    if (!from || !to || *from > kMaxId || *to > kMaxId) {
       error_ = true;
       return std::nullopt;
     }

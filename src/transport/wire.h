@@ -145,7 +145,8 @@ void PutRow(std::vector<std::uint8_t>& out, const RowRef& row);
 /// Bytes PutRow would append for \p row.
 std::size_t EncodedRowSize(const RowRef& row);
 
-/// Decodes one fact; nullopt on malformed input.
+/// Decodes one fact; nullopt on malformed input, a relation beyond 32 bits
+/// included.
 std::optional<Fact> ReadFact(WireReader& reader);
 
 // --- payload builders ---------------------------------------------------
@@ -159,7 +160,8 @@ inline constexpr std::uint64_t kHelloFeatureTraceCtx = 1;
 /// Hello payload: varint rank, varint seed, then an *optional* varint of
 /// feature bits. The features varint is encoded only when nonzero, so a
 /// featureless Hello is byte-identical to the pre-feature encoding, and
-/// decoders treat a two-varint payload as features = 0.
+/// decoders treat a two-varint payload as features = 0 and reject an
+/// explicit zero features varint.
 std::vector<std::uint8_t> EncodeHelloPayload(std::uint64_t rank,
                                              std::uint64_t seed,
                                              std::uint64_t features = 0);
@@ -264,7 +266,8 @@ struct FactBatchPayload {
 };
 
 /// kMessage payload: one transducer broadcast copy plus its causal
-/// bookkeeping (depth, parent transition + 1; see net/network.cc).
+/// bookkeeping (depth, parent transition + 1; see net/network.cc). The
+/// decoder rejects a parent or relation beyond 32 bits.
 std::vector<std::uint8_t> EncodeMessagePayload(std::uint64_t seq,
                                                std::uint64_t depth,
                                                std::uint32_t parent,
@@ -305,8 +308,8 @@ std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
 
 /// Incremental frame decoder for a byte stream: Feed() arbitrary chunks,
 /// Next() yields completed frames in order. Malformed input (bad version,
-/// oversized length, truncated header varints) puts the decoder into a
-/// sticky error state. A well-framed frame of an *unknown type* — one this
+/// oversized length, truncated header varints, ranks beyond 32 bits) puts
+/// the decoder into a sticky error state. A well-framed frame of an *unknown type* — one this
 /// build does not know but a future peer might send — is skipped, counted
 /// in unknown_skipped(), and decoding continues with the next frame:
 /// forward compatibility for optional frame types such as kTraceCtx.

@@ -9,10 +9,13 @@
 // cluster is split into one simulator per rank over a socket mesh: the
 // per-rank results must fold back to the single-simulator digests. All
 // of it rests on per-channel FIFO, which a batch send (one write per
-// source on the relay backends) must keep exactly like single sends.
+// destination on the loopback backends) must keep exactly like single
+// sends, also when a round queues far more than the sockets hold and when
+// a receiver is already waiting as the frame is sent.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,6 +41,11 @@ namespace {
 
 constexpr transport::TransportKind kBackends[] = {
     transport::TransportKind::kInProcess,
+    transport::TransportKind::kTcp,
+    transport::TransportKind::kUds,
+};
+
+constexpr transport::TransportKind kSocketBackends[] = {
     transport::TransportKind::kTcp,
     transport::TransportKind::kUds,
 };
@@ -318,22 +326,77 @@ void ExpectOneSendEventPerFrame(const obs::Tracer& tracer, std::size_t n,
   }
 }
 
+// A frame of 1 MiB whose payload starts with its channel position `seq`
+// and is filled with a pattern of (from, to, seq).
+transport::WireFrame BigFrame(std::uint32_t from, std::uint32_t to,
+                              std::uint64_t seq) {
+  std::vector<std::uint8_t> payload(1 << 20);
+  payload[0] = static_cast<std::uint8_t>(seq);
+  for (std::size_t i = 1; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(from * 31 + to * 7 + seq + i);
+  }
+  return {transport::kWireVersion, transport::FrameType::kFactBatch, from, to,
+          std::move(payload)};
+}
+
+// One round of 17 MiB per channel handed over in a single SendBatch before
+// any Recv: far more than the sockets hold, so the bytes must wait in
+// userspace until each receiver drains them, in channel order.
+void SendHugeRoundAndCheckFifo(transport::Transport& t) {
+  constexpr std::uint64_t kFramesPerChannel = 17;
+  const auto n = static_cast<std::uint32_t>(t.num_endpoints());
+  std::vector<transport::WireFrame> frames;
+  for (std::uint64_t seq = 0; seq < kFramesPerChannel; ++seq) {
+    for (std::uint32_t from = 0; from < n; ++from) {
+      for (std::uint32_t to = 0; to < n; ++to) {
+        if (from != to) frames.push_back(BigFrame(from, to, seq));
+      }
+    }
+  }
+  t.SendBatch(std::move(frames));
+  for (std::uint32_t to = 0; to < n; ++to) {
+    for (std::uint32_t from = 0; from < n; ++from) {
+      if (from == to) continue;
+      for (std::uint64_t seq = 0; seq < kFramesPerChannel; ++seq) {
+        const transport::WireFrame frame = t.Recv(to, from);
+        ASSERT_EQ(frame.payload, BigFrame(from, to, seq).payload)
+            << "channel " << from << "->" << to << " position " << seq;
+      }
+    }
+  }
+}
+
+// A receiver already blocked on an empty channel must not keep senders
+// out of its endpoint: the frame sent after it started waiting arrives.
+void RecvWakesOnLaterSend(transport::Transport& t) {
+  transport::WireFrame received;
+  std::thread receiver([&t, &received] { received = t.Recv(1, 0); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  t.Send(SeqFrame(0, 1, 0));
+  receiver.join();
+  EXPECT_EQ(received.payload, SeqFrame(0, 1, 0).payload);
+}
+
 // ------------------------------------------------------------ tests --
 
 TEST(TransportDeterminismTest, SendBatchKeepsChannelsFifoOnEveryBackend) {
   constexpr std::size_t kEndpoints = 3;
-  for (transport::TransportKind kind : kBackends) {
-    obs::Tracer tracer;
-    obs::ScopedTracer install(tracer);
-    const std::unique_ptr<transport::Transport> t =
-        transport::MakeLoopbackTransport(kind, kEndpoints);
-    SendInterleavedAndCheckFifo(*t);
-    ExpectOneSendEventPerFrame(tracer, kEndpoints,
-                               transport::TransportKindName(kind).data());
+  for (transport::TransportKind kind : kSocketBackends) {
+    const char* backend = transport::TransportKindName(kind).data();
+    {
+      obs::Tracer tracer;
+      obs::ScopedTracer install(tracer);
+      const std::unique_ptr<transport::Transport> t =
+          transport::MakeLoopbackTransport(kind, kEndpoints);
+      SendInterleavedAndCheckFifo(*t);
+      ExpectOneSendEventPerFrame(tracer, kEndpoints, backend);
+    }
+    SCOPED_TRACE(backend);
+    SendHugeRoundAndCheckFifo(*transport::MakeLoopbackTransport(kind, 2));
+    RecvWakesOnLaterSend(*transport::MakeLoopbackTransport(kind, 2));
   }
   // A p=2 mesh, ranks as threads: SendBatch is the default loop there.
-  for (transport::TransportKind kind :
-       {transport::TransportKind::kTcp, transport::TransportKind::kUds}) {
+  for (transport::TransportKind kind : kSocketBackends) {
     obs::Tracer tracer;
     obs::ScopedTracer install(tracer);
     transport::MeshSockets sockets(kind, 2);
@@ -409,8 +472,7 @@ TEST(TransportDeterminismTest, ThreadedMeshFoldsToInProcessDigests) {
   for (std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const RunDigest repartition = RepartitionDigest(p);
     const RunDigest reshuffle = ReshuffleDigest(p);
-    for (transport::TransportKind kind :
-         {transport::TransportKind::kTcp, transport::TransportKind::kUds}) {
+    for (transport::TransportKind kind : kSocketBackends) {
       EXPECT_EQ(RepartitionDigest(p, MeshThreads(kind)), repartition)
           << "mesh " << transport::TransportKindName(kind) << " p=" << p;
       EXPECT_EQ(ReshuffleDigest(p, MeshThreads(kind)), reshuffle)

@@ -4,9 +4,9 @@
 // seeded random inputs — every encode must decode back to itself through
 // arbitrary chunk boundaries; (2) malformed-input rejection (future
 // version, oversized body, unknown type, truncation) without misparses,
-// including a seeded mutation test of the fact-batch decoder (every
-// truncation and byte value of random batches: rejected, or re-encoded to
-// the same bytes); (3) a committed golden frame dump
+// including seeded mutation tests of every payload decoder and of the
+// frame decoder (every truncation and byte value of random inputs:
+// rejected, or re-encoded to the same bytes); (3) a committed golden frame dump
 // (tests/golden/wire_frames.bin) that freezes the byte layout itself, so
 // an accidental encoding change breaks the build even if encoder and
 // decoder drift together.
@@ -21,8 +21,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -404,19 +406,66 @@ std::vector<std::uint8_t> Reencode(const FactBatchPayload& batch) {
   return EncodeFactBatchPayload(batch.round, rows);
 }
 
-// The decoder's contract on arbitrary bytes: reject, or accept exactly
-// what re-encodes to the same bytes (no crash, no misparse). Returns
-// whether \p bytes were accepted.
-bool ExpectRejectedOrExact(const std::vector<std::uint8_t>& bytes) {
-  const auto batch = DecodeFactBatchPayload(bytes);
-  if (!batch.has_value()) return false;
-  EXPECT_EQ(Reencode(*batch), bytes);
-  return true;
+// One payload codec: decodes the bytes and re-encodes what it accepted,
+// or returns nullopt when the decoder rejected them.
+using Reencoder = std::function<std::optional<std::vector<std::uint8_t>>(
+    const std::vector<std::uint8_t>&)>;
+
+// The mutations of one payload a codec accepted, by kind.
+struct Accepted {
+  std::size_t prefixes = 0;
+  std::size_t flips = 0;
+};
+
+// The decoder contract on arbitrary bytes: reject, or accept exactly what
+// re-encodes to the same bytes (no crash, no misparse, no truncated
+// field). Tried on \p payload itself, every proper prefix and every other
+// value of every byte; trailing bytes, even a lone zero, must be rejected.
+Accepted ExpectMutationsRejectedOrExact(
+    const Reencoder& reencode, const std::vector<std::uint8_t>& payload,
+    Rng& rng) {
+  const auto accepts = [&reencode](const std::vector<std::uint8_t>& bytes) {
+    const std::optional<std::vector<std::uint8_t>> again = reencode(bytes);
+    if (!again.has_value()) return false;
+    EXPECT_EQ(*again, bytes);
+    return true;
+  };
+  EXPECT_TRUE(accepts(payload));
+  Accepted accepted;
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    if (accepts({payload.begin(), payload.begin() + len})) {
+      ++accepted.prefixes;
+    }
+  }
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    std::vector<std::uint8_t> flipped = payload;
+    for (unsigned v = 0; v < 256; ++v) {
+      if (v == payload[at]) continue;
+      flipped[at] = static_cast<std::uint8_t>(v);
+      if (accepts(flipped)) ++accepted.flips;
+    }
+  }
+  std::vector<std::uint8_t> trailing = payload;
+  for (int extra = 0; extra < 3; ++extra) {
+    trailing.push_back(static_cast<std::uint8_t>(rng.Next()));
+    EXPECT_FALSE(reencode(trailing).has_value());
+  }
+  trailing = payload;
+  trailing.push_back(0);
+  EXPECT_FALSE(reencode(trailing).has_value());
+  return accepted;
 }
 
 TEST(WireFuzzTest, FactBatchDecoderSurvivesTruncationsAndByteFlips) {
+  const Reencoder reencode = [](const std::vector<std::uint8_t>& bytes)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const auto batch = DecodeFactBatchPayload(bytes);
+    if (!batch.has_value()) return std::nullopt;
+    return Reencode(*batch);
+  };
   std::size_t accepted_flips = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     const std::vector<Fact> facts = MutationBatch(rng);
     const std::uint64_t round = rng.Uniform(2) == 0 ? rng.Uniform(4)
@@ -425,42 +474,227 @@ TEST(WireFuzzTest, FactBatchDecoderSurvivesTruncationsAndByteFlips) {
         EncodeFactBatchPayload(round, RowsOf(facts));
 
     const auto batch = DecodeFactBatchPayload(payload);
-    ASSERT_TRUE(batch.has_value()) << "seed " << seed;
+    ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->round, round);
     ASSERT_EQ(batch->facts.size(), facts.size());
     std::size_t i = 0;
     for (const RowRef row : batch->facts) EXPECT_EQ(FactOf(row), facts[i++]);
-    EXPECT_EQ(Reencode(*batch), payload);
 
     // Every proper prefix runs out of bytes mid-parse.
-    for (std::size_t len = 0; len < payload.size(); ++len) {
-      const std::vector<std::uint8_t> prefix(payload.begin(),
-                                             payload.begin() + len);
-      EXPECT_FALSE(DecodeFactBatchPayload(prefix).has_value())
-          << "seed " << seed << " prefix " << len;
-    }
-    // Every other value of every byte.
-    for (std::size_t at = 0; at < payload.size(); ++at) {
-      std::vector<std::uint8_t> flipped = payload;
-      for (unsigned v = 0; v < 256; ++v) {
-        if (v == payload[at]) continue;
-        flipped[at] = static_cast<std::uint8_t>(v);
-        if (ExpectRejectedOrExact(flipped)) ++accepted_flips;
-      }
-    }
-    // Trailing bytes, even a lone zero, are rejected.
-    std::vector<std::uint8_t> trailing = payload;
-    for (int extra = 0; extra < 3; ++extra) {
-      trailing.push_back(static_cast<std::uint8_t>(rng.Next()));
-      EXPECT_FALSE(DecodeFactBatchPayload(trailing).has_value());
-    }
-    trailing = payload;
-    trailing.push_back(0);
-    EXPECT_FALSE(DecodeFactBatchPayload(trailing).has_value());
+    const Accepted accepted =
+        ExpectMutationsRejectedOrExact(reencode, payload, rng);
+    EXPECT_EQ(accepted.prefixes, 0u);
+    accepted_flips += accepted.flips;
   }
   // Value bytes flipped to another canonical varint decode to a different
   // batch; the harness must have seen both outcomes.
   EXPECT_GT(accepted_flips, 0u);
+}
+
+// Small, up to the 32-bit maximum, or anywhere in 64 bits: the varint
+// lengths 1, 5 and 10 all show up.
+std::uint64_t MutationVarint(Rng& rng, bool fits_32_bits) {
+  switch (rng.Uniform(fits_32_bits ? 2 : 3)) {
+    case 0:
+      return rng.Uniform(4);
+    case 1:
+      return rng.Uniform(2) == 0 ? std::numeric_limits<std::uint32_t>::max()
+                                 : rng.Next() >> 32;
+    default:
+      return rng.Next();
+  }
+}
+
+TEST(WireFuzzTest, PayloadDecodersSurviveTruncationsAndByteFlips) {
+  const Reencoder message = [](const std::vector<std::uint8_t>& bytes)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const auto m = DecodeMessagePayload(bytes);
+    if (!m.has_value()) return std::nullopt;
+    return EncodeMessagePayload(m->seq, m->depth, m->parent, m->facts);
+  };
+  const Reencoder hello = [](const std::vector<std::uint8_t>& bytes)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const auto h = DecodeHelloPayload(bytes);
+    if (!h.has_value()) return std::nullopt;
+    return EncodeHelloPayload(h->rank, h->seed, h->features);
+  };
+  const Reencoder stats = [](const std::vector<std::uint8_t>& bytes)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const auto st = DecodeStatsPayload(bytes);
+    if (!st.has_value()) return std::nullopt;
+    return EncodeStatsPayload(st->round, st->received, st->wire_bytes);
+  };
+  const Reencoder trace_ctx = [](const std::vector<std::uint8_t>& bytes)
+      -> std::optional<std::vector<std::uint8_t>> {
+    const auto c = DecodeTraceCtxPayload(bytes);
+    if (!c.has_value()) return std::nullopt;
+    return EncodeTraceCtxPayload(c->trace_id, c->span, c->round);
+  };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto any = [&rng] { return MutationVarint(rng, false); };
+    const std::vector<std::uint8_t> message_payload = EncodeMessagePayload(
+        any(), any(), static_cast<std::uint32_t>(MutationVarint(rng, true)),
+        MutationBatch(rng));
+    EXPECT_EQ(
+        ExpectMutationsRejectedOrExact(message, message_payload, rng).prefixes,
+        0u);
+    // A nonzero features varint, so trailing bytes cannot pass for one;
+    // the one accepted prefix is the same Hello without features.
+    const std::vector<std::uint8_t> hello_payload =
+        EncodeHelloPayload(any(), any(), any() | 1);
+    EXPECT_EQ(
+        ExpectMutationsRejectedOrExact(hello, hello_payload, rng).prefixes,
+        1u);
+    const std::vector<std::uint8_t> stats_payload =
+        EncodeStatsPayload(any(), any(), any());
+    EXPECT_EQ(ExpectMutationsRejectedOrExact(stats, stats_payload, rng).prefixes,
+              0u);
+    const std::vector<std::uint8_t> ctx_payload =
+        EncodeTraceCtxPayload(any(), any(), any());
+    EXPECT_EQ(
+        ExpectMutationsRejectedOrExact(trace_ctx, ctx_payload, rng).prefixes,
+        0u);
+  }
+}
+
+// Drains \p decoder into \p frames; false if the stream is in error.
+bool Drain(FrameDecoder& decoder, std::vector<WireFrame>& frames) {
+  while (std::optional<WireFrame> frame = decoder.Next()) {
+    frames.push_back(*std::move(frame));
+  }
+  return !decoder.error();
+}
+
+std::vector<std::uint8_t> Encoded(const std::vector<WireFrame>& frames) {
+  std::vector<std::uint8_t> bytes;
+  for (const WireFrame& frame : frames) AppendFrame(bytes, frame);
+  return bytes;
+}
+
+TEST(WireFuzzTest, FrameDecoderSurvivesChunkBoundariesAndByteFlips) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto id = [&rng] {
+      return static_cast<std::uint32_t>(MutationVarint(rng, true));
+    };
+    std::vector<WireFrame> frames;
+    std::vector<std::size_t> ends;  // Stream offset after each frame.
+    std::size_t offset = 0;
+    for (int i = 0; i < 6; ++i) {
+      WireFrame frame{kWireVersion, FrameType::kShutdown, id(), id(), {}};
+      switch (rng.Uniform(5)) {
+        case 0:
+          frame.type = FrameType::kHello;
+          frame.payload = EncodeHelloPayload(rng.Next(), rng.Next(), 1);
+          break;
+        case 1:
+          frame.type = FrameType::kFactBatch;
+          frame.payload =
+              EncodeFactBatchPayload(rng.Next(), RowsOf(MutationBatch(rng)));
+          break;
+        case 2:
+          frame.type = FrameType::kMessage;
+          frame.payload =
+              EncodeMessagePayload(rng.Next(), rng.Next(), id(),
+                                   MutationBatch(rng));
+          break;
+        case 3:
+          frame.type = FrameType::kTraceCtx;
+          frame.payload = EncodeTraceCtxPayload(rng.Next(), rng.Next(), 3);
+          break;
+        default:
+          break;
+      }
+      offset += FrameWireSize(frame);
+      ends.push_back(offset);
+      frames.push_back(std::move(frame));
+    }
+    const std::vector<std::uint8_t> stream = Encoded(frames);
+    ASSERT_EQ(stream.size(), offset);
+
+    // Split at every chunk boundary: the first chunk yields exactly the
+    // frames it holds whole (a truncated frame never comes out), and the
+    // rest completes the stream.
+    for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+      FrameDecoder decoder;
+      std::vector<WireFrame> decoded;
+      decoder.Feed(stream.data(), cut);
+      ASSERT_TRUE(Drain(decoder, decoded)) << "cut " << cut;
+      const auto whole = static_cast<std::size_t>(
+          std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+      ASSERT_EQ(decoded.size(), whole) << "cut " << cut;
+      decoder.Feed(stream.data() + cut, stream.size() - cut);
+      ASSERT_TRUE(Drain(decoder, decoded)) << "cut " << cut;
+      ASSERT_EQ(Encoded(decoded), stream) << "cut " << cut;
+    }
+
+    // Every other value of every byte of each frame: an error, a skipped
+    // unknown type, or frames that re-encode to the bytes they came from
+    // (ids beyond 32 bits must not be truncated into another channel).
+    std::size_t begin = 0;
+    for (const std::size_t end : ends) {
+      const std::vector<std::uint8_t> one(stream.begin() + begin,
+                                          stream.begin() + end);
+      for (std::size_t at = 0; at < one.size(); ++at) {
+        std::vector<std::uint8_t> flipped = one;
+        for (unsigned v = 0; v < 256; ++v) {
+          if (v == one[at]) continue;
+          flipped[at] = static_cast<std::uint8_t>(v);
+          FrameDecoder decoder;
+          std::vector<WireFrame> decoded;
+          decoder.Feed(flipped.data(), flipped.size());
+          if (!Drain(decoder, decoded) || decoder.unknown_skipped() > 0) {
+            continue;
+          }
+          const std::vector<std::uint8_t> again = Encoded(decoded);
+          ASSERT_LE(again.size(), flipped.size());
+          ASSERT_TRUE(std::equal(again.begin(), again.end(), flipped.begin()))
+              << "byte " << at << " -> " << v;
+        }
+      }
+      begin = end;
+    }
+  }
+}
+
+TEST(WireFuzzTest, DecodersRejectIdsBeyond32BitsAndNonCanonicalHellos) {
+  const auto varints = [](std::initializer_list<std::uint64_t> values) {
+    std::vector<std::uint8_t> bytes;
+    for (const std::uint64_t v : values) PutVarint(bytes, v);
+    return bytes;
+  };
+  // A frame header naming rank 2^32 + 1 would otherwise land on the
+  // channel of rank 1.
+  for (const std::uint64_t from : {(1ull << 32) + 1, (1ull << 32) - 1}) {
+    const std::vector<std::uint8_t> ids = varints({from, 0});
+    std::vector<std::uint8_t> bytes = {
+        static_cast<std::uint8_t>(2 + ids.size()), 0, 0, 0, kWireVersion,
+        static_cast<std::uint8_t>(FrameType::kShutdown)};
+    bytes.insert(bytes.end(), ids.begin(), ids.end());
+    FrameDecoder decoder;
+    decoder.Feed(bytes.data(), bytes.size());
+    const std::optional<WireFrame> frame = decoder.Next();
+    EXPECT_EQ(frame.has_value(), from < (1ull << 32)) << from;
+    EXPECT_EQ(decoder.error(), from >= (1ull << 32)) << from;
+  }
+  // A kMessage parent and a fact relation beyond 32 bits; the 32-bit
+  // maximum of each still decodes.
+  EXPECT_FALSE(DecodeMessagePayload(varints({0, 0, (1ull << 32) + 5, 0}))
+                   .has_value());
+  EXPECT_TRUE(DecodeMessagePayload(varints({0, 0, (1ull << 32) - 1, 0}))
+                  .has_value());
+  EXPECT_FALSE(DecodeMessagePayload(varints({0, 0, 0, 1, (1ull << 32) + 3, 0}))
+                   .has_value());
+  EXPECT_TRUE(DecodeMessagePayload(varints({0, 0, 0, 1, (1ull << 32) - 1, 0}))
+                  .has_value());
+  // The Hello encoder omits a zero features varint, so an explicit zero is
+  // rejected; any nonzero one is the optional field.
+  EXPECT_FALSE(DecodeHelloPayload(varints({1, 2, 0})).has_value());
+  EXPECT_TRUE(DecodeHelloPayload(varints({1, 2, 5})).has_value());
+  EXPECT_TRUE(DecodeHelloPayload(varints({1, 2})).has_value());
 }
 
 TEST(WireFuzzTest, FactBatchDecoderRejectsHostileHeaders) {
