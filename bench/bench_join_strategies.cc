@@ -140,7 +140,7 @@ void PrintTable() {
         audit_record.params.Set("m", w.m);
         audit_record.params.Set("transport", transport_name);
         audit_record.expected_violation = expected_violation;
-        // The planner's verdict rides along so `obs_audit report` can
+        // The planner's verdict rides along so `lamp_obs report` can
         // render predicted-vs-measured slack per strategy.
         const sa::plan::StrategyPrediction* predicted = cert.Find(strategy);
         if (predicted != nullptr && predicted->feasible) {

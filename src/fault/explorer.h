@@ -20,7 +20,7 @@
 /// final output differs it delta-debugs the fault plan down to a minimal
 /// counterexample and captures a pair of lamp.trace.v1 recordings — the
 /// divergent run and a fault-free reference — for
-/// `trace_dump --diff` to render.
+/// `lamp_obs diff` to render.
 
 namespace lamp::fault {
 

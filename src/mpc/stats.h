@@ -66,7 +66,7 @@ struct RunStats {
   ///   {"rounds":[{"max":..,"total":..,"received":[..]},...],
   ///    "max_load":..,"total_communication":..}
   /// This is the measured side of an audit record (obs/audit/audit.h);
-  /// tools/obs_audit renders it as a per-server heatmap.
+  /// tools/lamp_obs renders it as a per-server heatmap.
   obs::JsonValue ToJson() const;
 
   /// Exports under the obs naming convention: mpc.rounds, mpc.max_load,

@@ -21,7 +21,7 @@
 /// the configuration it audits, in that record's "audit" array
 /// (obs/bench_report.h, BenchReporter::Record::Attach).
 ///
-/// `obs_audit report --check` is the audit gate: it reads bench records
+/// `lamp_obs report --check` is the audit gate: it reads bench records
 /// and exits kAuditHardFailExit on an *unexpected* bound violation.
 /// Records can opt out via `expected_violation` — that is how
 /// deliberately skewed workloads (repartition under a heavy hitter,
@@ -80,7 +80,7 @@ struct AuditRecord {
   /// per-server load and wire bytes for *this record's* strategy, and the
   /// strategy the planner ranked first for the whole scenario. Zero /
   /// empty when the run was not planned; FromJson tolerates absence.
-  /// `obs_audit report` renders predicted-vs-measured slack from these.
+  /// `lamp_obs report` renders predicted-vs-measured slack from these.
   double predicted_max_load = 0.0;
   double predicted_wire_bytes = 0.0;
   std::string planned_strategy;

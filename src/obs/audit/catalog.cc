@@ -95,16 +95,18 @@ std::optional<Catalog> Catalog::FromJson(const JsonValue& doc) {
     const JsonValue* name = rel.Find("name");
     const JsonValue* arity = rel.Find("arity");
     const JsonValue* cardinality = rel.Find("cardinality");
+    // An absent "columns" reads as no per-column statistics; consumers
+    // bounds-check column positions.
     const JsonValue* cols = rel.Find("columns");
     if (name == nullptr || !name->IsString() || arity == nullptr ||
-        cardinality == nullptr || cols == nullptr || !cols->IsArray()) {
+        cardinality == nullptr || (cols != nullptr && !cols->IsArray())) {
       return std::nullopt;
     }
     RelationStats stats;
     stats.name = name->AsString();
     stats.arity = static_cast<std::size_t>(arity->AsInt());
     stats.cardinality = static_cast<std::uint64_t>(cardinality->AsInt());
-    for (std::size_t j = 0; j < cols->size(); ++j) {
+    for (std::size_t j = 0; cols != nullptr && j < cols->size(); ++j) {
       const JsonValue& col = cols->at(j);
       const JsonValue* distinct = col.Find("distinct");
       const JsonValue* zipf = col.Find("zipf_s");

@@ -27,7 +27,7 @@
 ///    orders from exactly these statistics.
 ///
 /// Persisted as JSON so bench harnesses can snapshot the catalog next to
-/// the audit records and tools/obs_audit can render a skew report offline.
+/// the audit records and tools/lamp_obs can render a skew report offline.
 
 namespace lamp::obs::audit {
 
@@ -90,7 +90,8 @@ struct Catalog {
   JsonValue ToJson() const;
 
   /// Parses a "lamp.catalog.v1" document; nullopt when the schema tag or
-  /// shape is wrong.
+  /// shape is wrong. A relation without "columns" (a names-and-sizes
+  /// catalog, as lamp_lint --catalog takes) has no column statistics.
   static std::optional<Catalog> FromJson(const JsonValue& doc);
 };
 

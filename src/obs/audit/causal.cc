@@ -15,6 +15,10 @@ struct Delivery {
   std::uint32_t parent = 0;  // Parent transition + 1; 0 = heartbeat origin.
 };
 
+Delivery UnpackDelivery(std::uint32_t node, std::uint64_t packed) {
+  return {node, packed >> 32, static_cast<std::uint32_t>(packed & 0xffffffffu)};
+}
+
 CausalReport BuildFromDeliveries(
     const std::vector<std::pair<std::uint32_t, Delivery>>& deliveries,
     const std::vector<std::pair<std::uint32_t, std::uint64_t>>& outputs) {
@@ -83,49 +87,6 @@ JsonValue CausalReport::ToJson() const {
   return doc;
 }
 
-std::optional<CausalReport> CausalReport::FromJson(const JsonValue& doc) {
-  if (!doc.IsObject()) return std::nullopt;
-  const JsonValue* tag = doc.Find("schema");
-  if (tag == nullptr || !tag->IsString() ||
-      tag->AsString() != "lamp.causal.v1") {
-    return std::nullopt;
-  }
-  CausalReport report;
-  if (const JsonValue* v = doc.Find("deliveries"); v != nullptr) {
-    report.deliveries = static_cast<std::size_t>(v->AsInt());
-  }
-  if (const JsonValue* v = doc.Find("max_depth"); v != nullptr) {
-    report.max_depth = static_cast<std::uint64_t>(v->AsInt());
-  }
-  if (const JsonValue* v = doc.Find("has_output"); v != nullptr && v->IsBool()) {
-    report.has_output = v->AsBool();
-  }
-  if (const JsonValue* v = doc.Find("coordination_depth"); v != nullptr) {
-    report.coordination_depth = static_cast<std::uint64_t>(v->AsInt());
-  }
-  if (const JsonValue* v = doc.Find("outputs"); v != nullptr) {
-    report.outputs = static_cast<std::size_t>(v->AsInt());
-  }
-  if (const JsonValue* path = doc.Find("critical_path");
-      path != nullptr && path->IsArray()) {
-    for (std::size_t i = 0; i < path->size(); ++i) {
-      const JsonValue& s = path->at(i);
-      CausalStep step;
-      if (const JsonValue* t = s.Find("transition"); t != nullptr) {
-        step.transition = static_cast<std::uint32_t>(t->AsInt());
-      }
-      if (const JsonValue* n = s.Find("node"); n != nullptr) {
-        step.node = static_cast<std::uint32_t>(n->AsInt());
-      }
-      if (const JsonValue* d = s.Find("depth"); d != nullptr) {
-        step.depth = static_cast<std::uint64_t>(d->AsInt());
-      }
-      report.critical_path.push_back(step);
-    }
-  }
-  return report;
-}
-
 std::string CausalReport::Render() const {
   char buf[256];
   std::string out;
@@ -156,11 +117,7 @@ CausalReport BuildCausalReport(const std::vector<TraceEvent>& events) {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> outputs;
   for (const TraceEvent& e : events) {
     if (e.kind == EventKind::kNetCausalDeliver) {
-      Delivery d;
-      d.node = e.a;
-      d.depth = e.value >> 32;
-      d.parent = static_cast<std::uint32_t>(e.value & 0xffffffffu);
-      deliveries.emplace_back(e.b, d);
+      deliveries.emplace_back(e.b, UnpackDelivery(e.a, e.value));
     } else if (e.kind == EventKind::kNetOutput) {
       outputs.emplace_back(e.b, e.value);
     }
@@ -183,29 +140,15 @@ CausalReport BuildCausalReport(const dist::MergedTrace& merged) {
 }
 
 std::optional<CausalReport> CausalReportFromTraceJson(const JsonValue& doc) {
-  if (!doc.IsObject()) return std::nullopt;
   const JsonValue* events = doc.Find("events");
   if (events == nullptr || !events->IsArray()) return std::nullopt;
   std::vector<std::pair<std::uint32_t, Delivery>> deliveries;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> outputs;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const JsonValue& e = events->at(i);
-    const JsonValue* kind = e.Find("kind");
-    if (kind == nullptr || !kind->IsString()) continue;
-    const JsonValue* a = e.Find("a");
-    const JsonValue* b = e.Find("b");
-    const JsonValue* value = e.Find("value");
-    if (a == nullptr || b == nullptr || value == nullptr) continue;
-    if (kind->AsString() == "net.causal_deliver") {
-      Delivery d;
-      d.node = static_cast<std::uint32_t>(a->AsInt());
-      const auto packed = static_cast<std::uint64_t>(value->AsInt());
-      d.depth = packed >> 32;
-      d.parent = static_cast<std::uint32_t>(packed & 0xffffffffu);
-      deliveries.emplace_back(static_cast<std::uint32_t>(b->AsInt()), d);
-    } else if (kind->AsString() == "net.output") {
-      outputs.emplace_back(static_cast<std::uint32_t>(b->AsInt()),
-                           static_cast<std::uint64_t>(value->AsInt()));
+  for (const EventRecord& e : EventsFromJson(doc)) {
+    if (e.kind == EventKindName(EventKind::kNetCausalDeliver)) {
+      deliveries.emplace_back(e.b, UnpackDelivery(e.a, e.value));
+    } else if (e.kind == EventKindName(EventKind::kNetOutput)) {
+      outputs.emplace_back(e.b, e.value);
     }
   }
   return BuildFromDeliveries(deliveries, outputs);

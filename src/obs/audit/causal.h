@@ -31,7 +31,7 @@
 ///  * the *critical path* — the longest chain of causally-ordered
 ///    deliveries, root (heartbeat-originated message) to deepest.
 ///
-/// Serialised as "lamp.causal.v1"; tools/obs_audit renders it.
+/// Serialised as "lamp.causal.v1"; tools/lamp_obs renders it.
 
 namespace lamp::obs::audit {
 
@@ -55,9 +55,9 @@ struct CausalReport {
   /// depth 0, i.e. during a heartbeat.
   bool CoordinationFree() const { return coordination_depth == 0; }
 
-  /// Serialises as the "lamp.causal.v1" document.
+  /// Serialises as the "lamp.causal.v1" document (write-only: `lamp_obs
+  /// causal --json` and `demo-causal --json` print it).
   JsonValue ToJson() const;
-  static std::optional<CausalReport> FromJson(const JsonValue& doc);
 
   /// Human-readable rendering (depth summary + critical path).
   std::string Render() const;
@@ -66,8 +66,8 @@ struct CausalReport {
 /// Builds the profile from merged trace events (Tracer::Events() order).
 CausalReport BuildCausalReport(const std::vector<TraceEvent>& events);
 
-/// Builds the profile from a "lamp.trace.v1" document (trace_dump input).
-/// nullopt when the document has no events array.
+/// Builds the profile from a "lamp.trace.v1" document (`lamp_obs causal`
+/// input). nullopt when the document has no events array.
 std::optional<CausalReport> CausalReportFromTraceJson(const JsonValue& doc);
 
 /// Builds the profile across *process* boundaries from a merged

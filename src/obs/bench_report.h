@@ -41,7 +41,7 @@
 /// where they race strategies, "plan" (lamp.plan_agreement.v1,
 /// sa/plan/agreement.h) entries to the record of the configuration they
 /// describe. The bench record is the only unit a bench writes; the audit
-/// and agreement gates (obs_audit report --check, lamp_plan check) read
+/// and agreement gates (lamp_obs report --check, lamp_plan check) read
 /// these arrays back through LoadBenchFile.
 ///
 /// Destination: the file named by the LAMP_BENCH_JSON environment

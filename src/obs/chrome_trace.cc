@@ -73,79 +73,65 @@ JsonValue ChromeTraceFromTraceJson(const JsonValue& trace) {
   if (in_events != nullptr && in_events->IsArray()) {
     for (std::size_t i = 0; i < in_events->size(); ++i) {
       const JsonValue& in = in_events->at(i);
-      std::uint64_t t_ns = 0;
-      std::uint64_t value = 0;
-      std::uint32_t a = 0;
-      std::uint32_t b = 0;
+      const EventRecord ev = EventFromJson(in);
       int tid = 0;
-      std::string kind;
-      std::string label;
-      if (const auto* v = in.Find("t_ns")) {
-        t_ns = static_cast<std::uint64_t>(v->AsInt());
-      }
-      if (const auto* v = in.Find("value")) {
-        value = static_cast<std::uint64_t>(v->AsInt());
-      }
-      if (const auto* v = in.Find("a")) a = static_cast<std::uint32_t>(v->AsInt());
-      if (const auto* v = in.Find("b")) b = static_cast<std::uint32_t>(v->AsInt());
       if (const auto* v = in.Find("shard")) tid = static_cast<int>(v->AsInt());
-      if (const auto* v = in.Find("kind")) kind = v->AsString();
-      if (const auto* v = in.Find("label")) label = v->AsString();
 
-      if (kind == "span") {
+      if (ev.kind == "span") {
         // The span event lands at its end; value carries the duration.
         JsonValue e = JsonValue::Object();
-        e.Set("name", label.empty() ? "span" : label);
+        e.Set("name", ev.label.empty() ? "span" : ev.label);
         e.Set("ph", "X");
-        e.Set("ts", ToUs(t_ns >= value ? t_ns - value : 0));
-        e.Set("dur", ToUs(value));
+        e.Set("ts", ToUs(ev.t_ns >= ev.value ? ev.t_ns - ev.value : 0));
+        e.Set("dur", ToUs(ev.value));
         e.Set("pid", kPid);
         e.Set("tid", tid);
         JsonValue args = JsonValue::Object();
-        args.Set("a", static_cast<std::size_t>(a));
+        args.Set("a", static_cast<std::size_t>(ev.a));
         e.Set("args", std::move(args));
         events.PushBack(std::move(e));
         continue;
       }
 
+      const double ts = ToUs(ev.t_ns);
       JsonValue e = JsonValue::Object();
-      e.Set("name", kind.empty() ? "event" : kind);
+      e.Set("name", ev.kind.empty() ? "event" : ev.kind);
       e.Set("ph", "i");
-      e.Set("ts", ToUs(t_ns));
+      e.Set("ts", ts);
       e.Set("pid", kPid);
       e.Set("tid", tid);
       e.Set("s", "t");
       JsonValue args = JsonValue::Object();
-      args.Set("a", static_cast<std::size_t>(a));
-      args.Set("b", static_cast<std::size_t>(b));
-      args.Set("value", static_cast<std::size_t>(value));
-      if (!label.empty()) args.Set("label", label);
+      args.Set("a", static_cast<std::size_t>(ev.a));
+      args.Set("b", static_cast<std::size_t>(ev.b));
+      args.Set("value", static_cast<std::size_t>(ev.value));
+      if (!ev.label.empty()) args.Set("label", ev.label);
       e.Set("args", std::move(args));
       events.PushBack(std::move(e));
 
       // Load-like kinds additionally feed a counter track.
-      if (kind == "mpc.round_end") {
+      if (ev.kind == "mpc.round_end") {
         events.PushBack(
-            CounterEvent("mpc.round_load", ToUs(t_ns), tid, "tuples", value));
-      } else if (kind == "mpc.server_load") {
+            CounterEvent("mpc.round_load", ts, tid, "tuples", ev.value));
+      } else if (ev.kind == "mpc.server_load") {
         events.PushBack(
-            CounterEvent("mpc.server_load", ToUs(t_ns), tid, "tuples", value));
-      } else if (kind == "net.broadcast" || kind == "net.deliver") {
+            CounterEvent("mpc.server_load", ts, tid, "tuples", ev.value));
+      } else if (ev.kind == "net.broadcast" || ev.kind == "net.deliver") {
         events.PushBack(
-            CounterEvent("net.message_facts", ToUs(t_ns), tid, "facts", value));
-      } else if (kind == "datalog.iteration") {
+            CounterEvent("net.message_facts", ts, tid, "facts", ev.value));
+      } else if (ev.kind == "datalog.iteration") {
         events.PushBack(
-            CounterEvent("datalog.delta", ToUs(t_ns), tid, "facts", value));
-      } else if (kind == "transport.send" || kind == "transport.recv") {
-        if (kind == "transport.send") {
-          wire_sent += value;
+            CounterEvent("datalog.delta", ts, tid, "facts", ev.value));
+      } else if (ev.kind == "transport.send" || ev.kind == "transport.recv") {
+        if (ev.kind == "transport.send") {
+          wire_sent += ev.value;
         } else {
-          wire_received += value;
+          wire_received += ev.value;
         }
         JsonValue counter = JsonValue::Object();
         counter.Set("name", "transport.wire_bytes");
         counter.Set("ph", "C");
-        counter.Set("ts", ToUs(t_ns));
+        counter.Set("ts", ts);
         counter.Set("pid", kPid);
         counter.Set("tid", tid);
         JsonValue series = JsonValue::Object();
@@ -165,10 +151,6 @@ JsonValue ChromeTraceFromTraceJson(const JsonValue& trace) {
   if (const auto* v = trace.Find("dropped")) other.Set("dropped", *v);
   out.Set("otherData", std::move(other));
   return out;
-}
-
-JsonValue ChromeTraceFromTracer(const Tracer& tracer) {
-  return ChromeTraceFromTraceJson(TraceToJson(tracer));
 }
 
 }  // namespace lamp::obs

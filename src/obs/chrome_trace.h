@@ -8,7 +8,7 @@
 /// Exports a lamp.trace.v1 recording to the Chrome Trace Event Format —
 /// the JSON object format understood by Perfetto (ui.perfetto.dev) and
 /// chrome://tracing — so any MPC or transducer run can be inspected in a
-/// standard trace viewer instead of only through tools/trace_dump.
+/// standard trace viewer instead of only through tools/lamp_obs.
 ///
 /// Mapping (all events live in pid 1, "lamp"):
 ///   tracer shard i     -> tid i, named "tracer shard i" via thread_name
@@ -36,13 +36,11 @@
 
 namespace lamp::obs {
 
-/// Converts a parsed lamp.trace.v1 document. Unknown event kinds still
-/// produce instant events; a document without an "events" array yields
-/// just the process/thread metadata.
+/// Converts a parsed lamp.trace.v1 document (a live tracer converts via
+/// TraceToJson). Unknown event kinds still produce instant events; a
+/// document without an "events" array yields just the process/thread
+/// metadata.
 JsonValue ChromeTraceFromTraceJson(const JsonValue& trace);
-
-/// Convenience overload for a live tracer.
-JsonValue ChromeTraceFromTracer(const Tracer& tracer);
 
 }  // namespace lamp::obs
 

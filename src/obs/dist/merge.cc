@@ -109,7 +109,7 @@ std::optional<MergedTrace> MergeShards(std::vector<TraceShard> shards,
   std::map<PairKey, RecvInfo> recvs;
   for (const TraceShard& shard : merged.shards) {
     const std::uint64_t rank = shard.header.rank;
-    for (const ShardEvent& e : shard.events) {
+    for (const EventRecord& e : shard.events) {
       if (e.kind == "dist.send") {
         const PairKey key{rank, e.value};
         if (!sends.emplace(key, SendInfo{e.a, e.b, e.t_ns}).second) {
@@ -321,11 +321,11 @@ JsonValue MergedTraceJson(const MergedTrace& merged) {
   struct Merged {
     std::uint64_t t_ns;
     std::uint32_t rank;
-    const ShardEvent* event;
+    const EventRecord* event;
   };
   std::vector<Merged> events;
   for (const TraceShard& shard : merged.shards) {
-    for (const ShardEvent& e : shard.events) {
+    for (const EventRecord& e : shard.events) {
       events.push_back(Merged{
           merged.AlignedNs(shard.header.rank, e.t_ns),
           static_cast<std::uint32_t>(shard.header.rank), &e});
@@ -373,7 +373,7 @@ JsonValue MergedChromeTrace(const MergedTrace& merged) {
   for (const TraceShard& shard : merged.shards) {
     const std::size_t pid = shard.header.rank + 1;
     const std::uint64_t rank = shard.header.rank;
-    for (const ShardEvent& e : shard.events) {
+    for (const EventRecord& e : shard.events) {
       JsonValue je = JsonValue::Object();
       je.Set("name", e.label.empty() ? e.kind : e.label);
       je.Set("cat", e.kind);

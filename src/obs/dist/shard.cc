@@ -82,14 +82,7 @@ void WriteShard(std::ostream& os, const ShardHeader& header,
   h.total_emitted = tracer.total_emitted();
   os << h.ToJson().Dump() << "\n";
   for (const TraceEvent& e : tracer.Events()) {
-    JsonValue je = JsonValue::Object();
-    je.Set("t_ns", static_cast<std::size_t>(e.t_ns));
-    je.Set("kind", EventKindName(e.kind));
-    je.Set("a", static_cast<std::size_t>(e.a));
-    je.Set("b", static_cast<std::size_t>(e.b));
-    je.Set("value", static_cast<std::size_t>(e.value));
-    if (e.label != nullptr) je.Set("label", e.label);
-    os << je.Dump() << "\n";
+    os << EventToJson(e).Dump() << "\n";
   }
 }
 
@@ -127,19 +120,7 @@ std::optional<TraceShard> ParseShard(std::istream& is, std::string* error) {
     // A truncated tail (the worker died mid-write) is data loss, not a
     // load failure: keep what parsed.
     if (!doc.has_value() || !doc->IsObject()) continue;
-    ShardEvent e;
-    e.t_ns = GetU64(*doc, "t_ns");
-    if (const JsonValue* v = doc->Find("kind"); v != nullptr && v->IsString()) {
-      e.kind = v->AsString();
-    }
-    e.a = static_cast<std::uint32_t>(GetU64(*doc, "a"));
-    e.b = static_cast<std::uint32_t>(GetU64(*doc, "b"));
-    e.value = GetU64(*doc, "value");
-    if (const JsonValue* v = doc->Find("label");
-        v != nullptr && v->IsString()) {
-      e.label = v->AsString();
-    }
-    shard.events.push_back(std::move(e));
+    shard.events.push_back(EventFromJson(*doc));
   }
   return shard;
 }

@@ -17,7 +17,7 @@
 ///
 /// Every `mpc_procs` worker runs with an isolated in-process Tracer; at
 /// exit it flushes the ring buffer to a JSON-lines file so a merger
-/// (obs/dist/merge.h, `trace_dump --merge`) can reassemble one mesh-wide
+/// (obs/dist/merge.h, `lamp_obs merge`) can reassemble one mesh-wide
 /// trace after the processes are gone. The format is JSON-lines rather
 /// than one document so a crashed worker still leaves a parseable prefix:
 ///
@@ -26,8 +26,8 @@
 ///              "ring_fold_ns":..,"dropped":D,"total_emitted":E}
 ///   line 2..: {"t_ns":..,"kind":"dist.send","a":..,"b":..,"value":..}
 ///
-/// Event lines use the same field names as "lamp.trace.v1" events, so any
-/// trace.v1 reader understands them once the header line is skipped.
+/// Event lines are "lamp.trace.v1" events without "shard", written and read
+/// by the trace.v1 codec (EventToJson / EventFromJson in obs/trace.h).
 ///
 /// Clock metadata: process-local tracer clocks start at an arbitrary
 /// epoch, so shard timestamps are mutually incomparable until aligned.
@@ -60,22 +60,10 @@ struct ShardHeader {
   static std::optional<ShardHeader> FromJson(const JsonValue& doc);
 };
 
-/// One event line. Same payload as a TraceEvent, but with the kind as its
-/// stable wire name and the label owned (shards outlive the process whose
-/// static strings TraceEvent::label pointed into).
-struct ShardEvent {
-  std::uint64_t t_ns = 0;
-  std::string kind;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::uint64_t value = 0;
-  std::string label;
-};
-
 /// A loaded shard: header plus events in emission order.
 struct TraceShard {
   ShardHeader header;
-  std::vector<ShardEvent> events;
+  std::vector<EventRecord> events;
 };
 
 /// Canonical shard path `<prefix>.<label>.p<procs>.r<rank>.jsonl`. The

@@ -1,7 +1,9 @@
 #ifndef LAMP_OBS_JSON_H_
 #define LAMP_OBS_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -14,7 +16,7 @@
 /// in) and a strict recursive-descent parser. This is the wire format of
 /// the observability layer: bench records (obs/bench_report.h), metric
 /// snapshots (obs/metrics.h) and trace dumps (obs/trace.h) all serialise
-/// through JsonValue, and tools/trace_dump reads them back.
+/// through JsonValue, and tools/lamp_obs reads them back.
 ///
 /// Numbers are stored as double plus an exact-int64 side channel so that
 /// counters (tuple counts, loads) round-trip without losing precision.
@@ -65,9 +67,16 @@ class JsonValue {
   bool AsBool() const { return bool_; }
   double AsDouble() const { return num_; }
   /// Exact integer when the value was produced from one; otherwise the
-  /// truncated double.
+  /// truncated double, saturated to the int64 range (NaN reads as 0).
+  /// Outside documents may hold any number, and casting an out-of-range
+  /// double is undefined behaviour.
   std::int64_t AsInt() const {
-    return int_.has_value() ? *int_ : static_cast<std::int64_t>(num_);
+    if (int_.has_value()) return *int_;
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (std::isnan(num_)) return 0;
+    if (num_ >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+    if (num_ < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(num_);
   }
   const std::string& AsString() const { return str_; }
 

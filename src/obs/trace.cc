@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ostream>
 
 #include "common/check.h"
 
@@ -221,23 +220,50 @@ JsonValue TraceToJson(const Tracer& tracer) {
   out.Set("shards", tracer.num_shards());
   JsonValue events = JsonValue::Array();
   for (const Tracer::ShardedEvent& se : tracer.ShardedEvents()) {
-    const TraceEvent& e = se.event;
-    JsonValue je = JsonValue::Object();
-    je.Set("t_ns", static_cast<std::size_t>(e.t_ns));
-    je.Set("kind", EventKindName(e.kind));
-    je.Set("a", static_cast<std::size_t>(e.a));
-    je.Set("b", static_cast<std::size_t>(e.b));
-    je.Set("value", static_cast<std::size_t>(e.value));
-    je.Set("shard", static_cast<std::size_t>(se.shard));
-    if (e.label != nullptr) je.Set("label", e.label);
-    events.PushBack(std::move(je));
+    events.PushBack(EventToJson(se.event, se.shard));
   }
   out.Set("events", std::move(events));
   return out;
 }
 
-void WriteTraceJson(const Tracer& tracer, std::ostream& os) {
-  os << TraceToJson(tracer).Dump(2) << "\n";
+JsonValue EventToJson(const TraceEvent& event,
+                      std::optional<std::uint32_t> shard) {
+  JsonValue je = JsonValue::Object();
+  je.Set("t_ns", static_cast<std::size_t>(event.t_ns));
+  je.Set("kind", EventKindName(event.kind));
+  je.Set("a", static_cast<std::size_t>(event.a));
+  je.Set("b", static_cast<std::size_t>(event.b));
+  je.Set("value", static_cast<std::size_t>(event.value));
+  if (shard.has_value()) je.Set("shard", static_cast<std::size_t>(*shard));
+  if (event.label != nullptr) je.Set("label", event.label);
+  return je;
+}
+
+EventRecord EventFromJson(const JsonValue& event) {
+  // AsInt reads a non-number as 0 and AsString a non-string as "".
+  const auto u64 = [&event](std::string_view key) -> std::uint64_t {
+    const JsonValue* v = event.Find(key);
+    return v == nullptr ? 0 : static_cast<std::uint64_t>(v->AsInt());
+  };
+  EventRecord e;
+  e.t_ns = u64("t_ns");
+  e.a = static_cast<std::uint32_t>(u64("a"));
+  e.b = static_cast<std::uint32_t>(u64("b"));
+  e.value = u64("value");
+  if (const JsonValue* v = event.Find("kind")) e.kind = v->AsString();
+  if (const JsonValue* v = event.Find("label")) e.label = v->AsString();
+  return e;
+}
+
+std::vector<EventRecord> EventsFromJson(const JsonValue& trace) {
+  std::vector<EventRecord> out;
+  const JsonValue* events = trace.Find("events");
+  if (events == nullptr || !events->IsArray()) return out;
+  out.reserve(events->size());
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    out.push_back(EventFromJson(events->at(i)));
+  }
+  return out;
 }
 
 }  // namespace lamp::obs

@@ -3,9 +3,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -25,8 +26,8 @@
 ///      buffer; once full, the oldest events are overwritten and counted
 ///      as dropped. A trace can therefore be left on for an arbitrarily
 ///      long run.
-///   3. *Machine readable.* WriteTraceJson serialises a trace to the
-///      obs JSON schema; tools/trace_dump renders it as a timeline.
+///   3. *Machine readable.* TraceToJson serialises a trace to the
+///      obs JSON schema; tools/lamp_obs renders it as a timeline.
 ///
 /// Event payloads are four scalars (a, b, value, label) whose meaning is
 /// fixed per EventKind — see the kind list. Labels must point to storage
@@ -227,7 +228,32 @@ class TraceSpan {
 /// "shard" is the emitting thread's shard index (0 in single-threaded
 /// runs); readers treat a missing "shard" as 0.
 JsonValue TraceToJson(const Tracer& tracer);
-void WriteTraceJson(const Tracer& tracer, std::ostream& os);
+
+/// A lamp.trace.v1 event read back from JSON: the TraceEvent payload with
+/// the kind as its stable wire name and the label owned (a recording
+/// outlives the process whose static strings TraceEvent::label pointed
+/// into). Trace documents and trace shards (obs/dist/shard.h) share it.
+struct EventRecord {
+  std::uint64_t t_ns = 0;
+  std::string kind;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  std::uint64_t value = 0;
+  std::string label;
+};
+
+/// The one lamp.trace.v1 event encoder: {"t_ns","kind","a","b","value"},
+/// then "shard" when given, then "label" when set, in that key order.
+JsonValue EventToJson(const TraceEvent& event,
+                      std::optional<std::uint32_t> shard = std::nullopt);
+
+/// The one decoder: a missing or mistyped field reads as 0 or "", so
+/// every JSON value decodes.
+EventRecord EventFromJson(const JsonValue& event);
+
+/// Decodes the "events" array of a lamp.trace.v1 document; empty when
+/// the document has none.
+std::vector<EventRecord> EventsFromJson(const JsonValue& trace);
 
 }  // namespace lamp::obs
 

@@ -130,7 +130,7 @@ TEST(ChromeTraceTest, ExportsLiveTracer) {
       Emit(EventKind::kMpcRoundEnd, 1, 0, 50);
     }
   }
-  const JsonValue chrome = ChromeTraceFromTracer(tracer);
+  const JsonValue chrome = ChromeTraceFromTraceJson(TraceToJson(tracer));
   const JsonValue* events = chrome.Find("traceEvents");
   ASSERT_TRUE(events != nullptr && events->IsArray());
 

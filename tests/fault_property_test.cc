@@ -205,7 +205,7 @@ TEST(FaultPropertyTest, ExplorerMinimizesFragileBarrierToOneDuplication) {
                                   witness.plan, witness.seed, nullptr,
                                   /*aware=*/true));
 
-  // The trace pair for trace_dump --diff: a divergent recording plus a
+  // The trace pair for lamp_obs diff: a divergent recording plus a
   // fault-free reference that computed Q(I).
   EXPECT_TRUE(witness.has_reference);
   ASSERT_TRUE(witness.divergent_trace.IsObject());

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,7 +16,11 @@
 #include "common/rng.h"
 #include "mpc/stats.h"
 #include "obs/audit/audit.h"
+#include "obs/audit/catalog.h"
+#include "obs/audit/causal.h"
 #include "obs/bench_report.h"
+#include "obs/chrome_trace.h"
+#include "obs/dist/shard.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -87,6 +93,23 @@ TEST(JsonTest, ExactIntegersRoundTrip) {
   const auto parsed = JsonValue::Parse(v.Dump());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->AsInt(), big);
+
+  // Numbers beyond int64 (strtoll rejects the last one, strtod takes it)
+  // saturate instead of hitting an undefined double-to-int cast.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (const auto& [text, want] :
+       std::vector<std::pair<std::string, std::int64_t>>{
+           {"1e300", kMax},
+           {"-1e30", kMin},
+           {"99999999999999999999", kMax},
+           {"-99999999999999999999", kMin},
+           {"-9223372036854775808", kMin},
+           {"1.5", 1}}) {
+    const auto value = JsonValue::Parse(text);
+    ASSERT_TRUE(value.has_value()) << text;
+    EXPECT_EQ(value->AsInt(), want) << text;
+  }
 }
 
 TEST(JsonTest, NestedRoundTrip) {
@@ -366,9 +389,38 @@ TEST(TracerTest, TraceToJsonSchema) {
   EXPECT_EQ(events->at(2).Find("kind")->AsString(), "span");
   EXPECT_EQ(events->at(2).Find("label")->AsString(), "mpc.route");
   // The serialised trace parses back.
-  std::ostringstream os;
-  WriteTraceJson(tracer, os);
-  EXPECT_TRUE(JsonValue::Parse(os.str()).has_value());
+  EXPECT_TRUE(JsonValue::Parse(TraceToJson(tracer).Dump()).has_value());
+}
+
+TEST(TracerTest, EventCodecPinsKeyOrderAndRoundTrips) {
+  TraceEvent e;
+  e.t_ns = 12;
+  e.kind = EventKind::kNetDeliver;
+  e.a = 3;
+  e.b = 4;
+  e.value = 5;
+  // Shard files omit "shard"; trace documents put it before "label".
+  EXPECT_EQ(EventToJson(e).Dump(),
+            R"({"t_ns":12,"kind":"net.deliver","a":3,"b":4,"value":5})");
+  e.label = "l";
+  EXPECT_EQ(EventToJson(e, 2).Dump(),
+            R"({"t_ns":12,"kind":"net.deliver","a":3,"b":4,"value":5,)"
+            R"("shard":2,"label":"l"})");
+  const EventRecord back = EventFromJson(EventToJson(e, 2));
+  EXPECT_EQ(back.t_ns, 12u);
+  EXPECT_EQ(back.kind, "net.deliver");
+  EXPECT_EQ(back.a, 3u);
+  EXPECT_EQ(back.b, 4u);
+  EXPECT_EQ(back.value, 5u);
+  EXPECT_EQ(back.label, "l");
+  // Absent or mistyped fields read as zero / empty.
+  const auto odd = JsonValue::Parse(R"({"t_ns":"x","kind":7,"a":[1]})");
+  ASSERT_TRUE(odd.has_value());
+  const EventRecord zero = EventFromJson(*odd);
+  EXPECT_EQ(zero.t_ns, 0u);
+  EXPECT_EQ(zero.kind, "");
+  EXPECT_EQ(zero.a, 0u);
+  EXPECT_TRUE(EventsFromJson(JsonValue::Object()).empty());
 }
 
 // ------------------------------------------------------- BenchReporter --
@@ -682,6 +734,186 @@ TEST(JsonFuzzTest, DepthBombInsideARecordIsRejected) {
   std::string error;
   EXPECT_FALSE(LoadAttachedEntries({path}, "audit", &error).has_value());
   std::remove(path.c_str());
+}
+
+// --------------------------------------- trace, shard, catalog loaders --
+// The loaders of outside trace and catalog files, under the same seeded
+// mutations as JsonFuzzTest: every proper prefix and every byte flipped
+// to structural and random values. Each must decode or reject without
+// crashing (run under ASan+UBSan in CI), and decode∘encode is the
+// identity on the unmutated documents.
+
+void ForEachMutation(const std::string& doc, Rng& rng,
+                     const std::function<void(const std::string&)>& visit) {
+  const std::string structural = "{}[]\",:\\ 0-e.9\n";
+  for (std::size_t len = 0; len < doc.size(); ++len) visit(doc.substr(0, len));
+  for (std::size_t at = 0; at < doc.size(); ++at) {
+    std::string flipped = doc;
+    for (int k = 0; k < 2; ++k) {
+      for (const char v : {structural[rng.Uniform(structural.size())],
+                           static_cast<char>(rng.Uniform(256))}) {
+        if (v == doc[at]) continue;
+        flipped[at] = v;
+        visit(flipped);
+      }
+    }
+  }
+}
+
+// Random events with payloads near the u32/u64 edges and causal-packed
+// values, so flipped digits land on every overflow boundary.
+std::vector<TraceEvent> RandomEvents(Rng& rng) {
+  static const char* kLabels[] = {nullptr, "mpc.route", "q\"é"};
+  std::vector<TraceEvent> events;
+  for (std::size_t i = 2 + rng.Uniform(4); i > 0; --i) {
+    TraceEvent e;
+    e.t_ns = rng.Uniform(1000000);
+    e.kind = static_cast<EventKind>(rng.Uniform(
+        static_cast<std::uint64_t>(EventKind::kDistRecv) + 1));
+    e.a = static_cast<std::uint32_t>(rng.Next());
+    e.b = static_cast<std::uint32_t>(rng.Uniform(8));
+    e.value = rng.Uniform(2) == 0 ? rng.Uniform(1000)
+                                  : (rng.Uniform(16) << 32) | rng.Uniform(9);
+    e.label = kLabels[rng.Uniform(3)];
+    events.push_back(e);
+  }
+  return events;
+}
+
+void ExpectDecodes(const TraceEvent& want, const EventRecord& got) {
+  EXPECT_EQ(got.t_ns, want.t_ns);
+  EXPECT_EQ(got.kind, EventKindName(want.kind));
+  EXPECT_EQ(got.a, want.a);
+  EXPECT_EQ(got.b, want.b);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.label, want.label == nullptr ? "" : want.label);
+}
+
+TEST(LoaderFuzzTest, TraceEventDecoderSurvivesMutations) {
+  std::size_t decoded = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const std::vector<TraceEvent> events = RandomEvents(rng);
+    JsonValue doc = JsonValue::Object();
+    doc.Set("schema", "lamp.trace.v1");
+    doc.Set("dropped", rng.Uniform(3));
+    JsonValue array = JsonValue::Array();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      array.PushBack(EventToJson(events[i], static_cast<std::uint32_t>(i % 2)));
+    }
+    doc.Set("events", std::move(array));
+    const std::string text = doc.Dump();
+
+    const std::optional<JsonValue> parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    const std::vector<EventRecord> back = EventsFromJson(*parsed);
+    ASSERT_EQ(back.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ExpectDecodes(events[i], back[i]);
+    }
+
+    ForEachMutation(text, rng, [&decoded](const std::string& mutated) {
+      const std::optional<JsonValue> value = JsonValue::Parse(mutated);
+      if (!value.has_value()) return;
+      ++decoded;
+      (void)EventsFromJson(*value);
+      (void)ChromeTraceFromTraceJson(*value);
+      (void)audit::CausalReportFromTraceJson(*value);
+    });
+  }
+  EXPECT_GT(decoded, 0u);
+}
+
+TEST(LoaderFuzzTest, ShardParserSurvivesMutations) {
+  std::size_t loaded = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    dist::ShardHeader header;
+    header.rank = rng.Uniform(4);
+    header.procs = 4;
+    header.trace_id = rng.Next() >> 1;
+    header.label = "fuzz/" + std::to_string(seed);
+    header.ring_fold_ns = rng.Uniform(100000);
+    header.total_emitted = rng.Uniform(10);
+    // WriteShard's format: the header line, then one event per line.
+    const std::vector<TraceEvent> events = RandomEvents(rng);
+    std::string text = header.ToJson().Dump() + "\n";
+    for (const TraceEvent& e : events) text += EventToJson(e).Dump() + "\n";
+
+    std::istringstream whole(text);
+    std::string error;
+    const auto shard = dist::ParseShard(whole, &error);
+    ASSERT_TRUE(shard.has_value()) << error;
+    EXPECT_EQ(shard->header.ToJson().Dump(), header.ToJson().Dump());
+    ASSERT_EQ(shard->events.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ExpectDecodes(events[i], shard->events[i]);
+    }
+
+    ForEachMutation(text, rng, [&loaded](const std::string& mutated) {
+      std::istringstream is(mutated);
+      std::string err;
+      if (dist::ParseShard(is, &err).has_value()) {
+        ++loaded;
+      } else {
+        EXPECT_FALSE(err.empty());
+      }
+    });
+  }
+  EXPECT_GT(loaded, 0u);
+}
+
+TEST(LoaderFuzzTest, CatalogLoaderSurvivesMutations) {
+  std::size_t loaded = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    audit::Catalog catalog;
+    for (std::size_t r = 1 + rng.Uniform(3); r > 0; --r) {
+      audit::RelationStats rel;
+      rel.name = std::string(1, static_cast<char>('A' + r));
+      rel.arity = 1 + rng.Uniform(3);
+      rel.cardinality = rng.Uniform(100000);
+      for (std::size_t c = 0; c < rel.arity; ++c) {
+        audit::ColumnStats col;
+        col.distinct = rng.Uniform(1000);
+        col.zipf_s = rng.UniformDouble() * 2.0;
+        col.avg_bytes = rng.UniformDouble() * 8.0;
+        for (std::size_t h = rng.Uniform(3); h > 0; --h) {
+          const std::uint64_t count = rng.Uniform(5000);
+          col.heavy.push_back(
+              {rng.UniformInt(-50, 50), count, rng.Uniform(count + 1)});
+        }
+        rel.columns.push_back(std::move(col));
+      }
+      catalog.relations.push_back(std::move(rel));
+    }
+    const std::string text = catalog.ToJson().Dump();
+
+    const std::optional<JsonValue> parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.has_value());
+    const std::optional<audit::Catalog> back =
+        audit::Catalog::FromJson(*parsed);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->ToJson().Dump(), text);
+
+    ForEachMutation(text, rng, [&loaded](const std::string& mutated) {
+      const std::optional<JsonValue> value = JsonValue::Parse(mutated);
+      if (!value.has_value()) return;
+      const std::optional<audit::Catalog> c = audit::Catalog::FromJson(*value);
+      if (!c.has_value()) return;
+      ++loaded;
+      // What `lamp_obs catalog` and the planner read off a loaded catalog.
+      (void)c->TotalFacts();
+      for (const audit::RelationStats& rel : c->relations) {
+        (void)rel.SkewEstimate();
+        (void)rel.HasHeavyHitter(0.05);
+        for (const audit::ColumnStats& col : rel.columns) {
+          (void)col.MaxFrequencyLower();
+        }
+      }
+    });
+  }
+  EXPECT_GT(loaded, 0u);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 // Every record is stamped with run provenance (git rev, ISO date, host,
 // repeat index) so BENCH_report.json is a self-describing point on the
 // PR-to-PR perf trajectory. The records keep the audit and planner
-// entries the MPC benches attach, so `obs_audit report --check` and
+// entries the MPC benches attach, so `lamp_obs report --check` and
 // `lamp_plan check` gate the same report. Exit codes: 0 ok, 1 regression,
 // 2 usage or environment error (missing binary, bench failed, unreadable
 // baseline or records).

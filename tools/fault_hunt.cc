@@ -8,7 +8,7 @@
 //
 // Options: --nodes N (default 3), --seeds N (per strategy / class,
 // default 4), --out PREFIX (write PREFIX.witness.json and
-// PREFIX.reference.json trace recordings for trace_dump --diff).
+// PREFIX.reference.json trace recordings for lamp_obs diff).
 //
 // The programs bracket the CALM dividing line: the monotone pipeline
 // should come back clean under every strategy, the naive non-monotone
@@ -164,7 +164,7 @@ int Hunt(Target& target, std::size_t seeds, const std::string& out_prefix) {
       std::printf("reference trace: %s (clean seed %llu)\n",
                   reference_path.c_str(),
                   static_cast<unsigned long long>(witness.reference_seed));
-      std::printf("inspect with: trace_dump --diff %s %s\n",
+      std::printf("inspect with: lamp_obs diff %s %s\n",
                   witness_path.c_str(), reference_path.c_str());
     }
   }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/audit/catalog.h"
 #include "obs/json.h"
 #include "sa/analyzer.h"
 #include "sa/catalog.h"
@@ -43,27 +44,18 @@ struct Cli {
   std::vector<std::string> files;
 };
 
-/// Extracts the relation names of a lamp.catalog.v1 document. Parsed
-/// minimally here (names only) — lamp_lint links lamp_sa, not the audit
-/// layer that owns the full Catalog type.
+/// Loads a lamp.catalog.v1 document and declares its relations as the
+/// catalogued ones; false when the file is unreadable or not a catalog.
 bool LoadCatalogRelations(const std::string& path, AnalyzerOptions& options) {
   const std::optional<std::string> text = obs::ReadTextFile(path);
   if (!text.has_value()) return false;
   const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
-  if (!doc.has_value() || !doc->IsObject()) return false;
-  const obs::JsonValue* schema = doc->Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->AsString() != "lamp.catalog.v1") {
-    return false;
-  }
-  const obs::JsonValue* relations = doc->Find("relations");
-  if (relations == nullptr || !relations->IsArray()) return false;
-  for (std::size_t i = 0; i < relations->size(); ++i) {
-    const obs::JsonValue& entry = relations->at(i);
-    if (!entry.IsObject()) return false;
-    const obs::JsonValue* name = entry.Find("name");
-    if (name == nullptr || !name->IsString()) return false;
-    options.catalog_relations.push_back(name->AsString());
+  if (!doc.has_value()) return false;
+  const std::optional<obs::audit::Catalog> catalog =
+      obs::audit::Catalog::FromJson(*doc);
+  if (!catalog.has_value()) return false;
+  for (const obs::audit::RelationStats& rel : catalog->relations) {
+    options.catalog_relations.push_back(rel.name);
   }
   options.have_catalog = true;
   return true;

@@ -12,7 +12,7 @@
 // writes one "mpc_procs" bench record (obs/bench_report.h) carrying a
 // lamp.audit.v1 entry: measured loads and wire bytes next to the
 // strategy's closed-form bound, exactly like the benches, gated by
-// `obs_audit report --check`.
+// `lamp_obs report --check`.
 //
 // Exit codes: 0 ok, 1 mismatch vs the in-process reference, 2 usage.
 
