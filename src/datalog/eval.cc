@@ -180,6 +180,134 @@ Instance EvaluateProgram(Schema& schema, const DatalogProgram& program,
   return current;
 }
 
+FixpointContinuation::FixpointContinuation(Schema& schema,
+                                           const DatalogProgram& program) {
+  LAMP_CHECK_MSG(!program.HasNegation(),
+                 "fixpoint continuation needs a negation-free program");
+  LAMP_CHECK_MSG(schema.TryIdOf(kADomRelationName) == Interner::kNotFound,
+                 "fixpoint continuation cannot maintain ADom");
+  const auto strata = program.Stratify();
+  LAMP_CHECK(strata.has_value());
+
+  constexpr RelationId kNoDelta = static_cast<RelationId>(-1);
+  for (const std::vector<std::size_t>& rule_ids : *strata) {
+    Stratum stratum;
+    for (std::size_t idx : rule_ids) {
+      const ConjunctiveQuery& rule = program.rules()[idx];
+      stratum.heads.push_back(rule.head().relation);
+      for (const Atom& atom : rule.body()) {
+        stratum.sources.push_back(atom.relation);
+      }
+    }
+    for (std::vector<RelationId>* rels : {&stratum.heads, &stratum.sources}) {
+      std::sort(rels->begin(), rels->end());
+      rels->erase(std::unique(rels->begin(), rels->end()), rels->end());
+    }
+    for (RelationId rel : stratum.sources) {
+      if (rel >= delta_of_.size()) delta_of_.resize(rel + 1, kNoDelta);
+      if (delta_of_[rel] != kNoDelta) continue;
+      delta_of_[rel] = schema.AddRelation("__cont_" + schema.NameOf(rel),
+                                          schema.ArityOf(rel));
+    }
+    for (std::size_t idx : rule_ids) {
+      const ConjunctiveQuery& rule = program.rules()[idx];
+      for (std::size_t a = 0; a < rule.body().size(); ++a) {
+        const RelationId body_rel = rule.body()[a].relation;
+        ConjunctiveQuery rewritten = rule;
+        rewritten.SetBodyRelation(a, delta_of_[body_rel]);
+        stratum.rules.push_back({std::move(rewritten), body_rel});
+      }
+    }
+    strata_.push_back(std::move(stratum));
+  }
+}
+
+FixpointContinuation::Marks FixpointContinuation::Mark(
+    const Instance& state) {
+  Marks marks(state.RelationBound());
+  for (RelationId rel = 0; rel < marks.size(); ++rel) {
+    marks[rel] = state.NumRows(rel);
+  }
+  return marks;
+}
+
+void FixpointContinuation::Continue(Instance& state, const Marks& closed,
+                                    DatalogStats* stats,
+                                    obs::MetricsRegistry* metrics) const {
+  DatalogStats local_stats;
+  CqEvalStats cq_stats;
+  // Rows [from[r], to[r]) of relation r are its delta this round.
+  std::vector<std::size_t> from(delta_of_.size());
+  std::vector<std::size_t> to(delta_of_.size());
+  std::vector<Value> tagged;
+  std::vector<Value> staged;
+  std::size_t staged_rows = 0;
+  const RowBatchSink stage = [&staged, &staged_rows](
+                                 RelationId, const Value* rows,
+                                 std::size_t count, std::size_t arity) {
+    staged.insert(staged.end(), rows, rows + count * arity);
+    staged_rows += count;
+  };
+
+  for (const Stratum& stratum : strata_) {
+    const std::size_t stratum_idx =
+        static_cast<std::size_t>(&stratum - strata_.data());
+    std::size_t iteration_idx = 0;
+    // Round 0's delta: every row new since `closed` (inserted, or derived
+    // by a lower stratum) of every relation the stratum reads.
+    for (RelationId rel : stratum.sources) {
+      from[rel] = rel < closed.size() ? closed[rel] : 0;
+      to[rel] = state.NumRows(rel);
+    }
+    while (true) {
+      bool any_delta = false;
+      for (RelationId rel : stratum.sources) {
+        if (from[rel] == to[rel]) continue;
+        any_delta = true;
+        const RowsView rows = state.RowsOf(rel);
+        tagged.assign(rows.data + from[rel] * rows.arity,
+                      rows.data + to[rel] * rows.arity);
+        state.InsertRows(delta_of_[rel], tagged.data(), to[rel] - from[rel],
+                         rows.arity);
+      }
+      if (!any_delta) break;
+
+      // Rules read `state`, so each rule's rows are staged and appended
+      // once it finishes; later rules of the round already see them.
+      const std::size_t size_before = state.Size();
+      for (const DeltaRule& dr : stratum.rules) {
+        if (from[dr.delta_source] == to[dr.delta_source]) continue;
+        ++local_stats.delta_index_hits;
+        staged.clear();
+        staged_rows = 0;
+        EvaluateIntoBatches(dr.query, state, stage, &cq_stats);
+        state.InsertRows(dr.query.head().relation, staged.data(), staged_rows,
+                         dr.query.head().terms.size());
+      }
+      const std::size_t derived = state.Size() - size_before;
+      for (RelationId rel : stratum.sources) {
+        state.ClearRelation(delta_of_[rel]);
+      }
+
+      // The next delta: what this round appended to the stratum's heads.
+      for (RelationId rel : stratum.sources) {
+        from[rel] = to[rel];
+        if (std::binary_search(stratum.heads.begin(), stratum.heads.end(),
+                               rel)) {
+          to[rel] = state.NumRows(rel);
+        }
+      }
+      local_stats.facts_derived += derived;
+      ++local_stats.iterations;
+      RecordIteration(stratum_idx, iteration_idx++, derived, metrics);
+    }
+  }
+
+  local_stats.rows_scanned = cq_stats.rows_scanned;
+  if (stats != nullptr) *stats = local_stats;
+  if (metrics != nullptr) local_stats.ToMetrics(*metrics);
+}
+
 Instance EvaluateProgramNaive(Schema& schema, const DatalogProgram& program,
                               const Instance& edb, DatalogStats* stats,
                               obs::MetricsRegistry* metrics) {

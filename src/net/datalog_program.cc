@@ -13,7 +13,14 @@ namespace lamp {
 DistributedDatalogProgram::DistributedDatalogProgram(
     Schema& schema, const DatalogProgram& program)
     : schema_(schema), program_(program), idb_(program.IdbRelations()) {
-  if (!program.HasNegation()) return;
+  if (!program.HasNegation()) {
+    // With ADom in the schema, every evaluation derives ADom(v) for each
+    // value the state holds; only recomputation reproduces that.
+    if (schema.TryIdOf(kADomRelationName) == Interner::kNotFound) {
+      continuation_.emplace(schema, program);
+    }
+    return;
+  }
   // Negation is only meaningful under a stratification; without one the
   // evaluator has no semantics to pipeline at all, so refuse outright —
   // with the concrete cycle, courtesy of the static analyzer.
@@ -45,14 +52,47 @@ void DistributedDatalogProgram::OnStart(NodeContext& ctx) {
 
 void DistributedDatalogProgram::OnReceive(NodeContext& ctx,
                                           const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
+  if (!continuation_.has_value()) {
+    bool changed = false;
+    for (const Fact& f : message) {
+      if (!ctx.state().Contains(f)) {
+        ctx.InsertState(f);
+        changed = true;
+      }
+    }
+    if (changed) DeriveAndShare(ctx);
+    return;
+  }
+  // The state is closed under the program (the heartbeat evaluated it and
+  // every delivery since continued it), so only the facts new to it can
+  // lead anywhere new.
+  Instance& state = ctx.mutable_state();
+  const FixpointContinuation::Marks closed = FixpointContinuation::Mark(state);
+  const std::size_t size_before = state.Size();
+  for (const Fact& f : message) state.Insert(f);
+  if (state.Size() == size_before) return;
+  const FixpointContinuation::Marks delivered =
+      FixpointContinuation::Mark(state);
+  continuation_->Continue(state, closed);
+
+  // Every new IDB fact is output; only the derived ones are news to the
+  // other nodes.
+  Message fresh;
+  Fact fact;
+  for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
+    const RowsView rows = state.RowsOf(rel);
+    const bool is_idb = idb_.count(rel) > 0;
+    const std::size_t first_derived =
+        rel < delivered.size() ? delivered[rel] : 0;
+    for (std::size_t i = rel < closed.size() ? closed[rel] : 0;
+         i < rows.num_rows; ++i) {
+      fact.relation = rel;
+      fact.args.assign(rows.Row(i), rows.Row(i) + rows.arity);
+      if (is_idb) ctx.Output(fact);
+      if (i >= first_derived) fresh.push_back(fact);
     }
   }
-  if (changed) DeriveAndShare(ctx);
+  if (!fresh.empty()) ctx.Broadcast(std::move(fresh));
 }
 
 void DistributedDatalogProgram::DeriveAndShare(NodeContext& ctx) {

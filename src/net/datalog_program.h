@@ -1,8 +1,10 @@
 #ifndef LAMP_NET_DATALOG_PROGRAM_H_
 #define LAMP_NET_DATALOG_PROGRAM_H_
 
+#include <optional>
 #include <set>
 
+#include "datalog/eval.h"
 #include "datalog/program.h"
 #include "net/transducer.h"
 
@@ -12,11 +14,20 @@
 ///
 /// Unlike MonotoneBroadcastProgram — which ships raw EDB facts and
 /// re-evaluates the query from scratch — DistributedDatalogProgram
-/// pipelines *derived* facts: each node runs semi-naive evaluation over
-/// everything it knows and broadcasts only the facts that are new to it
-/// (EDB and IDB alike). For monotone (semi-positive-free) programs this
-/// is eventually consistent on every schedule, and IDB pipelining lets
-/// nodes start from each other's conclusions instead of re-deriving them.
+/// pipelines *derived* facts: a node's state is its fixpoint of the
+/// program over everything it knows, and it broadcasts only the facts
+/// that are new to it (EDB and IDB alike). For monotone (negation-free)
+/// programs this is eventually consistent on every schedule, and IDB
+/// pipelining lets nodes start from each other's conclusions instead of
+/// re-deriving them.
+///
+/// The state only grows, so a negation-free program never withdraws a
+/// conclusion: a delivery *continues* the node's fixpoint from the facts
+/// that are new to it (FixpointContinuation), in place over the state,
+/// instead of recomputing it. The heartbeat (also the restart after a
+/// volatile crash) evaluates the whole state. Programs with negation, and
+/// schemas with the built-in ADom relation (which EvaluateProgram derives
+/// for every value the state holds), recompute on every delivery.
 
 namespace lamp {
 
@@ -44,6 +55,8 @@ class DistributedDatalogProgram : public TransducerProgram {
   Schema& schema_;
   const DatalogProgram& program_;
   std::set<RelationId> idb_;
+  /// Set unless the program must recompute on every delivery.
+  std::optional<FixpointContinuation> continuation_;
 };
 
 }  // namespace lamp

@@ -34,6 +34,7 @@ class RunnerContext : public NodeContext {
   }
 
   const Instance& state() const override { return state_; }
+  Instance& mutable_state() override { return state_; }
   void InsertState(const Fact& fact) override { state_.Insert(fact); }
   void Output(const Fact& fact) override { output_.Insert(fact); }
   void Broadcast(Message message) override {

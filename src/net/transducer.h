@@ -26,8 +26,9 @@ namespace lamp {
 using Message = std::vector<Fact>;
 
 /// The interface a program uses during a transition. Provided by the
-/// network runner; operations are recorded and applied after the
-/// transition returns.
+/// network runner. State writes (InsertState, mutable_state) and Output
+/// take effect immediately; only Broadcast is deferred: the runner
+/// dispatches the recorded messages after the transition returns.
 class NodeContext {
  public:
   virtual ~NodeContext() = default;
@@ -42,6 +43,12 @@ class NodeContext {
 
   /// The node's current relational state.
   virtual const Instance& state() const = 0;
+
+  /// The node's relational state, for in-place updates (a program that
+  /// keeps its state closed under some derivation extends it directly).
+  /// Like every state write it must stay a deterministic function of
+  /// (state, input).
+  virtual Instance& mutable_state() = 0;
 
   /// Adds a fact to the relational state.
   virtual void InsertState(const Fact& fact) = 0;

@@ -3,6 +3,7 @@
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "datalog/wellfounded.h"
+#include "obs/trace.h"
 #include "relational/generators.h"
 
 namespace lamp {
@@ -175,6 +176,124 @@ TEST(Eval, InequalityInRecursiveRule) {
   const Instance result = EvaluateProgram(schema, p, edb);
   // All pairs (x,y), x != y, reachable on the 4-cycle: 12 pairs.
   EXPECT_EQ(result.FactsOf(schema.IdOf("P")).size(), 12u);
+}
+
+// Negation-free programs for the fixpoint continuation: linear TC, and a
+// non-linear TC under a second positive stratum.
+constexpr const char* kLinearTc = R"(
+  TC(x,y) <- E(x,y)
+  TC(x,y) <- TC(x,z), E(z,y)
+)";
+constexpr const char* kNonLinearTcSym = R"(
+  TC(x,y) <- E(x,y)
+  TC(x,y) <- TC(x,z), TC(z,y)
+  Sym(x,y) <- TC(x,y), TC(y,x)
+)";
+
+/// The rows of \p state past \p marks, as an instance.
+Instance RowsPast(const Instance& state,
+                  const FixpointContinuation::Marks& marks) {
+  Instance past;
+  for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
+    const RowsView rows = state.RowsOf(rel);
+    for (std::size_t i = rel < marks.size() ? marks[rel] : 0;
+         i < rows.num_rows; ++i) {
+      past.InsertRow(rel, rows.Row(i), rows.arity);
+    }
+  }
+  return past;
+}
+
+TEST(Continuation, ContinuingAFixpointEqualsEvaluatingTheUnion) {
+  for (const char* text : {kLinearTc, kNonLinearTcSym}) {
+    Schema schema;
+    const DatalogProgram p = ParseProgram(schema, text);
+    const FixpointContinuation continuation(schema, p);
+    const RelationId e = schema.IdOf("E");
+    Rng rng(11);
+    for (int trial = 0; trial < 20; ++trial) {
+      Instance graph;
+      AddRandomGraph(schema, e, 24, 10, rng, graph);
+      // A random split E = A ∪ B.
+      Instance a;
+      Instance b;
+      graph.ForEachFact([&](const Fact& f) {
+        (rng.Uniform(2) == 0 ? a : b).Insert(f);
+      });
+
+      Instance state = EvaluateProgram(schema, p, a);
+      const Instance before = state;
+      const FixpointContinuation::Marks closed =
+          FixpointContinuation::Mark(state);
+      state.InsertAll(b);
+      continuation.Continue(state, closed);
+
+      EXPECT_EQ(state, EvaluateProgram(schema, p, graph))
+          << text << " trial " << trial;
+      // The rows past the mark are exactly the facts that are new.
+      Instance difference;
+      state.ForEachFact([&](const Fact& f) {
+        if (!before.Contains(f)) difference.Insert(f);
+      });
+      EXPECT_EQ(RowsPast(state, closed), difference)
+          << text << " trial " << trial;
+      EXPECT_EQ(state.Size(), before.Size() + difference.Size());
+      // No tagged delta rows are left behind.
+      for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
+        if (schema.NameOf(rel).starts_with("__cont_")) {
+          EXPECT_EQ(state.NumRows(rel), 0u) << schema.NameOf(rel);
+        }
+      }
+    }
+  }
+}
+
+TEST(Continuation, RecordsIterationsLikeTheFullEvaluation) {
+  Schema schema;
+  const DatalogProgram p = ParseProgram(schema, kNonLinearTcSym);
+  const FixpointContinuation continuation(schema, p);
+  const RelationId e = schema.IdOf("E");
+  Instance path;
+  AddPathGraph(schema, e, 12, path);
+  Instance state = EvaluateProgram(schema, p, path);
+  const FixpointContinuation::Marks closed =
+      FixpointContinuation::Mark(state);
+  state.Insert(Fact(e, {11, 0}));  // Closes the path into a cycle.
+
+  obs::Tracer tracer;
+  DatalogStats stats;
+  obs::MetricsRegistry metrics;
+  {
+    obs::ScopedTracer install(tracer);
+    continuation.Continue(state, closed, &stats, &metrics);
+  }
+  std::size_t events = 0;
+  std::size_t delta_total = 0;
+  for (const obs::TraceEvent& ev : tracer.Events()) {
+    if (ev.kind != obs::EventKind::kDatalogIteration) continue;
+    ++events;
+    delta_total += ev.value;
+  }
+  EXPECT_GT(stats.iterations, 1u);
+  EXPECT_EQ(events, stats.iterations);
+  EXPECT_EQ(metrics.CounterValue(obs::kDatalogIterations), stats.iterations);
+  // Every derived fact is counted once: everything new but the edge.
+  EXPECT_EQ(stats.facts_derived, RowsPast(state, closed).Size() - 1);
+  EXPECT_EQ(delta_total, stats.facts_derived);
+  EXPECT_GT(stats.rows_scanned, 0u);
+}
+
+TEST(Continuation, RefusesNegationAndADom) {
+  Schema negation_schema;
+  const DatalogProgram negation = ParseProgram(
+      negation_schema, "TC(x,y) <- E(x,y)\nOUT(x,y) <- E(x,y), !TC(y,x)");
+  EXPECT_DEATH(FixpointContinuation(negation_schema, negation),
+               "negation-free");
+
+  Schema adom_schema;
+  const DatalogProgram adom =
+      ParseProgram(adom_schema, "Loop(x) <- ADom(x), E(x,x)");
+  EXPECT_DEATH(FixpointContinuation(adom_schema, adom), "ADom");
 }
 
 TEST(WellFounded, WinMoveSimpleGame) {

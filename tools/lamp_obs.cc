@@ -140,14 +140,22 @@ const char* LoadGlyph(std::uint64_t load, std::uint64_t max) {
   return kBlocks[std::min<std::size_t>(idx, 7)];
 }
 
-/// One glyph per slot 0..n-1 of a sparse load map.
+// Slots a heatmap renders at most. The slot count comes from the trace
+// file (a round's p, the largest endpoint id), so a hostile value near
+// 2^64 must not turn into a loop that never ends.
+constexpr std::uint64_t kMaxHeatmapGlyphs = 1024;
+
+/// One glyph per slot 0..n-1 of a sparse load map, up to
+/// kMaxHeatmapGlyphs; the slots past that are counted, not drawn.
 std::string Heatmap(const std::map<std::uint32_t, std::uint64_t>& loads,
                     std::uint64_t n, std::uint64_t max) {
   std::string heat;
-  for (std::uint64_t s = 0; s < n; ++s) {
+  const std::uint64_t shown = std::min(n, kMaxHeatmapGlyphs);
+  for (std::uint64_t s = 0; s < shown; ++s) {
     const auto it = loads.find(static_cast<std::uint32_t>(s));
     heat += LoadGlyph(it == loads.end() ? 0 : it->second, max);
   }
+  if (n > shown) heat += " ... " + std::to_string(n - shown) + " elided";
   return heat;
 }
 
