@@ -57,9 +57,9 @@ struct World {
     AddCycleGraph(tc_schema, tc_schema.IdOf("E"), 5, tc_edges);
     const Instance everything =
         EvaluateProgram(tc_schema, tc_prog, tc_edges);
-    for (const Fact& f : everything.FactsOf(tc_schema.IdOf("TC"))) {
+    everything.ForEachFactOf(tc_schema.IdOf("TC"), [&](const Fact& f) {
       tc_expected.Insert(f);
-    }
+    });
 
     tri_schema.AddRelation("E", 2);
     open_triangle =

@@ -69,13 +69,13 @@ struct Witnesses {
     q_not_tc = [this](const Instance& i) {
       const Instance everything = EvaluateProgram(dl_schema, not_tc_prog, i);
       Instance out;
-      for (const Fact& f : everything.FactsOf(dl_out)) out.Insert(f);
+      everything.ForEachFactOf(dl_out, [&](const Fact& f) { out.Insert(f); });
       return out;
     };
     q_no_triangle = [this](const Instance& i) {
       Instance out;
       if (Evaluate(strict_triangle, i).Empty()) {
-        for (const Fact& f : i.FactsOf(e)) out.Insert(f);
+        i.ForEachFactOf(e, [&](const Fact& f) { out.Insert(f); });
       }
       return out;
     };

@@ -91,7 +91,7 @@ int main() {
                                out](const Instance& edb) {
       const Instance everything = EvaluateProgram(dl_schema, prog, edb);
       Instance result;
-      for (const Fact& f : everything.FactsOf(out)) result.Insert(f);
+      everything.ForEachFactOf(out, [&](const Fact& f) { result.Insert(f); });
       return result;
     };
 

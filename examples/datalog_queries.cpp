@@ -36,8 +36,8 @@ int main() {
     const Instance result = EvaluateProgram(schema, program, edb, &stats);
     std::printf("  8-node path: |TC| = %zu, |OUT| = %zu "
                 "(%zu semi-naive rounds)\n",
-                result.FactsOf(schema.IdOf("TC")).size(),
-                result.FactsOf(schema.IdOf("OUT")).size(), stats.iterations);
+                result.NumRows(schema.IdOf("TC")),
+                result.NumRows(schema.IdOf("OUT")), stats.iterations);
   }
 
   // -- The no-triangle program (Example 5.13, program 2) -------------------

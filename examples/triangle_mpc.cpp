@@ -66,7 +66,7 @@ void RunAll(Schema& schema, const ConjunctiveQuery& triangle,
             const Instance& db, std::size_t p) {
   const Instance expected = Evaluate(triangle, db);
   std::printf("  m per relation ~%zu, p=%zu, %zu triangles\n",
-              db.FactsOf(schema.IdOf("R")).size(), p, expected.Size());
+              db.NumRows(schema.IdOf("R")), p, expected.Size());
   Report("hypercube (uniform)", RunHyperCubeUniform(triangle, db, p),
          expected);
   Report("hypercube (LP shares)", RunHyperCubeLpShares(triangle, db, p),

@@ -187,12 +187,12 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
           std::unordered_map<std::uint64_t,
                              std::vector<std::unordered_map<VarId, Value>>>
               by_key;
-          for (const Fact& f : received.FactsOf(next_atom.relation)) {
+          received.ForEachFactOf(next_atom.relation, [&](const Fact& f) {
             std::unordered_map<VarId, Value> binding;
-            if (!BindAtom(next_atom, f, binding)) continue;
+            if (!BindAtom(next_atom, f, binding)) return;
             by_key[HashSharedVars(shared, binding, round_seed)]
                 .push_back(std::move(binding));
-          }
+          });
 
           Instance next_state;
           auto emit = [&](const std::unordered_map<VarId, Value>& binding) {
@@ -222,29 +222,30 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
           };
 
           if (i == 1) {
-            for (const Fact& f : received.FactsOf(prev_rel)) {
+            received.ForEachFactOf(prev_rel, [&](const Fact& f) {
               std::unordered_map<VarId, Value> binding;
               if (BindAtom(prev_atom, f, binding)) extend(std::move(binding));
-            }
+            });
           } else {
-            for (const Fact& f : received.FactsOf(prev_rel)) {
+            received.ForEachFactOf(prev_rel, [&](const Fact& f) {
               std::unordered_map<VarId, Value> binding;
               for (std::size_t c = 0; c < prev_vars.size(); ++c) {
                 binding[prev_vars[c]] = f.args[c];
               }
               extend(std::move(binding));
-            }
+            });
           }
 
           // Relations for later rounds ride along.
           for (RelationId rel : future) {
-            for (const Fact& f : received.FactsOf(rel)) next_state.Insert(f);
+            received.ForEachFactOf(
+                rel, [&](const Fact& f) { next_state.Insert(f); });
           }
 
           Instance output;
           if (i + 1 == order.size()) {
             // Final round: apply inequalities and project onto the head.
-            for (const Fact& f : next_state.FactsOf(inter_rel[i])) {
+            next_state.ForEachFactOf(inter_rel[i], [&](const Fact& f) {
               Valuation v(query.NumVars());
               for (std::size_t c = 0; c < vars_after[i].size(); ++c) {
                 v.Bind(vars_after[i][c], f.args[c]);
@@ -252,7 +253,7 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
               if (v.SatisfiesInequalities(query)) {
                 output.Insert(v.ApplyToAtom(query.head()));
               }
-            }
+            });
           }
           return {std::move(next_state), std::move(output)};
         });
@@ -267,15 +268,15 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
         },
         [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
           Instance output;
-          for (const Fact& f : received.FactsOf(body[0].relation)) {
+          received.ForEachFactOf(body[0].relation, [&](const Fact& f) {
             std::unordered_map<VarId, Value> binding;
-            if (!BindAtom(body[0], f, binding)) continue;
+            if (!BindAtom(body[0], f, binding)) return;
             Valuation v(query.NumVars());
             for (const auto& [var, val] : binding) v.Bind(var, val);
             if (v.SatisfiesInequalities(query)) {
               output.Insert(v.ApplyToAtom(query.head()));
             }
-          }
+          });
           return {received, std::move(output)};
         });
   }

@@ -8,10 +8,10 @@ std::map<Value, std::size_t> ColumnFrequencies(const Instance& instance,
                                                RelationId relation,
                                                std::size_t column) {
   std::map<Value, std::size_t> freq;
-  for (const Fact& f : instance.FactsOf(relation)) {
+  instance.ForEachFactOf(relation, [&](const Fact& f) {
     LAMP_CHECK(column < f.args.size());
     ++freq[f.args[column]];
-  }
+  });
   return freq;
 }
 

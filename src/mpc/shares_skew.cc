@@ -50,8 +50,8 @@ MpcRunResult SharesSkewJoin(const ConjunctiveQuery& query,
                             std::size_t heavy_threshold) {
   const SkewJoinShape shape = Analyze(query);
   const std::size_t p = num_servers;
-  const std::size_t m = std::max(input.FactsOf(shape.left).size(),
-                                 input.FactsOf(shape.right).size());
+  const std::size_t m = std::max(input.NumRows(shape.left),
+                                 input.NumRows(shape.right));
   if (heavy_threshold == 0) {
     heavy_threshold = static_cast<std::size_t>(
         static_cast<double>(m) /

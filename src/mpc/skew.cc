@@ -74,8 +74,8 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
   const std::size_t p = num_servers;
 
   const std::size_t m =
-      std::max({input.FactsOf(shape.r).size(), input.FactsOf(shape.s).size(),
-                input.FactsOf(shape.t).size()});
+      std::max({input.NumRows(shape.r), input.NumRows(shape.s),
+                input.NumRows(shape.t)});
   if (heavy_threshold == 0) {
     heavy_threshold = static_cast<std::size_t>(
         static_cast<double>(m) /

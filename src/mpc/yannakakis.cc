@@ -82,9 +82,9 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
       },
       [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
         std::unordered_set<std::uint64_t> filter_keys;
-        for (const Fact& f : received.FactsOf(filter_rel)) {
+        received.ForEachFactOf(filter_rel, [&](const Fact& f) {
           filter_keys.insert(KeyHash(f, filter_pos, round_seed));
-        }
+        });
         Instance next;
         for (const Fact& f : received.AllFacts()) {
           if (f.relation == keep_rel &&

@@ -45,22 +45,14 @@ DistributedDatalogProgram::DistributedDatalogProgram(
 
 void DistributedDatalogProgram::OnStart(NodeContext& ctx) {
   // Share the local base facts, then derive and share conclusions.
-  Message base = ctx.state().AllFacts();
-  if (!base.empty()) ctx.Broadcast(std::move(base));
+  ctx.BroadcastState();
   DeriveAndShare(ctx);
 }
 
 void DistributedDatalogProgram::OnReceive(NodeContext& ctx,
                                           const Message& message) {
   if (!continuation_.has_value()) {
-    bool changed = false;
-    for (const Fact& f : message) {
-      if (!ctx.state().Contains(f)) {
-        ctx.InsertState(f);
-        changed = true;
-      }
-    }
-    if (changed) DeriveAndShare(ctx);
+    if (ctx.InsertMessage(message)) DeriveAndShare(ctx);
     return;
   }
   // The state is closed under the program (the heartbeat evaluated it and
@@ -68,9 +60,7 @@ void DistributedDatalogProgram::OnReceive(NodeContext& ctx,
   // lead anywhere new.
   Instance& state = ctx.mutable_state();
   const FixpointContinuation::Marks closed = FixpointContinuation::Mark(state);
-  const std::size_t size_before = state.Size();
-  for (const Fact& f : message) state.Insert(f);
-  if (state.Size() == size_before) return;
+  if (!ctx.InsertMessage(message)) return;
   const FixpointContinuation::Marks delivered =
       FixpointContinuation::Mark(state);
   continuation_->Continue(state, closed);
@@ -81,15 +71,18 @@ void DistributedDatalogProgram::OnReceive(NodeContext& ctx,
   Fact fact;
   for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
     const RowsView rows = state.RowsOf(rel);
+    const auto arity = static_cast<std::uint32_t>(rows.arity);
     const bool is_idb = idb_.count(rel) > 0;
     const std::size_t first_derived =
         rel < delivered.size() ? delivered[rel] : 0;
     for (std::size_t i = rel < closed.size() ? closed[rel] : 0;
          i < rows.num_rows; ++i) {
-      fact.relation = rel;
-      fact.args.assign(rows.Row(i), rows.Row(i) + rows.arity);
-      if (is_idb) ctx.Output(fact);
-      if (i >= first_derived) fresh.push_back(fact);
+      if (is_idb) {
+        fact.relation = rel;
+        fact.args.assign(rows.Row(i), rows.Row(i) + arity);
+        ctx.Output(fact);
+      }
+      if (i >= first_derived) fresh.Append({rel, rows.Row(i), arity});
     }
   }
   if (!fresh.empty()) ctx.Broadcast(std::move(fresh));
@@ -101,15 +94,12 @@ void DistributedDatalogProgram::DeriveAndShare(NodeContext& ctx) {
   // mixture sound.
   const Instance everything =
       EvaluateProgram(schema_, program_, ctx.state());
+  Instance& state = ctx.mutable_state();
   Message fresh;
-  for (const Fact& f : everything.AllFacts()) {
-    const bool is_idb = idb_.count(f.relation) > 0;
-    if (is_idb) ctx.Output(f);
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      fresh.push_back(f);
-    }
-  }
+  everything.ForEachFact([&](const Fact& f) {
+    if (idb_.count(f.relation) > 0) ctx.Output(f);
+    if (state.Insert(f)) fresh.Append(transport::RowRef::Of(f));
+  });
   if (!fresh.empty()) ctx.Broadcast(std::move(fresh));
 }
 

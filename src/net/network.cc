@@ -35,7 +35,6 @@ class RunnerContext : public NodeContext {
 
   const Instance& state() const override { return state_; }
   Instance& mutable_state() override { return state_; }
-  void InsertState(const Fact& fact) override { state_.Insert(fact); }
   void Output(const Fact& fact) override { output_.Insert(fact); }
   void Broadcast(Message message) override {
     outgoing_.push_back(std::move(message));
@@ -173,13 +172,8 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
           queue[to].push_back({from, std::move(decoded->facts),
                                decoded->depth, decoded->parent});
         } else {
-          std::size_t payload = transport::VarintSize(seq) +
-                                transport::VarintSize(depth) +
-                                transport::VarintSize(parent) +
-                                transport::VarintSize(msg.size());
-          for (const Fact& f : msg) payload += transport::EncodedFactSize(f);
-          wire_bytes.Add(4 + 2 + transport::VarintSize(from) +
-                         transport::VarintSize(to) + payload);
+          wire_bytes.Add(
+              transport::MessageFrameSize(from, to, seq, depth, parent, msg));
           queue[to].push_back({from, msg, depth, parent});
         }
         queued_from[to].push_back(from);

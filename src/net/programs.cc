@@ -13,21 +13,13 @@ namespace lamp {
 // ---------------------------------------------------------------------------
 
 void MonotoneBroadcastProgram::OnStart(NodeContext& ctx) {
-  Message everything = ctx.state().AllFacts();
-  if (!everything.empty()) ctx.Broadcast(std::move(everything));
+  ctx.BroadcastState();
   EvaluateAndOutput(ctx);
 }
 
 void MonotoneBroadcastProgram::OnReceive(NodeContext& ctx,
                                          const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
-    }
-  }
-  if (changed) EvaluateAndOutput(ctx);
+  if (ctx.InsertMessage(message)) EvaluateAndOutput(ctx);
 }
 
 void MonotoneBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
@@ -41,21 +33,13 @@ void MonotoneBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
 // ---------------------------------------------------------------------------
 
 void DistinctCompleteProgram::OnStart(NodeContext& ctx) {
-  Message everything = ctx.state().AllFacts();
-  if (!everything.empty()) ctx.Broadcast(std::move(everything));
+  ctx.BroadcastState();
   TryOutput(ctx);
 }
 
 void DistinctCompleteProgram::OnReceive(NodeContext& ctx,
                                         const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
-    }
-  }
-  if (changed) TryOutput(ctx);
+  if (ctx.InsertMessage(message)) TryOutput(ctx);
 }
 
 void DistinctCompleteProgram::TryOutput(NodeContext& ctx) {
@@ -110,26 +94,18 @@ void ComponentProgram::OnStart(NodeContext& ctx) {
     // Domain-guided policies decide by values, so any fact containing `a`
     // works; use the marker relation itself as the probe.
     if (!policy->IsResponsible(ctx.self(), Fact(marker_, {a.v}))) continue;
+    // The marker is unary, so the facts touching `a` are its data plus
+    // exactly one marker, its own.
+    ctx.mutable_state().InsertRow(marker_, &a, 1);
     Message batch;
-    for (const Fact& f : ctx.state().Touching({a}).AllFacts()) {
-      if (f.relation != marker_) batch.push_back(f);
-    }
-    batch.push_back(Fact(marker_, {a.v}));
-    ctx.InsertState(Fact(marker_, {a.v}));
+    batch.AppendAll(ctx.state().Touching({a}));
     ctx.Broadcast(std::move(batch));
   }
   TryOutput(ctx);
 }
 
 void ComponentProgram::OnReceive(NodeContext& ctx, const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
-    }
-  }
-  if (changed) TryOutput(ctx);
+  if (ctx.InsertMessage(message)) TryOutput(ctx);
 }
 
 void ComponentProgram::TryOutput(NodeContext& ctx) {
@@ -174,29 +150,24 @@ CoordinatedBarrierProgram::CoordinatedBarrierProgram(NetQueryFunction query,
 void CoordinatedBarrierProgram::OnStart(NodeContext& ctx) {
   // One atomic message: all local data plus our "done" marker. Atomicity
   // makes the marker an honest promise ("you now have everything I had").
-  Message batch = ctx.state().AllFacts();
-  batch.push_back(Fact(done_, {static_cast<std::int64_t>(ctx.self())}));
-  ctx.InsertState(Fact(done_, {static_cast<std::int64_t>(ctx.self())}));
+  const Value self(static_cast<std::int64_t>(ctx.self()));
+  Message batch;
+  batch.AppendAll(ctx.state());
+  batch.Append({done_, &self, 1});
+  ctx.mutable_state().InsertRow(done_, &self, 1);
   ctx.Broadcast(std::move(batch));
   TryOutput(ctx);
 }
 
 void CoordinatedBarrierProgram::OnReceive(NodeContext& ctx,
                                           const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
-    }
-  }
-  if (changed) TryOutput(ctx);
+  if (ctx.InsertMessage(message)) TryOutput(ctx);
 }
 
 void CoordinatedBarrierProgram::TryOutput(NodeContext& ctx) {
   // The barrier: markers from all nodes (the coordination step — this is
   // the call that makes the program non-oblivious).
-  if (ctx.state().FactsOf(done_).size() < ctx.NetworkSize()) return;
+  if (ctx.state().NumRows(done_) < ctx.NetworkSize()) return;
   Instance data;
   for (const Fact& f : ctx.state().AllFacts()) {
     if (f.relation != done_) data.Insert(f);
@@ -217,11 +188,13 @@ FragileCountingBarrierProgram::FragileCountingBarrierProgram(
       tick_(schema.AddRelation("__tick", 1)) {}
 
 void FragileCountingBarrierProgram::OnStart(NodeContext& ctx) {
-  Message batch = ctx.state().AllFacts();
-  batch.push_back(Fact(done_, {static_cast<std::int64_t>(ctx.self())}));
-  ctx.InsertState(Fact(done_, {static_cast<std::int64_t>(ctx.self())}));
+  const Value self(static_cast<std::int64_t>(ctx.self()));
+  Message batch;
+  batch.AppendAll(ctx.state());
+  batch.Append({done_, &self, 1});
+  ctx.mutable_state().InsertRow(done_, &self, 1);
   // Tick 0 stands for this node's own barrier message.
-  ctx.InsertState(Fact(tick_, {0}));
+  ctx.mutable_state().Insert(Fact(tick_, {0}));
   ctx.Broadcast(std::move(batch));
   TryOutput(ctx);
 }
@@ -229,22 +202,22 @@ void FragileCountingBarrierProgram::OnStart(NodeContext& ctx) {
 void FragileCountingBarrierProgram::OnReceive(NodeContext& ctx,
                                               const Message& message) {
   bool barrier_message = false;
-  for (const Fact& f : message) {
-    if (f.relation == done_) barrier_message = true;
-    ctx.InsertState(f);
+  for (const transport::RowRef row : message) {
+    if (row.relation == done_) barrier_message = true;
   }
+  ctx.InsertMessage(message);
   if (barrier_message) {
     // The bug: count *messages*, not distinct markers. Each fresh tick
     // index makes a new fact, so duplicates advance the counter.
     const std::int64_t count =
-        static_cast<std::int64_t>(ctx.state().FactsOf(tick_).size());
-    ctx.InsertState(Fact(tick_, {count}));
+        static_cast<std::int64_t>(ctx.state().NumRows(tick_));
+    ctx.mutable_state().Insert(Fact(tick_, {count}));
   }
   TryOutput(ctx);
 }
 
 void FragileCountingBarrierProgram::TryOutput(NodeContext& ctx) {
-  if (ctx.state().FactsOf(tick_).size() < ctx.NetworkSize()) return;
+  if (ctx.state().NumRows(tick_) < ctx.NetworkSize()) return;
   Instance data;
   for (const Fact& f : ctx.state().AllFacts()) {
     if (f.relation != done_ && f.relation != tick_) data.Insert(f);
@@ -259,21 +232,13 @@ void FragileCountingBarrierProgram::TryOutput(NodeContext& ctx) {
 // ---------------------------------------------------------------------------
 
 void PolicyAwareNegationProgram::OnStart(NodeContext& ctx) {
-  Message everything = ctx.state().AllFacts();
-  if (!everything.empty()) ctx.Broadcast(std::move(everything));
+  ctx.BroadcastState();
   TryOutput(ctx);
 }
 
 void PolicyAwareNegationProgram::OnReceive(NodeContext& ctx,
                                            const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
-    }
-  }
-  if (changed) TryOutput(ctx);
+  if (ctx.InsertMessage(message)) TryOutput(ctx);
 }
 
 void PolicyAwareNegationProgram::TryOutput(NodeContext& ctx) {
@@ -329,23 +294,16 @@ bool EconomicalBroadcastProgram::IsRelevant(const Fact& fact) const {
 
 void EconomicalBroadcastProgram::OnStart(NodeContext& ctx) {
   Message relevant;
-  for (const Fact& f : ctx.state().AllFacts()) {
-    if (IsRelevant(f)) relevant.push_back(f);
-  }
+  ctx.state().ForEachFact([this, &relevant](const Fact& f) {
+    if (IsRelevant(f)) relevant.Append(transport::RowRef::Of(f));
+  });
   if (!relevant.empty()) ctx.Broadcast(std::move(relevant));
   EvaluateAndOutput(ctx);
 }
 
 void EconomicalBroadcastProgram::OnReceive(NodeContext& ctx,
                                            const Message& message) {
-  bool changed = false;
-  for (const Fact& f : message) {
-    if (!ctx.state().Contains(f)) {
-      ctx.InsertState(f);
-      changed = true;
-    }
-  }
-  if (changed) EvaluateAndOutput(ctx);
+  if (ctx.InsertMessage(message)) EvaluateAndOutput(ctx);
 }
 
 void EconomicalBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {

@@ -2,10 +2,11 @@
 #define LAMP_NET_TRANSDUCER_H_
 
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "distribution/policy.h"
 #include "relational/instance.h"
+#include "transport/wire.h"
 
 /// \file
 /// Relational transducer networks (Section 5.1 of the paper).
@@ -22,11 +23,15 @@ namespace lamp {
 
 /// A message: one batch of facts broadcast atomically. (The formal model
 /// allows arbitrary message content; batching lets a program send "all my
-/// facts about value a" as one unit.)
-using Message = std::vector<Fact>;
+/// facts about value a" as one unit.) It is a row batch — a relation and
+/// arity per fact plus one flat value buffer — the same FactRows a kMessage
+/// frame decodes into, so queueing or copying one costs two buffers, not
+/// one heap vector per fact. Iterate it as RowRefs; build one with Append
+/// (one row) or AppendAll (every row of an instance).
+using Message = transport::FactRows;
 
 /// The interface a program uses during a transition. Provided by the
-/// network runner. State writes (InsertState, mutable_state) and Output
+/// network runner. State writes (mutable_state, InsertMessage) and Output
 /// take effect immediately; only Broadcast is deferred: the runner
 /// dispatches the recorded messages after the transition returns.
 class NodeContext {
@@ -50,9 +55,6 @@ class NodeContext {
   /// (state, input).
   virtual Instance& mutable_state() = 0;
 
-  /// Adds a fact to the relational state.
-  virtual void InsertState(const Fact& fact) = 0;
-
   /// Emits a fact to the write-only output relation (never retracted).
   virtual void Output(const Fact& fact) = 0;
 
@@ -63,6 +65,24 @@ class NodeContext {
   /// Policy-aware programs may only query facts over their local active
   /// domain (the runner does not enforce this; programs are ours).
   virtual const DistributionPolicy* policy() const = 0;
+
+  /// Inserts every fact of \p message into the state; true when any of
+  /// them was new.
+  bool InsertMessage(const Message& message) {
+    Instance& state = mutable_state();
+    bool changed = false;
+    for (const transport::RowRef row : message) {
+      if (state.InsertRow(row.relation, row.row, row.arity)) changed = true;
+    }
+    return changed;
+  }
+
+  /// Broadcasts the whole state as one message (nothing when it is empty).
+  void BroadcastState() {
+    Message everything;
+    everything.AppendAll(state());
+    if (!everything.empty()) Broadcast(std::move(everything));
+  }
 };
 
 /// A transducer program: the transition function every node runs.

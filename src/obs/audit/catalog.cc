@@ -157,14 +157,14 @@ Catalog BuildCatalog(const Schema& schema, const Instance& instance,
       sketches.emplace_back(options.sketch_capacity);
     }
     if (rel < instance.NumRelationIds()) {
-      for (const Fact& f : instance.FactsOf(rel)) {
+      instance.ForEachFactOf(rel, [&](const Fact& f) {
         ++stats.cardinality;
         for (std::size_t c = 0; c < arity && c < f.args.size(); ++c) {
           distinct[c].insert(f.args[c].v);
           value_bytes[c] += transport::ZigzagSize(f.args[c].v);
           sketches[c].Observe(f.args[c].v);
         }
-      }
+      });
     }
     for (std::size_t c = 0; c < arity; ++c) {
       ColumnStats cstats;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,11 +19,12 @@
 /// Storage layout (DESIGN.md "Storage layout"): instances are *column
 /// major*. Each relation owns one flat arity-strided `std::vector<Value>`
 /// of rows plus an open-addressing hash index of row ids — no per-fact
-/// heap allocation and no duplicate fact storage. `Fact`-shaped accessors
-/// (`FactsOf`, `AllFacts`, `ForEachFact`) are compatibility views that
-/// materialise facts on the fly; hot paths use the row API (`RowsOf`,
-/// `InsertRow`, `ContainsRow`, `ForEachRow`) and touch the flat storage
-/// directly. Iteration order within a relation is insertion order, which
+/// heap allocation and no duplicate fact storage. Hot paths use the row
+/// API (`RowsOf`, `NumRows`, `InsertRow`, `ContainsRow`, `ForEachRow`) and
+/// touch the flat storage directly. The `Fact`-shaped accessors
+/// (`AllFacts`, `ForEachFact`, `ForEachFactOf`) materialise facts on the
+/// fly for parsers, tests and fact-at-a-time callers; they stay because
+/// the end-to-end benchmark (benchmark/lamp_benchmark.cc) calls them. Iteration order within a relation is insertion order, which
 /// keeps runs deterministic and digests byte-identical to the row-oriented
 /// predecessor.
 
@@ -42,54 +42,6 @@ struct RowsView {
   const Value* Row(std::size_t i) const { return data + i * arity; }
   std::size_t size() const { return num_rows; }
   bool empty() const { return num_rows == 0; }
-};
-
-/// A compatibility view over one relation that yields `Fact`s. Iteration
-/// materialises each fact on the fly (one heap allocation per yielded
-/// fact) — hot loops iterate rows via RowsView / ForEachRow instead.
-class FactsView {
- public:
-  class Iterator {
-   public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = Fact;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Fact*;
-    using reference = Fact;
-
-    Iterator(const FactsView* view, std::size_t i) : view_(view), i_(i) {}
-    Fact operator*() const { return (*view_)[i_]; }
-    Iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    friend bool operator==(const Iterator& a, const Iterator& b) {
-      return a.i_ == b.i_;
-    }
-    friend bool operator!=(const Iterator& a, const Iterator& b) {
-      return a.i_ != b.i_;
-    }
-
-   private:
-    const FactsView* view_;
-    std::size_t i_;
-  };
-
-  FactsView() = default;
-  explicit FactsView(RowsView rows) : rows_(rows) {}
-
-  std::size_t size() const { return rows_.num_rows; }
-  bool empty() const { return rows_.num_rows == 0; }
-  Fact operator[](std::size_t i) const {
-    const Value* row = rows_.Row(i);
-    return Fact(rows_.relation, std::vector<Value>(row, row + rows_.arity));
-  }
-  Iterator begin() const { return Iterator(this, 0); }
-  Iterator end() const { return Iterator(this, rows_.num_rows); }
-  const RowsView& rows() const { return rows_; }
-
- private:
-  RowsView rows_;
 };
 
 /// A persistent hash index of one relation's rows keyed on a subset of
@@ -200,14 +152,6 @@ class Instance {
     return relation < by_relation_.size() ? by_relation_[relation].arity : 0;
   }
 
-  /// Facts of one relation (empty if the relation never occurred), as a
-  /// materialising compatibility view: `for (const Fact& f : FactsOf(r))`
-  /// works unchanged but allocates one fact per iteration. Hot loops use
-  /// RowsOf / ForEachRow.
-  FactsView FactsOf(RelationId relation) const {
-    return FactsView(RowsOf(relation));
-  }
-
   /// All facts, in (relation, insertion) order. Materialises a copy —
   /// hot paths iterate with ForEachFact / ForEachRow instead.
   std::vector<Fact> AllFacts() const;
@@ -282,7 +226,7 @@ class Instance {
   const JoinIndex& IndexOn(RelationId relation, std::uint64_t mask,
                            std::size_t* rows_indexed = nullptr) const;
 
-  /// One past the largest RelationId ever inserted (the FactsOf range a
+  /// One past the largest RelationId ever inserted (the range a
   /// per-relation sweep has to cover).
   RelationId NumRelationIds() const {
     return static_cast<RelationId>(by_relation_.size());

@@ -47,9 +47,9 @@ std::vector<AtomEstimate> Estimator::InitialAtoms() const {
     est.cardinality =
         stats == nullptr ? 0.0 : static_cast<double>(stats->cardinality);
     est.effective = est.cardinality;
-    // One encoded fact on the wire: relation varint + arity varint + one
+    // One encoded row on the wire: relation varint + arity varint + one
     // zigzag varint per column at the column's catalog mean width
-    // (lamp.wire.v1 PutFact; frame overhead is amortized per batch and
+    // (lamp.wire.v1 PutRow; frame overhead is amortized per batch and
     // excluded here).
     est.fact_bytes =
         static_cast<double>(transport::VarintSize(atom.relation) +

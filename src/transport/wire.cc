@@ -81,18 +81,6 @@ std::optional<std::int64_t> WireReader::ReadZigzag() {
   return ZigzagDecode(*z);
 }
 
-void PutFact(std::vector<std::uint8_t>& out, const Fact& fact) {
-  PutVarint(out, fact.relation);
-  PutVarint(out, fact.args.size());
-  for (const Value arg : fact.args) PutZigzag(out, arg.v);
-}
-
-std::size_t EncodedFactSize(const Fact& fact) {
-  std::size_t n = VarintSize(fact.relation) + VarintSize(fact.args.size());
-  for (const Value arg : fact.args) n += ZigzagSize(arg.v);
-  return n;
-}
-
 void PutRow(std::vector<std::uint8_t>& out, const RowRef& row) {
   PutVarint(out, row.relation);
   PutVarint(out, row.arity);
@@ -109,22 +97,42 @@ std::size_t EncodedRowSize(const RowRef& row) {
   return n;
 }
 
-std::optional<Fact> ReadFact(WireReader& reader) {
-  const std::optional<std::uint64_t> relation = reader.ReadVarint();
-  const std::optional<std::uint64_t> arity = reader.ReadVarint();
-  if (!relation || !arity || *relation > kMaxId) return std::nullopt;
-  // An arity beyond the remaining bytes cannot be satisfied (each argument
-  // takes at least one byte); bail before reserving absurd capacities.
-  if (*arity > reader.remaining()) return std::nullopt;
-  Fact fact;
-  fact.relation = static_cast<RelationId>(*relation);
-  fact.args.reserve(*arity);
-  for (std::uint64_t i = 0; i < *arity; ++i) {
-    const std::optional<std::int64_t> arg = reader.ReadZigzag();
-    if (!arg) return std::nullopt;
-    fact.args.emplace_back(*arg);
+void FactRows::AppendAll(const Instance& instance) {
+  for (RelationId rel = 0; rel < instance.RelationBound(); ++rel) {
+    const RowsView rows = instance.RowsOf(rel);
+    if (rows.empty()) continue;
+    shapes_.insert(shapes_.end(), rows.num_rows,
+                   Shape{rel, static_cast<std::uint32_t>(rows.arity)});
+    values_.insert(values_.end(), rows.data,
+                   rows.data + rows.num_rows * rows.arity);
   }
-  return fact;
+}
+
+bool FactRows::Read(WireReader& reader) {
+  const auto count = reader.ReadVarint();
+  // Every row takes at least two bytes (relation, arity) and every value
+  // at least one, so neither the count nor the total value volume can
+  // exceed what is left: both reservations below are bounded by the
+  // payload's own size, and the value buffer never reallocates.
+  if (!count || *count > reader.remaining() / 2) return false;
+  shapes_.reserve(shapes_.size() + *count);
+  values_.reserve(values_.size() + reader.remaining() - 2 * *count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    const auto relation = reader.ReadVarint();
+    const auto arity = reader.ReadVarint();
+    if (!relation || !arity || *relation > kMaxId || *arity > kMaxId ||
+        *arity > reader.remaining()) {
+      return false;
+    }
+    shapes_.push_back({static_cast<RelationId>(*relation),
+                       static_cast<std::uint32_t>(*arity)});
+    for (std::uint64_t k = 0; k < *arity; ++k) {
+      const auto arg = reader.ReadZigzag();
+      if (!arg) return false;
+      values_.emplace_back(*arg);
+    }
+  }
+  return true;
 }
 
 std::vector<std::uint8_t> EncodeHelloPayload(std::uint64_t rank,
@@ -187,45 +195,23 @@ std::optional<FactBatchPayload> DecodeFactBatchPayload(
     const std::vector<std::uint8_t>& payload) {
   WireReader reader(payload);
   const auto round = reader.ReadVarint();
-  const auto count = reader.ReadVarint();
-  // Every row takes at least two bytes (relation, arity) and every value
-  // at least one, so neither the count nor the total value volume can
-  // exceed what is left: both reservations below are bounded by the
-  // payload's own size, and the value buffer never reallocates.
-  if (!round || !count || *count > reader.remaining() / 2) return std::nullopt;
+  if (!round) return std::nullopt;
   FactBatchPayload batch;
   batch.round = *round;
-  FactRows& rows = batch.facts;
-  rows.shapes_.reserve(*count);
-  rows.values_.reserve(reader.remaining() - 2 * *count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto relation = reader.ReadVarint();
-    const auto arity = reader.ReadVarint();
-    if (!relation || !arity || *relation > kMaxId || *arity > kMaxId ||
-        *arity > reader.remaining()) {
-      return std::nullopt;
-    }
-    rows.shapes_.push_back({static_cast<RelationId>(*relation),
-                            static_cast<std::uint32_t>(*arity)});
-    for (std::uint64_t k = 0; k < *arity; ++k) {
-      const auto arg = reader.ReadZigzag();
-      if (!arg) return std::nullopt;
-      rows.values_.emplace_back(*arg);
-    }
-  }
-  if (!reader.AtEnd()) return std::nullopt;
+  if (!batch.facts.Read(reader) || !reader.AtEnd()) return std::nullopt;
   return batch;
 }
 
-std::vector<std::uint8_t> EncodeMessagePayload(
-    std::uint64_t seq, std::uint64_t depth, std::uint32_t parent,
-    const std::vector<Fact>& facts) {
+std::vector<std::uint8_t> EncodeMessagePayload(std::uint64_t seq,
+                                               std::uint64_t depth,
+                                               std::uint32_t parent,
+                                               const FactRows& facts) {
   std::vector<std::uint8_t> payload;
   PutVarint(payload, seq);
   PutVarint(payload, depth);
   PutVarint(payload, parent);
   PutVarint(payload, facts.size());
-  for (const Fact& fact : facts) PutFact(payload, fact);
+  for (const RowRef row : facts) PutRow(payload, row);
   return payload;
 }
 
@@ -235,22 +221,12 @@ std::optional<MessagePayload> DecodeMessagePayload(
   const auto seq = reader.ReadVarint();
   const auto depth = reader.ReadVarint();
   const auto parent = reader.ReadVarint();
-  const auto count = reader.ReadVarint();
-  if (!seq || !depth || !parent || !count || *parent > kMaxId ||
-      *count > payload.size()) {
-    return std::nullopt;
-  }
+  if (!seq || !depth || !parent || *parent > kMaxId) return std::nullopt;
   MessagePayload msg;
   msg.seq = *seq;
   msg.depth = *depth;
   msg.parent = static_cast<std::uint32_t>(*parent);
-  msg.facts.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    std::optional<Fact> fact = ReadFact(reader);
-    if (!fact) return std::nullopt;
-    msg.facts.push_back(*std::move(fact));
-  }
-  if (!reader.AtEnd()) return std::nullopt;
+  if (!msg.facts.Read(reader) || !reader.AtEnd()) return std::nullopt;
   return msg;
 }
 
@@ -295,6 +271,15 @@ std::size_t FrameWireSize(const WireFrame& frame) {
 std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
                                std::size_t payload_bytes) {
   return 4 + 2 + VarintSize(from) + VarintSize(to) + payload_bytes;
+}
+
+std::size_t MessageFrameSize(std::uint32_t from, std::uint32_t to,
+                             std::uint64_t seq, std::uint64_t depth,
+                             std::uint32_t parent, const FactRows& facts) {
+  std::size_t payload = VarintSize(seq) + VarintSize(depth) +
+                        VarintSize(parent) + VarintSize(facts.size());
+  for (const RowRef row : facts) payload += EncodedRowSize(row);
+  return FactBatchFrameSize(from, to, payload);
 }
 
 void FrameDecoder::Feed(const std::uint8_t* data, std::size_t size) {

@@ -7,7 +7,6 @@
 #include <optional>
 #include <vector>
 
-#include "relational/fact.h"
 #include "relational/instance.h"
 
 /// \file
@@ -30,12 +29,12 @@
 /// Payload conventions per frame type:
 ///  * kHello      — varint rank, varint seed (handshake; the multi-process
 ///                  runner's ring seed exchange reuses it).
-///  * kFactBatch  — varint round, varint count, then `count` facts. One
-///                  batch is everything `from` routes to `to` in one MPC
+///  * kFactBatch  — varint round, then rows (below). One batch is
+///                  everything `from` routes to `to` in one MPC
 ///                  communication phase (batched sends, possibly empty).
 ///  * kMessage    — varint seq, varint causal depth, varint parent
-///                  transition (+1), varint count, then `count` facts: one
-///                  transducer broadcast copy addressed to `to`.
+///                  transition (+1), then rows (below): one transducer
+///                  broadcast copy addressed to `to`.
 ///  * kStats      — varint round, varint received, varint wire bytes
 ///                  (a worker reporting measured loads upstream).
 ///  * kShutdown   — empty payload; orderly channel teardown.
@@ -50,8 +49,10 @@
 ///                  decoders that predate the type skip it (see
 ///                  FrameDecoder::unknown_skipped).
 ///
-/// A fact is encoded as varint relation, varint arity, then zigzag varint
-/// per argument.
+/// Both data payloads end in the same row list: varint count, then per
+/// fact (one row) varint relation, varint arity and a zigzag varint per
+/// value. Encoders take rows (RowRef, FactRows) and both decoders share one
+/// validated row reader that yields a FactRows, so there is one fact codec.
 
 namespace lamp::transport {
 
@@ -121,33 +122,100 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-// --- facts --------------------------------------------------------------
-
-/// Appends one encoded fact to \p out.
-void PutFact(std::vector<std::uint8_t>& out, const Fact& fact);
-
-/// Bytes PutFact would append for \p fact.
-std::size_t EncodedFactSize(const Fact& fact);
+// --- rows ---------------------------------------------------------------
 
 /// A borrowed reference to one fact in columnar storage: the relation plus
-/// \p arity values at \p row. Valid while the owning instance is not
-/// mutated. Encodes byte-identically to the Fact it denotes.
+/// \p arity values at \p row. Valid while the owning storage (an Instance
+/// or a FactRows) is not mutated.
 struct RowRef {
   RelationId relation = 0;
   const Value* row = nullptr;
   std::uint32_t arity = 0;
+
+  /// The row of \p fact (valid while \p fact is not mutated).
+  static RowRef Of(const Fact& fact) {
+    return {fact.relation, fact.args.data(),
+            static_cast<std::uint32_t>(fact.args.size())};
+  }
 };
 
-/// Appends one encoded fact given as a columnar row (same encoding as
-/// PutFact).
+/// Appends one encoded row: varint relation, varint arity, then a zigzag
+/// varint per value.
 void PutRow(std::vector<std::uint8_t>& out, const RowRef& row);
 
 /// Bytes PutRow would append for \p row.
 std::size_t EncodedRowSize(const RowRef& row);
 
-/// Decodes one fact; nullopt on malformed input, a relation beyond 32 bits
-/// included.
-std::optional<Fact> ReadFact(WireReader& reader);
+/// A batch of facts stored flat: a relation and arity per row plus one
+/// buffer holding every row's values back to back. It is what both data
+/// payloads decode into and what a transducer Message is. Iterating yields
+/// RowRefs into the value buffer (valid until the next append), ready for
+/// Instance::InsertRow or PutRow; a copy is two buffer copies, not one
+/// allocation per fact.
+class FactRows {
+ public:
+  struct Shape {
+    RelationId relation = 0;
+    std::uint32_t arity = 0;
+  };
+
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RowRef;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const RowRef*;
+    using reference = RowRef;
+
+    Iterator(const Shape* shape, const Value* values)
+        : shape_(shape), values_(values) {}
+    RowRef operator*() const {
+      return RowRef{shape_->relation, values_, shape_->arity};
+    }
+    Iterator& operator++() {
+      values_ += shape_->arity;
+      ++shape_;
+      return *this;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.shape_ == b.shape_;
+    }
+    friend bool operator!=(const Iterator& a, const Iterator& b) {
+      return !(a == b);
+    }
+
+   private:
+    const Shape* shape_;
+    const Value* values_;
+  };
+
+  std::size_t size() const { return shapes_.size(); }
+  bool empty() const { return shapes_.empty(); }
+  Iterator begin() const { return {shapes_.data(), values_.data()}; }
+  Iterator end() const {
+    return {shapes_.data() + shapes_.size(), values_.data() + values_.size()};
+  }
+
+  /// Appends a copy of \p row (which must not point into this batch).
+  void Append(const RowRef& row) {
+    shapes_.push_back({row.relation, row.arity});
+    values_.insert(values_.end(), row.row, row.row + row.arity);
+  }
+
+  /// Appends every row of \p instance in (relation, insertion) order.
+  void AppendAll(const Instance& instance);
+
+  /// Appends the row list at \p reader: varint count, then `count` rows.
+  /// False on any malformation: truncation, a malformed varint, a relation
+  /// or arity beyond 32 bits, or a count or arity the remaining bytes
+  /// cannot hold (each row takes at least two bytes and each value one,
+  /// checked before anything is reserved).
+  bool Read(WireReader& reader);
+
+ private:
+  std::vector<Shape> shapes_;
+  std::vector<Value> values_;
+};
 
 // --- payload builders ---------------------------------------------------
 
@@ -194,89 +262,31 @@ std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
 std::vector<std::uint8_t> EncodeFactBatchPayload(
     std::uint64_t round, const std::vector<RowRef>& rows);
 
-struct FactBatchPayload;
-
-/// Decodes and fully validates a kFactBatch payload; nullopt on any
-/// malformation: truncation, a malformed varint, a relation or arity
-/// beyond 32 bits, a count or arity the remaining bytes cannot hold
-/// (checked before anything is allocated), or trailing bytes. Whatever it
-/// accepts re-encodes to exactly \p payload. Two allocations per batch,
-/// none per row.
-std::optional<FactBatchPayload> DecodeFactBatchPayload(
-    const std::vector<std::uint8_t>& payload);
-
-/// The rows of a decoded fact batch, in payload order and stored flat: a
-/// relation and arity per row plus one buffer holding every row's values
-/// back to back. Iterating yields RowRefs into that buffer (valid while
-/// the FactRows lives), ready for Instance::InsertRow.
-class FactRows {
- public:
-  struct Shape {
-    RelationId relation = 0;
-    std::uint32_t arity = 0;
-  };
-
-  class Iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = RowRef;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const RowRef*;
-    using reference = RowRef;
-
-    Iterator(const Shape* shape, const Value* values)
-        : shape_(shape), values_(values) {}
-    RowRef operator*() const {
-      return RowRef{shape_->relation, values_, shape_->arity};
-    }
-    Iterator& operator++() {
-      values_ += shape_->arity;
-      ++shape_;
-      return *this;
-    }
-    friend bool operator==(const Iterator& a, const Iterator& b) {
-      return a.shape_ == b.shape_;
-    }
-    friend bool operator!=(const Iterator& a, const Iterator& b) {
-      return !(a == b);
-    }
-
-   private:
-    const Shape* shape_;
-    const Value* values_;
-  };
-
-  std::size_t size() const { return shapes_.size(); }
-  bool empty() const { return shapes_.empty(); }
-  Iterator begin() const { return {shapes_.data(), values_.data()}; }
-  Iterator end() const {
-    return {shapes_.data() + shapes_.size(), values_.data() + values_.size()};
-  }
-
- private:
-  friend std::optional<FactBatchPayload> DecodeFactBatchPayload(
-      const std::vector<std::uint8_t>& payload);
-  std::vector<Shape> shapes_;
-  std::vector<Value> values_;
-};
-
 struct FactBatchPayload {
   std::uint64_t round = 0;
   FactRows facts;
 };
 
+/// Decodes and fully validates a kFactBatch payload; nullopt on any
+/// malformation: a bad round varint, a row list FactRows::Read rejects, or
+/// trailing bytes. Whatever it accepts re-encodes to exactly \p payload.
+/// Two allocations per batch, none per row.
+std::optional<FactBatchPayload> DecodeFactBatchPayload(
+    const std::vector<std::uint8_t>& payload);
+
 /// kMessage payload: one transducer broadcast copy plus its causal
 /// bookkeeping (depth, parent transition + 1; see net/network.cc). The
-/// decoder rejects a parent or relation beyond 32 bits.
+/// decoder validates like DecodeFactBatchPayload and also rejects a parent
+/// beyond 32 bits.
 std::vector<std::uint8_t> EncodeMessagePayload(std::uint64_t seq,
                                                std::uint64_t depth,
                                                std::uint32_t parent,
-                                               const std::vector<Fact>& facts);
+                                               const FactRows& facts);
 struct MessagePayload {
   std::uint64_t seq = 0;
   std::uint64_t depth = 0;
   std::uint32_t parent = 0;
-  std::vector<Fact> facts;
+  FactRows facts;
 };
 std::optional<MessagePayload> DecodeMessagePayload(
     const std::vector<std::uint8_t>& payload);
@@ -305,6 +315,13 @@ std::size_t FrameWireSize(const WireFrame& frame);
 /// backend uses to account wire bytes without encoding anything.
 std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
                                std::size_t payload_bytes);
+
+/// On-wire bytes of the kMessage frame carrying EncodeMessagePayload(seq,
+/// depth, parent, facts) from \p from to \p to, computed without encoding
+/// (the in-process transducer network's wire-byte accounting).
+std::size_t MessageFrameSize(std::uint32_t from, std::uint32_t to,
+                             std::uint64_t seq, std::uint64_t depth,
+                             std::uint32_t parent, const FactRows& facts);
 
 /// Incremental frame decoder for a byte stream: Feed() arbitrary chunks,
 /// Next() yields completed frames in order. Malformed input (bad version,

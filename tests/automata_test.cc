@@ -104,10 +104,10 @@ TEST_F(AutomataTest, StreamingSemijoinMatchesSetSemantics) {
 
   Instance expected;
   std::set<Value> keys;
-  for (const Fact& f : db.FactsOf(s_)) keys.insert(f.args[0]);
-  for (const Fact& f : db.FactsOf(r_)) {
+  db.ForEachFactOf(s_, [&](const Fact& f) { keys.insert(f.args[0]); });
+  db.ForEachFactOf(r_, [&](const Fact& f) {
     if (keys.count(f.args[1]) > 0) expected.Insert(f);
-  }
+  });
   EXPECT_EQ(streamed, expected);
 }
 
@@ -121,7 +121,7 @@ TEST_F(AutomataTest, StreamingAntiSemijoinIsComplement) {
   const Instance misses =
       RunJob(StreamingAntiSemijoin(schema_, r_, 1, s_, 0), db);
   // Partition of R.
-  EXPECT_EQ(hits.Size() + misses.Size(), db.FactsOf(r_).size());
+  EXPECT_EQ(hits.Size() + misses.Size(), db.NumRows(r_));
   for (const Fact& f : hits.AllFacts()) EXPECT_FALSE(misses.Contains(f));
 }
 

@@ -51,7 +51,7 @@ TEST_F(ComponentsTest, TransitiveClosureDistributes) {
   QueryFunction q = [&schema, &prog, tc](const Instance& edb) {
     const Instance everything = EvaluateProgram(schema, prog, edb);
     Instance out;
-    for (const Fact& f : everything.FactsOf(tc)) out.Insert(f);
+    everything.ForEachFactOf(tc, [&](const Fact& f) { out.Insert(f); });
     return out;
   };
   EXPECT_FALSE(FindComponentDistributionViolation(schema, {schema.IdOf("E")},
@@ -71,7 +71,7 @@ TEST_F(ComponentsTest, ComplementTcDoesNotDistribute) {
   QueryFunction q = [&schema, &prog, out_rel](const Instance& edb) {
     const Instance everything = EvaluateProgram(schema, prog, edb);
     Instance out;
-    for (const Fact& f : everything.FactsOf(out_rel)) out.Insert(f);
+    everything.ForEachFactOf(out_rel, [&](const Fact& f) { out.Insert(f); });
     return out;
   };
   Instance two_components;

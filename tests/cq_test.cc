@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.h"
 #include "cq/cq.h"
 #include "cq/parser.h"
 #include "cq/valuation.h"
@@ -122,6 +125,91 @@ TEST(Valuation, SatisfiesChecksBodyInequalityAndNegation) {
   missing.Bind(q.VarIdOf("x"), Value(2));
   missing.Bind(q.VarIdOf("y"), Value(1));
   EXPECT_FALSE(missing.Satisfies(q, inst));  // E(2,1) absent.
+}
+
+// --- seeded mutation test of the untrusted-input parser ------------------
+
+// TryParseQuery's contract on arbitrary text: no abort, and either an
+// error message or a query whose rendering is a fixed point of
+// parse-then-render. Returns whether \p text parsed.
+bool ExpectParsedOrReported(const std::string& text) {
+  Schema schema;
+  const CqParseResult parsed = TryParseQuery(schema, text);
+  EXPECT_EQ(parsed.ok(), parsed.error.empty()) << text;
+  if (!parsed.ok()) return false;
+  const std::string rendered = parsed.query->ToString(schema);
+  Schema again;
+  const CqParseResult reparsed = TryParseQuery(again, rendered);
+  EXPECT_TRUE(reparsed.ok()) << text << " rendered as " << rendered;
+  if (reparsed.ok()) {
+    EXPECT_EQ(reparsed.query->ToString(again), rendered) << text;
+  }
+  return true;
+}
+
+TEST(ParserFuzzTest, TryParseQuerySurvivesMutations) {
+  // Every grammar item: both arrows, negation, inequalities, constants of
+  // either sign and at the 64-bit edge, repeated variables, a nullary head.
+  const std::string seeds[] = {
+      "H(x,y,z) <- R(x,y), S(y,z), T(z,x)",
+      "Q(x) :- E(x,y), !F(y, 3), x != -12",
+      "B() <- R(x, 9223372036854775807), S(x), 1 != x",
+      "H(x1,x3) :- R(x1,x2), R(x2,x3), !R(x3,x1), x1 != x3",
+  };
+  // Bytes that change a query's structure.
+  const std::string structural = "(),!=<-: x1_9";
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto visit = [&](const std::string& text) {
+    ++(ExpectParsedOrReported(text) ? accepted : rejected);
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const auto any_byte = [&] {
+      return rng.Uniform(2) == 0
+                 ? structural[rng.Uniform(structural.size())]
+                 : static_cast<char>(rng.Uniform(256));
+    };
+    for (const std::string& query : seeds) {
+      EXPECT_TRUE(ExpectParsedOrReported(query)) << query;
+      for (std::size_t at = 0; at < query.size(); ++at) {
+        visit(query.substr(0, at));                    // Truncation.
+        visit(query.substr(0, at) + query.substr(at + 1));  // Deletion.
+        std::string text = query;
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                    any_byte());
+        visit(text);  // Insertion.
+        for (int k = 0; k < 4; ++k) {
+          text = query;
+          text[at] = any_byte();
+          visit(text);  // Byte flip.
+        }
+      }
+      // Several edits at once.
+      for (int round = 0; round < 200; ++round) {
+        std::string text = query;
+        for (std::size_t edits = 1 + rng.Uniform(4); edits > 0; --edits) {
+          const std::size_t at = rng.Uniform(text.size() + 1);
+          switch (rng.Uniform(3)) {
+            case 0:
+              text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                          any_byte());
+              break;
+            case 1:
+              if (at < text.size()) text.erase(at, 1);
+              break;
+            default:
+              if (at < text.size()) text[at] = any_byte();
+              break;
+          }
+        }
+        visit(text);
+      }
+    }
+  }
+  // Both outcomes must have been exercised.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

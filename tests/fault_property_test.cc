@@ -47,9 +47,9 @@ TEST(FaultPropertyTest, MonotoneTcInvariantUnderRandomFaultPlans) {
   AddCycleGraph(schema, schema.IdOf("E"), 4, edges);
   const Instance everything = EvaluateProgram(schema, prog, edges);
   Instance expected;
-  for (const Fact& f : everything.FactsOf(schema.IdOf("TC"))) {
+  everything.ForEachFactOf(schema.IdOf("TC"), [&](const Fact& f) {
     expected.Insert(f);
-  }
+  });
 
   DistributedDatalogProgram program(schema, prog);
   const std::vector<Instance> locals = DistributeRoundRobin(edges, 4);
@@ -76,20 +76,12 @@ class RecomputingDatalogProgram : public TransducerProgram {
       : schema_(schema), program_(program), idb_(program.IdbRelations()) {}
 
   void OnStart(NodeContext& ctx) override {
-    Message base = ctx.state().AllFacts();
-    if (!base.empty()) ctx.Broadcast(std::move(base));
+    ctx.BroadcastState();
     DeriveAndShare(ctx);
   }
 
   void OnReceive(NodeContext& ctx, const Message& message) override {
-    bool changed = false;
-    for (const Fact& f : message) {
-      if (!ctx.state().Contains(f)) {
-        ctx.InsertState(f);
-        changed = true;
-      }
-    }
-    if (changed) DeriveAndShare(ctx);
+    if (ctx.InsertMessage(message)) DeriveAndShare(ctx);
   }
 
  private:
@@ -97,13 +89,10 @@ class RecomputingDatalogProgram : public TransducerProgram {
     const Instance everything =
         EvaluateProgram(schema_, program_, ctx.state());
     Message fresh;
-    for (const Fact& f : everything.AllFacts()) {
+    everything.ForEachFact([&](const Fact& f) {
       if (idb_.count(f.relation) > 0) ctx.Output(f);
-      if (!ctx.state().Contains(f)) {
-        ctx.InsertState(f);
-        fresh.push_back(f);
-      }
-    }
+      if (ctx.mutable_state().Insert(f)) fresh.Append(transport::RowRef::Of(f));
+    });
     if (!fresh.empty()) ctx.Broadcast(std::move(fresh));
   }
 
@@ -207,9 +196,9 @@ TEST(FaultPropertyTest, ClassifierReportsMonotoneProgramsConfluent) {
   AddPathGraph(schema, schema.IdOf("E"), 8, edges);
   const Instance everything = EvaluateProgram(schema, prog, edges);
   Instance expected;
-  for (const Fact& f : everything.FactsOf(schema.IdOf("TC"))) {
+  everything.ForEachFactOf(schema.IdOf("TC"), [&](const Fact& f) {
     expected.Insert(f);
-  }
+  });
 
   DistributedDatalogProgram program(schema, prog);
   std::vector<std::vector<Instance>> distributions = {

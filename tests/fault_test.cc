@@ -35,9 +35,9 @@ struct TcFixture {
                                   "TC(x,y) <- TC(x,z), E(z,y)")) {
     AddPathGraph(schema, schema.IdOf("E"), 8, edges);
     const Instance everything = EvaluateProgram(schema, prog, edges);
-    for (const Fact& f : everything.FactsOf(schema.IdOf("TC"))) {
+    everything.ForEachFactOf(schema.IdOf("TC"), [&](const Fact& f) {
       expected.Insert(f);
-    }
+    });
   }
 
   Schema schema;

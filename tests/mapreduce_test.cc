@@ -214,7 +214,8 @@ TEST_F(MapReduceTest, TcAgreesWithDatalogEngine) {
       schema, "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), E(z,y)");
   const Instance everything = EvaluateProgram(schema, prog, edges);
   Instance datalog_tc;
-  for (const Fact& f : everything.FactsOf(tc_rel)) datalog_tc.Insert(f);
+  everything.ForEachFactOf(tc_rel,
+                           [&](const Fact& f) { datalog_tc.Insert(f); });
   EXPECT_EQ(mr.closure, datalog_tc);
 }
 

@@ -79,7 +79,7 @@ TEST_F(HierarchyTest, ComplementTcIsNotDomainDistinctMonotone) {
   QueryFunction not_tc = [&schema, &prog, out](const Instance& edb) {
     const Instance everything = EvaluateProgram(schema, prog, edb);
     Instance result;
-    for (const Fact& f : everything.FactsOf(out)) result.Insert(f);
+    everything.ForEachFactOf(out, [&](const Fact& f) { result.Insert(f); });
     return result;
   };
   // The paper's witness, found automatically by the exhaustive search.
@@ -101,7 +101,7 @@ TEST_F(HierarchyTest, ComplementTcIsDomainDisjointMonotone) {
   QueryFunction not_tc = [&schema, &prog, out](const Instance& edb) {
     const Instance everything = EvaluateProgram(schema, prog, edb);
     Instance result;
-    for (const Fact& f : everything.FactsOf(out)) result.Insert(f);
+    everything.ForEachFactOf(out, [&](const Fact& f) { result.Insert(f); });
     return result;
   };
   EXPECT_FALSE(FindMonotonicityViolation(schema, {schema.IdOf("E")}, not_tc,
@@ -118,7 +118,7 @@ TEST_F(HierarchyTest, NoTriangleQueryIsNotDomainDisjointMonotone) {
   QueryFunction q_nt = [this, &strict_triangle](const Instance& edb) {
     Instance out;
     if (Evaluate(strict_triangle, edb).Empty()) {
-      for (const Fact& f : edb.FactsOf(e_)) out.Insert(f);
+      edb.ForEachFactOf(e_, [&](const Fact& f) { out.Insert(f); });
     }
     return out;
   };

@@ -177,7 +177,7 @@ TEST_F(NetTest, ComponentProgramComputesComplementOfTc) {
   NetQueryFunction not_tc = [&schema, &prog, out](const Instance& edb) {
     const Instance everything = EvaluateProgram(schema, prog, edb);
     Instance result;
-    for (const Fact& f : everything.FactsOf(out)) result.Insert(f);
+    everything.ForEachFactOf(out, [&](const Fact& f) { result.Insert(f); });
     return result;
   };
 
@@ -372,9 +372,9 @@ TEST_F(NetTest, DistributedDatalogComputesReachability) {
   AddPathGraph(schema, schema.IdOf("E"), 8, edges);
   const Instance everything = EvaluateProgram(schema, prog, edges);
   Instance expected;
-  for (const Fact& f : everything.FactsOf(schema.IdOf("TC"))) {
+  everything.ForEachFactOf(schema.IdOf("TC"), [&](const Fact& f) {
     expected.Insert(f);
-  }
+  });
 
   DistributedDatalogProgram program(schema, prog);
   std::vector<std::vector<Instance>> distributions = {
@@ -393,9 +393,9 @@ TEST_F(NetTest, DistributedDatalogIsCoordinationFree) {
   AddCycleGraph(schema, schema.IdOf("E"), 5, edges);
   const Instance everything = EvaluateProgram(schema, prog, edges);
   Instance expected;
-  for (const Fact& f : everything.FactsOf(schema.IdOf("TC"))) {
+  everything.ForEachFactOf(schema.IdOf("TC"), [&](const Fact& f) {
     expected.Insert(f);
-  }
+  });
   DistributedDatalogProgram program(schema, prog);
   EXPECT_TRUE(ComputesWithoutCommunication(
       program, DistributeReplicated(edges, 3), expected, nullptr,

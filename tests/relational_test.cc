@@ -58,8 +58,8 @@ TEST_F(RelationalTest, InstanceSetSemantics) {
   EXPECT_EQ(inst.Size(), 2u);
   EXPECT_TRUE(inst.Contains(Fact(r_, {1, 2})));
   EXPECT_FALSE(inst.Contains(Fact(r_, {2, 1})));
-  EXPECT_EQ(inst.FactsOf(r_).size(), 1u);
-  EXPECT_EQ(inst.FactsOf(u_).size(), 0u);
+  EXPECT_EQ(inst.NumRows(r_), 1u);
+  EXPECT_EQ(inst.NumRows(u_), 0u);
 }
 
 TEST_F(RelationalTest, InstanceEqualityIgnoresInsertionOrder) {
@@ -127,20 +127,20 @@ TEST_F(RelationalTest, UniformGeneratorProducesRequestedSize) {
   Rng rng(1);
   Instance inst;
   AddUniformRelation(schema_, r_, 500, 100, rng, inst);
-  EXPECT_EQ(inst.FactsOf(r_).size(), 500u);
-  for (const Fact& f : inst.FactsOf(r_)) {
+  EXPECT_EQ(inst.NumRows(r_), 500u);
+  inst.ForEachFactOf(r_, [&](const Fact& f) {
     EXPECT_GE(f.args[0].v, 0);
     EXPECT_LT(f.args[0].v, 100);
-  }
+  });
 }
 
 TEST_F(RelationalTest, ZipfGeneratorSkewsRequestedColumn) {
   Rng rng(2);
   Instance inst;
   AddZipfRelation(schema_, r_, 2000, 5000, 1.5, 0, rng, inst);
-  EXPECT_EQ(inst.FactsOf(r_).size(), 2000u);
+  EXPECT_EQ(inst.NumRows(r_), 2000u);
   std::map<std::int64_t, int> freq;
-  for (const Fact& f : inst.FactsOf(r_)) ++freq[f.args[0].v];
+  inst.ForEachFactOf(r_, [&](const Fact& f) { ++freq[f.args[0].v]; });
   // The hottest value should be a genuine heavy hitter.
   int max_freq = 0;
   for (const auto& [v, c] : freq) max_freq = std::max(max_freq, c);
@@ -151,32 +151,32 @@ TEST_F(RelationalTest, MatchingRelationHasNoRepeatsPerColumn) {
   Rng rng(3);
   Instance inst;
   AddMatchingRelation(schema_, r_, 100, 1000, rng, inst);
-  EXPECT_EQ(inst.FactsOf(r_).size(), 100u);
+  EXPECT_EQ(inst.NumRows(r_), 100u);
   std::set<std::int64_t> col0;
   std::set<std::int64_t> col1;
-  for (const Fact& f : inst.FactsOf(r_)) {
+  inst.ForEachFactOf(r_, [&](const Fact& f) {
     EXPECT_TRUE(col0.insert(f.args[0].v).second) << "repeat in column 0";
     EXPECT_TRUE(col1.insert(f.args[1].v).second) << "repeat in column 1";
-  }
+  });
 }
 
 TEST_F(RelationalTest, GraphGenerators) {
   Instance inst;
   AddPathGraph(schema_, r_, 5, inst);
-  EXPECT_EQ(inst.FactsOf(r_).size(), 4u);
+  EXPECT_EQ(inst.NumRows(r_), 4u);
   Instance cycle;
   AddCycleGraph(schema_, r_, 5, cycle);
-  EXPECT_EQ(cycle.FactsOf(r_).size(), 5u);
+  EXPECT_EQ(cycle.NumRows(r_), 5u);
   EXPECT_TRUE(cycle.Contains(Fact(r_, {4, 0})));
   Instance tri;
   AddTriangleClusters(schema_, r_, 3, 100, tri);
-  EXPECT_EQ(tri.FactsOf(r_).size(), 9u);
+  EXPECT_EQ(tri.NumRows(r_), 9u);
   EXPECT_TRUE(tri.Contains(Fact(r_, {102, 100})));
   Rng rng(4);
   Instance g;
   AddRandomGraph(schema_, r_, 50, 20, rng, g);
-  EXPECT_EQ(g.FactsOf(r_).size(), 50u);
-  for (const Fact& f : g.FactsOf(r_)) EXPECT_NE(f.args[0], f.args[1]);
+  EXPECT_EQ(g.NumRows(r_), 50u);
+  g.ForEachFactOf(r_, [&](const Fact& f) { EXPECT_NE(f.args[0], f.args[1]); });
 }
 
 

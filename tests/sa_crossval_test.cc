@@ -123,9 +123,9 @@ TEST(SaCrossvalTest, CertifiedMonotoneProgramIsConfluentUnderFaults) {
   const Instance everything =
       EvaluateProgram(a.schema, a.analysis.program, edges);
   Instance expected;
-  for (const Fact& f : everything.FactsOf(a.schema.IdOf("TC"))) {
+  everything.ForEachFactOf(a.schema.IdOf("TC"), [&](const Fact& f) {
     expected.Insert(f);
-  }
+  });
 
   DistributedDatalogProgram program(a.schema, a.analysis.program);
   const std::vector<std::vector<Instance>> distributions = {

@@ -20,12 +20,14 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
+#include "distribution/domain_guided.h"
 #include "mpc/hypercube_run.h"
 #include "mpc/join_strategies.h"
 #include "mpc/simulator.h"
@@ -224,22 +226,8 @@ RunDigest ReshuffleDigest(std::size_t p,
 
 // -------------------------------------------------- network digests --
 
-RunDigest NetworkDigest(std::uint64_t seed) {
-  Schema schema;
-  const RelationId e = schema.AddRelation("E", 2);
-  const ConjunctiveQuery triangle = ParseQuery(
-      schema, "H(x,y,z) <- E(x,y), E(y,z), E(z,x), x != y, y != z, x != z");
-  Rng rng(seed);
-  Instance graph;
-  AddRandomGraph(schema, e, /*edges=*/40, /*nodes=*/12, rng, graph);
-  AddTriangleClusters(schema, e, 2, 100, graph);
-
-  MonotoneBroadcastProgram program(
-      [&triangle](const Instance& instance) {
-        return Evaluate(triangle, instance);
-      });
-  TransducerNetwork net(DistributeRoundRobin(graph, 5), program);
-  const NetworkRunResult result = net.Run(seed);
+// Output, message/fact/transition counters and wire bytes of one run.
+RunDigest NetworkRunDigest(const NetworkRunResult& result) {
   RunDigest d;
   d.output = InstanceFingerprint(result.output);
   Fnv stats;
@@ -249,6 +237,53 @@ RunDigest NetworkDigest(std::uint64_t seed) {
   d.stats = stats.h;
   d.wire_bytes = result.wire_bytes();
   return d;
+}
+
+// A random graph plus two triangle clusters; \p e is its edge relation.
+Instance DigestGraph(Schema& schema, RelationId e, std::uint64_t seed) {
+  Rng rng(seed);
+  Instance graph;
+  AddRandomGraph(schema, e, /*edges=*/40, /*nodes=*/12, rng, graph);
+  AddTriangleClusters(schema, e, 2, 100, graph);
+  return graph;
+}
+
+// Every message carries facts of the one binary relation E.
+RunDigest NetworkDigest(std::uint64_t seed) {
+  Schema schema;
+  const RelationId e = schema.AddRelation("E", 2);
+  const ConjunctiveQuery triangle = ParseQuery(
+      schema, "H(x,y,z) <- E(x,y), E(y,z), E(z,x), x != y, y != z, x != z");
+  const Instance graph = DigestGraph(schema, e, seed);
+
+  MonotoneBroadcastProgram program(
+      [&triangle](const Instance& instance) {
+        return Evaluate(triangle, instance);
+      });
+  TransducerNetwork net(DistributeRoundRobin(graph, 5), program);
+  return NetworkRunDigest(net.Run(seed));
+}
+
+// Every message mixes arities: the binary E facts touching one owned
+// value plus that value's unary __complete marker (ComponentProgram under
+// a domain-guided policy).
+RunDigest ComponentNetworkDigest(std::uint64_t seed) {
+  Schema schema;
+  const RelationId e = schema.AddRelation("E", 2);
+  const ConjunctiveQuery triangle = ParseQuery(
+      schema, "H(x,y,z) <- E(x,y), E(y,z), E(z,x), x != y, y != z, x != z");
+  const Instance graph = DigestGraph(schema, e, seed);
+
+  ComponentProgram program(
+      [&triangle](const Instance& instance) {
+        return Evaluate(triangle, instance);
+      },
+      schema);
+  const DomainGuidedPolicy policy =
+      DomainGuidedPolicy::HashBased(4, graph.ActiveDomain(), seed);
+  TransducerNetwork net(DistributeByPolicy(graph, policy), program, &policy,
+                        /*aware=*/false);
+  return NetworkRunDigest(net.Run(seed));
 }
 
 // ------------------------------------------------------ batch sends --
@@ -483,15 +518,21 @@ TEST(TransportDeterminismTest, ThreadedMeshFoldsToInProcessDigests) {
 
 TEST(TransportDeterminismTest, NetworkDigestsIdenticalAcrossBackends) {
   BackendRestorer restore;
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    transport::SetActiveKind(transport::TransportKind::kInProcess);
-    const RunDigest reference = NetworkDigest(seed);
-    ASSERT_GT(reference.wire_bytes, 0u) << "seed " << seed;
-    for (transport::TransportKind kind : kBackends) {
-      transport::SetActiveKind(kind);
-      EXPECT_EQ(NetworkDigest(seed), reference)
-          << "backend " << transport::TransportKindName(kind) << " seed "
-          << seed;
+  for (const auto& [name, digest] :
+       {std::pair{"monotone broadcast", &NetworkDigest},
+        std::pair{"component", &ComponentNetworkDigest}}) {
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      transport::SetActiveKind(transport::TransportKind::kInProcess);
+      const RunDigest reference = digest(seed);
+      ASSERT_GT(reference.wire_bytes, 0u) << name << " seed " << seed;
+      ASSERT_NE(reference.output, InstanceFingerprint(Instance()))
+          << name << " seed " << seed;
+      for (transport::TransportKind kind : kBackends) {
+        transport::SetActiveKind(kind);
+        EXPECT_EQ(digest(seed), reference)
+            << name << " backend " << transport::TransportKindName(kind)
+            << " seed " << seed;
+      }
     }
   }
 }

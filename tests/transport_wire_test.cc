@@ -67,15 +67,19 @@ Fact RandomFact(Rng& rng) {
 // Borrowed rows denoting \p facts (valid while \p facts lives).
 std::vector<RowRef> RowsOf(const std::vector<Fact>& facts) {
   std::vector<RowRef> rows;
-  for (const Fact& f : facts) {
-    rows.push_back(
-        {f.relation, f.args.data(), static_cast<std::uint32_t>(f.args.size())});
-  }
+  for (const Fact& f : facts) rows.push_back(RowRef::Of(f));
   return rows;
 }
 
 Fact FactOf(const RowRef& row) {
   return Fact(row.relation, std::vector<Value>(row.row, row.row + row.arity));
+}
+
+// \p facts copied into one row batch (a transducer message).
+FactRows BatchOf(const std::vector<Fact>& facts) {
+  FactRows batch;
+  for (const RowRef& row : RowsOf(facts)) batch.Append(row);
+  return batch;
 }
 
 TEST(WireTest, VarintRoundTripAndSize) {
@@ -116,19 +120,46 @@ TEST(WireTest, ZigzagRoundTripAndSize) {
   }
 }
 
-TEST(WireTest, FactRoundTripProperty) {
+TEST(WireTest, RowListRoundTripProperty) {
   Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const Fact fact = RandomFact(rng);
+  for (int i = 0; i < 100; ++i) {
+    std::vector<Fact> facts;
+    for (std::size_t k = rng.Uniform(6); k > 0; --k) {
+      facts.push_back(RandomFact(rng));
+    }
     std::vector<std::uint8_t> buf;
-    PutFact(buf, fact);
-    EXPECT_EQ(buf.size(), EncodedFactSize(fact));
+    PutVarint(buf, facts.size());
+    std::size_t expected_size = VarintSize(facts.size());
+    for (const RowRef& row : RowsOf(facts)) {
+      PutRow(buf, row);
+      expected_size += EncodedRowSize(row);
+    }
+    EXPECT_EQ(buf.size(), expected_size);
     WireReader reader(buf);
-    const auto back = ReadFact(reader);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, fact);
+    FactRows back;
+    ASSERT_TRUE(back.Read(reader));
     EXPECT_TRUE(reader.AtEnd());
+    ASSERT_EQ(back.size(), facts.size());
+    std::size_t k = 0;
+    for (const RowRef row : back) EXPECT_EQ(FactOf(row), facts[k++]);
   }
+}
+
+TEST(WireTest, AppendAllTakesEveryRowInRelationOrder) {
+  Instance instance;
+  instance.Insert(Fact(3, {Value(7)}));
+  instance.Insert(Fact(1, {Value(1), Value(2)}));
+  instance.Insert(Fact(1, {Value(-4), Value(5)}));
+  instance.Insert(Fact(5, {}));
+  FactRows rows;
+  rows.Append(RowsOf({Fact(9, {Value(0)})})[0]);
+  rows.AppendAll(instance);
+  const std::vector<Fact> expected = {
+      Fact(9, {Value(0)}), Fact(1, {Value(1), Value(2)}),
+      Fact(1, {Value(-4), Value(5)}), Fact(3, {Value(7)}), Fact(5, {})};
+  ASSERT_EQ(rows.size(), expected.size());
+  std::size_t i = 0;
+  for (const RowRef row : rows) EXPECT_EQ(FactOf(row), expected[i++]);
 }
 
 TEST(WireTest, PayloadRoundTrips) {
@@ -170,17 +201,74 @@ TEST(WireTest, PayloadRoundTrips) {
   EXPECT_EQ(i, owned.size());
 
   const auto msg =
-      DecodeMessagePayload(EncodeMessagePayload(42, 7, 12345, owned));
+      DecodeMessagePayload(EncodeMessagePayload(42, 7, 12345, BatchOf(owned)));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->seq, 42u);
   EXPECT_EQ(msg->depth, 7u);
   EXPECT_EQ(msg->parent, 12345u);
-  EXPECT_EQ(msg->facts.size(), owned.size());
+  ASSERT_EQ(msg->facts.size(), owned.size());
+  i = 0;
+  for (const RowRef row : msg->facts) EXPECT_EQ(FactOf(row), owned[i++]);
 
   const auto stats = DecodeStatsPayload(EncodeStatsPayload(1, 999, 80000));
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->received, 999u);
   EXPECT_EQ(stats->wire_bytes, 80000u);
+}
+
+TEST(WireTest, MessageFrameSizeMatchesTheEncodedFrame) {
+  Rng rng(10);
+  const auto id = [&rng] {
+    return static_cast<std::uint32_t>(rng.Uniform(2) == 0 ? rng.Uniform(300)
+                                                          : rng.Next() >> 32);
+  };
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Fact> facts;
+    for (std::size_t k = rng.Uniform(6); k > 0; --k) {
+      facts.push_back(RandomFact(rng));
+    }
+    const FactRows batch = BatchOf(facts);
+    const std::uint32_t from = id();
+    const std::uint32_t to = id();
+    const std::uint64_t seq = rng.Next() >> rng.Uniform(64);
+    const std::uint64_t depth = rng.Uniform(100);
+    const std::uint32_t parent = id();
+    std::vector<std::uint8_t> bytes;
+    AppendFrame(bytes, {kWireVersion, FrameType::kMessage, from, to,
+                        EncodeMessagePayload(seq, depth, parent, batch)});
+    EXPECT_EQ(MessageFrameSize(from, to, seq, depth, parent, batch),
+              bytes.size());
+  }
+}
+
+TEST(WireTest, MessageAndFactBatchDecodersShareTheRowReader) {
+  const auto varints = [](std::initializer_list<std::uint64_t> values) {
+    std::vector<std::uint8_t> bytes;
+    for (const std::uint64_t v : values) PutVarint(bytes, v);
+    return bytes;
+  };
+  // The same row list behind either header, hostile counts and ids
+  // included: both decoders accept it or both reject it.
+  const std::vector<std::pair<std::vector<std::uint8_t>, bool>> row_lists = {
+      {varints({0}), true},
+      {varints({1ull << 62}), false},
+      {varints({~0ull}), false},
+      {varints({2, 0, 0}), false},
+      {varints({2, 0, 0, 0, 0}), true},
+      {varints({1, 0, 1ull << 40}), false},
+      {varints({1, 0, 3, 1, 1}), false},
+      {varints({1, 1ull << 32, 0}), false},
+      {varints({1, (1ull << 32) - 1, 0}), true},
+      {varints({2, 4, 2, 5, 6, 9, 0}), true},
+  };
+  for (const auto& [rows, valid] : row_lists) {
+    std::vector<std::uint8_t> batch = varints({3});
+    batch.insert(batch.end(), rows.begin(), rows.end());
+    std::vector<std::uint8_t> message = varints({1, 2, 3});
+    message.insert(message.end(), rows.begin(), rows.end());
+    EXPECT_EQ(DecodeFactBatchPayload(batch).has_value(), valid);
+    EXPECT_EQ(DecodeMessagePayload(message).has_value(), valid);
+  }
 }
 
 TEST(WireTest, FrameRoundTripThroughArbitraryChunks) {
@@ -205,7 +293,7 @@ TEST(WireTest, FrameRoundTripThroughArbitraryChunks) {
         frame.payload =
             EncodeMessagePayload(rng.Next(), rng.Uniform(50),
                                  static_cast<std::uint32_t>(rng.Uniform(99)),
-                                 owned);
+                                 BatchOf(owned));
         break;
       default:
         frame.type = FrameType::kShutdown;
@@ -536,7 +624,7 @@ TEST(WireFuzzTest, PayloadDecodersSurviveTruncationsAndByteFlips) {
     const auto any = [&rng] { return MutationVarint(rng, false); };
     const std::vector<std::uint8_t> message_payload = EncodeMessagePayload(
         any(), any(), static_cast<std::uint32_t>(MutationVarint(rng, true)),
-        MutationBatch(rng));
+        BatchOf(MutationBatch(rng)));
     EXPECT_EQ(
         ExpectMutationsRejectedOrExact(message, message_payload, rng).prefixes,
         0u);
@@ -599,7 +687,7 @@ TEST(WireFuzzTest, FrameDecoderSurvivesChunkBoundariesAndByteFlips) {
           frame.type = FrameType::kMessage;
           frame.payload =
               EncodeMessagePayload(rng.Next(), rng.Next(), id(),
-                                   MutationBatch(rng));
+                                   BatchOf(MutationBatch(rng)));
           break;
         case 3:
           frame.type = FrameType::kTraceCtx;
@@ -753,7 +841,8 @@ std::vector<std::uint8_t> GoldenStream() {
   AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 3, 2,
                        EncodeFactBatchPayload(0, std::vector<RowRef>{})});
   AppendFrame(stream, {kWireVersion, FrameType::kMessage, 200, 300,
-                       EncodeMessagePayload(77, 5, 42, {small, wide})});
+                       EncodeMessagePayload(77, 5, 42,
+                                            BatchOf({small, wide}))});
   AppendFrame(stream, {kWireVersion, FrameType::kStats, 1, 0,
                        EncodeStatsPayload(2, 12345, 9876543)});
   AppendFrame(stream, {kWireVersion, FrameType::kShutdown, 0, 0, {}});

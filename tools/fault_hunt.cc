@@ -82,10 +82,9 @@ std::unique_ptr<Target> MakeTarget(const std::string& name,
     AddPathGraph(target->schema, target->schema.IdOf("E"), 8, edges);
     const Instance everything =
         EvaluateProgram(target->schema, target->datalog, edges);
-    for (const Fact& f :
-         everything.FactsOf(target->schema.IdOf("TC"))) {
+    everything.ForEachFactOf(target->schema.IdOf("TC"), [&](const Fact& f) {
       target->expected.Insert(f);
-    }
+    });
     target->distributions.push_back(DistributeRoundRobin(edges, nodes));
     target->program = std::make_unique<DistributedDatalogProgram>(
         target->schema, target->datalog);
