@@ -5,18 +5,6 @@
 
 namespace lamp {
 
-namespace {
-
-std::set<VarId> AtomVars(const Atom& atom) {
-  std::set<VarId> vars;
-  for (const Term& t : atom.terms) {
-    if (t.IsVar()) vars.insert(t.var);
-  }
-  return vars;
-}
-
-}  // namespace
-
 JoinTree BuildJoinTree(const ConjunctiveQuery& query) {
   const std::size_t n = query.body().size();
   JoinTree tree;

@@ -1,6 +1,7 @@
 #ifndef LAMP_CQ_ATOM_H_
 #define LAMP_CQ_ATOM_H_
 
+#include <set>
 #include <vector>
 
 #include "cq/term.h"
@@ -24,6 +25,15 @@ struct Atom {
     return a.relation == b.relation && a.terms == b.terms;
   }
 };
+
+/// The variables occurring in \p atom.
+inline std::set<VarId> AtomVars(const Atom& atom) {
+  std::set<VarId> vars;
+  for (const Term& t : atom.terms) {
+    if (t.IsVar()) vars.insert(t.var);
+  }
+  return vars;
+}
 
 }  // namespace lamp
 

@@ -224,7 +224,7 @@ FixpointContinuation::FixpointContinuation(Schema& schema,
 
 FixpointContinuation::Marks FixpointContinuation::Mark(
     const Instance& state) {
-  Marks marks(state.RelationBound());
+  Marks marks(state.NumRelationIds());
   for (RelationId rel = 0; rel < marks.size(); ++rel) {
     marks[rel] = state.NumRows(rel);
   }

@@ -18,7 +18,7 @@ namespace {
 Instance RunJobColumnar(const MapReduceJob& job, const Instance& input,
                         MapReduceStats* stats) {
   std::vector<RowEntry> entries;
-  for (RelationId r = 0; r < input.RelationBound(); ++r) {
+  for (RelationId r = 0; r < input.NumRelationIds(); ++r) {
     const RowsView rows = input.RowsOf(r);
     const Value* row = rows.data;
     for (std::size_t i = 0; i < rows.num_rows; ++i, row += rows.arity) {

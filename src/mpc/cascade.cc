@@ -15,14 +15,6 @@ namespace lamp {
 
 namespace {
 
-std::set<VarId> AtomVars(const Atom& atom) {
-  std::set<VarId> vars;
-  for (const Term& t : atom.terms) {
-    if (t.IsVar()) vars.insert(t.var);
-  }
-  return vars;
-}
-
 /// Greedy connected ordering of the body atoms: start with atom 0, then
 /// repeatedly append an unused atom sharing a variable with the bound set.
 std::vector<std::size_t> ConnectedOrder(const ConjunctiveQuery& query) {

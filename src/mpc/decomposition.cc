@@ -7,18 +7,6 @@
 
 namespace lamp {
 
-namespace {
-
-std::set<VarId> AtomVars(const Atom& atom) {
-  std::set<VarId> vars;
-  for (const Term& t : atom.terms) {
-    if (t.IsVar()) vars.insert(t.var);
-  }
-  return vars;
-}
-
-}  // namespace
-
 std::size_t TreeDecomposition::Width() const {
   std::size_t width = 0;
   for (const Bag& bag : bags) {

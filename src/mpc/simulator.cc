@@ -1,6 +1,6 @@
 #include "mpc/simulator.h"
 
-#include <algorithm>
+#include <span>
 
 #include "common/check.h"
 #include "obs/trace.h"
@@ -17,6 +17,27 @@ struct Routed {
   transport::RowRef row;
   NodeId source;
 };
+
+/// Calls visit(source, rows) for every run of rows one source routed to
+/// \p target, in ascending source order: shards are contiguous ascending
+/// source ranges, each routed in source order, so visiting the per-target
+/// outboxes in shard order replays the serial loop.
+template <typename Visit>
+void ForEachRun(const std::vector<std::vector<std::vector<Routed>>>& outbox,
+                std::size_t target, Visit&& visit) {
+  std::vector<transport::RowRef> rows;
+  for (const std::vector<std::vector<Routed>>& shard : outbox) {
+    const std::vector<Routed>& routed = shard[target];
+    for (std::size_t i = 0; i < routed.size();) {
+      const NodeId source = routed[i].source;
+      rows.clear();
+      for (; i < routed.size() && routed[i].source == source; ++i) {
+        rows.push_back(routed[i].row);
+      }
+      visit(source, std::span<const transport::RowRef>(rows));
+    }
+  }
+}
 
 }  // namespace
 
@@ -36,10 +57,14 @@ void MpcSimulator::LoadInput(const Instance& global) {
   output_ = Instance();
   stats_ = RunStats();
   std::size_t i = 0;
-  global.ForEachFact([this, p, &i](const Fact& f) {
-    if (IsLocal(i % p)) locals_[i % p].Insert(f);
-    ++i;
-  });
+  for (RelationId rel = 0; rel < global.NumRelationIds(); ++rel) {
+    const RowsView rows = global.RowsOf(rel);
+    for (std::size_t r = 0; r < rows.num_rows; ++r, ++i) {
+      if (IsLocal(i % p)) {
+        locals_[i % p].InsertRow(rel, rows.Row(r), rows.arity);
+      }
+    }
+  }
 }
 
 void MpcSimulator::LoadLocals(std::vector<Instance> locals) {
@@ -57,17 +82,15 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
   par::ThreadPool& pool = par::GlobalPool();
 
   // Communication phase, step 1: each worker routes a contiguous shard of
-  // source servers into its own per-target outbox. Within an outbox the
-  // routed facts appear in (source, fact, route-target) order — the order
-  // the serial loop would visit them.
+  // source servers into its own per-target outbox, in (source, fact,
+  // route-target) order — the order the serial loop would visit them.
   std::vector<Instance> received(p);
   RoundStats round;
   round.received.assign(p, 0);
   round.wire_bytes.assign(p, 0);
   {
     obs::TraceSpan span("mpc.route", round_idx);
-    const std::size_t shards = pool.NumChunks(p);
-    std::vector<std::vector<std::vector<Routed>>> outbox(shards);
+    std::vector<std::vector<std::vector<Routed>>> outbox(pool.NumChunks(p));
     pool.ParallelChunks(
         0, p,
         [this, p, &route, &outbox](std::size_t shard, std::size_t lo,
@@ -98,146 +121,95 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           }
         });
 
+    // Step 2, send side (socket backends only): one kFactBatch frame per
+    // run that leaves its server, plus an empty one to each remote target
+    // from every local source that routed it nothing — a remote receiver
+    // cannot tell "nothing for you" from "not sent yet". The whole round
+    // goes to the transport in one SendBatch call.
     transport::Transport* wire = WireTransport();
-    if (wire == nullptr) {
-      // Step 2 (in-process): merge outboxes per target, ascending shard
-      // order. Targets are independent, so the merge itself fans out; the
-      // per-target insert sequence equals the serial one, keeping dedup
-      // decisions and load counts byte-identical. A fact kept at its
-      // current server is not communicated: it persists but does not count
-      // toward the load (the model's load is the data *received* by a
-      // server during the round). Wire bytes are accounted in closed form:
-      // the bytes the socket backends would ship for the same traffic,
-      // one kFactBatch frame per (source, target) run.
-      pool.ParallelFor(0, p, [&received, &round, &outbox,
-                              round_idx](std::size_t target) {
-        const auto tgt = static_cast<NodeId>(target);
-        std::size_t& load = round.received[target];
-        std::size_t& bytes = round.wire_bytes[target];
-        NodeId run_source = 0;
-        std::size_t run_count = 0;
-        std::size_t run_fact_bytes = 0;
-        const auto flush_run = [&] {
-          if (run_count == 0) return;
-          const std::size_t payload = transport::VarintSize(round_idx) +
-                                      transport::VarintSize(run_count) +
-                                      run_fact_bytes;
-          bytes += transport::FactBatchFrameSize(run_source, tgt, payload);
-          run_count = 0;
-          run_fact_bytes = 0;
-        };
-        for (const auto& out : outbox) {
-          for (const Routed& r : out[target]) {
-            if (r.source != tgt) {
-              if (run_count != 0 && r.source != run_source) flush_run();
-              run_source = r.source;
-              ++run_count;
-              run_fact_bytes += transport::EncodedRowSize(r.row);
-            }
-            if (received[target].InsertRow(r.row.relation, r.row.row,
-                                           r.row.arity) &&
-                tgt != r.source) {
-              ++load;
-            }
-          }
-        }
-        flush_run();
-      });
-    } else {
-      // Step 2 (sockets): serialize each (source, target != source) run
-      // into one kFactBatch frame, then hand the whole round to the
-      // transport in one SendBatch call (a loopback backend writes each
-      // destination's frames at once). Sources are ascending per target
-      // (shards are contiguous ascending ranges), so senders[t] comes out
-      // ascending too.
+    if (wire != nullptr) {
       std::vector<transport::WireFrame> frames;
       const auto ship = [&frames, round_idx](
                             NodeId src, NodeId target,
-                            const std::vector<transport::RowRef>& rows) {
+                            std::span<const transport::RowRef> rows) {
         frames.push_back(transport::WireFrame{
             transport::kWireVersion, transport::FrameType::kFactBatch, src,
-            static_cast<std::uint32_t>(target),
-            transport::EncodeFactBatchPayload(round_idx, rows)});
+            target, transport::EncodeFactBatchPayload(round_idx, rows)});
       };
-      std::vector<std::vector<NodeId>> senders(p);
-      std::vector<transport::RowRef> batch;
-      for (const auto& out : outbox) {
-        for (std::size_t target = 0; target < p; ++target) {
-          const std::vector<Routed>& entries = out[target];
-          std::size_t i = 0;
-          while (i < entries.size()) {
-            const NodeId src = entries[i].source;
-            batch.clear();
-            while (i < entries.size() && entries[i].source == src) {
-              batch.push_back(entries[i].row);
-              ++i;
-            }
-            if (src == static_cast<NodeId>(target)) continue;  // Stays local.
-            ship(src, static_cast<NodeId>(target), batch);
-            senders[target].push_back(src);
-          }
-        }
-      }
-      // Remote targets expect one batch from every source, empty or not.
-      batch.clear();
       for (NodeId target = 0; target < p; ++target) {
-        if (wire->IsLocal(target)) continue;
-        for (NodeId src = 0; src < p; ++src) {
-          if (IsLocal(src) && !std::binary_search(senders[target].begin(),
-                                                  senders[target].end(), src)) {
-            ship(src, target, batch);
+        const bool remote = !wire->IsLocal(target);
+        NodeId next = 0;  // Local sources below it have shipped to target.
+        const auto ship_empty_until = [&](NodeId end) {
+          for (; remote && next < end; ++next) {
+            if (IsLocal(next)) ship(next, target, {});
           }
-        }
+        };
+        ForEachRun(outbox, target,
+                   [&](NodeId src, std::span<const transport::RowRef> rows) {
+                     ship_empty_until(src);
+                     next = src + 1;
+                     if (src != target) ship(src, target, rows);
+                   });
+        ship_empty_until(static_cast<NodeId>(p));
       }
       wire->SendBatch(std::move(frames));
-      // Each local target drains its channels in ascending source order,
-      // interleaving the self-routed (local) entries at its own position —
-      // the exact in-process insert sequence, so digests cannot move.
-      pool.ParallelFor(0, p, [this, &received, &round, &outbox, &senders,
-                              wire, p, round_idx](std::size_t target) {
-        if (!IsLocal(target)) return;
-        const auto tgt = static_cast<NodeId>(target);
-        std::size_t& load = round.received[target];
-        std::size_t next = 0;
-        for (NodeId source = 0; source < p; ++source) {
-          if (source == tgt) {
-            for (const auto& out : outbox) {
-              for (const Routed& r : out[target]) {
-                if (r.source == tgt) {
-                  received[target].InsertRow(r.row.relation, r.row.row,
-                                             r.row.arity);
-                }
-              }
-            }
-            continue;
-          }
-          if (wire->IsLocal(source)) {
-            if (next >= senders[target].size() ||
-                senders[target][next] != source) {
-              continue;  // That source routed nothing here this round.
-            }
-            ++next;
-          }
-          transport::WireFrame frame = wire->Recv(
-              static_cast<std::uint32_t>(target), source);
-          LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
-          // The batch is decoded and validated whole before any row of
-          // it is inserted.
-          const auto decoded =
-              transport::DecodeFactBatchPayload(frame.payload);
-          LAMP_CHECK_MSG(decoded.has_value() && decoded->round == round_idx,
-                         "mpc: malformed fact batch on the wire");
-          if (decoded->facts.empty()) continue;  // Not communication.
-          round.wire_bytes[target] += transport::FrameWireSize(frame);
-          for (const transport::RowRef row : decoded->facts) {
-            if (received[target].InsertRow(row.relation, row.row,
-                                           row.arity)) {
-              ++load;
-            }
-          }
-        }
-      });
     }
+
+    // Step 2, drain (targets fan out): each local target inserts its runs
+    // in ascending source order, taking a run straight from the outbox
+    // in-process or when it is the target's own, else from the decoded
+    // frame, and receives from remote (mesh) sources at their place in
+    // between: the serial insert sequence on every backend. A fact kept at
+    // its server is not communicated: it persists but counts toward
+    // neither the load (the data a server *receives* in the round) nor the
+    // wire bytes, computed in closed form in-process and measured from the
+    // frames otherwise.
+    pool.ParallelFor(0, p, [this, &received, &round, &outbox, wire, p,
+                            round_idx](std::size_t target) {
+      if (!IsLocal(target)) return;
+      const auto tgt = static_cast<NodeId>(target);
+      Instance& in = received[target];
+      std::size_t& load = round.received[target];
+      std::size_t& bytes = round.wire_bytes[target];
+      const auto insert = [&in, &load](const auto& rows, bool counts) {
+        for (const transport::RowRef row : rows) {
+          load += in.InsertRow(row.relation, row.row, row.arity) && counts;
+        }
+      };
+      const auto recv = [&](NodeId src) {
+        const transport::WireFrame frame = wire->Recv(tgt, src);
+        LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
+        // The batch is decoded and validated whole before any row of it is
+        // inserted.
+        const auto decoded = transport::DecodeFactBatchPayload(frame.payload);
+        LAMP_CHECK_MSG(decoded.has_value() && decoded->round == round_idx,
+                       "mpc: malformed fact batch on the wire");
+        if (decoded->facts.empty()) return;  // Not communication.
+        bytes += transport::FrameWireSize(frame);
+        insert(decoded->facts, true);
+      };
+      NodeId next = 0;  // Remote sources below it are drained.
+      const auto recv_remote_until = [&](NodeId end) {
+        for (; wire != nullptr && next < end; ++next) {
+          if (!wire->IsLocal(next)) recv(next);
+        }
+      };
+      ForEachRun(outbox, target,
+                 [&](NodeId src, std::span<const transport::RowRef> rows) {
+                   recv_remote_until(src);
+                   next = src + 1;
+                   if (src == tgt) {
+                     insert(rows, false);
+                   } else if (wire != nullptr) {
+                     recv(src);
+                   } else {
+                     bytes += transport::FactBatchFrameSize(src, tgt,
+                                                            round_idx, rows);
+                     insert(rows, true);
+                   }
+                 });
+      recv_remote_until(static_cast<NodeId>(p));
+    });
   }
   std::size_t round_total = 0;
   if (obs::InstalledTracer() != nullptr) {

@@ -19,9 +19,9 @@
 ///
 /// Execution is parallel across the lamp::par global pool and
 /// *deterministic*: each worker routes a contiguous shard of source servers
-/// into per-(worker, target) outboxes, which are merged per target in
+/// into per-(worker, target) outboxes, which are drained per target in
 /// ascending worker order. Because shards partition the sources in
-/// ascending order, that merge replays exactly the serial source-ascending
+/// ascending order, that drain replays exactly the serial source-ascending
 /// insert sequence, so outputs, dedup decisions and RoundStats are
 /// byte-identical at every thread count (DESIGN.md §lamp::par). The Router
 /// and Computer callbacks are invoked concurrently when the pool has more
@@ -36,24 +36,25 @@
 /// 1/p effect on measured loads.
 ///
 /// Backend selection: transport::ActiveKind() picks where the routed facts
-/// travel. The in-process default builds no Transport and keeps the
-/// zero-copy outbox/merge path; tcp/uds serialize each (source, target)
-/// batch into one lamp.wire.v1 kFactBatch frame per round and ship the
-/// round's frames in one Transport::SendBatch call over a loopback
-/// transport whose senders write straight into each receiver's socket
-/// (src/transport). Received
-/// batches are decoded into flat rows and merged with InsertRow. The wire
-/// path drains channels per target in ascending source order — exactly
-/// the in-process merge order — so outputs, dedup decisions and
-/// RoundStats are byte-identical across backends. Either way
-/// RoundStats::wire_bytes records the serialized frame bytes each server
-/// received (computed in closed form in-process, measured on the socket
-/// backends; the two agree by construction).
+/// travel, and every backend runs the same exchange. The outboxes hold row
+/// references; the rows one source routes to one target form a run, and
+/// each local target drains its runs in ascending source order, merging
+/// rows with InsertRow. The in-process default builds no
+/// Transport: a target takes every run straight from the outbox and
+/// accounts its wire bytes in closed form (transport::FactBatchFrameSize).
+/// tcp/uds first serialize each run that leaves its server into one
+/// lamp.wire.v1 kFactBatch frame and hand the round's frames to a loopback
+/// transport in one Transport::SendBatch call (src/transport); a target
+/// then takes its own run from the outbox and every other run from the
+/// decoded frame, counting the bytes it received. The insert sequence is
+/// the serial one either way, so outputs, dedup decisions and RoundStats
+/// (wire bytes included) are byte-identical across backends.
 ///
 /// Over an explicit transport (a MeshTransport rank) a simulator drives
-/// only the servers the transport reports local, sending every remote
-/// server one batch per round (empty ones never count as wire bytes), so
-/// all ranks together reproduce the single-simulator run exactly.
+/// only the servers the transport reports local. It sends every remote
+/// server one batch per round, empty or not, and drains remote sources at
+/// their place in the source order; empty batches never count as wire
+/// bytes, so all ranks together reproduce the single-simulator run exactly.
 
 namespace lamp {
 

@@ -14,14 +14,6 @@ namespace lamp {
 
 namespace {
 
-std::set<VarId> AtomVars(const Atom& atom) {
-  std::set<VarId> vars;
-  for (const Term& t : atom.terms) {
-    if (t.IsVar()) vars.insert(t.var);
-  }
-  return vars;
-}
-
 /// First position of each shared variable (in VarId order) within an atom.
 std::vector<std::size_t> SharedPositions(const Atom& atom,
                                          const std::vector<VarId>& shared) {

@@ -69,7 +69,7 @@ void DistributedDatalogProgram::OnReceive(NodeContext& ctx,
   // other nodes.
   Message fresh;
   Fact fact;
-  for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
+  for (RelationId rel = 0; rel < state.NumRelationIds(); ++rel) {
     const RowsView rows = state.RowsOf(rel);
     const auto arity = static_cast<std::uint32_t>(rows.arity);
     const bool is_idb = idb_.count(rel) > 0;

@@ -378,10 +378,12 @@ std::vector<Instance> DistributeRoundRobin(const Instance& instance,
                                            std::size_t num_nodes) {
   std::vector<Instance> locals(num_nodes);
   std::size_t i = 0;
-  instance.ForEachFact([&locals, num_nodes, &i](const Fact& f) {
-    locals[i % num_nodes].Insert(f);
-    ++i;
-  });
+  for (RelationId rel = 0; rel < instance.NumRelationIds(); ++rel) {
+    const RowsView rows = instance.RowsOf(rel);
+    for (std::size_t r = 0; r < rows.num_rows; ++r, ++i) {
+      locals[i % num_nodes].InsertRow(rel, rows.Row(r), rows.arity);
+    }
+  }
   return locals;
 }
 

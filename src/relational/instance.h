@@ -134,13 +134,6 @@ class Instance {
     return RowsView{relation, c.arity, c.num_rows, c.data.data()};
   }
 
-  /// One past the largest relation id this instance has storage for;
-  /// relation ids at or beyond the bound are empty. Lets callers sweep all
-  /// relations with RowsOf in ascending (= ForEachFact) order.
-  RelationId RelationBound() const {
-    return static_cast<RelationId>(by_relation_.size());
-  }
-
   /// Number of rows of one relation.
   std::size_t NumRows(RelationId relation) const {
     return relation < by_relation_.size() ? by_relation_[relation].num_rows
@@ -226,8 +219,9 @@ class Instance {
   const JoinIndex& IndexOn(RelationId relation, std::uint64_t mask,
                            std::size_t* rows_indexed = nullptr) const;
 
-  /// One past the largest RelationId ever inserted (the range a
-  /// per-relation sweep has to cover).
+  /// One past the largest RelationId ever inserted; relation ids at or
+  /// beyond it are empty. Lets callers sweep all relations with RowsOf in
+  /// ascending (= ForEachFact) order.
   RelationId NumRelationIds() const {
     return static_cast<RelationId>(by_relation_.size());
   }

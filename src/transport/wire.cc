@@ -31,6 +31,27 @@ void PutU32Le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
+/// On-wire bytes of a frame from \p from to \p to with \p payload bytes.
+std::size_t FrameSize(std::uint32_t from, std::uint32_t to,
+                      std::size_t payload) {
+  return 4 + 2 + VarintSize(from) + VarintSize(to) + payload;
+}
+
+/// The row list both data payloads end in: varint count, then the rows.
+template <typename Rows>
+void PutRowList(std::vector<std::uint8_t>& out, const Rows& rows) {
+  PutVarint(out, rows.size());
+  for (const RowRef row : rows) PutRow(out, row);
+}
+
+/// Bytes PutRowList would append for \p rows.
+template <typename Rows>
+std::size_t RowListSize(const Rows& rows) {
+  std::size_t n = VarintSize(rows.size());
+  for (const RowRef row : rows) n += EncodedRowSize(row);
+  return n;
+}
+
 }  // namespace
 
 void PutVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -98,7 +119,7 @@ std::size_t EncodedRowSize(const RowRef& row) {
 }
 
 void FactRows::AppendAll(const Instance& instance) {
-  for (RelationId rel = 0; rel < instance.RelationBound(); ++rel) {
+  for (RelationId rel = 0; rel < instance.NumRelationIds(); ++rel) {
     const RowsView rows = instance.RowsOf(rel);
     if (rows.empty()) continue;
     shapes_.insert(shapes_.end(), rows.num_rows,
@@ -183,11 +204,10 @@ std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
 }
 
 std::vector<std::uint8_t> EncodeFactBatchPayload(
-    std::uint64_t round, const std::vector<RowRef>& rows) {
+    std::uint64_t round, std::span<const RowRef> rows) {
   std::vector<std::uint8_t> payload;
   PutVarint(payload, round);
-  PutVarint(payload, rows.size());
-  for (const RowRef& row : rows) PutRow(payload, row);
+  PutRowList(payload, rows);
   return payload;
 }
 
@@ -210,8 +230,7 @@ std::vector<std::uint8_t> EncodeMessagePayload(std::uint64_t seq,
   PutVarint(payload, seq);
   PutVarint(payload, depth);
   PutVarint(payload, parent);
-  PutVarint(payload, facts.size());
-  for (const RowRef row : facts) PutRow(payload, row);
+  PutRowList(payload, facts);
   return payload;
 }
 
@@ -253,8 +272,9 @@ std::optional<StatsPayload> DecodeStatsPayload(
 }
 
 void AppendFrame(std::vector<std::uint8_t>& out, const WireFrame& frame) {
-  const std::size_t body = 2 + VarintSize(frame.from) + VarintSize(frame.to) +
-                           frame.payload.size();
+  // The length prefix counts everything after itself.
+  const std::size_t body =
+      FrameSize(frame.from, frame.to, frame.payload.size()) - 4;
   PutU32Le(out, static_cast<std::uint32_t>(body));
   out.push_back(frame.version);
   out.push_back(static_cast<std::uint8_t>(frame.type));
@@ -264,22 +284,21 @@ void AppendFrame(std::vector<std::uint8_t>& out, const WireFrame& frame) {
 }
 
 std::size_t FrameWireSize(const WireFrame& frame) {
-  return 4 + 2 + VarintSize(frame.from) + VarintSize(frame.to) +
-         frame.payload.size();
+  return FrameSize(frame.from, frame.to, frame.payload.size());
 }
 
 std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
-                               std::size_t payload_bytes) {
-  return 4 + 2 + VarintSize(from) + VarintSize(to) + payload_bytes;
+                               std::uint64_t round,
+                               std::span<const RowRef> rows) {
+  return FrameSize(from, to, VarintSize(round) + RowListSize(rows));
 }
 
 std::size_t MessageFrameSize(std::uint32_t from, std::uint32_t to,
                              std::uint64_t seq, std::uint64_t depth,
                              std::uint32_t parent, const FactRows& facts) {
-  std::size_t payload = VarintSize(seq) + VarintSize(depth) +
-                        VarintSize(parent) + VarintSize(facts.size());
-  for (const RowRef row : facts) payload += EncodedRowSize(row);
-  return FactBatchFrameSize(from, to, payload);
+  return FrameSize(from, to,
+                   VarintSize(seq) + VarintSize(depth) + VarintSize(parent) +
+                       RowListSize(facts));
 }
 
 void FrameDecoder::Feed(const std::uint8_t* data, std::size_t size) {

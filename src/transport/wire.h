@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "relational/instance.h"
@@ -260,7 +261,7 @@ std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
 /// contain duplicates; receivers dedup on insert exactly like the
 /// in-process merge.
 std::vector<std::uint8_t> EncodeFactBatchPayload(
-    std::uint64_t round, const std::vector<RowRef>& rows);
+    std::uint64_t round, std::span<const RowRef> rows);
 
 struct FactBatchPayload {
   std::uint64_t round = 0;
@@ -310,11 +311,12 @@ void AppendFrame(std::vector<std::uint8_t>& out, const WireFrame& frame);
 /// Total on-wire bytes AppendFrame would produce for \p frame.
 std::size_t FrameWireSize(const WireFrame& frame);
 
-/// On-wire bytes of a kFactBatch frame carrying \p payload_bytes of
-/// payload between \p from and \p to — the closed form the in-process
-/// backend uses to account wire bytes without encoding anything.
+/// On-wire bytes of the kFactBatch frame carrying
+/// EncodeFactBatchPayload(round, rows) from \p from to \p to, computed
+/// without encoding (the in-process MPC backend's wire-byte accounting).
 std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
-                               std::size_t payload_bytes);
+                               std::uint64_t round,
+                               std::span<const RowRef> rows);
 
 /// On-wire bytes of the kMessage frame carrying EncodeMessagePayload(seq,
 /// depth, parent, facts) from \p from to \p to, computed without encoding

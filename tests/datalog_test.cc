@@ -195,7 +195,7 @@ constexpr const char* kNonLinearTcSym = R"(
 Instance RowsPast(const Instance& state,
                   const FixpointContinuation::Marks& marks) {
   Instance past;
-  for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
+  for (RelationId rel = 0; rel < state.NumRelationIds(); ++rel) {
     const RowsView rows = state.RowsOf(rel);
     for (std::size_t i = rel < marks.size() ? marks[rel] : 0;
          i < rows.num_rows; ++i) {
@@ -240,7 +240,7 @@ TEST(Continuation, ContinuingAFixpointEqualsEvaluatingTheUnion) {
           << text << " trial " << trial;
       EXPECT_EQ(state.Size(), before.Size() + difference.Size());
       // No tagged delta rows are left behind.
-      for (RelationId rel = 0; rel < state.RelationBound(); ++rel) {
+      for (RelationId rel = 0; rel < state.NumRelationIds(); ++rel) {
         if (schema.NameOf(rel).starts_with("__cont_")) {
           EXPECT_EQ(state.NumRows(rel), 0u) << schema.NameOf(rel);
         }

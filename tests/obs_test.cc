@@ -20,6 +20,7 @@
 #include "obs/audit/causal.h"
 #include "obs/bench_report.h"
 #include "obs/chrome_trace.h"
+#include "obs/dist/merge.h"
 #include "obs/dist/shard.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -824,19 +825,34 @@ TEST(LoaderFuzzTest, TraceEventDecoderSurvivesMutations) {
   EXPECT_GT(decoded, 0u);
 }
 
+// Every mutated shard ParseShard accepts is also merged with an intact
+// peer: the other rank of the same two-rank run, which receives the
+// shard's one message and sends it another, so merges pair events.
 TEST(LoaderFuzzTest, ShardParserSurvivesMutations) {
   std::size_t loaded = 0;
+  std::size_t merged = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     dist::ShardHeader header;
-    header.rank = rng.Uniform(4);
-    header.procs = 4;
+    header.rank = rng.Uniform(2);
+    header.procs = 2;
     header.trace_id = rng.Next() >> 1;
     header.label = "fuzz/" + std::to_string(seed);
+    header.ring_t0_ns = rng.Uniform(1000);
+    header.ring_t1_ns = header.ring_t0_ns + rng.Uniform(100000);
     header.ring_fold_ns = rng.Uniform(100000);
     header.total_emitted = rng.Uniform(10);
+    const auto peer_rank = static_cast<std::uint32_t>(1 - header.rank);
+    std::vector<TraceEvent> events = RandomEvents(rng);
+    events.push_back({100, 5000, peer_rank, 0, EventKind::kDistSend});
+    events.push_back({400, 5001, peer_rank, 0, EventKind::kDistRecv});
+    dist::TraceShard peer;
+    peer.header = header;
+    peer.header.rank = peer_rank;
+    const auto own_rank = static_cast<std::uint32_t>(header.rank);
+    peer.events = {{200, "dist.recv", own_rank, 0, 5000, ""},
+                   {300, "dist.send", own_rank, 0, 5001, ""}};
     // WriteShard's format: the header line, then one event per line.
-    const std::vector<TraceEvent> events = RandomEvents(rng);
     std::string text = header.ToJson().Dump() + "\n";
     for (const TraceEvent& e : events) text += EventToJson(e).Dump() + "\n";
 
@@ -849,18 +865,28 @@ TEST(LoaderFuzzTest, ShardParserSurvivesMutations) {
     for (std::size_t i = 0; i < events.size(); ++i) {
       ExpectDecodes(events[i], shard->events[i]);
     }
+    const auto intact = dist::MergeShards({*shard, peer}, &error);
+    ASSERT_TRUE(intact.has_value()) << error;
+    EXPECT_EQ(intact->pairs.size(), 2u);
 
-    ForEachMutation(text, rng, [&loaded](const std::string& mutated) {
+    ForEachMutation(text, rng, [&](const std::string& mutated) {
       std::istringstream is(mutated);
       std::string err;
-      if (dist::ParseShard(is, &err).has_value()) {
-        ++loaded;
-      } else {
+      const auto parsed = dist::ParseShard(is, &err);
+      if (!parsed.has_value()) {
         EXPECT_FALSE(err.empty());
+        return;
       }
+      ++loaded;
+      std::string merge_error;
+      const bool ok =
+          dist::MergeShards({*parsed, peer}, &merge_error).has_value();
+      EXPECT_EQ(ok, merge_error.empty()) << merge_error;
+      if (ok) ++merged;
     });
   }
   EXPECT_GT(loaded, 0u);
+  EXPECT_GT(merged, 0u);
 }
 
 TEST(LoaderFuzzTest, CatalogLoaderSurvivesMutations) {

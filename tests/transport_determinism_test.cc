@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -512,6 +513,85 @@ TEST(TransportDeterminismTest, ThreadedMeshFoldsToInProcessDigests) {
           << "mesh " << transport::TransportKindName(kind) << " p=" << p;
       EXPECT_EQ(ReshuffleDigest(p, MeshThreads(kind)), reshuffle)
           << "mesh " << transport::TransportKindName(kind) << " p=" << p;
+    }
+  }
+}
+
+// The drain's edge runs on p = 4 servers holding 10 facts each: a round
+// where every fact stays home, one where server 2 routes nothing (and
+// server 3, which only server 2 sends to, hears nothing), and one that
+// drops everything. The received state must match the in-process serial run on
+// every backend and lane count; load and wire bytes must be zero wherever
+// nothing crosses, so a mesh's empty frames are never counted.
+TEST(TransportDeterminismTest, EdgeRunsDrainIdenticallyOnEveryBackend) {
+  BackendRestorer restore;
+  constexpr std::size_t kP = 4;
+  struct EdgeRound {
+    const char* name;
+    MpcSimulator::Router route;
+    std::vector<std::size_t> load;   // Per server.
+    std::vector<std::size_t> facts;  // Per server, after the round.
+    std::vector<bool> wire;          // Per server: some bytes arrive.
+  };
+  const std::vector<EdgeRound> rounds = {
+      {"all home",
+       [](NodeId src, const Fact&) { return std::vector<NodeId>{src}; },
+       {0, 0, 0, 0}, {10, 10, 10, 10}, {false, false, false, false}},
+      {"server 2 silent",
+       [](NodeId src, const Fact&) {
+         if (src == 2) return std::vector<NodeId>{};
+         return std::vector<NodeId>{src, static_cast<NodeId>((src + 1) % kP)};
+       },
+       {10, 10, 10, 0}, {20, 20, 10, 10}, {true, true, true, false}},
+      {"all dropped",
+       [](NodeId, const Fact&) { return std::vector<NodeId>{}; },
+       {0, 0, 0, 0}, {0, 0, 0, 0}, {false, false, false, false}},
+  };
+  const auto run_round = [](const EdgeRound& edge, const Cluster& cluster) {
+    return cluster(kP, [&edge](MpcSimulator& sim) {
+      Schema schema;
+      const RelationId r = schema.AddRelation("R", 2);
+      Instance db;
+      for (int i = 0; i < 40; ++i) db.Insert(Fact(r, {i, i % 7}));
+      sim.LoadInput(db);
+      sim.RunRound(edge.route, MpcSimulator::KeepAll());
+    });
+  };
+  const auto check = [](const EdgeRound& edge, const ClusterRun& run,
+                        const ClusterRun& reference, const std::string& on) {
+    ASSERT_EQ(run.stats.rounds.size(), 1u) << edge.name << " on " << on;
+    const RoundStats& stats = run.stats.rounds[0];
+    for (std::size_t s = 0; s < kP; ++s) {
+      SCOPED_TRACE(std::string(edge.name) + " on " + on + " server " +
+                   std::to_string(s));
+      EXPECT_EQ(stats.received[s], edge.load[s]);
+      EXPECT_EQ(stats.wire_bytes[s] > 0, edge.wire[s]);
+      EXPECT_EQ(stats.wire_bytes[s], reference.stats.rounds[0].wire_bytes[s]);
+      EXPECT_EQ(run.locals[s].Size(), edge.facts[s]);
+      EXPECT_EQ(InstanceFingerprint(run.locals[s]),
+                InstanceFingerprint(reference.locals[s]));
+    }
+  };
+  for (const EdgeRound& edge : rounds) {
+    transport::SetActiveKind(transport::TransportKind::kInProcess);
+    par::SetDefaultThreads(1);
+    const ClusterRun reference = run_round(edge, RunSimulated);
+    for (transport::TransportKind kind : kBackends) {
+      transport::SetActiveKind(kind);
+      for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+        par::SetDefaultThreads(lanes);
+        check(edge, run_round(edge, RunSimulated), reference,
+              std::string(transport::TransportKindName(kind)) + " lanes " +
+                  std::to_string(lanes));
+      }
+    }
+    // Mesh ranks share the process-wide pool, so they run it inline (see
+    // ThreadedMeshFoldsToInProcessDigests).
+    transport::SetActiveKind(transport::TransportKind::kInProcess);
+    par::SetDefaultThreads(1);
+    for (transport::TransportKind kind : kSocketBackends) {
+      check(edge, run_round(edge, MeshThreads(kind)), reference,
+            "mesh " + std::string(transport::TransportKindName(kind)));
     }
   }
 }

@@ -241,6 +241,28 @@ TEST(WireTest, MessageFrameSizeMatchesTheEncodedFrame) {
   }
 }
 
+TEST(WireTest, FactBatchFrameSizeMatchesTheEncodedFrame) {
+  Rng rng(11);
+  const auto id = [&rng] {
+    return static_cast<std::uint32_t>(rng.Uniform(2) == 0 ? rng.Uniform(300)
+                                                          : rng.Next() >> 32);
+  };
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Fact> facts;
+    for (std::size_t k = rng.Uniform(6); k > 0; --k) {
+      facts.push_back(RandomFact(rng));
+    }
+    const std::vector<RowRef> rows = RowsOf(facts);
+    const std::uint32_t from = id();
+    const std::uint32_t to = id();
+    const std::uint64_t round = rng.Next() >> rng.Uniform(64);
+    std::vector<std::uint8_t> bytes;
+    AppendFrame(bytes, {kWireVersion, FrameType::kFactBatch, from, to,
+                        EncodeFactBatchPayload(round, rows)});
+    EXPECT_EQ(FactBatchFrameSize(from, to, round, rows), bytes.size());
+  }
+}
+
 TEST(WireTest, MessageAndFactBatchDecodersShareTheRowReader) {
   const auto varints = [](std::initializer_list<std::uint64_t> values) {
     std::vector<std::uint8_t> bytes;
