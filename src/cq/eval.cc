@@ -137,14 +137,7 @@ class BatchMatcher {
     std::vector<std::size_t> order;
     std::vector<bool> used(body.size(), false);
     std::vector<bool> bound_var(query_.NumVars(), false);
-
-    auto atom_vars = [](const Atom& atom) {
-      std::vector<VarId> vars;
-      for (const Term& t : atom.terms) {
-        if (t.IsVar()) vars.push_back(t.var);
-      }
-      return vars;
-    };
+    order.reserve(body.size());
 
     for (std::size_t step = 0; step < body.size(); ++step) {
       std::size_t best = body.size();
@@ -152,13 +145,11 @@ class BatchMatcher {
       std::size_t best_size = 0;
       for (std::size_t i = 0; i < body.size(); ++i) {
         if (used[i]) continue;
+        // Bound positions: constants and every occurrence of a bound
+        // variable.
         std::size_t bound = 0;
-        for (VarId v : atom_vars(body[i])) {
-          if (bound_var[v]) ++bound;
-        }
-        // Constants count as bound positions too.
         for (const Term& t : body[i].terms) {
-          if (t.IsConst()) ++bound;
+          if (t.IsConst() || bound_var[t.var]) ++bound;
         }
         const std::size_t size = instance_.NumRows(body[i].relation);
         if (best == body.size() || bound > best_bound ||
@@ -170,7 +161,9 @@ class BatchMatcher {
       }
       used[best] = true;
       order.push_back(best);
-      for (VarId v : atom_vars(body[best])) bound_var[v] = true;
+      for (const Term& t : body[best].terms) {
+        if (t.IsVar()) bound_var[t.var] = true;
+      }
     }
     return order;
   }

@@ -18,17 +18,54 @@ HypercubePolicy::HypercubePolicy(const ConjunctiveQuery& query, Shares shares,
       seed_(seed) {
   LAMP_CHECK(shares_.size() == query_.NumVars());
   LAMP_CHECK(!shares_.empty());
-  stride_.resize(shares_.size());
-  for (std::size_t v = 0; v < shares_.size(); ++v) {
+  const std::size_t k = shares_.size();
+  stride_.resize(k);
+  var_salt_.resize(k);
+  for (std::size_t v = 0; v < k; ++v) {
     LAMP_CHECK(shares_[v] >= 1);
     stride_[v] = num_nodes_;
     num_nodes_ *= shares_[v];
+    var_salt_[v] = HashMix(seed_ + v);
+  }
+  for (const Atom& atom : query_.body()) {
+    AtomRoute route;
+    route.relation = atom.relation;
+    route.arity = atom.terms.size();
+    std::vector<bool> in_atom(k, false);
+    for (std::size_t pos = 0; pos < atom.terms.size(); ++pos) {
+      const Term& t = atom.terms[pos];
+      if (t.IsConst()) {
+        route.constants.emplace_back(pos, t.constant);
+        continue;
+      }
+      std::size_t first = pos;
+      for (const AtomRoute::VarTerm& earlier : route.vars) {
+        if (earlier.var == t.var) {
+          first = earlier.pos;
+          break;
+        }
+      }
+      route.vars.push_back({pos, t.var, first});
+      in_atom[t.var] = true;
+    }
+    // Odometer over the free variables, the lowest one fastest.
+    route.offsets.push_back(0);
+    for (std::size_t v = 0; v < k; ++v) {
+      if (in_atom[v]) continue;
+      const std::size_t below = route.offsets.size();
+      for (std::size_t c = 1; c < shares_[v]; ++c) {
+        for (std::size_t i = 0; i < below; ++i) {
+          route.offsets.push_back(route.offsets[i] + c * stride_[v]);
+        }
+      }
+    }
+    atoms_.push_back(std::move(route));
   }
 }
 
 std::size_t HypercubePolicy::HashVar(VarId v, Value value) const {
   return static_cast<std::size_t>(
-      HashMix(static_cast<std::uint64_t>(value.v) ^ HashMix(seed_ + v)) %
+      HashMix(static_cast<std::uint64_t>(value.v) ^ var_salt_[v]) %
       shares_[v]);
 }
 
@@ -52,35 +89,24 @@ NodeId HypercubePolicy::NodeAt(const std::vector<std::size_t>& coords) const {
   return static_cast<NodeId>(node);
 }
 
-bool HypercubePolicy::ConstrainByAtom(const Atom& atom, const Fact& fact,
-                                      std::vector<bool>& constrained,
-                                      std::vector<std::size_t>& coord) const {
-  if (atom.relation != fact.relation) return false;
-  if (atom.terms.size() != fact.args.size()) return false;
-  std::fill(constrained.begin(), constrained.end(), false);
-  for (std::size_t pos = 0; pos < atom.terms.size(); ++pos) {
-    const Term& t = atom.terms[pos];
-    if (t.IsConst()) {
-      if (t.constant != fact.args[pos]) return false;
-      continue;
-    }
-    const std::size_t h = HashVar(t.var, fact.args[pos]);
-    if (constrained[t.var] && coord[t.var] != h) return false;
-    constrained[t.var] = true;
-    coord[t.var] = h;
+bool HypercubePolicy::Matches(const AtomRoute& atom, RelationId relation,
+                              const Value* row, std::size_t arity) {
+  if (atom.relation != relation || atom.arity != arity) return false;
+  for (const auto& [pos, constant] : atom.constants) {
+    if (row[pos] != constant) return false;
   }
   return true;
 }
 
 bool HypercubePolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  const std::vector<std::size_t> node_coords = Coordinates(node);
-  std::vector<bool> constrained(shares_.size());
-  std::vector<std::size_t> coord(shares_.size());
-  for (const Atom& atom : query_.body()) {
-    if (!ConstrainByAtom(atom, fact, constrained, coord)) continue;
+  const Value* row = fact.args.data();
+  for (const AtomRoute& atom : atoms_) {
+    if (!Matches(atom, fact.relation, row, fact.args.size())) continue;
+    // Every occurrence of a variable must hash to the node's coordinate,
+    // which also makes a repeated variable's occurrences agree.
     bool match = true;
-    for (std::size_t v = 0; v < shares_.size(); ++v) {
-      if (constrained[v] && node_coords[v] != coord[v]) {
+    for (const AtomRoute::VarTerm& t : atom.vars) {
+      if (HashVar(t.var, row[t.pos]) != CoordOf(node, t.var)) {
         match = false;
         break;
       }
@@ -90,49 +116,40 @@ bool HypercubePolicy::IsResponsible(NodeId node, const Fact& fact) const {
   return false;
 }
 
-std::vector<NodeId> HypercubePolicy::ResponsibleNodes(const Fact& fact) const {
-  std::vector<NodeId> nodes;
-  std::vector<bool> constrained(shares_.size());
-  std::vector<std::size_t> coord(shares_.size());
-  std::vector<bool> seen(num_nodes_, false);
-  for (const Atom& atom : query_.body()) {
-    if (!ConstrainByAtom(atom, fact, constrained, coord)) continue;
-    // Enumerate the sub-grid over the unconstrained dimensions.
-    std::vector<std::size_t> free_dims;
-    for (std::size_t v = 0; v < shares_.size(); ++v) {
-      if (!constrained[v]) free_dims.push_back(v);
-    }
-    std::vector<std::size_t> coords = coord;
-    for (std::size_t v : free_dims) coords[v] = 0;
-    while (true) {
-      const NodeId node = NodeAt(coords);
-      if (!seen[node]) {
-        seen[node] = true;
-        nodes.push_back(node);
+void HypercubePolicy::RouteRow(RelationId relation, const Value* row,
+                               std::size_t arity,
+                               std::vector<NodeId>& targets) const {
+  const std::size_t start = targets.size();
+  bool matched = false;  // Some earlier atom already routed this row.
+  for (const AtomRoute& atom : atoms_) {
+    if (!Matches(atom, relation, row, arity)) continue;
+    std::size_t base = 0;
+    bool consistent = true;
+    for (const AtomRoute::VarTerm& t : atom.vars) {
+      const std::size_t h = HashVar(t.var, row[t.pos]);
+      if (t.first_pos == t.pos) {
+        base += h * stride_[t.var];
+      } else if (h != HashVar(t.var, row[t.first_pos])) {
+        consistent = false;  // A repeated variable's hashes diverge.
+        break;
       }
-      std::size_t i = 0;
-      for (; i < free_dims.size(); ++i) {
-        const std::size_t v = free_dims[i];
-        if (++coords[v] < shares_[v]) break;
-        coords[v] = 0;
-      }
-      if (i == free_dims.size()) break;
     }
+    if (!consistent) continue;
+    for (const std::size_t offset : atom.offsets) {
+      const auto node = static_cast<NodeId>(base + offset);
+      if (matched && std::find(targets.begin() + start, targets.end(),
+                               node) != targets.end()) {
+        continue;
+      }
+      targets.push_back(node);
+    }
+    matched = true;
   }
-  return nodes;
 }
 
 std::size_t HypercubePolicy::ReplicationOf(std::size_t atom_index) const {
-  LAMP_CHECK(atom_index < query_.body().size());
-  std::vector<bool> in_atom(shares_.size(), false);
-  for (const Term& t : query_.body()[atom_index].terms) {
-    if (t.IsVar()) in_atom[t.var] = true;
-  }
-  std::size_t replication = 1;
-  for (std::size_t v = 0; v < shares_.size(); ++v) {
-    if (!in_atom[v]) replication *= shares_[v];
-  }
-  return replication;
+  LAMP_CHECK(atom_index < atoms_.size());
+  return atoms_[atom_index].offsets.size();
 }
 
 Shares UniformShares(const ConjunctiveQuery& query, std::size_t budget) {
@@ -153,7 +170,7 @@ double ExpectedHyperCubeLoad(const ConjunctiveQuery& query,
   for (std::size_t a = 0; a < query.body().size(); ++a) {
     double denom = 1.0;
     // A repeated variable constrains only one dimension; count each
-    // variable once per atom (matches ConstrainByAtom's coordinates).
+    // variable once per atom (as routing does).
     std::vector<bool> seen(shares.size(), false);
     for (const Term& t : query.body()[a].terms) {
       if (t.IsVar() && !seen[t.var]) {

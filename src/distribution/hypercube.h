@@ -2,6 +2,7 @@
 #define LAMP_DISTRIBUTION_HYPERCUBE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cq/cq.h"
@@ -36,7 +37,13 @@ class HypercubePolicy : public DistributionPolicy {
   std::size_t NumNodes() const override { return num_nodes_; }
   const std::vector<Value>& Universe() const override { return universe_; }
   bool IsResponsible(NodeId node, const Fact& fact) const override;
-  std::vector<NodeId> ResponsibleNodes(const Fact& fact) const override;
+
+  /// The nodes of the sub-grid of every body atom the row matches, atom by
+  /// atom, each sub-grid with its lowest free variable varying fastest.
+  /// Allocates nothing beyond \p targets' growth; the duplicate check runs
+  /// only from the second matching atom on (self-joins).
+  void RouteRow(RelationId relation, const Value* row, std::size_t arity,
+                std::vector<NodeId>& targets) const override;
 
   /// h_v(value) in [0, shares[v]).
   std::size_t HashVar(VarId v, Value value) const;
@@ -55,19 +62,42 @@ class HypercubePolicy : public DistributionPolicy {
   std::size_t ReplicationOf(std::size_t atom_index) const;
 
  private:
-  /// Per-atom coordinate constraints for \p fact: fills \p constrained /
-  /// \p coord for the atom's variable positions; returns false when the
-  /// fact cannot match the atom (constant mismatch, repeated variable with
-  /// diverging values, wrong relation/arity).
-  bool ConstrainByAtom(const Atom& atom, const Fact& fact,
-                       std::vector<bool>& constrained,
-                       std::vector<std::size_t>& coord) const;
+  /// How one body atom routes, precomputed at construction.
+  struct AtomRoute {
+    RelationId relation = 0;
+    std::size_t arity = 0;
+    /// (position, constant) of every constant term.
+    std::vector<std::pair<std::size_t, Value>> constants;
+    /// (position, variable, position of the variable's first occurrence
+    /// in the atom) of every variable term, in position order.
+    struct VarTerm {
+      std::size_t pos;
+      VarId var;
+      std::size_t first_pos;
+    };
+    std::vector<VarTerm> vars;
+    /// Node id offsets of the sub-grid over the variables the atom leaves
+    /// free, lowest free variable fastest; one entry per replica.
+    std::vector<std::size_t> offsets;
+  };
+
+  /// True when relation(row) can match \p atom: relation, arity and
+  /// constants agree (variables are checked by the callers).
+  static bool Matches(const AtomRoute& atom, RelationId relation,
+                      const Value* row, std::size_t arity);
+
+  /// The grid coordinate of \p node along variable \p v.
+  std::size_t CoordOf(NodeId node, VarId v) const {
+    return (node / stride_[v]) % shares_[v];
+  }
 
   ConjunctiveQuery query_;
   Shares shares_;
   std::vector<Value> universe_;
   std::uint64_t seed_;
   std::vector<std::size_t> stride_;
+  std::vector<std::uint64_t> var_salt_;  // HashMix(seed + v), per variable.
+  std::vector<AtomRoute> atoms_;         // One per body atom.
   std::size_t num_nodes_ = 1;
 };
 

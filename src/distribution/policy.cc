@@ -11,12 +11,19 @@ Instance DistributionPolicy::LocalInstance(const Instance& instance,
   return local;
 }
 
+void DistributionPolicy::RouteRow(RelationId relation, const Value* row,
+                                  std::size_t arity,
+                                  std::vector<NodeId>& targets) const {
+  const Fact fact(relation, std::vector<Value>(row, row + arity));
+  for (NodeId n = 0; n < NumNodes(); ++n) {
+    if (IsResponsible(n, fact)) targets.push_back(n);
+  }
+}
+
 std::vector<NodeId> DistributionPolicy::ResponsibleNodes(
     const Fact& fact) const {
   std::vector<NodeId> nodes;
-  for (NodeId n = 0; n < NumNodes(); ++n) {
-    if (IsResponsible(n, fact)) nodes.push_back(n);
-  }
+  RouteRow(fact.relation, fact.args.data(), fact.args.size(), nodes);
   return nodes;
 }
 

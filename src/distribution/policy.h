@@ -38,9 +38,19 @@ class DistributionPolicy {
   /// loc-inst_{P,I}(node) = I intersect rfacts_P(node).
   Instance LocalInstance(const Instance& instance, NodeId node) const;
 
-  /// All nodes responsible for \p fact. The default scans every node;
-  /// structured policies (HyperCube) override with a direct computation.
-  virtual std::vector<NodeId> ResponsibleNodes(const Fact& fact) const;
+  /// Appends to \p targets every node responsible for the fact
+  /// relation(row[0..arity)), each at most once, leaving what \p targets
+  /// already holds in place. This is the override point for routing: the
+  /// default scans IsResponsible over every node, and structured policies
+  /// (HyperCube) compute the nodes directly, without allocating when
+  /// \p targets has capacity. The MPC simulator routes with it, so it must
+  /// be safe to call concurrently (the stock policies share only const
+  /// state).
+  virtual void RouteRow(RelationId relation, const Value* row,
+                        std::size_t arity, std::vector<NodeId>& targets) const;
+
+  /// All nodes responsible for \p fact, in RouteRow's order.
+  std::vector<NodeId> ResponsibleNodes(const Fact& fact) const;
 
   /// True when some node is responsible for every fact of \p facts
   /// ("the facts meet at some node" — the core of conditions PC0/PC1).

@@ -100,12 +100,14 @@ MpcRunResult RunJobOnMpc(const MapReduceJob& job, const Instance& input,
   MpcSimulator sim(num_servers);
   sim.LoadInput(input);
   sim.RunRound(
-      [&job, num_servers](NodeId, const Fact& f) {
-        std::vector<NodeId> targets;
+      [&job, num_servers](NodeId, transport::RowRef row,
+                          std::vector<NodeId>& targets) {
+        // Map functions take facts: the one copy per routed row is theirs.
+        const Fact f(row.relation,
+                     std::vector<Value>(row.row, row.row + row.arity));
         for (const KeyValue& kv : job.map(f)) {
           targets.push_back(static_cast<NodeId>(kv.key % num_servers));
         }
-        return targets;
       },
       [&job, num_servers](NodeId me,
                           const Instance& received) -> MpcSimulator::ComputeResult {

@@ -57,22 +57,21 @@ std::uint64_t HashSharedVars(const std::vector<VarId>& vars,
   return h;
 }
 
-/// Tries to bind \p atom against \p fact, extending \p binding. Returns
-/// false on mismatch (constants, repeated vars, prior bindings).
-bool BindAtom(const Atom& atom, const Fact& fact,
+/// Tries to bind \p atom against the fact \p row, extending \p binding.
+/// Returns false on mismatch (constants, repeated vars, prior bindings).
+bool BindAtom(const Atom& atom, transport::RowRef row,
               std::unordered_map<VarId, Value>& binding) {
-  if (atom.relation != fact.relation ||
-      atom.terms.size() != fact.args.size()) {
+  if (atom.relation != row.relation || atom.terms.size() != row.arity) {
     return false;
   }
   for (std::size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
     if (t.IsConst()) {
-      if (t.constant != fact.args[i]) return false;
+      if (t.constant != row.row[i]) return false;
       continue;
     }
-    auto [it, inserted] = binding.emplace(t.var, fact.args[i]);
-    if (!inserted && !(it->second == fact.args[i])) return false;
+    auto [it, inserted] = binding.emplace(t.var, row.row[i]);
+    if (!inserted && !(it->second == row.row[i])) return false;
   }
   return true;
 }
@@ -142,18 +141,19 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
     const std::uint64_t round_seed = HashCombine(seed, i);
 
     sim.RunRound(
-        [&](NodeId source, const Fact& f) -> std::vector<NodeId> {
+        [&](NodeId source, transport::RowRef row,
+            std::vector<NodeId>& out) {
           // A fact may play several roles (self-joins): collect all targets.
           std::set<NodeId> targets;
-          if (f.relation == prev_rel) {
+          if (row.relation == prev_rel) {
             std::unordered_map<VarId, Value> binding;
             bool ok = true;
             if (i == 1) {
-              ok = BindAtom(prev_atom, f, binding);
+              ok = BindAtom(prev_atom, row, binding);
             } else {
               // Intermediate fact: columns are prev_vars in order.
               for (std::size_t c = 0; c < prev_vars.size(); ++c) {
-                binding[prev_vars[c]] = f.args[c];
+                binding[prev_vars[c]] = row.row[c];
               }
             }
             if (ok) {
@@ -163,15 +163,15 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
           }
           {
             std::unordered_map<VarId, Value> binding;
-            if (BindAtom(next_atom, f, binding)) {
+            if (BindAtom(next_atom, row, binding)) {
               targets.insert(static_cast<NodeId>(
                   HashSharedVars(shared, binding, round_seed) % num_servers));
             }
           }
-          if (future.count(f.relation) > 0) {
+          if (future.count(row.relation) > 0) {
             targets.insert(source);  // Stays put for a later round.
           }
-          return {targets.begin(), targets.end()};
+          out.assign(targets.begin(), targets.end());
         },
         [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
           // Local join: hash next_atom's facts by shared values, then
@@ -181,7 +181,9 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
               by_key;
           received.ForEachFactOf(next_atom.relation, [&](const Fact& f) {
             std::unordered_map<VarId, Value> binding;
-            if (!BindAtom(next_atom, f, binding)) return;
+            if (!BindAtom(next_atom, transport::RowRef::Of(f), binding)) {
+              return;
+            }
             by_key[HashSharedVars(shared, binding, round_seed)]
                 .push_back(std::move(binding));
           });
@@ -216,7 +218,9 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
           if (i == 1) {
             received.ForEachFactOf(prev_rel, [&](const Fact& f) {
               std::unordered_map<VarId, Value> binding;
-              if (BindAtom(prev_atom, f, binding)) extend(std::move(binding));
+              if (BindAtom(prev_atom, transport::RowRef::Of(f), binding)) {
+                extend(std::move(binding));
+              }
             });
           } else {
             received.ForEachFactOf(prev_rel, [&](const Fact& f) {
@@ -255,14 +259,14 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
   // repartition-free round (broadcast-free: each server filters locally).
   if (order.size() == 1) {
     sim.RunRound(
-        [](NodeId source, const Fact&) -> std::vector<NodeId> {
-          return {source};
+        [](NodeId source, transport::RowRef, std::vector<NodeId>& targets) {
+          targets.push_back(source);
         },
         [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
           Instance output;
           received.ForEachFactOf(body[0].relation, [&](const Fact& f) {
             std::unordered_map<VarId, Value> binding;
-            if (!BindAtom(body[0], f, binding)) return;
+            if (!BindAtom(body[0], transport::RowRef::Of(f), binding)) return;
             Valuation v(query.NumVars());
             for (const auto& [var, val] : binding) v.Bind(var, val);
             if (v.SatisfiesInequalities(query)) {

@@ -18,7 +18,9 @@ MpcRunResult RunHyperCube(const ConjunctiveQuery& query, const Instance& input,
   MpcSimulator sim(policy.NumNodes());
   sim.LoadInput(input);
   sim.RunRound(
-      [&policy](NodeId, const Fact& f) { return policy.ResponsibleNodes(f); },
+      [&policy](NodeId, transport::RowRef row, std::vector<NodeId>& targets) {
+        policy.RouteRow(row.relation, row.row, row.arity, targets);
+      },
       [&query](NodeId, const Instance& received) {
         return MpcSimulator::ComputeResult{Instance(),
                                            Evaluate(query, received)};

@@ -13,12 +13,12 @@ namespace lamp {
 
 namespace {
 
-std::uint64_t HashPositions(const Fact& fact,
+std::uint64_t HashPositions(const Value* row,
                             const std::vector<std::size_t>& positions,
                             std::uint64_t seed) {
   std::uint64_t h = HashMix(seed);
   for (std::size_t pos : positions) {
-    h = HashCombine(h, static_cast<std::uint64_t>(fact.args[pos].v));
+    h = HashCombine(h, static_cast<std::uint64_t>(row[pos].v));
   }
   return h;
 }
@@ -75,17 +75,15 @@ MpcSimulator::Router RepartitionRouter(const ConjunctiveQuery& query,
   const JoinShape shape = AnalyzeBinaryJoin(query);
   const RelationId left_rel = query.body()[0].relation;
   const RelationId right_rel = query.body()[1].relation;
-  return [shape, left_rel, right_rel, num_servers,
-          seed](NodeId, const Fact& f) -> std::vector<NodeId> {
-    if (f.relation == left_rel) {
-      return {static_cast<NodeId>(
-          HashPositions(f, shape.left_positions, seed) % num_servers)};
+  return [shape, left_rel, right_rel, num_servers, seed](
+             NodeId, transport::RowRef row, std::vector<NodeId>& targets) {
+    if (row.relation == left_rel) {
+      targets.push_back(static_cast<NodeId>(
+          HashPositions(row.row, shape.left_positions, seed) % num_servers));
+    } else if (row.relation == right_rel) {
+      targets.push_back(static_cast<NodeId>(
+          HashPositions(row.row, shape.right_positions, seed) % num_servers));
     }
-    if (f.relation == right_rel) {
-      return {static_cast<NodeId>(
-          HashPositions(f, shape.right_positions, seed) % num_servers)};
-    }
-    return {};
   };
 }
 
@@ -100,22 +98,22 @@ MpcSimulator::Router FragmentReplicateRouter(const ConjunctiveQuery& query,
       std::floor(std::sqrt(static_cast<double>(num_servers)) + 1e-9));
   LAMP_CHECK(g >= 1);
 
-  return [left_rel, right_rel, g, seed](NodeId, const Fact& f) {
-    std::vector<NodeId> targets;
+  return [left_rel, right_rel, g, seed](NodeId, transport::RowRef fact,
+                                        std::vector<NodeId>& targets) {
     // Group by the whole-fact hash: balanced regardless of value skew.
-    const std::uint64_t group = FactHash()(f) ^ HashMix(seed);
-    if (f.relation == left_rel) {
+    const std::uint64_t group =
+        RowHash(fact.relation, fact.row, fact.arity) ^ HashMix(seed);
+    if (fact.relation == left_rel) {
       const std::size_t row = group % g;
       for (std::size_t col = 0; col < g; ++col) {
         targets.push_back(static_cast<NodeId>(row * g + col));
       }
-    } else if (f.relation == right_rel) {
+    } else if (fact.relation == right_rel) {
       const std::size_t col = group % g;
       for (std::size_t row = 0; row < g; ++row) {
         targets.push_back(static_cast<NodeId>(row * g + col));
       }
     }
-    return targets;
   };
 }
 

@@ -93,24 +93,24 @@ MpcRunResult SharesSkewJoin(const ConjunctiveQuery& query,
   MpcSimulator sim(p);
   sim.LoadInput(input);
   sim.RunRound(
-      [&](NodeId, const Fact& f) -> std::vector<NodeId> {
+      [&](NodeId, transport::RowRef f, std::vector<NodeId>& targets) {
         const bool is_left = f.relation == shape.left;
         const bool is_right = f.relation == shape.right;
-        if (!is_left && !is_right) return {};
+        if (!is_left && !is_right) return;
         const Value join_value =
-            is_left ? f.args[shape.left_pos] : f.args[shape.right_pos];
+            is_left ? f.row[shape.left_pos] : f.row[shape.right_pos];
         if (heavy.count(join_value) == 0) {
           // Light: plain hash into the light region.
           const std::uint64_t hv =
               HashMix(static_cast<std::uint64_t>(join_value.v) ^
                       HashMix(seed + 5));
-          return {static_cast<NodeId>(hv % p_light)};
+          targets.push_back(static_cast<NodeId>(hv % p_light));
+          return;
         }
         // Heavy: fragment-replicate inside the value's sub-grid.
         const std::size_t idx = heavy_index_of(join_value);
-        const std::uint64_t spread = FactHash()(f) ^ HashMix(seed + 9);
-        std::vector<NodeId> targets;
-        targets.reserve(g);
+        const std::uint64_t spread =
+            RowHash(f.relation, f.row, f.arity) ^ HashMix(seed + 9);
         if (is_left) {
           for (std::size_t col = 0; col < g; ++col) {
             targets.push_back(cell(idx, spread, col));
@@ -120,7 +120,6 @@ MpcRunResult SharesSkewJoin(const ConjunctiveQuery& query,
             targets.push_back(cell(idx, row, spread));
           }
         }
-        return targets;
       },
       [&query](NodeId, const Instance& received) {
         return MpcSimulator::ComputeResult{Instance(),

@@ -13,29 +13,55 @@ namespace {
 /// One routed fact in a worker's outbox, as a columnar row reference. The
 /// row pointer aims into the source server's local instance, which is
 /// immutable for the whole communication phase — routing copies no facts.
+/// `bytes` is the row's encoded size, computed once per source row however
+/// many targets it goes to; it fills what would be padding.
 struct Routed {
   transport::RowRef row;
   NodeId source;
+  std::uint32_t bytes;
 };
+static_assert(sizeof(Routed) <= 32, "outbox entries stay 32 bytes");
 
-/// Calls visit(source, rows) for every run of rows one source routed to
+using Outbox = std::vector<std::vector<std::vector<Routed>>>;
+
+/// Calls visit(source, run) for every run of entries one source routed to
 /// \p target, in ascending source order: shards are contiguous ascending
 /// source ranges, each routed in source order, so visiting the per-target
 /// outboxes in shard order replays the serial loop.
 template <typename Visit>
-void ForEachRun(const std::vector<std::vector<std::vector<Routed>>>& outbox,
-                std::size_t target, Visit&& visit) {
-  std::vector<transport::RowRef> rows;
+void ForEachRun(const Outbox& outbox, std::size_t target, Visit&& visit) {
   for (const std::vector<std::vector<Routed>>& shard : outbox) {
     const std::vector<Routed>& routed = shard[target];
     for (std::size_t i = 0; i < routed.size();) {
+      const std::size_t begin = i;
       const NodeId source = routed[i].source;
-      rows.clear();
-      for (; i < routed.size() && routed[i].source == source; ++i) {
-        rows.push_back(routed[i].row);
-      }
-      visit(source, std::span<const transport::RowRef>(rows));
+      while (i < routed.size() && routed[i].source == source) ++i;
+      visit(source, std::span<const Routed>(routed.data() + begin, i - begin));
     }
+  }
+}
+
+/// Sizes each relation of \p in for the rows \p outbox routes to
+/// \p target, so draining them never grows its storage.
+void ReserveForRuns(const Outbox& outbox, std::size_t target, Instance& in) {
+  struct Rows {
+    std::size_t count = 0;
+    std::uint32_t arity = 0;
+  };
+  std::vector<Rows> per_relation;
+  for (const std::vector<std::vector<Routed>>& shard : outbox) {
+    for (const Routed& r : shard[target]) {
+      if (r.row.relation >= per_relation.size()) {
+        per_relation.resize(r.row.relation + 1);
+      }
+      Rows& rows = per_relation[r.row.relation];
+      ++rows.count;
+      rows.arity = r.row.arity;
+    }
+  }
+  for (RelationId rel = 0; rel < per_relation.size(); ++rel) {
+    const Rows& rows = per_relation[rel];
+    if (rows.count != 0) in.Reserve(rel, rows.count, rows.arity);
   }
 }
 
@@ -90,31 +116,31 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
   round.wire_bytes.assign(p, 0);
   {
     obs::TraceSpan span("mpc.route", round_idx);
-    std::vector<std::vector<std::vector<Routed>>> outbox(pool.NumChunks(p));
+    Outbox outbox(pool.NumChunks(p));
     pool.ParallelChunks(
         0, p,
         [this, p, &route, &outbox](std::size_t shard, std::size_t lo,
                                    std::size_t hi) {
           std::vector<std::vector<Routed>>& out = outbox[shard];
           out.resize(p);
-          Fact scratch;  // Router argument, rebuilt per row.
+          std::vector<NodeId> targets;  // Cleared and refilled per row.
           for (std::size_t source = lo; source < hi; ++source) {
             if (!IsLocal(source)) continue;
             const auto src = static_cast<NodeId>(source);
             const Instance& local = locals_[source];
             for (RelationId rel = 0; rel < local.NumRelationIds(); ++rel) {
               const RowsView rows = local.RowsOf(rel);
-              if (rows.num_rows == 0) continue;
-              scratch.relation = rel;
+              const auto arity = static_cast<std::uint32_t>(rows.arity);
               for (std::size_t i = 0; i < rows.num_rows; ++i) {
-                const Value* row = rows.Row(i);
-                scratch.args.assign(row, row + rows.arity);
-                for (NodeId target : route(src, scratch)) {
+                const transport::RowRef row{rel, rows.Row(i), arity};
+                targets.clear();
+                route(src, row, targets);
+                if (targets.empty()) continue;
+                const auto bytes =
+                    static_cast<std::uint32_t>(transport::EncodedRowSize(row));
+                for (const NodeId target : targets) {
                   LAMP_CHECK(target < p);
-                  out[target].push_back(Routed{
-                      transport::RowRef{
-                          rel, row, static_cast<std::uint32_t>(rows.arity)},
-                      src});
+                  out[target].push_back(Routed{row, src, bytes});
                 }
               }
             }
@@ -129,9 +155,12 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
     transport::Transport* wire = WireTransport();
     if (wire != nullptr) {
       std::vector<transport::WireFrame> frames;
-      const auto ship = [&frames, round_idx](
+      std::vector<transport::RowRef> rows;
+      const auto ship = [&frames, &rows, round_idx](
                             NodeId src, NodeId target,
-                            std::span<const transport::RowRef> rows) {
+                            std::span<const Routed> run) {
+        rows.clear();
+        for (const Routed& r : run) rows.push_back(r.row);
         frames.push_back(transport::WireFrame{
             transport::kWireVersion, transport::FrameType::kFactBatch, src,
             target, transport::EncodeFactBatchPayload(round_idx, rows)});
@@ -145,36 +174,37 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           }
         };
         ForEachRun(outbox, target,
-                   [&](NodeId src, std::span<const transport::RowRef> rows) {
+                   [&](NodeId src, std::span<const Routed> run) {
                      ship_empty_until(src);
                      next = src + 1;
-                     if (src != target) ship(src, target, rows);
+                     if (src != target) ship(src, target, run);
                    });
         ship_empty_until(static_cast<NodeId>(p));
       }
       wire->SendBatch(std::move(frames));
     }
 
-    // Step 2, drain (targets fan out): each local target inserts its runs
+    // Step 2, drain (targets fan out): each local target sizes its
+    // storage for the rows the outbox routes to it, then inserts its runs
     // in ascending source order, taking a run straight from the outbox
     // in-process or when it is the target's own, else from the decoded
     // frame, and receives from remote (mesh) sources at their place in
     // between: the serial insert sequence on every backend. A fact kept at
     // its server is not communicated: it persists but counts toward
     // neither the load (the data a server *receives* in the round) nor the
-    // wire bytes, computed in closed form in-process and measured from the
-    // frames otherwise.
+    // wire bytes, computed in-process from the routed rows' sizes and
+    // measured from the frames otherwise.
     pool.ParallelFor(0, p, [this, &received, &round, &outbox, wire, p,
                             round_idx](std::size_t target) {
       if (!IsLocal(target)) return;
       const auto tgt = static_cast<NodeId>(target);
       Instance& in = received[target];
+      ReserveForRuns(outbox, target, in);
       std::size_t& load = round.received[target];
       std::size_t& bytes = round.wire_bytes[target];
-      const auto insert = [&in, &load](const auto& rows, bool counts) {
-        for (const transport::RowRef row : rows) {
-          load += in.InsertRow(row.relation, row.row, row.arity) && counts;
-        }
+      const auto insert = [&in, &load](const transport::RowRef row,
+                                       bool counts) {
+        load += in.InsertRow(row.relation, row.row, row.arity) && counts;
       };
       const auto recv = [&](NodeId src) {
         const transport::WireFrame frame = wire->Recv(tgt, src);
@@ -186,7 +216,7 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
                        "mpc: malformed fact batch on the wire");
         if (decoded->facts.empty()) return;  // Not communication.
         bytes += transport::FrameWireSize(frame);
-        insert(decoded->facts, true);
+        for (const transport::RowRef row : decoded->facts) insert(row, true);
       };
       NodeId next = 0;  // Remote sources below it are drained.
       const auto recv_remote_until = [&](NodeId end) {
@@ -195,17 +225,21 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
         }
       };
       ForEachRun(outbox, target,
-                 [&](NodeId src, std::span<const transport::RowRef> rows) {
+                 [&](NodeId src, std::span<const Routed> run) {
                    recv_remote_until(src);
                    next = src + 1;
                    if (src == tgt) {
-                     insert(rows, false);
+                     for (const Routed& r : run) insert(r.row, false);
                    } else if (wire != nullptr) {
                      recv(src);
                    } else {
-                     bytes += transport::FactBatchFrameSize(src, tgt,
-                                                            round_idx, rows);
-                     insert(rows, true);
+                     std::size_t row_bytes = 0;
+                     for (const Routed& r : run) {
+                       row_bytes += r.bytes;
+                       insert(r.row, true);
+                     }
+                     bytes += transport::FactBatchFrameSize(
+                         src, tgt, round_idx, run.size(), row_bytes);
                    }
                  });
       recv_remote_until(static_cast<NodeId>(p));

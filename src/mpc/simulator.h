@@ -37,11 +37,14 @@
 ///
 /// Backend selection: transport::ActiveKind() picks where the routed facts
 /// travel, and every backend runs the same exchange. The outboxes hold row
-/// references; the rows one source routes to one target form a run, and
-/// each local target drains its runs in ascending source order, merging
-/// rows with InsertRow. The in-process default builds no
+/// references, each with its encoded size computed once per source row;
+/// the rows one source routes to one target form a run. Each local target
+/// first sizes its receive storage for the rows routed to it
+/// (Instance::Reserve), then drains its runs in ascending source order,
+/// merging rows with InsertRow. The in-process default builds no
 /// Transport: a target takes every run straight from the outbox and
-/// accounts its wire bytes in closed form (transport::FactBatchFrameSize).
+/// accounts its wire bytes in closed form from the stored row sizes
+/// (transport::FactBatchFrameSize).
 /// tcp/uds first serialize each run that leaves its server into one
 /// lamp.wire.v1 kFactBatch frame and hand the round's frames to a loopback
 /// transport in one Transport::SendBatch call (src/transport); a target
@@ -61,10 +64,16 @@ namespace lamp {
 /// Simulates one MPC cluster execution.
 class MpcSimulator {
  public:
-  /// Routes one fact (held by server \p source) to target servers.
-  /// Returning an empty vector drops the fact.
-  using Router =
-      std::function<std::vector<NodeId>(NodeId source, const Fact& fact)>;
+  /// Routes one row (held by server \p source) by appending its target
+  /// servers to \p targets, which arrives empty: each worker clears and
+  /// reuses one vector across every row it routes. Appending nothing drops
+  /// the row; a target appended twice receives the row twice (the second
+  /// insert is a duplicate). Called concurrently for distinct sources, so
+  /// it must be thread-safe for them. A DistributionPolicy routes with
+  /// `[&policy](NodeId, transport::RowRef row, std::vector<NodeId>& t) {
+  /// policy.RouteRow(row.relation, row.row, row.arity, t); }`.
+  using Router = std::function<void(NodeId source, transport::RowRef row,
+                                    std::vector<NodeId>& targets)>;
 
   /// Computation phase of one server: transforms the received local
   /// instance into (next round's local state, output facts).

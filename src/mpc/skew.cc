@@ -87,11 +87,11 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
       JoinHeavyHitters(input, shape.r, shape.r_y_pos, shape.s, shape.s_y_pos,
                        heavy_threshold);
 
-  auto y_of = [&shape](const Fact& f) -> Value {
-    return f.relation == shape.r ? f.args[shape.r_y_pos]
-                                 : f.args[shape.s_y_pos];
+  auto y_of = [&shape](transport::RowRef f) -> Value {
+    return f.relation == shape.r ? f.row[shape.r_y_pos]
+                                 : f.row[shape.s_y_pos];
   };
-  auto is_heavy_fact = [&](const Fact& f) {
+  auto is_heavy_fact = [&](transport::RowRef f) {
     return (f.relation == shape.r || f.relation == shape.s) &&
            heavy.count(y_of(f)) > 0;
   };
@@ -102,13 +102,15 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
   MpcSimulator sim(p);
   sim.LoadInput(input);
   sim.RunRound(
-      [&](NodeId source, const Fact& f) -> std::vector<NodeId> {
-        if (is_heavy_fact(f)) return {source};
-        std::vector<NodeId> targets = grid.ResponsibleNodes(f);
+      [&](NodeId source, transport::RowRef f, std::vector<NodeId>& targets) {
+        if (is_heavy_fact(f)) {
+          targets.push_back(source);
+          return;
+        }
+        grid.RouteRow(f.relation, f.row, f.arity, targets);
         if (f.relation == shape.t) {
           targets.push_back(source);  // T is needed again in round 2.
         }
-        return targets;
       },
       [&](NodeId, const Instance& received) {
         return MpcSimulator::ComputeResult{received,
@@ -140,8 +142,7 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
     };
 
     sim.RunRound(
-        [&](NodeId, const Fact& f) -> std::vector<NodeId> {
-          std::vector<NodeId> targets;
+        [&](NodeId, transport::RowRef f, std::vector<NodeId>& targets) {
           if ((f.relation == shape.r || f.relation == shape.s) &&
               heavy.count(y_of(f)) > 0) {
             const std::size_t idx = heavy_index_of(y_of(f));
@@ -149,7 +150,7 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
             const std::size_t other_pos =
                 f.relation == shape.r ? 1 - shape.r_y_pos : 1 - shape.s_y_pos;
             const std::uint64_t hash_val =
-                HashMix(static_cast<std::uint64_t>(f.args[other_pos].v) ^
+                HashMix(static_cast<std::uint64_t>(f.row[other_pos].v) ^
                         HashMix(seed + 77));
             if (f.relation == shape.r) {
               for (std::size_t col = 0; col < g; ++col) {
@@ -168,16 +169,15 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
             const VarId x = SharedVar(t_atom, r_atom);
             const std::size_t t_x_pos = VarPos(t_atom, x);
             const std::uint64_t row =
-                HashMix(static_cast<std::uint64_t>(f.args[t_x_pos].v) ^
+                HashMix(static_cast<std::uint64_t>(f.row[t_x_pos].v) ^
                         HashMix(seed + 77));
             const std::uint64_t col =
-                HashMix(static_cast<std::uint64_t>(f.args[1 - t_x_pos].v) ^
+                HashMix(static_cast<std::uint64_t>(f.row[1 - t_x_pos].v) ^
                         HashMix(seed + 77));
             for (std::size_t idx = 0; idx < h; ++idx) {
               targets.push_back(cell(idx, row, col));
             }
           }
-          return targets;
         },
         [&](NodeId, const Instance& received) {
           return MpcSimulator::ComputeResult{Instance(),

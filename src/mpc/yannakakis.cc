@@ -30,12 +30,12 @@ std::vector<std::size_t> SharedPositions(const Atom& atom,
   return positions;
 }
 
-std::uint64_t KeyHash(const Fact& fact,
+std::uint64_t KeyHash(const Value* row,
                       const std::vector<std::size_t>& positions,
                       std::uint64_t seed) {
   std::uint64_t h = HashMix(seed);
   for (std::size_t pos : positions) {
-    h = HashCombine(h, static_cast<std::uint64_t>(fact.args[pos].v));
+    h = HashCombine(h, static_cast<std::uint64_t>(row[pos].v));
   }
   return h;
 }
@@ -61,26 +61,27 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
   const RelationId filter_rel = filter_atom.relation;
 
   sim.RunRound(
-      [&](NodeId source, const Fact& f) -> std::vector<NodeId> {
-        if (f.relation == keep_rel) {
-          return {static_cast<NodeId>(KeyHash(f, keep_pos, round_seed) %
-                                      num_servers)};
+      [&](NodeId source, transport::RowRef row, std::vector<NodeId>& targets) {
+        if (row.relation == keep_rel) {
+          targets.push_back(static_cast<NodeId>(
+              KeyHash(row.row, keep_pos, round_seed) % num_servers));
+        } else if (row.relation == filter_rel) {
+          targets.push_back(static_cast<NodeId>(
+              KeyHash(row.row, filter_pos, round_seed) % num_servers));
+        } else {
+          targets.push_back(source);
         }
-        if (f.relation == filter_rel) {
-          return {static_cast<NodeId>(KeyHash(f, filter_pos, round_seed) %
-                                      num_servers)};
-        }
-        return {source};
       },
       [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
         std::unordered_set<std::uint64_t> filter_keys;
         received.ForEachFactOf(filter_rel, [&](const Fact& f) {
-          filter_keys.insert(KeyHash(f, filter_pos, round_seed));
+          filter_keys.insert(KeyHash(f.args.data(), filter_pos, round_seed));
         });
         Instance next;
         for (const Fact& f : received.AllFacts()) {
           if (f.relation == keep_rel &&
-              filter_keys.count(KeyHash(f, keep_pos, round_seed)) == 0) {
+              filter_keys.count(
+                  KeyHash(f.args.data(), keep_pos, round_seed)) == 0) {
             continue;  // Dangling tuple eliminated.
           }
           next.Insert(f);

@@ -16,20 +16,6 @@ namespace {
 /// fully busy fixed-size pool).
 thread_local bool t_on_worker = false;
 
-/// Book-keeping for one ParallelChunks call. Chunk tasks decrement
-/// `remaining` as they finish; the caller waits for zero. Errors are kept
-/// per chunk so the *lowest-indexed* failure is rethrown regardless of
-/// which chunk happened to fail first in wall-clock order.
-struct CallState {
-  explicit CallState(std::size_t chunks)
-      : remaining(chunks), errors(chunks) {}
-
-  std::mutex m;
-  std::condition_variable done;
-  std::size_t remaining;
-  std::vector<std::exception_ptr> errors;
-};
-
 void RethrowLowestChunkError(const std::vector<std::exception_ptr>& errors) {
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
@@ -37,6 +23,45 @@ void RethrowLowestChunkError(const std::vector<std::exception_ptr>& errors) {
 }
 
 }  // namespace
+
+/// Book-keeping for one ParallelChunks call. Chunks decrement `remaining`
+/// as they finish; the caller waits for zero. Errors are kept per chunk so
+/// the *lowest-indexed* failure is rethrown regardless of which chunk
+/// happened to fail first in wall-clock order.
+struct ThreadPool::Call {
+  Call(std::size_t begin, std::size_t n, std::size_t chunks,
+       const std::function<void(std::size_t, std::size_t, std::size_t)>&
+           body)
+      : begin(begin),
+        n(n),
+        chunks(chunks),
+        body(body),
+        remaining(chunks),
+        errors(chunks) {}
+
+  std::size_t Lo(std::size_t c) const { return begin + (n * c) / chunks; }
+
+  /// Runs chunk \p c and counts it done. The call may be destroyed as soon
+  /// as the last chunk is counted, so nothing touches it after that.
+  void Run(std::size_t c) {
+    try {
+      body(c, Lo(c), Lo(c + 1));
+    } catch (...) {
+      errors[c] = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(m);
+    if (--remaining == 0) done.notify_one();
+  }
+
+  const std::size_t begin;
+  const std::size_t n;
+  const std::size_t chunks;
+  const std::function<void(std::size_t, std::size_t, std::size_t)>& body;
+  std::mutex m;
+  std::condition_variable done;
+  std::size_t remaining;
+  std::vector<std::exception_ptr> errors;
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) : num_threads_(num_threads) {
   LAMP_CHECK(num_threads_ > 0);
@@ -58,15 +83,15 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::WorkerLoop() {
   t_on_worker = true;
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // stopping_ and drained.
-      task = std::move(tasks_.front());
+      task = tasks_.front();
       tasks_.pop_front();
     }
-    task();
+    task.call->Run(task.chunk);
   }
 }
 
@@ -82,64 +107,49 @@ void ThreadPool::ParallelChunks(
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t chunks = NumChunks(n);
-  auto chunk_lo = [begin, n, chunks](std::size_t c) {
-    return begin + (n * c) / chunks;
-  };
+  Call call(begin, n, chunks, body);
 
   if (chunks == 1 || OnWorkerThread()) {
     // Inline path (serial pool, tiny range, or nested call from a worker):
     // same chunk boundaries, same ascending order, same error policy.
-    std::vector<std::exception_ptr> errors(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      try {
-        body(c, chunk_lo(c), chunk_lo(c + 1));
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    }
-    RethrowLowestChunkError(errors);
+    for (std::size_t c = 0; c < chunks; ++c) call.Run(c);
+    RethrowLowestChunkError(call.errors);
     return;
   }
 
-  CallState state(chunks);
-  auto run_chunk = [&body, &state, &chunk_lo](std::size_t c) {
-    try {
-      body(c, chunk_lo(c), chunk_lo(c + 1));
-    } catch (...) {
-      state.errors[c] = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(state.m);
-    if (--state.remaining == 0) state.done.notify_one();
-  };
-
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t c = 1; c < chunks; ++c) {
-      tasks_.emplace_back([&run_chunk, c] { run_chunk(c); });
-    }
+    for (std::size_t c = 1; c < chunks; ++c) tasks_.push_back({&call, c});
   }
   work_ready_.notify_all();
-  run_chunk(0);
+  call.Run(0);
 
-  // Help drain the queue while waiting: on machines with fewer cores than
-  // lanes the caller doing chunk work is what keeps wall-clock flat.
+  // Help with this call's own chunks while waiting: on machines with fewer
+  // cores than lanes the caller doing chunk work is what keeps wall-clock
+  // flat. It never runs another call's chunk, which could block on work
+  // only this caller's thread will do (another mesh rank's frames).
   for (;;) {
-    std::function<void()> task;
+    std::size_t chunk = chunks;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
+      for (auto it = tasks_.begin(); it != tasks_.end(); ++it) {
+        if (it->call == &call) {
+          chunk = it->chunk;
+          tasks_.erase(it);
+          break;
+        }
       }
     }
-    if (!task) break;
-    task();
+    if (chunk == chunks) break;
+    call.Run(chunk);
   }
+  // Every chunk has left the queue, so once the running ones are counted
+  // no task refers to the call any more.
   {
-    std::unique_lock<std::mutex> lock(state.m);
-    state.done.wait(lock, [&state] { return state.remaining == 0; });
+    std::unique_lock<std::mutex> lock(call.m);
+    call.done.wait(lock, [&call] { return call.remaining == 0; });
   }
-  RethrowLowestChunkError(state.errors);
+  RethrowLowestChunkError(call.errors);
 }
 
 void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,

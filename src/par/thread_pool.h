@@ -23,9 +23,12 @@
 ///
 /// Nested ParallelFor/ParallelChunks calls issued from inside a worker run
 /// inline on the calling worker (no tasks are enqueued), so nesting cannot
-/// deadlock the fixed-size pool. Exceptions thrown by chunk bodies are
-/// captured and the one from the lowest-indexed failing chunk is rethrown
-/// in the calling thread once every chunk has finished.
+/// deadlock the fixed-size pool. A caller waiting on its chunks helps run
+/// only its own call's chunks, never another caller's, so callers on
+/// different threads sharing one pool (mesh ranks in one process) cannot
+/// end up waiting on each other through it. Exceptions thrown by chunk
+/// bodies are captured and the one from the lowest-indexed failing chunk
+/// is rethrown in the calling thread once every chunk has finished.
 
 namespace lamp::par {
 
@@ -67,13 +70,21 @@ class ThreadPool {
   static bool OnWorkerThread();
 
  private:
+  /// One ParallelChunks call (thread_pool.cc).
+  struct Call;
+  /// A queued chunk: chunk \p chunk of \p call.
+  struct Task {
+    Call* call = nullptr;
+    std::size_t chunk = 0;
+  };
+
   void WorkerLoop();
 
   std::size_t num_threads_;
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_ready_;
-  std::deque<std::function<void()>> tasks_;
+  std::deque<Task> tasks_;
   bool stopping_ = false;
 };
 

@@ -39,13 +39,20 @@ struct Fact {
   }
 };
 
+/// Hash of the fact relation(row[0..arity)); FactHash is this over a Fact.
+inline std::uint64_t RowHash(RelationId relation, const Value* row,
+                             std::size_t arity) {
+  std::uint64_t h = HashMix(relation);
+  for (std::size_t i = 0; i < arity; ++i) {
+    h = HashCombine(h, static_cast<std::uint64_t>(row[i].v));
+  }
+  return h;
+}
+
 struct FactHash {
   std::size_t operator()(const Fact& f) const {
-    std::uint64_t h = HashMix(f.relation);
-    for (Value v : f.args) {
-      h = HashCombine(h, static_cast<std::uint64_t>(v.v));
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(
+        RowHash(f.relation, f.args.data(), f.args.size()));
   }
 };
 

@@ -52,6 +52,31 @@ void Instance::Rehash(Column& c, std::size_t new_slots) {
   }
 }
 
+std::size_t Instance::SlotsFor(const Column& c, std::size_t rows) {
+  std::size_t slots = c.slots.size();
+  while (rows * 8 > slots * 7) slots = std::max<std::size_t>(16, slots * 2);
+  return slots;
+}
+
+void Instance::Reserve(RelationId relation, std::size_t rows,
+                       std::size_t arity) {
+  if (rows == 0) return;
+  if (relation >= by_relation_.size()) by_relation_.resize(relation + 1);
+  Column& c = by_relation_[relation];
+  if (c.num_rows != 0) {
+    LAMP_CHECK_MSG(arity == c.arity,
+                   "all rows of a relation must share one arity");
+  }
+  // The capacity doubling from the current one (or from one row) reaches,
+  // so presized and grown columns hold the same memory.
+  const std::size_t total = c.num_rows + rows;
+  std::size_t capacity = c.data.capacity() != 0 ? c.data.capacity() : arity;
+  while (capacity < total * arity) capacity *= 2;
+  c.data.reserve(capacity);
+  const std::size_t slots = SlotsFor(c, total);
+  if (slots != c.slots.size()) Rehash(c, slots);
+}
+
 bool Instance::InsertRow(RelationId relation, const Value* row,
                          std::size_t arity) {
   if (relation >= by_relation_.size()) by_relation_.resize(relation + 1);

@@ -92,6 +92,14 @@ class Instance {
   /// (checked).
   bool InsertRow(RelationId relation, const Value* row, std::size_t arity);
 
+  /// Makes room for \p rows more rows of \p arity values in \p relation:
+  /// its data buffer and its dedup slot table take the sizes that
+  /// inserting that many new rows would grow them to, so those inserts
+  /// never reallocate or rehash. Row order, dedup decisions and join
+  /// indexes are exactly those of an unsized instance. A relation that
+  /// already holds rows of another arity fails the arity check.
+  void Reserve(RelationId relation, std::size_t rows, std::size_t arity);
+
   /// Inserts every fact of \p other; returns the number of new facts.
   std::size_t InsertAll(const Instance& other);
 
@@ -265,6 +273,8 @@ class Instance {
 
   static std::uint64_t HashRow(const Value* row, std::size_t arity);
   static void Rehash(Column& c, std::size_t new_slots);
+  /// The slot table size growth reaches once \p c holds \p rows rows.
+  static std::size_t SlotsFor(const Column& c, std::size_t rows);
   std::size_t InsertRowsImpl(RelationId relation, const Value* rows,
                              std::size_t count, std::size_t arity,
                              Instance* mirror);

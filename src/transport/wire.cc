@@ -290,7 +290,15 @@ std::size_t FrameWireSize(const WireFrame& frame) {
 std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
                                std::uint64_t round,
                                std::span<const RowRef> rows) {
-  return FrameSize(from, to, VarintSize(round) + RowListSize(rows));
+  std::size_t row_bytes = 0;
+  for (const RowRef row : rows) row_bytes += EncodedRowSize(row);
+  return FactBatchFrameSize(from, to, round, rows.size(), row_bytes);
+}
+
+std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
+                               std::uint64_t round, std::size_t count,
+                               std::size_t row_bytes) {
+  return FrameSize(from, to, VarintSize(round) + VarintSize(count) + row_bytes);
 }
 
 std::size_t MessageFrameSize(std::uint32_t from, std::uint32_t to,

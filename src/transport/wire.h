@@ -313,10 +313,17 @@ std::size_t FrameWireSize(const WireFrame& frame);
 
 /// On-wire bytes of the kFactBatch frame carrying
 /// EncodeFactBatchPayload(round, rows) from \p from to \p to, computed
-/// without encoding (the in-process MPC backend's wire-byte accounting).
+/// without encoding.
 std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
                                std::uint64_t round,
                                std::span<const RowRef> rows);
+
+/// The same size from the batch's row count and the sum of its rows'
+/// EncodedRowSize (the in-process MPC backend's wire-byte accounting,
+/// which sizes each routed row once however many targets it goes to).
+std::size_t FactBatchFrameSize(std::uint32_t from, std::uint32_t to,
+                               std::uint64_t round, std::size_t count,
+                               std::size_t row_bytes);
 
 /// On-wire bytes of the kMessage frame carrying EncodeMessagePayload(seq,
 /// depth, parent, facts) from \p from to \p to, computed without encoding

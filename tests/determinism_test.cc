@@ -147,13 +147,13 @@ RunDigest ReshuffleDigest(std::uint64_t seed) {
   obs::ScopedTracer install(tracer);
   for (std::uint64_t round = 0; round < 3; ++round) {
     sim.RunRound(
-        [round, p](NodeId, const Fact& fact) {
+        [round, p](NodeId, transport::RowRef fact,
+                   std::vector<NodeId>& targets) {
           const std::uint64_t h =
-              HashMix(static_cast<std::uint64_t>(fact.args[0].v) * 31 +
+              HashMix(static_cast<std::uint64_t>(fact.row[0].v) * 31 +
                       round);
-          return std::vector<NodeId>{
-              static_cast<NodeId>(h % p),
-              static_cast<NodeId>((h >> 20) % p)};
+          targets.push_back(static_cast<NodeId>(h % p));
+          targets.push_back(static_cast<NodeId>((h >> 20) % p));
         },
         MpcSimulator::KeepAll());
   }

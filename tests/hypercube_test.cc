@@ -46,22 +46,76 @@ TEST_F(HypercubeTest, ReplicationFactorsMatchExample32) {
   EXPECT_EQ(policy.ResponsibleNodes(t_fact).size(), 3u);
 }
 
-TEST_F(HypercubeTest, ResponsibleNodesAgreesWithIsResponsible) {
-  HypercubePolicy policy(triangle_, {2, 2, 2}, MakeUniverse(6), 3);
-  for (RelationId rel :
-       {schema_.IdOf("R"), schema_.IdOf("S"), schema_.IdOf("T")}) {
+// RouteRow against the IsResponsible scan over every node: the same set,
+// no target twice, the caller's earlier targets left in place, and
+// ResponsibleNodes returning exactly what RouteRow appends.
+void ExpectRouteRowMatchesScan(const DistributionPolicy& policy,
+                               const Schema& schema, const Fact& f) {
+  SCOPED_TRACE(FactToString(schema, f));
+  std::vector<NodeId> routed = {7777};  // Must survive the append.
+  policy.RouteRow(f.relation, f.args.data(), f.args.size(), routed);
+  ASSERT_FALSE(routed.empty());
+  EXPECT_EQ(routed.front(), 7777u);
+  const std::vector<NodeId> appended(routed.begin() + 1, routed.end());
+  const std::set<NodeId> appended_set(appended.begin(), appended.end());
+  EXPECT_EQ(appended_set.size(), appended.size()) << "a target twice";
+  std::set<NodeId> scan;
+  for (NodeId n = 0; n < policy.NumNodes(); ++n) {
+    if (policy.IsResponsible(n, f)) scan.insert(n);
+  }
+  EXPECT_EQ(appended_set, scan);
+  EXPECT_EQ(policy.ResponsibleNodes(f), appended);
+}
+
+// Every fact over \p relations with arities 1..3 and values in [0, 4).
+std::vector<Fact> SmallFacts(const std::vector<RelationId>& relations) {
+  std::vector<Fact> facts;
+  for (const RelationId rel : relations) {
     for (std::int64_t a = 0; a < 4; ++a) {
+      facts.push_back(Fact(rel, {a}));
       for (std::int64_t b = 0; b < 4; ++b) {
-        const Fact f(rel, {a, b});
-        const std::vector<NodeId> fast = policy.ResponsibleNodes(f);
-        const std::set<NodeId> fast_set(fast.begin(), fast.end());
-        std::set<NodeId> slow;
-        for (NodeId n = 0; n < policy.NumNodes(); ++n) {
-          if (policy.IsResponsible(n, f)) slow.insert(n);
-        }
-        EXPECT_EQ(fast_set, slow) << FactToString(schema_, f);
+        facts.push_back(Fact(rel, {a, b}));
+        facts.push_back(Fact(rel, {a, b, (a + b) % 4}));
       }
     }
+  }
+  return facts;
+}
+
+TEST_F(HypercubeTest, ResponsibleNodesAgreesWithIsResponsible) {
+  // Plain atoms, a self-join, a repeated variable and a constant; the
+  // facts include arities no atom has and a relation no atom uses.
+  const char* const queries[] = {
+      "H(x,y,z) <- R(x,y), S(y,z), T(z,x)",
+      "H(x,y,z) <- R(x,y), R(y,z)",
+      "H(x,y,z) <- R(x,y), R(y,z), R(z,x)",
+      "H2(x,y) <- R(x,x), S(x,y)",
+      "H2(x,y) <- R(x,2), S(x,y), R(y,y)",
+  };
+  for (const char* text : queries) {
+    SCOPED_TRACE(text);
+    const ConjunctiveQuery q = ParseQuery(schema_, text);
+    const RelationId unused = schema_.AddRelation("U", 2);
+    std::vector<RelationId> relations = {unused};
+    for (const Atom& atom : q.body()) relations.push_back(atom.relation);
+    for (const std::uint64_t seed : {3u, 11u}) {
+      const HypercubePolicy policy(q, Shares(q.NumVars(), 3),
+                                   MakeUniverse(6), seed);
+      for (const Fact& f : SmallFacts(relations)) {
+        ExpectRouteRowMatchesScan(policy, schema_, f);
+      }
+    }
+  }
+}
+
+TEST_F(HypercubeTest, DefaultRouteRowScansIsResponsible) {
+  const RelationId r = schema_.IdOf("R");
+  const RelationId s = schema_.IdOf("S");
+  HashPolicy policy(5, MakeUniverse(6), 2);
+  policy.SetKey(r, {1});  // S has no key: broadcast.
+  for (const Fact& f : SmallFacts({r, s})) {
+    if (f.args.size() < 2) continue;  // The key column must exist.
+    ExpectRouteRowMatchesScan(policy, schema_, f);
   }
 }
 

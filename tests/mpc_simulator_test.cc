@@ -38,7 +38,9 @@ TEST_F(SimulatorTest, RoundRoutesAndCounts) {
   sim.LoadInput(global);
   // Send everything to server 0.
   sim.RunRound(
-      [](NodeId, const Fact&) -> std::vector<NodeId> { return {0}; },
+      [](NodeId, transport::RowRef, std::vector<NodeId>& targets) {
+        targets.push_back(0);
+      },
       MpcSimulator::KeepAll());
   EXPECT_EQ(sim.locals()[0].Size(), 8u);
   EXPECT_TRUE(sim.locals()[1].Empty());
@@ -54,7 +56,7 @@ TEST_F(SimulatorTest, DroppedFactsDisappear) {
   global.Insert(Fact(r_, {1, 2}));
   MpcSimulator sim(2);
   sim.LoadInput(global);
-  sim.RunRound([](NodeId, const Fact&) -> std::vector<NodeId> { return {}; },
+  sim.RunRound([](NodeId, transport::RowRef, std::vector<NodeId>&) {},
                MpcSimulator::KeepAll());
   EXPECT_TRUE(sim.GlobalState().Empty());
 }
@@ -65,7 +67,9 @@ TEST_F(SimulatorTest, BroadcastCountsPerServer) {
   MpcSimulator sim(3);
   sim.LoadInput(global);
   sim.RunRound(
-      [](NodeId, const Fact&) -> std::vector<NodeId> { return {0, 1, 2}; },
+      [](NodeId, transport::RowRef, std::vector<NodeId>& targets) {
+        targets.insert(targets.end(), {0, 1, 2});
+      },
       MpcSimulator::KeepAll());
   // Every server holds everything; each received 4 foreign facts.
   for (NodeId n = 0; n < 3; ++n) {
@@ -85,10 +89,10 @@ TEST_F(SimulatorTest, OutputAccumulatesAcrossRounds) {
     out.Insert(Fact(r_, {static_cast<std::int64_t>(received.Size()), 0}));
     return MpcSimulator::ComputeResult{received, out};
   };
-  sim.RunRound([](NodeId s, const Fact&) -> std::vector<NodeId> { return {s}; },
-               emit);
-  sim.RunRound([](NodeId s, const Fact&) -> std::vector<NodeId> { return {s}; },
-               emit);
+  const auto stay = [](NodeId s, transport::RowRef,
+                       std::vector<NodeId>& targets) { targets.push_back(s); };
+  sim.RunRound(stay, emit);
+  sim.RunRound(stay, emit);
   EXPECT_EQ(sim.output().Size(), 1u);  // Same fact emitted twice, set union.
   EXPECT_EQ(sim.stats().NumRounds(), 2u);
 }

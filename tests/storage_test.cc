@@ -279,6 +279,70 @@ TEST(StorageProperty, EqualityIsInsertionOrderIndependent) {
   EXPECT_FALSE(a == b);
 }
 
+// Reserve sizes storage only: an instance presized before (or between)
+// inserts must behave exactly like an unsized one fed the same rows — the
+// same InsertRow answers, row order, membership and IndexOn chains —
+// whether the count is below or above the rows that actually arrive.
+TEST(StorageProperty, ReserveMatchesAnUnsizedInstance) {
+  constexpr std::size_t kArity = 3;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(2000 + seed);
+    Instance sized;
+    Instance plain;
+    const auto insert_both = [&](std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::vector<Value> vals = ToValues(RandomRow(rng, kArity, 9));
+        ASSERT_EQ(sized.InsertRow(0, vals.data(), kArity),
+                  plain.InsertRow(0, vals.data(), kArity));
+      }
+    };
+    // Empty (seeds 0-2) or non-empty (3-5) before the first Reserve.
+    insert_both(seed < 3 ? 0 : 5 + rng.Uniform(40));
+    for (int wave = 0; wave < 3; ++wave) {
+      const std::size_t arriving = rng.Uniform(300);
+      // Below (even waves) or above (odd waves) what arrives.
+      const std::size_t reserved =
+          wave % 2 == 0 ? arriving / 3 : 2 * arriving + 1;
+      sized.Reserve(0, reserved, kArity);
+      sized.Reserve(7, reserved, 2);  // A relation that stays empty.
+      insert_both(arriving);
+    }
+    ASSERT_EQ(sized.Size(), plain.Size());
+    const RowsView a = sized.RowsOf(0);
+    const RowsView b = plain.RowsOf(0);
+    ASSERT_EQ(a.num_rows, b.num_rows);
+    for (std::size_t i = 0; i < a.num_rows * kArity; ++i) {
+      ASSERT_EQ(a.data[i].v, b.data[i].v) << "value " << i;
+    }
+    EXPECT_EQ(sized.NumRows(7), 0u);
+    for (int probe = 0; probe < 200; ++probe) {
+      const std::vector<Value> vals = ToValues(RandomRow(rng, kArity, 10));
+      EXPECT_EQ(sized.ContainsRow(0, vals.data(), kArity),
+                plain.ContainsRow(0, vals.data(), kArity));
+    }
+    for (std::uint64_t mask = 1; mask < (1u << kArity); ++mask) {
+      const JoinIndex& x = sized.IndexOn(0, mask);
+      const JoinIndex& y = plain.IndexOn(0, mask);
+      EXPECT_EQ(x.head, y.head) << "mask " << mask;
+      EXPECT_EQ(x.next, y.next) << "mask " << mask;
+    }
+  }
+}
+
+TEST(StorageProperty, ReserveKeepsTheArityCheck) {
+  const std::vector<Value> pair = {Value(1), Value(2)};
+  const std::vector<Value> triple = {Value(1), Value(2), Value(3)};
+  // An empty relation takes the arity of its first row, presized or not.
+  Instance fresh;
+  fresh.Reserve(0, 10, 2);
+  EXPECT_TRUE(fresh.InsertRow(0, triple.data(), 3));
+  Instance instance;
+  instance.InsertRow(0, pair.data(), 2);
+  instance.Reserve(0, 10, 2);
+  EXPECT_DEATH(instance.InsertRow(0, triple.data(), 3), "arity");
+  EXPECT_DEATH(instance.Reserve(0, 10, 3), "arity");
+}
+
 // ------------------------------------------------- digest parity --
 
 // FNV-1a accumulator (determinism_test.cc's): order-sensitive, so any

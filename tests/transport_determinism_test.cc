@@ -208,12 +208,13 @@ RunDigest ReshuffleDigest(std::size_t p,
     sim.LoadInput(db);
     for (std::uint64_t round = 0; round < 3; ++round) {
       sim.RunRound(
-          [round, p](NodeId, const Fact& fact) {
+          [round, p](NodeId, transport::RowRef fact,
+                     std::vector<NodeId>& targets) {
             const std::uint64_t h =
-                HashMix(static_cast<std::uint64_t>(fact.args[0].v) * 31 +
+                HashMix(static_cast<std::uint64_t>(fact.row[0].v) * 31 +
                         round);
-            return std::vector<NodeId>{static_cast<NodeId>(h % p),
-                                       static_cast<NodeId>((h >> 20) % p)};
+            targets.push_back(static_cast<NodeId>(h % p));
+            targets.push_back(static_cast<NodeId>((h >> 20) % p));
           },
           MpcSimulator::KeepAll());
     }
@@ -498,21 +499,27 @@ TEST(TransportDeterminismTest, MpcDigestsIdenticalAcrossServerCounts) {
 // The first multi-round run across mesh endpoints: one simulator per rank,
 // ranks as threads, frames over real sockets, empty batches to every
 // remote peer — folding back to exactly the in-process digests.
+// The rank threads share the process-wide pool: at 4 lanes a pool worker
+// may run one rank's drain chunk, blocked on another rank's frames, while
+// each rank's caller helps only with its own chunks.
 TEST(TransportDeterminismTest, ThreadedMeshFoldsToInProcessDigests) {
   BackendRestorer restore;
   transport::SetActiveKind(transport::TransportKind::kInProcess);
-  // The rank threads share the process-wide pool; keep it inline so no
-  // rank can end up running another rank's chunk while that rank waits on
-  // its frames.
-  par::SetDefaultThreads(1);
   for (std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    par::SetDefaultThreads(1);
     const RunDigest repartition = RepartitionDigest(p);
     const RunDigest reshuffle = ReshuffleDigest(p);
-    for (transport::TransportKind kind : kSocketBackends) {
-      EXPECT_EQ(RepartitionDigest(p, MeshThreads(kind)), repartition)
-          << "mesh " << transport::TransportKindName(kind) << " p=" << p;
-      EXPECT_EQ(ReshuffleDigest(p, MeshThreads(kind)), reshuffle)
-          << "mesh " << transport::TransportKindName(kind) << " p=" << p;
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+      par::SetDefaultThreads(lanes);
+      par::GlobalPool();  // Built before the rank threads share it.
+      for (transport::TransportKind kind : kSocketBackends) {
+        EXPECT_EQ(RepartitionDigest(p, MeshThreads(kind)), repartition)
+            << "mesh " << transport::TransportKindName(kind) << " p=" << p
+            << " lanes " << lanes;
+        EXPECT_EQ(ReshuffleDigest(p, MeshThreads(kind)), reshuffle)
+            << "mesh " << transport::TransportKindName(kind) << " p=" << p
+            << " lanes " << lanes;
+      }
     }
   }
 }
@@ -535,16 +542,19 @@ TEST(TransportDeterminismTest, EdgeRunsDrainIdenticallyOnEveryBackend) {
   };
   const std::vector<EdgeRound> rounds = {
       {"all home",
-       [](NodeId src, const Fact&) { return std::vector<NodeId>{src}; },
+       [](NodeId src, transport::RowRef, std::vector<NodeId>& targets) {
+         targets.push_back(src);
+       },
        {0, 0, 0, 0}, {10, 10, 10, 10}, {false, false, false, false}},
       {"server 2 silent",
-       [](NodeId src, const Fact&) {
-         if (src == 2) return std::vector<NodeId>{};
-         return std::vector<NodeId>{src, static_cast<NodeId>((src + 1) % kP)};
+       [](NodeId src, transport::RowRef, std::vector<NodeId>& targets) {
+         if (src == 2) return;
+         targets.push_back(src);
+         targets.push_back(static_cast<NodeId>((src + 1) % kP));
        },
        {10, 10, 10, 0}, {20, 20, 10, 10}, {true, true, true, false}},
       {"all dropped",
-       [](NodeId, const Fact&) { return std::vector<NodeId>{}; },
+       [](NodeId, transport::RowRef, std::vector<NodeId>&) {},
        {0, 0, 0, 0}, {0, 0, 0, 0}, {false, false, false, false}},
   };
   const auto run_round = [](const EdgeRound& edge, const Cluster& cluster) {
@@ -585,14 +595,59 @@ TEST(TransportDeterminismTest, EdgeRunsDrainIdenticallyOnEveryBackend) {
                   std::to_string(lanes));
       }
     }
-    // Mesh ranks share the process-wide pool, so they run it inline (see
+    // Mesh ranks share the process-wide pool (see
     // ThreadedMeshFoldsToInProcessDigests).
     transport::SetActiveKind(transport::TransportKind::kInProcess);
-    par::SetDefaultThreads(1);
-    for (transport::TransportKind kind : kSocketBackends) {
-      check(edge, run_round(edge, MeshThreads(kind)), reference,
-            "mesh " + std::string(transport::TransportKindName(kind)));
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+      par::SetDefaultThreads(lanes);
+      par::GlobalPool();
+      for (transport::TransportKind kind : kSocketBackends) {
+        check(edge, run_round(edge, MeshThreads(kind)), reference,
+              "mesh " + std::string(transport::TransportKindName(kind)) +
+                  " lanes " + std::to_string(lanes));
+      }
     }
+  }
+}
+
+// The in-process backend sizes its wire bytes from per-row sizes computed
+// once per routed row; the socket backends measure the frames they send.
+// On rows of mixed relations and arities, with negative values and values
+// past 2^31 (multi-byte zigzag), every target's bytes must agree.
+TEST(TransportDeterminismTest, MixedRowWireBytesMatchAcrossBackends) {
+  BackendRestorer restore;
+  constexpr std::size_t kP = 4;
+  const auto run = [] {
+    MpcSimulator sim(kP);
+    Instance db;
+    for (std::int64_t i = 0; i < 60; ++i) {
+      const std::int64_t big = (i % 2 == 0 ? 1 : -1) * (i << 31);
+      db.Insert(Fact(0, {i, -i}));
+      db.Insert(Fact(1, {big, i - 30, big * 7}));
+      db.Insert(Fact(2, {-big}));
+    }
+    sim.LoadInput(db);
+    sim.RunRound(
+        [](NodeId src, transport::RowRef row, std::vector<NodeId>& targets) {
+          const std::uint64_t h = RowHash(row.relation, row.row, row.arity);
+          targets.push_back(static_cast<NodeId>(h % kP));
+          if (row.relation != 1) {
+            targets.push_back(static_cast<NodeId>((src + 1 + h % 3) % kP));
+          }
+        },
+        MpcSimulator::KeepAll());
+    return sim.stats().rounds.at(0);
+  };
+  transport::SetActiveKind(transport::TransportKind::kInProcess);
+  const RoundStats reference = run();
+  for (const std::size_t bytes : reference.wire_bytes) EXPECT_GT(bytes, 0u);
+  for (transport::TransportKind kind : kSocketBackends) {
+    transport::SetActiveKind(kind);
+    const RoundStats measured = run();
+    EXPECT_EQ(measured.wire_bytes, reference.wire_bytes)
+        << transport::TransportKindName(kind);
+    EXPECT_EQ(measured.received, reference.received)
+        << transport::TransportKindName(kind);
   }
 }
 

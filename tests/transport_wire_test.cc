@@ -241,6 +241,21 @@ TEST(WireTest, MessageFrameSizeMatchesTheEncodedFrame) {
   }
 }
 
+// Both FactBatchFrameSize forms — over the rows, and from the count plus
+// the summed EncodedRowSize the MPC drain uses — equal the encoded length.
+void ExpectFactBatchSizesMatch(std::uint32_t from, std::uint32_t to,
+                               std::uint64_t round,
+                               const std::vector<RowRef>& rows) {
+  std::vector<std::uint8_t> bytes;
+  AppendFrame(bytes, {kWireVersion, FrameType::kFactBatch, from, to,
+                      EncodeFactBatchPayload(round, rows)});
+  std::size_t row_bytes = 0;
+  for (const RowRef& row : rows) row_bytes += EncodedRowSize(row);
+  EXPECT_EQ(FactBatchFrameSize(from, to, round, rows), bytes.size());
+  EXPECT_EQ(FactBatchFrameSize(from, to, round, rows.size(), row_bytes),
+            bytes.size());
+}
+
 TEST(WireTest, FactBatchFrameSizeMatchesTheEncodedFrame) {
   Rng rng(11);
   const auto id = [&rng] {
@@ -256,11 +271,24 @@ TEST(WireTest, FactBatchFrameSizeMatchesTheEncodedFrame) {
     const std::uint32_t from = id();
     const std::uint32_t to = id();
     const std::uint64_t round = rng.Next() >> rng.Uniform(64);
-    std::vector<std::uint8_t> bytes;
-    AppendFrame(bytes, {kWireVersion, FrameType::kFactBatch, from, to,
-                        EncodeFactBatchPayload(round, rows)});
-    EXPECT_EQ(FactBatchFrameSize(from, to, round, rows), bytes.size());
+    ExpectFactBatchSizesMatch(from, to, round, rows);
   }
+  // Fixed runs: relations of different arity in one batch, negative
+  // values and values at and past 2^31 (multi-byte zigzag), and counts
+  // past one varint byte.
+  std::vector<Fact> mixed = {
+      Fact(0, {-1, 2147483648, -2147483649}),
+      Fact(3, std::vector<Value>{}),
+      Fact(200, {std::numeric_limits<std::int64_t>::min()}),
+      Fact(1, {std::numeric_limits<std::int64_t>::max(), -64, 63}),
+      Fact(0, {4294967296, -4294967296, 1}),
+  };
+  ExpectFactBatchSizesMatch(5, 300, 1, RowsOf(mixed));
+  for (std::int64_t i = 0; i < 200; ++i) {
+    mixed.push_back(Fact(static_cast<RelationId>(i % 3),
+                         {i << 33, -(i << 31)}));
+  }
+  ExpectFactBatchSizesMatch(1u << 31, 0, 1u << 20, RowsOf(mixed));
 }
 
 TEST(WireTest, MessageAndFactBatchDecodersShareTheRowReader) {

@@ -135,8 +135,9 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
     s.policy = std::make_unique<HypercubePolicy>(s.query, s.shares,
                                                  MakeUniverse(1),
                                                  s.routing_seed);
-    s.route = [policy = s.policy.get()](NodeId, const Fact& f) {
-      return policy->ResponsibleNodes(f);
+    s.route = [policy = s.policy.get()](NodeId, transport::RowRef row,
+                                        std::vector<NodeId>& targets) {
+      policy->RouteRow(row.relation, row.row, row.arity, targets);
     };
     s.strategy = obs::audit::Strategy::kHyperCube;
     return s;
