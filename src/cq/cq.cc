@@ -41,12 +41,6 @@ VarId ConjunctiveQuery::FindVar(std::string_view name) const {
   return id;
 }
 
-void ConjunctiveQuery::SetBodyRelation(std::size_t index,
-                                       RelationId relation) {
-  LAMP_CHECK(index < body_.size());
-  body_[index].relation = relation;
-}
-
 void ConjunctiveQuery::SetNegatedRelation(std::size_t index,
                                           RelationId relation) {
   LAMP_CHECK(index < negated_.size());

@@ -50,11 +50,6 @@ class ConjunctiveQuery {
   /// Adds the condition a != b.
   void AddInequality(Term a, Term b) { inequalities_.emplace_back(a, b); }
 
-  /// Rebinds body atom \p index to relation \p relation (same arity).
-  /// Used by the semi-naive Datalog evaluator to point one occurrence of a
-  /// recursive predicate at its delta relation.
-  void SetBodyRelation(std::size_t index, RelationId relation);
-
   /// Rebinds negated atom \p index to relation \p relation (same arity).
   /// Used by the well-founded evaluator to point negation at the shadow
   /// relation holding the current assumed set.

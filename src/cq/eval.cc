@@ -18,13 +18,26 @@ namespace {
 /// persistent JoinIndex for that (relation, mask). Emission order is the
 /// depth-first order of the previous tuple-at-a-time matcher: tuples
 /// expand in batch order and each probe enumerates matching rows in
-/// ascending row id (= insertion) order.
+/// ascending row id (= insertion) order. An atom may be restricted to a
+/// RowRange of its relation: scans start at its `from` and probes skip
+/// chain rows before it and stop at its `to` (chains ascend by row id).
 class BatchMatcher {
  public:
   static constexpr std::uint32_t kNoCol = 0xffffffffu;
 
-  BatchMatcher(const ConjunctiveQuery& query, const Instance& instance)
+  BatchMatcher(const ConjunctiveQuery& query, const Instance& instance,
+               std::span<const RowRange> ranges = {})
       : query_(query), instance_(instance) {
+    LAMP_CHECK_MSG(ranges.empty() || ranges.size() == query.body().size(),
+                   "one row range per positive body atom");
+    // Clamp each atom's range to its relation (an inverted range is
+    // empty); the instance does not change while the matcher runs.
+    for (std::size_t i = 0; i < query.body().size(); ++i) {
+      const std::size_t n = instance.NumRows(query.body()[i].relation);
+      const RowRange r = ranges.empty() ? RowRange{} : ranges[i];
+      const std::size_t to = std::min(r.to, n);
+      ranges_.push_back(RowRange{std::min(r.from, to), to});
+    }
     order_ = GreedyOrder();
     BuildPlans();
   }
@@ -111,6 +124,7 @@ class BatchMatcher {
   /// Evaluation plan of one ordered body atom — one hash-join level.
   struct LevelPlan {
     RelationId relation;
+    RowRange rows;  // Row ids the atom matches (clamped).
     std::uint64_t mask;  // Constant + previously-bound positions.
     std::size_t atom_arity;
     std::vector<KeyEntry> key_entries;  // Masked positions, ascending.
@@ -131,7 +145,8 @@ class BatchMatcher {
   /// Orders body atoms: start from the atom over the smallest relation,
   /// then repeatedly pick the atom sharing the most already-bound variables
   /// (ties broken by relation size). Bound-variable overlap is what turns
-  /// each level into a selective hash probe.
+  /// each level into a selective hash probe. An atom's size is the size of
+  /// its row range.
   std::vector<std::size_t> GreedyOrder() const {
     const std::vector<Atom>& body = query_.body();
     std::vector<std::size_t> order;
@@ -151,7 +166,7 @@ class BatchMatcher {
         for (const Term& t : body[i].terms) {
           if (t.IsConst() || bound_var[t.var]) ++bound;
         }
-        const std::size_t size = instance_.NumRows(body[i].relation);
+        const std::size_t size = ranges_[i].to - ranges_[i].from;
         if (best == body.size() || bound > best_bound ||
             (bound == best_bound && size < best_size)) {
           best = i;
@@ -179,6 +194,7 @@ class BatchMatcher {
       const Atom& atom = query_.body()[order_[level]];
       LevelPlan plan;
       plan.relation = atom.relation;
+      plan.rows = ranges_[order_[level]];
       plan.mask = 0;
       plan.atom_arity = atom.terms.size();
       // First occurrence of each free variable *within this atom*.
@@ -278,7 +294,9 @@ class BatchMatcher {
                           std::vector<Value>& out) {
     const LevelPlan& plan = plans_[level];
     const RowsView rows = instance_.RowsOf(plan.relation);
-    if (rows.num_rows == 0 || rows.arity != plan.atom_arity) return 0;
+    const std::size_t from = plan.rows.from;
+    const std::size_t to = plan.rows.to;
+    if (from == to || rows.arity != plan.atom_arity) return 0;
 
     const bool scan_all = plan.mask == 0;
     const JoinIndex* index = nullptr;
@@ -318,7 +336,7 @@ class BatchMatcher {
       };
 
       if (scan_all) {
-        for (std::size_t row_id = 0; row_id < rows.num_rows; ++row_id) {
+        for (std::size_t row_id = from; row_id < to; ++row_id) {
           try_row(row_id);
         }
         continue;
@@ -337,6 +355,8 @@ class BatchMatcher {
       for (std::uint32_t link = index->head[slot]; link != 0;
            link = index->next[link - 1]) {
         const std::size_t row_id = link - 1;
+        if (row_id >= to) break;  // The rest of the chain is later still.
+        if (row_id < from) continue;
         const Value* row = rows.Row(row_id);
         bool match = true;
         for (std::size_t k = 0; k < index->key_pos.size(); ++k) {
@@ -388,6 +408,7 @@ class BatchMatcher {
 
   const ConjunctiveQuery& query_;
   const Instance& instance_;
+  std::vector<RowRange> ranges_;  // Per body atom, in body order.
   std::vector<std::size_t> order_;
   std::vector<LevelPlan> plans_;
   std::vector<std::size_t> widths_;  // Batch width after each level.
@@ -428,10 +449,11 @@ std::vector<HeadEntry> BuildHeadPlan(const ConjunctiveQuery& query,
 template <typename BatchSink>
 void EvaluateIntoBatchesImpl(const ConjunctiveQuery& query,
                              const Instance& instance, BatchSink&& sink,
-                             CqEvalStats* stats) {
+                             CqEvalStats* stats,
+                             std::span<const RowRange> ranges = {}) {
   LAMP_CHECK_MSG(!query.body().empty(),
                  "queries must have a nonempty positive body");
-  BatchMatcher matcher(query, instance);
+  BatchMatcher matcher(query, instance, ranges);
   const std::vector<HeadEntry> head_plan = BuildHeadPlan(query, matcher);
   const std::size_t head_arity = head_plan.size();
   const std::size_t width = matcher.FinalWidth();
@@ -493,8 +515,9 @@ void EvaluateInto(const ConjunctiveQuery& query, const Instance& instance,
 
 void EvaluateIntoBatches(const ConjunctiveQuery& query,
                          const Instance& instance, const RowBatchSink& sink,
-                         CqEvalStats* stats) {
-  EvaluateIntoBatchesImpl(query, instance, sink, stats);
+                         CqEvalStats* stats,
+                         std::span<const RowRange> ranges) {
+  EvaluateIntoBatchesImpl(query, instance, sink, stats, ranges);
 }
 
 Instance Evaluate(const ConjunctiveQuery& query, const Instance& instance,

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "cq/cq.h"
@@ -72,12 +73,27 @@ using RowBatchSink = std::function<void(RelationId relation,
                                         const Value* rows, std::size_t count,
                                         std::size_t arity)>;
 
+/// The rows of a relation whose ids lie in [from, to). Instances only
+/// append rows, so the rows inserted between two moments are such a range;
+/// `to` past the last row means "to the end".
+struct RowRange {
+  std::size_t from = 0;
+  std::size_t to = static_cast<std::size_t>(-1);
+};
+
 /// Like EvaluateInto but delivers derived head rows in blocks (currently up
 /// to 256 rows per call), amortising the sink indirection over whole
 /// batches. Same enumeration order and the same no-mutation contract.
+///
+/// \p ranges, when nonempty, holds one RowRange per positive body atom (in
+/// body order): atom i then matches only the rows of its relation in
+/// ranges[i], so one relation can be read as several views (its old rows
+/// and its newest rows, say) without copying them. Negated atoms always
+/// read the whole relation.
 void EvaluateIntoBatches(const ConjunctiveQuery& query,
                          const Instance& instance, const RowBatchSink& sink,
-                         CqEvalStats* stats = nullptr);
+                         CqEvalStats* stats = nullptr,
+                         std::span<const RowRange> ranges = {});
 
 /// Union of Q(I) over the queries of a UCQ (all must share one schema; the
 /// caller guarantees compatible head relations if it needs them).

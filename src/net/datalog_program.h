@@ -1,7 +1,6 @@
 #ifndef LAMP_NET_DATALOG_PROGRAM_H_
 #define LAMP_NET_DATALOG_PROGRAM_H_
 
-#include <optional>
 #include <set>
 
 #include "datalog/eval.h"
@@ -21,18 +20,16 @@
 /// pipelining lets nodes start from each other's conclusions instead of
 /// re-deriving them.
 ///
-/// The state only grows, so a negation-free program never withdraws a
-/// conclusion: a delivery *continues* the node's fixpoint from the facts
-/// that are new to it (FixpointContinuation), in place over the state,
-/// instead of recomputing it. The heartbeat (also the restart after a
-/// volatile crash) evaluates the whole state. Programs with negation, and
-/// schemas with the built-in ADom relation (which EvaluateProgram derives
-/// for every value the state holds), recompute on every delivery.
+/// The state only grows and keeps every conclusion, so no node ever
+/// recomputes: the heartbeat (also the restart after a crash) continues
+/// the node's fixpoint from zero marks, and a delivery continues it from
+/// the marks taken before the delivered facts went in
+/// (FixpointContinuation), in place over the state.
 
 namespace lamp {
 
-/// Runs \p program distributed. \p schema is the shared schema (extended
-/// with the engine's delta relations).
+/// Runs \p program distributed over the shared \p schema. The program must
+/// outlive this object.
 ///
 /// Negation policy (checked at construction via sa/depgraph.h): an
 /// unstratifiable program is rejected with its negation-cycle witness —
@@ -42,21 +39,20 @@ namespace lamp {
 /// monotone (negation-free) part.
 class DistributedDatalogProgram : public TransducerProgram {
  public:
-  DistributedDatalogProgram(Schema& schema, const DatalogProgram& program);
+  DistributedDatalogProgram(const Schema& schema,
+                            const DatalogProgram& program);
 
   void OnStart(NodeContext& ctx) override;
   void OnReceive(NodeContext& ctx, const Message& message) override;
 
  private:
-  /// Derives everything derivable from the state, outputs IDB facts, and
-  /// broadcasts facts not previously known to this node.
-  void DeriveAndShare(NodeContext& ctx);
+  /// Continues the state's fixpoint from \p closed, outputs the IDB rows
+  /// past \p closed and broadcasts the rows it derived.
+  void ContinueFrom(NodeContext& ctx,
+                    const FixpointContinuation::Marks& closed) const;
 
-  Schema& schema_;
-  const DatalogProgram& program_;
   std::set<RelationId> idb_;
-  /// Set unless the program must recompute on every delivery.
-  std::optional<FixpointContinuation> continuation_;
+  FixpointContinuation continuation_;
 };
 
 }  // namespace lamp

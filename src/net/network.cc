@@ -35,7 +35,9 @@ class RunnerContext : public NodeContext {
 
   const Instance& state() const override { return state_; }
   Instance& mutable_state() override { return state_; }
-  void Output(const Fact& fact) override { output_.Insert(fact); }
+  void Output(transport::RowRef row) override {
+    output_.InsertRow(row.relation, row.row, row.arity);
+  }
   void Broadcast(Message message) override {
     outgoing_.push_back(std::move(message));
   }

@@ -24,7 +24,7 @@ void MonotoneBroadcastProgram::OnReceive(NodeContext& ctx,
 
 void MonotoneBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
   for (const Fact& f : query_(ctx.state()).AllFacts()) {
-    ctx.Output(f);
+    ctx.Output(transport::RowRef::Of(f));
   }
 }
 
@@ -68,7 +68,7 @@ void DistinctCompleteProgram::TryOutput(NodeContext& ctx) {
   }
   // state|C == I|C (Lemma 5.7 applies): safe to output Q(state).
   for (const Fact& f : query_(ctx.state()).AllFacts()) {
-    ctx.Output(f);
+    ctx.Output(transport::RowRef::Of(f));
   }
 }
 
@@ -134,7 +134,7 @@ void ComponentProgram::TryOutput(NodeContext& ctx) {
     if (all_complete) union_of_complete.InsertAll(component);
   }
   for (const Fact& f : query_(union_of_complete).AllFacts()) {
-    ctx.Output(f);
+    ctx.Output(transport::RowRef::Of(f));
   }
 }
 
@@ -173,7 +173,7 @@ void CoordinatedBarrierProgram::TryOutput(NodeContext& ctx) {
     if (f.relation != done_) data.Insert(f);
   }
   for (const Fact& f : query_(data).AllFacts()) {
-    ctx.Output(f);
+    ctx.Output(transport::RowRef::Of(f));
   }
 }
 
@@ -223,7 +223,7 @@ void FragileCountingBarrierProgram::TryOutput(NodeContext& ctx) {
     if (f.relation != done_ && f.relation != tick_) data.Insert(f);
   }
   for (const Fact& f : query_(data).AllFacts()) {
-    ctx.Output(f);
+    ctx.Output(transport::RowRef::Of(f));
   }
 }
 
@@ -258,7 +258,7 @@ void PolicyAwareNegationProgram::TryOutput(NodeContext& ctx) {
           const Fact f = v.ApplyToAtom(atom);
           if (!policy->IsResponsible(ctx.self(), f)) return true;
         }
-        ctx.Output(v.ApplyToAtom(query_.head()));
+        ctx.Output(transport::RowRef::Of(v.ApplyToAtom(query_.head())));
         return true;
       });
 }
@@ -308,7 +308,7 @@ void EconomicalBroadcastProgram::OnReceive(NodeContext& ctx,
 
 void EconomicalBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
   for (const Fact& f : Evaluate(query_, ctx.state()).AllFacts()) {
-    ctx.Output(f);
+    ctx.Output(transport::RowRef::Of(f));
   }
 }
 

@@ -56,7 +56,8 @@ class NodeContext {
   virtual Instance& mutable_state() = 0;
 
   /// Emits a fact to the write-only output relation (never retracted).
-  virtual void Output(const Fact& fact) = 0;
+  /// \p row need only stay valid for the call.
+  virtual void Output(transport::RowRef row) = 0;
 
   /// Broadcasts a message to every *other* node.
   virtual void Broadcast(Message message) = 0;

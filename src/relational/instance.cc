@@ -198,17 +198,6 @@ std::size_t Instance::InsertRowsImpl(RelationId relation, const Value* rows,
   return added;
 }
 
-void Instance::ClearRelation(RelationId relation) {
-  if (relation >= by_relation_.size()) return;
-  Column& c = by_relation_[relation];
-  size_ -= c.num_rows;
-  c.num_rows = 0;
-  c.arity = 0;
-  c.data.clear();
-  std::fill(c.slots.begin(), c.slots.end(), 0);
-  if (relation < indexes_.size()) indexes_[relation].clear();
-}
-
 const JoinIndex& Instance::IndexOn(RelationId relation, std::uint64_t mask,
                                    std::size_t* rows_indexed) const {
   if (indexes_.size() < by_relation_.size()) {

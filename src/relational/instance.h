@@ -112,8 +112,7 @@ class Instance {
                          std::size_t count, std::size_t arity);
 
   /// Like InsertRows, but every row that was new here is also inserted
-  /// into \p mirror under the same relation (the semi-naive fused
-  /// containment+insert sink: `mirror` collects the next delta).
+  /// into \p mirror under the same relation (one probe decides both).
   std::size_t InsertRowsInto(RelationId relation, const Value* rows,
                              std::size_t count, std::size_t arity,
                              Instance& mirror);
@@ -209,10 +208,6 @@ class Instance {
       visit(row);
     }
   }
-
-  /// Removes every row of \p relation (its arity is forgotten too). Used
-  /// by the semi-naive evaluator to re-tag delta relations in place.
-  void ClearRelation(RelationId relation);
 
   /// The join index of \p relation keyed on the positions of \p mask,
   /// built on first use and extended incrementally as rows are appended —

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "cq/cq.h"
+#include "cq/eval.h"
 #include "cq/parser.h"
 #include "cq/valuation.h"
+#include "relational/generators.h"
 #include "relational/schema.h"
 
 namespace lamp {
@@ -210,6 +216,171 @@ TEST(ParserFuzzTest, TryParseQuerySurvivesMutations) {
   // Both outcomes must have been exercised.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// --- row ranges in EvaluateIntoBatches -----------------------------------
+
+/// A query written atom by atom, so that each body atom can be pointed at a
+/// relation of its own.
+struct RangeCase {
+  std::string head;
+  std::vector<std::string> atoms;  // Positive body atoms, e.g. "E(x,y)".
+  std::string tail;                // Negated atoms and inequalities.
+
+  std::string Text() const {
+    std::string text = head;
+    text += " <- ";
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      if (i > 0) text += ", ";
+      text += atoms[i];
+    }
+    text += tail;
+    return text;
+  }
+
+  /// The same query with body atom i over relation "V<i>".
+  std::string ViewText() const {
+    RangeCase views = *this;
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      std::string& atom = views.atoms[i];
+      atom.replace(0, atom.find('('), ViewName(i));
+    }
+    return views.Text();
+  }
+
+  static std::string ViewName(std::size_t i) {
+    std::string name = "V";
+    name += std::to_string(i);
+    return name;
+  }
+};
+
+using Rows = std::vector<std::vector<std::int64_t>>;
+
+/// Every head row EvaluateIntoBatches emits (duplicates kept), sorted.
+Rows EmittedRows(const ConjunctiveQuery& q, const Instance& instance,
+                 std::span<const RowRange> ranges = {}) {
+  Rows out;
+  EvaluateIntoBatches(
+      q, instance,
+      [&out](RelationId, const Value* rows, std::size_t count,
+             std::size_t arity) {
+        for (std::size_t t = 0; t < count; ++t) {
+          std::vector<std::int64_t> row;
+          for (std::size_t k = 0; k < arity; ++k) {
+            row.push_back(rows[t * arity + k].v);
+          }
+          out.push_back(std::move(row));
+        }
+      },
+      nullptr, ranges);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Evaluates \p c with random per-atom row ranges and compares against the
+/// same query over an instance holding only the in-range rows, atom i
+/// reading its own copy V<i> of them: the same valuations, so the same
+/// head rows with the same multiplicities.
+void ExpectRangesActAsViews(const RangeCase& c, const Instance& instance,
+                            Schema& schema, Rng& rng, int trials) {
+  const ConjunctiveQuery q = ParseQuery(schema, c.Text());
+  const ConjunctiveQuery views = ParseQuery(schema, c.ViewText());
+  // Full ranges are exactly the plain evaluation.
+  const std::vector<RowRange> everything(q.body().size());
+  ASSERT_EQ(EmittedRows(q, instance, everything), EmittedRows(q, instance));
+  for (int trial = 0; trial < trials; ++trial) {
+    std::vector<RowRange> ranges;
+    Instance restricted = instance;
+    for (std::size_t i = 0; i < q.body().size(); ++i) {
+      const RowsView rows = instance.RowsOf(q.body()[i].relation);
+      const std::size_t n = rows.num_rows;
+      RowRange r;
+      switch (rng.Uniform(5)) {
+        case 0:  // Empty.
+          r.from = r.to = rng.Uniform(n + 1);
+          break;
+        case 1:  // To the end, open-ended.
+          r.from = rng.Uniform(n + 1);
+          break;
+        default:  // Anywhere, usually ending inside some bucket chain.
+          r.from = rng.Uniform(n + 1);
+          r.to = r.from + rng.Uniform(n - r.from + 1);
+      }
+      ranges.push_back(r);
+      const RelationId view = schema.IdOf(RangeCase::ViewName(i));
+      for (std::size_t row = r.from; row < std::min(r.to, n); ++row) {
+        restricted.InsertRow(view, rows.Row(row), rows.arity);
+      }
+    }
+    EXPECT_EQ(EmittedRows(q, instance, ranges),
+              EmittedRows(views, restricted))
+        << c.Text() << " trial " << trial;
+  }
+}
+
+TEST(RowRangeTest, RangesActAsViewsOfTheirRows) {
+  // Scan levels (nothing bound), index-probed levels (a bound variable or
+  // a constant), one relation under two or three ranges as in non-linear
+  // TC, repeated variables, inequalities and a negated atom (which always
+  // reads the whole relation).
+  const RangeCase cases[] = {
+      {"H(x,y)", {"E(x,y)"}, ""},
+      {"H(x,z)", {"E(x,y)", "E(y,z)"}, ""},
+      {"H(x,y,z)", {"E(x,y)", "E(y,z)", "E(z,x)"}, ""},
+      {"H(x)", {"E(x,y)", "F(y)"}, ""},
+      {"H(x,y)", {"F(x)", "F(y)"}, ", x != y"},
+      {"H(y)", {"E(3,y)", "E(y,z)"}, ", !F(z)"},
+      {"H(x)", {"E(x,x)", "F(x)"}, ""},
+      {"H()", {"E(x,y)", "E(y,x)"}, ""},
+  };
+  Rng rng(41);
+  for (const RangeCase& c : cases) {
+    for (int instance_seed = 0; instance_seed < 4; ++instance_seed) {
+      Schema schema;
+      const RelationId e = schema.AddRelation("E", 2);
+      const RelationId f = schema.AddRelation("F", 1);
+      Instance instance;
+      // Dense enough that each key's bucket chain holds several rows.
+      AddRandomGraph(schema, e, 30 + rng.Uniform(30), 9, rng, instance);
+      const std::int64_t loop = static_cast<std::int64_t>(rng.Uniform(9));
+      instance.Insert(Fact(e, {loop, loop}));
+      AddUniformRelation(schema, f, 1 + rng.Uniform(8), 9, rng, instance);
+      ExpectRangesActAsViews(c, instance, schema, rng, 25);
+    }
+  }
+}
+
+TEST(RowRangeTest, ProbeStopsMidChainWithoutSkippingMatches) {
+  // One key, one bucket chain: E(0,0..19) in row order. A probe on x = 0
+  // must yield exactly the chain rows inside the range, in row order, and
+  // nothing of the chain past it.
+  Schema schema;
+  const ConjunctiveQuery q = ParseQuery(schema, "H(y) <- F(x), E(x,y)");
+  const RelationId e = schema.IdOf("E");
+  Instance instance;
+  instance.Insert(Fact(schema.IdOf("F"), {0}));
+  for (std::int64_t y = 0; y < 20; ++y) {
+    instance.Insert(Fact(e, {0, y}));
+    instance.Insert(Fact(e, {1, y}));  // Another key, interleaved.
+  }
+  for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{0, 40},
+                                 {7, 23},
+                                 {8, 9},
+                                 {9, 9},
+                                 {39, 40},
+                                 {12, 1000}}) {
+    const RowRange ranges[] = {RowRange{}, RowRange{from, to}};
+    Rows expected;
+    for (std::size_t row = from; row < std::min<std::size_t>(to, 40);
+         ++row) {
+      if (row % 2 == 0) {
+        expected.push_back({static_cast<std::int64_t>(row / 2)});
+      }
+    }
+    EXPECT_EQ(EmittedRows(q, instance, ranges), expected)
+        << "[" << from << ", " << to << ")";
+  }
 }
 
 }  // namespace

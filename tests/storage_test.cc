@@ -1,7 +1,7 @@
 // Columnar storage contract tests (DESIGN.md §Storage layout).
 //
 // Two halves. (1) A randomized property test drives Instance through the
-// full mutation surface — InsertRow / Insert / InsertAll / ClearRelation —
+// full mutation surface — InsertRow / Insert / InsertRows / InsertAll —
 // against a reference set-of-rows model, checking after every step that
 // set semantics, per-relation insertion order, membership, ActiveDomain
 // and the lazily built join indexes all agree with the model. (2) A
@@ -44,11 +44,6 @@ class ReferenceModel {
 
   bool Contains(RelationId rel, const std::vector<std::int64_t>& row) const {
     return seen_.count({rel, row}) > 0;
-  }
-
-  void ClearRelation(RelationId rel) {
-    for (const auto& row : rows_[rel]) seen_.erase({rel, row});
-    rows_.erase(rel);
   }
 
   std::size_t Size() const { return seen_.size(); }
@@ -235,9 +230,6 @@ TEST(StorageProperty, RandomOpsAgreeWithReferenceModel) {
         const std::vector<Value> vals = ToValues(row);
         EXPECT_EQ(instance.ContainsRow(rel, vals.data(), vals.size()),
                   model.Contains(rel, row));
-      } else if (op < 95) {
-        instance.ClearRelation(rel);
-        model.ClearRelation(rel);
       } else {
         // Exercise the copy path: copies carry the data but rebuild their
         // index caches cold; both must still match the model.
