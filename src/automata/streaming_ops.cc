@@ -8,13 +8,29 @@ namespace lamp {
 
 namespace {
 
-/// Maps a fact of \p rel to the key at \p column (raw value as key);
-/// other relations are dropped.
-void MapByColumn(std::vector<KeyValue>& out, const Fact& f, RelationId rel,
-                 std::size_t column) {
-  if (f.relation != rel) return;
-  LAMP_CHECK(column < f.args.size());
-  out.push_back({static_cast<std::uint64_t>(f.args[column].v), f});
+/// Keys a row of \p r by its value at \p r_column and a row of \p s by
+/// its value at \p s_column (raw values as keys); other relations are
+/// dropped.
+MapReduceJob::MapFn MapByColumns(RelationId r, std::size_t r_column,
+                                 RelationId s, std::size_t s_column) {
+  return [r, r_column, s, s_column](transport::RowRef row,
+                                    std::vector<std::uint64_t>& keys) {
+    if (row.relation == r) {
+      LAMP_CHECK(r_column < row.arity);
+      keys.push_back(static_cast<std::uint64_t>(row.row[r_column].v));
+    }
+    if (row.relation == s) {
+      LAMP_CHECK(s_column < row.arity);
+      keys.push_back(static_cast<std::uint64_t>(row.row[s_column].v));
+    }
+  };
+}
+
+/// Keys every row of \p rel to the one group 0.
+MapReduceJob::MapFn MapAllOf(RelationId rel) {
+  return [rel](transport::RowRef row, std::vector<std::uint64_t>& keys) {
+    if (row.relation == rel) keys.push_back(0);
+  };
 }
 
 /// Identity output action for the matched fact.
@@ -29,14 +45,16 @@ void EmitWholeFact(Transition& t, const Schema& schema, RelationId rel) {
 
 MapReduceJob::ReduceFn AutomatonReducer(RegisterAutomaton automaton) {
   return [automaton = std::move(automaton)](
-             std::uint64_t, const std::vector<Fact>& group) {
-    std::vector<Fact> sorted = group;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<KeyValue> out;
-    for (Fact& f : automaton.Run(sorted)) {
-      out.push_back({0, std::move(f)});
+             std::uint64_t, std::span<const transport::RowRef> group,
+             Instance& out) {
+    std::vector<Fact> sorted;
+    sorted.reserve(group.size());
+    for (const transport::RowRef& row : group) {
+      sorted.emplace_back(row.relation,
+                          std::vector<Value>(row.row, row.row + row.arity));
     }
-    return out;
+    std::sort(sorted.begin(), sorted.end());
+    for (const Fact& f : automaton.Run(sorted)) out.Insert(f);
   };
 }
 
@@ -64,15 +82,8 @@ MapReduceJob StreamingSemijoin(const Schema& schema, RelationId r,
     automaton.AddTransition(hit);
   }
 
-  MapReduceJob job;
-  job.map = [r, r_column, s, s_column](const Fact& f) {
-    std::vector<KeyValue> out;
-    MapByColumn(out, f, r, r_column);
-    MapByColumn(out, f, s, s_column);
-    return out;
-  };
-  job.reduce = AutomatonReducer(std::move(automaton));
-  return job;
+  return {MapByColumns(r, r_column, s, s_column),
+          AutomatonReducer(std::move(automaton))};
 }
 
 MapReduceJob StreamingAntiSemijoin(const Schema& schema, RelationId r,
@@ -97,15 +108,8 @@ MapReduceJob StreamingAntiSemijoin(const Schema& schema, RelationId r,
     automaton.AddTransition(miss);
   }
 
-  MapReduceJob job;
-  job.map = [r, r_column, s, s_column](const Fact& f) {
-    std::vector<KeyValue> out;
-    MapByColumn(out, f, r, r_column);
-    MapByColumn(out, f, s, s_column);
-    return out;
-  };
-  job.reduce = AutomatonReducer(std::move(automaton));
-  return job;
+  return {MapByColumns(r, r_column, s, s_column),
+          AutomatonReducer(std::move(automaton))};
 }
 
 MapReduceJob StreamingSelection(const Schema& schema, RelationId r,
@@ -121,14 +125,7 @@ MapReduceJob StreamingSelection(const Schema& schema, RelationId r,
   EmitWholeFact(match, schema, r);
   automaton.AddTransition(match);
 
-  MapReduceJob job;
-  job.map = [r](const Fact& f) {
-    std::vector<KeyValue> out;
-    if (f.relation == r) out.push_back({0, f});
-    return out;
-  };
-  job.reduce = AutomatonReducer(std::move(automaton));
-  return job;
+  return {MapAllOf(r), AutomatonReducer(std::move(automaton))};
 }
 
 MapReduceJob StreamingProjection(const Schema& schema, RelationId r,
@@ -147,14 +144,7 @@ MapReduceJob StreamingProjection(const Schema& schema, RelationId r,
   }
   automaton.AddTransition(project);
 
-  MapReduceJob job;
-  job.map = [r](const Fact& f) {
-    std::vector<KeyValue> out;
-    if (f.relation == r) out.push_back({0, f});
-    return out;
-  };
-  job.reduce = AutomatonReducer(std::move(automaton));
-  return job;
+  return {MapAllOf(r), AutomatonReducer(std::move(automaton))};
 }
 
 }  // namespace lamp

@@ -44,8 +44,9 @@ MapReduceJob StreamingProjection(const Schema& schema, RelationId r,
                                  const std::vector<std::size_t>& columns,
                                  RelationId out);
 
-/// Runs one automaton over each key group of the job input (sorted by
-/// relation then arguments). Exposed for building custom operators.
+/// Runs one automaton over each key group of the job input, its rows
+/// sorted by relation then arguments as facts, and inserts the emitted
+/// facts. Exposed for building custom operators.
 MapReduceJob::ReduceFn AutomatonReducer(RegisterAutomaton automaton);
 
 }  // namespace lamp

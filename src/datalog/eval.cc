@@ -11,14 +11,16 @@ namespace lamp {
 
 namespace {
 
-/// Adds ADom(v) for every value of the rows of \p state past \p marks, in
-/// ascending order (at zero marks: adom(state)). A no-op when the schema
+/// Adds ADom(v) for every value of the EDB rows of \p state past \p marks,
+/// in ascending order (at zero marks: the active domain of the EDB). A
+/// relation r is EDB unless \p not_edb[r] is set. A no-op when the schema
 /// has no ADom relation (\p adom is Interner::kNotFound).
-void SeedADom(RelationId adom, const FixpointContinuation::Marks& marks,
-              Instance& state) {
+void SeedADom(RelationId adom, const std::vector<bool>& not_edb,
+              const FixpointContinuation::Marks& marks, Instance& state) {
   if (adom == Interner::kNotFound) return;
   std::vector<Value> values;
   for (RelationId rel = 0; rel < state.NumRelationIds(); ++rel) {
+    if (rel < not_edb.size() && not_edb[rel]) continue;
     const RowsView rows = state.RowsOf(rel);
     const std::size_t from = rel < marks.size() ? marks[rel] : 0;
     values.insert(values.end(), rows.Row(from), rows.Row(rows.num_rows));
@@ -47,6 +49,22 @@ RelationId ADomOf(const Schema& schema) {
   return adom;
 }
 
+/// The relations ADom is not seeded from, indexed by RelationId: every
+/// rule head, and ADom itself. Empty without ADom.
+std::vector<bool> NotEdb(const DatalogProgram& program, RelationId adom) {
+  std::vector<bool> not_edb;
+  if (adom == Interner::kNotFound) return not_edb;
+  const auto mark = [&not_edb](RelationId rel) {
+    if (rel >= not_edb.size()) not_edb.resize(rel + 1);
+    not_edb[rel] = true;
+  };
+  mark(adom);
+  for (const ConjunctiveQuery& rule : program.rules()) {
+    mark(rule.head().relation);
+  }
+  return not_edb;
+}
+
 }  // namespace
 
 void DatalogStats::ToMetrics(obs::MetricsRegistry& registry) const {
@@ -66,7 +84,7 @@ Instance EvaluateProgram(const Schema& schema, const DatalogProgram& program,
 
 FixpointContinuation::FixpointContinuation(const Schema& schema,
                                            const DatalogProgram& program)
-    : adom_(ADomOf(schema)) {
+    : adom_(ADomOf(schema)), not_edb_(NotEdb(program, adom_)) {
   const auto strata = program.Stratify();
   LAMP_CHECK_MSG(strata.has_value(),
                  "program does not stratify; use well-founded evaluation");
@@ -102,7 +120,7 @@ FixpointContinuation::Marks FixpointContinuation::Mark(
 void FixpointContinuation::Continue(Instance& state, const Marks& closed,
                                     DatalogStats* stats,
                                     obs::MetricsRegistry* metrics) const {
-  SeedADom(adom_, closed, state);
+  SeedADom(adom_, not_edb_, closed, state);
   DatalogStats local_stats;
   CqEvalStats cq_stats;
   // This round, rows [0, old_end[r]) of relation r are old and rows
@@ -188,7 +206,8 @@ Instance EvaluateProgramNaive(const Schema& schema,
                  "program does not stratify; use well-founded evaluation");
 
   Instance current = edb;
-  SeedADom(ADomOf(schema), {}, current);
+  const RelationId adom = ADomOf(schema);
+  SeedADom(adom, NotEdb(program, adom), {}, current);
 
   DatalogStats local_stats;
   CqEvalStats cq_stats;

@@ -26,7 +26,7 @@
 ///
 /// The distinguished relation name "ADom" (arity 1), if the schema has it,
 /// is automatically populated with the active domain of the EDB (as in the
-/// paper's Example 5.13).
+/// paper's Example 5.13): the values of the relations that head no rule.
 
 namespace lamp {
 
@@ -77,9 +77,10 @@ Instance EvaluateProgramNaive(const Schema& schema,
 /// whole evaluation.
 ///
 /// Strata run bottom-up. First ADom (when the schema has it) gains the
-/// values of the rows past the marks, sorted. Round 0 of a stratum treats
-/// every row past the marks of a relation the stratum reads as new
-/// (inserted, seeded into ADom, or derived by a lower stratum); later
+/// values of the EDB rows past the marks, sorted; rows of a relation some
+/// rule heads never enter ADom, whether derived or inserted. Round 0 of a
+/// stratum treats every row past the marks of a relation the stratum reads
+/// as new (inserted, seeded into ADom, or derived by a lower stratum); later
 /// rounds treat what the previous round appended to the stratum's heads as
 /// new. A round evaluates rule r once per body atom i over new rows
 /// (cq RowRange views, no copies): atoms before i read the older rows,
@@ -127,6 +128,7 @@ class FixpointContinuation {
 
   std::vector<Stratum> strata_;
   RelationId adom_;                  // Interner::kNotFound without ADom.
+  std::vector<bool> not_edb_;        // Rule heads and ADom; see SeedADom.
   std::size_t num_relations_ = 0;    // One past the largest source.
 };
 

@@ -11,83 +11,75 @@ std::size_t MapReduceStats::MaxGroupSize() const {
 
 namespace {
 
-/// Columnar execution: shuffle borrowed row references through one flat
-/// vector, stable-sorted by key. Stable sort keeps within-key entries in
-/// emission order and sorts groups ascending — exactly the grouping the
-/// std::map path produces — so stats and output are byte-identical.
-Instance RunJobColumnar(const MapReduceJob& job, const Instance& input,
-                        MapReduceStats* stats) {
-  std::vector<RowEntry> entries;
-  for (RelationId r = 0; r < input.NumRelationIds(); ++r) {
-    const RowsView rows = input.RowsOf(r);
-    const Value* row = rows.data;
-    for (std::size_t i = 0; i < rows.num_rows; ++i, row += rows.arity) {
-      job.map_rows(r, row, rows.arity, entries);
-    }
-  }
-  // Group by key, ascending, keeping within-key entries in emission order
-  // — the grouping the std::map path produces. Dense keys (the common case
-  // for join keys drawn from a small active domain) take a counting sort,
-  // which is stable by construction; sparse keys fall back to stable_sort.
-  std::uint64_t max_key = 0;
-  for (const RowEntry& e : entries) max_key = std::max(max_key, e.key);
-  if (!entries.empty() && max_key <= entries.size() * 4 + 1024) {
-    std::vector<std::size_t> offsets(max_key + 2, 0);
-    for (const RowEntry& e : entries) ++offsets[e.key + 1];
-    for (std::size_t k = 1; k < offsets.size(); ++k) {
-      offsets[k] += offsets[k - 1];
-    }
-    std::vector<RowEntry> sorted(entries.size());
-    for (const RowEntry& e : entries) sorted[offsets[e.key]++] = e;
-    entries.swap(sorted);
-  } else {
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const RowEntry& a, const RowEntry& b) {
-                       return a.key < b.key;
-                     });
-  }
-
-  Instance output;
-  MapReduceStats local;
-  local.pairs_shuffled = entries.size();
-  for (std::size_t i = 0; i < entries.size();) {
-    std::size_t j = i;
-    while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-    local.group_sizes.push_back(j - i);
-    job.reduce_rows(entries[i].key, entries.data() + i, j - i, output);
-    i = j;
-  }
-  if (stats != nullptr) *stats = std::move(local);
-  return output;
-}
+/// One shuffled pair: a key and a borrowed reference to the mapped row
+/// (RunJob never mutates its input, so the row stays valid).
+struct KeyedRow {
+  std::uint64_t key = 0;
+  transport::RowRef row;
+};
 
 }  // namespace
 
 Instance RunJob(const MapReduceJob& job, const Instance& input,
                 MapReduceStats* stats) {
-  if (job.map_rows && job.reduce_rows) {
-    return RunJobColumnar(job, input, stats);
-  }
-  // Map stage: apply mu to every input fact, group by key. Groups use an
-  // ordered map so the execution is deterministic.
-  std::map<std::uint64_t, std::vector<Fact>> groups;
-  std::size_t shuffled = 0;
-  input.ForEachFact([&job, &groups, &shuffled](const Fact& f) {
-    for (KeyValue& kv : job.map(f)) {
-      groups[kv.key].push_back(std::move(kv.value));
-      ++shuffled;
-    }
-  });
+  return RunJobShard(job, input, 0, 1, stats);
+}
 
-  // Reduce stage: apply rho per group.
+Instance RunJobShard(const MapReduceJob& job, const Instance& input,
+                     std::size_t shard, std::size_t num_shards,
+                     MapReduceStats* stats) {
+  // Map stage: every row in (relation, insertion) order.
+  std::vector<KeyedRow> pairs;
+  std::vector<std::uint64_t> keys;
+  for (RelationId r = 0; r < input.NumRelationIds(); ++r) {
+    const RowsView rows = input.RowsOf(r);
+    const auto arity = static_cast<std::uint32_t>(rows.arity);
+    for (std::size_t i = 0; i < rows.num_rows; ++i) {
+      const transport::RowRef row{r, rows.Row(i), arity};
+      keys.clear();
+      job.map(row, keys);
+      for (const std::uint64_t key : keys) {
+        if (key % num_shards == shard) pairs.push_back({key, row});
+      }
+    }
+  }
+
+  // Shuffle: group by key, ascending, keeping each group in map order.
+  // Dense keys (the common case for join keys drawn from a small active
+  // domain) take a counting sort, which is stable by construction; sparse
+  // keys fall back to stable_sort.
+  std::uint64_t max_key = 0;
+  for (const KeyedRow& p : pairs) max_key = std::max(max_key, p.key);
+  if (!pairs.empty() && max_key <= pairs.size() * 4 + 1024) {
+    std::vector<std::size_t> offsets(max_key + 2, 0);
+    for (const KeyedRow& p : pairs) ++offsets[p.key + 1];
+    for (std::size_t k = 1; k < offsets.size(); ++k) {
+      offsets[k] += offsets[k - 1];
+    }
+    std::vector<KeyedRow> sorted(pairs.size());
+    for (const KeyedRow& p : pairs) sorted[offsets[p.key]++] = p;
+    pairs.swap(sorted);
+  } else {
+    std::stable_sort(pairs.begin(), pairs.end(),
+                     [](const KeyedRow& a, const KeyedRow& b) {
+                       return a.key < b.key;
+                     });
+  }
+  std::vector<transport::RowRef> grouped(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) grouped[i] = pairs[i].row;
+
+  // Reduce stage: rho once per group.
   Instance output;
   MapReduceStats local;
-  local.pairs_shuffled = shuffled;
-  for (const auto& [key, values] : groups) {
-    local.group_sizes.push_back(values.size());
-    for (const KeyValue& kv : job.reduce(key, values)) {
-      output.Insert(kv.value);
-    }
+  local.pairs_shuffled = pairs.size();
+  for (std::size_t i = 0; i < pairs.size();) {
+    std::size_t j = i;
+    while (j < pairs.size() && pairs[j].key == pairs[i].key) ++j;
+    local.group_sizes.push_back(j - i);
+    job.reduce(pairs[i].key,
+               std::span<const transport::RowRef>(grouped).subspan(i, j - i),
+               output);
+    i = j;
   }
   if (stats != nullptr) *stats = std::move(local);
   return output;

@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "relational/instance.h"
+#include "transport/wire.h"
 
 /// \file
 /// The MapReduce formalism of Section 3 of the paper.
@@ -16,63 +17,34 @@
 /// turns each group into output pairs. A MapReduce *program* is a sequence
 /// of jobs. The paper observes that every MapReduce program is an MPC
 /// algorithm — the map phase is the communication phase (the key is the
-/// server) and the reduce phase the computation phase; ToMpc() makes the
-/// translation executable and the tests check both sides compute the same
-/// result with the same load profile.
+/// server) and the reduce phase the computation phase; RunJobOnMpc
+/// (relational_jobs.h) makes the translation executable and the tests
+/// check both sides compute the same result with the same load profile.
 ///
-/// Values are facts (the natural choice for relational jobs); keys are
-/// 64-bit integers.
+/// A job here is a row router plus a row reducer. The value of every pair
+/// is the mapped input row itself, so mu only names the row's keys
+/// (64-bit integers), and the shuffle moves borrowed row references, not
+/// copies. The same map is the MPC router: RunJobOnMpc sends a row to
+/// server key mod p for each of its keys.
 
 namespace lamp {
 
-/// One key-value pair.
-struct KeyValue {
-  std::uint64_t key = 0;
-  Fact value;
-};
-
-/// One shuffled pair of the columnar fast path: a key plus a borrowed
-/// reference to the mapped input row (no per-pair fact allocation). The
-/// row pointer stays valid for the duration of the job — RunJob never
-/// mutates its input.
-struct RowEntry {
-  std::uint64_t key = 0;
-  RelationId relation = 0;
-  std::uint32_t arity = 0;
-  const Value* row = nullptr;
-};
-
 /// A MapReduce job.
 struct MapReduceJob {
-  /// mu: fact -> collection of key-value pairs.
-  using MapFn = std::function<std::vector<KeyValue>(const Fact&)>;
-  /// rho: (key, values) -> collection of key-value pairs.
-  using ReduceFn = std::function<std::vector<KeyValue>(
-      std::uint64_t key, const std::vector<Fact>& group)>;
-
-  /// Row-level mu of the columnar fast path: append the pairs of one input
-  /// row to \p out (pairs reference the row, they do not copy it).
-  using MapRowsFn = std::function<void(RelationId relation, const Value* row,
-                                       std::size_t arity,
-                                       std::vector<RowEntry>& out)>;
-  /// Row-level rho: consume one key group (a contiguous run of entries in
-  /// shuffle order) and insert the output rows into \p out.
-  using ReduceRowsFn = std::function<void(std::uint64_t key,
-                                          const RowEntry* group,
-                                          std::size_t count, Instance& out)>;
+  /// mu: appends the keys of one input row to \p keys (a key may repeat;
+  /// the row then joins that group once per occurrence).
+  using MapFn = std::function<void(transport::RowRef row,
+                                   std::vector<std::uint64_t>& keys)>;
+  /// rho: consumes one key group — the rows mapped to \p key, in input
+  /// order — and inserts its output rows into \p out. Jobs run on pool
+  /// workers (RunJobOnMpc), so a reducer keeps no mutable state.
+  using ReduceFn =
+      std::function<void(std::uint64_t key,
+                         std::span<const transport::RowRef> group,
+                         Instance& out)>;
 
   MapFn map;
   ReduceFn reduce;
-
-  /// Optional columnar fast path. When both hooks are set, RunJob shuffles
-  /// borrowed row references through a flat sorted vector instead of
-  /// materialising facts in a std::map — the hooks must be semantically
-  /// identical to map/reduce (same pairs, same per-group output order), so
-  /// stats and the output instance are byte-identical either way. The
-  /// fact-level functions stay mandatory: MPC translation (RunJobOnMpc)
-  /// and the equivalence tests run those.
-  MapRowsFn map_rows;
-  ReduceRowsFn reduce_rows;
 };
 
 /// Load statistics of one job execution: number of values each reducer
@@ -87,10 +59,18 @@ struct MapReduceStats {
   std::size_t NumGroups() const { return group_sizes.size(); }
 };
 
-/// Executes one job on \p input; all produced values are collected into an
-/// Instance (duplicate facts merge).
+/// Executes one job on \p input: maps every row in (relation, insertion)
+/// order, groups the pairs by key (ascending, each group in map order)
+/// and reduces each group into one Instance (duplicate rows merge).
 Instance RunJob(const MapReduceJob& job, const Instance& input,
                 MapReduceStats* stats = nullptr);
+
+/// RunJob over the pairs whose key k has k mod \p num_shards == \p shard
+/// only: what server \p shard of RunJobOnMpc reduces. RunJob is shard 0
+/// of 1.
+Instance RunJobShard(const MapReduceJob& job, const Instance& input,
+                     std::size_t shard, std::size_t num_shards,
+                     MapReduceStats* stats = nullptr);
 
 /// A program: jobs executed in sequence, the output of one feeding the
 /// next.

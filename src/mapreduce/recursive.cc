@@ -6,92 +6,46 @@
 
 namespace lamp {
 
-namespace {
-
-/// One join job over binary relations: joins `left` facts (on their second
-/// column) with `right` facts (on their first column), emitting `out`
-/// facts. Keys are the raw join values, so grouping is exact.
 MapReduceJob JoinSecondWithFirst(RelationId left, RelationId right,
                                  RelationId out) {
   MapReduceJob job;
-  job.map = [left, right](const Fact& f) {
-    std::vector<KeyValue> kvs;
-    if (f.relation == left) {
-      kvs.push_back({static_cast<std::uint64_t>(f.args[1].v), f});
+  job.map = [left, right](transport::RowRef row,
+                          std::vector<std::uint64_t>& keys) {
+    if (row.relation == left) {
+      keys.push_back(static_cast<std::uint64_t>(row.row[1].v));
     }
-    if (f.relation == right) {
-      kvs.push_back({static_cast<std::uint64_t>(f.args[0].v), f});
+    if (row.relation == right) {
+      keys.push_back(static_cast<std::uint64_t>(row.row[0].v));
     }
-    return kvs;
   };
+  // The group is split into its join sides once, each in group order, so
+  // the nested loop emits O(lefts × rights) rows in (left, right) order.
   job.reduce = [left, right, out](std::uint64_t key,
-                                  const std::vector<Fact>& group) {
-    std::vector<KeyValue> kvs;
-    for (const Fact& l : group) {
-      if (l.relation != left ||
-          static_cast<std::uint64_t>(l.args[1].v) != key) {
-        continue;
+                                  std::span<const transport::RowRef> group,
+                                  Instance& output) {
+    std::vector<const Value*> lefts;
+    std::vector<const Value*> rights;
+    for (const transport::RowRef& row : group) {
+      if (row.relation == left &&
+          static_cast<std::uint64_t>(row.row[1].v) == key) {
+        lefts.push_back(row.row);
       }
-      for (const Fact& r : group) {
-        if (r.relation != right ||
-            static_cast<std::uint64_t>(r.args[0].v) != key) {
-          continue;
-        }
-        kvs.push_back({0, Fact(out, {l.args[0].v, r.args[1].v})});
-      }
-    }
-    return kvs;
-  };
-
-  // Columnar twins of the two closures above: same pairs, same per-group
-  // emission order. The reduce pre-partitions the group into join sides
-  // once — O(lefts × rights) emissions instead of the fact path's
-  // O(group²) filter sweeps — which preserves the nested-loop order
-  // because both sides keep the group's own order.
-  job.map_rows = [left, right](RelationId rel, const Value* row,
-                               std::size_t arity,
-                               std::vector<RowEntry>& out_entries) {
-    if (rel == left) {
-      out_entries.push_back({static_cast<std::uint64_t>(row[1].v), rel,
-                             static_cast<std::uint32_t>(arity), row});
-    }
-    if (rel == right) {
-      out_entries.push_back({static_cast<std::uint64_t>(row[0].v), rel,
-                             static_cast<std::uint32_t>(arity), row});
-    }
-  };
-  // The scratch vectors live in the closure so their capacity is reused
-  // across groups (std::function invokes the callable non-const).
-  job.reduce_rows = [left, right, out, lefts = std::vector<const Value*>(),
-                     rights = std::vector<const Value*>(),
-                     derived = std::vector<Value>()](
-                        std::uint64_t key, const RowEntry* group,
-                        std::size_t count, Instance& output) mutable {
-    lefts.clear();
-    rights.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const Value* row = group[i].row;
-      if (group[i].relation == left &&
-          static_cast<std::uint64_t>(row[1].v) == key) {
-        lefts.push_back(row);
-      }
-      if (group[i].relation == right &&
-          static_cast<std::uint64_t>(row[0].v) == key) {
-        rights.push_back(row);
+      if (row.relation == right &&
+          static_cast<std::uint64_t>(row.row[0].v) == key) {
+        rights.push_back(row.row);
       }
     }
-    if (lefts.empty() || rights.empty()) return;
-    derived.clear();
     for (const Value* l : lefts) {
       for (const Value* r : rights) {
-        derived.push_back(l[0]);
-        derived.push_back(r[1]);
+        const Value derived[2] = {l[0], r[1]};
+        output.InsertRow(out, derived, 2);
       }
     }
-    output.InsertRows(out, derived.data(), derived.size() / 2, 2);
   };
   return job;
 }
+
+namespace {
 
 void Accumulate(const MapReduceStats& stats, RecursiveTcResult& result) {
   result.pairs_shuffled += stats.pairs_shuffled;

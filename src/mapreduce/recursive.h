@@ -29,6 +29,13 @@ struct RecursiveTcResult {
   std::size_t max_group = 0;      // Largest reducer group seen.
 };
 
+/// One step of either strategy as a MapReduce job over binary relations:
+/// joins \p left rows on their second column with \p right rows on their
+/// first column and emits \p out(l[0], r[1]). Keys are the raw join
+/// values, so grouping is exact.
+MapReduceJob JoinSecondWithFirst(RelationId left, RelationId right,
+                                 RelationId out);
+
 /// Linear iteration. \p edge facts are the input graph; results are
 /// emitted as \p tc facts (both relations must be binary).
 RecursiveTcResult TransitiveClosureLinear(const Schema& schema,

@@ -1,10 +1,8 @@
 #include "mapreduce/relational_jobs.h"
 
 #include <memory>
-#include <set>
 
 #include "common/check.h"
-#include "common/hash.h"
 #include "cq/eval.h"
 #include "distribution/policies.h"
 #include "mpc/simulator.h"
@@ -13,19 +11,29 @@ namespace lamp {
 
 namespace {
 
-/// Shared reduce stage: evaluate the query over the group's facts.
+/// An MPC router as a map: each server it routes the row to is a key.
+MapReduceJob::MapFn KeysFromRouter(MpcSimulator::Router route) {
+  return [route = std::move(route)](transport::RowRef row,
+                                    std::vector<std::uint64_t>& keys) {
+    thread_local std::vector<NodeId> targets;
+    targets.clear();
+    route(0, row, targets);
+    keys.insert(keys.end(), targets.begin(), targets.end());
+  };
+}
+
+/// Shared reduce stage: evaluate the query over the group's rows.
 MapReduceJob::ReduceFn EvaluateReducer(const ConjunctiveQuery& query) {
   // The query is captured by value via a shared_ptr so the job remains
   // valid independently of the caller's lifetime.
   auto owned = std::make_shared<ConjunctiveQuery>(query);
-  return [owned](std::uint64_t, const std::vector<Fact>& group) {
+  return [owned](std::uint64_t, std::span<const transport::RowRef> group,
+                 Instance& out) {
     Instance local;
-    for (const Fact& f : group) local.Insert(f);
-    std::vector<KeyValue> out;
-    for (const Fact& f : Evaluate(*owned, local).AllFacts()) {
-      out.push_back({0, f});
+    for (const transport::RowRef& row : group) {
+      local.InsertRow(row.relation, row.row, row.arity);
     }
-    return out;
+    out.InsertAll(Evaluate(*owned, local));
   };
 }
 
@@ -34,65 +42,20 @@ MapReduceJob::ReduceFn EvaluateReducer(const ConjunctiveQuery& query) {
 MapReduceJob RepartitionJoinJob(const ConjunctiveQuery& query,
                                 std::size_t num_reducers,
                                 std::uint64_t seed) {
-  LAMP_CHECK_MSG(query.body().size() == 2 && !query.HasSelfJoin(),
-                 "repartition job needs a two-atom join without self-joins");
   LAMP_CHECK(num_reducers > 0);
-
-  // Join key positions per atom: first occurrence of each shared variable.
-  auto owned = std::make_shared<ConjunctiveQuery>(query);
-  MapReduceJob job;
-  job.map = [owned, num_reducers, seed](const Fact& f) {
-    std::vector<KeyValue> out;
-    const Atom* atom = nullptr;
-    const Atom* other = nullptr;
-    if (f.relation == owned->body()[0].relation) {
-      atom = &owned->body()[0];
-      other = &owned->body()[1];
-    } else if (f.relation == owned->body()[1].relation) {
-      atom = &owned->body()[1];
-      other = &owned->body()[0];
-    } else {
-      return out;
-    }
-    // Hash the values at the positions of variables shared with the other
-    // atom (in VarId order for determinism).
-    std::set<VarId> other_vars;
-    for (const Term& t : other->terms) {
-      if (t.IsVar()) other_vars.insert(t.var);
-    }
-    std::uint64_t h = HashMix(seed);
-    std::set<VarId> used;
-    for (VarId v = 0; v < owned->NumVars(); ++v) {
-      if (other_vars.count(v) == 0) continue;
-      for (std::size_t i = 0; i < atom->terms.size(); ++i) {
-        const Term& t = atom->terms[i];
-        if (t.IsVar() && t.var == v && used.insert(v).second) {
-          h = HashCombine(h, static_cast<std::uint64_t>(f.args[i].v));
-        }
-      }
-    }
-    if (used.empty()) return out;  // Fact has no join variable: drop.
-    out.push_back({h % num_reducers, f});
-    return out;
-  };
-  job.reduce = EvaluateReducer(query);
-  return job;
+  return {KeysFromRouter(RepartitionRouter(query, num_reducers, seed)),
+          EvaluateReducer(query)};
 }
 
 MapReduceJob SharesJob(const ConjunctiveQuery& query, const Shares& shares,
                        std::uint64_t seed) {
   auto policy = std::make_shared<HypercubePolicy>(query, shares,
                                                   MakeUniverse(1), seed);
-  MapReduceJob job;
-  job.map = [policy](const Fact& f) {
-    std::vector<KeyValue> out;
-    for (NodeId node : policy->ResponsibleNodes(f)) {
-      out.push_back({node, f});
-    }
-    return out;
-  };
-  job.reduce = EvaluateReducer(query);
-  return job;
+  return {KeysFromRouter([policy](NodeId, transport::RowRef row,
+                                  std::vector<NodeId>& targets) {
+            policy->RouteRow(row.relation, row.row, row.arity, targets);
+          }),
+          EvaluateReducer(query)};
 }
 
 MpcRunResult RunJobOnMpc(const MapReduceJob& job, const Instance& input,
@@ -102,32 +65,18 @@ MpcRunResult RunJobOnMpc(const MapReduceJob& job, const Instance& input,
   sim.RunRound(
       [&job, num_servers](NodeId, transport::RowRef row,
                           std::vector<NodeId>& targets) {
-        // Map functions take facts: the one copy per routed row is theirs.
-        const Fact f(row.relation,
-                     std::vector<Value>(row.row, row.row + row.arity));
-        for (const KeyValue& kv : job.map(f)) {
-          targets.push_back(static_cast<NodeId>(kv.key % num_servers));
+        thread_local std::vector<std::uint64_t> keys;
+        keys.clear();
+        job.map(row, keys);
+        for (const std::uint64_t key : keys) {
+          targets.push_back(static_cast<NodeId>(key % num_servers));
         }
       },
-      [&job, num_servers](NodeId me,
-                          const Instance& received) -> MpcSimulator::ComputeResult {
-        // Re-derive each fact's keys locally and reduce the groups this
+      [&job, num_servers](NodeId me, const Instance& received) {
+        // Re-derive each row's keys locally and reduce the groups this
         // server owns (key mod p == me).
-        std::map<std::uint64_t, std::vector<Fact>> groups;
-        for (const Fact& f : received.AllFacts()) {
-          for (KeyValue& kv : job.map(f)) {
-            if (kv.key % num_servers == me) {
-              groups[kv.key].push_back(std::move(kv.value));
-            }
-          }
-        }
-        Instance output;
-        for (const auto& [key, values] : groups) {
-          for (const KeyValue& kv : job.reduce(key, values)) {
-            output.Insert(kv.value);
-          }
-        }
-        return {Instance(), std::move(output)};
+        return MpcSimulator::ComputeResult{
+            Instance(), RunJobShard(job, received, me, num_servers)};
       });
   return {sim.output(), sim.stats()};
 }

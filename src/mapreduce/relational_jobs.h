@@ -13,25 +13,27 @@
 
 namespace lamp {
 
-/// The repartition join (Example 3.1(1a)) as one MapReduce job:
-/// mu hashes each fact on its join-variable values to one of
-/// \p num_reducers keys; rho evaluates \p query on its group. \p query
-/// must be a two-atom join without self-joins.
+/// The repartition join (Example 3.1(1a)) as one MapReduce job: mu is
+/// RepartitionRouter over \p num_reducers servers (the row's shared join
+/// variables hashed to one key); rho evaluates \p query on its group.
+/// \p query must be a two-atom join without self-joins whose atoms share
+/// a variable.
 MapReduceJob RepartitionJoinJob(const ConjunctiveQuery& query,
                                 std::size_t num_reducers,
                                 std::uint64_t seed = 0);
 
 /// The Shares/HyperCube algorithm (Section 3.1, Afrati-Ullman) as one
-/// MapReduce job: mu replicates each fact to every grid cell the
-/// HyperCube policy makes responsible; rho evaluates the query. The
-/// returned job owns a HypercubePolicy built from \p shares.
+/// MapReduce job: mu is HypercubePolicy::RouteRow, a key per grid cell
+/// responsible for the row; rho evaluates the query. The returned job
+/// owns a HypercubePolicy built from \p shares.
 MapReduceJob SharesJob(const ConjunctiveQuery& query, const Shares& shares,
                        std::uint64_t seed = 0);
 
 /// Executes \p job as a one-round MPC algorithm on \p num_servers servers:
-/// reducer keys are assigned to servers round-robin (key mod p), the map
-/// phase becomes the communication phase and the reduce phase runs
-/// per-server over its keys — the paper's MapReduce-to-MPC translation.
+/// the job's map is the router, a row going to server key mod p for each
+/// of its keys, and server s reduces the groups of its keys
+/// (RunJobShard(job, received, s, p)) — the paper's MapReduce-to-MPC
+/// translation.
 MpcRunResult RunJobOnMpc(const MapReduceJob& job, const Instance& input,
                          std::size_t num_servers);
 

@@ -8,10 +8,9 @@ std::map<Value, std::size_t> ColumnFrequencies(const Instance& instance,
                                                RelationId relation,
                                                std::size_t column) {
   std::map<Value, std::size_t> freq;
-  instance.ForEachFactOf(relation, [&](const Fact& f) {
-    LAMP_CHECK(column < f.args.size());
-    ++freq[f.args[column]];
-  });
+  const RowsView rows = instance.RowsOf(relation);
+  LAMP_CHECK(rows.num_rows == 0 || column < rows.arity);
+  for (std::size_t i = 0; i < rows.num_rows; ++i) ++freq[rows.Row(i)[column]];
   return freq;
 }
 

@@ -43,6 +43,13 @@ constexpr const char* kADomLoops = R"(
   Loop(x) <- ADom(x), TC(x,x)
 )";
 
+// A head constant next to ADom: 100 is derived, never in the EDB, so it is
+// not in the active domain and A(100) is never derived.
+constexpr const char* kADomHeadConstant = R"(
+  Tag(x,100) <- E(x,y)
+  A(x) <- ADom(x)
+)";
+
 // Nullary heads (and a nullary body atom) over three strata.
 constexpr const char* kNullaryHeads = R"(
   TC(x,y) <- E(x,y)
@@ -148,7 +155,8 @@ TEST(Eval, SemiNaiveAgreesWithNaive) {
   // stratified negation, ADom, inequalities, nullary heads, multi-strata.
   for (const char* text :
        {kComplementTc, kNoTriangle, kLinearTc, kNonLinearTcSym, kADomLoops,
-        kNullaryHeads, kSemiPositive, kRecursiveInequality}) {
+        kADomHeadConstant, kNullaryHeads, kSemiPositive,
+        kRecursiveInequality}) {
     Schema schema;
     const DatalogProgram p = ParseProgram(schema, text);
     Rng rng(7);
@@ -234,7 +242,8 @@ Instance RowsPast(const Instance& state,
 
 TEST(Continuation, ContinuingAFixpointEqualsEvaluatingTheUnion) {
   for (const char* text :
-       {kLinearTc, kNonLinearTcSym, kComplementTc, kADomLoops}) {
+       {kLinearTc, kNonLinearTcSym, kComplementTc, kADomLoops,
+        kADomHeadConstant}) {
     Schema schema;
     const DatalogProgram p = ParseProgram(schema, text);
     const std::size_t relations = schema.NumRelations();

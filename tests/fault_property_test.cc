@@ -130,6 +130,10 @@ TEST(FaultPropertyTest, DatalogNodeProgramMatchesRecomputingReference) {
       "TC(x,y) <- E(x,y)\n"
       "TC(x,y) <- TC(x,z), TC(z,y)\n"
       "OUT(x,y) <- ADom(x), ADom(y), !TC(x,y)",
+      // A head constant next to ADom: the 100 a node derives or receives
+      // in Tag rows is not in the active domain of the EDB.
+      "Tag(x,100) <- E(x,y)\n"
+      "A(x) <- ADom(x)",
   };
   for (const char* text : programs) {
     Schema schema;

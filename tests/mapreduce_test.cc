@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
@@ -42,16 +43,20 @@ class MapReduceTest : public ::testing::Test {
   ConjunctiveQuery triangle_;
 };
 
+/// The identity reducer: every row of the group, unchanged.
+void CopyGroup(std::uint64_t, std::span<const transport::RowRef> group,
+               Instance& out) {
+  for (const transport::RowRef& row : group) {
+    out.InsertRow(row.relation, row.row, row.arity);
+  }
+}
+
 TEST_F(MapReduceTest, IdentityJobCopiesInput) {
   MapReduceJob identity;
-  identity.map = [](const Fact& f) {
-    return std::vector<KeyValue>{{7, f}};
+  identity.map = [](transport::RowRef, std::vector<std::uint64_t>& keys) {
+    keys.push_back(7);
   };
-  identity.reduce = [](std::uint64_t, const std::vector<Fact>& group) {
-    std::vector<KeyValue> out;
-    for (const Fact& f : group) out.push_back({0, f});
-    return out;
-  };
+  identity.reduce = CopyGroup;
   const Instance input = JoinInput(1);
   MapReduceStats stats;
   const Instance output = RunJob(identity, input, &stats);
@@ -102,18 +107,13 @@ TEST_F(MapReduceTest, ProgramChainsJobs) {
   MapReduceProgram program;
   program.jobs.push_back(RepartitionJoinJob(join_, 4, 1));
   MapReduceJob filter;
-  filter.map = [this](const Fact& f) {
-    std::vector<KeyValue> out;
-    if (f.relation == schema_.IdOf("H") && f.args[0].v % 2 == 0) {
-      out.push_back({static_cast<std::uint64_t>(f.args[0].v), f});
+  filter.map = [this](transport::RowRef row,
+                      std::vector<std::uint64_t>& keys) {
+    if (row.relation == schema_.IdOf("H") && row.row[0].v % 2 == 0) {
+      keys.push_back(static_cast<std::uint64_t>(row.row[0].v));
     }
-    return out;
   };
-  filter.reduce = [](std::uint64_t, const std::vector<Fact>& group) {
-    std::vector<KeyValue> out;
-    for (const Fact& f : group) out.push_back({0, f});
-    return out;
-  };
+  filter.reduce = CopyGroup;
   program.jobs.push_back(filter);
 
   std::vector<MapReduceStats> stats;
@@ -217,6 +217,138 @@ TEST_F(MapReduceTest, TcAgreesWithDatalogEngine) {
   everything.ForEachFactOf(tc_rel,
                            [&](const Fact& f) { datalog_tc.Insert(f); });
   EXPECT_EQ(mr.closure, datalog_tc);
+}
+
+// --- the MapReduce contract, pinned ----------------------------------------
+
+/// The rows of \p instance in (relation, insertion) order, hashed: equal
+/// values pin both the set of rows and the order they were inserted in.
+std::uint64_t RowOrderHash(const Instance& instance) {
+  std::uint64_t h = 0;
+  for (RelationId rel = 0; rel < instance.NumRelationIds(); ++rel) {
+    const RowsView rows = instance.RowsOf(rel);
+    for (std::size_t r = 0; r < rows.num_rows; ++r) {
+      h = HashCombine(h, rel);
+      for (std::size_t i = 0; i < rows.arity; ++i) {
+        h = HashCombine(h, static_cast<std::uint64_t>(rows.Row(r)[i].v));
+      }
+    }
+  }
+  return h;
+}
+
+/// The per-server loads of every round of \p stats.
+std::vector<std::vector<std::size_t>> Loads(const RunStats& stats) {
+  std::vector<std::vector<std::size_t>> loads;
+  for (const RoundStats& round : stats.rounds) loads.push_back(round.received);
+  return loads;
+}
+
+TEST_F(MapReduceTest, TcStrategiesShuffleThePinnedCounts) {
+  // D2 on path graphs of diameter 8/16/32/64: jobs (barriers), pairs
+  // shuffled and the largest reducer group of both strategies.
+  struct Pin {
+    std::size_t diameter;
+    std::size_t linear_jobs, linear_pairs, linear_max_group;
+    std::size_t doubling_jobs, doubling_pairs, doubling_max_group;
+  };
+  const Pin pins[] = {
+      {8, 8, 268, 8, 4, 170, 8},
+      {16, 16, 1752, 16, 5, 682, 16},
+      {32, 32, 12464, 32, 6, 2730, 32},
+      {64, 64, 93536, 64, 7, 10922, 64},
+  };
+  for (const Pin& pin : pins) {
+    Schema schema;
+    const RelationId e = schema.AddRelation("E", 2);
+    const RelationId tc = schema.AddRelation("TC", 2);
+    Instance edges;
+    AddPathGraph(schema, e, pin.diameter + 1, edges);
+    const RecursiveTcResult linear =
+        TransitiveClosureLinear(schema, e, tc, edges);
+    const RecursiveTcResult doubling =
+        TransitiveClosureDoubling(schema, e, tc, edges);
+    EXPECT_EQ(linear.jobs, pin.linear_jobs) << pin.diameter;
+    EXPECT_EQ(linear.pairs_shuffled, pin.linear_pairs) << pin.diameter;
+    EXPECT_EQ(linear.max_group, pin.linear_max_group) << pin.diameter;
+    EXPECT_EQ(doubling.jobs, pin.doubling_jobs) << pin.diameter;
+    EXPECT_EQ(doubling.pairs_shuffled, pin.doubling_pairs) << pin.diameter;
+    EXPECT_EQ(doubling.max_group, pin.doubling_max_group) << pin.diameter;
+    EXPECT_EQ(linear.closure, doubling.closure);
+  }
+}
+
+TEST_F(MapReduceTest, RunJobPinsGroupsAndOutputOrder) {
+  MapReduceStats repartition;
+  const Instance joined =
+      RunJob(RepartitionJoinJob(join_, 8, 5), JoinInput(2), &repartition);
+  EXPECT_EQ(repartition.group_sizes,
+            (std::vector<std::size_t>{63, 135, 47, 65, 121, 47, 44, 78}));
+  EXPECT_EQ(RowOrderHash(joined), 5756240642710103151u);
+
+  MapReduceStats shares;
+  const Instance triangles =
+      RunJob(SharesJob(triangle_, {2, 2, 2}, 5), TriangleInput(3), &shares);
+  EXPECT_EQ(shares.group_sizes,
+            (std::vector<std::size_t>{108, 121, 164, 195, 114, 121, 176, 201}));
+  EXPECT_EQ(RowOrderHash(triangles), 499254445173119646u);
+}
+
+TEST_F(MapReduceTest, RunJobOnMpcPinsLoadsAndOutputOrder) {
+  const Instance join_input = JoinInput(8);
+  const MpcRunResult repartition =
+      RunJobOnMpc(RepartitionJoinJob(join_, 16, 2), join_input, 4);
+  EXPECT_EQ(Loads(repartition.stats),
+            (std::vector<std::vector<std::size_t>>{{162, 126, 129, 38}}));
+  EXPECT_EQ(RowOrderHash(repartition.output), 3651693116305188166u);
+
+  const Instance triangle_input = TriangleInput(7);
+  const MpcRunResult shares =
+      RunJobOnMpc(SharesJob(triangle_, {2, 2, 2}, 9), triangle_input, 8);
+  EXPECT_EQ(Loads(shares.stats),
+            (std::vector<std::vector<std::size_t>>{
+                {98, 125, 93, 123, 134, 162, 127, 185}}));
+  EXPECT_EQ(RowOrderHash(shares.output), 14202592420358149785u);
+
+  // More reducers than servers: server s reduces every key k with
+  // k mod p == s, one group per key.
+  const MpcRunResult folded =
+      RunJobOnMpc(SharesJob(triangle_, {2, 2, 2}, 9), triangle_input, 3);
+  EXPECT_EQ(Loads(folded.stats),
+            (std::vector<std::vector<std::size_t>>{{269, 334, 199}}));
+  EXPECT_EQ(RowOrderHash(folded.output), 1629909121193958826u);
+  EXPECT_EQ(folded.output, shares.output);
+}
+
+TEST_F(MapReduceTest, TcStepRunsOnMpc) {
+  // One step of each TC strategy as a one-round MPC algorithm: the same
+  // rows as RunJob, in a pinned order, under pinned loads.
+  Schema schema;
+  const RelationId e = schema.AddRelation("E", 2);
+  const RelationId tc = schema.AddRelation("TC", 2);
+  Rng rng(12);
+  Instance edges;
+  AddRandomGraph(schema, e, 60, 20, rng, edges);
+  Instance input = edges;
+  const RowsView rows = edges.RowsOf(e);
+  input.InsertRows(tc, rows.data, rows.num_rows, rows.arity);
+
+  const MapReduceJob linear = JoinSecondWithFirst(tc, e, tc);
+  const MpcRunResult linear_mpc = RunJobOnMpc(linear, input, 4);
+  EXPECT_EQ(linear_mpc.output, RunJob(linear, input));
+  EXPECT_EQ(Loads(linear_mpc.stats),
+            (std::vector<std::vector<std::size_t>>{{22, 31, 16, 25}}));
+  EXPECT_EQ(RowOrderHash(linear_mpc.output), 330831022755662107u);
+
+  // Doubling over TC = paths of length 1 and 2: every TC row plays both
+  // sides.
+  input.InsertAll(linear_mpc.output);
+  const MapReduceJob doubling = JoinSecondWithFirst(tc, tc, tc);
+  const MpcRunResult doubling_mpc = RunJobOnMpc(doubling, input, 4);
+  EXPECT_EQ(doubling_mpc.output, RunJob(doubling, input));
+  EXPECT_EQ(Loads(doubling_mpc.stats),
+            (std::vector<std::vector<std::size_t>>{{52, 69, 40, 62}}));
+  EXPECT_EQ(RowOrderHash(doubling_mpc.output), 4082226243133211437u);
 }
 
 }  // namespace

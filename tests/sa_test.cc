@@ -1,12 +1,16 @@
 // Unit tests for the static analyzer (src/sa): dependency graph and SCC
 // condensation, stratification with negation-cycle witnesses, fragment
-// classification against the Figure 2 hierarchy, and the lint passes.
+// classification against the Figure 2 hierarchy, the lint passes, and a
+// seeded mutation test of the text front end.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "common/rng.h"
 #include "cq/parser.h"
 #include "datalog/program.h"
 #include "sa/analyzer.h"
@@ -14,6 +18,10 @@
 #include "sa/depgraph.h"
 #include "sa/fragment.h"
 #include "sa/lint.h"
+
+#ifndef LAMP_TESTS_DIR
+#error "tests/CMakeLists.txt must define LAMP_TESTS_DIR"
+#endif
 
 namespace lamp::sa {
 namespace {
@@ -370,6 +378,91 @@ TEST(AnalyzerTest, RuleRenderingRoundTrips) {
   Schema schema2;
   CqParseResult reparsed = TryParseQuery(schema2, rendered);
   EXPECT_TRUE(reparsed.ok()) << rendered;
+}
+
+// --- seeded mutation test of the text front end --------------------------
+
+// AnalyzeProgramText's contract on arbitrary text: it returns (no abort),
+// and what it returns renders as a lamp.sa.v1 document and as text. Returns
+// whether every line parsed.
+bool ExpectAnalyzedAndRendered(const std::string& text) {
+  Schema schema;
+  const ProgramAnalysis analysis = AnalyzeProgramText(schema, text);
+  const obs::JsonValue doc = AnalysisToJson(schema, analysis);
+  EXPECT_TRUE(doc.IsObject()) << text;
+  EXPECT_TRUE(obs::JsonValue::Parse(doc.Dump(0)).has_value()) << text;
+  EXPECT_FALSE(RenderAnalysisText(schema, analysis).empty()) << text;
+  return analysis.parse_ok;
+}
+
+TEST(AnalyzerFuzzTest, AnalyzeProgramTextSurvivesMutations) {
+  // The .dl fixtures: comments, @edb/@output pragmas, negation,
+  // inequalities, ADom, recursion, a cross product and an unstratifiable
+  // program.
+  std::vector<std::string> seeds;
+  for (const char* name :
+       {"clean", "cross_product", "unsafe", "unstratifiable"}) {
+    std::ifstream in(std::string(LAMP_TESTS_DIR) + "/data/sa/" + name +
+                     ".dl");
+    ASSERT_TRUE(in.is_open()) << name;
+    std::stringstream text;
+    text << in.rdbuf();
+    seeds.push_back(text.str());
+  }
+  // Bytes that change a program's structure.
+  const std::string structural = "(),!=<-:#%@/\n x1_9EA";
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  const auto visit = [&](const std::string& text) {
+    ++(ExpectAnalyzedAndRendered(text) ? parsed : rejected);
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const auto any_byte = [&] {
+      return rng.Uniform(2) == 0
+                 ? structural[rng.Uniform(structural.size())]
+                 : static_cast<char>(rng.Uniform(256));
+    };
+    for (const std::string& program : seeds) {
+      EXPECT_TRUE(ExpectAnalyzedAndRendered(program)) << program;
+      for (std::size_t at = 0; at < program.size(); ++at) {
+        visit(program.substr(0, at));                        // Truncation.
+        visit(program.substr(0, at) + program.substr(at + 1));  // Deletion.
+        std::string text = program;
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                    any_byte());
+        visit(text);  // Insertion.
+        for (int k = 0; k < 2; ++k) {
+          text = program;
+          text[at] = any_byte();
+          visit(text);  // Byte flip.
+        }
+      }
+      // Several edits at once.
+      for (int round = 0; round < 200; ++round) {
+        std::string text = program;
+        for (std::size_t edits = 1 + rng.Uniform(6); edits > 0; --edits) {
+          const std::size_t at = rng.Uniform(text.size() + 1);
+          switch (rng.Uniform(3)) {
+            case 0:
+              text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                          any_byte());
+              break;
+            case 1:
+              if (at < text.size()) text.erase(at, 1);
+              break;
+            default:
+              if (at < text.size()) text[at] = any_byte();
+              break;
+          }
+        }
+        visit(text);
+      }
+    }
+  }
+  // Both outcomes must have been exercised.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
