@@ -72,11 +72,12 @@ MpcRunResult RunJobOnMpc(const MapReduceJob& job, const Instance& input,
           targets.push_back(static_cast<NodeId>(key % num_servers));
         }
       },
-      [&job, num_servers](NodeId me, const Instance& received) {
+      [&job, num_servers](NodeId me, Instance& received) {
         // Re-derive each row's keys locally and reduce the groups this
         // server owns (key mod p == me).
-        return MpcSimulator::ComputeResult{
-            Instance(), RunJobShard(job, received, me, num_servers)};
+        MpcSimulator::ComputeResult result;
+        result.output.AppendAll(RunJobShard(job, received, me, num_servers));
+        return result;
       });
   return {sim.output(), sim.stats()};
 }

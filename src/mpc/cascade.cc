@@ -173,7 +173,7 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
           }
           out.assign(targets.begin(), targets.end());
         },
-        [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
+        [&](NodeId, Instance& received) -> MpcSimulator::ComputeResult {
           // Local join: hash next_atom's facts by shared values, then
           // extend each intermediate tuple.
           std::unordered_map<std::uint64_t,
@@ -251,7 +251,9 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
               }
             });
           }
-          return {std::move(next_state), std::move(output)};
+          MpcSimulator::ComputeResult result{std::move(next_state), {}};
+          result.output.AppendAll(output);
+          return result;
         });
   }
 
@@ -262,7 +264,7 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
         [](NodeId source, transport::RowRef, std::vector<NodeId>& targets) {
           targets.push_back(source);
         },
-        [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
+        [&](NodeId, Instance& received) -> MpcSimulator::ComputeResult {
           Instance output;
           received.ForEachFactOf(body[0].relation, [&](const Fact& f) {
             std::unordered_map<VarId, Value> binding;
@@ -273,7 +275,9 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
               output.Insert(v.ApplyToAtom(query.head()));
             }
           });
-          return {received, std::move(output)};
+          MpcSimulator::ComputeResult result{std::move(received), {}};
+          result.output.AppendAll(output);
+          return result;
         });
   }
 

@@ -1,5 +1,8 @@
 #include "mpc/heavy_hitters.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.h"
 
 namespace lamp {
@@ -16,10 +19,20 @@ std::map<Value, std::size_t> ColumnFrequencies(const Instance& instance,
 
 std::set<Value> HeavyHitters(const Instance& instance, RelationId relation,
                              std::size_t column, std::size_t threshold) {
+  const RowsView rows = instance.RowsOf(relation);
+  LAMP_CHECK(rows.num_rows == 0 || column < rows.arity);
+  std::vector<Value> values(rows.num_rows);
+  for (std::size_t i = 0; i < rows.num_rows; ++i) {
+    values[i] = rows.Row(i)[column];
+  }
+  std::sort(values.begin(), values.end());
+  // Equal values are adjacent now: count each run, keep the heavy ones.
   std::set<Value> heavy;
-  for (const auto& [value, count] :
-       ColumnFrequencies(instance, relation, column)) {
-    if (count > threshold) heavy.insert(value);
+  for (std::size_t i = 0; i < values.size();) {
+    std::size_t end = i + 1;
+    while (end < values.size() && values[end] == values[i]) ++end;
+    if (end - i > threshold) heavy.insert(heavy.end(), values[i]);
+    i = end;
   }
   return heavy;
 }

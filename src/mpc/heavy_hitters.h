@@ -22,7 +22,8 @@ std::map<Value, std::size_t> ColumnFrequencies(const Instance& instance,
                                                std::size_t column);
 
 /// Values whose frequency in the given column strictly exceeds
-/// \p threshold.
+/// \p threshold: the heavy keys of ColumnFrequencies, counted over a
+/// sorted copy of the column instead of a map of every value.
 std::set<Value> HeavyHitters(const Instance& instance, RelationId relation,
                              std::size_t column, std::size_t threshold);
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "cq/eval.h"
 #include "distribution/policies.h"
 #include "lp/edge_packing.h"
 #include "mpc/simulator.h"
@@ -21,10 +20,7 @@ MpcRunResult RunHyperCube(const ConjunctiveQuery& query, const Instance& input,
       [&policy](NodeId, transport::RowRef row, std::vector<NodeId>& targets) {
         policy.RouteRow(row.relation, row.row, row.arity, targets);
       },
-      [&query](NodeId, const Instance& received) {
-        return MpcSimulator::ComputeResult{Instance(),
-                                           Evaluate(query, received)};
-      });
+      MpcSimulator::EvaluateQuery(query));
   return {sim.output(), sim.stats()};
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "cq/eval.h"
 #include "mpc/simulator.h"
 
 namespace lamp {
@@ -21,13 +20,6 @@ std::uint64_t HashPositions(const Value* row,
     h = HashCombine(h, static_cast<std::uint64_t>(row[pos].v));
   }
   return h;
-}
-
-MpcSimulator::Computer EvaluateLocally(const ConjunctiveQuery& query) {
-  return [&query](NodeId, const Instance& received) {
-    return MpcSimulator::ComputeResult{Instance(),
-                                       Evaluate(query, received)};
-  };
 }
 
 }  // namespace
@@ -123,7 +115,7 @@ MpcRunResult RepartitionJoin(const ConjunctiveQuery& query,
   MpcSimulator sim(num_servers);
   sim.LoadInput(input);
   sim.RunRound(RepartitionRouter(query, num_servers, seed),
-               EvaluateLocally(query));
+               MpcSimulator::EvaluateQuery(query));
   return {sim.output(), sim.stats()};
 }
 
@@ -134,7 +126,7 @@ MpcRunResult FragmentReplicateJoin(const ConjunctiveQuery& query,
   MpcSimulator sim(num_servers);
   sim.LoadInput(input);
   sim.RunRound(FragmentReplicateRouter(query, num_servers, seed),
-               EvaluateLocally(query));
+               MpcSimulator::EvaluateQuery(query));
   return {sim.output(), sim.stats()};
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "cq/eval.h"
 #include "mpc/heavy_hitters.h"
 #include "mpc/simulator.h"
 
@@ -121,10 +120,7 @@ MpcRunResult SharesSkewJoin(const ConjunctiveQuery& query,
           }
         }
       },
-      [&query](NodeId, const Instance& received) {
-        return MpcSimulator::ComputeResult{Instance(),
-                                           Evaluate(query, received)};
-      });
+      MpcSimulator::EvaluateQuery(query));
   return {sim.output(), sim.stats()};
 }
 

@@ -3,6 +3,7 @@
 #include <span>
 
 #include "common/check.h"
+#include "cq/eval.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
 
@@ -41,28 +42,43 @@ void ForEachRun(const Outbox& outbox, std::size_t target, Visit&& visit) {
   }
 }
 
-/// Sizes each relation of \p in for the rows \p outbox routes to
-/// \p target, so draining them never grows its storage.
-void ReserveForRuns(const Outbox& outbox, std::size_t target, Instance& in) {
+/// Rows counted per relation, to size an instance for them once
+/// (Instance::Reserve) before they are inserted: inserting them then never
+/// grows its storage. The counts include repeats, so they are exact for
+/// distinct rows and an upper bound otherwise.
+class RowCounts {
+ public:
+  void Add(const transport::RowRef& row) {
+    if (row.relation >= per_relation_.size()) {
+      per_relation_.resize(row.relation + 1);
+    }
+    Rows& rows = per_relation_[row.relation];
+    ++rows.count;
+    rows.arity = row.arity;
+  }
+
+  void ReserveIn(Instance& in) const {
+    for (RelationId rel = 0; rel < per_relation_.size(); ++rel) {
+      const Rows& rows = per_relation_[rel];
+      if (rows.count != 0) in.Reserve(rel, rows.count, rows.arity);
+    }
+  }
+
+ private:
   struct Rows {
     std::size_t count = 0;
     std::uint32_t arity = 0;
   };
-  std::vector<Rows> per_relation;
+  std::vector<Rows> per_relation_;
+};
+
+/// Sizes \p in for the rows \p outbox routes to \p target.
+void ReserveForRuns(const Outbox& outbox, std::size_t target, Instance& in) {
+  RowCounts counts;
   for (const std::vector<std::vector<Routed>>& shard : outbox) {
-    for (const Routed& r : shard[target]) {
-      if (r.row.relation >= per_relation.size()) {
-        per_relation.resize(r.row.relation + 1);
-      }
-      Rows& rows = per_relation[r.row.relation];
-      ++rows.count;
-      rows.arity = r.row.arity;
-    }
+    for (const Routed& r : shard[target]) counts.Add(r.row);
   }
-  for (RelationId rel = 0; rel < per_relation.size(); ++rel) {
-    const Rows& rows = per_relation[rel];
-    if (rows.count != 0) in.Reserve(rel, rows.count, rows.arity);
-  }
+  counts.ReserveIn(in);
 }
 
 }  // namespace
@@ -82,14 +98,8 @@ void MpcSimulator::LoadInput(const Instance& global) {
   locals_.assign(p, Instance());
   output_ = Instance();
   stats_ = RunStats();
-  std::size_t i = 0;
-  for (RelationId rel = 0; rel < global.NumRelationIds(); ++rel) {
-    const RowsView rows = global.RowsOf(rel);
-    for (std::size_t r = 0; r < rows.num_rows; ++r, ++i) {
-      if (IsLocal(i % p)) {
-        locals_[i % p].InsertRow(rel, rows.Row(r), rows.arity);
-      }
-    }
+  for (std::size_t server = 0; server < p; ++server) {
+    if (IsLocal(server)) locals_[server] = RoundRobinPart(global, server, p);
   }
 }
 
@@ -257,8 +267,10 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
   stats_.rounds.push_back(std::move(round));
 
   // Computation phase: servers are independent; results land in a
-  // per-server slot and are folded into output in ascending server order,
-  // matching the serial loop.
+  // per-server slot and are folded in ascending server order, matching the
+  // serial loop. The output is the union of the servers' rows (Q(I) is the
+  // union of the Q(I_k)), sized once for all of them and then inserted
+  // server by server, so each row's first occurrence keeps its place.
   {
     obs::TraceSpan span("mpc.compute", round_idx);
     std::vector<ComputeResult> results(p);
@@ -267,9 +279,16 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
       if (!IsLocal(server)) return;
       results[server] = compute(static_cast<NodeId>(server), received[server]);
     });
+    RowCounts counts;
+    for (const ComputeResult& result : results) {
+      for (const transport::RowRef row : result.output) counts.Add(row);
+    }
+    counts.ReserveIn(output_);
     for (NodeId server = 0; server < p; ++server) {
       locals_[server] = std::move(results[server].next_state);
-      output_.InsertAll(results[server].output);
+      for (const transport::RowRef row : results[server].output) {
+        output_.InsertRow(row.relation, row.row, row.arity);
+      }
     }
   }
   obs::Emit(obs::EventKind::kMpcRoundEnd, round_idx, 0, round_total);
@@ -287,8 +306,33 @@ transport::Transport* MpcSimulator::WireTransport() {
 }
 
 MpcSimulator::Computer MpcSimulator::KeepAll() {
-  return [](NodeId, const Instance& received) {
-    return ComputeResult{received, Instance()};
+  return [](NodeId, Instance& received) {
+    return ComputeResult{std::move(received), {}};
+  };
+}
+
+MpcSimulator::Computer MpcSimulator::EvaluateQuery(
+    const ConjunctiveQuery& query, bool keep_received) {
+  // A full query derives each of its rows from one valuation only, so its
+  // blocks hold distinct rows. A projecting one derives a row once per
+  // valuation, which may be far more than its distinct rows, so those go
+  // through a set first: RunRound sizes the round output for the servers'
+  // row counts.
+  const bool full = query.IsFull();
+  return [&query, full, keep_received](NodeId, Instance& received) {
+    ComputeResult result;
+    if (full) {
+      EvaluateIntoBatches(query, received,
+                          [&result](RelationId relation, const Value* rows,
+                                    std::size_t count, std::size_t arity) {
+                            result.output.AppendRows(relation, rows, count,
+                                                     arity);
+                          });
+    } else {
+      result.output.AppendAll(Evaluate(query, received));
+    }
+    if (keep_received) result.next_state = std::move(received);
+    return result;
   };
 }
 

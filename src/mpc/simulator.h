@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "cq/cq.h"
 #include "distribution/policy.h"
 #include "mpc/stats.h"
 #include "relational/instance.h"
@@ -15,7 +16,16 @@
 /// communication phase (every server routes each of its facts to a set of
 /// servers) followed by a computation phase (local function of the received
 /// data). What the simulator *measures* — per-server received tuples — is
-/// exactly the quantity the surveyed load bounds speak about.
+/// exactly the quantity the surveyed load bounds speak about. The answer is
+/// the union of the servers' local answers: each server emits output rows,
+/// and the round output takes them in ascending server order, dropping
+/// repeats.
+///
+/// Every instance on this path is sized once. LoadInput deals each server
+/// its round-robin share into presized relations (RoundRobinPart); the
+/// drain below presizes each target's received relations; the round
+/// output is presized for the sum of the servers' row counts before their
+/// rows go in.
 ///
 /// Execution is parallel across the lamp::par global pool and
 /// *deterministic*: each worker routes a contiguous shard of source servers
@@ -75,14 +85,22 @@ class MpcSimulator {
   using Router = std::function<void(NodeId source, transport::RowRef row,
                                     std::vector<NodeId>& targets)>;
 
-  /// Computation phase of one server: transforms the received local
-  /// instance into (next round's local state, output facts).
+  /// Computation phase of one server: turns the received local instance
+  /// into the next round's local state and the server's output rows. The
+  /// rows may repeat across servers: the round output is their union
+  /// (RunRound drops repeats), so a server that derives distinct rows
+  /// builds no set of its own. RunRound sizes the round output for the sum
+  /// of the servers' row counts, so a server whose rows would repeat many
+  /// times over dedups them first.
   struct ComputeResult {
     Instance next_state;
-    Instance output;
+    transport::FactRows output;
   };
+  /// Called concurrently for distinct servers. \p received is the
+  /// server's own and is discarded after the call, so a computer that
+  /// keeps it moves it into next_state instead of copying it.
   using Computer =
-      std::function<ComputeResult(NodeId server, const Instance& received)>;
+      std::function<ComputeResult(NodeId server, Instance& received)>;
 
   explicit MpcSimulator(std::size_t num_servers);
 
@@ -106,6 +124,15 @@ class MpcSimulator {
   /// A computation phase that evaluates nothing and keeps the received
   /// data as next state (pure reshuffle).
   static Computer KeepAll();
+
+  /// A computation phase that outputs the rows of \p query on the received
+  /// data. A full query's rows are distinct and go out block by block as
+  /// EvaluateIntoBatches derives them; a projecting query's rows are
+  /// deduplicated first (Evaluate). The next state is empty, or the
+  /// received data itself when \p keep_received.
+  /// \p query must outlive the computer.
+  static Computer EvaluateQuery(const ConjunctiveQuery& query,
+                                bool keep_received = false);
 
   std::size_t num_servers() const { return locals_.size(); }
   const std::vector<Instance>& locals() const { return locals_; }

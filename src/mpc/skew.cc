@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "cq/eval.h"
 #include "distribution/hypercube.h"
 #include "distribution/policies.h"
 #include "mpc/heavy_hitters.h"
@@ -112,10 +111,7 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
           targets.push_back(source);  // T is needed again in round 2.
         }
       },
-      [&](NodeId, const Instance& received) {
-        return MpcSimulator::ComputeResult{received,
-                                           Evaluate(triangle, received)};
-      });
+      MpcSimulator::EvaluateQuery(triangle, /*keep_received=*/true));
 
   // Round 2: residual sub-grids, one per heavy value.
   if (!heavy.empty()) {
@@ -179,10 +175,7 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
             }
           }
         },
-        [&](NodeId, const Instance& received) {
-          return MpcSimulator::ComputeResult{Instance(),
-                                             Evaluate(triangle, received)};
-        });
+        MpcSimulator::EvaluateQuery(triangle));
   }
 
   return {sim.output(), sim.stats()};

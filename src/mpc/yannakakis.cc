@@ -72,7 +72,7 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
           targets.push_back(source);
         }
       },
-      [&](NodeId, const Instance& received) -> MpcSimulator::ComputeResult {
+      [&](NodeId, Instance& received) -> MpcSimulator::ComputeResult {
         std::unordered_set<std::uint64_t> filter_keys;
         received.ForEachFactOf(filter_rel, [&](const Fact& f) {
           filter_keys.insert(KeyHash(f.args.data(), filter_pos, round_seed));
@@ -86,7 +86,7 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
           }
           next.Insert(f);
         }
-        return {std::move(next), Instance()};
+        return {std::move(next), {}};
       });
 }
 

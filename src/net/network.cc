@@ -378,13 +378,10 @@ std::vector<Instance> DistributeByPolicy(const Instance& instance,
 
 std::vector<Instance> DistributeRoundRobin(const Instance& instance,
                                            std::size_t num_nodes) {
-  std::vector<Instance> locals(num_nodes);
-  std::size_t i = 0;
-  for (RelationId rel = 0; rel < instance.NumRelationIds(); ++rel) {
-    const RowsView rows = instance.RowsOf(rel);
-    for (std::size_t r = 0; r < rows.num_rows; ++r, ++i) {
-      locals[i % num_nodes].InsertRow(rel, rows.Row(r), rows.arity);
-    }
+  std::vector<Instance> locals;
+  locals.reserve(num_nodes);
+  for (std::size_t node = 0; node < num_nodes; ++node) {
+    locals.push_back(RoundRobinPart(instance, node, num_nodes));
   }
   return locals;
 }

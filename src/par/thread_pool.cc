@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -163,7 +164,10 @@ void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
 namespace {
 
 std::mutex g_config_mu;
-std::unique_ptr<ThreadPool> g_pool;
+// One pool per lane count ever asked for, alive for the life of the
+// process: switching the default never deletes a pool another thread may
+// still be running on.
+std::map<std::size_t, std::unique_ptr<ThreadPool>> g_pools;
 std::size_t g_default_threads = 0;  // 0 = unset; fall back to LAMP_THREADS.
 
 std::size_t EnvThreads() {
@@ -193,10 +197,9 @@ void SetDefaultThreads(std::size_t n) {
 ThreadPool& GlobalPool() {
   std::lock_guard<std::mutex> lock(g_config_mu);
   const std::size_t want = DefaultThreadsLocked();
-  if (g_pool == nullptr || g_pool->num_threads() != want) {
-    g_pool = std::make_unique<ThreadPool>(want);
-  }
-  return *g_pool;
+  std::unique_ptr<ThreadPool>& pool = g_pools[want];
+  if (pool == nullptr) pool = std::make_unique<ThreadPool>(want);
+  return *pool;
 }
 
 void ConfigureFromCommandLine(int* argc, char** argv) {

@@ -94,12 +94,14 @@ class ThreadPool {
 /// runs, so this setting only affects wall-clock.
 std::size_t DefaultThreads();
 
-/// Overrides DefaultThreads (clamped to >= 1). Call before the first use
-/// of GlobalPool in a parallel region; the global pool is rebuilt lazily.
+/// Overrides DefaultThreads (clamped to >= 1). Later GlobalPool calls hand
+/// out the pool of the new lane count.
 void SetDefaultThreads(std::size_t n);
 
-/// Process-wide pool sized at DefaultThreads(); lazily (re)built when the
-/// default changes. Not meant to be reconfigured concurrently with use.
+/// The process-wide pool of DefaultThreads() lanes. There is one such pool
+/// per lane count, built on first request and kept for the life of the
+/// process, so a thread still running on a pool survives another thread
+/// changing the default.
 ThreadPool& GlobalPool();
 
 /// Strips "--threads N" / "--threads=N" from argv (so downstream flag

@@ -135,6 +135,8 @@ std::size_t Instance::InsertAll(const Instance& other) {
   for (RelationId r = 0; r < other.by_relation_.size(); ++r) {
     const Column& c = other.by_relation_[r];
     if (c.num_rows == 0) continue;
+    // \p other is a set, so an empty relation here takes exactly its rows.
+    if (NumRows(r) == 0) Reserve(r, c.num_rows, c.arity);
     added += InsertRowsImpl(r, c.data.data(), c.num_rows, c.arity, nullptr);
   }
   return added;
@@ -370,6 +372,26 @@ std::vector<Instance> Instance::Components() const {
   std::vector<Instance> out;
   out.reserve(groups.size());
   for (auto& [root, inst] : groups) out.push_back(std::move(inst));
+  return out;
+}
+
+Instance RoundRobinPart(const Instance& global, std::size_t part,
+                        std::size_t num_parts) {
+  LAMP_CHECK(part < num_parts);
+  Instance out;
+  std::size_t start = 0;  // Global index of the relation's first row.
+  for (RelationId rel = 0; rel < global.NumRelationIds(); ++rel) {
+    const RowsView rows = global.RowsOf(rel);
+    // The relation's first row dealt to this part, then every num_parts-th.
+    const std::size_t first = (part + num_parts - start % num_parts) %
+                              num_parts;
+    start += rows.num_rows;
+    if (first >= rows.num_rows) continue;
+    out.Reserve(rel, (rows.num_rows - first - 1) / num_parts + 1, rows.arity);
+    for (std::size_t r = first; r < rows.num_rows; r += num_parts) {
+      out.InsertRow(rel, rows.Row(r), rows.arity);
+    }
+  }
   return out;
 }
 

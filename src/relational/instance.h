@@ -286,6 +286,15 @@ class Instance {
       indexes_;
 };
 
+/// Part \p part of the round-robin deal of \p global over \p num_parts
+/// parts ("the input data is initially partitioned among the p servers"):
+/// global row i, counting rows across relations in ascending relation
+/// order, goes to part i mod num_parts, and each part keeps its rows in
+/// global order. Each relation of the part is sized once for its share
+/// (Instance::Reserve) before its rows are dealt.
+Instance RoundRobinPart(const Instance& global, std::size_t part,
+                        std::size_t num_parts);
+
 }  // namespace lamp
 
 #endif  // LAMP_RELATIONAL_INSTANCE_H_

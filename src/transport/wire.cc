@@ -121,11 +121,7 @@ std::size_t EncodedRowSize(const RowRef& row) {
 void FactRows::AppendAll(const Instance& instance) {
   for (RelationId rel = 0; rel < instance.NumRelationIds(); ++rel) {
     const RowsView rows = instance.RowsOf(rel);
-    if (rows.empty()) continue;
-    shapes_.insert(shapes_.end(), rows.num_rows,
-                   Shape{rel, static_cast<std::uint32_t>(rows.arity)});
-    values_.insert(values_.end(), rows.data,
-                   rows.data + rows.num_rows * rows.arity);
+    AppendRows(rel, rows.data, rows.num_rows, rows.arity);
   }
 }
 

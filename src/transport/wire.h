@@ -203,6 +203,16 @@ class FactRows {
     values_.insert(values_.end(), row.row, row.row + row.arity);
   }
 
+  /// Appends \p count rows of \p arity values each for \p relation,
+  /// row-major and contiguous at \p rows (which must not point into this
+  /// batch): the block a RowBatchSink (cq/eval.h) delivers.
+  void AppendRows(RelationId relation, const Value* rows, std::size_t count,
+                  std::size_t arity) {
+    shapes_.insert(shapes_.end(), count,
+                   Shape{relation, static_cast<std::uint32_t>(arity)});
+    values_.insert(values_.end(), rows, rows + count * arity);
+  }
+
   /// Appends every row of \p instance in (relation, insertion) order.
   void AppendAll(const Instance& instance);
 

@@ -10,9 +10,11 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace lamp::par {
@@ -134,13 +136,42 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsEverythingInline) {
   EXPECT_FALSE(ThreadPool::OnWorkerThread());
 }
 
-TEST(ParConfigTest, SetDefaultThreadsClampsAndRebuildsGlobalPool) {
+TEST(ParConfigTest, SetDefaultThreadsClampsAndSwitchesGlobalPool) {
   SetDefaultThreads(3);
   EXPECT_EQ(DefaultThreads(), 3u);
   EXPECT_EQ(GlobalPool().num_threads(), 3u);
   SetDefaultThreads(0);  // Clamped to serial.
   EXPECT_EQ(DefaultThreads(), 1u);
   EXPECT_EQ(GlobalPool().num_threads(), 1u);
+  SetDefaultThreads(1);
+}
+
+// GlobalPool keeps one pool per lane count for the life of the process:
+// a thread still inside a ParallelFor on the 2-lane pool must survive
+// another thread switching the default to 4 and fetching that pool, and a
+// switch back hands out the same 2-lane pool again.
+TEST(ParConfigTest, SwitchingTheDefaultNeverDeletesAPoolInUse) {
+  SetDefaultThreads(2);
+  ThreadPool& two = GlobalPool();
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread user([&two, &entered, released] {
+    two.ParallelFor(0, 2, [&entered, released](std::size_t i) {
+      if (i != 0) return;  // Chunk 0 runs on this (the calling) thread.
+      entered.set_value();
+      released.wait();
+    });
+  });
+  entered.get_future().wait();
+  SetDefaultThreads(4);
+  ThreadPool& four = GlobalPool();
+  EXPECT_EQ(four.num_threads(), 4u);
+  EXPECT_NE(&four, &two);
+  release.set_value();
+  user.join();
+  SetDefaultThreads(2);
+  EXPECT_EQ(&GlobalPool(), &two);
   SetDefaultThreads(1);
 }
 

@@ -185,10 +185,7 @@ RunDigest RepartitionDigest(std::size_t p,
     AddMatchingRelation(schema, schema.IdOf("S"), /*m=*/800, 800, rng, db);
     sim.LoadInput(db);
     sim.RunRound(RepartitionRouter(q, p, /*seed=*/7),
-                 [&q](NodeId, const Instance& received) {
-                   return MpcSimulator::ComputeResult{Instance(),
-                                                      Evaluate(q, received)};
-                 });
+                 MpcSimulator::EvaluateQuery(q));
   });
   return {InstanceFingerprint(run.output), StatsFingerprint(run.stats),
           run.stats.TotalWireBytes()};

@@ -33,7 +33,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "cq/eval.h"
 #include "cq/parser.h"
 #include "distribution/hypercube.h"
 #include "distribution/policies.h"
@@ -218,9 +217,7 @@ TraceConfig MakeTraceConfig(const std::string& prefix,
 /// only its output, which is empty for the matching inputs — can be
 /// checked against the reference.
 MpcSimulator::Computer EvaluateAndKeep(const ConjunctiveQuery& query) {
-  return [&query](NodeId, const Instance& received) {
-    return MpcSimulator::ComputeResult{received, Evaluate(query, received)};
-  };
+  return MpcSimulator::EvaluateQuery(query, /*keep_received=*/true);
 }
 
 /// Report-pipe kFactBatch frames use the round field to say what they
