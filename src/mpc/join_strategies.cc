@@ -5,24 +5,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/hash.h"
 #include "mpc/simulator.h"
 
 namespace lamp {
-
-namespace {
-
-std::uint64_t HashPositions(const Value* row,
-                            const std::vector<std::size_t>& positions,
-                            std::uint64_t seed) {
-  std::uint64_t h = HashMix(seed);
-  for (std::size_t pos : positions) {
-    h = HashCombine(h, static_cast<std::uint64_t>(row[pos].v));
-  }
-  return h;
-}
-
-}  // namespace
 
 JoinShape AnalyzeBinaryJoin(const ConjunctiveQuery& query) {
   LAMP_CHECK_MSG(query.body().size() == 2,
@@ -32,33 +17,13 @@ JoinShape AnalyzeBinaryJoin(const ConjunctiveQuery& query) {
   LAMP_CHECK_MSG(left.relation != right.relation,
                  "binary join strategies do not support self-joins");
 
-  std::set<VarId> left_vars;
-  for (const Term& t : left.terms) {
-    if (t.IsVar()) left_vars.insert(t.var);
-  }
-  std::set<VarId> shared;
-  for (const Term& t : right.terms) {
-    if (t.IsVar() && left_vars.count(t.var) > 0) shared.insert(t.var);
+  const std::set<VarId> left_vars = AtomVars(left);
+  std::vector<VarId> shared;
+  for (VarId v : AtomVars(right)) {
+    if (left_vars.count(v) > 0) shared.push_back(v);
   }
   LAMP_CHECK_MSG(!shared.empty(), "the two atoms share no variable");
-
-  JoinShape shape;
-  // First occurrence of each shared var in each atom, in VarId order.
-  for (VarId v : shared) {
-    for (std::size_t i = 0; i < left.terms.size(); ++i) {
-      if (left.terms[i].IsVar() && left.terms[i].var == v) {
-        shape.left_positions.push_back(i);
-        break;
-      }
-    }
-    for (std::size_t i = 0; i < right.terms.size(); ++i) {
-      if (right.terms[i].IsVar() && right.terms[i].var == v) {
-        shape.right_positions.push_back(i);
-        break;
-      }
-    }
-  }
-  return shape;
+  return {KeyPositions(left, shared), KeyPositions(right, shared)};
 }
 
 MpcSimulator::Router RepartitionRouter(const ConjunctiveQuery& query,
@@ -71,10 +36,10 @@ MpcSimulator::Router RepartitionRouter(const ConjunctiveQuery& query,
              NodeId, transport::RowRef row, std::vector<NodeId>& targets) {
     if (row.relation == left_rel) {
       targets.push_back(static_cast<NodeId>(
-          HashPositions(row.row, shape.left_positions, seed) % num_servers));
+          KeyHash(row.row, shape.left_positions, seed) % num_servers));
     } else if (row.relation == right_rel) {
       targets.push_back(static_cast<NodeId>(
-          HashPositions(row.row, shape.right_positions, seed) % num_servers));
+          KeyHash(row.row, shape.right_positions, seed) % num_servers));
     }
   };
 }

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
+#include "common/hash.h"
 #include "cq/cq.h"
 #include "mpc/simulator.h"
 #include "mpc/stats.h"
@@ -28,6 +30,39 @@ struct MpcRunResult {
   Instance output;
   RunStats stats;
 };
+
+/// The repartition key of \p atom on \p shared_vars: the position of the
+/// first occurrence of each of those variables in the atom, in the order
+/// given. Every shared variable must occur in the atom (checked).
+inline std::vector<std::size_t> KeyPositions(
+    const Atom& atom, const std::vector<VarId>& shared_vars) {
+  std::vector<std::size_t> positions;
+  positions.reserve(shared_vars.size());
+  for (VarId v : shared_vars) {
+    for (std::size_t i = 0; i < atom.terms.size(); ++i) {
+      if (atom.terms[i].IsVar() && atom.terms[i].var == v) {
+        positions.push_back(i);
+        break;
+      }
+    }
+  }
+  LAMP_CHECK(positions.size() == shared_vars.size());
+  return positions;
+}
+
+/// The repartition hash of \p row on its key \p positions: every
+/// hash-partitioned MPC step (repartition join, Yannakakis semijoin,
+/// cascade step) sends a row to server KeyHash(...) % p, so two rows that
+/// agree on the shared variables meet.
+inline std::uint64_t KeyHash(const Value* row,
+                             const std::vector<std::size_t>& positions,
+                             std::uint64_t seed) {
+  std::uint64_t h = HashMix(seed);
+  for (std::size_t pos : positions) {
+    h = HashCombine(h, static_cast<std::uint64_t>(row[pos].v));
+  }
+  return h;
+}
 
 /// Positions (within each of the two body atoms) of the shared join
 /// variables of a binary join query.

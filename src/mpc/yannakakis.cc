@@ -1,7 +1,6 @@
 #include "mpc/yannakakis.h"
 
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -13,32 +12,6 @@
 namespace lamp {
 
 namespace {
-
-/// First position of each shared variable (in VarId order) within an atom.
-std::vector<std::size_t> SharedPositions(const Atom& atom,
-                                         const std::vector<VarId>& shared) {
-  std::vector<std::size_t> positions;
-  for (VarId v : shared) {
-    for (std::size_t i = 0; i < atom.terms.size(); ++i) {
-      if (atom.terms[i].IsVar() && atom.terms[i].var == v) {
-        positions.push_back(i);
-        break;
-      }
-    }
-  }
-  LAMP_CHECK(positions.size() == shared.size());
-  return positions;
-}
-
-std::uint64_t KeyHash(const Value* row,
-                      const std::vector<std::size_t>& positions,
-                      std::uint64_t seed) {
-  std::uint64_t h = HashMix(seed);
-  for (std::size_t pos : positions) {
-    h = HashCombine(h, static_cast<std::uint64_t>(row[pos].v));
-  }
-  return h;
-}
 
 /// One distributed semijoin round: keep := keep semijoin filter_by, joined
 /// on the shared variables of their atoms; all other facts stay put.
@@ -53,10 +26,9 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
     }
   }
   LAMP_CHECK_MSG(!shared.empty(), "join tree edge without shared variables");
-  const std::vector<std::size_t> keep_pos =
-      SharedPositions(keep_atom, shared);
+  const std::vector<std::size_t> keep_pos = KeyPositions(keep_atom, shared);
   const std::vector<std::size_t> filter_pos =
-      SharedPositions(filter_atom, shared);
+      KeyPositions(filter_atom, shared);
   const RelationId keep_rel = keep_atom.relation;
   const RelationId filter_rel = filter_atom.relation;
 
@@ -74,19 +46,25 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
       },
       [&](NodeId, Instance& received) -> MpcSimulator::ComputeResult {
         std::unordered_set<std::uint64_t> filter_keys;
-        received.ForEachFactOf(filter_rel, [&](const Fact& f) {
-          filter_keys.insert(KeyHash(f.args.data(), filter_pos, round_seed));
+        received.ForEachRow(filter_rel, [&](const Value* row) {
+          filter_keys.insert(KeyHash(row, filter_pos, round_seed));
         });
-        Instance next;
-        for (const Fact& f : received.AllFacts()) {
-          if (f.relation == keep_rel &&
-              filter_keys.count(
-                  KeyHash(f.args.data(), keep_pos, round_seed)) == 0) {
-            continue;  // Dangling tuple eliminated.
+        MpcSimulator::ComputeResult result;
+        for (RelationId rel = 0; rel < received.NumRelationIds(); ++rel) {
+          const RowsView rows = received.RowsOf(rel);
+          if (rel != keep_rel) {
+            result.next_state.InsertRows(rel, rows.data, rows.num_rows,
+                                         rows.arity);
+            continue;
           }
-          next.Insert(f);
+          received.ForEachRow(rel, [&](const Value* row) {
+            // A keep row whose key no filter row has is dangling.
+            if (filter_keys.count(KeyHash(row, keep_pos, round_seed)) > 0) {
+              result.next_state.InsertRow(rel, row, rows.arity);
+            }
+          });
         }
-        return {std::move(next), {}};
+        return result;
       });
 }
 

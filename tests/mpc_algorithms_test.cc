@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
 #include "mpc/cascade.h"
+#include "mpc/gym.h"
 #include "mpc/hypercube_run.h"
 #include "mpc/join_strategies.h"
 #include "mpc/shares_skew.h"
@@ -298,6 +300,79 @@ TEST(YannakakisTest, IntermediateBoundedByReducedData) {
             2 * yan.stats.TotalCommunication());
 }
 
+
+// The multi-round algorithms' loads, pinned: an order-insensitive
+// fingerprint of every round's per-server `received` and `wire_bytes`.
+// The correctness sweeps cannot see a router that ships rows an atom
+// cannot bind (a constant or a repeated variable that does not match):
+// the output stays right and only these numbers move. The shapes cover a
+// constant, a repeated variable, a three-atom self-join path (R rides
+// along to the last round) and a single atom.
+std::uint64_t LoadFingerprint(const RunStats& stats) {
+  std::uint64_t sum = HashMix(stats.NumRounds());
+  for (std::size_t r = 0; r < stats.rounds.size(); ++r) {
+    const RoundStats& round = stats.rounds[r];
+    for (std::size_t s = 0; s < round.received.size(); ++s) {
+      const std::size_t wire =
+          s < round.wire_bytes.size() ? round.wire_bytes[s] : 0;
+      sum += HashCombine(HashCombine(HashCombine(HashMix(r), s),
+                                     round.received[s]),
+                         wire);
+    }
+  }
+  return sum;
+}
+
+TEST(MultiRoundLoadTest, RoundLoadsArePinned) {
+  struct Case {
+    const char* name;
+    const char* text;
+    std::uint64_t cascade, yannakakis, gym;  // 0: not run on this shape.
+  };
+  const Case cases[] = {
+      {"constant", "H(x,z) <- R(x,y), S(y,z), T(z,3)",
+       16839038053810735239ull, 1440416428304738907ull,
+       4352856530205161149ull},
+      {"repeated_var", "H(x,y) <- R(x,x), S(x,y)", 14180887705828580957ull,
+       11620668462721812132ull, 11128601001329635265ull},
+      {"selfjoin_path3", "H(x,w) <- R(x,y), R(y,z), R(z,w)",
+       8806496352188008433ull, 0, 0},
+      {"single_atom", "H(x) <- R(x,3)", 12655333555661037261ull,
+       12655333555661037261ull, 6848746814729651086ull},
+  };
+  for (const Case& c : cases) {
+    Schema schema;
+    const ConjunctiveQuery q = ParseQuery(schema, c.text);
+    Rng rng(61);
+    Instance db;
+    std::set<RelationId> done;
+    for (const Atom& atom : q.body()) {
+      if (!done.insert(atom.relation).second) continue;
+      AddUniformRelation(schema, atom.relation, 80, 10, rng, db);
+    }
+    const Instance expected = Evaluate(q, db);
+    std::uint64_t cascade = 0, yannakakis = 0, gym = 0;
+    for (const std::size_t p : {1u, 6u, 16u}) {
+      Schema s1 = schema;
+      const MpcRunResult cr = CascadeJoin(s1, q, db, p, 5);
+      EXPECT_EQ(cr.output, expected) << c.name << " p=" << p;
+      cascade = HashCombine(cascade, LoadFingerprint(cr.stats));
+      if (q.HasSelfJoin()) continue;
+      Schema s2 = schema;
+      const MpcRunResult yr = YannakakisMpc(s2, q, db, p, 9);
+      EXPECT_EQ(yr.output, expected) << c.name << " p=" << p;
+      yannakakis = HashCombine(yannakakis, LoadFingerprint(yr.stats));
+      Schema s3 = schema;
+      const MpcRunResult gr = GymEvaluate(s3, q, db, p, 7);
+      EXPECT_EQ(gr.output, expected) << c.name << " p=" << p;
+      gym = HashCombine(gym, LoadFingerprint(gr.stats));
+    }
+    if (q.HasSelfJoin()) yannakakis = gym = 0;
+    EXPECT_EQ(cascade, c.cascade) << c.name;
+    EXPECT_EQ(yannakakis, c.yannakakis) << c.name;
+    EXPECT_EQ(gym, c.gym) << c.name;
+  }
+}
 
 TEST(SharesSkewTest, OneRoundSkewAwareJoinIsCorrect) {
   Schema schema;

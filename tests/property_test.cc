@@ -108,7 +108,12 @@ INSTANTIATE_TEST_SUITE_P(
                   "H(x,y,z,w) <- R(x,y), S(y,z), T(z,w), U(w,x)", false,
                   true},
         QueryCase{"tri_ineq",
-                  "H(x,y,z) <- R(x,y), S(y,z), T(z,x), x != y", false, true}),
+                  "H(x,y,z) <- R(x,y), S(y,z), T(z,x), x != y", false, true},
+        QueryCase{"repeated_var", "H(x,y) <- R(x,x), S(x,y)", true, true},
+        QueryCase{"constant", "H(x,z) <- R(x,y), S(y,z), T(z,3)", true,
+                  true},
+        QueryCase{"selfjoin_path3", "H(x,w) <- R(x,y), R(y,z), R(z,w)",
+                  true, false}),
     [](const ::testing::TestParamInfo<QueryCase>& info) {
       return info.param.name;
     });
