@@ -10,10 +10,9 @@ namespace lamp {
 DomainGuidedPolicy::DomainGuidedPolicy(std::size_t num_nodes,
                                        std::vector<Value> universe,
                                        DomainAssignment alpha)
-    : num_nodes_(num_nodes),
-      universe_(std::move(universe)),
+    : DistributionPolicy(num_nodes, std::move(universe)),
       alpha_(std::move(alpha)) {
-  LAMP_CHECK(num_nodes_ > 0);
+  LAMP_CHECK(num_nodes > 0);
 }
 
 DomainGuidedPolicy DomainGuidedPolicy::HashBased(std::size_t num_nodes,

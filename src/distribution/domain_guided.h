@@ -32,9 +32,6 @@ class DomainGuidedPolicy : public DistributionPolicy {
                                       std::vector<Value> universe,
                                       std::uint64_t seed = 0);
 
-  std::size_t NumNodes() const override { return num_nodes_; }
-  const std::vector<Value>& Universe() const override { return universe_; }
-
   /// A node is responsible for R(a1..ak) iff it lies in some alpha(ai).
   /// Nullary facts are everyone's responsibility.
   bool IsResponsible(NodeId node, const Fact& fact) const override;
@@ -43,8 +40,6 @@ class DomainGuidedPolicy : public DistributionPolicy {
   std::vector<NodeId> AssignmentOf(Value value) const { return alpha_(value); }
 
  private:
-  std::size_t num_nodes_;
-  std::vector<Value> universe_;
   DomainAssignment alpha_;
 };
 

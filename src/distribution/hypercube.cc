@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -12,22 +13,24 @@ namespace lamp {
 HypercubePolicy::HypercubePolicy(const ConjunctiveQuery& query, Shares shares,
                                  std::vector<Value> universe,
                                  std::uint64_t seed)
-    : query_(query),
-      shares_(std::move(shares)),
-      universe_(std::move(universe)),
-      seed_(seed) {
-  LAMP_CHECK(shares_.size() == query_.NumVars());
+    : DistributionPolicy(std::accumulate(shares.begin(), shares.end(),
+                                         std::size_t{1},
+                                         std::multiplies<std::size_t>()),
+                         std::move(universe)),
+      shares_(std::move(shares)) {
+  LAMP_CHECK(shares_.size() == query.NumVars());
   LAMP_CHECK(!shares_.empty());
   const std::size_t k = shares_.size();
   stride_.resize(k);
   var_salt_.resize(k);
+  std::size_t stride = 1;
   for (std::size_t v = 0; v < k; ++v) {
     LAMP_CHECK(shares_[v] >= 1);
-    stride_[v] = num_nodes_;
-    num_nodes_ *= shares_[v];
-    var_salt_[v] = HashMix(seed_ + v);
+    stride_[v] = stride;
+    stride *= shares_[v];
+    var_salt_[v] = HashMix(seed + v);
   }
-  for (const Atom& atom : query_.body()) {
+  for (const Atom& atom : query.body()) {
     AtomRoute route;
     route.relation = atom.relation;
     route.arity = atom.terms.size();

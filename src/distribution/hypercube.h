@@ -34,8 +34,6 @@ class HypercubePolicy : public DistributionPolicy {
   HypercubePolicy(const ConjunctiveQuery& query, Shares shares,
                   std::vector<Value> universe, std::uint64_t seed = 0);
 
-  std::size_t NumNodes() const override { return num_nodes_; }
-  const std::vector<Value>& Universe() const override { return universe_; }
   bool IsResponsible(NodeId node, const Fact& fact) const override;
 
   /// The nodes of the sub-grid of every body atom the row matches, atom by
@@ -55,7 +53,6 @@ class HypercubePolicy : public DistributionPolicy {
   NodeId NodeAt(const std::vector<std::size_t>& coords) const;
 
   const Shares& shares() const { return shares_; }
-  const ConjunctiveQuery& query() const { return query_; }
 
   /// Replication factor of a fact matching body atom \p atom_index: the
   /// product of the shares of the variables *not* occurring in that atom.
@@ -91,14 +88,10 @@ class HypercubePolicy : public DistributionPolicy {
     return (node / stride_[v]) % shares_[v];
   }
 
-  ConjunctiveQuery query_;
   Shares shares_;
-  std::vector<Value> universe_;
-  std::uint64_t seed_;
   std::vector<std::size_t> stride_;
   std::vector<std::uint64_t> var_salt_;  // HashMix(seed + v), per variable.
   std::vector<AtomRoute> atoms_;         // One per body atom.
-  std::size_t num_nodes_ = 1;
 };
 
 /// Uniform shares: every variable gets floor(p^(1/k)) (at least 1), the

@@ -2,6 +2,7 @@
 #define LAMP_DISTRIBUTION_POLICY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "relational/instance.h"
@@ -23,14 +24,16 @@ using NodeId = std::uint32_t;
 /// Abstract distribution policy.
 class DistributionPolicy {
  public:
+  DistributionPolicy(std::size_t num_nodes, std::vector<Value> universe)
+      : num_nodes_(num_nodes), universe_(std::move(universe)) {}
   virtual ~DistributionPolicy() = default;
 
   /// Number of nodes in the network N.
-  virtual std::size_t NumNodes() const = 0;
+  std::size_t NumNodes() const { return num_nodes_; }
 
   /// The finite universe U the policy is defined over. Deciders enumerate
   /// valuations over this set (Proposition 4.6).
-  virtual const std::vector<Value>& Universe() const = 0;
+  const std::vector<Value>& Universe() const { return universe_; }
 
   /// True iff \p node is responsible for \p fact.
   virtual bool IsResponsible(NodeId node, const Fact& fact) const = 0;
@@ -55,6 +58,10 @@ class DistributionPolicy {
   /// True when some node is responsible for every fact of \p facts
   /// ("the facts meet at some node" — the core of conditions PC0/PC1).
   bool SomeNodeHasAll(const Instance& facts) const;
+
+ private:
+  std::size_t num_nodes_;
+  std::vector<Value> universe_;
 };
 
 }  // namespace lamp

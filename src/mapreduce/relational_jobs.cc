@@ -11,13 +11,15 @@ namespace lamp {
 
 namespace {
 
-/// An MPC router as a map: each server it routes the row to is a key.
-MapReduceJob::MapFn KeysFromRouter(MpcSimulator::Router route) {
-  return [route = std::move(route)](transport::RowRef row,
-                                    std::vector<std::uint64_t>& keys) {
+/// A distribution policy as a map: each node it routes the row to is a
+/// key.
+MapReduceJob::MapFn KeysFromPolicy(
+    std::shared_ptr<const DistributionPolicy> policy) {
+  return [policy = std::move(policy)](transport::RowRef row,
+                                      std::vector<std::uint64_t>& keys) {
     thread_local std::vector<NodeId> targets;
     targets.clear();
-    route(0, row, targets);
+    policy->RouteRow(row.relation, row.row, row.arity, targets);
     keys.insert(keys.end(), targets.begin(), targets.end());
   };
 }
@@ -43,18 +45,15 @@ MapReduceJob RepartitionJoinJob(const ConjunctiveQuery& query,
                                 std::size_t num_reducers,
                                 std::uint64_t seed) {
   LAMP_CHECK(num_reducers > 0);
-  return {KeysFromRouter(RepartitionRouter(query, num_reducers, seed)),
+  return {KeysFromPolicy(std::make_shared<HashPolicy>(
+              RepartitionPolicy(query, num_reducers, seed))),
           EvaluateReducer(query)};
 }
 
 MapReduceJob SharesJob(const ConjunctiveQuery& query, const Shares& shares,
                        std::uint64_t seed) {
-  auto policy = std::make_shared<HypercubePolicy>(query, shares,
-                                                  MakeUniverse(1), seed);
-  return {KeysFromRouter([policy](NodeId, transport::RowRef row,
-                                  std::vector<NodeId>& targets) {
-            policy->RouteRow(row.relation, row.row, row.arity, targets);
-          }),
+  return {KeysFromPolicy(std::make_shared<HypercubePolicy>(
+              query, shares, MakeUniverse(1), seed)),
           EvaluateReducer(query)};
 }
 

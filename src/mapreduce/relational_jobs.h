@@ -14,8 +14,9 @@
 namespace lamp {
 
 /// The repartition join (Example 3.1(1a)) as one MapReduce job: mu is
-/// RepartitionRouter over \p num_reducers servers (the row's shared join
-/// variables hashed to one key); rho evaluates \p query on its group.
+/// RepartitionPolicy's HashPolicy::RouteRow over \p num_reducers nodes
+/// (the row's shared join variables hashed to one key); rho evaluates
+/// \p query on its group.
 /// \p query must be a two-atom join without self-joins whose atoms share
 /// a variable.
 MapReduceJob RepartitionJoinJob(const ConjunctiveQuery& query,

@@ -44,28 +44,6 @@ std::vector<std::size_t> ConnectedOrder(const ConjunctiveQuery& query) {
   return order;
 }
 
-/// True when \p row can bind \p atom: same relation and arity, the
-/// atom's constants match and each repeated variable reads one value.
-bool CanBind(const Atom& atom, transport::RowRef row) {
-  if (atom.relation != row.relation || atom.terms.size() != row.arity) {
-    return false;
-  }
-  for (std::size_t i = 0; i < atom.terms.size(); ++i) {
-    const Term& t = atom.terms[i];
-    if (t.IsConst()) {
-      if (!(t.constant == row.row[i])) return false;
-      continue;
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (atom.terms[j] == t) {
-        if (!(row.row[j] == row.row[i])) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
@@ -142,11 +120,11 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
                                            transport::RowRef row,
                                            std::vector<NodeId>& targets) {
       // A row may play several roles (self-joins): up to three targets.
-      if (CanBind(prev, row)) {
+      if (CanBind(prev, row.relation, row.row, row.arity)) {
         targets.push_back(static_cast<NodeId>(
             KeyHash(row.row, prev_pos, round_seed) % num_servers));
       }
-      if (CanBind(next, row)) {
+      if (CanBind(next, row.relation, row.row, row.arity)) {
         targets.push_back(static_cast<NodeId>(
             KeyHash(row.row, next_pos, round_seed) % num_servers));
       }

@@ -5,23 +5,14 @@
 #include "common/check.h"
 #include "distribution/policies.h"
 #include "lp/edge_packing.h"
-#include "mpc/simulator.h"
 
 namespace lamp {
 
 MpcRunResult RunHyperCube(const ConjunctiveQuery& query, const Instance& input,
                           const Shares& shares, std::uint64_t seed) {
   // The deciders' universe is irrelevant for routing; pass something small.
-  const HypercubePolicy policy(query, shares, MakeUniverse(1), seed);
-
-  MpcSimulator sim(policy.NumNodes());
-  sim.LoadInput(input);
-  sim.RunRound(
-      [&policy](NodeId, transport::RowRef row, std::vector<NodeId>& targets) {
-        policy.RouteRow(row.relation, row.row, row.arity, targets);
-      },
-      MpcSimulator::EvaluateQuery(query));
-  return {sim.output(), sim.stats()};
+  return RunOneRound(query, input,
+                     HypercubePolicy(query, shares, MakeUniverse(1), seed));
 }
 
 MpcRunResult RunHyperCubeUniform(const ConjunctiveQuery& query,

@@ -1,7 +1,7 @@
 #include "mpc/join_strategies.h"
 
-#include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -26,73 +26,46 @@ JoinShape AnalyzeBinaryJoin(const ConjunctiveQuery& query) {
   return {KeyPositions(left, shared), KeyPositions(right, shared)};
 }
 
-MpcSimulator::Router RepartitionRouter(const ConjunctiveQuery& query,
-                                       std::size_t num_servers,
-                                       std::uint64_t seed) {
-  const JoinShape shape = AnalyzeBinaryJoin(query);
-  const RelationId left_rel = query.body()[0].relation;
-  const RelationId right_rel = query.body()[1].relation;
-  return [shape, left_rel, right_rel, num_servers, seed](
-             NodeId, transport::RowRef row, std::vector<NodeId>& targets) {
-    if (row.relation == left_rel) {
-      targets.push_back(static_cast<NodeId>(
-          KeyHash(row.row, shape.left_positions, seed) % num_servers));
-    } else if (row.relation == right_rel) {
-      targets.push_back(static_cast<NodeId>(
-          KeyHash(row.row, shape.right_positions, seed) % num_servers));
-    }
-  };
+MpcRunResult RunOneRound(const ConjunctiveQuery& query, const Instance& input,
+                         const DistributionPolicy& policy) {
+  MpcSimulator sim(policy.NumNodes());
+  sim.LoadInput(input);
+  sim.RunRound(RouteBy(policy), MpcSimulator::EvaluateQuery(query));
+  return {sim.output(), sim.stats()};
 }
 
-MpcSimulator::Router FragmentReplicateRouter(const ConjunctiveQuery& query,
-                                             std::size_t num_servers,
-                                             std::uint64_t seed) {
+HashPolicy RepartitionPolicy(const ConjunctiveQuery& query,
+                             std::size_t num_servers, std::uint64_t seed,
+                             std::vector<Value> universe) {
+  const JoinShape shape = AnalyzeBinaryJoin(query);
+  HashPolicy policy(num_servers, std::move(universe), seed);
+  policy.SetKey(query.body()[0].relation, shape.left_positions);
+  policy.SetKey(query.body()[1].relation, shape.right_positions);
+  return policy;
+}
+
+GridPolicy FragmentReplicatePolicy(const ConjunctiveQuery& query,
+                                   std::size_t num_servers,
+                                   std::uint64_t seed,
+                                   std::vector<Value> universe) {
   AnalyzeBinaryJoin(query);  // Validates the query shape.
-  const RelationId left_rel = query.body()[0].relation;
-  const RelationId right_rel = query.body()[1].relation;
-
-  const auto g = static_cast<std::size_t>(
-      std::floor(std::sqrt(static_cast<double>(num_servers)) + 1e-9));
-  LAMP_CHECK(g >= 1);
-
-  return [left_rel, right_rel, g, seed](NodeId, transport::RowRef fact,
-                                        std::vector<NodeId>& targets) {
-    // Group by the whole-fact hash: balanced regardless of value skew.
-    const std::uint64_t group =
-        RowHash(fact.relation, fact.row, fact.arity) ^ HashMix(seed);
-    if (fact.relation == left_rel) {
-      const std::size_t row = group % g;
-      for (std::size_t col = 0; col < g; ++col) {
-        targets.push_back(static_cast<NodeId>(row * g + col));
-      }
-    } else if (fact.relation == right_rel) {
-      const std::size_t col = group % g;
-      for (std::size_t row = 0; row < g; ++row) {
-        targets.push_back(static_cast<NodeId>(row * g + col));
-      }
-    }
-  };
+  return GridPolicy(num_servers, query.body()[0].relation,
+                    query.body()[1].relation, std::move(universe), seed);
 }
 
 MpcRunResult RepartitionJoin(const ConjunctiveQuery& query,
                              const Instance& input, std::size_t num_servers,
                              std::uint64_t seed) {
-  MpcSimulator sim(num_servers);
-  sim.LoadInput(input);
-  sim.RunRound(RepartitionRouter(query, num_servers, seed),
-               MpcSimulator::EvaluateQuery(query));
-  return {sim.output(), sim.stats()};
+  return RunOneRound(query, input,
+                     RepartitionPolicy(query, num_servers, seed));
 }
 
 MpcRunResult FragmentReplicateJoin(const ConjunctiveQuery& query,
                                    const Instance& input,
                                    std::size_t num_servers,
                                    std::uint64_t seed) {
-  MpcSimulator sim(num_servers);
-  sim.LoadInput(input);
-  sim.RunRound(FragmentReplicateRouter(query, num_servers, seed),
-               MpcSimulator::EvaluateQuery(query));
-  return {sim.output(), sim.stats()};
+  return RunOneRound(query, input,
+                     FragmentReplicatePolicy(query, num_servers, seed));
 }
 
 }  // namespace lamp

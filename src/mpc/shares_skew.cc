@@ -1,127 +1,122 @@
 #include "mpc/shares_skew.h"
 
+#include <algorithm>
 #include <cmath>
-#include <set>
-#include <vector>
+#include <utility>
 
-#include "common/check.h"
 #include "common/hash.h"
 #include "mpc/heavy_hitters.h"
-#include "mpc/simulator.h"
 
 namespace lamp {
 
 namespace {
 
-/// Join-variable positions for the two atoms (first shared variable).
-struct SkewJoinShape {
-  RelationId left, right;
-  std::size_t left_pos = 0, right_pos = 0;
-};
-
-SkewJoinShape Analyze(const ConjunctiveQuery& query) {
-  LAMP_CHECK_MSG(query.body().size() == 2 && !query.HasSelfJoin(),
-                 "SharesSkew join needs two atoms without self-joins");
-  const Atom& l = query.body()[0];
-  const Atom& r = query.body()[1];
-  SkewJoinShape shape;
-  shape.left = l.relation;
-  shape.right = r.relation;
-  for (std::size_t i = 0; i < l.terms.size(); ++i) {
-    if (!l.terms[i].IsVar()) continue;
-    for (std::size_t j = 0; j < r.terms.size(); ++j) {
-      if (r.terms[j].IsVar() && r.terms[j].var == l.terms[i].var) {
-        shape.left_pos = i;
-        shape.right_pos = j;
-        return shape;
-      }
-    }
-  }
-  LAMP_CHECK_MSG(false, "atoms share no variable");
-  return shape;
+/// The join value's column in the first and in the second atom, once the
+/// query is checked to be a binary join.
+std::pair<std::size_t, std::size_t> JoinColumns(
+    const ConjunctiveQuery& query) {
+  AnalyzeBinaryJoin(query);
+  return FirstSharedPositions(query.body()[0], query.body()[1]);
 }
 
 }  // namespace
+
+SharesSkewPolicy::SharesSkewPolicy(const ConjunctiveQuery& query,
+                                   std::size_t num_servers,
+                                   const std::set<Value>& heavy,
+                                   std::vector<Value> universe,
+                                   std::uint64_t seed)
+    : DistributionPolicy(num_servers, std::move(universe)),
+      columns_(JoinColumns(query)),
+      left_(query.body()[0].relation),
+      right_(query.body()[1].relation),
+      heavy_(heavy.begin(), heavy.end()),
+      // Server split: half for the hashed light region (all of it without
+      // heavy values), the rest one sub-grid per heavy value.
+      p_light_(heavy.empty() ? num_servers
+                             : std::max<std::size_t>(1, num_servers / 2)),
+      light_salt_(HashMix(seed + 5)),
+      sub_grid_(heavy.empty() ? 1
+                              : std::max<std::size_t>(
+                                    1, (num_servers - p_light_) / heavy.size()),
+                left_, right_, {}, seed + 9) {
+  const std::size_t heavy_servers =
+      std::max<std::size_t>(1, num_servers - p_light_);
+  for (std::size_t i = 0; i < heavy_.size(); ++i) {
+    base_.push_back(p_light_ + (i * sub_grid_.NumNodes()) % heavy_servers);
+  }
+}
+
+std::size_t SharesSkewPolicy::HeavyIndex(Value v) const {
+  const auto it = std::lower_bound(heavy_.begin(), heavy_.end(), v);
+  return it != heavy_.end() && *it == v
+             ? static_cast<std::size_t>(it - heavy_.begin())
+             : heavy_.size();
+}
+
+bool SharesSkewPolicy::IsResponsible(NodeId node, const Fact& fact) const {
+  if (fact.relation != left_ && fact.relation != right_) return false;
+  const Value v =
+      fact.args.at(fact.relation == left_ ? columns_.first : columns_.second);
+  const std::size_t idx = HeavyIndex(v);
+  if (idx == heavy_.size()) {
+    return node == HashMix(static_cast<std::uint64_t>(v.v) ^ light_salt_) %
+                       p_light_;
+  }
+  // The node's place in the sub-grid, which starts at its base and wraps
+  // around the p nodes.
+  const std::size_t p = NumNodes();
+  return sub_grid_.IsResponsible(
+      static_cast<NodeId>((node + p - base_[idx] % p) % p), fact);
+}
+
+void SharesSkewPolicy::RouteRow(RelationId relation, const Value* row,
+                                std::size_t arity,
+                                std::vector<NodeId>& targets) const {
+  if (relation != left_ && relation != right_) return;
+  const Value v = row[relation == left_ ? columns_.first : columns_.second];
+  const std::size_t idx = HeavyIndex(v);
+  if (idx == heavy_.size()) {
+    targets.push_back(static_cast<NodeId>(
+        HashMix(static_cast<std::uint64_t>(v.v) ^ light_salt_) % p_light_));
+    return;
+  }
+  const std::size_t start = targets.size();
+  sub_grid_.RouteRow(relation, row, arity, targets);
+  for (std::size_t i = start; i < targets.size(); ++i) {
+    targets[i] = static_cast<NodeId>((base_[idx] + targets[i]) % NumNodes());
+  }
+}
+
+SharesSkewPolicy MakeSharesSkewPolicy(const ConjunctiveQuery& query,
+                                      const Instance& input,
+                                      std::size_t num_servers,
+                                      std::uint64_t seed,
+                                      std::size_t heavy_threshold) {
+  const auto [left_pos, right_pos] = JoinColumns(query);
+  const RelationId left = query.body()[0].relation;
+  const RelationId right = query.body()[1].relation;
+  if (heavy_threshold == 0) {
+    const std::size_t m = std::max(input.NumRows(left), input.NumRows(right));
+    heavy_threshold = static_cast<std::size_t>(
+        static_cast<double>(m) /
+        std::sqrt(static_cast<double>(std::max<std::size_t>(num_servers, 1))));
+    if (heavy_threshold == 0) heavy_threshold = 1;
+  }
+  return SharesSkewPolicy(
+      query, num_servers,
+      JoinHeavyHitters(input, left, left_pos, right, right_pos,
+                       heavy_threshold),
+      MakeUniverse(1), seed);
+}
 
 MpcRunResult SharesSkewJoin(const ConjunctiveQuery& query,
                             const Instance& input, std::size_t num_servers,
                             std::uint64_t seed,
                             std::size_t heavy_threshold) {
-  const SkewJoinShape shape = Analyze(query);
-  const std::size_t p = num_servers;
-  const std::size_t m = std::max(input.NumRows(shape.left),
-                                 input.NumRows(shape.right));
-  if (heavy_threshold == 0) {
-    heavy_threshold = static_cast<std::size_t>(
-        static_cast<double>(m) /
-        std::sqrt(static_cast<double>(std::max<std::size_t>(p, 1))));
-    if (heavy_threshold == 0) heavy_threshold = 1;
-  }
-
-  const std::set<Value> heavy =
-      JoinHeavyHitters(input, shape.left, shape.left_pos, shape.right,
-                       shape.right_pos, heavy_threshold);
-  const std::vector<Value> heavy_list(heavy.begin(), heavy.end());
-  const std::size_t h = heavy_list.size();
-
-  // Server split: half for the hashed light region; the rest divided into
-  // one fragment-replicate sub-grid per heavy value.
-  const std::size_t p_light = h == 0 ? p : std::max<std::size_t>(1, p / 2);
-  const std::size_t p_heavy_total = p - p_light;
-  const std::size_t p_b =
-      h == 0 ? 0 : std::max<std::size_t>(1, p_heavy_total / h);
-  const std::size_t g =
-      h == 0 ? 0
-             : std::max<std::size_t>(
-                   1, static_cast<std::size_t>(std::floor(
-                          std::sqrt(static_cast<double>(p_b)) + 1e-9)));
-
-  auto heavy_index_of = [&heavy_list](Value v) -> std::size_t {
-    for (std::size_t i = 0; i < heavy_list.size(); ++i) {
-      if (heavy_list[i] == v) return i;
-    }
-    return heavy_list.size();
-  };
-  auto cell = [&](std::size_t idx, std::uint64_t row,
-                  std::uint64_t col) -> NodeId {
-    const std::size_t base = p_light + (idx * p_b) % std::max<std::size_t>(
-                                                         1, p_heavy_total);
-    return static_cast<NodeId>((base + (row % g) * g + (col % g)) % p);
-  };
-
-  MpcSimulator sim(p);
-  sim.LoadInput(input);
-  sim.RunRound(
-      [&](NodeId, transport::RowRef f, std::vector<NodeId>& targets) {
-        const bool is_left = f.relation == shape.left;
-        const bool is_right = f.relation == shape.right;
-        if (!is_left && !is_right) return;
-        const Value join_value =
-            is_left ? f.row[shape.left_pos] : f.row[shape.right_pos];
-        if (heavy.count(join_value) == 0) {
-          // Light: plain hash into the light region.
-          const std::uint64_t hv =
-              HashMix(static_cast<std::uint64_t>(join_value.v) ^
-                      HashMix(seed + 5));
-          targets.push_back(static_cast<NodeId>(hv % p_light));
-          return;
-        }
-        // Heavy: fragment-replicate inside the value's sub-grid.
-        const std::size_t idx = heavy_index_of(join_value);
-        const std::uint64_t spread =
-            RowHash(f.relation, f.row, f.arity) ^ HashMix(seed + 9);
-        if (is_left) {
-          for (std::size_t col = 0; col < g; ++col) {
-            targets.push_back(cell(idx, spread, col));
-          }
-        } else {
-          for (std::size_t row = 0; row < g; ++row) {
-            targets.push_back(cell(idx, row, spread));
-          }
-        }
-      },
-      MpcSimulator::EvaluateQuery(query));
-  return {sim.output(), sim.stats()};
+  return RunOneRound(query, input,
+                     MakeSharesSkewPolicy(query, input, num_servers, seed,
+                                          heavy_threshold));
 }
 
 }  // namespace lamp

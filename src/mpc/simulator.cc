@@ -342,4 +342,11 @@ Instance MpcSimulator::GlobalState() const {
   return global;
 }
 
+MpcSimulator::Router RouteBy(const DistributionPolicy& policy) {
+  return [&policy](NodeId, transport::RowRef row,
+                   std::vector<NodeId>& targets) {
+    policy.RouteRow(row.relation, row.row, row.arity, targets);
+  };
+}
+
 }  // namespace lamp

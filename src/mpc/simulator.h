@@ -79,9 +79,8 @@ class MpcSimulator {
   /// reuses one vector across every row it routes. Appending nothing drops
   /// the row; a target appended twice receives the row twice (the second
   /// insert is a duplicate). Called concurrently for distinct sources, so
-  /// it must be thread-safe for them. A DistributionPolicy routes with
-  /// `[&policy](NodeId, transport::RowRef row, std::vector<NodeId>& t) {
-  /// policy.RouteRow(row.relation, row.row, row.arity, t); }`.
+  /// it must be thread-safe for them. A DistributionPolicy routes through
+  /// RouteBy.
   using Router = std::function<void(NodeId source, transport::RowRef row,
                                     std::vector<NodeId>& targets)>;
 
@@ -159,6 +158,11 @@ class MpcSimulator {
   transport::Transport* explicit_ = nullptr;
   std::unique_ptr<transport::Transport> transport_;
 };
+
+/// The Router of a one-round distribution policy (Section 4.1): a row goes
+/// to the nodes policy.RouteRow names, whichever server holds it. This is
+/// the one place a policy becomes a Router. \p policy must outlive it.
+MpcSimulator::Router RouteBy(const DistributionPolicy& policy);
 
 }  // namespace lamp
 

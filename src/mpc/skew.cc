@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -21,25 +22,6 @@ struct TriangleShape {
   std::size_t r_y_pos, s_y_pos;  // Position of y in R and in S.
 };
 
-std::size_t VarPos(const Atom& atom, VarId v) {
-  for (std::size_t i = 0; i < atom.terms.size(); ++i) {
-    if (atom.terms[i].IsVar() && atom.terms[i].var == v) return i;
-  }
-  LAMP_CHECK_MSG(false, "variable not in atom");
-  return 0;
-}
-
-VarId SharedVar(const Atom& a, const Atom& b) {
-  for (const Term& ta : a.terms) {
-    if (!ta.IsVar()) continue;
-    for (const Term& tb : b.terms) {
-      if (tb.IsVar() && tb.var == ta.var) return ta.var;
-    }
-  }
-  LAMP_CHECK_MSG(false, "atoms share no variable");
-  return 0;
-}
-
 TriangleShape AnalyzeTriangle(const ConjunctiveQuery& q) {
   LAMP_CHECK_MSG(q.body().size() == 3, "triangle query needs 3 atoms");
   for (const Atom& atom : q.body()) {
@@ -56,9 +38,7 @@ TriangleShape AnalyzeTriangle(const ConjunctiveQuery& q) {
   shape.r = ra.relation;
   shape.s = sa.relation;
   shape.t = ta.relation;
-  const VarId y = SharedVar(ra, sa);
-  shape.r_y_pos = VarPos(ra, y);
-  shape.s_y_pos = VarPos(sa, y);
+  std::tie(shape.r_y_pos, shape.s_y_pos) = FirstSharedPositions(ra, sa);
   return shape;
 }
 
@@ -160,10 +140,9 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
           } else if (f.relation == shape.t) {
             // T(z,x): one exact cell per sub-grid. Row is keyed by x (the
             // variable shared with R), column by z (shared with S).
-            const Atom& t_atom = triangle.body()[2];
-            const Atom& r_atom = triangle.body()[0];
-            const VarId x = SharedVar(t_atom, r_atom);
-            const std::size_t t_x_pos = VarPos(t_atom, x);
+            const std::size_t t_x_pos =
+                FirstSharedPositions(triangle.body()[2], triangle.body()[0])
+                    .first;
             const std::uint64_t row =
                 HashMix(static_cast<std::uint64_t>(f.row[t_x_pos].v) ^
                         HashMix(seed + 77));

@@ -34,14 +34,19 @@ void SemijoinRound(MpcSimulator& sim, const Atom& keep_atom,
 
   sim.RunRound(
       [&](NodeId source, transport::RowRef row, std::vector<NodeId>& targets) {
-        if (row.relation == keep_rel) {
-          targets.push_back(static_cast<NodeId>(
-              KeyHash(row.row, keep_pos, round_seed) % num_servers));
-        } else if (row.relation == filter_rel) {
-          targets.push_back(static_cast<NodeId>(
-              KeyHash(row.row, filter_pos, round_seed) % num_servers));
-        } else {
+        const bool keep = row.relation == keep_rel;
+        if (!keep && row.relation != filter_rel) {
           targets.push_back(source);
+          return;
+        }
+        // A row that cannot bind its atom (a constant or a repeated
+        // variable that does not match) is dangling: it is neither kept
+        // nor shipped, so it never vouches for a keep row either.
+        if (CanBind(keep ? keep_atom : filter_atom, row.relation, row.row,
+                    row.arity)) {
+          targets.push_back(static_cast<NodeId>(
+              KeyHash(row.row, keep ? keep_pos : filter_pos, round_seed) %
+              num_servers));
         }
       },
       [&](NodeId, Instance& received) -> MpcSimulator::ComputeResult {

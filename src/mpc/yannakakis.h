@@ -19,7 +19,10 @@
 /// full acyclic queries the intermediate results never exceed the final
 /// output size, which is the algorithm's point versus a plain cascade.
 /// Each semijoin is one MPC round: both relations repartition on their
-/// shared variables, every other relation stays put.
+/// shared variables, every other relation stays put. A row that cannot bind
+/// its atom (CanBind: a constant or a repeated variable that does not
+/// match) is dropped, so with two or more atoms the reduction is full: each
+/// relation ends as the projection of the valuations that reach an answer.
 
 namespace lamp {
 

@@ -8,6 +8,7 @@
 #include "distribution/policies.h"
 #include "distribution/parallel_correctness.h"
 #include "relational/generators.h"
+#include "route_row_check.h"
 
 namespace lamp {
 namespace {
@@ -44,27 +45,6 @@ TEST_F(HypercubeTest, ReplicationFactorsMatchExample32) {
   EXPECT_EQ(policy.ResponsibleNodes(s_fact).size(), 2u);
   const Fact t_fact(schema_.IdOf("T"), {5, 6});
   EXPECT_EQ(policy.ResponsibleNodes(t_fact).size(), 3u);
-}
-
-// RouteRow against the IsResponsible scan over every node: the same set,
-// no target twice, the caller's earlier targets left in place, and
-// ResponsibleNodes returning exactly what RouteRow appends.
-void ExpectRouteRowMatchesScan(const DistributionPolicy& policy,
-                               const Schema& schema, const Fact& f) {
-  SCOPED_TRACE(FactToString(schema, f));
-  std::vector<NodeId> routed = {7777};  // Must survive the append.
-  policy.RouteRow(f.relation, f.args.data(), f.args.size(), routed);
-  ASSERT_FALSE(routed.empty());
-  EXPECT_EQ(routed.front(), 7777u);
-  const std::vector<NodeId> appended(routed.begin() + 1, routed.end());
-  const std::set<NodeId> appended_set(appended.begin(), appended.end());
-  EXPECT_EQ(appended_set.size(), appended.size()) << "a target twice";
-  std::set<NodeId> scan;
-  for (NodeId n = 0; n < policy.NumNodes(); ++n) {
-    if (policy.IsResponsible(n, f)) scan.insert(n);
-  }
-  EXPECT_EQ(appended_set, scan);
-  EXPECT_EQ(policy.ResponsibleNodes(f), appended);
 }
 
 // Every fact over \p relations with arities 1..3 and values in [0, 4).
@@ -111,8 +91,9 @@ TEST_F(HypercubeTest, ResponsibleNodesAgreesWithIsResponsible) {
 TEST_F(HypercubeTest, DefaultRouteRowScansIsResponsible) {
   const RelationId r = schema_.IdOf("R");
   const RelationId s = schema_.IdOf("S");
-  HashPolicy policy(5, MakeUniverse(6), 2);
-  policy.SetKey(r, {1});  // S has no key: broadcast.
+  // RangePolicy keeps the base class's RouteRow: R ranges over column 1,
+  // S is broadcast.
+  const RangePolicy policy(MakeUniverse(6), r, 1, {1, 2, 3});
   for (const Fact& f : SmallFacts({r, s})) {
     if (f.args.size() < 2) continue;  // The key column must exist.
     ExpectRouteRowMatchesScan(policy, schema_, f);

@@ -81,12 +81,15 @@ TEST_F(PolicyTest, HashPolicyRoutesByKey) {
   const Fact f2(r_, {2, 7});
   const Fact f3(r_, {1, 8});
   // Same key -> same node.
-  EXPECT_EQ(policy.TargetNode(f1), policy.TargetNode(f2));
+  EXPECT_EQ(policy.ResponsibleNodes(f1), policy.ResponsibleNodes(f2));
   // Exactly one responsible node per keyed fact.
   EXPECT_EQ(policy.ResponsibleNodes(f1).size(), 1u);
   EXPECT_EQ(policy.ResponsibleNodes(f3).size(), 1u);
-  // Unkeyed relations are broadcast.
-  EXPECT_EQ(policy.ResponsibleNodes(Fact(s_, {1, 2})).size(), 4u);
+  // Unkeyed relations go to no node.
+  EXPECT_TRUE(policy.ResponsibleNodes(Fact(s_, {1, 2})).empty());
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_FALSE(policy.IsResponsible(n, Fact(s_, {1, 2})));
+  }
 }
 
 TEST_F(PolicyTest, HashPolicySpreadsKeys) {
@@ -94,7 +97,9 @@ TEST_F(PolicyTest, HashPolicySpreadsKeys) {
   policy.SetKey(r_, {0});
   std::set<NodeId> used;
   for (int v = 0; v < 50; ++v) {
-    used.insert(policy.TargetNode(Fact(r_, {v, 0})));
+    const std::vector<NodeId> nodes = policy.ResponsibleNodes(Fact(r_, {v, 0}));
+    ASSERT_EQ(nodes.size(), 1u);
+    used.insert(nodes.front());
   }
   EXPECT_EQ(used.size(), 4u);
 }

@@ -184,8 +184,8 @@ RunDigest RepartitionDigest(std::size_t p,
     AddMatchingRelation(schema, schema.IdOf("R"), /*m=*/800, 0, rng, db);
     AddMatchingRelation(schema, schema.IdOf("S"), /*m=*/800, 800, rng, db);
     sim.LoadInput(db);
-    sim.RunRound(RepartitionRouter(q, p, /*seed=*/7),
-                 MpcSimulator::EvaluateQuery(q));
+    const HashPolicy policy = RepartitionPolicy(q, p, /*seed=*/7);
+    sim.RunRound(RouteBy(policy), MpcSimulator::EvaluateQuery(q));
   });
   return {InstanceFingerprint(run.output), StatsFingerprint(run.stats),
           run.stats.TotalWireBytes()};

@@ -38,6 +38,7 @@
 #include "distribution/policies.h"
 #include "mpc/hypercube_run.h"
 #include "mpc/join_strategies.h"
+#include "mpc/shares_skew.h"
 #include "mpc/simulator.h"
 #include "obs/audit/audit.h"
 #include "obs/audit/bounds.h"
@@ -104,16 +105,15 @@ struct Scenario {
   Instance input;
   std::size_t servers = 0;        // One process per server.
   std::uint64_t routing_seed = 0; // RingSeed(base, servers).
-  MpcSimulator::Router route;
+  std::unique_ptr<DistributionPolicy> policy;  // Every server routes by it.
   obs::audit::Strategy strategy = obs::audit::Strategy::kNone;
   bool expected_violation = false;
-  Shares shares;                              // Hypercube scenarios only.
-  std::unique_ptr<HypercubePolicy> policy;    // Keeps their router alive.
+  Shares shares;                  // Hypercube scenarios only.
 };
 
 const char* const kScenarioNames[] = {
-    "hypercube_join",  "hypercube_triangle",  "repartition",
-    "repartition_skewed", "fragment_replicate",
+    "hypercube_join",     "hypercube_triangle", "repartition",
+    "repartition_skewed", "fragment_replicate", "shares_skew",
 };
 
 Scenario BuildScenario(const std::string& name, std::size_t procs,
@@ -134,10 +134,6 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
     s.policy = std::make_unique<HypercubePolicy>(s.query, s.shares,
                                                  MakeUniverse(1),
                                                  s.routing_seed);
-    s.route = [policy = s.policy.get()](NodeId, transport::RowRef row,
-                                        std::vector<NodeId>& targets) {
-      policy->RouteRow(row.relation, row.row, row.arity, targets);
-    };
     s.strategy = obs::audit::Strategy::kHyperCube;
     return s;
   }
@@ -151,15 +147,25 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
   if (name == "repartition" || name == "repartition_skewed") {
     s.input = name == "repartition" ? std::move(w.skew_free)
                                     : std::move(w.skewed);
-    s.route = RepartitionRouter(s.query, s.servers, s.routing_seed);
+    s.policy = std::make_unique<HashPolicy>(
+        RepartitionPolicy(s.query, s.servers, s.routing_seed));
     s.strategy = obs::audit::Strategy::kRepartition;
     // The heavy join value pins half of R on one server: the m/p bound is
     // *supposed* to break (claim (1a)); keep it exempt from hard fail.
     s.expected_violation = name == "repartition_skewed";
   } else if (name == "fragment_replicate") {
     s.input = std::move(w.skewed);
-    s.route = FragmentReplicateRouter(s.query, s.servers, s.routing_seed);
+    s.policy = std::make_unique<GridPolicy>(
+        FragmentReplicatePolicy(s.query, s.servers, s.routing_seed));
     s.strategy = obs::audit::Strategy::kFragmentReplicate;
+  } else if (name == "shares_skew") {
+    // A heavy threshold of m/4 makes the skewed join value heavy at every
+    // process count (the default m/sqrt(p) needs p > 4), so the meshes run
+    // the heavy sub-grid path too.
+    s.input = std::move(w.skewed);
+    s.policy = std::make_unique<SharesSkewPolicy>(MakeSharesSkewPolicy(
+        s.query, s.input, s.servers, s.routing_seed, m / 4));
+    s.strategy = obs::audit::Strategy::kSharesSkew;
   } else {
     std::fprintf(stderr, "mpc_procs: unknown scenario '%s'\n", name.c_str());
     std::exit(2);
@@ -250,7 +256,7 @@ void RunWorker(const Scenario& scenario, transport::MeshSockets& sockets,
   sockets.Close();  // The other ranks' descriptors.
   MpcSimulator sim(mesh);
   sim.LoadInput(scenario.input);
-  sim.RunRound(scenario.route, EvaluateAndKeep(scenario.query));
+  sim.RunRound(RouteBy(*scenario.policy), EvaluateAndKeep(scenario.query));
 
   const auto report = [report_fd, rank, p](transport::FrameType type,
                                            std::vector<std::uint8_t> payload) {
@@ -429,7 +435,7 @@ bool RunOne(const std::string& name, const Options& opts,
   // the --transport flag selects the *inter-process* mesh only).
   MpcSimulator sim(p);
   sim.LoadInput(scenario.input);
-  sim.RunRound(scenario.route, EvaluateAndKeep(scenario.query));
+  sim.RunRound(RouteBy(*scenario.policy), EvaluateAndKeep(scenario.query));
 
   const TraceConfig trace =
       MakeTraceConfig(opts.trace_prefix, name, opts.kind, p, opts.seed);
