@@ -55,11 +55,9 @@ struct World {
                              "TC(x,y) <- TC(x,z), E(z,y)")) {
     AddPathGraph(tc_schema, tc_schema.IdOf("E"), 9, tc_edges);
     AddCycleGraph(tc_schema, tc_schema.IdOf("E"), 5, tc_edges);
-    const Instance everything =
-        EvaluateProgram(tc_schema, tc_prog, tc_edges);
-    everything.ForEachFactOf(tc_schema.IdOf("TC"), [&](const Fact& f) {
-      tc_expected.Insert(f);
-    });
+    const RelationId tc = tc_schema.IdOf("TC");
+    tc_expected = EvaluateProgram(tc_schema, tc_prog, tc_edges)
+                      .SelectRelations([tc](RelationId r) { return r == tc; });
 
     tri_schema.AddRelation("E", 2);
     open_triangle =

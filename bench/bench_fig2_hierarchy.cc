@@ -67,17 +67,12 @@ struct Witnesses {
     q_triangle = [this](const Instance& i) { return Evaluate(triangle, i); };
     q_open = [this](const Instance& i) { return Evaluate(open_triangle, i); };
     q_not_tc = [this](const Instance& i) {
-      const Instance everything = EvaluateProgram(dl_schema, not_tc_prog, i);
-      Instance out;
-      everything.ForEachFactOf(dl_out, [&](const Fact& f) { out.Insert(f); });
-      return out;
+      return EvaluateProgram(dl_schema, not_tc_prog, i)
+          .SelectRelations([this](RelationId r) { return r == dl_out; });
     };
     q_no_triangle = [this](const Instance& i) {
-      Instance out;
-      if (Evaluate(strict_triangle, i).Empty()) {
-        i.ForEachFactOf(e, [&](const Fact& f) { out.Insert(f); });
-      }
-      return out;
+      if (!Evaluate(strict_triangle, i).Empty()) return Instance();
+      return i.SelectRelations([this](RelationId r) { return r == e; });
     };
   }
 };

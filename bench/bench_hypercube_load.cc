@@ -13,7 +13,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/rng.h"
 #include "cq/parser.h"
 #include "lp/edge_packing.h"
 #include "mpc/hypercube_run.h"
@@ -45,20 +44,14 @@ constexpr QuerySpec kQueries[] = {
     {"cycle4", "H(x,y,z,w) <- R0(x,y), R1(y,z), R2(z,w), R3(w,x)"},
 };
 
-Instance MatchingInput(Schema& schema, const ConjunctiveQuery& q,
+/// Matching relations, one per body atom: the BKS skew-free model (every
+/// value at most once per column). For load measurements the join result
+/// is irrelevant; only the routing balance matters.
+Instance MatchingInput(const Schema& schema, const ConjunctiveQuery& q,
                        std::size_t m) {
-  Rng rng(11);
-  Instance db;
-  std::int64_t base = 0;
-  for (const Atom& atom : q.body()) {
-    // Matching relations: the BKS skew-free model (every value at most
-    // once per column). Columns use disjoint ranges per relation, shifted
-    // so join columns overlap probabilistically... For load measurements
-    // the join result is irrelevant; only the routing balance matters.
-    AddMatchingRelation(schema, atom.relation, m, base, rng, db);
-    base += static_cast<std::int64_t>(2 * m);
-  }
-  return db;
+  std::vector<RelationId> relations;
+  for (const Atom& atom : q.body()) relations.push_back(atom.relation);
+  return MatchingInput(schema, relations, m);
 }
 
 void PrintTable() {

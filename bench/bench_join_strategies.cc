@@ -20,7 +20,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/rng.h"
 #include "cq/parser.h"
 #include "distribution/hypercube.h"
 #include "mpc/hypercube_run.h"
@@ -49,24 +48,10 @@ struct Workload {
 
   explicit Workload(std::size_t m_in) : m(m_in) {
     query = ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z)");
-    const RelationId r = schema.IdOf("R");
-    const RelationId s = schema.IdOf("S");
-    Rng rng(1);
-    // Skew-free: matching relations overlapping on the join column.
-    AddMatchingRelation(schema, r, m, 0, rng, skew_free);
-    AddMatchingRelation(schema, s, m, static_cast<std::int64_t>(m), rng,
-                        skew_free);
-    // Skewed: half of R shares join value 0; S keeps only a handful of
-    // matching tuples so the *output* stays linear while the heavy value
-    // still pins half of R onto one repartition server.
-    for (std::size_t i = 0; i < m / 2; ++i) {
-      skewed.Insert(Fact(r, {static_cast<std::int64_t>(i), 0}));
-    }
-    for (std::size_t i = 0; i < 10; ++i) {
-      skewed.Insert(Fact(s, {0, static_cast<std::int64_t>(i)}));
-    }
-    AddUniformRelation(schema, r, m / 2, 16 * m, rng, skewed);
-    AddUniformRelation(schema, s, m - 10, 16 * m, rng, skewed);
+    JoinWorkload inputs =
+        MakeJoinWorkload(schema, schema.IdOf("R"), schema.IdOf("S"), m);
+    skew_free = std::move(inputs.skew_free);
+    skewed = std::move(inputs.skewed);
   }
 };
 

@@ -66,13 +66,7 @@ std::vector<Fact> AllFactsOver(const Schema& schema,
 
 bool ViolatesContainmentOn(const ConjunctiveQuery& q1,
                            const ConjunctiveQuery& q2, const Instance& inst) {
-  const Instance r1 = Evaluate(q1, inst);
-  const Instance r2 = Evaluate(q2, inst);
-  bool violates = false;
-  r1.ForEachFact([&r2, &violates](const Fact& f) {
-    if (!r2.Contains(f)) violates = true;
-  });
-  return violates;
+  return !Evaluate(q1, inst).IsSubsetOf(Evaluate(q2, inst));
 }
 
 }  // namespace

@@ -500,19 +500,6 @@ bool ForEachSatisfyingValuation(const ConjunctiveQuery& query,
   return completed;
 }
 
-void EvaluateInto(const ConjunctiveQuery& query, const Instance& instance,
-                  const RowSink& sink, CqEvalStats* stats) {
-  EvaluateIntoBatchesImpl(
-      query, instance,
-      [&sink](RelationId relation, const Value* rows, std::size_t count,
-              std::size_t arity) {
-        for (std::size_t t = 0; t < count; ++t) {
-          sink(relation, rows + t * arity, arity);
-        }
-      },
-      stats);
-}
-
 void EvaluateIntoBatches(const ConjunctiveQuery& query,
                          const Instance& instance, const RowBatchSink& sink,
                          CqEvalStats* stats,

@@ -55,17 +55,6 @@ bool ForEachSatisfyingValuation(const ConjunctiveQuery& query,
 Instance Evaluate(const ConjunctiveQuery& query, const Instance& instance,
                   CqEvalStats* stats = nullptr);
 
-/// Row sink for EvaluateInto: one derived head row per satisfying
-/// valuation (duplicates included, in enumeration order).
-using RowSink = std::function<void(RelationId relation, const Value* row,
-                                   std::size_t arity)>;
-
-/// Streams the derived head rows of Q(I) into \p sink without
-/// materialising an intermediate Instance. The sink must not mutate
-/// \p instance (the join pipeline holds borrowed views into its storage).
-void EvaluateInto(const ConjunctiveQuery& query, const Instance& instance,
-                  const RowSink& sink, CqEvalStats* stats = nullptr);
-
 /// Batch sink for EvaluateIntoBatches: \p rows holds \p count derived head
 /// rows of \p arity values each, row-major and contiguous, valid only for
 /// the duration of the call.
@@ -81,9 +70,11 @@ struct RowRange {
   std::size_t to = static_cast<std::size_t>(-1);
 };
 
-/// Like EvaluateInto but delivers derived head rows in blocks (currently up
-/// to 256 rows per call), amortising the sink indirection over whole
-/// batches. Same enumeration order and the same no-mutation contract.
+/// Streams the derived head rows of Q(I) into \p sink without
+/// materialising an intermediate Instance, in blocks (currently up to 256
+/// rows per call) in enumeration order: one row per satisfying valuation,
+/// duplicates included. The sink must not mutate \p instance (the join
+/// pipeline holds borrowed views into its storage).
 ///
 /// \p ranges, when nonempty, holds one RowRange per positive body atom (in
 /// body order): atom i then matches only the rows of its relation in

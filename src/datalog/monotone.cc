@@ -41,11 +41,7 @@ bool ViolationAt(const QueryFunction& query, const Instance& base,
   const Instance before = query(base);
   Instance merged = base;
   merged.InsertAll(addition);
-  const Instance after = query(merged);
-  for (const Fact& f : before.AllFacts()) {
-    if (!after.Contains(f)) return true;
-  }
-  return false;
+  return !before.IsSubsetOf(query(merged));
 }
 
 /// Enumerates subsets of `pool` of size <= max_facts, invoking fn on each;
@@ -81,23 +77,22 @@ bool SatisfiesAdditionConstraint(const Instance& base,
   if (kind == MonotonicityKind::kPlain) return true;
   // ActiveDomain is sorted, so membership is a binary search.
   const std::vector<Value> adom = base.ActiveDomain();
-  const auto in_adom = [&adom](Value v) {
-    return std::binary_search(adom.begin(), adom.end(), v);
+  const auto fresh = [&adom](Value v) {
+    return !std::binary_search(adom.begin(), adom.end(), v);
   };
-  for (const Fact& f : addition.AllFacts()) {
-    if (kind == MonotonicityKind::kDomainDistinct) {
-      // Some value of f must lie outside adom(base).
-      const bool has_fresh =
-          std::any_of(f.args.begin(), f.args.end(),
-                      [&in_adom](Value v) { return !in_adom(v); });
-      if (!has_fresh) return false;
-      // Nullary facts have no fresh value: not domain distinct.
-      if (f.args.empty()) return false;
-    } else {  // kDomainDisjoint.
-      const bool all_fresh =
-          std::all_of(f.args.begin(), f.args.end(),
-                      [&in_adom](Value v) { return !in_adom(v); });
-      if (!all_fresh || f.args.empty()) return false;
+  for (RelationId rel = 0; rel < addition.NumRelationIds(); ++rel) {
+    const RowsView rows = addition.RowsOf(rel);
+    // Nullary facts have no fresh value: neither distinct nor disjoint.
+    if (!rows.empty() && rows.arity == 0) return false;
+    for (std::size_t i = 0; i < rows.num_rows; ++i) {
+      const Value* begin = rows.Row(i);
+      const Value* end = begin + rows.arity;
+      // Distinct: some value outside adom(base); disjoint: every value.
+      if (kind == MonotonicityKind::kDomainDistinct
+              ? std::none_of(begin, end, fresh)
+              : !std::all_of(begin, end, fresh)) {
+        return false;
+      }
     }
   }
   return true;

@@ -8,20 +8,6 @@
 
 namespace lamp {
 
-namespace {
-
-/// Keeps only facts of the given relations.
-Instance FilterRelations(const Instance& instance,
-                         const std::set<RelationId>& keep) {
-  Instance out;
-  for (const Fact& f : instance.AllFacts()) {
-    if (keep.count(f.relation) > 0) out.Insert(f);
-  }
-  return out;
-}
-
-}  // namespace
-
 WellFoundedModel EvaluateWellFounded(Schema& schema,
                                      const DatalogProgram& program,
                                      const Instance& edb) {
@@ -55,11 +41,12 @@ WellFoundedModel EvaluateWellFounded(Schema& schema,
   // Gamma(X): least model with negation evaluated against the fixed X.
   auto gamma = [&](const Instance& assumed) -> Instance {
     Instance working = edb;
-    for (const Fact& f : assumed.AllFacts()) {
-      auto it = shadow.find(f.relation);
-      if (it != shadow.end()) working.Insert(Fact(it->second, f.args));
+    for (const auto& [rel, shadow_rel] : shadow) {
+      const RowsView rows = assumed.RowsOf(rel);
+      working.InsertRows(shadow_rel, rows.data, rows.num_rows, rows.arity);
     }
-    return FilterRelations(EvaluateProgram(schema, rewritten, working), idb);
+    return EvaluateProgram(schema, rewritten, working)
+        .SelectRelations([&idb](RelationId r) { return idb.count(r) > 0; });
   };
 
   // Alternating fixpoint: A0 = empty, A_{i+1} = Gamma(A_i). Evens ascend
@@ -77,10 +64,8 @@ WellFoundedModel EvaluateWellFounded(Schema& schema,
     ++model.gamma_applications;
   }
 
-  model.true_facts = even;
-  for (const Fact& f : odd.AllFacts()) {
-    if (!even.Contains(f)) model.undefined_facts.Insert(f);
-  }
+  model.undefined_facts = odd.Minus(even);
+  model.true_facts = std::move(even);
   return model;
 }
 

@@ -30,24 +30,14 @@ bool IsParallelSoundOn(const ConjunctiveQuery& query,
                        const DistributionPolicy& policy,
                        const Instance& instance) {
   const Instance global = Evaluate(query, instance);
-  const Instance distributed = DistributedEval(query, policy, instance);
-  bool sound = true;
-  distributed.ForEachFact([&global, &sound](const Fact& f) {
-    if (!global.Contains(f)) sound = false;
-  });
-  return sound;
+  return DistributedEval(query, policy, instance).IsSubsetOf(global);
 }
 
 bool IsParallelCompleteOn(const ConjunctiveQuery& query,
                           const DistributionPolicy& policy,
                           const Instance& instance) {
   const Instance global = Evaluate(query, instance);
-  const Instance distributed = DistributedEval(query, policy, instance);
-  bool complete = true;
-  global.ForEachFact([&distributed, &complete](const Fact& f) {
-    if (!distributed.Contains(f)) complete = false;
-  });
-  return complete;
+  return global.IsSubsetOf(DistributedEval(query, policy, instance));
 }
 
 bool IsParallelCorrectOn(const ConjunctiveQuery& query,

@@ -61,15 +61,7 @@ bool Covers(const ConjunctiveQuery& q, const ConjunctiveQuery& q_prime) {
         ForEachMinimalValuation(
             q, inner,
             [&q, &required_prime, &covered](const Valuation& v) {
-              const Instance required = v.RequiredFacts(q);
-              bool contains_all = true;
-              for (const Fact& f : required_prime.AllFacts()) {
-                if (!required.Contains(f)) {
-                  contains_all = false;
-                  break;
-                }
-              }
-              if (contains_all) {
+              if (required_prime.IsSubsetOf(v.RequiredFacts(q))) {
                 covered = true;
                 return false;
               }

@@ -25,9 +25,10 @@ struct RoundStats {
   std::vector<std::size_t> received;
 
   /// Wire bytes received per server (lamp.wire.v1 frames, duplicates and
-  /// framing included). Same length as `received` when the run went
-  /// through lamp::transport; empty for legacy paths that never filled
-  /// it — all accessors treat empty as zero.
+  /// framing included), the same length as `received`. Both producers,
+  /// MpcSimulator::RunRound and mpc_procs' distributed rounds, fill it; a
+  /// hand-built RoundStats may leave it empty, which the accessors read
+  /// as zero.
   std::vector<std::size_t> wire_bytes;
 
   /// Maximum load over servers (the Koutris-Suciu objective).
@@ -39,7 +40,7 @@ struct RoundStats {
   /// Average load per server (0 on zero servers).
   double AvgLoad() const;
 
-  /// Total wire bytes received this round (0 when not measured).
+  /// Total wire bytes received this round (0 when `wire_bytes` is empty).
   std::size_t TotalWireBytes() const;
 };
 

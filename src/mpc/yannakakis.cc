@@ -107,7 +107,22 @@ MpcRunResult SemijoinReduce(const ConjunctiveQuery& query,
                   HashCombine(seed, ++round));
   }
 
-  return {sim.GlobalState(), sim.stats()};
+  Instance reduced = sim.GlobalState();
+  if (body.size() == 1) {
+    // No join tree edge, so no round: the reduction is the local selection
+    // of the rows that can bind the atom.
+    const Atom& atom = body[0];
+    Instance kept = reduced.SelectRelations(
+        [&atom](RelationId r) { return r != atom.relation; });
+    const std::size_t arity = reduced.ArityOf(atom.relation);
+    reduced.ForEachRow(atom.relation, [&](const Value* row) {
+      if (CanBind(atom, atom.relation, row, arity)) {
+        kept.InsertRow(atom.relation, row, arity);
+      }
+    });
+    reduced = std::move(kept);
+  }
+  return {std::move(reduced), sim.stats()};
 }
 
 MpcRunResult YannakakisMpc(Schema& schema, const ConjunctiveQuery& query,

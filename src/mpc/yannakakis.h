@@ -21,8 +21,9 @@
 /// Each semijoin is one MPC round: both relations repartition on their
 /// shared variables, every other relation stays put. A row that cannot bind
 /// its atom (CanBind: a constant or a repeated variable that does not
-/// match) is dropped, so with two or more atoms the reduction is full: each
-/// relation ends as the projection of the valuations that reach an answer.
+/// match) is dropped, so the reduction is full: each relation ends as the
+/// projection of the valuations that reach an answer. A single atom has no
+/// round; its reduction is a local selection of the rows that bind it.
 
 namespace lamp {
 

@@ -7,22 +7,33 @@ namespace lamp {
 
 namespace {
 
-std::string RenderFact(const Fact& fact, const Schema* schema) {
-  std::string out;
-  out.reserve(32);
-  if (schema != nullptr && fact.relation < schema->NumRelations()) {
-    out.append(schema->NameOf(fact.relation));
-  } else {
-    out.push_back('R');
-    out.append(std::to_string(fact.relation));
+/// Appends " <sign>R(a,b)" (no leading space when \p out is empty) for the
+/// first \p max_listed rows of \p rows, in (relation, insertion) order;
+/// returns how many it listed.
+std::size_t ListRows(const Instance& rows, char sign, const Schema* schema,
+                     std::size_t max_listed, std::string& out) {
+  std::size_t listed = 0;
+  for (RelationId rel = 0; rel < rows.NumRelationIds(); ++rel) {
+    const RowsView view = rows.RowsOf(rel);
+    for (std::size_t i = 0; i < view.num_rows && listed < max_listed;
+         ++i, ++listed) {
+      if (!out.empty()) out.push_back(' ');
+      out.push_back(sign);
+      if (schema != nullptr && rel < schema->NumRelations()) {
+        out.append(schema->NameOf(rel));
+      } else {
+        out.push_back('R');
+        out.append(std::to_string(rel));
+      }
+      out.push_back('(');
+      for (std::size_t j = 0; j < view.arity; ++j) {
+        if (j > 0) out.push_back(',');
+        out.append(std::to_string(view.Row(i)[j].v));
+      }
+      out.push_back(')');
+    }
   }
-  out.push_back('(');
-  for (std::size_t i = 0; i < fact.args.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out.append(std::to_string(fact.args[i].v));
-  }
-  out.push_back(')');
-  return out;
+  return listed;
 }
 
 }  // namespace
@@ -30,30 +41,14 @@ std::string RenderFact(const Fact& fact, const Schema* schema) {
 InstanceDiff DiffInstances(const Instance& actual, const Instance& expected,
                            const Schema* schema, std::size_t max_listed) {
   InstanceDiff diff;
-  std::size_t listed_unexpected = 0;
-  for (const Fact& f : actual.AllFacts()) {
-    if (expected.Contains(f)) continue;
-    ++diff.unexpected;
-    if (listed_unexpected < max_listed) {
-      if (!diff.summary.empty()) diff.summary += " ";
-      diff.summary += "+";
-      diff.summary += RenderFact(f, schema);
-      ++listed_unexpected;
-    }
-  }
-  std::size_t listed_missing = 0;
-  for (const Fact& f : expected.AllFacts()) {
-    if (actual.Contains(f)) continue;
-    ++diff.missing;
-    if (listed_missing < max_listed) {
-      if (!diff.summary.empty()) diff.summary += " ";
-      diff.summary += "-";
-      diff.summary += RenderFact(f, schema);
-      ++listed_missing;
-    }
-  }
-  const std::size_t elided =
-      (diff.unexpected - listed_unexpected) + (diff.missing - listed_missing);
+  const Instance unexpected = actual.Minus(expected);
+  const Instance missing = expected.Minus(actual);
+  diff.unexpected = unexpected.Size();
+  diff.missing = missing.Size();
+  const std::size_t listed =
+      ListRows(unexpected, '+', schema, max_listed, diff.summary) +
+      ListRows(missing, '-', schema, max_listed, diff.summary);
+  const std::size_t elided = diff.unexpected + diff.missing - listed;
   if (elided > 0) {
     diff.summary += " (+";
     diff.summary += std::to_string(elided);

@@ -1,10 +1,12 @@
 #include "net/programs.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/check.h"
 #include "common/subset.h"
 #include "cq/eval.h"
+#include "distribution/policies.h"
 
 namespace lamp {
 
@@ -23,9 +25,7 @@ void MonotoneBroadcastProgram::OnReceive(NodeContext& ctx,
 }
 
 void MonotoneBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
-  for (const Fact& f : query_(ctx.state()).AllFacts()) {
-    ctx.Output(transport::RowRef::Of(f));
-  }
+  ctx.OutputAll(query_(ctx.state()));
 }
 
 // ---------------------------------------------------------------------------
@@ -67,9 +67,7 @@ void DistinctCompleteProgram::TryOutput(NodeContext& ctx) {
     if (!complete) return;  // Wait for more data.
   }
   // state|C == I|C (Lemma 5.7 applies): safe to output Q(state).
-  for (const Fact& f : query_(ctx.state()).AllFacts()) {
-    ctx.Output(transport::RowRef::Of(f));
-  }
+  ctx.OutputAll(query_(ctx.state()));
 }
 
 // ---------------------------------------------------------------------------
@@ -110,15 +108,11 @@ void ComponentProgram::OnReceive(NodeContext& ctx, const Message& message) {
 
 void ComponentProgram::TryOutput(NodeContext& ctx) {
   // Split state into real facts and completeness markers.
-  Instance real;
-  std::set<Value> complete;
-  for (const Fact& f : ctx.state().AllFacts()) {
-    if (f.relation == marker_) {
-      complete.insert(f.args[0]);
-    } else {
-      real.Insert(f);
-    }
-  }
+  const Instance real = ctx.state().SelectRelations(
+      [this](RelationId r) { return r != marker_; });
+  const RowsView markers = ctx.state().RowsOf(marker_);  // Unary.
+  const std::set<Value> complete(markers.data,
+                                 markers.data + markers.num_rows);
 
   // Union of the components whose values are all marked complete; that
   // union is a disjoint-complete subset of I (a union of I-components).
@@ -133,9 +127,7 @@ void ComponentProgram::TryOutput(NodeContext& ctx) {
     }
     if (all_complete) union_of_complete.InsertAll(component);
   }
-  for (const Fact& f : query_(union_of_complete).AllFacts()) {
-    ctx.Output(transport::RowRef::Of(f));
-  }
+  ctx.OutputAll(query_(union_of_complete));
 }
 
 // ---------------------------------------------------------------------------
@@ -168,13 +160,8 @@ void CoordinatedBarrierProgram::TryOutput(NodeContext& ctx) {
   // The barrier: markers from all nodes (the coordination step — this is
   // the call that makes the program non-oblivious).
   if (ctx.state().NumRows(done_) < ctx.NetworkSize()) return;
-  Instance data;
-  for (const Fact& f : ctx.state().AllFacts()) {
-    if (f.relation != done_) data.Insert(f);
-  }
-  for (const Fact& f : query_(data).AllFacts()) {
-    ctx.Output(transport::RowRef::Of(f));
-  }
+  ctx.OutputAll(query_(ctx.state().SelectRelations(
+      [this](RelationId r) { return r != done_; })));
 }
 
 // ---------------------------------------------------------------------------
@@ -218,13 +205,8 @@ void FragileCountingBarrierProgram::OnReceive(NodeContext& ctx,
 
 void FragileCountingBarrierProgram::TryOutput(NodeContext& ctx) {
   if (ctx.state().NumRows(tick_) < ctx.NetworkSize()) return;
-  Instance data;
-  for (const Fact& f : ctx.state().AllFacts()) {
-    if (f.relation != done_ && f.relation != tick_) data.Insert(f);
-  }
-  for (const Fact& f : query_(data).AllFacts()) {
-    ctx.Output(transport::RowRef::Of(f));
-  }
+  ctx.OutputAll(query_(ctx.state().SelectRelations(
+      [this](RelationId r) { return r != done_ && r != tick_; })));
 }
 
 // ---------------------------------------------------------------------------
@@ -267,36 +249,24 @@ void PolicyAwareNegationProgram::TryOutput(NodeContext& ctx) {
 // EconomicalBroadcastProgram
 // ---------------------------------------------------------------------------
 
-bool EconomicalBroadcastProgram::IsRelevant(const Fact& fact) const {
-  for (const Atom& atom : query_.body()) {
-    if (atom.relation != fact.relation ||
-        atom.terms.size() != fact.args.size()) {
-      continue;
-    }
-    bool match = true;
-    std::vector<bool> bound(query_.NumVars(), false);
-    std::vector<Value> binding(query_.NumVars());
-    for (std::size_t i = 0; i < atom.terms.size() && match; ++i) {
-      const Term& t = atom.terms[i];
-      if (t.IsConst()) {
-        match = t.constant == fact.args[i];
-      } else if (bound[t.var]) {
-        match = binding[t.var] == fact.args[i];
-      } else {
-        bound[t.var] = true;
-        binding[t.var] = fact.args[i];
-      }
-    }
-    if (match) return true;
-  }
-  return false;
+bool EconomicalBroadcastProgram::IsRelevant(transport::RowRef row) const {
+  return std::any_of(
+      query_.body().begin(), query_.body().end(), [row](const Atom& atom) {
+        return CanBind(atom, row.relation, row.row, row.arity);
+      });
 }
 
 void EconomicalBroadcastProgram::OnStart(NodeContext& ctx) {
   Message relevant;
-  ctx.state().ForEachFact([this, &relevant](const Fact& f) {
-    if (IsRelevant(f)) relevant.Append(transport::RowRef::Of(f));
-  });
+  const Instance& state = ctx.state();
+  for (RelationId rel = 0; rel < state.NumRelationIds(); ++rel) {
+    const RowsView rows = state.RowsOf(rel);
+    for (std::size_t i = 0; i < rows.num_rows; ++i) {
+      const transport::RowRef row{rel, rows.Row(i),
+                                  static_cast<std::uint32_t>(rows.arity)};
+      if (IsRelevant(row)) relevant.Append(row);
+    }
+  }
   if (!relevant.empty()) ctx.Broadcast(std::move(relevant));
   EvaluateAndOutput(ctx);
 }
@@ -307,9 +277,7 @@ void EconomicalBroadcastProgram::OnReceive(NodeContext& ctx,
 }
 
 void EconomicalBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
-  for (const Fact& f : Evaluate(query_, ctx.state()).AllFacts()) {
-    ctx.Output(transport::RowRef::Of(f));
-  }
+  ctx.OutputAll(Evaluate(query_, ctx.state()));
 }
 
 }  // namespace lamp

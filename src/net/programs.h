@@ -179,9 +179,9 @@ class EconomicalBroadcastProgram : public TransducerProgram {
   void OnStart(NodeContext& ctx) override;
   void OnReceive(NodeContext& ctx, const Message& message) override;
 
-  /// True when \p fact matches some positive body atom of the query
-  /// (relation, constants and repeated-variable patterns).
-  bool IsRelevant(const Fact& fact) const;
+  /// True when \p row can bind some positive body atom of the query
+  /// (CanBind: relation, arity, constants and repeated variables).
+  bool IsRelevant(transport::RowRef row) const;
 
  private:
   void EvaluateAndOutput(NodeContext& ctx);

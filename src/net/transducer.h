@@ -84,6 +84,17 @@ class NodeContext {
     everything.AppendAll(state());
     if (!everything.empty()) Broadcast(std::move(everything));
   }
+
+  /// Outputs every row of \p result (a query's answers), in (relation,
+  /// insertion) order.
+  void OutputAll(const Instance& result) {
+    for (RelationId rel = 0; rel < result.NumRelationIds(); ++rel) {
+      const RowsView rows = result.RowsOf(rel);
+      for (std::size_t i = 0; i < rows.num_rows; ++i) {
+        Output({rel, rows.Row(i), static_cast<std::uint32_t>(rows.arity)});
+      }
+    }
+  }
 };
 
 /// A transducer program: the transition function every node runs.

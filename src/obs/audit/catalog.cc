@@ -156,15 +156,15 @@ Catalog BuildCatalog(const Schema& schema, const Instance& instance,
     for (std::size_t c = 0; c < arity; ++c) {
       sketches.emplace_back(options.sketch_capacity);
     }
-    if (rel < instance.NumRelationIds()) {
-      instance.ForEachFactOf(rel, [&](const Fact& f) {
-        ++stats.cardinality;
-        for (std::size_t c = 0; c < arity && c < f.args.size(); ++c) {
-          distinct[c].insert(f.args[c].v);
-          value_bytes[c] += transport::ZigzagSize(f.args[c].v);
-          sketches[c].Observe(f.args[c].v);
-        }
-      });
+    const RowsView rows = instance.RowsOf(rel);
+    stats.cardinality = rows.num_rows;
+    for (std::size_t i = 0; i < rows.num_rows; ++i) {
+      for (std::size_t c = 0; c < arity && c < rows.arity; ++c) {
+        const std::int64_t v = rows.Row(i)[c].v;
+        distinct[c].insert(v);
+        value_bytes[c] += transport::ZigzagSize(v);
+        sketches[c].Observe(v);
+      }
     }
     for (std::size_t c = 0; c < arity; ++c) {
       ColumnStats cstats;

@@ -73,6 +73,37 @@ void AddMatchingRelation(const Schema& schema, RelationId rel, std::size_t m,
   }
 }
 
+Instance MatchingInput(const Schema& schema,
+                       const std::vector<RelationId>& relations,
+                       std::size_t m) {
+  Rng rng(11);
+  Instance db;
+  std::int64_t base = 0;
+  for (const RelationId rel : relations) {
+    AddMatchingRelation(schema, rel, m, base, rng, db);
+    base += static_cast<std::int64_t>(2 * m);
+  }
+  return db;
+}
+
+JoinWorkload MakeJoinWorkload(const Schema& schema, RelationId r,
+                              RelationId s, std::size_t m) {
+  Rng rng(1);
+  JoinWorkload w;
+  AddMatchingRelation(schema, r, m, 0, rng, w.skew_free);
+  AddMatchingRelation(schema, s, m, static_cast<std::int64_t>(m), rng,
+                      w.skew_free);
+  for (std::size_t i = 0; i < m / 2; ++i) {
+    w.skewed.Insert(Fact(r, {static_cast<std::int64_t>(i), 0}));
+  }
+  for (std::size_t i = 0; i < 10; ++i) {
+    w.skewed.Insert(Fact(s, {0, static_cast<std::int64_t>(i)}));
+  }
+  AddUniformRelation(schema, r, m / 2, 16 * m, rng, w.skewed);
+  AddUniformRelation(schema, s, m - 10, 16 * m, rng, w.skewed);
+  return w;
+}
+
 void AddRandomGraph(const Schema& schema, RelationId rel, std::size_t m,
                     std::size_t n, Rng& rng, Instance& out) {
   LAMP_CHECK(schema.ArityOf(rel) == 2);

@@ -2,6 +2,7 @@
 #define LAMP_RELATIONAL_GENERATORS_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "common/rng.h"
 #include "relational/instance.h"
@@ -39,6 +40,25 @@ void AddZipfRelation(const Schema& schema, RelationId rel, std::size_t m,
 /// [base + i*m, base + (i+1)*m) permuted randomly.
 void AddMatchingRelation(const Schema& schema, RelationId rel, std::size_t m,
                          std::int64_t value_base, Rng& rng, Instance& out);
+
+/// The skew-free HyperCube load input: one matching relation of \p m
+/// tuples per entry of \p relations, 2m values apart, from Rng(11).
+/// bench_hypercube_load and mpc_procs audit loads against bounds set for it.
+Instance MatchingInput(const Schema& schema,
+                       const std::vector<RelationId>& relations,
+                       std::size_t m);
+
+/// The binary-join inputs over R(x,y), S(y,z), from one Rng(1): `skew_free`
+/// is two matching relations overlapping on y; `skewed` puts half of R on
+/// y = 0 against ten S tuples with y = 0 (a heavy value, linear output)
+/// plus uniform rows over [0, 16m). bench_join_strategies and mpc_procs
+/// audit loads against bounds set for them.
+struct JoinWorkload {
+  Instance skew_free;
+  Instance skewed;
+};
+JoinWorkload MakeJoinWorkload(const Schema& schema, RelationId r,
+                              RelationId s, std::size_t m);
 
 /// Adds \p m distinct random directed edges over [0, n) to binary relation
 /// \p rel (no self-loops). Requires m <= n*(n-1).

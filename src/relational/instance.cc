@@ -395,16 +395,31 @@ Instance RoundRobinPart(const Instance& global, std::size_t part,
   return out;
 }
 
-bool operator==(const Instance& a, const Instance& b) {
-  if (a.size_ != b.size_) return false;
-  for (RelationId r = 0; r < a.by_relation_.size(); ++r) {
-    const Instance::Column& c = a.by_relation_[r];
+bool Instance::IsSubsetOf(const Instance& other) const {
+  for (RelationId r = 0; r < by_relation_.size(); ++r) {
+    const Column& c = by_relation_[r];
     const Value* row = c.data.data();
     for (std::size_t i = 0; i < c.num_rows; ++i, row += c.arity) {
-      if (!b.ContainsRow(r, row, c.arity)) return false;
+      if (!other.ContainsRow(r, row, c.arity)) return false;
     }
   }
   return true;
+}
+
+Instance Instance::Minus(const Instance& other) const {
+  Instance out;
+  for (RelationId r = 0; r < by_relation_.size(); ++r) {
+    const Column& c = by_relation_[r];
+    const Value* row = c.data.data();
+    for (std::size_t i = 0; i < c.num_rows; ++i, row += c.arity) {
+      if (!other.ContainsRow(r, row, c.arity)) out.InsertRow(r, row, c.arity);
+    }
+  }
+  return out;
+}
+
+bool operator==(const Instance& a, const Instance& b) {
+  return a.size_ == b.size_ && a.IsSubsetOf(b);
 }
 
 std::string Instance::ToString(const Schema& schema) const {

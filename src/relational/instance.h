@@ -19,13 +19,18 @@
 /// Storage layout (DESIGN.md "Storage layout"): instances are *column
 /// major*. Each relation owns one flat arity-strided `std::vector<Value>`
 /// of rows plus an open-addressing hash index of row ids — no per-fact
-/// heap allocation and no duplicate fact storage. Hot paths use the row
-/// API (`RowsOf`, `NumRows`, `InsertRow`, `ContainsRow`, `ForEachRow`) and
-/// touch the flat storage directly. The `Fact`-shaped accessors
+/// heap allocation and no duplicate fact storage. Callers use the row API
+/// (`RowsOf`, `NumRows`, `InsertRow`, `ContainsRow`, `ForEachRow`) and the
+/// row-level set operations (`IsSubsetOf`, `Minus`, `SelectRelations`),
+/// which touch the flat storage directly. The `Fact`-shaped accessors
 /// (`AllFacts`, `ForEachFact`, `ForEachFactOf`) materialise facts on the
-/// fly for parsers, tests and fact-at-a-time callers; they stay because
-/// the end-to-end benchmark (benchmark/lamp_benchmark.cc) calls them. Iteration order within a relation is insertion order, which
-/// keeps runs deterministic and digests byte-identical to the row-oriented
+/// fly. Outside tests, only three kinds of caller still use them: the
+/// end-to-end benchmark (benchmark/lamp_benchmark.cc), which keeps the
+/// accessors alive; `DistributionPolicy::LocalInstance`/`SomeNodeHasAll`,
+/// which pass each fact to the spec-level `IsResponsible(node, Fact)`; and
+/// `WriteInstance`, which sorts facts to write stable text. Iteration
+/// order within a relation is insertion order, which keeps runs
+/// deterministic and digests byte-identical to the row-oriented
 /// predecessor.
 
 namespace lamp {
@@ -248,7 +253,29 @@ class Instance {
   /// each form their own component.
   std::vector<Instance> Components() const;
 
-  /// Set equality (independent of insertion order).
+  /// True when every row of this instance is a row of \p other (a row of
+  /// another arity than \p other's relation is never a member).
+  bool IsSubsetOf(const Instance& other) const;
+
+  /// The rows of this instance that are not rows of \p other, in this
+  /// instance's (relation, insertion) order.
+  Instance Minus(const Instance& other) const;
+
+  /// The relations r with keep(r), whole and in insertion order.
+  template <typename Predicate>
+  Instance SelectRelations(Predicate&& keep) const {
+    Instance out;
+    for (RelationId r = 0; r < by_relation_.size(); ++r) {
+      const Column& c = by_relation_[r];
+      if (c.num_rows == 0 || !keep(r)) continue;
+      out.Reserve(r, c.num_rows, c.arity);
+      out.InsertRows(r, c.data.data(), c.num_rows, c.arity);
+    }
+    return out;
+  }
+
+  /// Set equality (independent of insertion order): equal sizes and
+  /// a.IsSubsetOf(b).
   friend bool operator==(const Instance& a, const Instance& b);
 
   /// Renders the instance as "{R(1,2), S(3)}" sorted for stable output.

@@ -272,11 +272,14 @@ TEST_F(NetTest, EconomicalRelevanceFilter) {
   EconomicalBroadcastProgram program(q);
   const RelationId r = schema.IdOf("R");
   const RelationId s = schema.IdOf("S");
-  EXPECT_TRUE(program.IsRelevant(Fact(r, {3, 3})));
-  EXPECT_FALSE(program.IsRelevant(Fact(r, {3, 4})));  // Repeated var.
-  EXPECT_TRUE(program.IsRelevant(Fact(s, {1, 7})));
-  EXPECT_FALSE(program.IsRelevant(Fact(s, {1, 8})));  // Constant mismatch.
-  EXPECT_FALSE(program.IsRelevant(Fact(schema.AddRelation("T", 1), {1})));
+  const auto relevant = [&program](const Fact& f) {
+    return program.IsRelevant(transport::RowRef::Of(f));
+  };
+  EXPECT_TRUE(relevant(Fact(r, {3, 3})));
+  EXPECT_FALSE(relevant(Fact(r, {3, 4})));  // Repeated var.
+  EXPECT_TRUE(relevant(Fact(s, {1, 7})));
+  EXPECT_FALSE(relevant(Fact(s, {1, 8})));  // Constant mismatch.
+  EXPECT_FALSE(relevant(Fact(schema.AddRelation("T", 1), {1})));
 }
 
 TEST_F(NetTest, MessageCountsAreTracked) {

@@ -4,7 +4,9 @@
 // full mutation surface — InsertRow / Insert / InsertRows / InsertAll —
 // against a reference set-of-rows model, checking after every step that
 // set semantics, per-relation insertion order, membership, ActiveDomain
-// and the lazily built join indexes all agree with the model. (2) A
+// and the lazily built join indexes all agree with the model; the
+// row-level set operations (IsSubsetOf, Minus, SelectRelations, ==) are
+// checked against the same model on random pairs of instances. (2) A
 // digest-parity test pins the end-to-end contract the refactor must not
 // move: the same MPC workload produces byte-identical output fingerprints
 // at thread counts {1, 4} and across the inproc / tcp / uds transports.
@@ -13,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -65,6 +68,37 @@ class ReferenceModel {
   const std::map<RelationId, std::vector<std::vector<std::int64_t>>>& rows()
       const {
     return rows_;
+  }
+
+  bool IsSubsetOf(const ReferenceModel& other) const {
+    return std::includes(other.seen_.begin(), other.seen_.end(),
+                         seen_.begin(), seen_.end());
+  }
+
+  bool operator==(const ReferenceModel& other) const {
+    return seen_ == other.seen_;
+  }
+
+  /// The rows not in \p other, in (relation, insertion) order.
+  ReferenceModel Minus(const ReferenceModel& other) const {
+    ReferenceModel out;
+    for (const auto& [rel, rows] : rows_) {
+      for (const auto& row : rows) {
+        if (!other.Contains(rel, row)) out.Insert(rel, row);
+      }
+    }
+    return out;
+  }
+
+  /// The relations r with keep(r), whole and in insertion order.
+  template <typename Predicate>
+  ReferenceModel SelectRelations(Predicate keep) const {
+    ReferenceModel out;
+    for (const auto& [rel, rows] : rows_) {
+      if (!keep(rel)) continue;
+      for (const auto& row : rows) out.Insert(rel, row);
+    }
+    return out;
   }
 
  private:
@@ -269,6 +303,137 @@ TEST(StorageProperty, EqualityIsInsertionOrderIndependent) {
   const std::vector<Value> extra = {Value(100), Value(100)};
   b.InsertRow(0, extra.data(), 2);
   EXPECT_FALSE(a == b);
+}
+
+/// An instance and its model holding the same rows.
+struct Modelled {
+  Instance instance;
+  ReferenceModel model;
+
+  void Insert(RelationId rel, const std::vector<std::int64_t>& row) {
+    const std::vector<Value> vals = ToValues(row);
+    EXPECT_EQ(instance.InsertRow(rel, vals.data(), vals.size()),
+              model.Insert(rel, row));
+  }
+};
+
+/// Checks a.IsSubsetOf(b), a == b, a.Minus(b) and a.SelectRelations(keep)
+/// for a few predicates against the model; the Minus and SelectRelations
+/// results must hold the model's rows in the model's order.
+void ExpectSetOpsMatchModel(const Modelled& a, const Modelled& b) {
+  EXPECT_EQ(a.instance.IsSubsetOf(b.instance), a.model.IsSubsetOf(b.model));
+  EXPECT_EQ(a.instance == b.instance, a.model == b.model);
+  ExpectMatchesModel(a.instance.Minus(b.instance), a.model.Minus(b.model));
+  const std::vector<std::function<bool(RelationId)>> predicates = {
+      [](RelationId) { return true; },
+      [](RelationId) { return false; },
+      [](RelationId r) { return r % 2 == 0; },
+      [](RelationId r) { return r == 3; },
+      [](RelationId r) { return r != 0; },
+  };
+  for (const auto& keep : predicates) {
+    ExpectMatchesModel(a.instance.SelectRelations(keep),
+                       a.model.SelectRelations(keep));
+  }
+}
+
+// Relations of the set-operation test: 0 and 1 on both sides, 2 only in
+// a, 4 only in b, 5 nullary, and 3 with arity 2 in a but 3 in b, so a's
+// rows of 3 are never members of b.
+constexpr RelationId kSetOpRelations = 6;
+constexpr std::size_t kArityA[kSetOpRelations] = {2, 1, 3, 2, 0, 0};
+constexpr std::size_t kArityB[kSetOpRelations] = {2, 1, 0, 3, 2, 0};
+constexpr bool kInA[kSetOpRelations] = {true, true, true, true, false, true};
+constexpr bool kInB[kSetOpRelations] = {true, true, false, true, true, true};
+
+/// Random rows of the relations \p present has, \p arity per relation;
+/// each relation is left empty with probability 1/4.
+Modelled RandomModelled(Rng& rng, const bool* present,
+                        const std::size_t* arity) {
+  Modelled out;
+  for (RelationId rel = 0; rel < kSetOpRelations; ++rel) {
+    if (!present[rel] || rng.Bernoulli(0.25)) continue;
+    const std::size_t n = arity[rel] == 0 ? 1 : 1 + rng.Uniform(20);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.Insert(rel, RandomRow(rng, arity[rel], 6));
+    }
+  }
+  return out;
+}
+
+TEST(StorageProperty, SetOperationsAgreeWithReferenceModel) {
+  const Modelled empty;
+  ExpectSetOpsMatchModel(empty, empty);
+  EXPECT_TRUE(empty.instance.IsSubsetOf(empty.instance));
+  EXPECT_TRUE(empty.instance.Minus(empty.instance).Empty());
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(3000 + seed);
+    const Modelled a = RandomModelled(rng, kInA, kArityA);
+    const Modelled b = RandomModelled(rng, kInB, kArityB);
+    // A superset of a's rows of the relations b can hold, inserted in a
+    // shuffled order, plus random extras: a minus its relations 2 and 3
+    // is a subset of it.
+    Modelled super;
+    std::vector<std::pair<RelationId, std::vector<std::int64_t>>> rows;
+    for (const auto& [rel, rel_rows] : a.model.rows()) {
+      if (rel == 2 || rel == 3) continue;
+      for (const auto& row : rel_rows) rows.emplace_back(rel, row);
+    }
+    rng.Shuffle(rows);
+    for (const auto& [rel, row] : rows) super.Insert(rel, row);
+    for (std::size_t i = rng.Uniform(5); i > 0; --i) {
+      super.Insert(0, RandomRow(rng, 2, 6));
+    }
+    Modelled a_in_super;
+    a_in_super.instance = a.instance.SelectRelations(
+        [](RelationId r) { return r != 2 && r != 3; });
+    a_in_super.model =
+        a.model.SelectRelations([](RelationId r) { return r != 2 && r != 3; });
+    EXPECT_TRUE(a_in_super.instance.IsSubsetOf(super.instance));
+
+    const std::vector<const Modelled*> all = {&empty, &a, &b, &super,
+                                              &a_in_super};
+    for (const Modelled* x : all) {
+      for (const Modelled* y : all) {
+        ExpectSetOpsMatchModel(*x, *y);
+      }
+      // An instance against itself: a subset, equal, nothing left over.
+      EXPECT_TRUE(x->instance.IsSubsetOf(x->instance));
+      EXPECT_TRUE(x->instance == x->instance);
+      EXPECT_TRUE(x->instance.Minus(x->instance).Empty());
+    }
+  }
+}
+
+// The set operations only read rows (no join-index cache), so concurrent
+// calls on shared instances are safe and agree with a serial run.
+TEST(StorageProperty, SetOperationsAreSafeUnderParallelFor) {
+  Rng rng(77);
+  std::vector<Modelled> inputs;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back(RandomModelled(rng, kInA, kArityA));
+    inputs.push_back(RandomModelled(rng, kInB, kArityB));
+  }
+  const std::size_t n = inputs.size();
+  std::vector<std::uint8_t> subset(n * n, 0);
+  std::vector<std::size_t> minus(n * n, 0);
+  par::GlobalPool().ParallelFor(0, n * n, [&](std::size_t cell) {
+    const Instance& x = inputs[cell / n].instance;
+    const Instance& y = inputs[cell % n].instance;
+    subset[cell] = x.IsSubsetOf(y) ? 1 : 0;
+    minus[cell] = x.Minus(y).Size() +
+                  x.SelectRelations([](RelationId r) { return r < 2; }).Size();
+  });
+  for (std::size_t cell = 0; cell < n * n; ++cell) {
+    const ReferenceModel& x = inputs[cell / n].model;
+    const ReferenceModel& y = inputs[cell % n].model;
+    EXPECT_EQ(subset[cell] == 1, x.IsSubsetOf(y)) << "cell " << cell;
+    EXPECT_EQ(minus[cell],
+              x.Minus(y).Size() +
+                  x.SelectRelations([](RelationId r) { return r < 2; }).Size())
+        << "cell " << cell;
+  }
 }
 
 // Reserve sizes storage only: an instance presized before (or between)

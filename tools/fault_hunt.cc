@@ -80,11 +80,10 @@ std::unique_ptr<Target> MakeTarget(const std::string& name,
                                    "TC(x,y) <- TC(x,z), E(z,y)");
     Instance edges;
     AddPathGraph(target->schema, target->schema.IdOf("E"), 8, edges);
-    const Instance everything =
-        EvaluateProgram(target->schema, target->datalog, edges);
-    everything.ForEachFactOf(target->schema.IdOf("TC"), [&](const Fact& f) {
-      target->expected.Insert(f);
-    });
+    const RelationId tc = target->schema.IdOf("TC");
+    target->expected =
+        EvaluateProgram(target->schema, target->datalog, edges)
+            .SelectRelations([tc](RelationId r) { return r == tc; });
     target->distributions.push_back(DistributeRoundRobin(edges, nodes));
     target->program = std::make_unique<DistributedDatalogProgram>(
         target->schema, target->datalog);

@@ -32,7 +32,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/rng.h"
 #include "cq/parser.h"
 #include "distribution/hypercube.h"
 #include "distribution/policies.h"
@@ -58,43 +57,6 @@ namespace {
 using namespace lamp;
 
 // --- scenarios ----------------------------------------------------------
-
-/// bench_hypercube_load's E3 input: matching relations, the BKS skew-free
-/// extreme (kept in sync so the bounds audited here are the bench's).
-Instance MatchingInput(Schema& schema, const ConjunctiveQuery& q,
-                       std::size_t m) {
-  Rng rng(11);
-  Instance db;
-  std::int64_t base = 0;
-  for (const Atom& atom : q.body()) {
-    AddMatchingRelation(schema, atom.relation, m, base, rng, db);
-    base += static_cast<std::int64_t>(2 * m);
-  }
-  return db;
-}
-
-/// bench_join_strategies' E1 workloads: a skew-free matching join and a
-/// skewed variant where half of R shares one join value.
-struct JoinWorkload {
-  Instance skew_free;
-  Instance skewed;
-
-  JoinWorkload(const Schema& schema, RelationId r, RelationId s,
-               std::size_t m) {
-    Rng rng(1);
-    AddMatchingRelation(schema, r, m, 0, rng, skew_free);
-    AddMatchingRelation(schema, s, m, static_cast<std::int64_t>(m), rng,
-                        skew_free);
-    for (std::size_t i = 0; i < m / 2; ++i) {
-      skewed.Insert(Fact(r, {static_cast<std::int64_t>(i), 0}));
-    }
-    for (std::size_t i = 0; i < 10; ++i) {
-      skewed.Insert(Fact(s, {0, static_cast<std::int64_t>(i)}));
-    }
-    AddUniformRelation(schema, r, m / 2, 16 * m, rng, skewed);
-    AddUniformRelation(schema, s, m - 10, 16 * m, rng, skewed);
-  }
-};
 
 /// One distributed workload: every process (parent and children) builds
 /// its own copy deterministically from (name, procs, m, base seed).
@@ -126,7 +88,9 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
                            ? "H(x,y,z) <- R0(x,y), R1(y,z)"
                            : "H(x,y,z) <- R0(x,y), R1(y,z), R2(z,x)";
     s.query = ParseQuery(s.schema, text);
-    s.input = MatchingInput(s.schema, s.query, m);
+    std::vector<RelationId> relations;
+    for (const Atom& atom : s.query.body()) relations.push_back(atom.relation);
+    s.input = MatchingInput(s.schema, relations, m);
     s.shares = LpRoundedShares(s.query, procs);
     s.servers = 1;
     for (std::size_t a : s.shares) s.servers *= a;
@@ -141,7 +105,7 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
   s.query = ParseQuery(s.schema, "H(x,y,z) <- R(x,y), S(y,z)");
   const RelationId r = s.schema.IdOf("R");
   const RelationId sid = s.schema.IdOf("S");
-  JoinWorkload w(s.schema, r, sid, m);
+  JoinWorkload w = MakeJoinWorkload(s.schema, r, sid, m);
   s.servers = procs;
   s.routing_seed = transport::RingSeed(base_seed, s.servers);
   if (name == "repartition" || name == "repartition_skewed") {
@@ -173,13 +137,15 @@ Scenario BuildScenario(const std::string& name, std::size_t procs,
   return s;
 }
 
-/// Order-independent fingerprint of an instance (sum of mixed fact
+/// Order-independent fingerprint of an instance (sum of mixed row
 /// hashes): stable across merge orders, printable next to the reference.
 std::uint64_t InstanceDigest(const Instance& inst) {
   std::uint64_t digest = 0;
-  inst.ForEachFact([&digest](const Fact& f) {
-    digest += HashMix(FactHash()(f));
-  });
+  for (RelationId rel = 0; rel < inst.NumRelationIds(); ++rel) {
+    inst.ForEachRow(rel, [&](const Value* row) {
+      digest += HashMix(RowHash(rel, row, inst.ArityOf(rel)));
+    });
+  }
   return digest;
 }
 
