@@ -9,12 +9,14 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "datalog/depgraph.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "datalog/wellfounded.h"
 #include "obs/bench_report.h"
 #include "par/thread_pool.h"
 #include "relational/generators.h"
+#include "sa/fragment.h"
 
 namespace {
 
@@ -81,15 +83,19 @@ void PrintTable() {
   {
     Schema schema;
     const DatalogProgram not_tc = ParseProgram(schema, kNotTc);
+    const sa::FragmentReport not_tc_report =
+        sa::ClassifyFragments(schema, not_tc, DependencyGraph(not_tc));
     Schema schema2;
     const DatalogProgram win_move = ParseProgram(schema2, kWinMove);
+    const auto yes_no = [](bool b) { return b ? "yes" : "no"; };
     std::printf(
         "# analysis: not-TC stratifies=%s semi-positive=%s "
         "semi-connected=%s; win-move stratifies=%s\n",
-        not_tc.Stratify().has_value() ? "yes" : "no",
-        not_tc.IsSemiPositive() ? "yes" : "no",
-        not_tc.IsSemiConnected() ? "yes" : "no",
-        win_move.Stratify().has_value() ? "yes" : "no");
+        yes_no(not_tc_report.strata.has_value()),
+        yes_no(not_tc_report.Verdict(sa::Fragment::kSemiPositive).certified),
+        yes_no(
+            not_tc_report.Verdict(sa::Fragment::kSemiConnected).certified),
+        yes_no(DependencyGraph(win_move).IsStratifiable()));
   }
 
   // Win-move on a random game graph under the well-founded semantics.

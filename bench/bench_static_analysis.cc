@@ -12,11 +12,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "datalog/depgraph.h"
 #include "datalog/program.h"
 #include "obs/bench_report.h"
 #include "par/thread_pool.h"
 #include "sa/analyzer.h"
-#include "sa/depgraph.h"
 #include "sa/fragment.h"
 #include "sa/lint.h"
 
@@ -64,26 +64,27 @@ void PrintTable() {
 
     obs::WallTimer total;
     obs::WallTimer timer;
-    const sa::DependencyGraph graph(program);
+    const DependencyGraph graph(program);
     const auto strata = graph.Stratify();
     const double graph_ms = timer.ElapsedMs();
 
     timer.Restart();
     const sa::FragmentReport fragments =
-        sa::ClassifyFragments(schema, program);
+        sa::ClassifyFragments(schema, program, graph);
     const double fragments_ms = timer.ElapsedMs();
 
     sa::LintOptions no_subsumption;
     no_subsumption.subsumption = false;
     timer.Restart();
-    const auto lint = sa::LintProgram(schema, program, no_subsumption);
+    const auto lint =
+        sa::LintProgram(schema, program, graph, no_subsumption);
     const double lint_ms = timer.ElapsedMs();
 
     // The quadratic pass, on the sizes where it is affordable.
     double subsumption_ms = 0.0;
     if (rules <= 128) {
       timer.Restart();
-      (void)sa::LintProgram(schema, program);
+      (void)sa::LintProgram(schema, program, graph);
       subsumption_ms = timer.ElapsedMs();
     }
 
@@ -112,7 +113,7 @@ void BM_DependencyGraphStratify(benchmark::State& state) {
   DatalogProgram program = ParseProgram(
       schema, MakeChainProgram(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
-    const sa::DependencyGraph graph(program);
+    const DependencyGraph graph(program);
     benchmark::DoNotOptimize(graph.Stratify());
   }
   state.SetComplexityN(state.range(0));
@@ -126,8 +127,9 @@ void BM_ClassifyFragments(benchmark::State& state) {
   Schema schema;
   DatalogProgram program = ParseProgram(
       schema, MakeChainProgram(static_cast<std::size_t>(state.range(0))));
+  const DependencyGraph graph(program);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sa::ClassifyFragments(schema, program));
+    benchmark::DoNotOptimize(sa::ClassifyFragments(schema, program, graph));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -142,8 +144,10 @@ void BM_LintNoSubsumption(benchmark::State& state) {
       schema, MakeChainProgram(static_cast<std::size_t>(state.range(0))));
   sa::LintOptions options;
   options.subsumption = false;
+  const DependencyGraph graph(program);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sa::LintProgram(schema, program, options));
+    benchmark::DoNotOptimize(
+        sa::LintProgram(schema, program, graph, options));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -4,10 +4,25 @@
 
 #include <cstdio>
 
+#include "datalog/depgraph.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "datalog/wellfounded.h"
 #include "relational/generators.h"
+#include "sa/fragment.h"
+
+namespace {
+
+/// The Figure 2 classification of \p program (stratification included).
+lamp::sa::FragmentReport Classify(const lamp::Schema& schema,
+                                  const lamp::DatalogProgram& program) {
+  return lamp::sa::ClassifyFragments(schema, program,
+                                     lamp::DependencyGraph(program));
+}
+
+const char* YesNo(bool b) { return b ? "yes" : "no"; }
+
+}  // namespace
 
 int main() {
   using namespace lamp;
@@ -21,14 +36,15 @@ int main() {
                      "TC(x,y) <- E(x,y)\n"
                      "TC(x,y) <- TC(x,z), TC(z,y)\n"
                      "OUT(x,y) <- ADom(x), ADom(y), !TC(x,y)");
+    const sa::FragmentReport report = Classify(schema, program);
     std::printf("program 1 (not-TC):\n");
-    std::printf("  stratifies: %s\n",
-                program.Stratify().has_value() ? "yes" : "no");
-    std::printf("  semi-positive: %s\n",
-                program.IsSemiPositive() ? "yes" : "no");
+    std::printf("  stratifies: %s\n", YesNo(report.strata.has_value()));
+    std::printf(
+        "  semi-positive: %s\n",
+        YesNo(report.Verdict(sa::Fragment::kSemiPositive).certified));
     std::printf("  semi-connected: %s (disconnected rule is in the last "
                 "stratum)\n",
-                program.IsSemiConnected() ? "yes" : "no");
+                YesNo(report.Verdict(sa::Fragment::kSemiConnected).certified));
 
     Instance edb;
     AddPathGraph(schema, schema.IdOf("E"), 8, edb);
@@ -48,12 +64,12 @@ int main() {
         "T(x,y,z) <- E(x,y), E(y,z), E(z,x), y != x, y != z, x != z\n"
         "S(x) <- ADom(x), T(u,v,w)\n"
         "OUT(x,y) <- E(x,y), !S(x)");
+    const sa::FragmentReport report = Classify(schema, program);
     std::printf("program 2 (no-triangle):\n");
-    std::printf("  stratifies: %s\n",
-                program.Stratify().has_value() ? "yes" : "no");
+    std::printf("  stratifies: %s\n", YesNo(report.strata.has_value()));
     std::printf("  semi-connected: %s (the S rule is disconnected and not "
                 "last)\n",
-                program.IsSemiConnected() ? "yes" : "no");
+                YesNo(report.Verdict(sa::Fragment::kSemiConnected).certified));
   }
 
   // -- win-move under the well-founded semantics ----------------------------
@@ -63,7 +79,7 @@ int main() {
         ParseProgram(schema, "WIN(x) <- MOVE(x,y), !WIN(y)");
     std::printf("win-move:\n");
     std::printf("  stratifies: %s (negative recursion)\n",
-                program.Stratify().has_value() ? "yes" : "no");
+                YesNo(Classify(schema, program).strata.has_value()));
 
     // A small game: a chain 3->2->1->0 plus a draw cycle 7<->8.
     Instance edb;

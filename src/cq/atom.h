@@ -1,6 +1,7 @@
 #ifndef LAMP_CQ_ATOM_H_
 #define LAMP_CQ_ATOM_H_
 
+#include <cstddef>
 #include <set>
 #include <vector>
 
@@ -34,6 +35,11 @@ inline std::set<VarId> AtomVars(const Atom& atom) {
   }
   return vars;
 }
+
+/// Connected components of \p atoms under shared variables: result[i] is
+/// the component of atoms[i], numbered densely in the order of each
+/// component's first atom. Constants never connect atoms.
+std::vector<std::size_t> AtomComponents(const std::vector<Atom>& atoms);
 
 }  // namespace lamp
 

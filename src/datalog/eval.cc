@@ -1,10 +1,13 @@
 #include "datalog/eval.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "cq/eval.h"
+#include "datalog/depgraph.h"
 #include "obs/trace.h"
 
 namespace lamp {
@@ -65,6 +68,22 @@ std::vector<bool> NotEdb(const DatalogProgram& program, RelationId adom) {
   return not_edb;
 }
 
+/// The rule strata of \p program. Aborts naming the negation cycle when
+/// the program does not stratify.
+Stratification StratifyOrDie(const Schema& schema,
+                             const DatalogProgram& program) {
+  const DependencyGraph graph(program);
+  std::optional<StratumAssignment> strata = graph.Stratify();
+  if (!strata.has_value()) {
+    const std::string message =
+        "program does not stratify: " +
+        DescribeNegationCycle(schema, *graph.FindNegationCycle()) +
+        "; use well-founded evaluation";
+    LAMP_CHECK_MSG(false, message.c_str());
+  }
+  return std::move(strata->rule_strata);
+}
+
 }  // namespace
 
 void DatalogStats::ToMetrics(obs::MetricsRegistry& registry) const {
@@ -85,10 +104,8 @@ Instance EvaluateProgram(const Schema& schema, const DatalogProgram& program,
 FixpointContinuation::FixpointContinuation(const Schema& schema,
                                            const DatalogProgram& program)
     : adom_(ADomOf(schema)), not_edb_(NotEdb(program, adom_)) {
-  const auto strata = program.Stratify();
-  LAMP_CHECK_MSG(strata.has_value(),
-                 "program does not stratify; use well-founded evaluation");
-  for (const std::vector<std::size_t>& rule_ids : *strata) {
+  for (const std::vector<std::size_t>& rule_ids :
+       StratifyOrDie(schema, program)) {
     Stratum stratum;
     for (std::size_t idx : rule_ids) {
       const ConjunctiveQuery& rule = program.rules()[idx];
@@ -201,9 +218,7 @@ Instance EvaluateProgramNaive(const Schema& schema,
                               const DatalogProgram& program,
                               const Instance& edb, DatalogStats* stats,
                               obs::MetricsRegistry* metrics) {
-  const auto strata = program.Stratify();
-  LAMP_CHECK_MSG(strata.has_value(),
-                 "program does not stratify; use well-founded evaluation");
+  const Stratification strata = StratifyOrDie(schema, program);
 
   Instance current = edb;
   const RelationId adom = ADomOf(schema);
@@ -218,9 +233,9 @@ Instance EvaluateProgramNaive(const Schema& schema,
   // insert order equals the old materialise-then-copy order.
   std::vector<Value> buffer;
 
-  for (const std::vector<std::size_t>& stratum : *strata) {
+  for (const std::vector<std::size_t>& stratum : strata) {
     const std::size_t stratum_idx =
-        static_cast<std::size_t>(&stratum - &(*strata)[0]);
+        static_cast<std::size_t>(&stratum - strata.data());
     std::size_t iteration_idx = 0;
     bool changed = true;
     while (changed) {

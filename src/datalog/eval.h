@@ -46,8 +46,9 @@ struct DatalogStats {
 };
 
 /// Evaluates \p program on \p edb and returns EDB + all derived IDB facts:
-/// a copy of \p edb continued from zero marks. Aborts if the program does
-/// not stratify; use wellfounded.h for programs with negative recursion.
+/// a copy of \p edb continued from zero marks. Aborts, naming a negation
+/// cycle (depgraph.h), if the program does not stratify; use wellfounded.h
+/// for programs with negative recursion.
 ///
 /// When \p metrics is non-null the run additionally records the
 /// datalog.* schema of obs/metrics.h, including the per-iteration
@@ -98,8 +99,8 @@ Instance EvaluateProgramNaive(const Schema& schema,
 /// Rounds emit kDatalogIteration and count into DatalogStats (ADom seeds
 /// are not derived facts). The object keeps no per-state data, so one
 /// instance serves any number of states; it refers to \p program's rules,
-/// so the program must outlive it. Aborts if the program does not
-/// stratify.
+/// so the program must outlive it. Aborts, naming a negation cycle, if
+/// the program does not stratify.
 class FixpointContinuation {
  public:
   FixpointContinuation(const Schema& schema, const DatalogProgram& program);

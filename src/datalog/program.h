@@ -1,7 +1,6 @@
 #ifndef LAMP_DATALOG_PROGRAM_H_
 #define LAMP_DATALOG_PROGRAM_H_
 
-#include <optional>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -14,21 +13,13 @@
 /// (Section 5.3 of the paper). A rule is a ConjunctiveQuery whose head
 /// relation is intensional; rules may negate atoms and use !=.
 ///
-/// The structural analyses implemented here are the ones Figure 2 of the
-/// paper is built from:
-///  * stratification (and its failure for programs like win-move);
-///  * semi-positivity — negation applied to extensional relations only
-///    (SP-Datalog, contained in Mdistinct);
-///  * per-rule connectedness — the graph formed by the positive atoms is
-///    connected — and semi-connectedness: every stratum except possibly
-///    the last is connected (captures Mdisjoint together with value
-///    invention).
+/// Stratification (and its negation-cycle witness for programs like
+/// win-move) is computed by the dependency graph in depgraph.h. The
+/// Figure 2 fragments built on it — semi-positive and semi-connected
+/// programs — are decided by sa::ClassifyFragments (sa/fragment.h), with
+/// per-rule connectedness from AtomComponents (cq/atom.h).
 
 namespace lamp {
-
-/// A stratification: strata[k] lists the indices of the rules evaluated in
-/// stratum k (bottom-up order).
-using Stratification = std::vector<std::vector<std::size_t>>;
 
 /// A Datalog program over some shared Schema.
 class DatalogProgram {
@@ -44,27 +35,8 @@ class DatalogProgram {
   /// Relations appearing in bodies but never in a head.
   std::set<RelationId> EdbRelations() const;
 
-  /// Computes a stratification, or nullopt if the program has negative
-  /// recursion (e.g. win-move).
-  std::optional<Stratification> Stratify() const;
-
   /// True when some rule has a negated atom.
   bool HasNegation() const;
-
-  /// True when every negated atom refers to an extensional relation.
-  bool IsSemiPositive() const;
-
-  /// True when the positive body atoms of \p rule form a connected
-  /// hypergraph on variables (rules with <= 1 positive atom are connected).
-  static bool IsConnectedRule(const ConjunctiveQuery& rule);
-
-  /// True when every rule is connected.
-  bool IsConnected() const;
-
-  /// True when the program stratifies and every stratum except possibly
-  /// the last consists of connected rules only (the effective syntax for
-  /// queries distributing over components / class Mdisjoint).
-  bool IsSemiConnected() const;
 
  private:
   std::vector<ConjunctiveQuery> rules_;

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "datalog/depgraph.h"
 #include "datalog/eval.h"
 
 namespace lamp {
@@ -35,7 +36,7 @@ WellFoundedModel EvaluateWellFounded(Schema& schema,
     }
     rewritten.AddRule(std::move(copy));
   }
-  LAMP_CHECK_MSG(rewritten.Stratify().has_value(),
+  LAMP_CHECK_MSG(DependencyGraph(rewritten).IsStratifiable(),
                  "rewritten program must stratify (negation now on shadows)");
 
   // Gamma(X): least model with negation evaluated against the fixed X.

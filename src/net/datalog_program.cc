@@ -1,40 +1,12 @@
 #include "net/datalog_program.h"
 
 #include <cstdio>
-#include <optional>
-#include <string>
-
-#include "common/check.h"
-#include "sa/depgraph.h"
 
 namespace lamp {
 
-namespace {
-
-/// Returns \p program after refusing an unstratifiable one. Negation is
-/// only meaningful under a stratification; without one the evaluator has
-/// no semantics to pipeline at all, so refuse outright — with the concrete
-/// cycle, courtesy of the static analyzer.
-const DatalogProgram& Stratifiable(const Schema& schema,
-                                   const DatalogProgram& program) {
-  if (!program.HasNegation()) return program;
-  const std::optional<sa::NegationCycle> cycle =
-      sa::DependencyGraph(program).FindNegationCycle();
-  if (cycle.has_value()) {
-    const std::string message =
-        "distributed pipelining requires a stratifiable program: " +
-        sa::DescribeNegationCycle(schema, *cycle);
-    LAMP_CHECK_MSG(false, message.c_str());
-  }
-  return program;
-}
-
-}  // namespace
-
 DistributedDatalogProgram::DistributedDatalogProgram(
     const Schema& schema, const DatalogProgram& program)
-    : idb_(program.IdbRelations()),
-      continuation_(schema, Stratifiable(schema, program)) {
+    : idb_(program.IdbRelations()), continuation_(schema, program) {
   if (!program.HasNegation()) return;
   // Stratified negation is accepted but flagged: pipelining derives from
   // whatever subset of the instance has arrived, which is only guaranteed

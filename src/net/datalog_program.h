@@ -31,12 +31,12 @@ namespace lamp {
 /// Runs \p program distributed over the shared \p schema. The program must
 /// outlive this object.
 ///
-/// Negation policy (checked at construction via sa/depgraph.h): an
-/// unstratifiable program is rejected with its negation-cycle witness —
-/// there is no stratified semantics to pipeline. A program with
-/// *stratified* negation is accepted with a warning to stderr: the
-/// eventual-consistency guarantee of IDB pipelining only covers the
-/// monotone (negation-free) part.
+/// Negation policy (checked at construction): an unstratifiable program
+/// is rejected — the evaluator (FixpointContinuation) aborts naming its
+/// negation cycle — since there is no stratified semantics to pipeline.
+/// A program with *stratified* negation is accepted with a warning to
+/// stderr: the eventual-consistency guarantee of IDB pipelining only
+/// covers the monotone (negation-free) part.
 class DistributedDatalogProgram : public TransducerProgram {
  public:
   DistributedDatalogProgram(const Schema& schema,

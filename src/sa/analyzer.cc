@@ -70,15 +70,14 @@ void AddDiagnostic(ProgramAnalysis& analysis, LintSeverity severity,
   analysis.diagnostics.push_back(std::move(d));
 }
 
-/// Runs the graph, fragment and lint analyses over analysis.program and
-/// appends the results (after any parse/pragma diagnostics already
-/// present).
+/// Runs the fragment and lint analyses over analysis.program, both from
+/// one dependency graph, and appends the results (after any parse/pragma
+/// diagnostics already present).
 void RunCore(const Schema& schema, ProgramAnalysis& analysis,
              const AnalyzerOptions& options,
              std::vector<RelationId> declared_relations) {
-  analysis.fragments = ClassifyFragments(schema, analysis.program);
   const DependencyGraph graph(analysis.program);
-  analysis.strata = graph.Stratify();
+  analysis.fragments = ClassifyFragments(schema, analysis.program, graph);
 
   LintOptions lint;
   lint.subsumption = options.subsumption;
@@ -102,7 +101,7 @@ void RunCore(const Schema& schema, ProgramAnalysis& analysis,
   }
 
   std::vector<LintDiagnostic> found =
-      LintProgram(schema, analysis.program, lint);
+      LintProgram(schema, analysis.program, graph, lint);
   for (LintDiagnostic& d : found) {
     if (d.rule_index >= 0 &&
         static_cast<std::size_t>(d.rule_index) < analysis.rule_lines.size()) {
@@ -232,19 +231,19 @@ obs::JsonValue AnalysisToJson(const Schema& schema,
   doc.Set("rules", std::move(rules));
 
   JsonValue strat = JsonValue::Object();
-  strat.Set("stratified", analysis.strata.has_value());
-  if (analysis.strata.has_value()) {
-    strat.Set("num_strata", analysis.strata->num_strata);
+  strat.Set("stratified", analysis.fragments.strata.has_value());
+  if (analysis.fragments.strata.has_value()) {
+    strat.Set("num_strata", analysis.fragments.strata->num_strata);
     JsonValue strata = JsonValue::Array();
     for (const std::vector<std::size_t>& stratum :
-         analysis.strata->rule_strata) {
+         analysis.fragments.strata->rule_strata) {
       JsonValue indices = JsonValue::Array();
       for (std::size_t k : stratum) indices.PushBack(k);
       strata.PushBack(std::move(indices));
     }
     strat.Set("rule_strata", std::move(strata));
     JsonValue per_relation = JsonValue::Object();
-    for (const auto& [rel, s] : analysis.strata->relation_stratum) {
+    for (const auto& [rel, s] : analysis.fragments.strata->relation_stratum) {
       per_relation.Set(schema.NameOf(rel), s);
     }
     strat.Set("relation_strata", std::move(per_relation));
@@ -306,10 +305,10 @@ std::string RenderAnalysisText(const Schema& schema,
   if (!analysis.parse_ok) out += " (with parse errors)";
   out += "\n";
 
-  if (analysis.strata.has_value()) {
+  if (analysis.fragments.strata.has_value()) {
     out += "stratified: yes (" +
-           std::to_string(analysis.strata->num_strata) + " strat" +
-           (analysis.strata->num_strata == 1 ? "um" : "a") + ")\n";
+           std::to_string(analysis.fragments.strata->num_strata) + " strat" +
+           (analysis.fragments.strata->num_strata == 1 ? "um" : "a") + ")\n";
   } else {
     out += "stratified: no";
     if (analysis.fragments.cycle.has_value()) {

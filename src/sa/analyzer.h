@@ -2,7 +2,6 @@
 #define LAMP_SA_ANALYZER_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "datalog/program.h"
 #include "obs/json.h"
 #include "relational/schema.h"
-#include "sa/depgraph.h"
 #include "sa/fragment.h"
 #include "sa/lint.h"
 
@@ -43,8 +41,8 @@ struct ProgramAnalysis {
   DatalogProgram program;
   std::vector<int> rule_lines;  // 1-based source line per rule; text mode.
 
+  /// The Figure 2 classification, with the program's stratification.
   FragmentReport fragments;
-  std::optional<StratumAssignment> strata;
 
   /// Parse errors (pass "parse"), pragma problems (pass "pragma") and
   /// every lint diagnostic, in that order.

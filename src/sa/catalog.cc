@@ -146,7 +146,7 @@ std::vector<std::string> CheckCatalogExpectations(
   if (!analysis.parse_ok) {
     mismatches.push_back("catalog text failed to parse");
   }
-  const bool stratified = analysis.strata.has_value();
+  const bool stratified = analysis.fragments.strata.has_value();
   if (stratified != entry.expected_stratified) {
     mismatches.push_back(std::string("expected stratified=") +
                          (entry.expected_stratified ? "yes" : "no") +

@@ -1,8 +1,5 @@
 #include "sa/fragment.h"
 
-#include <map>
-#include <numeric>
-
 #include "common/check.h"
 
 namespace lamp::sa {
@@ -41,30 +38,6 @@ std::string_view FragmentClassName(Fragment fragment) {
       return "Mdisjoint";
   }
   return "?";
-}
-
-std::vector<std::size_t> BodyAtomComponents(const ConjunctiveQuery& rule) {
-  const std::vector<Atom>& body = rule.body();
-  std::vector<std::size_t> parent(body.size());
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  auto find = [&parent](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  std::map<VarId, std::size_t> owner;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    for (const Term& t : body[i].terms) {
-      if (!t.IsVar()) continue;
-      auto [it, inserted] = owner.emplace(t.var, i);
-      if (!inserted) parent[find(i)] = find(it->second);
-    }
-  }
-  std::vector<std::size_t> roots(body.size());
-  for (std::size_t i = 0; i < body.size(); ++i) roots[i] = find(i);
-  return roots;
 }
 
 namespace {
@@ -124,10 +97,10 @@ void RefuteSemiConnected(const Schema& schema, const DatalogProgram& program,
   const std::vector<ConjunctiveQuery>& rules = program.rules();
   for (std::size_t s = 0; s + 1 < strata->rule_strata.size(); ++s) {
     for (std::size_t k : strata->rule_strata[s]) {
-      const std::vector<std::size_t> roots = BodyAtomComponents(rules[k]);
-      if (roots.empty()) continue;
-      for (std::size_t i = 1; i < roots.size(); ++i) {
-        if (roots[i] == roots[0]) continue;
+      const std::vector<std::size_t> component =
+          AtomComponents(rules[k].body());
+      for (std::size_t i = 1; i < component.size(); ++i) {
+        if (component[i] == 0) continue;
         FragmentRefutation r;
         r.rule_index = k;
         r.atom_index = static_cast<int>(i);
@@ -149,12 +122,11 @@ void RefuteSemiConnected(const Schema& schema, const DatalogProgram& program,
 }  // namespace
 
 FragmentReport ClassifyFragments(const Schema& schema,
-                                 const DatalogProgram& program) {
+                                 const DatalogProgram& program,
+                                 const DependencyGraph& graph) {
   FragmentReport report;
-  const DependencyGraph graph(program);
-  const std::optional<StratumAssignment> strata = graph.Stratify();
-  report.stratified = strata.has_value();
-  if (!report.stratified) report.cycle = graph.FindNegationCycle();
+  report.strata = graph.Stratify();
+  if (!report.strata.has_value()) report.cycle = graph.FindNegationCycle();
 
   for (Fragment fragment : kAllFragments) {
     FragmentVerdict& verdict =
@@ -168,7 +140,8 @@ FragmentReport ClassifyFragments(const Schema& schema,
         RefuteSemiPositive(schema, program, verdict);
         break;
       case Fragment::kSemiConnected:
-        RefuteSemiConnected(schema, program, strata, report.cycle, verdict);
+        RefuteSemiConnected(schema, program, report.strata, report.cycle,
+                            verdict);
         break;
     }
     verdict.certified = verdict.refutations.empty();
@@ -177,7 +150,7 @@ FragmentReport ClassifyFragments(const Schema& schema,
   // trivially; semi-positive because IDB negation is what cycles need) —
   // cross-check the two analyses agree.
   if (report.Verdict(Fragment::kSemiPositive).certified) {
-    LAMP_CHECK(report.stratified);
+    LAMP_CHECK(report.strata.has_value());
   }
 
   for (Fragment fragment : kAllFragments) {

@@ -8,9 +8,9 @@
 #include <string_view>
 #include <vector>
 
+#include "datalog/depgraph.h"
 #include "datalog/monotone.h"
 #include "datalog/program.h"
-#include "sa/depgraph.h"
 
 /// \file
 /// Syntactic fragment classifiers for the Figure 2 hierarchy. Membership
@@ -74,8 +74,8 @@ struct FragmentVerdict {
 
 /// The full Figure 2 classification of one program.
 struct FragmentReport {
-  bool stratified = false;
-  std::optional<NegationCycle> cycle;  // Set when !stratified.
+  std::optional<StratumAssignment> strata;  // nullopt: does not stratify.
+  std::optional<NegationCycle> cycle;       // Set when strata is nullopt.
   std::array<FragmentVerdict, 3> verdicts;
   /// First certified fragment in kAllFragments order (strongest
   /// guarantee), and the monotonicity class it certifies.
@@ -87,15 +87,12 @@ struct FragmentReport {
   }
 };
 
-/// Classifies \p program against every fragment. \p schema renders
-/// relation names inside refutation messages.
+/// Classifies \p program, whose dependency graph is \p graph, against
+/// every fragment. \p schema renders relation names inside refutation
+/// messages.
 FragmentReport ClassifyFragments(const Schema& schema,
-                                 const DatalogProgram& program);
-
-/// Union-find root per positive body atom of \p rule: two atoms share a
-/// root iff they are connected through shared variables. The refutation
-/// detail behind DatalogProgram::IsConnectedRule.
-std::vector<std::size_t> BodyAtomComponents(const ConjunctiveQuery& rule);
+                                 const DatalogProgram& program,
+                                 const DependencyGraph& graph);
 
 }  // namespace lamp::sa
 

@@ -1,12 +1,11 @@
 #include "sa/lint.h"
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
 
 #include "cq/containment.h"
-#include "sa/depgraph.h"
 
 namespace lamp::sa {
 
@@ -55,6 +54,7 @@ void Emit(std::vector<LintDiagnostic>& out, LintSeverity severity,
 
 std::vector<LintDiagnostic> LintProgram(const Schema& schema,
                                         const DatalogProgram& program,
+                                        const DependencyGraph& graph,
                                         const LintOptions& options) {
   std::vector<LintDiagnostic> out;
   const std::vector<ConjunctiveQuery>& rules = program.rules();
@@ -95,7 +95,6 @@ std::vector<LintDiagnostic> LintProgram(const Schema& schema,
   }
 
   // -- stratification ------------------------------------------------------
-  const DependencyGraph graph(program);
   if (!graph.IsStratifiable()) {
     const std::optional<NegationCycle> cycle = graph.FindNegationCycle();
     Emit(out, LintSeverity::kError, "stratification",
@@ -214,54 +213,33 @@ std::vector<LintDiagnostic> LintProgram(const Schema& schema,
     const ConjunctiveQuery& rule = rules[k];
     const std::vector<Atom>& body = rule.body();
     if (body.size() < 2) continue;
-    std::vector<std::size_t> parent(body.size());
-    for (std::size_t a = 0; a < body.size(); ++a) parent[a] = a;
-    const auto find = [&parent](std::size_t a) {
-      while (parent[a] != a) {
-        parent[a] = parent[parent[a]];
-        a = parent[a];
-      }
-      return a;
+    // Each negated atom and inequality joins, as one more atom after the
+    // body, the components of its variables that the body binds (an
+    // unbound one is the safety pass's business).
+    const std::set<VarId> bound = rule.BodyVars();
+    std::vector<Atom> atoms = body;
+    const auto link = [&](std::vector<Term> terms) {
+      std::erase_if(terms, [&bound](const Term& t) {
+        return !t.IsVar() || bound.count(t.var) == 0;
+      });
+      atoms.emplace_back(RelationId{0}, std::move(terms));
     };
-    std::map<VarId, std::size_t> first_atom;
-    for (std::size_t a = 0; a < body.size(); ++a) {
-      for (const Term& term : body[a].terms) {
-        if (!term.IsVar()) continue;
-        auto [it, inserted] = first_atom.emplace(term.var, a);
-        if (!inserted) parent[find(a)] = find(it->second);
-      }
-    }
-    // Negative literals union every positive atom their variables touch.
-    const auto connect_through = [&](const Term& term,
-                                     std::optional<std::size_t>& anchor) {
-      if (!term.IsVar()) return;
-      const auto it = first_atom.find(term.var);
-      if (it == first_atom.end()) return;  // Unsafe rule; safety flags it.
-      if (anchor.has_value()) {
-        parent[find(*anchor)] = find(it->second);
-      } else {
-        anchor = it->second;
-      }
-    };
-    for (const Atom& neg : rule.negated()) {
-      std::optional<std::size_t> anchor;
-      for (const Term& term : neg.terms) connect_through(term, anchor);
-    }
-    for (const auto& [a, b] : rule.inequalities()) {
-      std::optional<std::size_t> anchor;
-      connect_through(a, anchor);
-      connect_through(b, anchor);
-    }
-    std::set<std::size_t> roots;
-    for (std::size_t a = 0; a < body.size(); ++a) roots.insert(find(a));
-    if (roots.size() < 2) continue;
+    for (const Atom& neg : rule.negated()) link(neg.terms);
+    for (const auto& [a, b] : rule.inequalities()) link({a, b});
+    // The body atoms come first, so their components are numbered
+    // 0..n-1 in first-atom order.
+    std::vector<std::size_t> component = AtomComponents(atoms);
+    component.resize(body.size());
+    const std::size_t num_components =
+        *std::max_element(component.begin(), component.end()) + 1;
+    if (num_components < 2) continue;
     std::string groups;
-    for (const std::size_t root : roots) {
+    for (std::size_t c = 0; c < num_components; ++c) {
       if (!groups.empty()) groups += " x ";
       groups += "{";
       bool first = true;
       for (std::size_t a = 0; a < body.size(); ++a) {
-        if (find(a) != root) continue;
+        if (component[a] != c) continue;
         if (!first) groups += ", ";
         groups += RenderAtom(schema, rule, body[a]);
         first = false;
@@ -269,7 +247,7 @@ std::vector<LintDiagnostic> LintProgram(const Schema& schema,
       groups += "}";
     }
     Emit(out, LintSeverity::kWarning, "cross-product", static_cast<int>(k),
-         "body splits into " + std::to_string(roots.size()) +
+         "body splits into " + std::to_string(num_components) +
              " components sharing no variable (" + groups +
              ") — the join is a cross product with no key to route on");
   }

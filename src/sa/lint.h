@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "datalog/depgraph.h"
 #include "datalog/program.h"
 #include "relational/schema.h"
 
@@ -71,12 +72,13 @@ struct LintOptions {
   std::vector<RelationId> catalog_relations;
 };
 
-/// Runs every pass over \p program. Diagnostics are ordered by pass (in
-/// the order documented above), then by rule index — deterministic for
-/// golden files. Line numbers are filled by the caller (analyzer.h) when
-/// a source mapping exists.
+/// Runs every pass over \p program, whose dependency graph is \p graph.
+/// Diagnostics are ordered by pass (in the order documented above), then
+/// by rule index — deterministic for golden files. Line numbers are
+/// filled by the caller (analyzer.h) when a source mapping exists.
 std::vector<LintDiagnostic> LintProgram(const Schema& schema,
                                         const DatalogProgram& program,
+                                        const DependencyGraph& graph,
                                         const LintOptions& options = {});
 
 }  // namespace lamp::sa

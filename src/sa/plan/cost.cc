@@ -131,18 +131,9 @@ std::string BinaryInfeasibility(const ConjunctiveQuery& query,
   if (query.body()[0].relation == query.body()[1].relation) {
     return "self-joins are not supported by the binary-join routers";
   }
-  if (needs_shared_var) {
-    bool shares_var = false;
-    for (const Term& lt : query.body()[0].terms) {
-      if (!lt.IsVar()) continue;
-      for (const Term& rt : query.body()[1].terms) {
-        if (rt.IsVar() && rt.var == lt.var) shares_var = true;
-      }
-    }
-    if (!shares_var) {
-      return "atoms share no variable (cross product): there is no join "
-             "key to hash on";
-    }
+  if (needs_shared_var && AtomComponents(query.body())[1] != 0) {
+    return "atoms share no variable (cross product): there is no join "
+           "key to hash on";
   }
   return "";
 }

@@ -37,35 +37,6 @@ std::string_view RewriteKindName(RewriteKind kind) {
   return "unknown";
 }
 
-std::vector<std::size_t> JoinComponents(const ConjunctiveQuery& query) {
-  const std::vector<Atom>& body = query.body();
-  std::vector<std::size_t> parent(body.size());
-  for (std::size_t a = 0; a < body.size(); ++a) parent[a] = a;
-  const auto find = [&parent](std::size_t a) {
-    while (parent[a] != a) {
-      parent[a] = parent[parent[a]];
-      a = parent[a];
-    }
-    return a;
-  };
-  // Union atoms through the first atom each variable was seen in.
-  std::map<VarId, std::size_t> first_atom;
-  for (std::size_t a = 0; a < body.size(); ++a) {
-    for (const Term& term : body[a].terms) {
-      if (!term.IsVar()) continue;
-      auto [it, inserted] = first_atom.emplace(term.var, a);
-      if (!inserted) parent[find(a)] = find(it->second);
-    }
-  }
-  std::vector<std::size_t> component(body.size());
-  std::map<std::size_t, std::size_t> dense;
-  for (std::size_t a = 0; a < body.size(); ++a) {
-    const std::size_t root = find(a);
-    component[a] = dense.emplace(root, dense.size()).first->second;
-  }
-  return component;
-}
-
 std::vector<Rewrite> ApplyRewrites(const ConjunctiveQuery& query,
                                    const Estimator& estimator,
                                    std::vector<AtomEstimate>& atoms) {
@@ -165,7 +136,7 @@ std::vector<Rewrite> ApplyRewrites(const ConjunctiveQuery& query,
   }
 
   // Pass 3: cross-product detection (hazard, no size change).
-  const std::vector<std::size_t> components = JoinComponents(query);
+  const std::vector<std::size_t> components = AtomComponents(body);
   std::size_t num_components = 0;
   for (const std::size_t c : components) {
     num_components = std::max(num_components, c + 1);

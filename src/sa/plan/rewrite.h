@@ -48,11 +48,6 @@ struct Rewrite {
   double after = 0.0;          // Effective cardinality after.
 };
 
-/// Connected components of the positive body atoms under shared
-/// variables: result[a] = component id of atom a (ids are dense, in
-/// first-occurrence order). Constants never connect atoms.
-std::vector<std::size_t> JoinComponents(const ConjunctiveQuery& query);
-
 /// Applies all rewrites in a fixed order (pushdowns, then reducers, then
 /// cross-product detection), mutating the atoms' `effective` sizes and
 /// returning the applied list.

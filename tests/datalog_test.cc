@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "datalog/depgraph.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "datalog/wellfounded.h"
@@ -78,50 +79,25 @@ TEST(Program, IdbEdbSplit) {
 TEST(Program, StratifiesComplementTc) {
   Schema schema;
   const DatalogProgram p = ParseProgram(schema, kComplementTc);
-  const auto strata = p.Stratify();
+  const auto strata = DependencyGraph(p).Stratify();
   ASSERT_TRUE(strata.has_value());
-  ASSERT_EQ(strata->size(), 2u);
   // TC rules in stratum 0, OUT rule in stratum 1.
-  EXPECT_EQ((*strata)[0].size(), 2u);
-  EXPECT_EQ((*strata)[1].size(), 1u);
+  EXPECT_EQ(strata->rule_strata,
+            (Stratification{{0u, 1u}, {2u}}));
 }
 
 TEST(Program, WinMoveDoesNotStratify) {
   Schema schema;
   const DatalogProgram p = ParseProgram(schema, kWinMove);
-  EXPECT_FALSE(p.Stratify().has_value());
+  EXPECT_FALSE(DependencyGraph(p).Stratify().has_value());
 }
 
-TEST(Program, SemiPositivity) {
+TEST(ProgramDeathTest, EvaluatorRefusesWinMoveNamingItsCycle) {
   Schema schema;
-  // Negation on the EDB only.
-  const DatalogProgram sp = ParseProgram(schema, kSemiPositive);
-  EXPECT_TRUE(sp.IsSemiPositive());
-
-  Schema schema2;
-  const DatalogProgram not_sp = ParseProgram(schema2, kComplementTc);
-  EXPECT_FALSE(not_sp.IsSemiPositive());  // !TC negates an IDB relation.
-}
-
-TEST(Program, ConnectednessOfPaperExamples) {
-  Schema schema;
-  const DatalogProgram tc = ParseProgram(schema, kComplementTc);
-  // TC rules are connected; the OUT rule (ADom(x), ADom(y)) is not.
-  EXPECT_TRUE(DatalogProgram::IsConnectedRule(tc.rules()[0]));
-  EXPECT_TRUE(DatalogProgram::IsConnectedRule(tc.rules()[1]));
-  EXPECT_FALSE(DatalogProgram::IsConnectedRule(tc.rules()[2]));
-  EXPECT_FALSE(tc.IsConnected());
-  // Semi-connected: the disconnected rule sits in the last stratum.
-  EXPECT_TRUE(tc.IsSemiConnected());
-}
-
-TEST(Program, NoTriangleProgramIsNotSemiConnected) {
-  // The paper: "the rule defining S is not connected", and S feeds a
-  // negation in a later stratum.
-  Schema schema;
-  const DatalogProgram p = ParseProgram(schema, kNoTriangle);
-  ASSERT_TRUE(p.Stratify().has_value());
-  EXPECT_FALSE(p.IsSemiConnected());
+  const DatalogProgram p =
+      ParseProgram(schema, "Win(x) <- Move(x,y), !Win(y)");
+  EXPECT_DEATH(EvaluateProgram(schema, p, Instance()), "Win -!-> Win");
+  EXPECT_DEATH(EvaluateProgramNaive(schema, p, Instance()), "Win -!-> Win");
 }
 
 TEST(Eval, TransitiveClosureOnPath) {

@@ -14,6 +14,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "obs/json.h"
 #include "sa/analyzer.h"
@@ -95,15 +97,15 @@ TEST(LampLintFixtureTest, CleanHasNoDiagnostics) {
   EXPECT_TRUE(a.analysis.parse_ok);
   EXPECT_EQ(a.analysis.ErrorCount(), 0u);
   EXPECT_EQ(a.analysis.WarningCount(), 0u);
-  ASSERT_TRUE(a.analysis.strata.has_value());
-  EXPECT_EQ(a.analysis.strata->num_strata, 2u);
+  ASSERT_TRUE(a.analysis.fragments.strata.has_value());
+  EXPECT_EQ(a.analysis.fragments.strata->num_strata, 2u);
   ASSERT_TRUE(a.analysis.fragments.strongest.has_value());
   EXPECT_EQ(*a.analysis.fragments.strongest, Fragment::kSemiConnected);
 }
 
 TEST(LampLintFixtureTest, UnstratifiableNamesTheCycle) {
   const Analyzed a = AnalyzeFixture("unstratifiable");
-  EXPECT_FALSE(a.analysis.strata.has_value());
+  EXPECT_FALSE(a.analysis.fragments.strata.has_value());
   ASSERT_EQ(a.analysis.ErrorCount(), 1u);
   bool found = false;
   for (const LintDiagnostic& d : a.analysis.diagnostics) {
@@ -148,6 +150,41 @@ TEST(LampLintFixtureTest, CrossProductNamesBothComponents) {
     EXPECT_GT(d.line, 0) << d.message;
   }
   EXPECT_TRUE(found);
+}
+
+/// The cross-product messages of \p text, one per flagged rule.
+std::vector<std::string> CrossProductMessages(std::string_view text) {
+  Schema schema;
+  std::vector<std::string> messages;
+  for (const LintDiagnostic& d :
+       AnalyzeProgramText(schema, text).diagnostics) {
+    if (d.pass == "cross-product") messages.push_back(d.message);
+  }
+  return messages;
+}
+
+TEST(LampLintFixtureTest, CrossProductListsComponentsByFirstAtom) {
+  // B(w) forms the second component: it comes after A(x), the first atom
+  // of the other one, though C(y) and D(x,y) follow it.
+  const std::vector<std::string> messages =
+      CrossProductMessages("H(x,w,y) <- A(x), B(w), C(y), D(x,y)");
+  ASSERT_EQ(messages.size(), 1u);
+  EXPECT_NE(messages[0].find("body splits into 2 components sharing no "
+                             "variable ({A(x), C(y), D(x,y)} x {B(w)})"),
+            std::string::npos)
+      << messages[0];
+}
+
+TEST(LampLintFixtureTest, NegatedAtomsAndInequalitiesJoinComponents) {
+  EXPECT_TRUE(CrossProductMessages("H(x,y) <- A(x), B(y), !N(x,y)").empty());
+  EXPECT_TRUE(CrossProductMessages("H(x,y) <- A(x), B(y), x != y").empty());
+  // Only variables the body binds link: u (unbound; the safety pass's
+  // error) does not chain !N(x,u) to u != y.
+  const std::vector<std::string> messages =
+      CrossProductMessages("H(x,y) <- A(x), B(y), !N(x,u), u != y");
+  ASSERT_EQ(messages.size(), 1u);
+  EXPECT_NE(messages[0].find("({A(x)} x {B(y)})"), std::string::npos)
+      << messages[0];
 }
 
 TEST(LampLintFixtureTest, NoStatisticsFlagsOnlyUncataloguedEdbAtoms) {

@@ -79,7 +79,7 @@ TEST(SaCrossvalTest, VerdictsMatchDynamicFalsifier) {
   for (const CatalogEntry& entry : ExampleCatalog()) {
     if (!entry.run_falsifier) continue;
     AnalyzedEntry a = Analyze(entry);
-    ASSERT_TRUE(a.analysis.strata.has_value()) << entry.id;
+    ASSERT_TRUE(a.analysis.fragments.strata.has_value()) << entry.id;
     const DatalogProgram& program = a.analysis.program;
     const QueryFunction q = [&a, &program](const Instance& i) {
       return EvaluateProgram(a.schema, program, i);
@@ -155,7 +155,8 @@ TEST(SaCrossvalTest, PrecisionGapIsDocumentedNotFalsified) {
   DatalogProgram prog = ParseProgram(schema,
                                      "F(x) <- E(x,x)\n"
                                      "H(x,y) <- E(x,y), E(x,x), !F(x)");
-  const FragmentReport report = ClassifyFragments(schema, prog);
+  const FragmentReport report =
+      ClassifyFragments(schema, prog, DependencyGraph(prog));
   EXPECT_FALSE(report.Verdict(Fragment::kNegationFree).certified);
   EXPECT_FALSE(report.Verdict(Fragment::kSemiPositive).certified);
   ASSERT_TRUE(report.strongest.has_value());

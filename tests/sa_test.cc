@@ -6,16 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "cq/parser.h"
+#include "datalog/depgraph.h"
 #include "datalog/program.h"
 #include "sa/analyzer.h"
 #include "sa/catalog.h"
-#include "sa/depgraph.h"
 #include "sa/fragment.h"
 #include "sa/lint.h"
 
@@ -28,6 +30,16 @@ namespace {
 
 DatalogProgram Parse(Schema& schema, std::string_view text) {
   return ParseProgram(schema, text);
+}
+
+FragmentReport Classify(const Schema& schema, const DatalogProgram& prog) {
+  return ClassifyFragments(schema, prog, DependencyGraph(prog));
+}
+
+std::vector<LintDiagnostic> Lint(const Schema& schema,
+                                 const DatalogProgram& prog,
+                                 const LintOptions& options = {}) {
+  return LintProgram(schema, prog, DependencyGraph(prog), options);
 }
 
 // --- Dependency graph ----------------------------------------------------
@@ -61,28 +73,141 @@ TEST(DepGraphTest, SccCondensationIsReverseTopological) {
             graph.ComponentOf(schema.IdOf("OUT")));
 }
 
-TEST(DepGraphTest, StratifyMatchesDatalogProgramStratify) {
-  const std::string_view programs[] = {
-      "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), E(z,y)",
-      "TC(x,y) <- E(x,y)\n"
-      "TC(x,y) <- TC(x,z), TC(z,y)\n"
-      "OUT(x,y) <- ADom(x), ADom(y), !TC(x,y)",
-      "A(x) <- E(x,y)\nB(x) <- A(x), !C(x)\nC(x) <- E(x,x)\n"
-      "D(x) <- B(x), !A(x)",
-      "H(x,y,z) <- E(x,y), E(y,z), !E(z,x)",
+/// A random safe program over unary relations P0..P5 and E0..E2: 1-8
+/// rules, each with 1-3 positive atoms and 0-2 negated atoms over x, so
+/// recursion, negation through recursion and negation cycles all occur.
+std::string RandomUnaryProgram(Rng& rng) {
+  constexpr const char* kRelations[] = {"P0", "P1", "P2", "P3", "P4",
+                                        "P5", "E0", "E1", "E2"};
+  const auto atom = [&rng, &kRelations](std::uint64_t among) {
+    return std::string(kRelations[rng.Uniform(among)]) + "(x)";
   };
-  for (std::string_view text : programs) {
-    Schema schema;
-    DatalogProgram prog = Parse(schema, text);
-    const DependencyGraph graph(prog);
-    const auto via_graph = graph.Stratify();
-    const auto via_program = prog.Stratify();
-    ASSERT_TRUE(via_graph.has_value()) << text;
-    ASSERT_TRUE(via_program.has_value()) << text;
-    // Both compute the least fixpoint of the same constraints, so the
-    // rule groupings must be identical.
-    EXPECT_EQ(via_graph->rule_strata, *via_program) << text;
+  std::string text;
+  const std::uint64_t num_rules = 1 + rng.Uniform(8);
+  for (std::uint64_t k = 0; k < num_rules; ++k) {
+    text += atom(6) + " <- " + atom(9);
+    const std::uint64_t positive = rng.Uniform(3);
+    for (std::uint64_t i = 0; i < positive; ++i) text += ", " + atom(9);
+    const std::uint64_t negated = rng.Uniform(3);
+    for (std::uint64_t i = 0; i < negated; ++i) text += ", !" + atom(9);
+    text += "\n";
   }
+  return text;
+}
+
+/// True when \p program has a rule with head \p head and a body atom
+/// (negated when \p negative) over \p body.
+bool HasEdge(const DatalogProgram& program, RelationId head, RelationId body,
+             bool negative) {
+  for (const ConjunctiveQuery& rule : program.rules()) {
+    if (rule.head().relation != head) continue;
+    for (const Atom& atom : negative ? rule.negated() : rule.body()) {
+      if (atom.relation == body) return true;
+    }
+  }
+  return false;
+}
+
+TEST(DepGraphTest, StratifySweepIsLeastAndRefusesExactlyTheNegationCycles) {
+  Rng rng(20161);
+  std::size_t stratified = 0;
+  std::size_t refused = 0;
+  for (int draw = 0; draw < 400; ++draw) {
+    Schema schema;
+    const std::string text = RandomUnaryProgram(rng);
+    const DatalogProgram prog = Parse(schema, text);
+    const DependencyGraph graph(prog);
+    const std::set<RelationId> idb = prog.IdbRelations();
+    const auto strata = graph.Stratify();
+    const auto cycle = graph.FindNegationCycle();
+    ASSERT_EQ(strata.has_value(), !cycle.has_value()) << text;
+
+    if (cycle.has_value()) {
+      ++refused;
+      // The witness is a cycle of the program: its first step is the
+      // negated atom it names, every later step some rule's body atom.
+      const std::vector<RelationId>& rels = cycle->relations;
+      ASSERT_FALSE(rels.empty()) << text;
+      const ConjunctiveQuery& rule = prog.rules().at(cycle->rule_index);
+      EXPECT_EQ(rule.head().relation, rels[0]) << text;
+      EXPECT_EQ(rule.negated().at(cycle->atom_index).relation,
+                rels[1 % rels.size()])
+          << text;
+      for (std::size_t i = 1; i < rels.size(); ++i) {
+        const RelationId next = rels[(i + 1) % rels.size()];
+        EXPECT_TRUE(HasEdge(prog, rels[i], next, false) ||
+                    HasEdge(prog, rels[i], next, true))
+            << text;
+      }
+      continue;
+    }
+
+    ++stratified;
+    const std::map<RelationId, std::size_t>& stratum =
+        strata->relation_stratum;
+    // Every edge into the IDB is respected, strictly when negated.
+    for (const ConjunctiveQuery& rule : prog.rules()) {
+      const std::size_t head = stratum.at(rule.head().relation);
+      for (const Atom& atom : rule.body()) {
+        if (idb.count(atom.relation) == 0) continue;
+        EXPECT_GE(head, stratum.at(atom.relation)) << text;
+      }
+      for (const Atom& atom : rule.negated()) {
+        if (idb.count(atom.relation) == 0) continue;
+        EXPECT_GT(head, stratum.at(atom.relation)) << text;
+      }
+    }
+    // Least: every relation above stratum 0 is held there by an edge to
+    // a relation that is itself held (or at 0). Otherwise the relations
+    // not held could all move down one stratum without breaking an edge.
+    std::set<RelationId> held;
+    for (const RelationId rel : idb) {
+      if (stratum.at(rel) == 0) held.insert(rel);
+    }
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (const ConjunctiveQuery& rule : prog.rules()) {
+        const RelationId head = rule.head().relation;
+        if (held.count(head) > 0) continue;
+        for (const bool negative : {false, true}) {
+          for (const Atom& atom : negative ? rule.negated() : rule.body()) {
+            if (held.count(atom.relation) == 0) continue;
+            if (stratum.at(atom.relation) + (negative ? 1 : 0) !=
+                stratum.at(head)) {
+              continue;
+            }
+            grew = held.insert(head).second || grew;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(held, idb) << text;
+    // The rule grouping follows the heads' strata.
+    std::size_t grouped = 0;
+    for (std::size_t s = 0; s < strata->rule_strata.size(); ++s) {
+      for (const std::size_t k : strata->rule_strata[s]) {
+        EXPECT_EQ(stratum.at(prog.rules()[k].head().relation), s) << text;
+        ++grouped;
+      }
+    }
+    EXPECT_EQ(grouped, prog.rules().size()) << text;
+  }
+  // The draws cover both verdicts.
+  EXPECT_GT(stratified, 100u);
+  EXPECT_GT(refused, 50u);
+}
+
+TEST(DepGraphTest, GraphOutlivesTheProgramItWasBuiltFrom) {
+  Schema schema;
+  const DependencyGraph graph(Parse(schema,
+                                    "A(x) <- E(x)\n"
+                                    "B(x) <- E(x), !A(x)\n"
+                                    "C(x) <- B(x)"));
+  const auto strata = graph.Stratify();
+  ASSERT_TRUE(strata.has_value());
+  EXPECT_EQ(strata->rule_strata, (Stratification{{0u}, {1u, 2u}}));
+  EXPECT_EQ(graph.UnreachableRules({schema.IdOf("B")}),
+            std::vector<std::size_t>{2u});
 }
 
 TEST(DepGraphTest, WinMoveDoesNotStratifyAndNamesItsCycle) {
@@ -91,7 +216,6 @@ TEST(DepGraphTest, WinMoveDoesNotStratifyAndNamesItsCycle) {
   const DependencyGraph graph(prog);
   EXPECT_FALSE(graph.IsStratifiable());
   EXPECT_FALSE(graph.Stratify().has_value());
-  EXPECT_FALSE(prog.Stratify().has_value());  // Agreement on "no".
   const auto cycle = graph.FindNegationCycle();
   ASSERT_TRUE(cycle.has_value());
   EXPECT_EQ(cycle->rule_index, 0u);
@@ -148,8 +272,8 @@ TEST(FragmentTest, RefutationsNameRuleAndAtom) {
   DatalogProgram prog = Parse(schema,
                               "TC(x,y) <- E(x,y)\n"
                               "OUT(x,y) <- E(x,y), !TC(x,y)");
-  const FragmentReport report = ClassifyFragments(schema, prog);
-  EXPECT_TRUE(report.stratified);
+  const FragmentReport report = Classify(schema, prog);
+  EXPECT_TRUE(report.strata.has_value());
 
   const FragmentVerdict& nf = report.Verdict(Fragment::kNegationFree);
   ASSERT_EQ(nf.refutations.size(), 1u);
@@ -173,8 +297,8 @@ TEST(FragmentTest, DisconnectedRuleInNonFinalStratumRefutesSemiConnected) {
                               "OUT(x,w) <- P(x,w), !Q(x)\n"
                               "Q(x) <- P(x,x)");
   // P and Q are below OUT's stratum; the P rule is disconnected.
-  const FragmentReport report = ClassifyFragments(schema, prog);
-  ASSERT_TRUE(report.stratified);
+  const FragmentReport report = Classify(schema, prog);
+  ASSERT_TRUE(report.strata.has_value());
   const FragmentVerdict& sc = report.Verdict(Fragment::kSemiConnected);
   EXPECT_FALSE(sc.certified);
   ASSERT_FALSE(sc.refutations.empty());
@@ -183,32 +307,73 @@ TEST(FragmentTest, DisconnectedRuleInNonFinalStratumRefutesSemiConnected) {
             std::string::npos);
 }
 
-TEST(FragmentTest, ClassifierAgreesWithDatalogProgramPredicates) {
-  for (const CatalogEntry& entry : ExampleCatalog()) {
-    Schema schema;
-    ProgramAnalysis analysis = AnalyzeProgramText(schema, entry.text);
-    const DatalogProgram& prog = analysis.program;
-    const FragmentReport& report = analysis.fragments;
-    EXPECT_EQ(report.Verdict(Fragment::kNegationFree).certified,
-              !prog.HasNegation())
-        << entry.id;
-    EXPECT_EQ(report.Verdict(Fragment::kSemiPositive).certified,
-              prog.IsSemiPositive())
-        << entry.id;
-    EXPECT_EQ(report.Verdict(Fragment::kSemiConnected).certified,
-              prog.IsSemiConnected())
-        << entry.id;
-  }
+// Example 5.13 program (1): complement of transitive closure.
+constexpr const char* kComplementTc = R"(
+  TC(x,y) <- E(x,y)
+  TC(x,y) <- TC(x,z), TC(z,y)
+  OUT(x,y) <- ADom(x), ADom(y), !TC(x,y)
+)";
+
+// Example 5.13 program (2): edge relation when no triangle exists.
+constexpr const char* kNoTriangle = R"(
+  T(x,y,z) <- E(x,y), E(y,z), E(z,x), y != x, y != z, x != z
+  S(x) <- ADom(x), T(u,v,w)
+  OUT(x,y) <- E(x,y), !S(x)
+)";
+
+bool Certified(const Schema& schema, const DatalogProgram& prog,
+               Fragment fragment) {
+  return Classify(schema, prog).Verdict(fragment).certified;
 }
 
-TEST(FragmentTest, BodyAtomComponentsSplitsOnSharedVariables) {
+TEST(FragmentTest, SemiPositivity) {
+  Schema schema;
+  // Negation on the EDB only.
+  const DatalogProgram sp = Parse(schema, "OUT(x,y) <- E(x,y), !F(x,y)");
+  EXPECT_TRUE(Certified(schema, sp, Fragment::kSemiPositive));
+
+  Schema schema2;
+  const DatalogProgram not_sp = Parse(schema2, kComplementTc);
+  // !TC negates an IDB relation.
+  EXPECT_FALSE(Certified(schema2, not_sp, Fragment::kSemiPositive));
+}
+
+TEST(FragmentTest, ConnectednessOfPaperExamples) {
+  Schema schema;
+  const DatalogProgram tc = Parse(schema, kComplementTc);
+  // TC rules are connected; the OUT rule (ADom(x), ADom(y)) is not.
+  const auto connected = [](const ConjunctiveQuery& rule) {
+    for (const std::size_t c : AtomComponents(rule.body())) {
+      if (c != 0) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(connected(tc.rules()[0]));
+  EXPECT_TRUE(connected(tc.rules()[1]));
+  EXPECT_FALSE(connected(tc.rules()[2]));
+  // Semi-connected: the disconnected rule sits in the last stratum.
+  EXPECT_TRUE(Certified(schema, tc, Fragment::kSemiConnected));
+}
+
+TEST(FragmentTest, NoTriangleProgramIsNotSemiConnected) {
+  // The paper: "the rule defining S is not connected", and S feeds a
+  // negation in a later stratum.
+  Schema schema;
+  const DatalogProgram p = Parse(schema, kNoTriangle);
+  const FragmentReport report = Classify(schema, p);
+  ASSERT_TRUE(report.strata.has_value());
+  EXPECT_FALSE(report.Verdict(Fragment::kSemiConnected).certified);
+}
+
+TEST(FragmentTest, AtomComponentsNumberByFirstAtom) {
   Schema schema;
   const ConjunctiveQuery rule =
-      ParseQuery(schema, "H(x,w) <- E(x,y), E(y,z), F(w)");
-  const std::vector<std::size_t> roots = BodyAtomComponents(rule);
-  ASSERT_EQ(roots.size(), 3u);
-  EXPECT_EQ(roots[0], roots[1]);  // Chained through y.
-  EXPECT_NE(roots[0], roots[2]);  // F(w) is an island.
+      ParseQuery(schema, "H(x,w) <- F(w), E(x,y), G(3), E(y,z), F(w)");
+  // F(w) twice; E(x,y), E(y,z) chained through y; G(3) shares no
+  // variable (constants never connect atoms).
+  EXPECT_EQ(AtomComponents(rule.body()),
+            (std::vector<std::size_t>{0u, 1u, 2u, 1u, 0u}));
+  EXPECT_TRUE(AtomComponents({}).empty());
 }
 
 // --- Lint ----------------------------------------------------------------
@@ -227,26 +392,26 @@ TEST(LintTest, CleanProgramHasNoDiagnostics) {
   DatalogProgram prog = Parse(schema,
                               "TC(x,y) <- E(x,y)\n"
                               "TC(x,y) <- TC(x,z), E(z,y)");
-  EXPECT_TRUE(LintProgram(schema, prog).empty());
+  EXPECT_TRUE(Lint(schema, prog).empty());
 }
 
 TEST(LintTest, UnsatisfiableRuleFlagged) {
   Schema schema;
   DatalogProgram contradiction =
       Parse(schema, "H(x) <- E(x,x), !E(x,x)");
-  const auto d1 = LintProgram(schema, contradiction);
+  const auto d1 = Lint(schema, contradiction);
   EXPECT_EQ(CountPass(d1, "unsatisfiable-rule"), 1u);
 
   Schema schema2;
   DatalogProgram never = Parse(schema2, "H(x) <- E(x,x), x != x");
-  const auto d2 = LintProgram(schema2, never);
+  const auto d2 = Lint(schema2, never);
   EXPECT_EQ(CountPass(d2, "unsatisfiable-rule"), 1u);
 }
 
 TEST(LintTest, DuplicateAtomFlagged) {
   Schema schema;
   DatalogProgram prog = Parse(schema, "H(x,y) <- E(x,y), E(x,y)");
-  const auto diagnostics = LintProgram(schema, prog);
+  const auto diagnostics = Lint(schema, prog);
   ASSERT_EQ(CountPass(diagnostics, "duplicate-atom"), 1u);
 }
 
@@ -255,7 +420,7 @@ TEST(LintTest, SubsumedRuleFlagged) {
   DatalogProgram prog = Parse(schema,
                               "H(x,y) <- E(x,y)\n"
                               "H(x,y) <- E(x,y), E(y,x)");
-  const auto diagnostics = LintProgram(schema, prog);
+  const auto diagnostics = Lint(schema, prog);
   ASSERT_EQ(CountPass(diagnostics, "subsumed-rule"), 1u);
   for (const LintDiagnostic& d : diagnostics) {
     if (d.pass == "subsumed-rule") {
@@ -269,7 +434,7 @@ TEST(LintTest, EquivalentRulePairFlagsExactlyOne) {
   DatalogProgram prog = Parse(schema,
                               "H(x,y) <- E(x,y)\n"
                               "H(a,b) <- E(a,b)");
-  const auto diagnostics = LintProgram(schema, prog);
+  const auto diagnostics = Lint(schema, prog);
   EXPECT_EQ(CountPass(diagnostics, "subsumed-rule"), 1u);
 }
 
@@ -280,7 +445,7 @@ TEST(LintTest, SubsumptionPassCanBeDisabled) {
                               "H(x,y) <- E(x,y), E(y,x)");
   LintOptions options;
   options.subsumption = false;
-  EXPECT_EQ(CountPass(LintProgram(schema, prog, options), "subsumed-rule"),
+  EXPECT_EQ(CountPass(Lint(schema, prog, options), "subsumed-rule"),
             0u);
 }
 
@@ -290,7 +455,7 @@ TEST(LintTest, UnusedRelationFlagged) {
   DatalogProgram prog = Parse(schema, "H(x,y) <- E(x,y)");
   LintOptions options;
   options.declared_relations = {unused, schema.IdOf("E")};
-  const auto diagnostics = LintProgram(schema, prog, options);
+  const auto diagnostics = Lint(schema, prog, options);
   ASSERT_EQ(CountPass(diagnostics, "unused-relation"), 1u);
   for (const LintDiagnostic& d : diagnostics) {
     if (d.pass == "unused-relation") {
@@ -306,7 +471,7 @@ TEST(LintTest, SafetyPassNamesTheVariable) {
   CqParseResult parsed = TryParseQuery(scratch, "H(x,z) <- E(x,y)");
   ASSERT_TRUE(parsed.ok());
   prog.AddRule(std::move(*parsed.query));
-  const auto diagnostics = LintProgram(scratch, prog);
+  const auto diagnostics = Lint(scratch, prog);
   ASSERT_EQ(CountPass(diagnostics, "safety"), 1u);
   EXPECT_EQ(diagnostics[0].severity, LintSeverity::kError);
   EXPECT_NE(diagnostics[0].message.find("'z'"), std::string::npos)
