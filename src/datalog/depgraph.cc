@@ -128,26 +128,23 @@ std::optional<StratumAssignment> DependencyGraph::Stratify() const {
   // bump: extensional relations are fully known from stratum 0, before
   // the evaluator runs any rule.
   if (!IsStratifiable()) return std::nullopt;
-  std::vector<std::size_t> component_stratum(components_.size(), 0);
 
-  // Relax component strata to the least fixpoint. The condensation is a
-  // DAG, so |components| passes suffice; we iterate until stable for
-  // simplicity (programs are small).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const DepEdge& e : edges_) {
-      const std::size_t head_comp = ComponentOf(e.head);
-      const std::size_t body_comp = ComponentOf(e.body);
-      if (head_comp == body_comp) continue;
-      const bool body_idb = idb_.count(e.body) > 0;
-      if (!body_idb) continue;  // EDB bodies sit at stratum 0 for free.
-      const std::size_t need =
-          component_stratum[body_comp] + (e.negative ? 1 : 0);
-      if (component_stratum[head_comp] < need) {
-        component_stratum[head_comp] = need;
-        changed = true;
-      }
+  // components_ is in reverse topological order: every edge leaving a
+  // component points to an earlier one. So one pass over the components
+  // in order reads each body stratum after it is final.
+  std::vector<std::vector<const DepEdge*>> edges_from(components_.size());
+  for (const DepEdge& e : edges_) {
+    edges_from[ComponentOf(e.head)].push_back(&e);
+  }
+  std::vector<std::size_t> component_stratum(components_.size(), 0);
+  for (std::size_t comp = 0; comp < components_.size(); ++comp) {
+    for (const DepEdge* e : edges_from[comp]) {
+      if (idb_.count(e->body) == 0) continue;  // EDB sits at 0 for free.
+      const std::size_t body_comp = ComponentOf(e->body);
+      if (body_comp == comp) continue;
+      component_stratum[comp] =
+          std::max(component_stratum[comp],
+                   component_stratum[body_comp] + (e->negative ? 1 : 0));
     }
   }
 

@@ -3,8 +3,6 @@
 #include <map>
 #include <string>
 
-#include "common/check.h"
-#include "datalog/depgraph.h"
 #include "datalog/eval.h"
 
 namespace lamp {
@@ -36,8 +34,10 @@ WellFoundedModel EvaluateWellFounded(Schema& schema,
     }
     rewritten.AddRule(std::move(copy));
   }
-  LAMP_CHECK_MSG(DependencyGraph(rewritten).IsStratifiable(),
-                 "rewritten program must stratify (negation now on shadows)");
+  // One continuation serves every gamma step, so the rewritten program is
+  // stratified once. It always stratifies: negation now reads shadows,
+  // which no rule derives.
+  const FixpointContinuation fixpoint(schema, rewritten);
 
   // Gamma(X): least model with negation evaluated against the fixed X.
   auto gamma = [&](const Instance& assumed) -> Instance {
@@ -46,8 +46,9 @@ WellFoundedModel EvaluateWellFounded(Schema& schema,
       const RowsView rows = assumed.RowsOf(rel);
       working.InsertRows(shadow_rel, rows.data, rows.num_rows, rows.arity);
     }
-    return EvaluateProgram(schema, rewritten, working)
-        .SelectRelations([&idb](RelationId r) { return idb.count(r) > 0; });
+    fixpoint.Continue(working, {});
+    return working.SelectRelations(
+        [&idb](RelationId r) { return idb.count(r) > 0; });
   };
 
   // Alternating fixpoint: A0 = empty, A_{i+1} = Gamma(A_i). Evens ascend

@@ -12,9 +12,6 @@ namespace lamp {
 
 namespace {
 
-static_assert(sizeof(Value) == sizeof(std::int64_t),
-              "rows are compared with memcmp; Value must be a bare int64");
-
 /// Returns \p values if already sorted, otherwise a sorted+deduped copy in
 /// \p scratch. Lets RestrictTo/Touching accept unsorted literals while the
 /// common caller (ActiveDomain output) pays no copy.
@@ -53,9 +50,33 @@ void Instance::Rehash(Column& c, std::size_t new_slots) {
 }
 
 std::size_t Instance::SlotsFor(const Column& c, std::size_t rows) {
+  // The one load factor: at most 3/4 of the slots hold a row, so a probe
+  // always ends at an empty slot and failed probes stay short.
   std::size_t slots = c.slots.size();
-  while (rows * 8 > slots * 7) slots = std::max<std::size_t>(16, slots * 2);
+  while (rows * 4 > slots * 3) slots = std::max<std::size_t>(16, slots * 2);
   return slots;
+}
+
+std::size_t Instance::FindSlot(const Column& c, const Value* row,
+                               std::uint64_t hash, bool* found) {
+  const std::size_t mask = c.slots.size() - 1;
+  const std::size_t arity = c.arity;
+  const Value* data = c.data.data();
+  for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
+       i = (i + 1) & mask) {
+    const std::uint32_t slot = c.slots[i];
+    if (slot == 0) {
+      *found = false;
+      return i;
+    }
+    const Value* other = data + (slot - 1) * arity;
+    std::size_t k = 0;
+    while (k < arity && other[k] == row[k]) ++k;
+    if (k == arity) {
+      *found = true;
+      return i;
+    }
+  }
 }
 
 void Instance::Reserve(RelationId relation, std::size_t rows,
@@ -79,36 +100,7 @@ void Instance::Reserve(RelationId relation, std::size_t rows,
 
 bool Instance::InsertRow(RelationId relation, const Value* row,
                          std::size_t arity) {
-  if (relation >= by_relation_.size()) by_relation_.resize(relation + 1);
-  Column& c = by_relation_[relation];
-  if (c.num_rows == 0) {
-    c.arity = static_cast<std::uint32_t>(arity);
-  } else {
-    LAMP_CHECK_MSG(arity == c.arity,
-                   "all rows of a relation must share one arity");
-  }
-
-  // Grow to keep the load factor below 7/8.
-  if ((c.num_rows + 1) * 8 > c.slots.size() * 7) {
-    Rehash(c, std::max<std::size_t>(16, c.slots.size() * 2));
-  }
-
-  const std::size_t mask = c.slots.size() - 1;
-  const std::size_t row_bytes = arity * sizeof(Value);
-  std::size_t i = static_cast<std::size_t>(HashRow(row, arity)) & mask;
-  while (c.slots[i] != 0) {
-    const std::size_t id = c.slots[i] - 1;
-    if (row_bytes == 0 ||
-        std::memcmp(c.data.data() + id * arity, row, row_bytes) == 0) {
-      return false;  // Duplicate (set semantics).
-    }
-    i = (i + 1) & mask;
-  }
-  c.slots[i] = static_cast<std::uint32_t>(c.num_rows) + 1;
-  c.data.insert(c.data.end(), row, row + arity);
-  ++c.num_rows;
-  ++size_;
-  return true;
+  return InsertRowsImpl(relation, row, 1, arity, nullptr) == 1;
 }
 
 bool Instance::ContainsRow(RelationId relation, const Value* row,
@@ -116,18 +108,9 @@ bool Instance::ContainsRow(RelationId relation, const Value* row,
   if (relation >= by_relation_.size()) return false;
   const Column& c = by_relation_[relation];
   if (c.num_rows == 0 || arity != c.arity) return false;
-  const std::size_t mask = c.slots.size() - 1;
-  const std::size_t row_bytes = arity * sizeof(Value);
-  std::size_t i = static_cast<std::size_t>(HashRow(row, arity)) & mask;
-  while (c.slots[i] != 0) {
-    const std::size_t id = c.slots[i] - 1;
-    if (row_bytes == 0 ||
-        std::memcmp(c.data.data() + id * arity, row, row_bytes) == 0) {
-      return true;
-    }
-    i = (i + 1) & mask;
-  }
-  return false;
+  bool found;
+  FindSlot(c, row, HashRow(row, arity), &found);
+  return found;
 }
 
 std::size_t Instance::InsertAll(const Instance& other) {
@@ -166,30 +149,16 @@ std::size_t Instance::InsertRowsImpl(RelationId relation, const Value* rows,
                    "all rows of a relation must share one arity");
   }
 
-  // Same per-insert growth trigger as InsertRow (so the probe-table growth
-  // trajectory is identical to repeated single inserts); only the relation
-  // lookup and arity check are hoisted out of the loop.
-  const std::size_t row_bytes = arity * sizeof(Value);
-  std::size_t mask = c.slots.empty() ? 0 : c.slots.size() - 1;
+  // The table grows before each probe, duplicate or not, so a batch takes
+  // the growth trajectory of that many single inserts.
   std::size_t added = 0;
   const Value* row = rows;
   for (std::size_t t = 0; t < count; ++t, row += arity) {
-    if ((c.num_rows + 1) * 8 > c.slots.size() * 7) {
-      Rehash(c, std::max<std::size_t>(16, c.slots.size() * 2));
-      mask = c.slots.size() - 1;
-    }
-    std::size_t i = static_cast<std::size_t>(HashRow(row, arity)) & mask;
-    bool duplicate = false;
-    while (c.slots[i] != 0) {
-      const std::size_t id = c.slots[i] - 1;
-      if (row_bytes == 0 ||
-          std::memcmp(c.data.data() + id * arity, row, row_bytes) == 0) {
-        duplicate = true;
-        break;
-      }
-      i = (i + 1) & mask;
-    }
-    if (duplicate) continue;
+    const std::size_t slots = SlotsFor(c, c.num_rows + 1);
+    if (slots != c.slots.size()) Rehash(c, slots);
+    bool found;
+    const std::size_t i = FindSlot(c, row, HashRow(row, arity), &found);
+    if (found) continue;  // Duplicate (set semantics).
     c.slots[i] = static_cast<std::uint32_t>(c.num_rows) + 1;
     c.data.insert(c.data.end(), row, row + arity);
     ++c.num_rows;

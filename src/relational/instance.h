@@ -283,9 +283,9 @@ class Instance {
 
  private:
   /// Column-major storage of one relation: `num_rows` rows of `arity`
-  /// values each in `data` (row-major, contiguous) and an open-addressing
+  /// values each in `data` (row-major, contiguous) and a linear-probing
   /// hash table of row ids (`slots` holds row_id + 1; 0 = empty slot;
-  /// capacity is a power of two).
+  /// capacity is a power of two, at most 3/4 full — see SlotsFor).
   struct Column {
     std::uint32_t arity = 0;
     std::size_t num_rows = 0;
@@ -295,8 +295,14 @@ class Instance {
 
   static std::uint64_t HashRow(const Value* row, std::size_t arity);
   static void Rehash(Column& c, std::size_t new_slots);
-  /// The slot table size growth reaches once \p c holds \p rows rows.
+  /// The slot table size growth reaches once \p c holds \p rows rows;
+  /// the one statement of the load factor.
   static std::size_t SlotsFor(const Column& c, std::size_t rows);
+  /// The one probe routine: the slot of \p c's table that holds \p row
+  /// (*found = true), or else the empty slot where it goes. \p hash is
+  /// HashRow(row, c.arity); the table must be nonempty.
+  static std::size_t FindSlot(const Column& c, const Value* row,
+                              std::uint64_t hash, bool* found);
   std::size_t InsertRowsImpl(RelationId relation, const Value* rows,
                              std::size_t count, std::size_t arity,
                              Instance* mirror);

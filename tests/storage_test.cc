@@ -500,6 +500,56 @@ TEST(StorageProperty, ReserveKeepsTheArityCheck) {
   EXPECT_DEATH(instance.Reserve(0, 10, 3), "arity");
 }
 
+// Every size of the dedup slot table: rows arrive one at a time (every
+// tenth a repeat of a present row), and after each insert every present
+// row is found — by ContainsRow and by a re-insert that must return false
+// — and a fixed set of absent rows is not. 1000 inserts cross every growth
+// boundary up to 2048 slots, and random hashes put probe runs across the
+// end of the table, so a probe that stops early or mishandles the wrap
+// fails here.
+TEST(StorageProperty, EveryTableSizeFindsPresentRowsAndNoAbsentOnes) {
+  for (std::size_t arity = 0; arity <= 4; ++arity) {
+    Rng rng(700 + arity);
+    std::vector<std::vector<Value>> absent;
+    // Inserted rows hold no negative value.
+    for (std::int64_t k = 0; arity != 0 && k < 64; ++k) {
+      std::vector<Value> row;
+      for (std::size_t i = 0; i < arity; ++i) {
+        row.push_back(Value(-1 - k * static_cast<std::int64_t>(arity) -
+                            static_cast<std::int64_t>(i)));
+      }
+      absent.push_back(std::move(row));
+    }
+    Instance instance;
+    ReferenceModel model;
+    std::vector<std::vector<Value>> present;
+    for (int step = 1; step <= 1000; ++step) {
+      std::vector<std::int64_t> row = RandomRow(rng, arity, 1 << 16);
+      if (step % 10 == 0) {
+        const std::vector<Value>& old = present[rng.Uniform(present.size())];
+        for (std::size_t i = 0; i < arity; ++i) row[i] = old[i].v;
+      }
+      const std::vector<Value> vals = ToValues(row);
+      const bool added = model.Insert(0, row);
+      ASSERT_EQ(instance.InsertRow(0, vals.data(), arity), added)
+          << "arity " << arity << " step " << step;
+      if (added) present.push_back(vals);
+      ASSERT_EQ(instance.Size(), present.size());
+      for (const std::vector<Value>& p : present) {
+        ASSERT_TRUE(instance.ContainsRow(0, p.data(), arity))
+            << "arity " << arity << " step " << step;
+        ASSERT_FALSE(instance.InsertRow(0, p.data(), arity))
+            << "arity " << arity << " step " << step;
+      }
+      for (const std::vector<Value>& a : absent) {
+        ASSERT_FALSE(instance.ContainsRow(0, a.data(), arity))
+            << "arity " << arity << " step " << step;
+      }
+      ASSERT_EQ(instance.Size(), present.size());
+    }
+  }
+}
+
 // ------------------------------------------------- digest parity --
 
 // FNV-1a accumulator (determinism_test.cc's): order-sensitive, so any
