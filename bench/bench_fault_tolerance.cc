@@ -24,7 +24,6 @@
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "fault/confluence.h"
-#include "fault/scheduler.h"
 #include "net/datalog_program.h"
 #include "net/network.h"
 #include "net/programs.h"

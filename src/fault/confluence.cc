@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/hash.h"
-#include "fault/scheduler.h"
 
 namespace lamp::fault {
 
@@ -90,48 +89,17 @@ FaultSweep CheckConsistencyUnderFaults(
     const std::vector<std::vector<Instance>>& distributions,
     const Instance& expected, FaultClass fault_class, std::size_t num_seeds,
     const DistributionPolicy* policy, bool aware, const Schema* schema) {
-  FaultSweep sweep;
-  sweep.fault_class = fault_class;
-
-  for (std::size_t d = 0; d < distributions.size(); ++d) {
-    const std::vector<Instance>& locals = distributions[d];
-    for (std::uint64_t seed = 0; seed < num_seeds; ++seed) {
-      // A fresh plan per run, deterministic in (class, distribution,
-      // seed) so failures replay exactly.
-      Rng plan_rng(HashCombine(HashMix(static_cast<std::uint64_t>(
-                                   fault_class) +
-                               1),
-                               HashCombine(d, seed)));
-      FaultPlan plan = MakeClassPlan(fault_class, locals.size(), plan_rng);
-      FaultScheduler scheduler(plan, seed);
-      TransducerNetwork network(locals, program, policy, aware);
-      const NetworkRunResult result = network.RunWith(scheduler);
-      ++sweep.runs;
-      sweep.total_transitions += result.transitions();
-      sweep.total_facts_transferred += result.facts_transferred();
-      sweep.total_drops += result.metrics.CounterValue(obs::kNetFaultDrops);
-      sweep.total_duplicates +=
-          result.metrics.CounterValue(obs::kNetFaultDuplicates);
-      sweep.total_crashes +=
-          result.metrics.CounterValue(obs::kNetFaultCrashes);
-      sweep.total_retransmits +=
-          result.metrics.CounterValue(obs::kNetFaultRetransmits);
-      if (result.output == expected) {
-        ++sweep.correct_runs;
-      } else {
-        sweep.all_runs_correct = false;
-        if (!sweep.first_failure.has_value()) {
-          FaultSweepFailure failure;
-          failure.seed = seed;
-          failure.distribution_index = d;
-          failure.plan = std::move(plan);
-          failure.diff = DiffInstances(result.output, expected, schema);
-          sweep.first_failure = std::move(failure);
-        }
-      }
-    }
-  }
-  return sweep;
+  // A fresh plan per run, deterministic in (class, distribution, seed) so
+  // failures replay exactly.
+  const SweepPlan plan_for = [&](std::size_t d, std::uint64_t seed) {
+    Rng plan_rng(HashCombine(
+        HashMix(static_cast<std::uint64_t>(fault_class) + 1),
+        HashCombine(d, seed)));
+    return MakeClassPlan(fault_class, distributions[d].size(), plan_rng);
+  };
+  return {SweepRuns(program, distributions, expected, num_seeds, plan_for,
+                    policy, aware, schema),
+          fault_class};
 }
 
 const FaultSweep* ConfluenceReport::FindClass(FaultClass fault_class) const {

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -11,8 +10,8 @@
 #include "net/consistency.h"
 
 /// \file
-/// The confluence classifier: CheckEventualConsistency extended from
-/// "many seeds" to "many seeds x fault classes".
+/// The confluence classifier: the consistency sweep (net/consistency.h)
+/// extended from "many seeds" to "many seeds x fault classes".
 ///
 /// The CALM theorem (Section 5, F0 = A0 = M) claims monotone programs
 /// compute their query on *every* asynchronous run — including runs with
@@ -51,38 +50,11 @@ std::string_view FaultClassName(FaultClass fault_class);
 FaultPlan MakeClassPlan(FaultClass fault_class, std::size_t num_nodes,
                         Rng& rng);
 
-/// First failing run of a fault sweep, with the plan that broke it.
-struct FaultSweepFailure {
-  std::uint64_t seed = 0;
-  std::size_t distribution_index = 0;
-  FaultPlan plan;
-  InstanceDiff diff;
-};
-
-/// Aggregate of one fault class's sweep.
-struct FaultSweep {
+/// One fault class's sweep: the consistency sweep's counters (drops,
+/// duplicates, crashes and retransmits included) and, on failure, the
+/// plan that broke the first failing run.
+struct FaultSweep : ConsistencySweep {
   FaultClass fault_class = FaultClass::kNone;
-  bool all_runs_correct = true;
-  std::size_t runs = 0;
-  std::size_t correct_runs = 0;
-  std::uint64_t total_transitions = 0;
-  std::uint64_t total_facts_transferred = 0;
-  std::uint64_t total_drops = 0;
-  std::uint64_t total_duplicates = 0;
-  std::uint64_t total_crashes = 0;
-  std::uint64_t total_retransmits = 0;
-  std::optional<FaultSweepFailure> first_failure;
-
-  double MeanTransitions() const {
-    return runs == 0 ? 0.0
-                     : static_cast<double>(total_transitions) /
-                           static_cast<double>(runs);
-  }
-  double MeanFactsTransferred() const {
-    return runs == 0 ? 0.0
-                     : static_cast<double>(total_facts_transferred) /
-                           static_cast<double>(runs);
-  }
 };
 
 /// Runs \p program under \p fault_class: every distribution x every seed

@@ -3,7 +3,6 @@
 #include <limits>
 #include <utility>
 
-#include "fault/scheduler.h"
 #include "obs/trace.h"
 
 namespace lamp::fault {
@@ -57,7 +56,7 @@ Instance RunPlan(TransducerProgram& program,
                  const std::vector<Instance>& locals, const FaultPlan& plan,
                  std::uint64_t seed, const DistributionPolicy* policy,
                  bool aware) {
-  FaultScheduler scheduler(plan, seed);
+  Scheduler scheduler(plan, seed);
   TransducerNetwork network(locals, program, policy, aware);
   return network.RunWith(scheduler).output;
 }

@@ -2,88 +2,19 @@
 #define LAMP_FAULT_PLAN_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "distribution/policy.h"
-#include "obs/json.h"
+#include "net/scheduler.h"
 
 /// \file
-/// Declarative fault plans for transducer-network runs.
+/// Fault plan generators for transducer-network runs.
 ///
-/// The paper's CALM results (Section 5) quantify over *all* asynchronous
-/// runs: arbitrary delay, duplication, and loss with retransmission. A
-/// FaultPlan makes one adversarial run describable as data: a delivery
-/// discipline (how the in-flight message to deliver next is chosen) plus
-/// a list of discrete fault events keyed by the scheduler's step counter.
-/// Plans are deterministic given (plan, scheduler seed), serialise to
-/// JSON for witness reports, and — being plain event lists — are the unit
-/// the explorer's delta-debugger shrinks when it minimises a divergence
-/// witness (fault/explorer.h).
+/// A FaultPlan (net/scheduler.h) describes one adversarial run as data;
+/// the functions here build the plans the confluence classifier and the
+/// schedule explorer try. All are deterministic in their arguments.
 
 namespace lamp::fault {
-
-/// How the scheduler picks among deliverable messages.
-enum class DeliveryDiscipline : std::uint8_t {
-  kUniform = 0,   // Uniform random channel + message (the seed runner).
-  kOldestFirst,   // Random channel, FIFO within it.
-  kNewestFirst,   // Random channel, LIFO within it (starves old messages).
-  kStarve,        // Deliver to starve_target only when nothing else can go.
-};
-
-std::string_view DeliveryDisciplineName(DeliveryDiscipline discipline);
-
-/// One discrete fault, applied when the scheduler's step counter reaches
-/// `step` (or earlier, if the run would otherwise be stuck — heals and
-/// restarts are also forced when no delivery is possible, so every plan
-/// is live).
-struct FaultEvent {
-  enum class Kind : std::uint8_t {
-    kDropNext,       // The next delivery attempt fails (sender retransmits).
-    kDuplicateNext,  // The next delivery leaves a duplicate copy in flight.
-    kCrash,          // `node` goes down; `durable` keeps its state.
-    kRestart,        // `node` comes back up (see net/network.h semantics).
-    kPartition,      // `group` is isolated from the rest of the network.
-    kHeal,           // The active partition is removed.
-    kStallBegin,     // `node` stops being scheduled (but stays up).
-    kStallEnd,       // `node` is schedulable again.
-  };
-
-  Kind kind = Kind::kDropNext;
-  std::size_t step = 0;
-  NodeId node = 0;            // Crash/restart/stall target.
-  bool durable = false;       // Crash mode.
-  std::vector<NodeId> group;  // Partition: the isolated group.
-};
-
-std::string_view FaultEventKindName(FaultEvent::Kind kind);
-
-/// A complete adversarial schedule description.
-struct FaultPlan {
-  DeliveryDiscipline discipline = DeliveryDiscipline::kUniform;
-  NodeId starve_target = 0;       // Used by DeliveryDiscipline::kStarve.
-  std::vector<FaultEvent> events; // Kept sorted by step (stable).
-
-  /// Stable-sorts events by step (generators and the minimizer call it).
-  void Normalize();
-
-  bool Empty() const {
-    return discipline == DeliveryDiscipline::kUniform && events.empty();
-  }
-
-  /// True when some event is a volatile (non-durable) crash — those runs
-  /// need the runner's redelivery log.
-  bool HasVolatileCrash() const;
-
-  /// "discipline=newest-first events=[dup@3 crash(n2,volatile)@5 ...]".
-  std::string ToString() const;
-
-  /// {"discipline": .., "starve_target": .., "events": [...]}.
-  obs::JsonValue ToJson() const;
-};
-
-// --- Plan generators (all deterministic in their arguments). ------------
 
 /// `count` duplications, the first at `first_step`, `stride` steps apart.
 FaultPlan DuplicateStormPlan(std::size_t first_step, std::size_t count,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace lamp {
 
@@ -57,26 +58,40 @@ InstanceDiff DiffInstances(const Instance& actual, const Instance& expected,
   return diff;
 }
 
-ConsistencySweep CheckEventualConsistency(
+ConsistencySweep SweepRuns(
     TransducerProgram& program,
     const std::vector<std::vector<Instance>>& distributions,
     const Instance& expected, std::size_t num_seeds,
-    const DistributionPolicy* policy, bool aware, const Schema* schema) {
+    const SweepPlan& plan_for, const DistributionPolicy* policy, bool aware,
+    const Schema* schema) {
   ConsistencySweep sweep;
   sweep.min_facts_transferred = std::numeric_limits<std::size_t>::max();
 
   for (std::size_t d = 0; d < distributions.size(); ++d) {
     const std::vector<Instance>& locals = distributions[d];
     for (std::uint64_t seed = 0; seed < num_seeds; ++seed) {
+      FaultPlan plan = plan_for(d, seed);
+      Scheduler scheduler(plan, seed);
       TransducerNetwork network(locals, program, policy, aware);
-      const NetworkRunResult result = network.Run(seed);
+      const NetworkRunResult result = network.RunWith(scheduler);
       ++sweep.runs;
-      if (!(result.output == expected)) {
+      sweep.total_transitions += result.transitions();
+      sweep.total_drops += result.metrics.CounterValue(obs::kNetFaultDrops);
+      sweep.total_duplicates +=
+          result.metrics.CounterValue(obs::kNetFaultDuplicates);
+      sweep.total_crashes +=
+          result.metrics.CounterValue(obs::kNetFaultCrashes);
+      sweep.total_retransmits +=
+          result.metrics.CounterValue(obs::kNetFaultRetransmits);
+      if (result.output == expected) {
+        ++sweep.correct_runs;
+      } else {
         sweep.all_runs_correct = false;
         if (!sweep.first_failure.has_value()) {
           SweepFailure failure;
           failure.seed = seed;
           failure.distribution_index = d;
+          failure.plan = std::move(plan);
           failure.diff = DiffInstances(result.output, expected, schema);
           sweep.first_failure = std::move(failure);
         }
@@ -90,6 +105,17 @@ ConsistencySweep CheckEventualConsistency(
   }
   if (sweep.runs == 0) sweep.min_facts_transferred = 0;
   return sweep;
+}
+
+ConsistencySweep CheckEventualConsistency(
+    TransducerProgram& program,
+    const std::vector<std::vector<Instance>>& distributions,
+    const Instance& expected, std::size_t num_seeds,
+    const DistributionPolicy* policy, bool aware, const Schema* schema) {
+  return SweepRuns(
+      program, distributions, expected, num_seeds,
+      [](std::size_t, std::uint64_t) { return FaultPlan{}; }, policy, aware,
+      schema);
 }
 
 bool ComputesWithoutCommunication(TransducerProgram& program,

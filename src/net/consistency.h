@@ -2,6 +2,7 @@
 #define LAMP_NET_CONSISTENCY_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +45,7 @@ InstanceDiff DiffInstances(const Instance& actual, const Instance& expected,
 struct SweepFailure {
   std::uint64_t seed = 0;              // Scheduler seed of the failing run.
   std::size_t distribution_index = 0;  // Index into the sweep's input.
+  FaultPlan plan;                      // The run's plan (empty: fault-free).
   InstanceDiff diff;                   // Actual vs expected output.
 };
 
@@ -51,18 +53,48 @@ struct SweepFailure {
 struct ConsistencySweep {
   bool all_runs_correct = true;
   std::size_t runs = 0;
+  std::size_t correct_runs = 0;
   std::size_t min_facts_transferred = 0;
   std::size_t max_facts_transferred = 0;
-  std::size_t total_facts_transferred = 0;
+  std::uint64_t total_facts_transferred = 0;
+  std::uint64_t total_transitions = 0;
+  std::uint64_t total_drops = 0;
+  std::uint64_t total_duplicates = 0;
+  std::uint64_t total_crashes = 0;
+  std::uint64_t total_retransmits = 0;
   /// Set on the first incorrect run (subsequent failures are counted in
   /// all_runs_correct only).
   std::optional<SweepFailure> first_failure;
+
+  double MeanTransitions() const {
+    return runs == 0 ? 0.0
+                     : static_cast<double>(total_transitions) /
+                           static_cast<double>(runs);
+  }
+  double MeanFactsTransferred() const {
+    return runs == 0 ? 0.0
+                     : static_cast<double>(total_facts_transferred) /
+                           static_cast<double>(runs);
+  }
 };
 
+/// The plan of one sweep run, given its distribution index and seed.
+using SweepPlan =
+    std::function<FaultPlan(std::size_t distribution_index,
+                            std::uint64_t seed)>;
+
 /// Runs \p program on every given distribution with every seed in
-/// [0, num_seeds); each run's output is compared to \p expected.
-/// \p schema, when given, is only used to render relation names in the
-/// first-failure diff.
+/// [0, num_seeds), each run under \p plan_for's plan, and compares each
+/// run's output to \p expected. \p schema, when given, is only used to
+/// render relation names in the first-failure diff.
+ConsistencySweep SweepRuns(
+    TransducerProgram& program,
+    const std::vector<std::vector<Instance>>& distributions,
+    const Instance& expected, std::size_t num_seeds,
+    const SweepPlan& plan_for, const DistributionPolicy* policy = nullptr,
+    bool aware = true, const Schema* schema = nullptr);
+
+/// SweepRuns with no fault: every run is the plain seeded Run(seed).
 ConsistencySweep CheckEventualConsistency(
     TransducerProgram& program,
     const std::vector<std::vector<Instance>>& distributions,

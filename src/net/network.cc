@@ -9,53 +9,10 @@
 
 namespace lamp {
 
-namespace {
-
-/// The NodeContext implementation used by the runner. Broadcasts are
-/// collected and dispatched by the runner after the transition returns.
-class RunnerContext : public NodeContext {
- public:
-  RunnerContext(NodeId self, std::size_t network_size, Instance& state,
-                Instance& output, const DistributionPolicy* policy,
-                bool aware)
-      : self_(self),
-        network_size_(network_size),
-        state_(state),
-        output_(output),
-        policy_(policy),
-        aware_(aware) {}
-
-  NodeId self() const override { return self_; }
-
-  std::size_t NetworkSize() const override {
-    LAMP_CHECK_MSG(aware_,
-                   "oblivious (A_i) program queried the All relation");
-    return network_size_;
-  }
-
-  const Instance& state() const override { return state_; }
-  Instance& mutable_state() override { return state_; }
-  void Output(transport::RowRef row) override {
-    output_.InsertRow(row.relation, row.row, row.arity);
-  }
-  void Broadcast(Message message) override {
-    outgoing_.push_back(std::move(message));
-  }
-  const DistributionPolicy* policy() const override { return policy_; }
-
-  std::vector<Message>& outgoing() { return outgoing_; }
-
- private:
-  NodeId self_;
-  std::size_t network_size_;
-  Instance& state_;
-  Instance& output_;
-  const DistributionPolicy* policy_;
-  bool aware_;
-  std::vector<Message> outgoing_;
-};
-
-}  // namespace
+std::size_t NodeContext::NetworkSize() const {
+  LAMP_CHECK_MSG(aware_, "oblivious (A_i) program queried the All relation");
+  return network_size_;
+}
 
 TransducerNetwork::TransducerNetwork(std::vector<Instance> locals,
                                      TransducerProgram& program,
@@ -69,11 +26,19 @@ TransducerNetwork::TransducerNetwork(std::vector<Instance> locals,
 }
 
 NetworkRunResult TransducerNetwork::Run(std::uint64_t seed) {
-  RandomScheduler scheduler(seed);
+  Scheduler scheduler(FaultPlan{}, seed);
   return RunWith(scheduler);
 }
 
 NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
+  return Execute(&scheduler);
+}
+
+NetworkRunResult TransducerNetwork::RunWithoutDelivery() {
+  return Execute(nullptr);
+}
+
+NetworkRunResult TransducerNetwork::Execute(Scheduler* scheduler) {
   const std::size_t n = locals_.size();
 
   // One queued message. The sender is tracked so schedulers can express
@@ -99,7 +64,8 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
   std::vector<bool> down_durably(n, false);
   // Messages consumed per node, kept only when the scheduler can issue a
   // volatile restart (fault-free runs pay nothing).
-  const bool keep_log = scheduler.WantsRedeliveryLog();
+  const bool keep_log =
+      scheduler != nullptr && scheduler->WantsRedeliveryLog();
   std::vector<std::vector<InFlight>> consumed(n);
 
   // Backend selection (transport::ActiveKind): in-process runs build no
@@ -111,9 +77,11 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
   // delivery-order policy the transport honors: the wire carries the
   // bytes, the scheduler still picks the order (and the faults), and
   // digests cannot move. In-process runs account the same wire bytes in
-  // closed form, so net.wire_bytes is backend-invariant too.
+  // closed form, so net.wire_bytes is backend-invariant too; so does the
+  // heartbeat-only run, which delivers nothing.
   std::unique_ptr<transport::Transport> wire;
-  if (transport::ActiveKind() != transport::TransportKind::kInProcess &&
+  if (scheduler != nullptr &&
+      transport::ActiveKind() != transport::TransportKind::kInProcess &&
       n > 1) {
     wire = transport::MakeLoopbackTransport(transport::ActiveKind(), n);
   }
@@ -176,6 +144,8 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
         } else {
           wire_bytes.Add(
               transport::MessageFrameSize(from, to, seq, depth, parent, msg));
+          // The heartbeat-only run counts every copy but queues none.
+          if (scheduler == nullptr) continue;
           queue[to].push_back({from, msg, depth, parent});
         }
         queued_from[to].push_back(from);
@@ -213,25 +183,39 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
       dominant[node] = t + 1;
     }
     const std::size_t out_before = outputs[node].Size();
-    RunnerContext ctx(node, n, states[node], outputs[node], policy_, aware_);
+    NodeContext ctx(node, n, states[node], outputs[node], policy_, aware_);
     program_.OnReceive(ctx, msg.payload);
     note_output(node, out_before, t + 1, msg.depth);
-    dispatch(node, ctx.outgoing());
+    dispatch(node, ctx.outgoing_);
     transitions.Increment();
   };
 
   auto heartbeat = [&](NodeId node) {
     obs::Emit(obs::EventKind::kNetStart, static_cast<std::uint32_t>(node));
     const std::size_t out_before = outputs[node].Size();
-    RunnerContext ctx(node, n, states[node], outputs[node], policy_, aware_);
+    NodeContext ctx(node, n, states[node], outputs[node], policy_, aware_);
     program_.OnStart(ctx);
     note_output(node, out_before, 0, clock[node]);
-    dispatch(node, ctx.outgoing());
+    dispatch(node, ctx.outgoing_);
+  };
+
+  auto finish = [&] {
+    result.metrics.GetGauge(obs::kNetCausalMaxDepth)
+        .Set(static_cast<double>(max_depth));
+    result.metrics.GetGauge(obs::kNetCoordinationDepth)
+        .Set(static_cast<double>(first_output_depth));
+    for (const Instance& out : outputs) result.output.InsertAll(out);
+    return std::move(result);
   };
 
   // Heartbeat transitions, in scheduler order (order must not matter; the
-  // consistency checker sweeps seeds to probe that).
-  for (NodeId node : scheduler.StartOrder(n)) {
+  // consistency checker sweeps seeds to probe that). The heartbeat-only
+  // run fires them in node order and stops there.
+  if (scheduler == nullptr) {
+    for (NodeId node = 0; node < n; ++node) heartbeat(node);
+    return finish();
+  }
+  for (NodeId node : scheduler->StartOrder(n)) {
     LAMP_CHECK(node < n);
     heartbeat(node);
   }
@@ -241,7 +225,7 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
   std::size_t step = 0;
   while (true) {
     const ChannelView view{queued_from, up, step};
-    const SchedulerAction action = scheduler.Next(view);
+    const SchedulerAction action = scheduler->Next(view);
     if (action.kind == SchedulerAction::Kind::kNone) {
       bool quiescent = true;
       for (NodeId i = 0; i < n; ++i) {
@@ -325,46 +309,7 @@ NetworkRunResult TransducerNetwork::RunWith(Scheduler& scheduler) {
     ++step;
   }
   obs::Emit(obs::EventKind::kNetQuiescent, 0, 0, transitions.value());
-  result.metrics.GetGauge(obs::kNetCausalMaxDepth)
-      .Set(static_cast<double>(max_depth));
-  result.metrics.GetGauge(obs::kNetCoordinationDepth)
-      .Set(static_cast<double>(first_output_depth));
-
-  for (const Instance& out : outputs) result.output.InsertAll(out);
-  return result;
-}
-
-NetworkRunResult TransducerNetwork::RunWithoutDelivery() {
-  const std::size_t n = locals_.size();
-  std::vector<Instance> states = locals_;
-  std::vector<Instance> outputs(n);
-  NetworkRunResult result;
-
-  for (NodeId node = 0; node < n; ++node) {
-    obs::Emit(obs::EventKind::kNetStart, static_cast<std::uint32_t>(node));
-    const std::size_t out_before = outputs[node].Size();
-    RunnerContext ctx(node, n, states[node], outputs[node], policy_, aware_);
-    program_.OnStart(ctx);
-    if (outputs[node].Size() != out_before) {
-      // Output during a heartbeat is causal depth 0 by definition: no
-      // message was ever read.
-      obs::Emit(obs::EventKind::kNetOutput, static_cast<std::uint32_t>(node),
-                0, 0);
-    }
-    // Messages are sent into the void: counted, never delivered.
-    for (const Message& msg : ctx.outgoing()) {
-      result.metrics.GetCounter(obs::kNetMessagesSent).Add(n - 1);
-      result.metrics.GetCounter(obs::kNetFactsTransferred)
-          .Add(msg.size() * (n - 1));
-      result.metrics.GetCounter(obs::kNetBroadcasts).Increment();
-      result.metrics.GetHistogram(obs::kNetMessageSize)
-          .Observe(static_cast<double>(msg.size()));
-    }
-  }
-  result.metrics.GetGauge(obs::kNetCausalMaxDepth).Set(0.0);
-  result.metrics.GetGauge(obs::kNetCoordinationDepth).Set(0.0);
-  for (const Instance& out : outputs) result.output.InsertAll(out);
-  return result;
+  return finish();
 }
 
 std::vector<Instance> DistributeByPolicy(const Instance& instance,

@@ -14,11 +14,12 @@
 ///
 /// Computation is a transition system: at every step one node is active;
 /// message delivery order is nondeterministic (modelling arbitrary delay).
-/// Scheduling decisions are delegated to a Scheduler (net/scheduler.h):
-/// Run(seed) uses RandomScheduler, one concrete uniform run per seed;
-/// eventual-consistency checks sweep many seeds, and the fault-injection
-/// subsystem (src/fault) substitutes adversarial schedulers that drop
-/// (with retransmission), duplicate, partition and crash. A run ends at
+/// Scheduling decisions are delegated to the Scheduler (net/scheduler.h),
+/// which executes a FaultPlan over a seeded base schedule: Run(seed) is
+/// the empty plan, one concrete uniform run per seed; eventual-consistency
+/// checks sweep many seeds, and the fault-injection subsystem (src/fault)
+/// generates plans that drop (with retransmission), duplicate, reorder,
+/// partition and crash. A run ends at
 /// *quiescence*: every channel empty and every node up (our programs are
 /// inflationary, so no further output can appear after that). The
 /// coordination-freeness probe runs the heartbeat transitions only and
@@ -82,7 +83,8 @@ class TransducerNetwork {
                     bool aware = true);
 
   /// Runs to quiescence with uniform random delivery driven by \p seed
-  /// (byte-identical to the historical seeded runner, per seed).
+  /// (RunWith the empty plan; byte-identical to the historical seeded
+  /// runner, per seed).
   NetworkRunResult Run(std::uint64_t seed);
 
   /// Runs to quiescence with \p scheduler deciding every delivery, drop,
@@ -100,11 +102,15 @@ class TransducerNetwork {
   /// never rolled back by a crash.
   NetworkRunResult RunWith(Scheduler& scheduler);
 
-  /// Heartbeat-only run: OnStart fires everywhere, but no message is ever
-  /// read (they are sent and counted, then dropped).
+  /// Heartbeat-only run: OnStart fires everywhere, in node order, but no
+  /// message is ever read (they are sent and counted like RunWith's, then
+  /// dropped).
   NetworkRunResult RunWithoutDelivery();
 
  private:
+  /// The runner; a null \p scheduler is the heartbeat-only run.
+  NetworkRunResult Execute(Scheduler* scheduler);
+
   std::vector<Instance> locals_;
   TransducerProgram& program_;
   const DistributionPolicy* policy_;

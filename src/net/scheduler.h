@@ -2,13 +2,18 @@
 #define LAMP_NET_SCHEDULER_H_
 
 #include <cstdint>
+#include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/transducer.h"
+#include "obs/json.h"
 
 /// \file
-/// Scheduling policy for the asynchronous network runner.
+/// The scheduler of the asynchronous network runner, and the fault plans
+/// it executes.
 ///
 /// The runner (net/network.h) is the *mechanism*: it owns node states,
 /// channels and counters, and executes one SchedulerAction at a time. The
@@ -17,12 +22,91 @@
 /// delivered, whether a delivery attempt fails (the sender retransmits),
 /// whether a message is duplicated, or whether a node crashes/restarts.
 ///
-/// RandomScheduler reproduces the historical seeded behaviour exactly
-/// (same Rng call sequence), so Run(seed) is byte-identical to the
-/// pre-Scheduler runner for every seed. Adversarial and fault-injecting
-/// schedulers live in src/fault and build on this interface.
+/// The paper's CALM results (Section 5) quantify over *all* asynchronous
+/// runs: arbitrary delay, duplication, and loss with retransmission. A
+/// FaultPlan makes one such run describable as data: a delivery
+/// discipline (how the in-flight message to deliver next is chosen) plus
+/// a list of discrete fault events keyed by the scheduler's step counter.
+/// The empty plan is the plain seeded run: heartbeats in shuffled order,
+/// then a uniform random nonempty channel and a uniform random message
+/// per step; TransducerNetwork::Run(seed) is exactly that run. Plans
+/// serialise to JSON for witness reports, and — being plain event lists —
+/// are the unit the fault explorer's delta-debugger shrinks
+/// (fault/explorer.h); the plan generators live in fault/plan.h.
+///
+/// Liveness by construction: every run terminates with every message
+/// delivered (possibly after drops, duplication, partitions and
+/// crashes), because
+///   * drops never discard the queued copy (loss-with-retransmission);
+///   * duplication budgets are finite (one copy per kDuplicateNext);
+///   * when no delivery is possible the scheduler *forces* progress —
+///     it fast-forwards to the plan's next event, and once the plan is
+///     exhausted it heals partitions, ends stalls and restarts crashed
+///     nodes on its own.
+/// So every run is a legal asynchronous run in the paper's model (finite
+/// delay, finite duplication, no true loss), which is exactly the class
+/// of runs CALM quantifies over.
 
 namespace lamp {
+
+/// How the scheduler picks among deliverable messages.
+enum class DeliveryDiscipline : std::uint8_t {
+  kUniform = 0,   // Uniform random channel + message (the seed runner).
+  kOldestFirst,   // Random channel, FIFO within it.
+  kNewestFirst,   // Random channel, LIFO within it (starves old messages).
+  kStarve,        // Deliver to starve_target only when nothing else can go.
+};
+
+std::string_view DeliveryDisciplineName(DeliveryDiscipline discipline);
+
+/// One discrete fault, applied when the scheduler's step counter reaches
+/// `step` (or earlier, if the run would otherwise be stuck — heals and
+/// restarts are also forced when no delivery is possible, so every plan
+/// is live).
+struct FaultEvent {
+  enum class Kind : std::uint8_t {
+    kDropNext,       // The next delivery attempt fails (sender retransmits).
+    kDuplicateNext,  // The next delivery leaves a duplicate copy in flight.
+    kCrash,          // `node` goes down; `durable` keeps its state.
+    kRestart,        // `node` comes back up (see net/network.h semantics).
+    kPartition,      // `group` is isolated from the rest of the network.
+    kHeal,           // The active partition is removed.
+    kStallBegin,     // `node` stops being scheduled (but stays up).
+    kStallEnd,       // `node` is schedulable again.
+  };
+
+  Kind kind = Kind::kDropNext;
+  std::size_t step = 0;
+  NodeId node = 0;            // Crash/restart/stall target.
+  bool durable = false;       // Crash mode.
+  std::vector<NodeId> group;  // Partition: the isolated group.
+};
+
+std::string_view FaultEventKindName(FaultEvent::Kind kind);
+
+/// A complete schedule description; the default one injects no fault.
+struct FaultPlan {
+  DeliveryDiscipline discipline = DeliveryDiscipline::kUniform;
+  NodeId starve_target = 0;       // Used by DeliveryDiscipline::kStarve.
+  std::vector<FaultEvent> events; // Kept sorted by step (stable).
+
+  /// Stable-sorts events by step (generators and the minimizer call it).
+  void Normalize();
+
+  bool Empty() const {
+    return discipline == DeliveryDiscipline::kUniform && events.empty();
+  }
+
+  /// True when some event is a volatile (non-durable) crash — those runs
+  /// need the runner's redelivery log.
+  bool HasVolatileCrash() const;
+
+  /// "discipline=newest-first events=[dup@3 crash(n2,volatile)@5 ...]".
+  std::string ToString() const;
+
+  /// {"discipline": .., "starve_target": .., "events": [...]}.
+  obs::JsonValue ToJson() const;
+};
 
 /// What the runner shows the scheduler at each decision point. All spans
 /// refer to runner-owned storage and are only valid during the Next call.
@@ -76,36 +160,52 @@ struct SchedulerAction {
   }
 };
 
-/// The scheduling-policy interface.
+/// Executes a FaultPlan on top of a seeded base schedule.
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
+  /// \p seed drives the base schedule (heartbeat order + tie-breaking
+  /// among deliverable messages). Runs are deterministic in (plan, seed).
+  Scheduler(FaultPlan plan, std::uint64_t seed);
 
   /// Order in which the heartbeat (OnStart) transitions fire.
-  virtual std::vector<NodeId> StartOrder(std::size_t num_nodes) = 0;
+  std::vector<NodeId> StartOrder(std::size_t num_nodes);
 
   /// The next action. Returning kNone asserts the network is quiescent
   /// (every channel empty, every node up); the runner checks that.
-  virtual SchedulerAction Next(const ChannelView& view) = 0;
+  SchedulerAction Next(const ChannelView& view);
 
   /// True when the runner must log consumed messages so a volatile
-  /// restart can retransmit them. Off by default: fault-free runs pay
-  /// nothing for the crash machinery.
-  virtual bool WantsRedeliveryLog() const { return false; }
-};
+  /// restart can retransmit them; runs without one pay nothing for it.
+  bool WantsRedeliveryLog() const { return plan_.HasVolatileCrash(); }
 
-/// The historical seeded behaviour: heartbeats in shuffled order, then
-/// repeatedly pick a uniform random nonempty channel and a uniform random
-/// queued message (arbitrary delay + reordering, no faults).
-class RandomScheduler : public Scheduler {
- public:
-  explicit RandomScheduler(std::uint64_t seed) : rng_(seed) {}
-
-  std::vector<NodeId> StartOrder(std::size_t num_nodes) override;
-  SchedulerAction Next(const ChannelView& view) override;
+  /// Faults forced outside their planned step to keep the run live
+  /// (auto-heals, auto-restarts, auto-unstalls).
+  std::size_t forced_recoveries() const { return forced_recoveries_; }
 
  private:
+  /// Applies one plan event. Internal events (partition, heal, stall)
+  /// mutate scheduler state and return kNone; crash/restart return the
+  /// runner-visible action (or kNone when invalid, e.g. double crash).
+  SchedulerAction ApplyEvent(const FaultEvent& event, const ChannelView& view);
+
+  /// True when the partition blocks `from` -> `to` delivery.
+  bool Blocked(NodeId from, NodeId to) const;
+
+  /// True when \p to has a message it may receive now.
+  bool HasDeliverable(const ChannelView& view, NodeId to) const;
+
+  FaultPlan plan_;
   Rng rng_;
+  std::size_t next_event_ = 0;
+  std::set<NodeId> stalled_;
+  bool partition_active_ = false;
+  std::set<NodeId> partition_group_;
+  std::size_t pending_drops_ = 0;
+  std::size_t pending_dups_ = 0;
+  std::size_t forced_recoveries_ = 0;
+  // Reused across steps so a decision allocates nothing once warm.
+  std::vector<NodeId> ready_;
+  std::vector<std::size_t> choices_;
 };
 
 }  // namespace lamp

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "distribution/policy.h"
 #include "relational/instance.h"
@@ -30,42 +31,44 @@ namespace lamp {
 /// (one row) or AppendAll (every row of an instance).
 using Message = transport::FactRows;
 
-/// The interface a program uses during a transition. Provided by the
-/// network runner. State writes (mutable_state, InsertMessage) and Output
-/// take effect immediately; only Broadcast is deferred: the runner
-/// dispatches the recorded messages after the transition returns.
+class TransducerNetwork;
+
+/// What a program sees and does during a transition. The network runner
+/// builds one per transition. State writes (mutable_state, InsertMessage)
+/// and Output take effect immediately; only Broadcast is deferred: the
+/// runner dispatches the recorded messages after the transition returns.
 class NodeContext {
  public:
-  virtual ~NodeContext() = default;
-
   /// This node's identity.
-  virtual NodeId self() const = 0;
+  NodeId self() const { return self_; }
 
   /// |All|: the number of nodes. Programs in the classes A0/A1/A2 — the
   /// network-unaware ("oblivious") ones — must not call this; the runner
   /// aborts if an unaware run does (that is how obliviousness is audited).
-  virtual std::size_t NetworkSize() const = 0;
+  std::size_t NetworkSize() const;
 
   /// The node's current relational state.
-  virtual const Instance& state() const = 0;
+  const Instance& state() const { return state_; }
 
   /// The node's relational state, for in-place updates (a program that
   /// keeps its state closed under some derivation extends it directly).
   /// Like every state write it must stay a deterministic function of
   /// (state, input).
-  virtual Instance& mutable_state() = 0;
+  Instance& mutable_state() { return state_; }
 
   /// Emits a fact to the write-only output relation (never retracted).
   /// \p row need only stay valid for the call.
-  virtual void Output(transport::RowRef row) = 0;
+  void Output(transport::RowRef row) {
+    output_.InsertRow(row.relation, row.row, row.arity);
+  }
 
   /// Broadcasts a message to every *other* node.
-  virtual void Broadcast(Message message) = 0;
+  void Broadcast(Message message) { outgoing_.push_back(std::move(message)); }
 
   /// The distribution policy, or nullptr for policy-unaware networks.
   /// Policy-aware programs may only query facts over their local active
   /// domain (the runner does not enforce this; programs are ours).
-  virtual const DistributionPolicy* policy() const = 0;
+  const DistributionPolicy* policy() const { return policy_; }
 
   /// Inserts every fact of \p message into the state; true when any of
   /// them was new.
@@ -95,6 +98,26 @@ class NodeContext {
       }
     }
   }
+
+ private:
+  friend class TransducerNetwork;
+
+  NodeContext(NodeId self, std::size_t network_size, Instance& state,
+              Instance& output, const DistributionPolicy* policy, bool aware)
+      : self_(self),
+        network_size_(network_size),
+        state_(state),
+        output_(output),
+        policy_(policy),
+        aware_(aware) {}
+
+  NodeId self_;
+  std::size_t network_size_;
+  Instance& state_;
+  Instance& output_;
+  const DistributionPolicy* policy_;
+  bool aware_;
+  std::vector<Message> outgoing_;
 };
 
 /// A transducer program: the transition function every node runs.

@@ -10,7 +10,6 @@
 #include "fault/confluence.h"
 #include "fault/explorer.h"
 #include "fault/plan.h"
-#include "fault/scheduler.h"
 #include "net/consistency.h"
 #include "net/datalog_program.h"
 #include "net/network.h"
@@ -28,8 +27,6 @@ namespace lamp {
 namespace {
 
 using fault::FaultClass;
-using fault::FaultPlan;
-using fault::FaultScheduler;
 
 NetQueryFunction WrapCq(const ConjunctiveQuery& q) {
   return [&q](const Instance& instance) { return Evaluate(q, instance); };
@@ -57,7 +54,7 @@ TEST(FaultPropertyTest, MonotoneTcInvariantUnderRandomFaultPlans) {
   for (int trial = 0; trial < 30; ++trial) {
     const FaultPlan plan = fault::RandomFaultPlan(locals.size(), plan_rng);
     const std::uint64_t seed = plan_rng.Next();
-    FaultScheduler scheduler(plan, seed);
+    Scheduler scheduler(plan, seed);
     TransducerNetwork net(locals, program, nullptr, /*aware=*/false);
     const NetworkRunResult r = net.RunWith(scheduler);
     EXPECT_EQ(r.output, expected)
@@ -148,8 +145,8 @@ TEST(FaultPropertyTest, DatalogNodeProgramMatchesRecomputingReference) {
         const std::vector<Instance> locals = DistributeRoundRobin(graph, nodes);
         const FaultPlan plan = fault::RandomFaultPlan(nodes, rng);
         const std::uint64_t seed = rng.Next();
-        FaultScheduler s1(plan, seed);
-        FaultScheduler s2(plan, seed);
+        Scheduler s1(plan, seed);
+        Scheduler s2(plan, seed);
         TransducerNetwork n1(locals, program, nullptr, /*aware=*/false);
         TransducerNetwork n2(locals, reference, nullptr, /*aware=*/false);
         const NetworkRunResult got = n1.RunWith(s1);
@@ -188,7 +185,7 @@ TEST(FaultPropertyTest, MonotoneBroadcastInvariantUnderDuplicationStorms) {
   MonotoneBroadcastProgram program(WrapCq(triangle));
   const std::vector<Instance> locals = DistributeRoundRobin(graph, 3);
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    FaultScheduler scheduler(fault::DuplicateStormPlan(0, 16), seed);
+    Scheduler scheduler(fault::DuplicateStormPlan(0, 16), seed);
     TransducerNetwork net(locals, program, nullptr, /*aware=*/false);
     const NetworkRunResult r = net.RunWith(scheduler);
     EXPECT_EQ(r.output, expected) << "seed " << seed;
@@ -259,7 +256,7 @@ TEST(FaultPropertyTest, ClassifierPinpointsNonMonotoneDivergence) {
   for (const fault::FaultSweep& sweep : report.by_class) {
     if (sweep.all_runs_correct) continue;
     ASSERT_TRUE(sweep.first_failure.has_value());
-    const fault::FaultSweepFailure& failure = *sweep.first_failure;
+    const SweepFailure& failure = *sweep.first_failure;
     EXPECT_FALSE(failure.diff.Empty());
     if (!replayed) {
       // The recorded (plan, seed) replays to the same wrong output.
@@ -301,8 +298,8 @@ TEST(FaultPropertyTest, ExplorerMinimizesFragileBarrierToOneDuplication) {
   EXPECT_EQ(witness.strategy, "duplicate-storm");
   ASSERT_EQ(witness.plan.events.size(), 1u);
   EXPECT_EQ(witness.plan.events[0].kind,
-            fault::FaultEvent::Kind::kDuplicateNext);
-  EXPECT_EQ(witness.plan.discipline, fault::DeliveryDiscipline::kUniform);
+            FaultEvent::Kind::kDuplicateNext);
+  EXPECT_EQ(witness.plan.discipline, DeliveryDiscipline::kUniform);
   EXPECT_FALSE(witness.diff.Empty());
 
   // 1-minimality, checked directly: the empty plan does not diverge,

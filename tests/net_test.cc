@@ -11,6 +11,7 @@
 #include "net/datalog_program.h"
 #include "net/network.h"
 #include "net/programs.h"
+#include "obs/trace.h"
 #include "relational/generators.h"
 
 namespace lamp {
@@ -291,6 +292,34 @@ TEST_F(NetTest, MessageCountsAreTracked) {
   EXPECT_GT(result.messages_sent(), 0u);
   EXPECT_GT(result.facts_transferred(), 0u);
   EXPECT_GT(result.transitions(), 0u);
+}
+
+TEST_F(NetTest, HeartbeatOnlyRunCountsItsSends) {
+  // MonotoneBroadcastProgram broadcasts only in its heartbeat, so the
+  // heartbeat-only run sends exactly what a full run sends, and traces
+  // every broadcast.
+  const Instance graph = MakeGraph(6, 10, 6);
+  MonotoneBroadcastProgram program(WrapCq(triangle_));
+  TransducerNetwork network(DistributeRoundRobin(graph, 3), program, nullptr,
+                            false);
+  const NetworkRunResult full = network.Run(42);
+  obs::Tracer tracer;
+  NetworkRunResult heartbeats;
+  {
+    obs::ScopedTracer install(tracer);
+    heartbeats = network.RunWithoutDelivery();
+  }
+  EXPECT_EQ(heartbeats.transitions(), 0u);
+  EXPECT_GT(heartbeats.wire_bytes(), 0u);
+  EXPECT_EQ(heartbeats.messages_sent(), full.messages_sent());
+  EXPECT_EQ(heartbeats.facts_transferred(), full.facts_transferred());
+  EXPECT_EQ(heartbeats.wire_bytes(), full.wire_bytes());
+  std::size_t traced = 0;
+  for (const obs::TraceEvent& e : tracer.Events()) {
+    if (e.kind == obs::EventKind::kNetBroadcast) ++traced;
+  }
+  EXPECT_EQ(traced, heartbeats.metrics.CounterValue(obs::kNetBroadcasts));
+  EXPECT_GT(traced, 0u);
 }
 
 TEST_F(NetTest, SingleNodeNetworkNeedsNoMessages) {
