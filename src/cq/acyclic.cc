@@ -61,8 +61,4 @@ JoinTree BuildJoinTree(const ConjunctiveQuery& query) {
   return tree;
 }
 
-bool IsAcyclic(const ConjunctiveQuery& query) {
-  return BuildJoinTree(query).acyclic;
-}
-
 }  // namespace lamp

@@ -32,9 +32,6 @@ struct JoinTree {
 /// which case parent/removal_order are meaningless.
 JoinTree BuildJoinTree(const ConjunctiveQuery& query);
 
-/// Convenience wrapper: true iff the query's body hypergraph is acyclic.
-bool IsAcyclic(const ConjunctiveQuery& query);
-
 }  // namespace lamp
 
 #endif  // LAMP_CQ_ACYCLIC_H_

@@ -6,14 +6,6 @@
 
 namespace lamp {
 
-Valuation Valuation::Total(const std::vector<Value>& values) {
-  Valuation v(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    v.Bind(static_cast<VarId>(i), values[i]);
-  }
-  return v;
-}
-
 Value Valuation::Get(VarId v) const {
   LAMP_CHECK(v < slots_.size() && slots_[v].has_value());
   return *slots_[v];

@@ -22,9 +22,6 @@ class Valuation {
   /// Creates the empty assignment for a query with \p num_vars variables.
   explicit Valuation(std::size_t num_vars) : slots_(num_vars) {}
 
-  /// Creates a total valuation from explicit values (one per variable).
-  static Valuation Total(const std::vector<Value>& values);
-
   bool IsBound(VarId v) const { return slots_[v].has_value(); }
   Value Get(VarId v) const;
   void Bind(VarId v, Value value) { slots_[v] = value; }

@@ -60,21 +60,6 @@ FaultPlan PartitionHealPlan(std::vector<NodeId> group, std::size_t at_step,
   return plan;
 }
 
-FaultPlan StallPlan(NodeId node, std::size_t from_step, std::size_t to_step) {
-  FaultPlan plan;
-  FaultEvent begin;
-  begin.kind = FaultEvent::Kind::kStallBegin;
-  begin.step = from_step;
-  begin.node = node;
-  FaultEvent end;
-  end.kind = FaultEvent::Kind::kStallEnd;
-  end.step = to_step;
-  end.node = node;
-  plan.events = {begin, end};
-  plan.Normalize();
-  return plan;
-}
-
 FaultPlan StarvePlan(NodeId target) {
   FaultPlan plan;
   plan.discipline = DeliveryDiscipline::kStarve;

@@ -34,9 +34,6 @@ FaultPlan CrashRestartPlan(NodeId node, std::size_t crash_step,
 FaultPlan PartitionHealPlan(std::vector<NodeId> group, std::size_t at_step,
                             std::size_t heal_step);
 
-/// Stall `node` (scheduling starvation, no crash) for the given window.
-FaultPlan StallPlan(NodeId node, std::size_t from_step, std::size_t to_step);
-
 /// Starve one receiver: deliver to `target` only when forced.
 FaultPlan StarvePlan(NodeId target);
 

@@ -64,29 +64,6 @@ double FractionalEdgePackingValue(const ConjunctiveQuery& query) {
   return sol.objective_value;
 }
 
-double FractionalEdgeCoverValue(const ConjunctiveQuery& query) {
-  const Hypergraph h = BuildHypergraph(query);
-  LAMP_CHECK(!h.edges.empty());
-
-  // minimize sum u_e == maximize -sum u_e.
-  LinearProgram lp;
-  lp.num_vars = h.edges.size();
-  lp.objective.assign(lp.num_vars, -1.0);
-  for (VarId v : h.vertices) {
-    LinearProgram::Constraint row;
-    row.coeffs.assign(lp.num_vars, 0.0);
-    for (std::size_t e = 0; e < h.edges.size(); ++e) {
-      if (h.edges[e].count(v) > 0) row.coeffs[e] = 1.0;
-    }
-    row.type = ConstraintType::kGe;
-    row.rhs = 1.0;
-    lp.constraints.push_back(std::move(row));
-  }
-  const LpSolution sol = SolveLp(lp);
-  LAMP_CHECK(sol.status == LpSolution::Status::kOptimal);
-  return -sol.objective_value;
-}
-
 ShareExponents OptimalShareExponents(const ConjunctiveQuery& query) {
   const Hypergraph h = BuildHypergraph(query);
   LAMP_CHECK(!h.edges.empty());

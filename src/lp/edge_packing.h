@@ -28,11 +28,6 @@ namespace lamp {
 /// tests for the concrete values.)
 double FractionalEdgePackingValue(const ConjunctiveQuery& query);
 
-/// Value of the optimal fractional edge cover:
-///   minimize sum_e u_e  s.t.  for every variable v: sum_{e contains v} u_e >= 1.
-/// (The AGM output-size exponent.)
-double FractionalEdgeCoverValue(const ConjunctiveQuery& query);
-
 /// Optimal HyperCube share exponents.
 struct ShareExponents {
   /// exponent[v] = x_v, indexed by VarId; shares are alpha_v = p^{x_v}.

@@ -22,12 +22,6 @@ struct KeyedRow {
 
 Instance RunJob(const MapReduceJob& job, const Instance& input,
                 MapReduceStats* stats) {
-  return RunJobShard(job, input, 0, 1, stats);
-}
-
-Instance RunJobShard(const MapReduceJob& job, const Instance& input,
-                     std::size_t shard, std::size_t num_shards,
-                     MapReduceStats* stats) {
   // Map stage: every row in (relation, insertion) order.
   std::vector<KeyedRow> pairs;
   std::vector<std::uint64_t> keys;
@@ -38,9 +32,7 @@ Instance RunJobShard(const MapReduceJob& job, const Instance& input,
       const transport::RowRef row{r, rows.Row(i), arity};
       keys.clear();
       job.map(row, keys);
-      for (const std::uint64_t key : keys) {
-        if (key % num_shards == shard) pairs.push_back({key, row});
-      }
+      for (const std::uint64_t key : keys) pairs.push_back({key, row});
     }
   }
 
@@ -83,17 +75,6 @@ Instance RunJobShard(const MapReduceJob& job, const Instance& input,
   }
   if (stats != nullptr) *stats = std::move(local);
   return output;
-}
-
-Instance RunProgram(const MapReduceProgram& program, const Instance& input,
-                    std::vector<MapReduceStats>* stats) {
-  Instance current = input;
-  for (const MapReduceJob& job : program.jobs) {
-    MapReduceStats job_stats;
-    current = RunJob(job, current, &job_stats);
-    if (stats != nullptr) stats->push_back(std::move(job_stats));
-  }
-  return current;
 }
 
 }  // namespace lamp

@@ -15,17 +15,15 @@
 /// A job is a pair (mu, rho): the map function mu turns each input fact
 /// into key-value pairs; pairs are grouped by key; the reduce function rho
 /// turns each group into output pairs. A MapReduce *program* is a sequence
-/// of jobs. The paper observes that every MapReduce program is an MPC
-/// algorithm — the map phase is the communication phase (the key is the
-/// server) and the reduce phase the computation phase; RunJobOnMpc
-/// (relational_jobs.h) makes the translation executable and the tests
-/// check both sides compute the same result with the same load profile.
+/// of jobs; the iterative transitive-closure strategies (recursive.h) run
+/// one job per fixpoint step. The paper observes that every MapReduce
+/// program is an MPC algorithm — the map phase is the communication phase
+/// (the key is the server) and the reduce phase the computation phase.
 ///
 /// A job here is a row router plus a row reducer. The value of every pair
 /// is the mapped input row itself, so mu only names the row's keys
 /// (64-bit integers), and the shuffle moves borrowed row references, not
-/// copies. The same map is the MPC router: RunJobOnMpc sends a row to
-/// server key mod p for each of its keys.
+/// copies.
 
 namespace lamp {
 
@@ -36,8 +34,7 @@ struct MapReduceJob {
   using MapFn = std::function<void(transport::RowRef row,
                                    std::vector<std::uint64_t>& keys)>;
   /// rho: consumes one key group — the rows mapped to \p key, in input
-  /// order — and inserts its output rows into \p out. Jobs run on pool
-  /// workers (RunJobOnMpc), so a reducer keeps no mutable state.
+  /// order — and inserts its output rows into \p out.
   using ReduceFn =
       std::function<void(std::uint64_t key,
                          std::span<const transport::RowRef> group,
@@ -64,23 +61,6 @@ struct MapReduceStats {
 /// and reduces each group into one Instance (duplicate rows merge).
 Instance RunJob(const MapReduceJob& job, const Instance& input,
                 MapReduceStats* stats = nullptr);
-
-/// RunJob over the pairs whose key k has k mod \p num_shards == \p shard
-/// only: what server \p shard of RunJobOnMpc reduces. RunJob is shard 0
-/// of 1.
-Instance RunJobShard(const MapReduceJob& job, const Instance& input,
-                     std::size_t shard, std::size_t num_shards,
-                     MapReduceStats* stats = nullptr);
-
-/// A program: jobs executed in sequence, the output of one feeding the
-/// next.
-struct MapReduceProgram {
-  std::vector<MapReduceJob> jobs;
-};
-
-/// Runs a whole program; per-job stats are appended to \p stats.
-Instance RunProgram(const MapReduceProgram& program, const Instance& input,
-                    std::vector<MapReduceStats>* stats = nullptr);
 
 }  // namespace lamp
 

@@ -103,13 +103,6 @@ void MpcSimulator::LoadInput(const Instance& global) {
   }
 }
 
-void MpcSimulator::LoadLocals(std::vector<Instance> locals) {
-  LAMP_CHECK(locals.size() == locals_.size());
-  locals_ = std::move(locals);
-  output_ = Instance();
-  stats_ = RunStats();
-}
-
 void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
   const std::size_t p = locals_.size();
   const auto round_idx = static_cast<std::uint32_t>(stats_.rounds.size());

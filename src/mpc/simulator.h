@@ -112,9 +112,6 @@ class MpcSimulator {
   /// local servers' shares. Resets stats/output.
   void LoadInput(const Instance& global);
 
-  /// Places \p local directly on each server (for tests). Resets stats.
-  void LoadLocals(std::vector<Instance> locals);
-
   /// Executes one round: route every fact of every server with \p route,
   /// then run \p compute per server on the received data. Load statistics
   /// for the round are appended to stats().

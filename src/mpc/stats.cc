@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 namespace lamp {
 
@@ -57,43 +56,6 @@ void RunStats::ToMetrics(obs::MetricsRegistry& registry) const {
     max_load.Observe(static_cast<double>(r.MaxLoad()));
     total_load.Observe(static_cast<double>(r.TotalLoad()));
   }
-}
-
-obs::JsonValue RunStats::ToJson() const {
-  obs::JsonValue doc = obs::JsonValue::Object();
-  obs::JsonValue round_list = obs::JsonValue::Array();
-  for (const RoundStats& r : rounds) {
-    obs::JsonValue round = obs::JsonValue::Object();
-    round.Set("max", r.MaxLoad());
-    round.Set("total", r.TotalLoad());
-    obs::JsonValue received = obs::JsonValue::Array();
-    for (const std::size_t load : r.received) {
-      received.PushBack(obs::JsonValue(load));
-    }
-    round.Set("received", std::move(received));
-    if (!r.wire_bytes.empty()) {
-      obs::JsonValue wire = obs::JsonValue::Array();
-      for (const std::size_t b : r.wire_bytes) {
-        wire.PushBack(obs::JsonValue(b));
-      }
-      round.Set("wire_bytes", std::move(wire));
-    }
-    round_list.PushBack(std::move(round));
-  }
-  doc.Set("rounds", std::move(round_list));
-  doc.Set("max_load", MaxLoad());
-  doc.Set("total_communication", TotalCommunication());
-  if (TotalWireBytes() > 0) doc.Set("wire_bytes", TotalWireBytes());
-  return doc;
-}
-
-std::string RunStats::ToString() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    os << "round " << i << ": max=" << rounds[i].MaxLoad()
-       << " total=" << rounds[i].TotalLoad() << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace lamp

@@ -2,7 +2,6 @@
 #define LAMP_MPC_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -59,16 +58,6 @@ struct RunStats {
   std::size_t TotalWireBytes() const;
 
   std::size_t NumRounds() const { return rounds.size(); }
-
-  /// One line per round: "round 0: max=12 total=96".
-  std::string ToString() const;
-
-  /// Full per-round/per-server load profile:
-  ///   {"rounds":[{"max":..,"total":..,"received":[..]},...],
-  ///    "max_load":..,"total_communication":..}
-  /// This is the measured side of an audit record (obs/audit/audit.h);
-  /// tools/lamp_obs renders it as a per-server heatmap.
-  obs::JsonValue ToJson() const;
 
   /// Exports under the obs naming convention: mpc.rounds, mpc.max_load,
   /// mpc.total_communication plus the per-round mpc.round.* histograms.

@@ -3,9 +3,9 @@
 
 #include "net/scheduler.h"
 
-// FaultPlan's names, text and JSON forms (declared in net/scheduler.h).
-// They live apart from scheduler.cc so that a binary that only runs
-// schedules does not link the renderers.
+// FaultPlan's names and text form (declared in net/scheduler.h). They
+// live apart from scheduler.cc so that a binary that only runs schedules
+// does not link the renderers.
 
 namespace lamp {
 
@@ -37,10 +37,6 @@ std::string_view FaultEventKindName(FaultEvent::Kind kind) {
       return "partition";
     case FaultEvent::Kind::kHeal:
       return "heal";
-    case FaultEvent::Kind::kStallBegin:
-      return "stall-begin";
-    case FaultEvent::Kind::kStallEnd:
-      return "stall-end";
   }
   return "unknown";
 }
@@ -58,8 +54,6 @@ std::string EventToString(const FaultEvent& e) {
       out.append(e.durable ? ",durable)" : ",volatile)");
       break;
     case FaultEvent::Kind::kRestart:
-    case FaultEvent::Kind::kStallBegin:
-    case FaultEvent::Kind::kStallEnd:
       out.append("(n");
       out.append(std::to_string(e.node));
       out.push_back(')');
@@ -103,44 +97,6 @@ std::string FaultPlan::ToString() const {
     out.append(EventToString(events[i]));
   }
   out.push_back(']');
-  return out;
-}
-
-obs::JsonValue FaultPlan::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("discipline", DeliveryDisciplineName(discipline));
-  if (discipline == DeliveryDiscipline::kStarve) {
-    out.Set("starve_target", static_cast<std::size_t>(starve_target));
-  }
-  obs::JsonValue array = obs::JsonValue::Array();
-  for (const FaultEvent& e : events) {
-    obs::JsonValue je = obs::JsonValue::Object();
-    je.Set("kind", FaultEventKindName(e.kind));
-    je.Set("step", e.step);
-    switch (e.kind) {
-      case FaultEvent::Kind::kCrash:
-        je.Set("node", static_cast<std::size_t>(e.node));
-        je.Set("durable", e.durable);
-        break;
-      case FaultEvent::Kind::kRestart:
-      case FaultEvent::Kind::kStallBegin:
-      case FaultEvent::Kind::kStallEnd:
-        je.Set("node", static_cast<std::size_t>(e.node));
-        break;
-      case FaultEvent::Kind::kPartition: {
-        obs::JsonValue group = obs::JsonValue::Array();
-        for (NodeId n : e.group) {
-          group.PushBack(obs::JsonValue(static_cast<std::size_t>(n)));
-        }
-        je.Set("group", std::move(group));
-        break;
-      }
-      default:
-        break;
-    }
-    array.PushBack(std::move(je));
-  }
-  out.Set("events", std::move(array));
   return out;
 }
 

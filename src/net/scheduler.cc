@@ -87,12 +87,6 @@ SchedulerAction Scheduler::ApplyEvent(const FaultEvent& event,
         obs::Emit(obs::EventKind::kNetHeal, 0, 0, view.step);
       }
       return {};
-    case FaultEvent::Kind::kStallBegin:
-      stalled_.insert(event.node);
-      return {};
-    case FaultEvent::Kind::kStallEnd:
-      stalled_.erase(event.node);
-      return {};
   }
   return {};
 }
@@ -110,13 +104,10 @@ SchedulerAction Scheduler::Next(const ChannelView& view) {
       if (action.kind != SchedulerAction::Kind::kNone) return action;
     }
 
-    // Receivers with a deliverable message: up, unstalled, edge not cut.
+    // Receivers with a deliverable message: up, edge not cut.
     ready_.clear();
     for (NodeId to = 0; to < n; ++to) {
-      if (view.node_up[to] && stalled_.count(to) == 0 &&
-          HasDeliverable(view, to)) {
-        ready_.push_back(to);
-      }
+      if (view.node_up[to] && HasDeliverable(view, to)) ready_.push_back(to);
     }
 
     if (ready_.empty()) {
@@ -134,11 +125,6 @@ SchedulerAction Scheduler::Next(const ChannelView& view) {
         partition_group_.clear();
         ++forced_recoveries_;
         obs::Emit(obs::EventKind::kNetHeal, 0, 0, view.step);
-        continue;
-      }
-      if (!stalled_.empty()) {
-        stalled_.clear();
-        ++forced_recoveries_;
         continue;
       }
       for (NodeId node = 0; node < n; ++node) {

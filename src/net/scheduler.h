@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "net/transducer.h"
-#include "obs/json.h"
 
 /// \file
 /// The scheduler of the asynchronous network runner, and the fault plans
@@ -30,8 +29,8 @@
 /// The empty plan is the plain seeded run: heartbeats in shuffled order,
 /// then a uniform random nonempty channel and a uniform random message
 /// per step; TransducerNetwork::Run(seed) is exactly that run. Plans
-/// serialise to JSON for witness reports, and — being plain event lists —
-/// are the unit the fault explorer's delta-debugger shrinks
+/// render as one line of text for witness reports, and — being plain event
+/// lists — are the unit the fault explorer's delta-debugger shrinks
 /// (fault/explorer.h); the plan generators live in fault/plan.h.
 ///
 /// Liveness by construction: every run terminates with every message
@@ -41,8 +40,8 @@
 ///   * duplication budgets are finite (one copy per kDuplicateNext);
 ///   * when no delivery is possible the scheduler *forces* progress —
 ///     it fast-forwards to the plan's next event, and once the plan is
-///     exhausted it heals partitions, ends stalls and restarts crashed
-///     nodes on its own.
+///     exhausted it heals partitions and restarts crashed nodes on its
+///     own.
 /// So every run is a legal asynchronous run in the paper's model (finite
 /// delay, finite duplication, no true loss), which is exactly the class
 /// of runs CALM quantifies over.
@@ -71,13 +70,11 @@ struct FaultEvent {
     kRestart,        // `node` comes back up (see net/network.h semantics).
     kPartition,      // `group` is isolated from the rest of the network.
     kHeal,           // The active partition is removed.
-    kStallBegin,     // `node` stops being scheduled (but stays up).
-    kStallEnd,       // `node` is schedulable again.
   };
 
   Kind kind = Kind::kDropNext;
   std::size_t step = 0;
-  NodeId node = 0;            // Crash/restart/stall target.
+  NodeId node = 0;            // Crash/restart target.
   bool durable = false;       // Crash mode.
   std::vector<NodeId> group;  // Partition: the isolated group.
 };
@@ -103,9 +100,6 @@ struct FaultPlan {
 
   /// "discipline=newest-first events=[dup@3 crash(n2,volatile)@5 ...]".
   std::string ToString() const;
-
-  /// {"discipline": .., "starve_target": .., "events": [...]}.
-  obs::JsonValue ToJson() const;
 };
 
 /// What the runner shows the scheduler at each decision point. All spans
@@ -179,11 +173,11 @@ class Scheduler {
   bool WantsRedeliveryLog() const { return plan_.HasVolatileCrash(); }
 
   /// Faults forced outside their planned step to keep the run live
-  /// (auto-heals, auto-restarts, auto-unstalls).
+  /// (auto-heals, auto-restarts).
   std::size_t forced_recoveries() const { return forced_recoveries_; }
 
  private:
-  /// Applies one plan event. Internal events (partition, heal, stall)
+  /// Applies one plan event. Internal events (partition, heal, drop, dup)
   /// mutate scheduler state and return kNone; crash/restart return the
   /// runner-visible action (or kNone when invalid, e.g. double crash).
   SchedulerAction ApplyEvent(const FaultEvent& event, const ChannelView& view);
@@ -197,7 +191,6 @@ class Scheduler {
   FaultPlan plan_;
   Rng rng_;
   std::size_t next_event_ = 0;
-  std::set<NodeId> stalled_;
   bool partition_active_ = false;
   std::set<NodeId> partition_group_;
   std::size_t pending_drops_ = 0;

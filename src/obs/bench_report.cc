@@ -58,8 +58,6 @@ int ConfigureRepeatsFromCommandLine(int* argc, char** argv) {
   return out;
 }
 
-int BenchRepeats() { return g_repeats; }
-
 void SetBenchRepeatIndex(int index) { g_repeat_index = index; }
 
 int BenchRepeatIndex() { return g_repeat_index; }

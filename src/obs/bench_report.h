@@ -165,16 +165,13 @@ std::optional<std::vector<JsonValue>> LoadAttachedEntries(
 /// calls this right after par::ConfigureFromCommandLine.
 int ConfigureRepeatsFromCommandLine(int* argc, char** argv);
 
-/// Configured repeat count (default 1).
-int BenchRepeats();
-
 /// Zero-based index stamped into the "repeat" field of records created
 /// afterwards. RunRepeated advances it; tests may set it directly.
 void SetBenchRepeatIndex(int index);
 int BenchRepeatIndex();
 
 /// Runs \p body once per configured repeat, setting the stamped repeat
-/// index to 0..BenchRepeats()-1 around each call.
+/// index to 0..repeats-1 around each call.
 void RunRepeated(const std::function<void()>& body);
 
 }  // namespace lamp::obs

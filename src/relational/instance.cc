@@ -13,7 +13,7 @@ namespace lamp {
 namespace {
 
 /// Returns \p values if already sorted, otherwise a sorted+deduped copy in
-/// \p scratch. Lets RestrictTo/Touching accept unsorted literals while the
+/// \p scratch. Lets Touching accept unsorted literals while the
 /// common caller (ActiveDomain output) pays no copy.
 const std::vector<Value>& SortedView(const std::vector<Value>& values,
                                      std::vector<Value>& scratch) {
@@ -250,27 +250,6 @@ std::vector<Value> Instance::ActiveDomain() const {
   std::sort(dom.begin(), dom.end());
   dom.erase(std::unique(dom.begin(), dom.end()), dom.end());
   return dom;
-}
-
-Instance Instance::RestrictTo(const std::vector<Value>& values) const {
-  std::vector<Value> scratch;
-  const std::vector<Value>& sorted = SortedView(values, scratch);
-  Instance out;
-  for (RelationId r = 0; r < by_relation_.size(); ++r) {
-    const Column& c = by_relation_[r];
-    const Value* row = c.data.data();
-    for (std::size_t i = 0; i < c.num_rows; ++i, row += c.arity) {
-      bool inside = true;
-      for (std::size_t j = 0; j < c.arity; ++j) {
-        if (!SortedContains(sorted, row[j])) {
-          inside = false;
-          break;
-        }
-      }
-      if (inside) out.InsertRow(r, row, c.arity);
-    }
-  }
-  return out;
 }
 
 Instance Instance::Touching(const std::vector<Value>& values) const {

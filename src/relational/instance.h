@@ -24,14 +24,13 @@
 /// row-level set operations (`IsSubsetOf`, `Minus`, `SelectRelations`),
 /// which touch the flat storage directly. The `Fact`-shaped accessors
 /// (`AllFacts`, `ForEachFact`, `ForEachFactOf`) materialise facts on the
-/// fly. Outside tests, only three kinds of caller still use them: the
+/// fly. Outside tests, only two kinds of caller still use them: the
 /// end-to-end benchmark (benchmark/lamp_benchmark.cc), which keeps the
-/// accessors alive; `DistributionPolicy::LocalInstance`/`SomeNodeHasAll`,
-/// which pass each fact to the spec-level `IsResponsible(node, Fact)`; and
-/// `WriteInstance`, which sorts facts to write stable text. Iteration
-/// order within a relation is insertion order, which keeps runs
-/// deterministic and digests byte-identical to the row-oriented
-/// predecessor.
+/// accessors alive; and `DistributionPolicy::LocalInstance` and
+/// `SomeNodeHasAll`, which pass each fact to the spec-level
+/// `IsResponsible(node, Fact)`. Iteration order within a relation is
+/// insertion order, which keeps runs deterministic and digests
+/// byte-identical to the row-oriented predecessor.
 
 namespace lamp {
 
@@ -238,13 +237,9 @@ class Instance {
   /// deduplicated.
   std::vector<Value> ActiveDomain() const;
 
-  /// I|C = { f in I : adom(f) subseteq C } (Lemma 5.7 of the paper).
-  /// \p values need not be sorted; membership is decided by binary search
-  /// over a sorted copy (made only when the input is unsorted).
-  Instance RestrictTo(const std::vector<Value>& values) const;
-
-  /// Facts whose argument set intersects \p values (same contract as
-  /// RestrictTo).
+  /// Facts whose argument set intersects \p values. \p values need not
+  /// be sorted; membership is decided by binary search over a sorted copy
+  /// (made only when the input is unsorted).
   Instance Touching(const std::vector<Value>& values) const;
 
   /// The connected components of I: J is a component when J is a minimal

@@ -129,15 +129,6 @@ std::size_t ProgramAnalysis::WarningCount() const {
                     }));
 }
 
-ProgramAnalysis AnalyzeProgram(const Schema& schema,
-                               const DatalogProgram& program,
-                               const AnalyzerOptions& options) {
-  ProgramAnalysis analysis;
-  analysis.program = program;
-  RunCore(schema, analysis, options, {});
-  return analysis;
-}
-
 ProgramAnalysis AnalyzeProgramText(Schema& schema, std::string_view text,
                                    const AnalyzerOptions& options) {
   ProgramAnalysis analysis;

@@ -66,11 +66,6 @@ struct AnalyzerOptions {
   std::vector<std::string> catalog_relations;
 };
 
-/// Analyzes an already-built program.
-ProgramAnalysis AnalyzeProgram(const Schema& schema,
-                               const DatalogProgram& program,
-                               const AnalyzerOptions& options = {});
-
 /// Parses and analyzes program text, tracking source lines and pragmas.
 /// Never aborts on malformed input: parse failures become diagnostics.
 ProgramAnalysis AnalyzeProgramText(Schema& schema, std::string_view text,

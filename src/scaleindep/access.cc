@@ -32,15 +32,6 @@ void AccessSchema::Add(AccessConstraint constraint) {
   constraints_.push_back(std::move(constraint));
 }
 
-std::vector<const AccessConstraint*> AccessSchema::For(
-    RelationId relation) const {
-  std::vector<const AccessConstraint*> out;
-  for (const AccessConstraint& c : constraints_) {
-    if (c.relation == relation) out.push_back(&c);
-  }
-  return out;
-}
-
 BoundedPlan PlanBoundedEvaluation(const ConjunctiveQuery& query,
                                   const AccessSchema& schema) {
   BoundedPlan plan;

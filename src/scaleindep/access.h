@@ -41,9 +41,6 @@ class AccessSchema {
     return constraints_;
   }
 
-  /// Constraints on \p relation.
-  std::vector<const AccessConstraint*> For(RelationId relation) const;
-
  private:
   std::vector<AccessConstraint> constraints_;
 };

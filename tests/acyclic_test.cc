@@ -8,39 +8,39 @@ namespace {
 
 TEST(Acyclic, SingleAtomIsAcyclic) {
   Schema schema;
-  EXPECT_TRUE(IsAcyclic(ParseQuery(schema, "H(x,y) <- R(x,y)")));
+  EXPECT_TRUE(BuildJoinTree(ParseQuery(schema, "H(x,y) <- R(x,y)")).acyclic);
 }
 
 TEST(Acyclic, PathQueriesAreAcyclic) {
   Schema schema;
-  EXPECT_TRUE(IsAcyclic(
-      ParseQuery(schema, "H(x,w) <- E1(x,y), E2(y,z), E3(z,w)")));
+  EXPECT_TRUE(BuildJoinTree(
+      ParseQuery(schema, "H(x,w) <- E1(x,y), E2(y,z), E3(z,w)")).acyclic);
 }
 
 TEST(Acyclic, StarQueryIsAcyclic) {
   Schema schema;
-  EXPECT_TRUE(IsAcyclic(
-      ParseQuery(schema, "H(x) <- R(x,a), S(x,b), T(x,c)")));
+  EXPECT_TRUE(BuildJoinTree(
+      ParseQuery(schema, "H(x) <- R(x,a), S(x,b), T(x,c)")).acyclic);
 }
 
 TEST(Acyclic, TriangleIsCyclic) {
   Schema schema;
-  EXPECT_FALSE(IsAcyclic(
-      ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z), T(z,x)")));
+  EXPECT_FALSE(BuildJoinTree(
+      ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z), T(z,x)")).acyclic);
 }
 
 TEST(Acyclic, FourCycleIsCyclic) {
   Schema schema;
-  EXPECT_FALSE(IsAcyclic(ParseQuery(
-      schema, "H(x,y,z,w) <- R(x,y), S(y,z), T(z,w), U(w,x)")));
+  EXPECT_FALSE(BuildJoinTree(ParseQuery(
+      schema, "H(x,y,z,w) <- R(x,y), S(y,z), T(z,w), U(w,x)")).acyclic);
 }
 
 TEST(Acyclic, TriangleWithCoveringAtomIsAcyclic) {
   // Adding an atom covering all three variables makes the triangle
   // alpha-acyclic.
   Schema schema;
-  EXPECT_TRUE(IsAcyclic(ParseQuery(
-      schema, "H(x,y,z) <- R(x,y), S(y,z), T(z,x), W(x,y,z)")));
+  EXPECT_TRUE(BuildJoinTree(ParseQuery(
+      schema, "H(x,y,z) <- R(x,y), S(y,z), T(z,x), W(x,y,z)")).acyclic);
 }
 
 TEST(Acyclic, JoinTreeShape) {
@@ -79,7 +79,8 @@ TEST(Acyclic, CartesianProductIsAcyclic) {
   // Disconnected hypergraphs are alpha-acyclic (ears with empty shared
   // variable sets).
   Schema schema;
-  EXPECT_TRUE(IsAcyclic(ParseQuery(schema, "H(x,y) <- R(x,x), S(y,y)")));
+  EXPECT_TRUE(
+      BuildJoinTree(ParseQuery(schema, "H(x,y) <- R(x,x), S(y,y)")).acyclic);
 }
 
 }  // namespace

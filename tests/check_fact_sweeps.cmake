@@ -1,10 +1,9 @@
 # Fails when a C++ file under src/, tools/ or bench/ sweeps an Instance as
 # Facts (`AllFacts(`, `ForEachFact`, `ForEachFactOf`) outside the places
 # where a Fact is the argument: the accessors themselves
-# (relational/instance.*), the spec-level IsResponsible scans
-# (distribution/policy.cc) and the stable text writer (relational/io.cc).
-# Everything else reads rows (RowsOf, ForEachRow, IsSubsetOf, Minus,
-# SelectRelations).
+# (relational/instance.*) and the spec-level IsResponsible scans
+# (distribution/policy.cc). Everything else reads rows (RowsOf,
+# ForEachRow, IsSubsetOf, Minus, SelectRelations).
 #
 #   cmake -P check_fact_sweeps.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -12,8 +11,7 @@ get_filename_component(root "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
 set(allowed
     src/relational/instance.h
     src/relational/instance.cc
-    src/distribution/policy.cc
-    src/relational/io.cc)
+    src/distribution/policy.cc)
 file(GLOB_RECURSE files RELATIVE "${root}"
      "${root}/src/*.h" "${root}/src/*.cc"
      "${root}/tools/*.h" "${root}/tools/*.cc"
@@ -30,6 +28,6 @@ foreach(file IN LISTS files)
   endforeach()
 endforeach()
 if(found GREATER 0)
-  message(FATAL_ERROR "${found} Fact sweep(s) outside relational/instance.*, "
-                      "distribution/policy.cc and relational/io.cc")
+  message(FATAL_ERROR "${found} Fact sweep(s) outside relational/instance.* "
+                      "and distribution/policy.cc")
 endif()

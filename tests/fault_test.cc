@@ -273,21 +273,13 @@ TEST(FaultSchedulerTest, PartitionHeldUntilQuiescenceIsForcedToHeal) {
   EXPECT_GE(scheduler.forced_recoveries(), 1u);
 }
 
-TEST(FaultSchedulerTest, StallAndStarveStillConverge) {
+TEST(FaultSchedulerTest, StarveStillConverges) {
   TcFixture tc;
   DistributedDatalogProgram program(tc.schema, tc.prog);
-  {
-    Scheduler scheduler(fault::StallPlan(2, 0, 20), 5);
-    TransducerNetwork net(DistributeRoundRobin(tc.edges, 3), program,
-                          nullptr, false);
-    EXPECT_EQ(net.RunWith(scheduler).output, tc.expected);
-  }
-  {
-    Scheduler scheduler(fault::StarvePlan(0), 5);
-    TransducerNetwork net(DistributeRoundRobin(tc.edges, 3), program,
-                          nullptr, false);
-    EXPECT_EQ(net.RunWith(scheduler).output, tc.expected);
-  }
+  Scheduler scheduler(fault::StarvePlan(0), 5);
+  TransducerNetwork net(DistributeRoundRobin(tc.edges, 3), program, nullptr,
+                        false);
+  EXPECT_EQ(net.RunWith(scheduler).output, tc.expected);
 }
 
 TEST(FaultPlanTest, ToStringRendersEventsAndQuiescence) {
@@ -310,19 +302,6 @@ TEST(FaultPlanTest, ToStringRendersEventsAndQuiescence) {
   EXPECT_EQ(starve.ToString(), "discipline=starve(n1) events=[]");
   EXPECT_FALSE(starve.Empty());  // A non-uniform discipline is a fault.
   EXPECT_TRUE(FaultPlan{}.Empty());
-}
-
-TEST(FaultPlanTest, ToJsonRoundTripsThroughParser) {
-  FaultPlan plan = fault::PartitionHealPlan({0, 2}, 1, 7);
-  const std::string dumped = plan.ToJson().Dump();
-  const auto parsed = obs::JsonValue::Parse(dumped);
-  ASSERT_TRUE(parsed.has_value());
-  const obs::JsonValue* events = parsed->Find("events");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->size(), 2u);
-  EXPECT_EQ(events->at(0).Find("kind")->AsString(), "partition");
-  EXPECT_EQ(events->at(0).Find("group")->size(), 2u);
-  EXPECT_EQ(events->at(1).Find("kind")->AsString(), "heal");
 }
 
 TEST(DiffInstancesTest, CountsAndSummarizesBothDirections) {

@@ -51,19 +51,6 @@ TEST(Integration, HypercubeDistributionFeedsTransducerNetwork) {
   EXPECT_TRUE(sweep.all_runs_correct);
 }
 
-TEST(Integration, MpcSimulatorLoadLocalsRoundTrips) {
-  Schema schema;
-  const RelationId r = schema.AddRelation("R", 2);
-  std::vector<Instance> locals(3);
-  locals[0].Insert(Fact(r, {1, 2}));
-  locals[2].Insert(Fact(r, {3, 4}));
-  MpcSimulator sim(3);
-  sim.LoadLocals(locals);
-  EXPECT_EQ(sim.locals()[0].Size(), 1u);
-  EXPECT_TRUE(sim.locals()[1].Empty());
-  EXPECT_EQ(sim.GlobalState().Size(), 2u);
-}
-
 TEST(Integration, ValuationToStringNamesVariables) {
   Schema schema;
   ConjunctiveQuery q = ParseQuery(schema, "H(x) <- R(x,y)");

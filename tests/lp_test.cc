@@ -121,21 +121,6 @@ TEST(EdgePacking, FourCycleTauTwo) {
   EXPECT_NEAR(FractionalEdgePackingValue(q), 2.0, 1e-9);
 }
 
-TEST(EdgeCover, TriangleCoverIsAlsoThreeHalves) {
-  // For the triangle the fractional cover and packing coincide (3/2).
-  Schema schema;
-  const ConjunctiveQuery q =
-      ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z), T(z,x)");
-  EXPECT_NEAR(FractionalEdgeCoverValue(q), 1.5, 1e-9);
-}
-
-TEST(EdgeCover, BinaryJoinCoverIsTwo)  {
-  // Covering x and z needs both atoms fully.
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z)");
-  EXPECT_NEAR(FractionalEdgeCoverValue(q), 2.0, 1e-9);
-}
-
 TEST(Shares, TriangleExponentsAreUniform) {
   Schema schema;
   const ConjunctiveQuery q =

@@ -1,14 +1,18 @@
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
-#include "mapreduce/mapreduce.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
+#include "distribution/hypercube.h"
+#include "distribution/policies.h"
+#include "mapreduce/mapreduce.h"
 #include "mapreduce/recursive.h"
-#include "mapreduce/relational_jobs.h"
+#include "mpc/join_strategies.h"
 #include "relational/generators.h"
 
 namespace lamp {
@@ -43,6 +47,49 @@ class MapReduceTest : public ::testing::Test {
   ConjunctiveQuery triangle_;
 };
 
+/// A distribution policy as a map: each node it routes the row to is a
+/// key.
+MapReduceJob::MapFn KeysFromPolicy(
+    std::shared_ptr<const DistributionPolicy> policy) {
+  return [policy = std::move(policy)](transport::RowRef row,
+                                      std::vector<std::uint64_t>& keys) {
+    std::vector<NodeId> targets;
+    policy->RouteRow(row.relation, row.row, row.arity, targets);
+    keys.insert(keys.end(), targets.begin(), targets.end());
+  };
+}
+
+/// A reducer that evaluates \p query over the group's rows.
+MapReduceJob::ReduceFn EvaluateReducer(const ConjunctiveQuery& query) {
+  return [query](std::uint64_t, std::span<const transport::RowRef> group,
+                 Instance& out) {
+    Instance local;
+    for (const transport::RowRef& row : group) {
+      local.InsertRow(row.relation, row.row, row.arity);
+    }
+    out.InsertAll(Evaluate(query, local));
+  };
+}
+
+/// The repartition join (Example 3.1(1a)) as one job: a row's key is the
+/// node RepartitionPolicy hashes it to.
+MapReduceJob RepartitionJoinJob(const ConjunctiveQuery& query,
+                                std::size_t num_reducers,
+                                std::uint64_t seed) {
+  return {KeysFromPolicy(std::make_shared<HashPolicy>(
+              RepartitionPolicy(query, num_reducers, seed))),
+          EvaluateReducer(query)};
+}
+
+/// Shares/HyperCube (Section 3.1) as one job: a key per grid cell
+/// responsible for the row.
+MapReduceJob SharesJob(const ConjunctiveQuery& query, const Shares& shares,
+                       std::uint64_t seed) {
+  return {KeysFromPolicy(std::make_shared<HypercubePolicy>(
+              query, shares, MakeUniverse(1), seed)),
+          EvaluateReducer(query)};
+}
+
 /// The identity reducer: every row of the group, unchanged.
 void CopyGroup(std::uint64_t, std::span<const transport::RowRef> group,
                Instance& out) {
@@ -65,93 +112,6 @@ TEST_F(MapReduceTest, IdentityJobCopiesInput) {
   EXPECT_EQ(stats.MaxGroupSize(), input.Size());
   EXPECT_EQ(stats.pairs_shuffled, input.Size());
 }
-
-TEST_F(MapReduceTest, RepartitionJoinJobComputesTheJoin) {
-  const Instance input = JoinInput(2);
-  const MapReduceJob job = RepartitionJoinJob(join_, 8, 5);
-  MapReduceStats stats;
-  const Instance output = RunJob(job, input, &stats);
-  EXPECT_EQ(output, Evaluate(join_, input));
-  EXPECT_LE(stats.NumGroups(), 8u);
-  EXPECT_EQ(stats.pairs_shuffled, input.Size());  // No replication.
-}
-
-TEST_F(MapReduceTest, SharesJobComputesTheTriangle) {
-  const Instance input = TriangleInput(3);
-  const MapReduceJob job = SharesJob(triangle_, {2, 2, 2}, 5);
-  MapReduceStats stats;
-  const Instance output = RunJob(job, input, &stats);
-  EXPECT_EQ(output, Evaluate(triangle_, input));
-  EXPECT_LE(stats.NumGroups(), 8u);
-  // Each fact is replicated exactly `share of the missing dimension`
-  // times: 2 per fact for the 2x2x2 grid.
-  EXPECT_EQ(stats.pairs_shuffled, 2 * input.Size());
-}
-
-TEST_F(MapReduceTest, ReducerSizeReplicationTradeoff) {
-  // Das Sarma et al. [27]: larger shares -> more replication (pairs
-  // shuffled) but smaller reducers.
-  const Instance input = TriangleInput(4, 400);
-  MapReduceStats small_grid;
-  MapReduceStats large_grid;
-  RunJob(SharesJob(triangle_, {2, 2, 2}, 5), input, &small_grid);
-  RunJob(SharesJob(triangle_, {4, 4, 4}, 5), input, &large_grid);
-  EXPECT_GT(large_grid.pairs_shuffled, small_grid.pairs_shuffled);
-  EXPECT_LT(large_grid.MaxGroupSize(), small_grid.MaxGroupSize());
-}
-
-TEST_F(MapReduceTest, ProgramChainsJobs) {
-  // Job 1: join R and S into K(x,y,z) encoded as H facts; job 2: filter
-  // the groups by a parity condition on x. Checks output piping.
-  const Instance input = JoinInput(6);
-  MapReduceProgram program;
-  program.jobs.push_back(RepartitionJoinJob(join_, 4, 1));
-  MapReduceJob filter;
-  filter.map = [this](transport::RowRef row,
-                      std::vector<std::uint64_t>& keys) {
-    if (row.relation == schema_.IdOf("H") && row.row[0].v % 2 == 0) {
-      keys.push_back(static_cast<std::uint64_t>(row.row[0].v));
-    }
-  };
-  filter.reduce = CopyGroup;
-  program.jobs.push_back(filter);
-
-  std::vector<MapReduceStats> stats;
-  const Instance output = RunProgram(program, input, &stats);
-  ASSERT_EQ(stats.size(), 2u);
-  for (const Fact& f : output.AllFacts()) {
-    EXPECT_EQ(f.args[0].v % 2, 0);
-  }
-  const Instance full_join = Evaluate(join_, input);
-  for (const Fact& f : full_join.AllFacts()) {
-    EXPECT_EQ(output.Contains(f), f.args[0].v % 2 == 0);
-  }
-}
-
-TEST_F(MapReduceTest, MpcTranslationComputesSameResult) {
-  // The paper's observation: a MapReduce job *is* a one-round MPC
-  // algorithm. Same output; the MPC max load upper-bounds the biggest
-  // reducer group (a server may host several groups).
-  const Instance input = TriangleInput(7);
-  const MapReduceJob job = SharesJob(triangle_, {2, 2, 2}, 9);
-  MapReduceStats mr_stats;
-  const Instance mr_output = RunJob(job, input, &mr_stats);
-  const MpcRunResult mpc = RunJobOnMpc(job, input, 8);
-  EXPECT_EQ(mpc.output, mr_output);
-  EXPECT_GE(mpc.stats.MaxLoad() + input.Size() / 8 + 1,
-            mr_stats.MaxGroupSize());
-  EXPECT_EQ(mpc.stats.NumRounds(), 1u);
-}
-
-TEST_F(MapReduceTest, MpcTranslationOfRepartitionJoin) {
-  const Instance input = JoinInput(8);
-  const MapReduceJob job = RepartitionJoinJob(join_, 16, 2);
-  const Instance mr_output = RunJob(job, input);
-  const MpcRunResult mpc = RunJobOnMpc(job, input, 4);
-  EXPECT_EQ(mpc.output, mr_output);
-  EXPECT_EQ(mpc.output, Evaluate(join_, input));
-}
-
 
 TEST_F(MapReduceTest, LinearTcOnPath) {
   Schema schema;
@@ -237,13 +197,6 @@ std::uint64_t RowOrderHash(const Instance& instance) {
   return h;
 }
 
-/// The per-server loads of every round of \p stats.
-std::vector<std::vector<std::size_t>> Loads(const RunStats& stats) {
-  std::vector<std::vector<std::size_t>> loads;
-  for (const RoundStats& round : stats.rounds) loads.push_back(round.received);
-  return loads;
-}
-
 TEST_F(MapReduceTest, TcStrategiesShuffleThePinnedCounts) {
   // D2 on path graphs of diameter 8/16/32/64: jobs (barriers), pairs
   // shuffled and the largest reducer group of both strategies.
@@ -292,63 +245,6 @@ TEST_F(MapReduceTest, RunJobPinsGroupsAndOutputOrder) {
   EXPECT_EQ(shares.group_sizes,
             (std::vector<std::size_t>{108, 121, 164, 195, 114, 121, 176, 201}));
   EXPECT_EQ(RowOrderHash(triangles), 499254445173119646u);
-}
-
-TEST_F(MapReduceTest, RunJobOnMpcPinsLoadsAndOutputOrder) {
-  const Instance join_input = JoinInput(8);
-  const MpcRunResult repartition =
-      RunJobOnMpc(RepartitionJoinJob(join_, 16, 2), join_input, 4);
-  EXPECT_EQ(Loads(repartition.stats),
-            (std::vector<std::vector<std::size_t>>{{162, 126, 129, 38}}));
-  EXPECT_EQ(RowOrderHash(repartition.output), 3651693116305188166u);
-
-  const Instance triangle_input = TriangleInput(7);
-  const MpcRunResult shares =
-      RunJobOnMpc(SharesJob(triangle_, {2, 2, 2}, 9), triangle_input, 8);
-  EXPECT_EQ(Loads(shares.stats),
-            (std::vector<std::vector<std::size_t>>{
-                {98, 125, 93, 123, 134, 162, 127, 185}}));
-  EXPECT_EQ(RowOrderHash(shares.output), 14202592420358149785u);
-
-  // More reducers than servers: server s reduces every key k with
-  // k mod p == s, one group per key.
-  const MpcRunResult folded =
-      RunJobOnMpc(SharesJob(triangle_, {2, 2, 2}, 9), triangle_input, 3);
-  EXPECT_EQ(Loads(folded.stats),
-            (std::vector<std::vector<std::size_t>>{{269, 334, 199}}));
-  EXPECT_EQ(RowOrderHash(folded.output), 1629909121193958826u);
-  EXPECT_EQ(folded.output, shares.output);
-}
-
-TEST_F(MapReduceTest, TcStepRunsOnMpc) {
-  // One step of each TC strategy as a one-round MPC algorithm: the same
-  // rows as RunJob, in a pinned order, under pinned loads.
-  Schema schema;
-  const RelationId e = schema.AddRelation("E", 2);
-  const RelationId tc = schema.AddRelation("TC", 2);
-  Rng rng(12);
-  Instance edges;
-  AddRandomGraph(schema, e, 60, 20, rng, edges);
-  Instance input = edges;
-  const RowsView rows = edges.RowsOf(e);
-  input.InsertRows(tc, rows.data, rows.num_rows, rows.arity);
-
-  const MapReduceJob linear = JoinSecondWithFirst(tc, e, tc);
-  const MpcRunResult linear_mpc = RunJobOnMpc(linear, input, 4);
-  EXPECT_EQ(linear_mpc.output, RunJob(linear, input));
-  EXPECT_EQ(Loads(linear_mpc.stats),
-            (std::vector<std::vector<std::size_t>>{{22, 31, 16, 25}}));
-  EXPECT_EQ(RowOrderHash(linear_mpc.output), 330831022755662107u);
-
-  // Doubling over TC = paths of length 1 and 2: every TC row plays both
-  // sides.
-  input.InsertAll(linear_mpc.output);
-  const MapReduceJob doubling = JoinSecondWithFirst(tc, tc, tc);
-  const MpcRunResult doubling_mpc = RunJobOnMpc(doubling, input, 4);
-  EXPECT_EQ(doubling_mpc.output, RunJob(doubling, input));
-  EXPECT_EQ(Loads(doubling_mpc.stats),
-            (std::vector<std::vector<std::size_t>>{{52, 69, 40, 62}}));
-  EXPECT_EQ(RowOrderHash(doubling_mpc.output), 4082226243133211437u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <map>
-#include <sstream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -8,7 +7,6 @@
 #include "relational/fact.h"
 #include "relational/generators.h"
 #include "relational/instance.h"
-#include "relational/io.h"
 #include "relational/schema.h"
 
 namespace lamp {
@@ -83,17 +81,6 @@ TEST_F(RelationalTest, ActiveDomain) {
   EXPECT_TRUE(std::is_sorted(dom.begin(), dom.end()));
   EXPECT_TRUE(std::binary_search(dom.begin(), dom.end(), Value(1)));
   EXPECT_TRUE(std::binary_search(dom.begin(), dom.end(), Value(7)));
-}
-
-TEST_F(RelationalTest, RestrictToKeepsOnlyFullyCoveredFacts) {
-  Instance inst;
-  inst.Insert(Fact(r_, {1, 2}));
-  inst.Insert(Fact(r_, {1, 3}));
-  inst.Insert(Fact(u_, {2}));
-  const Instance restricted = inst.RestrictTo({Value(1), Value(2)});
-  EXPECT_EQ(restricted.Size(), 2u);
-  EXPECT_TRUE(restricted.Contains(Fact(r_, {1, 2})));
-  EXPECT_TRUE(restricted.Contains(Fact(u_, {2})));
 }
 
 TEST_F(RelationalTest, TouchingKeepsIntersectingFacts) {
@@ -177,42 +164,6 @@ TEST_F(RelationalTest, GraphGenerators) {
   AddRandomGraph(schema_, r_, 50, 20, rng, g);
   EXPECT_EQ(g.NumRows(r_), 50u);
   g.ForEachFactOf(r_, [&](const Fact& f) { EXPECT_NE(f.args[0], f.args[1]); });
-}
-
-
-TEST_F(RelationalTest, InstanceIoRoundTrip) {
-  Instance inst;
-  inst.Insert(Fact(r_, {1, 2}));
-  inst.Insert(Fact(r_, {-3, 4}));
-  inst.Insert(Fact(u_, {7}));
-  std::ostringstream os;
-  WriteInstance(os, schema_, inst);
-  Schema schema2;
-  const Instance reloaded = ReadInstanceFromString(os.str(), schema2);
-  EXPECT_EQ(reloaded.Size(), 3u);
-  EXPECT_TRUE(
-      reloaded.Contains(Fact(schema2.IdOf("R"), {-3, 4})));
-  EXPECT_TRUE(reloaded.Contains(Fact(schema2.IdOf("U"), {7})));
-}
-
-TEST_F(RelationalTest, InstanceIoSkipsCommentsAndBlanks) {
-  Schema schema;
-  const Instance inst = ReadInstanceFromString(
-      "# a comment\n"
-      "\n"
-      "E(1,2)\n"
-      "  % another comment\n"
-      "  E(2, 3)  \n",
-      schema);
-  EXPECT_EQ(inst.Size(), 2u);
-  EXPECT_TRUE(inst.Contains(Fact(schema.IdOf("E"), {2, 3})));
-}
-
-TEST_F(RelationalTest, InstanceIoNullaryFacts) {
-  Schema schema;
-  const Instance inst = ReadInstanceFromString("Flag()\n", schema);
-  EXPECT_EQ(inst.Size(), 1u);
-  EXPECT_EQ(schema.ArityOf(schema.IdOf("Flag")), 0u);
 }
 
 }  // namespace
