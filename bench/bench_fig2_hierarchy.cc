@@ -12,7 +12,8 @@
 // Part 2 runs each query's strategy tier (broadcast / policy-aware and
 // Theorem 5.8's distinct-complete / per-component) and reports
 // consistency — the operational side of F0=A0=M, F1=A1=Mdistinct,
-// F2=A2=Mdisjoint.
+// F2=A2=Mdisjoint. Each row is a theorem that its strategy computes its
+// query, so the bench exits 1 when any row reads NO.
 
 #include <cstdio>
 
@@ -135,7 +136,8 @@ void PrintHierarchyTable() {
       "three strict inclusions M < Mdistinct < Mdisjoint.\n\n");
 }
 
-void PrintStrategyTable() {
+/// Prints part 2; true when every strategy row is consistent.
+bool PrintStrategyTable() {
   Witnesses w;
   Rng rng(31);
   Instance graph;
@@ -151,8 +153,11 @@ void PrintStrategyTable() {
       "# C2 part 2: strategy tiers (operational F0/F1/F2)\n"
       "# columns: query  strategy  runs  all-consistent\n");
   obs::BenchReporter reporter("fig2_hierarchy");
-  auto report = [&reporter](const char* query, const char* strategy,
-                            const ConsistencySweep& sweep, double wall_ms) {
+  bool all_consistent = true;
+  auto report = [&reporter, &all_consistent](
+                    const char* query, const char* strategy,
+                    const ConsistencySweep& sweep, double wall_ms) {
+    all_consistent = all_consistent && sweep.all_runs_correct;
     reporter.NewRecord()
         .Param("part", "strategy")
         .Param("query", query)
@@ -217,6 +222,7 @@ void PrintStrategyTable() {
     report("not-TC", "per-component", sweep, timer.ElapsedMs());
   }
   std::printf("\n");
+  return all_consistent;
 }
 
 void BM_MonotonicityClassifier(benchmark::State& state) {
@@ -234,11 +240,16 @@ BENCHMARK(BM_MonotonicityClassifier);
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
   lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
-  lamp::obs::RunRepeated([] {
+  bool all_consistent = true;
+  lamp::obs::RunRepeated([&all_consistent] {
     PrintHierarchyTable();
-    PrintStrategyTable();
+    all_consistent = PrintStrategyTable() && all_consistent;
   });
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
+  if (!all_consistent) {
+    std::fprintf(stderr, "bench_fig2_hierarchy: a strategy row reads NO\n");
+    return 1;
+  }
   return 0;
 }

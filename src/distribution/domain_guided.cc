@@ -27,15 +27,23 @@ DomainGuidedPolicy DomainGuidedPolicy::HashBased(std::size_t num_nodes,
       });
 }
 
-bool DomainGuidedPolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  if (fact.args.empty()) return true;
-  for (Value a : fact.args) {
-    const std::vector<NodeId> nodes = alpha_(a);
-    if (std::find(nodes.begin(), nodes.end(), node) != nodes.end()) {
-      return true;
+void DomainGuidedPolicy::RouteRow(RelationId, const Value* row,
+                                  std::size_t arity,
+                                  std::vector<NodeId>& targets) const {
+  const auto start = static_cast<std::ptrdiff_t>(targets.size());
+  if (arity == 0) {
+    for (NodeId node = 0; node < NumNodes(); ++node) targets.push_back(node);
+    return;
+  }
+  targets.reserve(targets.size() + arity);  // One node per value is usual.
+  for (std::size_t i = 0; i < arity; ++i) {
+    for (const NodeId node : alpha_(row[i])) {
+      if (node < NumNodes()) targets.push_back(node);
     }
   }
-  return false;
+  std::sort(targets.begin() + start, targets.end());
+  targets.erase(std::unique(targets.begin() + start, targets.end()),
+                targets.end());
 }
 
 }  // namespace lamp

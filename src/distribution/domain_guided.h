@@ -32,9 +32,10 @@ class DomainGuidedPolicy : public DistributionPolicy {
                                       std::vector<Value> universe,
                                       std::uint64_t seed = 0);
 
-  /// A node is responsible for R(a1..ak) iff it lies in some alpha(ai).
-  /// Nullary facts are everyone's responsibility.
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
+  /// The nodes of alpha(a1) u ... u alpha(ak) for R(a1..ak), ascending
+  /// and each once; every node for a nullary fact.
+  void RouteRow(RelationId relation, const Value* row, std::size_t arity,
+                std::vector<NodeId>& targets) const override;
 
   /// alpha(value).
   std::vector<NodeId> AssignmentOf(Value value) const { return alpha_(value); }

@@ -92,40 +92,18 @@ NodeId HypercubePolicy::NodeAt(const std::vector<std::size_t>& coords) const {
   return static_cast<NodeId>(node);
 }
 
-bool HypercubePolicy::Matches(const AtomRoute& atom, RelationId relation,
-                              const Value* row, std::size_t arity) {
-  if (atom.relation != relation || atom.arity != arity) return false;
-  for (const auto& [pos, constant] : atom.constants) {
-    if (row[pos] != constant) return false;
-  }
-  return true;
-}
-
-bool HypercubePolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  const Value* row = fact.args.data();
-  for (const AtomRoute& atom : atoms_) {
-    if (!Matches(atom, fact.relation, row, fact.args.size())) continue;
-    // Every occurrence of a variable must hash to the node's coordinate,
-    // which also makes a repeated variable's occurrences agree.
-    bool match = true;
-    for (const AtomRoute::VarTerm& t : atom.vars) {
-      if (HashVar(t.var, row[t.pos]) != CoordOf(node, t.var)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
 void HypercubePolicy::RouteRow(RelationId relation, const Value* row,
                                std::size_t arity,
                                std::vector<NodeId>& targets) const {
   const std::size_t start = targets.size();
   bool matched = false;  // Some earlier atom already routed this row.
   for (const AtomRoute& atom : atoms_) {
-    if (!Matches(atom, relation, row, arity)) continue;
+    if (atom.relation != relation || atom.arity != arity ||
+        !std::all_of(
+            atom.constants.begin(), atom.constants.end(),
+            [row](const auto& c) { return row[c.first] == c.second; })) {
+      continue;
+    }
     std::size_t base = 0;
     bool consistent = true;
     for (const AtomRoute::VarTerm& t : atom.vars) {

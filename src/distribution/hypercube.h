@@ -34,8 +34,6 @@ class HypercubePolicy : public DistributionPolicy {
   HypercubePolicy(const ConjunctiveQuery& query, Shares shares,
                   std::vector<Value> universe, std::uint64_t seed = 0);
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
-
   /// The nodes of the sub-grid of every body atom the row matches, atom by
   /// atom, each sub-grid with its lowest free variable varying fastest.
   /// Allocates nothing beyond \p targets' growth; the duplicate check runs
@@ -77,16 +75,6 @@ class HypercubePolicy : public DistributionPolicy {
     /// free, lowest free variable fastest; one entry per replica.
     std::vector<std::size_t> offsets;
   };
-
-  /// True when relation(row) can match \p atom: relation, arity and
-  /// constants agree (variables are checked by the callers).
-  static bool Matches(const AtomRoute& atom, RelationId relation,
-                      const Value* row, std::size_t arity);
-
-  /// The grid coordinate of \p node along variable \p v.
-  std::size_t CoordOf(NodeId node, VarId v) const {
-    return (node / stride_[v]) % shares_[v];
-  }
 
   Shares shares_;
   std::vector<std::size_t> stride_;

@@ -14,12 +14,10 @@ Instance DistributedEval(const ConjunctiveQuery& query,
                          const Instance& instance) {
   // Nodes evaluate independently; folding the per-node results in
   // ascending node order keeps the output identical to the serial loop.
-  const std::size_t n = policy.NumNodes();
-  std::vector<Instance> per_node(n);
+  std::vector<Instance> per_node = DistributeByPolicy(instance, policy);
   par::GlobalPool().ParallelFor(
-      0, n, [&query, &policy, &instance, &per_node](std::size_t node) {
-        per_node[node] = Evaluate(
-            query, policy.LocalInstance(instance, static_cast<NodeId>(node)));
+      0, per_node.size(), [&query, &per_node](std::size_t node) {
+        per_node[node] = Evaluate(query, per_node[node]);
       });
   Instance result;
   for (const Instance& local : per_node) result.InsertAll(local);

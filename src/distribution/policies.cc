@@ -13,21 +13,19 @@ void FinitePolicy::Assign(NodeId node, const Fact& fact) {
   responsible_[fact].insert(node);
 }
 
-bool FinitePolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  auto it = responsible_.find(fact);
-  return it != responsible_.end() && it->second.count(node) > 0;
+void FinitePolicy::RouteRow(RelationId relation, const Value* row,
+                            std::size_t arity,
+                            std::vector<NodeId>& targets) const {
+  const auto it =
+      responsible_.find(Fact(relation, std::vector<Value>(row, row + arity)));
+  if (it != responsible_.end()) {
+    targets.insert(targets.end(), it->second.begin(), it->second.end());
+  }
 }
 
 void HashPolicy::SetKey(RelationId relation, std::vector<std::size_t> columns) {
   if (keys_.size() <= relation) keys_.resize(relation + 1);
   keys_[relation] = std::move(columns);
-}
-
-bool HashPolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  const std::vector<std::size_t>* key = KeyOf(fact.relation);
-  if (key == nullptr) return false;
-  for (std::size_t col : *key) LAMP_CHECK(col < fact.args.size());
-  return KeyHash(fact.args.data(), *key, seed_) % NumNodes() == node;
 }
 
 void HashPolicy::RouteRow(RelationId relation, const Value* row, std::size_t,
@@ -48,18 +46,6 @@ GridPolicy::GridPolicy(std::size_t num_nodes, RelationId row_relation,
           std::floor(std::sqrt(static_cast<double>(num_nodes)) + 1e-9))),
       salt_(HashMix(seed)) {
   LAMP_CHECK(side_ >= 1);
-}
-
-bool GridPolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  if (node >= side_ * side_) return false;
-  const Value* row = fact.args.data();
-  if (fact.relation == row_relation_) {
-    return node / side_ == Group(fact.relation, row, fact.args.size());
-  }
-  if (fact.relation == column_relation_) {
-    return node % side_ == Group(fact.relation, row, fact.args.size());
-  }
-  return false;
 }
 
 void GridPolicy::RouteRow(RelationId relation, const Value* row,
@@ -88,15 +74,18 @@ RangePolicy::RangePolicy(std::vector<Value> universe,
   LAMP_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
 }
 
-bool RangePolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  if (fact.relation != keyed_relation_) return true;  // Broadcast.
-  LAMP_CHECK(column_ < fact.args.size());
-  const std::int64_t key = fact.args[column_].v;
+void RangePolicy::RouteRow(RelationId relation, const Value* row,
+                           std::size_t arity,
+                           std::vector<NodeId>& targets) const {
+  if (relation != keyed_relation_) {  // Broadcast.
+    for (NodeId node = 0; node < NumNodes(); ++node) targets.push_back(node);
+    return;
+  }
+  LAMP_CHECK(column_ < arity);
   // Number of bounds <= key gives the bucket index.
-  const auto bucket = static_cast<std::size_t>(
-      std::upper_bound(bounds_.begin(), bounds_.end(), key) -
-      bounds_.begin());
-  return bucket == node;
+  targets.push_back(static_cast<NodeId>(
+      std::upper_bound(bounds_.begin(), bounds_.end(), row[column_].v) -
+      bounds_.begin()));
 }
 
 std::vector<Value> MakeUniverse(std::size_t n) {

@@ -23,8 +23,8 @@
 ///  * LambdaPolicy — responsibility decided by an arbitrary predicate (the
 ///    class P_npoly made concrete; used to express Example 4.3 directly);
 ///  * HashPolicy — repartition by key columns (Example 3.1(1a)). It is
-///    what the repartition join runs (RepartitionJoin, RepartitionJoinJob,
-///    tools/mpc_procs); a relation without a key goes to no node;
+///    what the repartition join runs (RepartitionJoin, tools/mpc_procs); a
+///    relation without a key goes to no node;
 ///  * GridPolicy — the fragment-replicate grid (Example 3.1(1b)), what
 ///    FragmentReplicateJoin runs;
 ///  * RangePolicy — primary horizontal fragmentation by a threshold on a
@@ -114,7 +114,9 @@ class FinitePolicy : public DistributionPolicy {
   /// Makes \p node responsible for \p fact.
   void Assign(NodeId node, const Fact& fact);
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
+  /// The fact's table entry, ascending.
+  void RouteRow(RelationId relation, const Value* row, std::size_t arity,
+                std::vector<NodeId>& targets) const override;
 
  private:
   std::unordered_map<Fact, std::set<NodeId>, FactHash> responsible_;
@@ -130,8 +132,14 @@ class LambdaPolicy : public DistributionPolicy {
       : DistributionPolicy(num_nodes, std::move(universe)),
         predicate_(std::move(predicate)) {}
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override {
-    return predicate_(node, fact);
+  /// The nodes whose predicate holds, ascending: the one policy that
+  /// scans every node.
+  void RouteRow(RelationId relation, const Value* row, std::size_t arity,
+                std::vector<NodeId>& targets) const override {
+    const Fact fact(relation, std::vector<Value>(row, row + arity));
+    for (NodeId node = 0; node < NumNodes(); ++node) {
+      if (predicate_(node, fact)) targets.push_back(node);
+    }
   }
 
  private:
@@ -152,7 +160,6 @@ class HashPolicy : public DistributionPolicy {
   /// Declares the key columns of \p relation.
   void SetKey(RelationId relation, std::vector<std::size_t> columns);
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
   void RouteRow(RelationId relation, const Value* row, std::size_t arity,
                 std::vector<NodeId>& targets) const override;
 
@@ -181,7 +188,6 @@ class GridPolicy : public DistributionPolicy {
              RelationId column_relation, std::vector<Value> universe,
              std::uint64_t seed = 0);
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
   void RouteRow(RelationId relation, const Value* row, std::size_t arity,
                 std::vector<NodeId>& targets) const override;
 
@@ -208,7 +214,9 @@ class RangePolicy : public DistributionPolicy {
   RangePolicy(std::vector<Value> universe, RelationId keyed_relation,
               std::size_t column, std::vector<std::int64_t> bounds);
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
+  /// The key's bucket, or every node for a relation without the key.
+  void RouteRow(RelationId relation, const Value* row, std::size_t arity,
+                std::vector<NodeId>& targets) const override;
 
  private:
   RelationId keyed_relation_;

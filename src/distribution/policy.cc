@@ -1,23 +1,13 @@
 #include "distribution/policy.h"
 
+#include <algorithm>
+#include <numeric>
+
 namespace lamp {
 
-Instance DistributionPolicy::LocalInstance(const Instance& instance,
-                                           NodeId node) const {
-  Instance local;
-  instance.ForEachFact([this, node, &local](const Fact& f) {
-    if (IsResponsible(node, f)) local.Insert(f);
-  });
-  return local;
-}
-
-void DistributionPolicy::RouteRow(RelationId relation, const Value* row,
-                                  std::size_t arity,
-                                  std::vector<NodeId>& targets) const {
-  const Fact fact(relation, std::vector<Value>(row, row + arity));
-  for (NodeId n = 0; n < NumNodes(); ++n) {
-    if (IsResponsible(n, fact)) targets.push_back(n);
-  }
+bool DistributionPolicy::IsResponsible(NodeId node, const Fact& fact) const {
+  const std::vector<NodeId> nodes = ResponsibleNodes(fact);
+  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
 }
 
 std::vector<NodeId> DistributionPolicy::ResponsibleNodes(
@@ -28,14 +18,39 @@ std::vector<NodeId> DistributionPolicy::ResponsibleNodes(
 }
 
 bool DistributionPolicy::SomeNodeHasAll(const Instance& facts) const {
-  for (NodeId n = 0; n < NumNodes(); ++n) {
-    bool has_all = true;
-    facts.ForEachFact([this, n, &has_all](const Fact& f) {
-      if (has_all && !IsResponsible(n, f)) has_all = false;
-    });
-    if (has_all) return true;
+  // The nodes responsible for every row so far.
+  std::vector<NodeId> common(NumNodes());
+  std::iota(common.begin(), common.end(), NodeId{0});
+  std::vector<NodeId> targets;
+  for (RelationId r = 0; r < facts.NumRelationIds() && !common.empty(); ++r) {
+    const RowsView rows = facts.RowsOf(r);
+    for (std::size_t i = 0; i < rows.num_rows && !common.empty(); ++i) {
+      targets.clear();
+      RouteRow(r, rows.Row(i), rows.arity, targets);
+      std::erase_if(common, [&targets](NodeId node) {
+        return std::find(targets.begin(), targets.end(), node) ==
+               targets.end();
+      });
+    }
   }
-  return false;
+  return !common.empty();
+}
+
+std::vector<Instance> DistributeByPolicy(const Instance& instance,
+                                         const DistributionPolicy& policy) {
+  std::vector<Instance> locals(policy.NumNodes());
+  std::vector<NodeId> targets;
+  for (RelationId r = 0; r < instance.NumRelationIds(); ++r) {
+    const RowsView rows = instance.RowsOf(r);
+    for (std::size_t i = 0; i < rows.num_rows; ++i) {
+      targets.clear();
+      policy.RouteRow(r, rows.Row(i), rows.arity, targets);
+      for (const NodeId node : targets) {
+        locals[node].InsertRow(r, rows.Row(i), rows.arity);
+      }
+    }
+  }
+  return locals;
 }
 
 }  // namespace lamp

@@ -11,10 +11,12 @@
 /// Distribution policies (Section 4.1 of the paper).
 ///
 /// A distribution policy P = (U, rfacts_P) for a network N maps each node
-/// to the set of facts over U it is *responsible* for. The interface is the
-/// membership test IsResponsible(node, fact) — the paper's class P_npoly,
-/// where responsibility is decided by an algorithm rather than enumerated —
-/// plus the finite universe U that the exact deciders quantify over.
+/// to the set of facts over U it is *responsible* for. The interface is
+/// one routing rule, RouteRow: the inverse map f -> {k : f in
+/// rfacts_P(k)}, computed rather than enumerated (the class P_npoly).
+/// IsResponsible is membership in it, and the deciders, DistributeByPolicy
+/// and the MPC simulator all route through it. Universe() is the finite U
+/// the exact deciders quantify over.
 
 namespace lamp {
 
@@ -35,22 +37,19 @@ class DistributionPolicy {
   /// valuations over this set (Proposition 4.6).
   const std::vector<Value>& Universe() const { return universe_; }
 
-  /// True iff \p node is responsible for \p fact.
-  virtual bool IsResponsible(NodeId node, const Fact& fact) const = 0;
-
-  /// loc-inst_{P,I}(node) = I intersect rfacts_P(node).
-  Instance LocalInstance(const Instance& instance, NodeId node) const;
-
   /// Appends to \p targets every node responsible for the fact
-  /// relation(row[0..arity)), each at most once, leaving what \p targets
-  /// already holds in place. This is the override point for routing: the
-  /// default scans IsResponsible over every node, and structured policies
+  /// relation(row[0..arity)), each once and each below NumNodes(), leaving
+  /// what \p targets already holds in place. Structured policies
   /// (HyperCube) compute the nodes directly, without allocating when
   /// \p targets has capacity. The MPC simulator routes with it, so it must
   /// be safe to call concurrently (the stock policies share only const
   /// state).
   virtual void RouteRow(RelationId relation, const Value* row,
-                        std::size_t arity, std::vector<NodeId>& targets) const;
+                        std::size_t arity,
+                        std::vector<NodeId>& targets) const = 0;
+
+  /// True iff \p node is among RouteRow's targets for \p fact.
+  bool IsResponsible(NodeId node, const Fact& fact) const;
 
   /// All nodes responsible for \p fact, in RouteRow's order.
   std::vector<NodeId> ResponsibleNodes(const Fact& fact) const;
@@ -63,6 +62,12 @@ class DistributionPolicy {
   std::size_t num_nodes_;
   std::vector<Value> universe_;
 };
+
+/// The horizontal distribution induced by \p policy on \p instance:
+/// locals[k] = loc-inst_{P,I}(k) = I intersect rfacts_P(k), each in
+/// \p instance's (relation, insertion) order. One RouteRow call per row.
+std::vector<Instance> DistributeByPolicy(const Instance& instance,
+                                         const DistributionPolicy& policy);
 
 }  // namespace lamp
 

@@ -54,22 +54,6 @@ std::size_t SharesSkewPolicy::HeavyIndex(Value v) const {
              : heavy_.size();
 }
 
-bool SharesSkewPolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  if (fact.relation != left_ && fact.relation != right_) return false;
-  const Value v =
-      fact.args.at(fact.relation == left_ ? columns_.first : columns_.second);
-  const std::size_t idx = HeavyIndex(v);
-  if (idx == heavy_.size()) {
-    return node == HashMix(static_cast<std::uint64_t>(v.v) ^ light_salt_) %
-                       p_light_;
-  }
-  // The node's place in the sub-grid, which starts at its base and wraps
-  // around the p nodes.
-  const std::size_t p = NumNodes();
-  return sub_grid_.IsResponsible(
-      static_cast<NodeId>((node + p - base_[idx] % p) % p), fact);
-}
-
 void SharesSkewPolicy::RouteRow(RelationId relation, const Value* row,
                                 std::size_t arity,
                                 std::vector<NodeId>& targets) const {

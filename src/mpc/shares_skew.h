@@ -39,7 +39,6 @@ class SharesSkewPolicy : public DistributionPolicy {
                    const std::set<Value>& heavy, std::vector<Value> universe,
                    std::uint64_t seed = 0);
 
-  bool IsResponsible(NodeId node, const Fact& fact) const override;
   void RouteRow(RelationId relation, const Value* row, std::size_t arity,
                 std::vector<NodeId>& targets) const override;
 

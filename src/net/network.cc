@@ -312,15 +312,6 @@ NetworkRunResult TransducerNetwork::Execute(Scheduler* scheduler) {
   return finish();
 }
 
-std::vector<Instance> DistributeByPolicy(const Instance& instance,
-                                         const DistributionPolicy& policy) {
-  std::vector<Instance> locals(policy.NumNodes());
-  for (NodeId node = 0; node < policy.NumNodes(); ++node) {
-    locals[node] = policy.LocalInstance(instance, node);
-  }
-  return locals;
-}
-
 std::vector<Instance> DistributeRoundRobin(const Instance& instance,
                                            std::size_t num_nodes) {
   std::vector<Instance> locals;

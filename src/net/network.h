@@ -117,11 +117,6 @@ class TransducerNetwork {
   bool aware_;
 };
 
-/// Builds the horizontal distribution induced by \p policy on
-/// \p instance: locals[k] = the facts node k is responsible for.
-std::vector<Instance> DistributeByPolicy(const Instance& instance,
-                                         const DistributionPolicy& policy);
-
 /// Round-robin distribution over \p num_nodes nodes.
 std::vector<Instance> DistributeRoundRobin(const Instance& instance,
                                            std::size_t num_nodes);

@@ -32,6 +32,17 @@ void MonotoneBroadcastProgram::EvaluateAndOutput(NodeContext& ctx) {
 // DistinctCompleteProgram
 // ---------------------------------------------------------------------------
 
+DistinctCompleteProgram::DistinctCompleteProgram(
+    NetQueryFunction query, Schema& schema,
+    const std::vector<RelationId>& relations)
+    : query_(std::move(query)) {
+  for (const RelationId r : relations) {
+    const std::size_t arity = schema.ArityOf(r);
+    edbs_.push_back(
+        {r, schema.AddRelation("__absent_" + schema.NameOf(r), arity), arity});
+  }
+}
+
 void DistinctCompleteProgram::OnStart(NodeContext& ctx) {
   ctx.BroadcastState();
   TryOutput(ctx);
@@ -47,27 +58,39 @@ void DistinctCompleteProgram::TryOutput(NodeContext& ctx) {
   LAMP_CHECK_MSG(policy != nullptr,
                  "DistinctCompleteProgram needs a policy-aware network");
 
-  // C = adom(state). C is distinct-complete for this node when every
-  // possible fact over C is in the state (it arrived / was local) or is
-  // one we are responsible for (then its absence means it is not in I).
-  const std::vector<Value> c = ctx.state().ActiveDomain();
-
-  for (RelationId rel : relations_) {
-    const std::size_t arity = schema_.ArityOf(rel);
-    if (c.empty() && arity > 0) continue;
-    const bool complete = ForEachTuple(
-        arity, c.size(), [&](const std::vector<std::size_t>& idx) {
-          std::vector<Value> args;
-          args.reserve(arity);
-          for (std::size_t i = 0; i < arity; ++i) args.push_back(c[idx[i]]);
-          const Fact f(rel, std::move(args));
-          return ctx.state().Contains(f) ||
-                 policy->IsResponsible(ctx.self(), f);
-        });
-    if (!complete) return;  // Wait for more data.
+  // C = adom(state) without the markers. A fact over C that this node is
+  // responsible for and does not hold is not in I (the local database
+  // held all of I the node is responsible for); its marker goes out once,
+  // and the node keeps it. C is distinct-complete when every fact over C
+  // is held, marked absent or this node's responsibility.
+  const Instance data = ctx.state().SelectRelations([this](RelationId r) {
+    return std::none_of(edbs_.begin(), edbs_.end(),
+                        [r](const Edb& edb) { return edb.absent == r; });
+  });
+  const std::vector<Value> c = data.ActiveDomain();
+  Message absences;
+  bool complete = true;
+  for (const Edb& edb : edbs_) {
+    std::vector<Value> row(edb.arity);
+    ForEachTuple(edb.arity, c.size(), [&](const std::vector<std::size_t>& idx) {
+      for (std::size_t i = 0; i < edb.arity; ++i) row[i] = c[idx[i]];
+      if (ctx.state().ContainsRow(edb.relation, row.data(), edb.arity) ||
+          ctx.state().ContainsRow(edb.absent, row.data(), edb.arity)) {
+        return true;
+      }
+      if (policy->IsResponsible(ctx.self(), Fact(edb.relation, row))) {
+        ctx.mutable_state().InsertRow(edb.absent, row.data(), edb.arity);
+        absences.Append({edb.absent, row.data(),
+                         static_cast<std::uint32_t>(edb.arity)});
+      } else {
+        complete = false;  // Wait for the fact or its marker.
+      }
+      return true;
+    });
   }
+  if (!absences.empty()) ctx.Broadcast(std::move(absences));
   // state|C == I|C (Lemma 5.7 applies): safe to output Q(state).
-  ctx.OutputAll(query_(ctx.state()));
+  if (complete) ctx.OutputAll(query_(data));
 }
 
 // ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@
 ///    output new answers as they become derivable. Correct exactly for
 ///    monotone queries (class M = F0 = A0).
 ///  * DistinctCompleteProgram — the Theorem 5.8 strategy for Mdistinct:
-///    policy-aware nodes output Q(state) once the local active domain C is
-///    *distinct-complete* — every possible fact over C is either received
-///    or one the node is responsible for (so its absence is meaningful).
+///    policy-aware nodes announce the absent facts they are responsible
+///    for, and output Q(state) once the local active domain C is
+///    *distinct-complete* — every possible fact over C is received, one
+///    the node is responsible for, or announced absent.
 ///  * ComponentProgram — the Theorem 5.12 strategy for Mdisjoint under
 ///    domain-guided policies: nodes announce per-value completeness and
 ///    evaluate Q on the union of the components whose values are all
@@ -48,28 +49,39 @@ class MonotoneBroadcastProgram : public TransducerProgram {
 };
 
 /// Theorem 5.8: policy-aware strategy for domain-distinct-monotone
-/// queries. Requires the network to pass a policy; the EDB \p relations
-/// bound the fact space enumerated in the completeness test (cost
+/// queries. Requires the network to pass a policy. A fact over an EDB
+/// relation of \p relations is *known* to a node when it is in the state,
+/// when the node is responsible for it (then its absence means it is not
+/// in I), or when the node holds its absence marker. Each node broadcasts
+/// a marker for every fact over adom(state) it is responsible for and
+/// does not hold, and again for the new ones whenever adom(state) grows.
+/// A node outputs Q(state) once every fact over adom(state) is known (cost
 /// |C|^arity per check — suitable for the moderate domains the
 /// experiments use).
 class DistinctCompleteProgram : public TransducerProgram {
  public:
-  DistinctCompleteProgram(NetQueryFunction query, const Schema& schema,
-                          std::vector<RelationId> relations)
-      : query_(std::move(query)),
-        schema_(schema),
-        relations_(std::move(relations)) {}
+  /// \p schema is extended with one marker relation "__absent_R" per EDB
+  /// relation R, of R's arity: its row a1..ak says R(a1..ak) is not in I.
+  DistinctCompleteProgram(NetQueryFunction query, Schema& schema,
+                          const std::vector<RelationId>& relations);
 
   void OnStart(NodeContext& ctx) override;
   void OnReceive(NodeContext& ctx, const Message& message) override;
 
  private:
-  /// Outputs Q(state) if adom(state) is distinct-complete for this node.
+  /// An EDB relation and the marker relation of its absent facts.
+  struct Edb {
+    RelationId relation;
+    RelationId absent;
+    std::size_t arity;
+  };
+
+  /// Broadcasts the absences this node newly knows first-hand, then
+  /// outputs Q(state) if adom(state) is distinct-complete.
   void TryOutput(NodeContext& ctx);
 
   NetQueryFunction query_;
-  const Schema& schema_;
-  std::vector<RelationId> relations_;
+  std::vector<Edb> edbs_;
 };
 
 /// Theorem 5.12: per-component strategy for domain-disjoint-monotone

@@ -24,13 +24,11 @@
 /// row-level set operations (`IsSubsetOf`, `Minus`, `SelectRelations`),
 /// which touch the flat storage directly. The `Fact`-shaped accessors
 /// (`AllFacts`, `ForEachFact`, `ForEachFactOf`) materialise facts on the
-/// fly. Outside tests, only two kinds of caller still use them: the
-/// end-to-end benchmark (benchmark/lamp_benchmark.cc), which keeps the
-/// accessors alive; and `DistributionPolicy::LocalInstance` and
-/// `SomeNodeHasAll`, which pass each fact to the spec-level
-/// `IsResponsible(node, Fact)`. Iteration order within a relation is
-/// insertion order, which keeps runs deterministic and digests
-/// byte-identical to the row-oriented predecessor.
+/// fly. Outside tests, only the end-to-end benchmark
+/// (benchmark/lamp_benchmark.cc) still uses them, and keeps the accessors
+/// alive. Iteration order within a relation is insertion order, which
+/// keeps runs deterministic and digests byte-identical to the
+/// row-oriented predecessor.
 
 namespace lamp {
 

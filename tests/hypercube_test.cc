@@ -62,7 +62,29 @@ std::vector<Fact> SmallFacts(const std::vector<RelationId>& relations) {
   return facts;
 }
 
-TEST_F(HypercubeTest, ResponsibleNodesAgreesWithIsResponsible) {
+// The coordinate-membership oracle of Example 3.2: \p node holds \p f
+// when f matches some body atom of \p query (relation, arity, constants)
+// and the node's coordinate along every variable of that atom is the
+// hash of the value at each of the variable's positions.
+bool OnCoordinates(const HypercubePolicy& policy,
+                   const ConjunctiveQuery& query, NodeId node, const Fact& f) {
+  const std::vector<std::size_t> coords = policy.Coordinates(node);
+  for (const Atom& atom : query.body()) {
+    if (atom.relation != f.relation || atom.terms.size() != f.args.size()) {
+      continue;
+    }
+    bool on = true;
+    for (std::size_t i = 0; i < f.args.size() && on; ++i) {
+      const Term& t = atom.terms[i];
+      on = t.IsConst() ? t.constant == f.args[i]
+                       : policy.HashVar(t.var, f.args[i]) == coords[t.var];
+    }
+    if (on) return true;
+  }
+  return false;
+}
+
+TEST_F(HypercubeTest, RouteRowMatchesCoordinateOracle) {
   // Plain atoms, a self-join, a repeated variable and a constant; the
   // facts include arities no atom has and a relation no atom uses.
   const char* const queries[] = {
@@ -82,21 +104,16 @@ TEST_F(HypercubeTest, ResponsibleNodesAgreesWithIsResponsible) {
       const HypercubePolicy policy(q, Shares(q.NumVars(), 3),
                                    MakeUniverse(6), seed);
       for (const Fact& f : SmallFacts(relations)) {
-        ExpectRouteRowMatchesScan(policy, schema_, f);
+        const std::vector<NodeId> routed =
+            ExpectRouteRowWellFormed(policy, schema_, f);
+        std::set<NodeId> oracle;
+        for (NodeId n = 0; n < policy.NumNodes(); ++n) {
+          if (OnCoordinates(policy, q, n, f)) oracle.insert(n);
+        }
+        EXPECT_EQ(std::set<NodeId>(routed.begin(), routed.end()), oracle)
+            << FactToString(schema_, f);
       }
     }
-  }
-}
-
-TEST_F(HypercubeTest, DefaultRouteRowScansIsResponsible) {
-  const RelationId r = schema_.IdOf("R");
-  const RelationId s = schema_.IdOf("S");
-  // RangePolicy keeps the base class's RouteRow: R ranges over column 1,
-  // S is broadcast.
-  const RangePolicy policy(MakeUniverse(6), r, 1, {1, 2, 3});
-  for (const Fact& f : SmallFacts({r, s})) {
-    if (f.args.size() < 2) continue;  // The key column must exist.
-    ExpectRouteRowMatchesScan(policy, schema_, f);
   }
 }
 

@@ -152,6 +152,26 @@ TEST_F(NetTest, DistinctCompleteComputesOpenTriangles) {
   EXPECT_TRUE(sweep.all_runs_correct);
 }
 
+TEST_F(NetTest, DistinctCompleteComputesOpenTrianglesUnderHashDomainGuided) {
+  // The C2 shape (bench_fig2_hierarchy): a random graph plus triangle
+  // clusters, four nodes, alpha(a) = {hash(a) mod 4}. A node is
+  // responsible only for the edges touching its own values, so it learns
+  // every other absent edge from its owner's marker.
+  for (const std::uint64_t seed : {31u, 32u}) {
+    SCOPED_TRACE(seed);
+    const Instance graph = MakeGraph(seed, 40, 10);
+    const Instance expected = Evaluate(open_triangle_, graph);
+    ASSERT_FALSE(expected.Empty());
+    const DomainGuidedPolicy policy =
+        DomainGuidedPolicy::HashBased(4, MakeUniverse(1), 13);
+    DistinctCompleteProgram program(WrapCq(open_triangle_), schema_, {e_});
+    const ConsistencySweep sweep = CheckEventualConsistency(
+        program, {DistributeByPolicy(graph, policy)}, expected, 8, &policy,
+        /*aware=*/false);
+    EXPECT_TRUE(sweep.all_runs_correct);
+  }
+}
+
 TEST_F(NetTest, DistinctCompleteIsCoordinationFree) {
   // Ideal distribution: everything everywhere. Every node is then
   // distinct-complete immediately (all facts of I received/local), so the
