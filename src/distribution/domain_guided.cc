@@ -20,10 +20,10 @@ DomainGuidedPolicy DomainGuidedPolicy::HashBased(std::size_t num_nodes,
                                                  std::uint64_t seed) {
   return DomainGuidedPolicy(
       num_nodes, std::move(universe),
-      [num_nodes, seed](Value a) -> std::vector<NodeId> {
-        return {static_cast<NodeId>(
+      [num_nodes, seed](Value a, std::vector<NodeId>& nodes) {
+        nodes.push_back(static_cast<NodeId>(
             HashMix(static_cast<std::uint64_t>(a.v) ^ HashMix(seed)) %
-            num_nodes)};
+            num_nodes));
       });
 }
 
@@ -36,13 +36,13 @@ void DomainGuidedPolicy::RouteRow(RelationId, const Value* row,
     return;
   }
   targets.reserve(targets.size() + arity);  // One node per value is usual.
-  for (std::size_t i = 0; i < arity; ++i) {
-    for (const NodeId node : alpha_(row[i])) {
-      if (node < NumNodes()) targets.push_back(node);
-    }
-  }
+  for (std::size_t i = 0; i < arity; ++i) alpha_(row[i], targets);
   std::sort(targets.begin() + start, targets.end());
   targets.erase(std::unique(targets.begin() + start, targets.end()),
+                targets.end());
+  // What an assignment names past the last node is no node of the network.
+  targets.erase(std::lower_bound(targets.begin() + start, targets.end(),
+                                 static_cast<NodeId>(NumNodes())),
                 targets.end());
 }
 

@@ -21,8 +21,9 @@ namespace lamp {
 /// P_alpha for a caller-supplied domain assignment.
 class DomainGuidedPolicy : public DistributionPolicy {
  public:
-  /// alpha(value) = set of nodes; must be nonempty for universe values.
-  using DomainAssignment = std::function<std::vector<NodeId>(Value)>;
+  /// Appends alpha(value), a set of nodes, to the vector it is handed;
+  /// must be nonempty for universe values.
+  using DomainAssignment = std::function<void(Value, std::vector<NodeId>&)>;
 
   DomainGuidedPolicy(std::size_t num_nodes, std::vector<Value> universe,
                      DomainAssignment alpha);
@@ -37,8 +38,10 @@ class DomainGuidedPolicy : public DistributionPolicy {
   void RouteRow(RelationId relation, const Value* row, std::size_t arity,
                 std::vector<NodeId>& targets) const override;
 
-  /// alpha(value).
-  std::vector<NodeId> AssignmentOf(Value value) const { return alpha_(value); }
+  /// Appends alpha(value) to \p nodes.
+  void AssignmentOf(Value value, std::vector<NodeId>& nodes) const {
+    alpha_(value, nodes);
+  }
 
  private:
   DomainAssignment alpha_;

@@ -2,12 +2,22 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace lamp {
 
 bool DistributionPolicy::IsResponsible(NodeId node, const Fact& fact) const {
-  const std::vector<NodeId> nodes = ResponsibleNodes(fact);
-  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+  // The programs ask this once per candidate fact, so the targets reuse
+  // one buffer per thread. The call owns the buffer while RouteRow runs: a
+  // nested call (a RouteRow that asks another policy) finds it taken and
+  // starts an empty one.
+  thread_local std::vector<NodeId> spare;
+  std::vector<NodeId> nodes = std::move(spare);
+  nodes.clear();
+  RouteRow(fact.relation, fact.args.data(), fact.args.size(), nodes);
+  const bool found = std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+  spare = std::move(nodes);
+  return found;
 }
 
 std::vector<NodeId> DistributionPolicy::ResponsibleNodes(

@@ -289,11 +289,12 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
 
 transport::Transport* MpcSimulator::WireTransport() {
   if (explicit_ != nullptr) return explicit_;
-  const transport::TransportKind kind = transport::ActiveKind();
-  if (kind == transport::TransportKind::kInProcess) return nullptr;
-  if (transport_ == nullptr || transport_->kind() != kind ||
+  if (transport::ActiveKind() == transport::TransportKind::kInProcess) {
+    return nullptr;
+  }
+  if (transport_ == nullptr ||
       transport_->num_endpoints() != locals_.size()) {
-    transport_ = transport::MakeLoopbackTransport(kind, locals_.size());
+    transport_ = transport::MakeLoopbackTransport(locals_.size());
   }
   return transport_.get();
 }

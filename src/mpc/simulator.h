@@ -55,7 +55,7 @@
 /// Transport: a target takes every run straight from the outbox and
 /// accounts its wire bytes in closed form from the stored row sizes
 /// (transport::FactBatchFrameSize).
-/// tcp/uds first serialize each run that leaves its server into one
+/// tcp first serializes each run that leaves its server into one
 /// lamp.wire.v1 kFactBatch frame and hand the round's frames to a loopback
 /// transport in one Transport::SendBatch call (src/transport); a target
 /// then takes its own run from the outbox and every other run from the
@@ -139,9 +139,10 @@ class MpcSimulator {
   Instance GlobalState() const;
 
  private:
-  /// The transport for this round: the constructor's, else a socket
-  /// backend created on the first RunRound when transport::ActiveKind()
-  /// is one (nullptr otherwise: the zero-copy in-process path).
+  /// The transport for this round: the constructor's, else a tcp
+  /// loopback backend created on the first RunRound when
+  /// transport::ActiveKind() is kTcp, rebuilt when the server count
+  /// changes (nullptr otherwise: the zero-copy in-process path).
   transport::Transport* WireTransport();
 
   bool IsLocal(std::size_t server) const {

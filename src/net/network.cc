@@ -69,7 +69,7 @@ NetworkRunResult TransducerNetwork::Execute(Scheduler* scheduler) {
   std::vector<std::vector<InFlight>> consumed(n);
 
   // Backend selection (transport::ActiveKind): in-process runs build no
-  // transport. With tcp/uds every broadcast copy is framed (lamp.wire.v1
+  // transport. Over tcp every broadcast copy is framed (lamp.wire.v1
   // kMessage), written into the receiver's loopback socket and decoded
   // back into the receiver's channel *at dispatch time*. The channel
   // state at every scheduler decision point is therefore identical to the
@@ -83,7 +83,7 @@ NetworkRunResult TransducerNetwork::Execute(Scheduler* scheduler) {
   if (scheduler != nullptr &&
       transport::ActiveKind() != transport::TransportKind::kInProcess &&
       n > 1) {
-    wire = transport::MakeLoopbackTransport(transport::ActiveKind(), n);
+    wire = transport::MakeLoopbackTransport(n);
   }
   std::uint64_t wire_seq = 0;
 

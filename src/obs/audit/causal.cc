@@ -66,27 +66,6 @@ CausalReport BuildFromDeliveries(
 
 }  // namespace
 
-JsonValue CausalReport::ToJson() const {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("schema", "lamp.causal.v1");
-  doc.Set("deliveries", deliveries);
-  doc.Set("max_depth", static_cast<std::int64_t>(max_depth));
-  doc.Set("has_output", has_output);
-  doc.Set("coordination_depth", static_cast<std::int64_t>(coordination_depth));
-  doc.Set("outputs", outputs);
-  doc.Set("coordination_free", CoordinationFree());
-  JsonValue path = JsonValue::Array();
-  for (const CausalStep& step : critical_path) {
-    JsonValue s = JsonValue::Object();
-    s.Set("transition", static_cast<std::size_t>(step.transition));
-    s.Set("node", static_cast<std::size_t>(step.node));
-    s.Set("depth", static_cast<std::int64_t>(step.depth));
-    path.PushBack(std::move(s));
-  }
-  doc.Set("critical_path", std::move(path));
-  return doc;
-}
-
 std::string CausalReport::Render() const {
   char buf[256];
   std::string out;

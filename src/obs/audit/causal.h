@@ -31,7 +31,7 @@
 ///  * the *critical path* — the longest chain of causally-ordered
 ///    deliveries, root (heartbeat-originated message) to deepest.
 ///
-/// Serialised as "lamp.causal.v1"; tools/lamp_obs renders it.
+/// tools/lamp_obs renders it.
 
 namespace lamp::obs::audit {
 
@@ -54,10 +54,6 @@ struct CausalReport {
   /// Coordination-free profile: every output (if any) appeared at causal
   /// depth 0, i.e. during a heartbeat.
   bool CoordinationFree() const { return coordination_depth == 0; }
-
-  /// Serialises as the "lamp.causal.v1" document (write-only: `lamp_obs
-  /// causal --json` and `demo-causal --json` print it).
-  JsonValue ToJson() const;
 
   /// Human-readable rendering (depth summary + critical path).
   std::string Render() const;

@@ -1,5 +1,7 @@
 #include "par/thread_pool.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -217,9 +219,14 @@ void ConfigureFromCommandLine(int* argc, char** argv) {
       argv[out++] = argv[i];
       continue;
     }
-    char* endp = nullptr;
-    const long v = std::strtol(value, &endp, 10);
-    if (endp != value && v >= 1) threads = static_cast<std::size_t>(v);
+    const char* end = value + std::strlen(value);
+    const auto [ptr, ec] = std::from_chars(value, end, threads);
+    if (ec != std::errc() || ptr != end || threads == 0) {
+      std::fprintf(stderr,
+                   "usage: --threads N, a whole number >= 1 (got '%s')\n",
+                   value);
+      std::exit(2);
+    }
   }
   argv[out] = nullptr;
   *argc = out;

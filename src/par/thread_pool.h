@@ -106,7 +106,8 @@ ThreadPool& GlobalPool();
 
 /// Strips "--threads N" / "--threads=N" from argv (so downstream flag
 /// parsers such as google-benchmark never see it) and applies the value via
-/// SetDefaultThreads. Without the flag, LAMP_THREADS decides (the
+/// SetDefaultThreads. A value that is not a whole number >= 1 exits 2
+/// with a usage message. Without the flag, LAMP_THREADS decides (the
 /// DefaultThreads fallback). Every binary under bench/ calls this first.
 void ConfigureFromCommandLine(int* argc, char** argv);
 

@@ -28,10 +28,10 @@ namespace {
 /// Read chunk size of the socket receive paths.
 constexpr std::size_t kReadChunk = 1 << 16;
 
-void EmitConnect(TransportKind kind, std::size_t endpoints, std::size_t fds) {
+void EmitConnect(std::size_t endpoints, std::size_t fds) {
   obs::Emit(obs::EventKind::kTransportConnect,
             static_cast<std::uint32_t>(endpoints),
-            static_cast<std::uint32_t>(kind), fds);
+            static_cast<std::uint32_t>(TransportKind::kTcp), fds);
 }
 
 void EmitSend(const WireFrame& frame) {
@@ -129,7 +129,7 @@ std::pair<FrameReader, std::uint64_t> AcceptHello(int listener) {
   return {std::move(chan), hello->rank};
 }
 
-/// The tcp/uds loopback backend. Every endpoint owns one stream socket,
+/// The tcp loopback backend. Every endpoint owns one stream socket,
 /// and a sender writes each frame straight into its destination's socket:
 /// it appends the bytes to the destination's userspace queue and writes
 /// whatever the socket takes without blocking. The destination reads its
@@ -140,20 +140,15 @@ std::pair<FrameReader, std::uint64_t> AcceptHello(int listener) {
 /// and no thread is needed to move it.
 class SocketTransport final : public Transport {
  public:
-  SocketTransport(TransportKind kind, std::size_t num_endpoints)
-      : kind_(kind), n_(num_endpoints), endpoints_(num_endpoints) {
+  explicit SocketTransport(std::size_t num_endpoints)
+      : n_(num_endpoints), endpoints_(num_endpoints) {
     for (Endpoint& ep : endpoints_) ep.inbox.resize(n_);
-    if (kind_ == TransportKind::kUds) {
-      ConnectUds();
-    } else {
-      ConnectTcp();
-    }
-    EmitConnect(kind_, n_, 2 * n_);
+    Connect();
+    EmitConnect(n_, 2 * n_);
   }
 
   ~SocketTransport() override { Shutdown(); }
 
-  TransportKind kind() const override { return kind_; }
   std::size_t num_endpoints() const override { return n_; }
 
   void Send(WireFrame frame) override {
@@ -273,22 +268,10 @@ class SocketTransport final : public Transport {
     return true;
   }
 
-  /// One socketpair per endpoint: senders write [1], the endpoint reads
-  /// [0]. Rank mapping is positional — no handshake needed.
-  void ConnectUds() {
-    for (Endpoint& ep : endpoints_) {
-      int sv[2];
-      LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-                     "transport: socketpair failed");
-      ep.read_fd = sv[0];
-      ep.write_fd = sv[1];
-    }
-  }
-
   /// One listener on an ephemeral 127.0.0.1 port. Each endpoint's write
   /// end dials it and announces the endpoint's rank with a kHello; the
   /// accepted connection becomes that rank's read end.
-  void ConnectTcp() {
+  void Connect() {
     std::uint16_t port = 0;
     const int listener = ListenLoopbackTcp(&port);
     for (std::size_t i = 0; i < n_; ++i) {
@@ -302,7 +285,6 @@ class SocketTransport final : public Transport {
     ::close(listener);
   }
 
-  TransportKind kind_;
   std::size_t n_;
   std::vector<Endpoint> endpoints_;
 };
@@ -358,71 +340,43 @@ std::uint64_t RingSeed(std::uint64_t base_seed, std::size_t num_ranks) {
   return h;
 }
 
-MeshSockets::MeshSockets(TransportKind kind, std::size_t num_ranks)
-    : kind_(kind), n_(num_ranks) {
-  LAMP_CHECK(num_ranks > 0 && kind != TransportKind::kInProcess);
-  if (kind_ == TransportKind::kTcp) {
-    listeners_.resize(n_);
-    ports_.resize(n_);
-    for (std::size_t r = 0; r < n_; ++r) {
-      listeners_[r] = ListenLoopbackTcp(&ports_[r]);
-    }
-    return;
-  }
-  pair_ends_.assign(n_ * n_, -1);
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      int sv[2];
-      LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-                     "transport: socketpair failed");
-      pair_ends_[i * n_ + j] = sv[0];
-      pair_ends_[j * n_ + i] = sv[1];
-    }
+MeshSockets::MeshSockets(std::size_t num_ranks)
+    : listeners_(num_ranks), ports_(num_ranks) {
+  LAMP_CHECK(num_ranks > 0);
+  for (std::size_t r = 0; r < num_ranks; ++r) {
+    listeners_[r] = ListenLoopbackTcp(&ports_[r]);
   }
 }
 
 void MeshSockets::Close() {
-  for (std::vector<int>* fds : {&listeners_, &pair_ends_}) {
-    for (int& fd : *fds) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
+  for (int& fd : listeners_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
   }
 }
 
 MeshTransport::MeshTransport(MeshSockets& sockets, std::size_t rank,
                              const MeshOptions& options)
-    : kind_(sockets.kind_),
-      rank_(static_cast<std::uint32_t>(rank)),
-      channels_(sockets.n_),
+    : rank_(static_cast<std::uint32_t>(rank)),
+      channels_(sockets.listeners_.size()),
       trace_id_(options.trace_id) {
-  const std::size_t p = sockets.n_;
+  const std::size_t p = channels_.size();
   LAMP_CHECK(rank < p);
-  // Claiming touches only this rank's slots, so ranks on different
-  // threads may connect concurrently.
-  const auto claim = [](int& slot) {
-    LAMP_CHECK_MSG(slot >= 0, "transport: mesh rank claimed twice");
-    return std::exchange(slot, -1);
-  };
-  if (kind_ == TransportKind::kTcp) {
-    const int listener = claim(sockets.listeners_[rank]);
-    for (std::uint32_t peer = 0; peer < rank_; ++peer) {
-      channels_[peer] =
-          FrameReader(DialHello(sockets.ports_[peer], rank_, peer));
-    }
-    for (std::size_t n = rank + 1; n < p; ++n) {
-      auto [chan, peer] = AcceptHello(listener);
-      LAMP_CHECK(peer > rank && peer < p && channels_[peer].fd() < 0);
-      channels_[peer] = std::move(chan);
-    }
-    ::close(listener);
-  } else {
-    for (std::size_t peer = 0; peer < p; ++peer) {
-      if (peer == rank) continue;
-      channels_[peer] = FrameReader(claim(sockets.pair_ends_[rank * p + peer]));
-    }
+  // Claiming touches only this rank's slot, so ranks on different threads
+  // may connect concurrently.
+  LAMP_CHECK_MSG(sockets.listeners_[rank] >= 0,
+                 "transport: mesh rank claimed twice");
+  const int listener = std::exchange(sockets.listeners_[rank], -1);
+  for (std::uint32_t peer = 0; peer < rank_; ++peer) {
+    channels_[peer] = FrameReader(DialHello(sockets.ports_[peer], rank_, peer));
   }
-  EmitConnect(kind_, p, p - 1);
+  for (std::size_t n = rank + 1; n < p; ++n) {
+    auto [chan, peer] = AcceptHello(listener);
+    LAMP_CHECK(peer > rank && peer < p && channels_[peer].fd() < 0);
+    channels_[peer] = std::move(chan);
+  }
+  ::close(listener);
+  EmitConnect(p, p - 1);
   RingExchange(options);
 }
 
@@ -518,14 +472,12 @@ std::string_view TransportKindName(TransportKind kind) {
       return "inproc";
     case TransportKind::kTcp:
       return "tcp";
-    case TransportKind::kUds:
-      return "uds";
   }
   return "unknown";
 }
 
 bool ParseTransportKind(std::string_view name, TransportKind* out) {
-  if (name == "inproc" || name == "inprocess" || name == "in-process") {
+  if (name == "inproc") {
     *out = TransportKind::kInProcess;
     return true;
   }
@@ -533,17 +485,12 @@ bool ParseTransportKind(std::string_view name, TransportKind* out) {
     *out = TransportKind::kTcp;
     return true;
   }
-  if (name == "uds" || name == "unix") {
-    *out = TransportKind::kUds;
-    return true;
-  }
   return false;
 }
 
-std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
-                                                 std::size_t num_endpoints) {
-  LAMP_CHECK(num_endpoints > 0 && kind != TransportKind::kInProcess);
-  return std::make_unique<SocketTransport>(kind, num_endpoints);
+std::unique_ptr<Transport> MakeLoopbackTransport(std::size_t num_endpoints) {
+  LAMP_CHECK(num_endpoints > 0);
+  return std::make_unique<SocketTransport>(num_endpoints);
 }
 
 TransportKind ActiveKind() { return g_active_kind; }
@@ -567,7 +514,7 @@ void ConfigureFromCommandLine(int* argc, char** argv) {
     TransportKind kind;
     if (!ParseTransportKind(value, &kind)) {
       std::fprintf(stderr,
-                   "usage: --transport {inproc,tcp,uds} (got '%s')\n", value);
+                   "usage: --transport {inproc,tcp} (got '%s')\n", value);
       std::exit(2);
     }
     SetActiveKind(kind);

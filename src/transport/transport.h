@@ -25,15 +25,14 @@
 /// seeded Scheduler is therefore a delivery-order policy the transport
 /// honors, and golden digests stay byte-identical across backends.
 ///
-/// Two shapes of socket backend, each over TCP (127.0.0.1) or AF_UNIX
-/// stream sockets:
+/// Two shapes of socket backend, both over 127.0.0.1 TCP stream sockets:
 ///  * MakeLoopbackTransport — every endpoint driven by one object.
 ///  * MeshTransport         — one rank of a p-rank socket mesh, for
 ///    runtimes that give each process (or thread) one endpoint.
 /// The "inproc" kind has no Transport object: the runtimes keep their
 /// zero-copy in-memory path for it.
 ///
-/// The tcp/uds loopback backends give every endpoint one stream socket
+/// The tcp loopback backend gives every endpoint one stream socket
 /// (O(p) file descriptors instead of a p^2 mesh), and a sender writes
 /// each frame straight into its destination's socket. Sends never block —
 /// bytes the socket cannot take yet queue in userspace and the receiving
@@ -59,11 +58,10 @@ namespace lamp::transport {
 
 enum class TransportKind : std::uint8_t {
   kInProcess = 0,
-  kTcp,
-  kUds,
+  kTcp = 1,
 };
 
-/// Stable names: "inproc", "tcp", "uds".
+/// Stable names: "inproc", "tcp".
 std::string_view TransportKindName(TransportKind kind);
 
 /// Parses a TransportKindName; returns false on unknown names.
@@ -76,7 +74,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  virtual TransportKind kind() const = 0;
   virtual std::size_t num_endpoints() const = 0;
 
   /// Enqueues \p frame from endpoint `frame.from` to endpoint `frame.to`.
@@ -86,7 +83,7 @@ class Transport {
 
   /// Enqueues every frame of \p frames, in order: the same deliveries
   /// and the same kTransportSend event per frame as one Send call each,
-  /// which is what the default does. The loopback backends override it to
+  /// which is what the default does. The loopback backend overrides it to
   /// coalesce each destination endpoint's frames into a single write.
   virtual void SendBatch(std::vector<WireFrame> frames) {
     for (WireFrame& frame : frames) Send(std::move(frame));
@@ -106,10 +103,9 @@ class Transport {
   virtual void Shutdown() = 0;
 };
 
-/// Builds a connected tcp or uds loopback transport with \p num_endpoints
-/// endpoints. Aborts (LAMP_CHECK) on kInProcess or if socket setup fails.
-std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
-                                                 std::size_t num_endpoints);
+/// Builds a connected tcp loopback transport with \p num_endpoints
+/// endpoints. Aborts (LAMP_CHECK) if socket setup fails.
+std::unique_ptr<Transport> MakeLoopbackTransport(std::size_t num_endpoints);
 
 // --- blocking frame I/O on one file descriptor --------------------------
 // Shared by the loopback handshake, the mesh channels and process report
@@ -144,13 +140,13 @@ class FrameReader {
 /// exchange seeded with \p base_seed.
 std::uint64_t RingSeed(std::uint64_t base_seed, std::size_t num_ranks);
 
-/// The pre-fork half of a mesh: one 127.0.0.1 listener per rank (TCP) or
-/// one socketpair per rank pair (UDS). Each rank's MeshTransport claims
-/// its own descriptors; Close() drops the unclaimed rest (a forked worker
-/// after connecting, the launcher after forking every worker).
+/// The pre-fork half of a mesh: one 127.0.0.1 listener per rank. Each
+/// rank's MeshTransport claims its own listener; Close() drops the
+/// unclaimed rest (a forked worker after connecting, the launcher after
+/// forking every worker).
 class MeshSockets {
  public:
-  MeshSockets(TransportKind kind, std::size_t num_ranks);
+  explicit MeshSockets(std::size_t num_ranks);
   ~MeshSockets() { Close(); }
   MeshSockets(const MeshSockets&) = delete;
   MeshSockets& operator=(const MeshSockets&) = delete;
@@ -159,11 +155,8 @@ class MeshSockets {
 
  private:
   friend class MeshTransport;
-  TransportKind kind_;
-  std::size_t n_;
-  std::vector<int> listeners_;  // TCP, per rank.
+  std::vector<int> listeners_;  // Per rank.
   std::vector<std::uint16_t> ports_;
-  std::vector<int> pair_ends_;  // UDS: [i * n + j] = i's end towards j.
 };
 
 struct MeshOptions {
@@ -181,9 +174,9 @@ struct RingProbe {
 };
 
 /// One rank of a true p-rank socket mesh: a connection to every other rank,
-/// and only endpoint `rank` local. Connecting identifies ranks (over TCP
-/// each rank dials every lower rank and announces itself with a kHello;
-/// accept order is not rank order) and then runs the ring seed exchange: a
+/// and only endpoint `rank` local. Connecting identifies ranks (each rank
+/// dials every lower rank and announces itself with a kHello; accept order
+/// is not rank order) and then runs the ring seed exchange: a
 /// kHello token travels rank -> rank+1 twice, folding every rank's
 /// contribution and ANDing its feature bits, then broadcasting both, and
 /// the result is checked against RingSeed. With kHelloFeatureTraceCtx
@@ -194,7 +187,7 @@ struct RingProbe {
 /// thread at a time, as MpcSimulator::RunRound does.
 class MeshTransport final : public Transport {
  public:
-  /// Claims \p rank's descriptors of \p sockets, connects and runs the
+  /// Claims \p rank's listener of \p sockets, connects and runs the
   /// ring exchange; blocks until every rank has done the same.
   MeshTransport(MeshSockets& sockets, std::size_t rank,
                 const MeshOptions& options);
@@ -202,7 +195,6 @@ class MeshTransport final : public Transport {
   MeshTransport(const MeshTransport&) = delete;
   MeshTransport& operator=(const MeshTransport&) = delete;
 
-  TransportKind kind() const override { return kind_; }
   std::size_t num_endpoints() const override { return channels_.size(); }
   bool IsLocal(std::uint32_t endpoint) const override {
     return endpoint == rank_;
@@ -216,7 +208,6 @@ class MeshTransport final : public Transport {
  private:
   void RingExchange(const MeshOptions& options);
 
-  TransportKind kind_;
   std::uint32_t rank_;
   std::vector<FrameReader> channels_;  // Per peer; unset at rank_.
   std::uint64_t features_ = 0;         // Mesh-wide AND.

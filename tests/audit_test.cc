@@ -485,34 +485,5 @@ TEST(CausalReportTest, EmptyTraceIsTriviallyCoordinationFree) {
   EXPECT_TRUE(report.critical_path.empty());
 }
 
-TEST(CausalReportTest, ToJsonCarriesEveryField) {
-  std::vector<TraceEvent> events;
-  events.push_back(Ev(EventKind::kNetCausalDeliver, 1, 0, PackCausal(1, 0)));
-  events.push_back(Ev(EventKind::kNetCausalDeliver, 2, 1, PackCausal(2, 1)));
-  events.push_back(Ev(EventKind::kNetOutput, 2, 1 + 1, 2));
-  const CausalReport report = BuildCausalReport(events);
-
-  const std::optional<JsonValue> doc =
-      JsonValue::Parse(report.ToJson().Dump());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->Find("schema")->AsString(), "lamp.causal.v1");
-  EXPECT_EQ(doc->Find("deliveries")->AsInt(), 2);
-  EXPECT_EQ(doc->Find("max_depth")->AsInt(), 2);
-  EXPECT_TRUE(doc->Find("has_output")->AsBool());
-  EXPECT_EQ(doc->Find("coordination_depth")->AsInt(), 2);
-  EXPECT_EQ(doc->Find("outputs")->AsInt(), 1);
-  EXPECT_FALSE(doc->Find("coordination_free")->AsBool());
-  const JsonValue* path = doc->Find("critical_path");
-  ASSERT_TRUE(path != nullptr && path->IsArray());
-  ASSERT_EQ(path->size(), report.critical_path.size());
-  for (std::size_t i = 0; i < report.critical_path.size(); ++i) {
-    const CausalStep& step = report.critical_path[i];
-    EXPECT_EQ(path->at(i).Find("transition")->AsInt(), step.transition);
-    EXPECT_EQ(path->at(i).Find("node")->AsInt(), step.node);
-    EXPECT_EQ(path->at(i).Find("depth")->AsInt(),
-              static_cast<std::int64_t>(step.depth));
-  }
-}
-
 }  // namespace
 }  // namespace lamp::obs::audit

@@ -233,7 +233,8 @@ TEST_F(NetTest, ComponentProgramIsCoordinationFreeOnIdealDistribution) {
   // Ideal: one node owns everything (alpha(a) = {0} for all a), and the
   // distribution gives it the full database.
   const DomainGuidedPolicy own_all(
-      2, MakeUniverse(1), [](Value) -> std::vector<NodeId> { return {0}; });
+      2, MakeUniverse(1),
+      [](Value, std::vector<NodeId>& nodes) { nodes.push_back(0); });
   ComponentProgram program(WrapCq(edges), schema);
   EXPECT_TRUE(ComputesWithoutCommunication(
       program, DistributeByPolicy(edb, own_all), expected, &own_all,

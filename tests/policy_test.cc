@@ -129,8 +129,8 @@ TEST_F(PolicyTest, RangePolicyBuckets) {
 TEST_F(PolicyTest, DomainGuidedResponsibility) {
   // alpha(a) = {a mod 2}: node 0 owns even values, node 1 odd values.
   DomainGuidedPolicy policy(
-      2, MakeUniverse(10), [](Value a) -> std::vector<NodeId> {
-        return {static_cast<NodeId>(a.v % 2)};
+      2, MakeUniverse(10), [](Value a, std::vector<NodeId>& nodes) {
+        nodes.push_back(static_cast<NodeId>(a.v % 2));
       });
   EXPECT_TRUE(policy.IsResponsible(0, Fact(0, {2, 4})));
   EXPECT_FALSE(policy.IsResponsible(1, Fact(0, {2, 4})));
@@ -145,7 +145,8 @@ TEST_F(PolicyTest, DomainGuidedCoversEveryValue) {
   const DomainGuidedPolicy policy =
       DomainGuidedPolicy::HashBased(4, MakeUniverse(20), 9);
   for (std::int64_t a = 0; a < 20; ++a) {
-    const std::vector<NodeId> owners = policy.AssignmentOf(Value(a));
+    std::vector<NodeId> owners;
+    policy.AssignmentOf(Value(a), owners);
     ASSERT_EQ(owners.size(), 1u);
     // Any fact containing `a` must be owned by that node.
     for (std::int64_t b = 0; b < 20; ++b) {

@@ -9,7 +9,7 @@
 // checked against the same model on random pairs of instances. (2) A
 // digest-parity test pins the end-to-end contract the refactor must not
 // move: the same MPC workload produces byte-identical output fingerprints
-// at thread counts {1, 4} and across the inproc / tcp / uds transports.
+// at thread counts {1, 4} and across the inproc / tcp transports.
 
 #include <gtest/gtest.h>
 
@@ -599,7 +599,6 @@ TEST(StorageDigestParity, SameDigestAcrossThreadsAndTransports) {
   constexpr transport::TransportKind kBackends[] = {
       transport::TransportKind::kInProcess,
       transport::TransportKind::kTcp,
-      transport::TransportKind::kUds,
   };
   par::SetDefaultThreads(1);
   transport::SetActiveKind(transport::TransportKind::kInProcess);

@@ -1,15 +1,15 @@
 // The transport determinism contract (DESIGN.md §src/transport): the
 // backend moves bytes, the scheduler/merge order decides delivery, so
 // outputs, per-server loads and wire bytes must be byte-identical across
-// inproc / tcp / uds — at every thread count and every server count. The
+// inproc / tcp — at every thread count and every server count. The
 // wire-byte equality is the sharpest check: the in-process backend
-// *computes* frame sizes in closed form while the socket backends
-// *measure* them after real send/recv, so any drift between the encoder
+// *computes* frame sizes in closed form while the socket backend
+// *measures* them after real send/recv, so any drift between the encoder
 // and the accounting shows up here immediately. The same holds when the
 // cluster is split into one simulator per rank over a socket mesh: the
 // per-rank results must fold back to the single-simulator digests. All
 // of it rests on per-channel FIFO, which a batch send (one write per
-// destination on the loopback backends) must keep exactly like single
+// destination on the loopback backend) must keep exactly like single
 // sends, also when a round queues far more than the sockets hold and when
 // a receiver is already waiting as the frame is sent.
 
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -45,12 +46,6 @@ namespace {
 constexpr transport::TransportKind kBackends[] = {
     transport::TransportKind::kInProcess,
     transport::TransportKind::kTcp,
-    transport::TransportKind::kUds,
-};
-
-constexpr transport::TransportKind kSocketBackends[] = {
-    transport::TransportKind::kTcp,
-    transport::TransportKind::kUds,
 };
 
 // FNV-1a accumulator (determinism_test.cc's): order-sensitive.
@@ -144,33 +139,31 @@ ClusterRun RunSimulated(std::size_t p, const ClusterBody& body) {
 }
 
 // p threads, each running `body` on its own simulator over one rank of a
-// `kind` MeshTransport.
-Cluster MeshThreads(transport::TransportKind kind) {
-  return [kind](std::size_t p, const ClusterBody& body) {
-    transport::MeshSockets sockets(kind, p);
-    std::vector<ClusterRun> ranks(p);
-    std::vector<std::thread> threads;
-    for (std::size_t r = 0; r < p; ++r) {
-      threads.emplace_back([&ranks, &body, &sockets, r] {
-        transport::MeshTransport mesh(sockets, r, {});
-        MpcSimulator sim(mesh);
-        body(sim);
-        ranks[r] = {sim.output(), sim.stats(), sim.locals()};
-      });
+// MeshTransport.
+ClusterRun MeshThreads(std::size_t p, const ClusterBody& body) {
+  transport::MeshSockets sockets(p);
+  std::vector<ClusterRun> ranks(p);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < p; ++r) {
+    threads.emplace_back([&ranks, &body, &sockets, r] {
+      transport::MeshTransport mesh(sockets, r, {});
+      MpcSimulator sim(mesh);
+      body(sim);
+      ranks[r] = {sim.output(), sim.stats(), sim.locals()};
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ClusterRun folded{Instance(), ranks[0].stats, {}};
+  for (std::size_t r = 0; r < p; ++r) {
+    folded.output.InsertAll(ranks[r].output);
+    folded.locals.push_back(ranks[r].locals[r]);
+    for (std::size_t k = 0; k < folded.stats.rounds.size(); ++k) {
+      const RoundStats& mine = ranks[r].stats.rounds[k];
+      folded.stats.rounds[k].received[r] = mine.received[r];
+      folded.stats.rounds[k].wire_bytes[r] = mine.wire_bytes[r];
     }
-    for (std::thread& t : threads) t.join();
-    ClusterRun folded{Instance(), ranks[0].stats, {}};
-    for (std::size_t r = 0; r < p; ++r) {
-      folded.output.InsertAll(ranks[r].output);
-      folded.locals.push_back(ranks[r].locals[r]);
-      for (std::size_t k = 0; k < folded.stats.rounds.size(); ++k) {
-        const RoundStats& mine = ranks[r].stats.rounds[k];
-        folded.stats.rounds[k].received[r] = mine.received[r];
-        folded.stats.rounds[k].wire_bytes[r] = mine.wire_bytes[r];
-      }
-    }
-    return folded;
-  };
+  }
+  return folded;
 }
 
 RunDigest RepartitionDigest(std::size_t p,
@@ -415,25 +408,21 @@ void RecvWakesOnLaterSend(transport::Transport& t) {
 
 TEST(TransportDeterminismTest, SendBatchKeepsChannelsFifoOnEveryBackend) {
   constexpr std::size_t kEndpoints = 3;
-  for (transport::TransportKind kind : kSocketBackends) {
-    const char* backend = transport::TransportKindName(kind).data();
-    {
-      obs::Tracer tracer;
-      obs::ScopedTracer install(tracer);
-      const std::unique_ptr<transport::Transport> t =
-          transport::MakeLoopbackTransport(kind, kEndpoints);
-      SendInterleavedAndCheckFifo(*t);
-      ExpectOneSendEventPerFrame(tracer, kEndpoints, backend);
-    }
-    SCOPED_TRACE(backend);
-    SendHugeRoundAndCheckFifo(*transport::MakeLoopbackTransport(kind, 2));
-    RecvWakesOnLaterSend(*transport::MakeLoopbackTransport(kind, 2));
-  }
-  // A p=2 mesh, ranks as threads: SendBatch is the default loop there.
-  for (transport::TransportKind kind : kSocketBackends) {
+  {
     obs::Tracer tracer;
     obs::ScopedTracer install(tracer);
-    transport::MeshSockets sockets(kind, 2);
+    const std::unique_ptr<transport::Transport> t =
+        transport::MakeLoopbackTransport(kEndpoints);
+    SendInterleavedAndCheckFifo(*t);
+    ExpectOneSendEventPerFrame(tracer, kEndpoints, "loopback");
+  }
+  SendHugeRoundAndCheckFifo(*transport::MakeLoopbackTransport(2));
+  RecvWakesOnLaterSend(*transport::MakeLoopbackTransport(2));
+  // A p=2 mesh, ranks as threads: SendBatch is the default loop there.
+  {
+    obs::Tracer tracer;
+    obs::ScopedTracer install(tracer);
+    transport::MeshSockets sockets(2);
     std::vector<std::thread> ranks;
     for (std::size_t r = 0; r < 2; ++r) {
       ranks.emplace_back([&sockets, r] {
@@ -509,14 +498,10 @@ TEST(TransportDeterminismTest, ThreadedMeshFoldsToInProcessDigests) {
     for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
       par::SetDefaultThreads(lanes);
       par::GlobalPool();  // Built before the rank threads share it.
-      for (transport::TransportKind kind : kSocketBackends) {
-        EXPECT_EQ(RepartitionDigest(p, MeshThreads(kind)), repartition)
-            << "mesh " << transport::TransportKindName(kind) << " p=" << p
-            << " lanes " << lanes;
-        EXPECT_EQ(ReshuffleDigest(p, MeshThreads(kind)), reshuffle)
-            << "mesh " << transport::TransportKindName(kind) << " p=" << p
-            << " lanes " << lanes;
-      }
+      EXPECT_EQ(RepartitionDigest(p, MeshThreads), repartition)
+          << "mesh p=" << p << " lanes " << lanes;
+      EXPECT_EQ(ReshuffleDigest(p, MeshThreads), reshuffle)
+          << "mesh p=" << p << " lanes " << lanes;
     }
   }
 }
@@ -598,17 +583,14 @@ TEST(TransportDeterminismTest, EdgeRunsDrainIdenticallyOnEveryBackend) {
     for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
       par::SetDefaultThreads(lanes);
       par::GlobalPool();
-      for (transport::TransportKind kind : kSocketBackends) {
-        check(edge, run_round(edge, MeshThreads(kind)), reference,
-              "mesh " + std::string(transport::TransportKindName(kind)) +
-                  " lanes " + std::to_string(lanes));
-      }
+      check(edge, run_round(edge, MeshThreads), reference,
+            "mesh lanes " + std::to_string(lanes));
     }
   }
 }
 
 // The in-process backend sizes its wire bytes from per-row sizes computed
-// once per routed row; the socket backends measure the frames they send.
+// once per routed row; the socket backend measures the frames it sends.
 // On rows of mixed relations and arities, with negative values and values
 // past 2^31 (multi-byte zigzag), every target's bytes must agree.
 TEST(TransportDeterminismTest, MixedRowWireBytesMatchAcrossBackends) {
@@ -638,14 +620,10 @@ TEST(TransportDeterminismTest, MixedRowWireBytesMatchAcrossBackends) {
   transport::SetActiveKind(transport::TransportKind::kInProcess);
   const RoundStats reference = run();
   for (const std::size_t bytes : reference.wire_bytes) EXPECT_GT(bytes, 0u);
-  for (transport::TransportKind kind : kSocketBackends) {
-    transport::SetActiveKind(kind);
-    const RoundStats measured = run();
-    EXPECT_EQ(measured.wire_bytes, reference.wire_bytes)
-        << transport::TransportKindName(kind);
-    EXPECT_EQ(measured.received, reference.received)
-        << transport::TransportKindName(kind);
-  }
+  transport::SetActiveKind(transport::TransportKind::kTcp);
+  const RoundStats measured = run();
+  EXPECT_EQ(measured.wire_bytes, reference.wire_bytes);
+  EXPECT_EQ(measured.received, reference.received);
 }
 
 TEST(TransportDeterminismTest, NetworkDigestsIdenticalAcrossBackends) {
@@ -666,6 +644,37 @@ TEST(TransportDeterminismTest, NetworkDigestsIdenticalAcrossBackends) {
             << " seed " << seed;
       }
     }
+  }
+}
+
+// The --transport values are exactly the kinds' stable names, and the
+// kinds keep the numbers that transport.connect events carry.
+TEST(TransportKindTest, ParsesExactlyInprocAndTcp) {
+  EXPECT_EQ(transport::TransportKindName(transport::TransportKind::kInProcess),
+            "inproc");
+  EXPECT_EQ(transport::TransportKindName(transport::TransportKind::kTcp),
+            "tcp");
+  EXPECT_EQ(static_cast<int>(transport::TransportKind::kInProcess), 0);
+  EXPECT_EQ(static_cast<int>(transport::TransportKind::kTcp), 1);
+  for (const transport::TransportKind kind : kBackends) {
+    transport::TransportKind parsed =
+        kind == transport::TransportKind::kTcp
+            ? transport::TransportKind::kInProcess
+            : transport::TransportKind::kTcp;
+    ASSERT_TRUE(transport::ParseTransportKind(
+        transport::TransportKindName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+  }
+  // The removed Unix-domain socket family's two spellings, the removed
+  // in-process aliases, and the empty name.
+  std::vector<std::string> rejected = {""};
+  std::istringstream removed("uds unix inprocess in-process");
+  for (std::string name; removed >> name;) rejected.push_back(name);
+  ASSERT_EQ(rejected.size(), 5u);
+  for (const std::string& name : rejected) {
+    transport::TransportKind parsed = transport::TransportKind::kTcp;
+    EXPECT_FALSE(transport::ParseTransportKind(name, &parsed)) << name;
+    EXPECT_EQ(parsed, transport::TransportKind::kTcp) << name;
   }
 }
 

@@ -68,7 +68,7 @@ constexpr const char* kUsage = R"(usage: lamp_obs <command> [flags] [args]
       Render a lamp.trace.v1 recording as a timeline: MPC load heatmaps,
       the transducer delivery order, transport totals, Datalog iterations
       and span aggregates. --demo-mpc / --demo-net trace a HyperCube
-      triangle / broadcast transducer run first; --transport tcp|uds runs
+      triangle / broadcast transducer run first; --transport tcp runs
       the demo over sockets (adding the Transport section). --json emits
       the raw trace; --chrome the Chrome Trace Event Format (open it at
       ui.perfetto.dev or chrome://tracing); --stats only the per-kind
@@ -92,11 +92,11 @@ constexpr const char* kUsage = R"(usage: lamp_obs <command> [flags] [args]
       entries of bench records (JSON lines or a bench_runner report);
       --check exits 4 on a hard bound violation.
   catalog <catalog.json>      per-relation skew report (lamp.catalog.v1)
-  causal [--json] <trace.json>
+  causal <trace.json>
       coordination depth and causal critical path of a transducer run
   demo-audit                  audit two demo joins, render the report
   demo-catalog                print a demo lamp.catalog.v1
-  demo-causal [--json]        monotone vs barrier causal profiles
+  demo-causal                 monotone vs barrier causal profiles
   demo-violation              skewed repartition join, hard-fail (exit 4)
 )";
 
@@ -256,10 +256,10 @@ void RenderTransport(const std::vector<EventRecord>& events) {
   if (!AnyKind(events, "transport.")) return;
 
   std::printf("== Transport (lamp.wire.v1) ==\n");
-  static const char* kKindNames[] = {"inproc", "tcp", "uds"};
+  static const char* kKindNames[] = {"inproc", "tcp"};
   for (const EventRecord& e : events) {
     if (e.kind != "transport.connect") continue;
-    const char* backend = e.b < 3 ? kKindNames[e.b] : "unknown";
+    const char* backend = e.b < 2 ? kKindNames[e.b] : "unknown";
     std::printf("  connect: %u endpoint(s) over %s (%llu fd(s))\n", e.a,
                 backend, static_cast<unsigned long long>(e.value));
   }
@@ -951,7 +951,7 @@ int DemoViolationMain() {
               " workload lost its heavy hitter");
 }
 
-int DemoCausalMain(bool json) {
+int DemoCausalMain() {
   Schema schema;
   const RelationId e = schema.AddRelation("E", 2);
   const ConjunctiveQuery tc2 =
@@ -983,19 +983,12 @@ int DemoCausalMain(bool json) {
   const CausalReport coord_profile =
       profile(barrier, DistributeReplicated(graph, 3));
 
-  if (json) {
-    obs::JsonValue doc = obs::JsonValue::Object();
-    doc.Set("monotone_broadcast", free_profile.ToJson());
-    doc.Set("coordinated_barrier", coord_profile.ToJson());
-    std::printf("%s\n", doc.Dump(2).c_str());
-  } else {
-    std::printf("monotone broadcast on a replicated (ideal) distribution"
-                " — CALM says coordination-free:\n%s\n",
-                free_profile.Render().c_str());
-    std::printf("coordinated barrier on the same distribution — must wait"
-                " for every peer:\n%s",
-                coord_profile.Render().c_str());
-  }
+  std::printf("monotone broadcast on a replicated (ideal) distribution"
+              " — CALM says coordination-free:\n%s\n",
+              free_profile.Render().c_str());
+  std::printf("coordinated barrier on the same distribution — must wait"
+              " for every peer:\n%s",
+              coord_profile.Render().c_str());
   return 0;
 }
 
@@ -1043,17 +1036,13 @@ int CatalogMain(const std::string& path) {
   return 0;
 }
 
-int CausalMain(const std::string& path, bool json) {
+int CausalMain(const std::string& path) {
   const std::optional<CausalReport> report =
       obs::audit::CausalReportFromTraceJson(LoadJsonOrExit(path));
   if (!report.has_value()) {
     return Fail("%s is not a lamp.trace.v1 document", path.c_str());
   }
-  if (json) {
-    std::printf("%s\n", report->ToJson().Dump(2).c_str());
-  } else {
-    std::printf("%s", report->Render().c_str());
-  }
+  std::printf("%s", report->Render().c_str());
   return 0;
 }
 
@@ -1094,11 +1083,11 @@ int Main(int argc, char** argv) {
   if (command == "catalog" || command == "causal") {
     if (args.size() != 1) return Fail("%s needs one file", command.c_str());
     return command == "catalog" ? CatalogMain(args[0])
-                                : CausalMain(args[0], flags.json);
+                                : CausalMain(args[0]);
   }
   if (command == "demo-audit") return DemoAuditMain();
   if (command == "demo-catalog") return DemoCatalogMain();
-  if (command == "demo-causal") return DemoCausalMain(flags.json);
+  if (command == "demo-causal") return DemoCausalMain();
   if (command == "demo-violation") return DemoViolationMain();
   return Fail("unknown command '%s' (see --help)", command.c_str());
 }

@@ -149,6 +149,9 @@ std::uint64_t InstanceDigest(const Instance& inst) {
   return digest;
 }
 
+/// The mesh's socket family, as trace shard labels and records name it.
+constexpr char kFamily[] = "tcp";
+
 // --- distributed tracing ------------------------------------------------
 
 /// Tracing configuration shared by the parent and every worker. The
@@ -157,7 +160,7 @@ std::uint64_t InstanceDigest(const Instance& inst) {
 /// agree on it without a negotiation round.
 struct TraceConfig {
   std::string prefix;  // $LAMP_TRACE_SHARD; empty = tracing off.
-  std::string label;   // "<scenario>_<transport>".
+  std::string label;   // "<scenario>_tcp".
   std::uint64_t trace_id = 0;
 
   bool enabled() const { return !prefix.empty(); }
@@ -167,12 +170,11 @@ struct TraceConfig {
 };
 
 TraceConfig MakeTraceConfig(const std::string& prefix,
-                            const std::string& name,
-                            transport::TransportKind kind, std::size_t p,
+                            const std::string& name, std::size_t p,
                             std::uint64_t base_seed) {
   TraceConfig cfg;
   cfg.prefix = prefix;
-  cfg.label = name + "_" + std::string(transport::TransportKindName(kind));
+  cfg.label = name + "_" + kFamily;
   std::uint64_t id = HashCombine(HashMix(base_seed), HashMix(p));
   for (const char c : cfg.label) {
     id = HashCombine(id, HashMix(static_cast<std::uint64_t>(
@@ -280,14 +282,14 @@ struct DistResult {
   std::vector<std::uint64_t> states;    // Per rank, received-state digest.
 };
 
-DistResult RunDistributed(const std::string& name, transport::TransportKind
-                          kind, std::size_t procs, std::size_t m,
-                          std::uint64_t base_seed, const TraceConfig& trace) {
+DistResult RunDistributed(const std::string& name, std::size_t procs,
+                          std::size_t m, std::uint64_t base_seed,
+                          const TraceConfig& trace) {
   // The parent resolves the process count the same way the workers will.
   const std::size_t p = BuildScenario(name, procs, m, base_seed).servers;
 
   // Pre-fork resources: the mesh's sockets plus one report pipe per rank.
-  transport::MeshSockets sockets(kind, p);
+  transport::MeshSockets sockets(p);
   std::vector<std::array<int, 2>> pipes(p);
   for (std::size_t r = 0; r < p; ++r) {
     LAMP_CHECK(::pipe(pipes[r].data()) == 0);
@@ -358,8 +360,6 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
 
 struct Options {
   std::string scenario = "all";
-  transport::TransportKind kind = transport::TransportKind::kTcp;
-  bool kind_set = false;  // --selfcheck sweeps both families unless set.
   std::size_t procs = 4;
   std::size_t m = 4000;
   std::uint64_t seed = 7;
@@ -370,8 +370,8 @@ struct Options {
 void Usage() {
   std::fprintf(
       stderr,
-      "usage: mpc_procs [--scenario NAME|all] [--transport tcp|uds]\n"
-      "                 [--procs N] [--m N] [--seed N] [--selfcheck]\n"
+      "usage: mpc_procs [--scenario NAME|all] [--procs N] [--m N]\n"
+      "                 [--seed N] [--selfcheck]\n"
       "scenarios:");
   for (const char* name : kScenarioNames) std::fprintf(stderr, " %s", name);
   std::fprintf(stderr, "\n");
@@ -397,16 +397,15 @@ bool RunOne(const std::string& name, const Options& opts,
       BuildScenario(name, opts.procs, opts.m, opts.seed);
   const std::size_t p = scenario.servers;
 
-  // In-process ground truth (inline, single-threaded, inproc backend —
-  // the --transport flag selects the *inter-process* mesh only).
+  // In-process ground truth (inline, single-threaded, inproc backend).
   MpcSimulator sim(p);
   sim.LoadInput(scenario.input);
   sim.RunRound(RouteBy(*scenario.policy), EvaluateAndKeep(scenario.query));
 
   const TraceConfig trace =
-      MakeTraceConfig(opts.trace_prefix, name, opts.kind, p, opts.seed);
+      MakeTraceConfig(opts.trace_prefix, name, p, opts.seed);
   const DistResult dist =
-      RunDistributed(name, opts.kind, opts.procs, opts.m, opts.seed, trace);
+      RunDistributed(name, opts.procs, opts.m, opts.seed, trace);
 
   // Every rank must reproduce its reference server exactly: load, wire
   // bytes and received state, plus the union of the outputs.
@@ -426,8 +425,7 @@ bool RunOne(const std::string& name, const Options& opts,
   std::printf(
       "%-20s %-4s procs=%-3zu out=%zu digest=%016llx ref=%016llx"
       " state=%016llx max-load=%zu wire=%zuB %s\n",
-      name.c_str(),
-      std::string(transport::TransportKindName(opts.kind)).c_str(), p,
+      name.c_str(), kFamily, p,
       dist.output.Size(),
       static_cast<unsigned long long>(InstanceDigest(dist.output)),
       static_cast<unsigned long long>(InstanceDigest(sim.output())),
@@ -450,13 +448,10 @@ bool RunOne(const std::string& name, const Options& opts,
           : obs::audit::BoundFor(scenario.strategy, scenario.query,
                                  scenario.schema, catalog, p);
   obs::audit::AuditRecord record = obs::audit::MakeAuditRecord(
-      "mpc_procs",
-      name + "/" + std::string(transport::TransportKindName(opts.kind)),
-      scenario.strategy, p, std::move(bound), measured);
+      "mpc_procs", name + "/" + kFamily, scenario.strategy, p, std::move(bound), measured);
   record.params.Set("m", opts.m);
   record.params.Set("procs", p);
-  record.params.Set("transport",
-                    std::string(transport::TransportKindName(opts.kind)));
+  record.params.Set("transport", std::string(kFamily));
   record.expected_violation = scenario.expected_violation;
 
   // With tracing on, merge the shards the workers just wrote and check
@@ -510,8 +505,7 @@ bool RunOne(const std::string& name, const Options& opts,
   }
   reporter.NewRecord()
       .Param("scenario", name)
-      .Param("transport",
-             std::string(transport::TransportKindName(opts.kind)))
+      .Param("transport", std::string(kFamily))
       .Param("procs", p)
       .Param("m", opts.m)
       .Metric("mpc.max_load", max_load)
@@ -548,15 +542,6 @@ int main(int argc, char** argv) {
       opts.selfcheck = true;
     } else if (arg.rfind("--scenario", 0) == 0) {
       opts.scenario = value("--scenario");
-    } else if (arg.rfind("--transport", 0) == 0) {
-      lamp::transport::TransportKind kind;
-      if (!lamp::transport::ParseTransportKind(value("--transport"), &kind) ||
-          kind == lamp::transport::TransportKind::kInProcess) {
-        std::fprintf(stderr, "mpc_procs: --transport must be tcp or uds\n");
-        return 2;
-      }
-      opts.kind = kind;
-      opts.kind_set = true;
     } else if (arg.rfind("--procs", 0) == 0) {
       opts.procs = ParseCount(value("--procs"));
       if (opts.procs == 0) Usage();
@@ -579,22 +564,14 @@ int main(int argc, char** argv) {
   lamp::obs::BenchReporter reporter("mpc_procs");
   bool all_ok = true;
   if (opts.selfcheck) {
-    // The CI smoke matrix: both socket families (or just the requested
-    // one), growing process counts, every scenario — each compared
-    // against the in-process reference.
-    std::vector<lamp::transport::TransportKind> kinds = {
-        lamp::transport::TransportKind::kTcp,
-        lamp::transport::TransportKind::kUds};
-    if (opts.kind_set) kinds = {opts.kind};
-    for (auto kind : kinds) {
-      for (std::size_t procs : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}}) {
-        Options sweep = opts;
-        sweep.kind = kind;
-        sweep.procs = procs;
-        for (const std::string& name : names) {
-          all_ok = RunOne(name, sweep, reporter) && all_ok;
-        }
+    // The CI smoke matrix: growing process counts, every scenario —
+    // each compared against the in-process reference.
+    for (std::size_t procs : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+      Options sweep = opts;
+      sweep.procs = procs;
+      for (const std::string& name : names) {
+        all_ok = RunOne(name, sweep, reporter) && all_ok;
       }
     }
   } else {
