@@ -8,8 +8,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
@@ -113,44 +111,11 @@ void PrintTable() {
       "always identical.\n\n");
 }
 
-void BM_NaiveBroadcast(benchmark::State& state) {
-  Setup setup;
-  Instance db = setup.MakeInput(200, static_cast<std::size_t>(state.range(0)),
-                                3);
-  NetQueryFunction q = [&setup](const Instance& i) {
-    return Evaluate(setup.query, i);
-  };
-  MonotoneBroadcastProgram program(q);
-  const auto locals = DistributeRoundRobin(db, 4);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    TransducerNetwork net(locals, program, nullptr, false);
-    benchmark::DoNotOptimize(net.Run(seed++));
-  }
-}
-BENCHMARK(BM_NaiveBroadcast)->Arg(200)->Arg(800);
-
-void BM_EconomicalBroadcast(benchmark::State& state) {
-  Setup setup;
-  Instance db = setup.MakeInput(200, static_cast<std::size_t>(state.range(0)),
-                                3);
-  EconomicalBroadcastProgram program(setup.query);
-  const auto locals = DistributeRoundRobin(db, 4);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    TransducerNetwork net(locals, program, nullptr, false);
-    benchmark::DoNotOptimize(net.Run(seed++));
-  }
-}
-BENCHMARK(BM_EconomicalBroadcast)->Arg(200)->Arg(800);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
@@ -108,29 +106,11 @@ void PrintTable() {
       "distributions, so the CALM theorem places it outside F0.\n\n");
 }
 
-void BM_BroadcastRunTriangle(benchmark::State& state) {
-  World w;
-  NetQueryFunction q = [&w](const Instance& i) {
-    return Evaluate(w.triangle, i);
-  };
-  MonotoneBroadcastProgram program(q);
-  const auto locals =
-      DistributeRoundRobin(w.graph, static_cast<std::size_t>(state.range(0)));
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    TransducerNetwork net(locals, program, nullptr, false);
-    benchmark::DoNotOptimize(net.Run(seed++));
-  }
-}
-BENCHMARK(BM_BroadcastRunTriangle)->Arg(2)->Arg(4)->Arg(8);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

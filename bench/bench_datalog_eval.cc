@@ -1,12 +1,12 @@
 // Experiment D1 (Section 5.3): Datalog evaluation over the paper's
 // programs — transitive closure / its complement, the semi-connectedness
 // analyzer, and win-move under the well-founded semantics — plus the
-// semi-naive vs naive ablation (a design choice DESIGN.md calls out).
+// semi-naive vs naive ablation (a design choice DESIGN.md calls out): each
+// record carries both engines' wall times (semi_naive_ms, naive_ms), with
+// linear TC over paths of 16..128 edges for the growth curve.
 
 #include <cstdio>
 #include <string>
-
-#include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "datalog/depgraph.h"
@@ -35,16 +35,20 @@ void PrintTable() {
   std::printf(
       "# D1: Datalog engine on the paper's programs\n"
       "# columns: facts derived, then semi-naive / naive iterations, rows "
-      "scanned and rule evaluations\n"
-      "# %-11s %-9s %8s %10s %16s %10s\n",
-      "program", "input", "derived", "iters", "rows-scanned", "rule-evals");
+      "scanned, rule evaluations and wall ms\n"
+      "# %-11s %-9s %8s %10s %16s %10s %18s\n",
+      "program", "input", "derived", "iters", "rows-scanned", "rule-evals",
+      "wall-ms");
   struct Case {
     const char* name;
     const char* program;
     std::size_t path_len;
   };
   const Case cases[] = {
+      {"TC-linear", kTcLinear, 16},
+      {"TC-linear", kTcLinear, 32},
       {"TC-linear", kTcLinear, 64},
+      {"TC-linear", kTcLinear, 128},
       {"TC-nonlinear", kTcNonLinear, 64},
       {"not-TC", kNotTc, 24},
   };
@@ -58,16 +62,21 @@ void PrintTable() {
     DatalogStats semi;
     DatalogStats naive;
     obs::MetricsRegistry registry;
+    obs::WallTimer semi_timer;
     EvaluateProgram(schema, program, edb, &semi, &registry);
+    const double semi_ms = semi_timer.ElapsedMs();
+    obs::WallTimer naive_timer;
     EvaluateProgramNaive(schema, program, edb, &naive);
+    const double naive_ms = naive_timer.ElapsedMs();
     const auto pair = [](std::size_t semi_value, std::size_t naive_value) {
       return std::to_string(semi_value) + " / " + std::to_string(naive_value);
     };
-    std::printf("%-13s path-%-4zu %8zu %10s %16s %10s\n", c.name,
-                c.path_len, semi.facts_derived,
+    std::printf("%-13s path-%-4zu %8zu %10s %16s %10s %8.2f / %.2f\n",
+                c.name, c.path_len, semi.facts_derived,
                 pair(semi.iterations, naive.iterations).c_str(),
                 pair(semi.rows_scanned, naive.rows_scanned).c_str(),
-                pair(semi.delta_index_hits, naive.delta_index_hits).c_str());
+                pair(semi.delta_index_hits, naive.delta_index_hits).c_str(),
+                semi_ms, naive_ms);
     reporter.NewRecord()
         .Param("program", c.name)
         .Param("input", "path")
@@ -76,6 +85,8 @@ void PrintTable() {
         .Metric("naive.iterations", naive.iterations)
         .Metric("naive.rows_scanned", naive.rows_scanned)
         .Metric("naive.facts_derived", naive.facts_derived)
+        .Metric("semi_naive_ms", semi_ms)
+        .Metric("naive_ms", naive_ms)
         .WallMs(timer.ElapsedMs());
   }
 
@@ -114,53 +125,11 @@ void PrintTable() {
   }
 }
 
-void BM_SemiNaiveTc(benchmark::State& state) {
-  Schema schema;
-  DatalogProgram program = ParseProgram(schema, kTcLinear);
-  Instance edb;
-  AddPathGraph(schema, schema.IdOf("E"),
-               static_cast<std::size_t>(state.range(0)), edb);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateProgram(schema, program, edb));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SemiNaiveTc)->RangeMultiplier(2)->Range(16, 128)->Complexity();
-
-void BM_NaiveTc(benchmark::State& state) {
-  Schema schema;
-  DatalogProgram program = ParseProgram(schema, kTcLinear);
-  Instance edb;
-  AddPathGraph(schema, schema.IdOf("E"),
-               static_cast<std::size_t>(state.range(0)), edb);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateProgramNaive(schema, program, edb));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_NaiveTc)->RangeMultiplier(2)->Range(16, 128)->Complexity();
-
-void BM_WellFoundedWinMove(benchmark::State& state) {
-  Schema schema;
-  DatalogProgram program = ParseProgram(schema, kWinMove);
-  Rng rng(9);
-  Instance edb;
-  AddRandomGraph(schema, schema.IdOf("MOVE"),
-                 static_cast<std::size_t>(2 * state.range(0)),
-                 static_cast<std::size_t>(state.range(0)), rng, edb);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateWellFounded(schema, program, edb));
-  }
-}
-BENCHMARK(BM_WellFoundedWinMove)->Arg(16)->Arg(64);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

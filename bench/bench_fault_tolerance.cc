@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
@@ -152,27 +150,11 @@ void PrintTable() {
       "volatile-crash redelivery both inflate its message count.\n\n");
 }
 
-void BM_FaultSweepTcDuplicate(benchmark::State& state) {
-  World w;
-  DistributedDatalogProgram tc(w.tc_schema, w.tc_prog);
-  const std::vector<std::vector<Instance>> distributions = {
-      DistributeRoundRobin(w.tc_edges,
-                           static_cast<std::size_t>(state.range(0)))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::CheckConsistencyUnderFaults(
-        tc, distributions, w.tc_expected, fault::FaultClass::kDuplicate, 4,
-        nullptr, false));
-  }
-}
-BENCHMARK(BM_FaultSweepTcDuplicate)->Arg(2)->Arg(4);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

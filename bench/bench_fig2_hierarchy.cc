@@ -17,8 +17,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "cq/eval.h"
 #include "cq/parser.h"
 #include "datalog/eval.h"
@@ -225,28 +223,16 @@ bool PrintStrategyTable() {
   return all_consistent;
 }
 
-void BM_MonotonicityClassifier(benchmark::State& state) {
-  Witnesses w;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        FindMonotonicityViolation(w.schema, {w.e}, w.q_open,
-                                  MonotonicityKind::kPlain, 2, 1, 3));
-  }
-}
-BENCHMARK(BM_MonotonicityClassifier);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   bool all_consistent = true;
   lamp::obs::RunRepeated([&all_consistent] {
     PrintHierarchyTable();
     all_consistent = PrintStrategyTable() && all_consistent;
   });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   if (!all_consistent) {
     std::fprintf(stderr, "bench_fig2_hierarchy: a strategy row reads NO\n");
     return 1;

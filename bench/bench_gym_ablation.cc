@@ -14,8 +14,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
@@ -133,44 +131,11 @@ void PrintTable() {
       "the dangling tuples before any join).\n\n");
 }
 
-void BM_CascadeDangling(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery chain =
-      ParseQuery(schema, "H(x,y,z,w) <- R1(x,y), R2(y,z), R3(z,w)");
-  const Instance db =
-      DanglingChain(schema, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    Schema scratch = schema;
-    benchmark::DoNotOptimize(CascadeJoin(scratch, chain, db, 16, 3));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_CascadeDangling)->RangeMultiplier(2)->Range(32, 256)->Complexity();
-
-void BM_YannakakisDangling(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery chain =
-      ParseQuery(schema, "H(x,y,z,w) <- R1(x,y), R2(y,z), R3(z,w)");
-  const Instance db =
-      DanglingChain(schema, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    Schema scratch = schema;
-    benchmark::DoNotOptimize(YannakakisMpc(scratch, chain, db, 16, 3));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_YannakakisDangling)
-    ->RangeMultiplier(2)
-    ->Range(32, 256)
-    ->Complexity();
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,8 +11,6 @@
 #include <cstdio>
 #include <string>
 
-#include <benchmark/benchmark.h>
-
 #include "cq/parser.h"
 #include "lp/edge_packing.h"
 #include "mpc/hypercube_run.h"
@@ -21,7 +19,6 @@
 #include "obs/audit/catalog.h"
 #include "obs/bench_report.h"
 #include "par/thread_pool.h"
-#include "obs/trace.h"
 #include "relational/generators.h"
 #include "sa/plan/agreement.h"
 #include "sa/plan/plan.h"
@@ -140,51 +137,12 @@ void PrintTable() {
       " flat in p for each query.\n\n");
 }
 
-void BM_HyperCubeTriangle(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery q =
-      ParseQuery(schema, "H(x,y,z) <- R0(x,y), R1(y,z), R2(z,x)");
-  Instance db = MatchingInput(schema, q, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunHyperCubeUniform(q, db, 64));
-  }
-}
-BENCHMARK(BM_HyperCubeTriangle)->Arg(5000)->Arg(20000);
-
-// Null-sink overhead check: the same instrumented RunRound path, with and
-// without a tracer installed. The no-sink run must be within noise of the
-// pre-instrumentation baseline (one pointer load + branch per phase).
-void BM_HyperCubeTriangleTraced(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery q =
-      ParseQuery(schema, "H(x,y,z) <- R0(x,y), R1(y,z), R2(z,x)");
-  Instance db = MatchingInput(schema, q, static_cast<std::size_t>(state.range(0)));
-  obs::Tracer tracer;
-  obs::ScopedTracer install(tracer);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunHyperCubeUniform(q, db, 64));
-  }
-}
-BENCHMARK(BM_HyperCubeTriangleTraced)->Arg(5000)->Arg(20000);
-
-void BM_ShareOptimizationLp(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(
-      schema, "H(x,y,z,w) <- R0(x,y), R1(y,z), R2(z,w), R3(w,x)");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(OptimalShareExponents(q));
-  }
-}
-BENCHMARK(BM_ShareOptimizationLp);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
   lamp::transport::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

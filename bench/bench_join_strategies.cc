@@ -11,14 +11,12 @@
 // table prints the measured max loads next to the static planner's pick
 // (sa/plan). Every race also attaches a lamp.plan_agreement.v1 record to
 // its bench record, so `lamp_plan check` gates the cost model against
-// what actually won; the timed benchmarks measure simulator throughput.
+// what actually won; a record's wall time covers all of its p's races.
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "cq/parser.h"
 #include "distribution/hypercube.h"
@@ -191,35 +189,12 @@ void PrintTable() {
       "predicted tie): lamp_plan check gates the agreement records.\n\n");
 }
 
-void BM_RepartitionJoin(benchmark::State& state) {
-  Workload w(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RepartitionJoin(w.query, w.skew_free, 64, 7));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * w.m));
-}
-BENCHMARK(BM_RepartitionJoin)->Arg(1000)->Arg(10000);
-
-void BM_FragmentReplicateJoin(benchmark::State& state) {
-  Workload w(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        FragmentReplicateJoin(w.query, w.skew_free, 64, 7));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * w.m));
-}
-BENCHMARK(BM_FragmentReplicateJoin)->Arg(1000)->Arg(10000);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
   lamp::transport::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,24 +3,20 @@
 //
 //   * parallel-correctness (Pi^p_2): the exact decider enumerates
 //     |U|^{vars} outer valuations, each with an inner minimality search —
-//     the measured curve is exponential in the variable count and
-//     polynomial-ish in |U| for fixed vars;
+//     the measured curve is exponential in the variable count (path atoms
+//     1..4 at |U| = 3) and polynomial in |U| for fixed vars (|U| = 2..16
+//     for the 2-atom, 3-variable query);
 //   * transfer (Pi^p_3): one more alternation — the same query sizes cost
-//     markedly more than PC.
+//     markedly more than PC (atoms 1..3; transfer does not read |U|).
 //
-// Wall-clock complexity curves are exactly what google-benchmark is for;
-// the printed table gives the decider answers on the scaled family so the
-// timing rows are attached to verified outputs.
+// Each record carries its member's decider answers and its own decider
+// times (pc_decider_ms, transfer_decider_ms), so the curves are read off
+// the records.
 
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
 #include <string>
-#include <vector>
 
-#include <benchmark/benchmark.h>
-
-#include "cq/minimal.h"
 #include "cq/parser.h"
 #include "distribution/parallel_correctness.h"
 #include "distribution/policies.h"
@@ -67,107 +63,62 @@ LambdaPolicy EvenOddPolicy(std::size_t universe_size) {
 
 void PrintTable() {
   std::printf(
-      "# T1/T2: decider outputs on the scaled family (timings below)\n"
-      "# columns: atoms  vars  |U|  parallel-correct  transfers-to-self\n");
+      "# T1/T2: decider outputs and times on the scaled family\n"
+      "# columns: atoms  vars  |U|  parallel-correct  pc-ms  "
+      "transfers-to-self  transfer-ms\n");
   obs::BenchReporter reporter("pc_complexity");
-  const std::size_t ks[] = {1, 2, 3};
-  // One PC verdict per family member, decided as a single sweep fanned
-  // across the pool (verdicts identical at every thread count).
-  std::vector<Schema> schemas(std::size(ks));
-  std::vector<ConjunctiveQuery> queries;
-  std::vector<LambdaPolicy> policies;
-  for (std::size_t i = 0; i < std::size(ks); ++i) {
-    queries.push_back(ParseQuery(schemas[i], PathQueryText(ks[i])));
-    policies.push_back(EvenOddPolicy(3));
-  }
-  std::vector<PcCheck> checks;
-  for (std::size_t i = 0; i < std::size(ks); ++i) {
-    checks.push_back(PcCheck{&queries[i], &policies[i]});
-  }
-  obs::WallTimer sweep_timer;
-  const std::vector<std::uint8_t> verdicts = ParallelCorrectnessSweep(checks);
-  const double sweep_ms = sweep_timer.ElapsedMs();
-  for (std::size_t i = 0; i < std::size(ks); ++i) {
-    const std::size_t k = ks[i];
-    const bool pc = verdicts[i] != 0;
-    obs::WallTimer timer;
-    const bool transfers =
-        ParallelCorrectnessTransfersTo(queries[i], queries[i]);
-    const double transfer_ms = timer.ElapsedMs();
-    std::printf("%6zu %5zu %4d %17s %18s\n", k, k + 1, 3,
-                pc ? "yes" : "no", transfers ? "yes" : "no");
-    reporter.NewRecord()
-        .Param("atoms", k)
-        .Param("vars", k + 1)
-        .Param("universe", std::size_t{3})
+  struct Member {
+    std::size_t atoms;
+    std::size_t universe;
+    bool transfer;  // Whether to time the transfer decider too.
+  };
+  const Member members[] = {
+      {1, 3, true}, {2, 3, true}, {3, 3, true}, {4, 3, false},
+      {2, 2, false}, {2, 4, false}, {2, 8, false}, {2, 16, false},
+  };
+  for (const Member& m : members) {
+    Schema schema;
+    const ConjunctiveQuery query = ParseQuery(schema, PathQueryText(m.atoms));
+    const LambdaPolicy policy = EvenOddPolicy(m.universe);
+    // A one-check sweep, so the time is this member's alone.
+    obs::WallTimer pc_timer;
+    const bool pc =
+        ParallelCorrectnessSweep({PcCheck{&query, &policy}})[0] != 0;
+    const double pc_ms = pc_timer.ElapsedMs();
+    obs::BenchReporter::Record& record = reporter.NewRecord();
+    record.Param("atoms", m.atoms)
+        .Param("vars", m.atoms + 1)
+        .Param("universe", m.universe)
         .Metric("parallel_correct", pc)
-        .Metric("transfers_to_self", transfers)
-        .Metric("pc_sweep_ms", sweep_ms)
-        .Metric("transfer_decider_ms", transfer_ms)
-        .WallMs(sweep_ms + transfer_ms);
+        .Metric("pc_decider_ms", pc_ms);
+    double wall_ms = pc_ms;
+    const char* transfers = "-";
+    char transfer_ms_text[32] = "-";
+    if (m.transfer) {
+      obs::WallTimer transfer_timer;
+      const bool transfers_to_self =
+          ParallelCorrectnessTransfersTo(query, query);
+      const double transfer_ms = transfer_timer.ElapsedMs();
+      transfers = transfers_to_self ? "yes" : "no";
+      std::snprintf(transfer_ms_text, sizeof(transfer_ms_text), "%.2f",
+                    transfer_ms);
+      record.Metric("transfers_to_self", transfers_to_self)
+          .Metric("transfer_decider_ms", transfer_ms);
+      wall_ms += transfer_ms;
+    }
+    std::printf("%6zu %5zu %4zu %17s %6.2f %18s %12s\n", m.atoms,
+                m.atoms + 1, m.universe, pc ? "yes" : "no", pc_ms, transfers,
+                transfer_ms_text);
+    record.WallMs(wall_ms);
   }
   std::printf("\n");
 }
-
-void BM_ParallelCorrectness_Vars(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(schema, PathQueryText(k));
-  const LambdaPolicy policy = EvenOddPolicy(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IsParallelCorrect(q, policy));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_ParallelCorrectness_Vars)->DenseRange(1, 4)->Complexity();
-
-void BM_ParallelCorrectness_Universe(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(schema, PathQueryText(2));
-  const LambdaPolicy policy =
-      EvenOddPolicy(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IsParallelCorrect(q, policy));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ParallelCorrectness_Universe)
-    ->RangeMultiplier(2)
-    ->Range(2, 16)
-    ->Complexity();
-
-void BM_Transfer_Vars(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(schema, PathQueryText(k));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ParallelCorrectnessTransfersTo(q, q));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_Transfer_Vars)->DenseRange(1, 3)->Complexity();
-
-void BM_MinimalValuationCheck(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery q = ParseQuery(
-      schema, "H(x,z) <- R0(x,y), R0(y,z), R0(x,x)");
-  Valuation v(q.NumVars());
-  v.Bind(q.FindVar("x"), Value(1));
-  v.Bind(q.FindVar("y"), Value(2));
-  v.Bind(q.FindVar("z"), Value(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IsMinimalValuation(q, v));
-  }
-}
-BENCHMARK(BM_MinimalValuationCheck);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "cq/eval.h"
 #include "cq/parser.h"
 #include "obs/bench_report.h"
@@ -80,44 +78,11 @@ void PrintTable() {
       "\n");
 }
 
-void BM_BoundedEvaluation(benchmark::State& state) {
-  World w;
-  const BoundedPlan plan = PlanBoundedEvaluation(w.query, w.access);
-  const Instance db =
-      w.Population(static_cast<std::size_t>(state.range(0)));
-  // Note: index build inside BoundedEvaluate is O(|I|) — the engine's
-  // one-off cost. The model's claim is about data *touched* per query.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedEvaluate(w.query, plan, db));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BoundedEvaluation)
-    ->RangeMultiplier(10)
-    ->Range(100, 10000)
-    ->Complexity();
-
-void BM_FullEvaluation(benchmark::State& state) {
-  World w;
-  const Instance db =
-      w.Population(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Evaluate(w.query, db));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_FullEvaluation)
-    ->RangeMultiplier(10)
-    ->Range(100, 10000)
-    ->Complexity();
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

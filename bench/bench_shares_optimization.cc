@@ -10,8 +10,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "cq/parser.h"
 #include "mpc/hypercube_run.h"
@@ -108,25 +106,11 @@ void PrintTable() {
       "\n");
 }
 
-void BM_OptimizeIntegerShares(benchmark::State& state) {
-  Schema schema;
-  const ConjunctiveQuery q =
-      ParseQuery(schema, "H(x,y,z) <- R(x,y), S(y,z), T(z,x)");
-  const std::size_t budget = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        OptimizeIntegerSharesTotalComm(q, budget, {1e4, 1e4, 1e4}));
-  }
-}
-BENCHMARK(BM_OptimizeIntegerShares)->Arg(64)->Arg(256)->Arg(1024);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,13 +10,10 @@
 #include <cstdio>
 #include <string>
 
-#include <benchmark/benchmark.h>
-
 #include "datalog/depgraph.h"
 #include "datalog/program.h"
 #include "obs/bench_report.h"
 #include "par/thread_pool.h"
-#include "sa/analyzer.h"
 #include "sa/fragment.h"
 #include "sa/lint.h"
 
@@ -108,74 +105,11 @@ void PrintTable() {
   }
 }
 
-void BM_DependencyGraphStratify(benchmark::State& state) {
-  Schema schema;
-  DatalogProgram program = ParseProgram(
-      schema, MakeChainProgram(static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    const DependencyGraph graph(program);
-    benchmark::DoNotOptimize(graph.Stratify());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_DependencyGraphStratify)
-    ->RangeMultiplier(4)
-    ->Range(8, 512)
-    ->Complexity();
-
-void BM_ClassifyFragments(benchmark::State& state) {
-  Schema schema;
-  DatalogProgram program = ParseProgram(
-      schema, MakeChainProgram(static_cast<std::size_t>(state.range(0))));
-  const DependencyGraph graph(program);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sa::ClassifyFragments(schema, program, graph));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ClassifyFragments)
-    ->RangeMultiplier(4)
-    ->Range(8, 512)
-    ->Complexity();
-
-void BM_LintNoSubsumption(benchmark::State& state) {
-  Schema schema;
-  DatalogProgram program = ParseProgram(
-      schema, MakeChainProgram(static_cast<std::size_t>(state.range(0))));
-  sa::LintOptions options;
-  options.subsumption = false;
-  const DependencyGraph graph(program);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sa::LintProgram(schema, program, graph, options));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LintNoSubsumption)
-    ->RangeMultiplier(4)
-    ->Range(8, 512)
-    ->Complexity();
-
-void BM_AnalyzeProgramTextEndToEnd(benchmark::State& state) {
-  const std::string text =
-      MakeChainProgram(static_cast<std::size_t>(state.range(0)));
-  sa::AnalyzerOptions options;
-  options.subsumption = false;
-  for (auto _ : state) {
-    Schema schema;
-    benchmark::DoNotOptimize(
-        sa::AnalyzeProgramText(schema, text, options));
-  }
-}
-BENCHMARK(BM_AnalyzeProgramTextEndToEnd)->Arg(32)->Arg(128);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "common/hash.h"
 #include "common/rng.h"
 #include "obs/bench_report.h"
@@ -115,38 +113,11 @@ void PrintTable() {
   std::printf("\n");
 }
 
-void BM_BulkInsert(benchmark::State& state) {
-  const std::vector<Value> rows = MakeRows(11);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Instance instance;
-    benchmark::DoNotOptimize(instance.InsertRows(kRel, rows.data(), n, 2));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BulkInsert)->RangeMultiplier(4)->Range(1024, 16384)->Complexity();
-
-void BM_ContainsProbe(benchmark::State& state) {
-  const std::vector<Value> rows = MakeRows(11);
-  const std::vector<Value> probes = MakeRows(13);
-  Instance instance;
-  instance.InsertRows(kRel, rows.data(), kRows, 2);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        instance.ContainsRow(kRel, probes.data() + 2 * (i % kRows), 2));
-    ++i;
-  }
-}
-BENCHMARK(BM_ContainsProbe);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

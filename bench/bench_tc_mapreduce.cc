@@ -7,8 +7,6 @@
 
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "mapreduce/recursive.h"
 #include "obs/bench_report.h"
 #include "par/thread_pool.h"
@@ -51,40 +49,11 @@ void PrintTable() {
       "doubling jobs logarithmically; doubling shuffles more per job.\n\n");
 }
 
-void BM_LinearTc(benchmark::State& state) {
-  Schema schema;
-  const RelationId e = schema.AddRelation("E", 2);
-  const RelationId tc = schema.AddRelation("TC", 2);
-  Instance edges;
-  AddPathGraph(schema, e, static_cast<std::size_t>(state.range(0)), edges);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TransitiveClosureLinear(schema, e, tc, edges));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LinearTc)->RangeMultiplier(2)->Range(8, 64)->Complexity();
-
-void BM_DoublingTc(benchmark::State& state) {
-  Schema schema;
-  const RelationId e = schema.AddRelation("E", 2);
-  const RelationId tc = schema.AddRelation("TC", 2);
-  Instance edges;
-  AddPathGraph(schema, e, static_cast<std::size_t>(state.range(0)), edges);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        TransitiveClosureDoubling(schema, e, tc, edges));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_DoublingTc)->RangeMultiplier(2)->Range(8, 64)->Complexity();
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

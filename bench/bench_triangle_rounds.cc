@@ -12,8 +12,6 @@
 #include <cstdio>
 #include <string>
 
-#include <benchmark/benchmark.h>
-
 #include "common/rng.h"
 #include "cq/parser.h"
 #include "mpc/hypercube_run.h"
@@ -136,30 +134,12 @@ void PrintTable() {
       "column 5 approaches the skew-free level as p grows.\n\n");
 }
 
-void BM_OneRoundHyperCubeSkewed(benchmark::State& state) {
-  Workload w(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunHyperCubeUniform(w.triangle, w.skewed, 64));
-  }
-}
-BENCHMARK(BM_OneRoundHyperCubeSkewed)->Arg(2000)->Arg(8000);
-
-void BM_TwoRoundSkewResilient(benchmark::State& state) {
-  Workload w(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SkewResilientTriangle(w.triangle, w.skewed, 64));
-  }
-}
-BENCHMARK(BM_TwoRoundSkewResilient)->Arg(2000)->Arg(8000);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   lamp::par::ConfigureFromCommandLine(&argc, argv);
   lamp::transport::ConfigureFromCommandLine(&argc, argv);
-  lamp::obs::ConfigureRepeatsFromCommandLine(&argc, argv);
+  lamp::obs::ConfigureBenchFromCommandLine(argc, argv);
   lamp::obs::RunRepeated([] { PrintTable(); });
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -12,7 +12,7 @@ namespace lamp::obs {
 
 namespace {
 
-int g_repeats = 1;
+std::size_t g_repeats = 1;
 int g_repeat_index = 0;
 
 /// LAMP_BENCH_META parsed once per process; nullopt when unset/invalid.
@@ -34,28 +34,32 @@ const std::optional<JsonValue>& BenchMeta() {
 
 }  // namespace
 
-int ConfigureRepeatsFromCommandLine(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+void ConfigureBenchFromCommandLine(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
-    int consumed = 0;
-    if (std::strcmp(arg, "--repeat") == 0 && i + 1 < *argc) {
-      value = argv[i + 1];
-      consumed = 2;
+    if (std::strcmp(arg, "--repeat") == 0 && i + 1 < argc) {
+      value = argv[++i];
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
       value = arg + 9;
-      consumed = 1;
     }
-    if (value == nullptr) continue;
-    out = std::atoi(value);
-    for (int j = i + consumed; j < *argc; ++j) argv[j - consumed] = argv[j];
-    *argc -= consumed;
-    --i;
+    if (value == nullptr) {
+      std::fprintf(stderr,
+                   "%s: unknown argument '%s'\n"
+                   "usage: %s [--threads N] [--repeat N] (the MPC benches "
+                   "also take --transport {inproc,tcp})\n",
+                   argv[0], arg, argv[0]);
+      std::exit(2);
+    }
+    const std::optional<std::size_t> repeats = par::ParseCount(value);
+    if (!repeats.has_value()) {
+      std::fprintf(stderr,
+                   "usage: --repeat N, a whole number >= 1 (got '%s')\n",
+                   value);
+      std::exit(2);
+    }
+    g_repeats = *repeats;
   }
-  if (out < 1) out = 1;
-  g_repeats = out;
-  return out;
 }
 
 void SetBenchRepeatIndex(int index) { g_repeat_index = index; }
@@ -63,8 +67,8 @@ void SetBenchRepeatIndex(int index) { g_repeat_index = index; }
 int BenchRepeatIndex() { return g_repeat_index; }
 
 void RunRepeated(const std::function<void()>& body) {
-  for (int r = 0; r < g_repeats; ++r) {
-    SetBenchRepeatIndex(r);
+  for (std::size_t r = 0; r < g_repeats; ++r) {
+    SetBenchRepeatIndex(static_cast<int>(r));
     body();
   }
   SetBenchRepeatIndex(0);

@@ -30,7 +30,7 @@
 /// (the --threads / LAMP_THREADS value), and "wall_ns" the wall-clock in
 /// integer nanoseconds, so BENCH_*.json captures scaling curves directly.
 /// "repeat" is the zero-based repetition index set by the --repeat flag
-/// (ConfigureRepeatsFromCommandLine / RunRepeated below); repeated runs
+/// (ConfigureBenchFromCommandLine / RunRepeated below); repeated runs
 /// let tools/bench_runner estimate run-to-run noise per configuration.
 /// "meta" appears only when the LAMP_BENCH_META environment variable
 /// holds a JSON object — bench_runner uses it to stamp every record with
@@ -159,11 +159,13 @@ std::optional<std::vector<JsonValue>> LoadAttachedEntries(
     const std::vector<std::string>& paths, std::string_view array,
     std::string* error);
 
-/// Strips "--repeat N" / "--repeat=N" from argv (ahead of downstream flag
-/// parsers such as google-benchmark) and stores the value, clamped to
-/// >= 1. Returns the configured repeat count. Every binary under bench/
-/// calls this right after par::ConfigureFromCommandLine.
-int ConfigureRepeatsFromCommandLine(int* argc, char** argv);
+/// The last flag parser of every binary under bench/, called once
+/// par::ConfigureFromCommandLine (and, in the MPC benches,
+/// transport::ConfigureFromCommandLine) has stripped its flags: stores
+/// "--repeat N" / "--repeat=N" for RunRepeated. A value par::ParseCount
+/// rejects, or any other argument left in argv, exits 2 with a usage
+/// message.
+void ConfigureBenchFromCommandLine(int argc, char** argv);
 
 /// Zero-based index stamped into the "repeat" field of records created
 /// afterwards. RunRepeated advances it; tests may set it directly.

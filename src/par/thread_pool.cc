@@ -172,12 +172,17 @@ std::mutex g_config_mu;
 std::map<std::size_t, std::unique_ptr<ThreadPool>> g_pools;
 std::size_t g_default_threads = 0;  // 0 = unset; fall back to LAMP_THREADS.
 
+constexpr const char* kThreadsEnvVar = "LAMP_THREADS";
+
+/// LAMP_THREADS, or nullptr when unset or empty.
+const char* ThreadsEnv() {
+  const char* env = std::getenv(kThreadsEnvVar);
+  return (env == nullptr || *env == '\0') ? nullptr : env;
+}
+
 std::size_t EnvThreads() {
-  const char* env = std::getenv("LAMP_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* endp = nullptr;
-  const long v = std::strtol(env, &endp, 10);
-  return (endp == env || v < 1) ? 1 : static_cast<std::size_t>(v);
+  const char* env = ThreadsEnv();
+  return env == nullptr ? 1 : ParseCount(env).value_or(1);
 }
 
 std::size_t DefaultThreadsLocked() {
@@ -204,9 +209,17 @@ ThreadPool& GlobalPool() {
   return *pool;
 }
 
+std::optional<std::size_t> ParseCount(std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n == 0) return std::nullopt;
+  return n;
+}
+
 void ConfigureFromCommandLine(int* argc, char** argv) {
   int out = 1;
-  std::size_t threads = 0;
+  std::optional<std::size_t> threads;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
@@ -219,9 +232,8 @@ void ConfigureFromCommandLine(int* argc, char** argv) {
       argv[out++] = argv[i];
       continue;
     }
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, threads);
-    if (ec != std::errc() || ptr != end || threads == 0) {
+    threads = ParseCount(value);
+    if (!threads.has_value()) {
       std::fprintf(stderr,
                    "usage: --threads N, a whole number >= 1 (got '%s')\n",
                    value);
@@ -230,7 +242,16 @@ void ConfigureFromCommandLine(int* argc, char** argv) {
   }
   argv[out] = nullptr;
   *argc = out;
-  if (threads != 0) SetDefaultThreads(threads);
+  if (threads.has_value()) {
+    SetDefaultThreads(*threads);
+    return;
+  }
+  const char* env = ThreadsEnv();
+  if (env != nullptr && !ParseCount(env).has_value()) {
+    std::fprintf(stderr, "usage: %s=N, a whole number >= 1 (got '%s')\n",
+                 kThreadsEnvVar, env);
+    std::exit(2);
+  }
 }
 
 }  // namespace lamp::par

@@ -7,6 +7,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -104,11 +106,16 @@ void SetDefaultThreads(std::size_t n);
 /// changing the default.
 ThreadPool& GlobalPool();
 
-/// Strips "--threads N" / "--threads=N" from argv (so downstream flag
-/// parsers such as google-benchmark never see it) and applies the value via
-/// SetDefaultThreads. A value that is not a whole number >= 1 exits 2
-/// with a usage message. Without the flag, LAMP_THREADS decides (the
-/// DefaultThreads fallback). Every binary under bench/ calls this first.
+/// Reads \p text as a whole number >= 1 with nothing before or after it;
+/// nullopt otherwise. The one rule for "--threads N", LAMP_THREADS and a
+/// bench's "--repeat N".
+std::optional<std::size_t> ParseCount(std::string_view text);
+
+/// Strips "--threads N" / "--threads=N" from argv (so the flag parsers
+/// after it never see it) and applies the value via SetDefaultThreads.
+/// Without the flag, LAMP_THREADS decides (the DefaultThreads fallback).
+/// A flag value or a set LAMP_THREADS that ParseCount rejects exits 2 with
+/// a usage message. Every binary under bench/ calls this first.
 void ConfigureFromCommandLine(int* argc, char** argv);
 
 }  // namespace lamp::par

@@ -2,7 +2,7 @@
 // full-range coverage at every thread count, deterministic exception
 // selection (lowest failing chunk wins), inline nested ParallelFor (no
 // deadlock on the fixed-size pool), and the DefaultThreads /
-// ConfigureFromCommandLine configuration surface.
+// ParseCount / ConfigureFromCommandLine configuration surface.
 
 #include "par/thread_pool.h"
 
@@ -175,17 +175,25 @@ TEST(ParConfigTest, SwitchingTheDefaultNeverDeletesAPoolInUse) {
   SetDefaultThreads(1);
 }
 
+TEST(ParConfigTest, ParseCountTakesOnlyWholeNumbersFromOne) {
+  EXPECT_EQ(ParseCount("1"), 1u);
+  EXPECT_EQ(ParseCount("16"), 16u);
+  for (const char* bad : {"", "0", "-2", "abc", "4x", " 4", "4 ", "+4"}) {
+    EXPECT_FALSE(ParseCount(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(ParConfigTest, ConfigureFromCommandLineStripsThreadsFlag) {
   char arg0[] = "bench";
   char arg1[] = "--threads=5";
-  char arg2[] = "--benchmark_filter=x";
+  char arg2[] = "--repeat=3";
   char* argv[] = {arg0, arg1, arg2, nullptr};
   int argc = 3;
   ConfigureFromCommandLine(&argc, argv);
   EXPECT_EQ(DefaultThreads(), 5u);
   ASSERT_EQ(argc, 2);
   EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
+  EXPECT_STREQ(argv[1], "--repeat=3");
 
   char barg0[] = "bench";
   char barg1[] = "--threads";
